@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Optional, Sequence
 
-from .circuits import AlgCircuit, CircuitBuilder, eval_circuit, variable_circuit
+from .circuits import AlgCircuit, CircuitBuilder, eval_circuit
 from .limits import Budget, charge, default_budget
 from .partitions import Partition
 

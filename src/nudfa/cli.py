@@ -666,7 +666,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = ssub.add_parser("progcsat", help="does the program accept a word?")
     q.add_argument("--program", required=True, metavar="FILE")
-    q.add_argument("--exhaustive", action="store_true")
     q.add_argument(
         "--sample",
         type=int,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence
 
-from .algebra import FiniteAlgebra, UnaryClone, verify_malcev, find_malcev_polynomial
+from .algebra import FiniteAlgebra, verify_malcev, find_malcev_polynomial
 from .circuits import AlgCircuit, CONST, GATE, VAR
 from .congruence import (
     CongruenceLattice,
@@ -43,7 +43,6 @@ from .congruence import (
     is_supernilpotent_algebra,
     pdiv,
     prime_power_decomposition,
-    sigma_for_prime,
 )
 from .fieldpoly import is_prime, multilinear_interpolate
 from .limits import Budget, charge, default_budget
@@ -183,17 +182,13 @@ def central_representation(
     beta: Partition,
     e: int,
     malcev: AlgCircuit,
-    clone: Optional[UnaryClone] = None,
-    budget: Optional[Budget] = None,
 ) -> CentralRep:
     """Build and exhaustively verify the module/quotient split along beta."""
     from .circuits import eval_circuit
 
-    budget = budget or default_budget()
     if not verify_malcev(D, malcev):
         raise ValueError("the supplied circuit is not a Malcev polynomial")
-    clone = clone or UnaryClone(D, budget)
-    if not commutator(D, beta, beta, clone).is_identity():
+    if not commutator(D, beta, beta).is_identity():
         raise HypothesisViolation("the congruence is not abelian")
 
     add, p = block_group(D, malcev, beta, e)
@@ -549,7 +544,8 @@ def _bit_passthrough(n: int, bit: int, m: int, p: int) -> CCircuit:
     if cc is None:
         pool = AtomPool()
         atom = make_atom(m, {frozenset([bit]): 1}, {1})
-        assert atom is not None
+        if atom is None:
+            raise AssertionError(f"input bit {bit} has a constant indicator")
         cc = emit_modsum(
             n, m, p, pool, ModSum(p, 0, {pool.get(atom): 1}),
             and_layer=True, final=MOD,
@@ -900,7 +896,8 @@ def compile_nilpotent(
     kappa = dist.smallest_supernilpotent_quotient
     chars = charr_set(A, lat, lat.zero, kappa)
     if not chars:
-        assert kappa.is_identity()
+        if not kappa.is_identity():
+            raise AssertionError("no characteristics below a nonzero congruence")
         p = _smallest_coprime_prime(A.size)
     elif len(chars) == 1:
         p = next(iter(chars))
@@ -910,19 +907,20 @@ def compile_nilpotent(
             f"{sorted(chars)}; need a single prime"
         )
 
-    sigma = sigma_for_prime(A, lat, p)
+    sigma = dist.by_prime.get(p, lat.zero)
     if not kappa.leq(sigma):
         raise AssertionError("supernilpotent quotient escapes the p-radical")
     Abar, _ = lat.quotient(sigma)
     m = pdiv(Abar)
-    if chars:
-        assert m * p == pdiv(A), "quotient primes do not complement p"
+    if chars and m * p != pdiv(A):
+        raise AssertionError("quotient primes do not complement p")
     if m == 1:
         raise HypothesisViolation(
             "the p-radical covers the whole algebra; the two-modulus "
             "construction needs a nontrivial coprime quotient"
         )
-    assert m % p != 0
+    if m % p == 0:
+        raise AssertionError(f"quotient modulus {m} is divisible by {p}")
 
     chain = _maximal_chain(lat, sigma)
     h = len(chain) - 1
@@ -940,7 +938,8 @@ def compile_nilpotent(
 
     # base level: supernilpotent quotient, one atom per (node, target)
     top = progs[h]
-    assert _same_op_tables(top.algebra, Abar)
+    if not _same_op_tables(top.algebra, Abar):
+        raise AssertionError("top quotient program is not over A/sigma")
     latbar = all_congruences(Abar, budget=budget)
     okp, _ = is_pupi(Abar, latbar, latbar.zero, latbar.one)
     if not okp:
@@ -987,16 +986,17 @@ def compile_nilpotent(
         Dj = progs[j].algebra
         beta_j = project(chain[j + 1], projs[j], Dj.size)
         malcev_j = map_circuit_constants(malcev, projs[j])
-        assert verify_malcev(Dj, malcev_j)
-        rep = central_representation(Dj, beta_j, 0, malcev_j, budget=budget)
+        if not verify_malcev(Dj, malcev_j):
+            raise AssertionError(f"Malcev polynomial fails at level {j}")
+        rep = central_representation(Dj, beta_j, 0, malcev_j)
         if rep.p != p:
             raise AssertionError(
                 f"atom at level {j} has characteristic {rep.p}, expected {p}"
             )
-        assert _same_op_tables(rep.quotient, progs[j + 1].algebra)
-        assert all(
-            rep.proj[projs[j][x]] == projs[j + 1][x] for x in range(A.size)
-        )
+        if not _same_op_tables(rep.quotient, progs[j + 1].algebra) or any(
+            rep.proj[projs[j][x]] != projs[j + 1][x] for x in range(A.size)
+        ):
+            raise AssertionError(f"level {j} quotient disagrees with level {j + 1}")
         entries = (
             [(root, c) for c in S0]
             if j == 0

@@ -1,8 +1,11 @@
 """Congruence lattices and commutator-based structure theory.
 
-Principal congruences are generated by closing a pair under all unary
-polynomials and taking the symmetric-transitive closure; the full lattice is
-the join-closure of the principal congruences.  The binary commutator is the
+By Mal'cev's lemma an equivalence relation is a congruence exactly when every
+basic translation x -> f(c_1, ..., x, ..., c_r) preserves it, so the
+congruence generated by a set of pairs is their closure under the basic
+translations and transitivity (R. Freese, "Computing congruences
+efficiently", Algebra Universalis 2008).  The full lattice is the
+join-closure of the principal congruences.  The binary commutator is the
 term-condition commutator, computed from the matrix subalgebra of A^4.  On
 top of these sit characteristics of prime quotients, intervals that decompose
 into independent single-prime pieces, and the distinguished congruences that
@@ -13,44 +16,52 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, UnaryClone, quotient_algebra, respects
+from .algebra import FiniteAlgebra, quotient_algebra, respects
 from .limits import Budget, default_budget
 from .partitions import Partition, all_partitions
 
 
-def is_congruence(algebra: FiniteAlgebra, part: Partition) -> bool:
-    """True iff the partition is compatible with every basic operation."""
-    return respects(algebra, part)
+def _translations(algebra: FiniteAlgebra) -> set[tuple[int, ...]]:
+    """Value tables of the basic translations x -> f(c_1, ..., x, ..., c_r)."""
+    n = algebra.size
+    out: set[tuple[int, ...]] = set()
+    for op in algebra.ops:
+        table = np.array(op.table).reshape((n,) * op.arity)
+        for i in range(op.arity):
+            rows = np.moveaxis(table, i, -1).reshape(-1, n)
+            out.update(map(tuple, rows.tolist()))
+    return out
 
 
 def congruence_generated(
-    algebra: FiniteAlgebra,
-    pairs: Iterable[tuple[int, int]],
-    clone: UnaryClone,
+    algebra: FiniteAlgebra, pairs: Iterable[tuple[int, int]]
 ) -> Partition:
     """Least congruence containing the given pairs.
 
-    The transitive closure of the unary-polynomial images of the generating
-    pairs is already a congruence, so one pass over the clone suffices.
+    A worklist of pairs is merged into a partition; each pair that joins two
+    blocks sends its images under every basic translation back to the
+    worklist.  The merging pairs generate the result as an equivalence and
+    each translation maps them into it, so it is a congruence; every pair
+    merged is forced by the generators, so it is the least one.
     """
     n = algebra.size
-    out: list[tuple[int, int]] = []
-    for a, b in pairs:
-        if a == b:
-            continue
-        for fn in clone:
-            out.append((fn.values[a], fn.values[b]))
-    return Partition.from_pairs(n, out)
+    translations = _translations(algebra)
+    theta = Partition.identity(n)
+    work = list(pairs)
+    while work:
+        a, b = work.pop()
+        if not theta.same(a, b):
+            theta = Partition.from_pairs(n, [*enumerate(theta.class_of), (a, b)])
+            work += [(t[a], t[b]) for t in translations]
+    return theta
 
 
-def principal_congruence(
-    algebra: FiniteAlgebra, a: int, b: int, clone: UnaryClone
-) -> Partition:
-    return congruence_generated(algebra, [(a, b)], clone)
+def principal_congruence(algebra: FiniteAlgebra, a: int, b: int) -> Partition:
+    return congruence_generated(algebra, [(a, b)])
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +74,6 @@ class CongruenceLattice:
     """All congruences of a finite algebra, with order data and caches."""
 
     algebra: FiniteAlgebra
-    clone: UnaryClone
     elements: tuple[Partition, ...]  # canonically sorted
     _index: dict = field(repr=False)
     covers: tuple[tuple[int, int], ...]  # (lower, upper) index pairs
@@ -122,9 +132,6 @@ class CongruenceLattice:
     def atoms(self) -> list[Partition]:
         return self.covers_of(self.zero)
 
-    def join_irreducibles(self) -> list[Partition]:
-        return [c for c in self.elements if len(self.subcovers_of(c)) == 1]
-
     def meet_irreducibles(self) -> list[Partition]:
         return [c for c in self.elements if len(self.covers_of(c)) == 1]
 
@@ -140,16 +147,6 @@ class CongruenceLattice:
             raise ValueError(f"not meet-irreducible: {len(ups)} covers")
         return ups[0]
 
-    def is_modular(self) -> bool:
-        """No pentagon: a < b with a v c == b v c and a ^ c == b ^ c forces a == b."""
-        for a in self.elements:
-            for b in self.elements:
-                if a.leq(b) and a != b:
-                    for c in self.elements:
-                        if a.join(c) == b.join(c) and a.meet(c) == b.meet(c):
-                            return False
-        return True
-
     # -- quotients ---------------------------------------------------------
 
     def quotient(self, part: Partition) -> tuple[FiniteAlgebra, tuple[int, ...]]:
@@ -163,9 +160,7 @@ class CongruenceLattice:
     def commutator(self, left: Partition, right: Partition) -> Partition:
         key = (self.index(left), self.index(right))
         if key not in self._commutator:
-            self._commutator[key] = commutator(
-                self.algebra, left, right, self.clone
-            )
+            self._commutator[key] = commutator(self.algebra, left, right)
         return self._commutator[key]
 
     def characteristic(self, lo: Partition, hi: Partition) -> int:
@@ -176,9 +171,7 @@ class CongruenceLattice:
 
 
 def all_congruences(
-    algebra: FiniteAlgebra,
-    clone: Optional[UnaryClone] = None,
-    budget: Optional[Budget] = None,
+    algebra: FiniteAlgebra, budget: Optional[Budget] = None
 ) -> CongruenceLattice:
     """Build the full congruence lattice (join-closure of principals)."""
     budget = budget or default_budget()
@@ -187,12 +180,11 @@ def all_congruences(
             f"universe {algebra.size} exceeds lattice bound "
             f"{budget.lattice_universe}"
         )
-    clone = clone or UnaryClone(algebra, budget)
     n = algebra.size
     found: set[Partition] = {Partition.identity(n), Partition.total(n)}
     principals = set()
     for a, b in combinations(range(n), 2):
-        principals.add(principal_congruence(algebra, a, b, clone))
+        principals.add(principal_congruence(algebra, a, b))
     found |= principals
     frontier = set(found)
     while frontier:
@@ -217,7 +209,7 @@ def all_congruences(
             ):
                 continue
             covers.append((i, j))
-    return CongruenceLattice(algebra, clone, elements, index, tuple(covers))
+    return CongruenceLattice(algebra, elements, index, tuple(covers))
 
 
 def all_congruences_bruteforce(algebra: FiniteAlgebra) -> list[Partition]:
@@ -308,7 +300,6 @@ def commutator(
     algebra: FiniteAlgebra,
     left: Partition,
     right: Partition,
-    clone: UnaryClone,
 ) -> Partition:
     """Term-condition commutator of two congruences.
 
@@ -328,7 +319,7 @@ def commutator(
     seeds = {
         (int(r[2]), int(r[3])) for r in rows if r[0] == r[1] and r[2] != r[3]
     }
-    delta = congruence_generated(algebra, seeds, clone)
+    delta = congruence_generated(algebra, seeds)
     while True:
         forced = set()
         for r in rows:
@@ -337,7 +328,7 @@ def commutator(
         if not forced:
             return delta
         seeds |= forced
-        delta = congruence_generated(algebra, seeds, clone)
+        delta = congruence_generated(algebra, seeds)
 
 
 def solvability_class(algebra: FiniteAlgebra, lat: CongruenceLattice,
@@ -514,53 +505,6 @@ def is_pupi(
     return False, None
 
 
-def interval_join_irreducibles(
-    lat: CongruenceLattice, lo: Partition, hi: Partition
-) -> list[Partition]:
-    """Members of [lo, hi] with exactly one subcover inside the interval."""
-    interval = lat.interval(lo, hi)
-    out = []
-    for c in interval:
-        if c == lo:
-            continue
-        subs = [x for x in interval if x.leq(c) and x != c]
-        covers = [
-            x for x in subs if not any(y.leq(c) and x.leq(y) and y not in (x, c) for y in subs)
-        ]
-        if len(covers) == 1:
-            out.append(c)
-    return out
-
-
-def supernilpotent_rank(
-    algebra: FiniteAlgebra, lat: CongruenceLattice
-) -> tuple[int, tuple[Partition, ...]]:
-    """Shortest chain 0 = g_0 < ... < g_r = 1 where every step is a
-    prime-uniform product interval; returns (r, chain)."""
-    zero, one = lat.zero, lat.one
-    if zero == one:
-        return 0, (zero,)
-    dist: dict[Partition, tuple[int, tuple[Partition, ...]]] = {
-        zero: (0, (zero,))
-    }
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            d, chain = dist[g]
-            for h in lat.elements:
-                if h == g or not g.leq(h) or h in dist:
-                    continue
-                ok, _ = is_pupi(algebra, lat, g, h)
-                if ok:
-                    dist[h] = (d + 1, chain + (h,))
-                    if h == one:
-                        return dist[h]
-                    nxt.append(h)
-        frontier = nxt
-    raise ValueError("no chain of prime-uniform intervals reaches the top")
-
-
 def is_supernilpotent_congruence(
     algebra: FiniteAlgebra, lat: CongruenceLattice, beta: Partition
 ) -> bool:
@@ -645,20 +589,6 @@ def _is_power_of(m: int, p: int) -> bool:
     while m % p == 0:
         m //= p
     return m == 1
-
-
-def sigma_for_prime(
-    algebra: FiniteAlgebra, lat: CongruenceLattice, p: int
-) -> Partition:
-    """Biggest supernilpotent congruence with p-power block sizes (defined
-    for every prime; it is the zero congruence when p does not divide |A|)."""
-    cands = [
-        c
-        for c in lat.elements
-        if is_supernilpotent_congruence(algebra, lat, c)
-        and all(_is_power_of(len(b), p) for b in c.blocks())
-    ]
-    return _unique_max(cands, f"largest supernilpotent for prime {p}")
 
 
 def supernilpotent_rank(

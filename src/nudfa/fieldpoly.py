@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
-from typing import Callable, Iterable, Optional, Sequence
+from itertools import combinations
+from typing import Iterable, Optional, Sequence
 
 from .limits import Budget, charge, default_budget
 
@@ -280,15 +280,6 @@ def _zero_indicator_terms(q: int, k: int, p: int) -> dict:
     return terms
 
 
-def zero_indicator(q: int, k: int, p: int) -> CosetIndicatorSum:
-    form = CosetIndicatorSum(q, p, k, _zero_indicator_terms(q, k, p))
-    for xs in product(range(q), repeat=k):
-        want = 1 if all(x == 0 for x in xs) else 0
-        if form.eval(xs) != want:
-            raise AssertionError(f"zero indicator wrong at {xs}")
-    return form
-
-
 def prime_factors(m: int) -> list[int]:
     out = []
     q = 2
@@ -387,13 +378,6 @@ def coset_indicator_form(
         if form.eval(point) != values[idx] % p:
             raise AssertionError(f"coset indicator form wrong at {tuple(point)}")
     return form
-
-
-def coset_form_from_fn(
-    fn: Callable[..., int], m: int, s: int, p: int, budget: Optional[Budget] = None
-) -> CosetIndicatorSum:
-    table = [fn(*xs) for xs in product(range(m), repeat=s)]
-    return coset_indicator_form(table, m, s, p, budget)
 
 
 # ---------------------------------------------------------------------------

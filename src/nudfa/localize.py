@@ -124,7 +124,7 @@ def minimal_set_through(
             for d in members:
                 if c == d or lo.same(c, d) or not hi.same(c, d):
                     continue
-                theta = principal_congruence(algebra, c, d, clone)
+                theta = principal_congruence(algebra, c, d)
                 for a in algebra.elements:
                     if lo.same(e, a) or not theta.same(e, a):
                         continue

@@ -27,7 +27,6 @@ from itertools import product
 from typing import Mapping, Optional, Sequence
 
 from .fieldpoly import (
-    CosetIndicatorSum,
     MultilinearPoly,
     coset_indicator_form,
     is_prime,
@@ -38,12 +37,9 @@ from .limits import Budget, charge, default_budget
 from .modcircuit import (
     AND,
     MOD,
-    OR,
     SUMP,
-    SUMPC,
     CCircuit,
     Gate,
-    cc_truth_table,
     eval_cc,
     shape_of,
     validate_shape,
@@ -214,7 +210,8 @@ def _conj_modsum_mod2(
         if c % p == 0:
             continue
         atom = make_atom(2, {key: 1 for key in form}, {0})
-        assert atom is not None
+        if atom is None:
+            raise AssertionError("conjunction form collapsed to a constant")
         coeffs[pool.get(atom)] = c % p
     out.coeffs = coeffs
     return out
@@ -329,12 +326,19 @@ def _layer_count(circuit: CCircuit) -> int:
     return max((g.layer for g in circuit.gates), default=0)
 
 
-def _check_mp(m: int, p: int) -> None:
+def _layer_modulus(circuit: CCircuit, layer: int, p: int) -> int:
+    """The one modulus m of a MOD layer, checked to be squarefree and coprime
+    to the prime p; an empty layer takes any such m."""
+    ms = {g.m for g in circuit.gates if g.layer == layer}
+    if len(ms) > 1:
+        raise ValueError("MOD layer mixes moduli")
+    m = ms.pop() if ms else (3 if p == 2 else 2)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     prime_factors(m)  # raises unless squarefree
     if m % p == 0:
         raise ValueError("p must not divide m")
+    return m
 
 
 def _monomial_keys(circuit: CCircuit, has_and: bool) -> dict[int, Key]:
@@ -409,10 +413,6 @@ def _chi_poly(
 _INGEST_CACHE: dict[CCircuit, _Ingested] = {}
 
 
-def clear_ingest_cache() -> None:
-    _INGEST_CACHE.clear()
-
-
 def _ingest_modmod(circuit: CCircuit, budget: Budget) -> _Ingested:
     """Parse MOD(m)∘MOD(p) or AND∘MOD(m)∘MOD(p) into a ModSum."""
     cached = _INGEST_CACHE.get(circuit)
@@ -432,11 +432,7 @@ def _ingest_modmod(circuit: CCircuit, budget: Budget) -> _Ingested:
     keys = _monomial_keys(circuit, has_and)
     pool = AtomPool()
     atoms = _mod_layer_atoms(circuit, mod_layer, keys, pool)
-    ms = [g.m for g in circuit.gates if g.layer == mod_layer]
-    m = ms[0] if ms else (3 if p == 2 else 2)  # empty layer: any m coprime to p
-    if any(x != m for x in ms):
-        raise ValueError("MOD layer mixes moduli")
-    _check_mp(m, p)
+    m = _layer_modulus(circuit, mod_layer, p)
     coeffs: dict[int, int] = {}
     shift = 0
     for src, mult in out_gate.wires:
@@ -665,11 +661,7 @@ def modm_andd_to_sum(
     keys = _monomial_keys(circuit, has_and=False)
     pool = AtomPool()
     atoms = _mod_layer_atoms(circuit, 1, keys, pool)
-    ms = [g.m for g in circuit.gates if g.layer == 1]
-    m = ms[0] if ms else (3 if p == 2 else 2)  # empty layer: any m coprime to p
-    if any(x != m for x in ms):
-        raise ValueError("MOD layer mixes moduli")
-    _check_mp(m, p)
+    m = _layer_modulus(circuit, 1, p)
     srcs = sorted({src for src, _ in out_gate.wires})
     indices = []
     const_zero = False
@@ -784,7 +776,8 @@ def apply_func(
             m, p = ing.m, ing.p
         elif (ing.m, ing.p) != (m, p):
             raise ValueError("shape mismatch: circuits disagree on (m, p)")
-    assert m is not None and p is not None
+    if m is None or p is None:
+        raise AssertionError("no input circuit fixed the moduli")
     g_poly = multilinear_interpolate(g_table, p)
     composed = g_poly.substitute(
         {j: sums[j].as_poly() for j in range(k)}, budget
@@ -826,11 +819,7 @@ def collapse_5to3(
     keys = _monomial_keys(circuit, has_and=True)
     pool = AtomPool()
     atoms = _mod_layer_atoms(circuit, 2, keys, pool)
-    ms = [g.m for g in circuit.gates if g.layer == 2]
-    m = ms[0] if ms else (3 if p == 2 else 2)  # empty layer: any m coprime to p
-    if any(x != m for x in ms):
-        raise ValueError("MOD layer mixes moduli")
-    _check_mp(m, p)
+    m = _layer_modulus(circuit, 2, p)
 
     # layer 3: the MOD(p)-rooted boolean sub-results, as ModSums
     f_polys: dict[int, MultilinearPoly] = {}

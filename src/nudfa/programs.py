@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .algebra import FiniteAlgebra, quotient_algebra
-from .circuits import AlgCircuit, CircuitBuilder, eval_circuit, CONST, GATE, VAR
-from .congruence import Decomposition
+from .circuits import AlgCircuit, CircuitBuilder, eval_circuit, CONST, VAR
 from .limits import Budget, default_budget
 from .partitions import Partition
 
@@ -129,19 +128,6 @@ def truth_table(program: AlgProgram, budget: Optional[Budget] = None) -> list[bo
     return out
 
 
-def inner_value_table(program: AlgProgram,
-                      budget: Optional[Budget] = None) -> list[int]:
-    """Circuit value (not just acceptance) on every word."""
-    budget = budget or default_budget()
-    if program.n > budget.truth_table_bits:
-        raise ValueError("too many input bits")
-    out = []
-    for row in range(1 << program.n):
-        word = [(row >> i) & 1 for i in range(program.n)]
-        out.append(program.inner_value(word))
-    return out
-
-
 def map_circuit_constants(circuit: AlgCircuit, mapping: Sequence[int]) -> AlgCircuit:
     """Rewrite every constant node through an element mapping (same shape)."""
     nodes = []
@@ -215,28 +201,3 @@ def subprogram(program: AlgProgram, node: int) -> AlgProgram:
     return AlgProgram(
         program.algebra, shrunk, program.n, instructions, program.accepting
     )
-
-
-@dataclass(frozen=True)
-class ProgramFactor:
-    program: AlgProgram
-    prime: int
-    projection: tuple[int, ...]
-
-
-def decompose_program(
-    program: AlgProgram, dec: Decomposition, target: int
-) -> list[ProgramFactor]:
-    """Split acceptance of a single target element across the prime-power
-    factors of a decomposition: the word is accepted with value == target
-    iff every factor program accepts."""
-    out = []
-    for kernel, prime, projection in zip(dec.kernels, dec.primes, dec.projections):
-        quo, mapping = quotient_program(program, kernel)
-        assert mapping == projection
-        out.append(
-            ProgramFactor(
-                with_accepting(quo, {projection[target]}), prime, projection
-            )
-        )
-    return out

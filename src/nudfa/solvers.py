@@ -333,7 +333,8 @@ def ceqv_via_meet_irreducibles(
             if eval_circuit(quo, mapped, args) != target:
                 lifted = tuple(reps[a] for a in args)
                 got = eval_circuit(algebra, circuit, lifted)
-                assert got != e, "pulled-back counterexample evaporated"
+                if got == e:
+                    raise AssertionError("pulled-back counterexample evaporated")
                 return SolveResult(
                     status="fails",
                     counterexample=lifted,

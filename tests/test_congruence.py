@@ -2,17 +2,18 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nudfa.algebra import UnaryClone
+from nudfa.algebra import FiniteAlgebra, Operation, respects
 from nudfa.congruence import (
     all_congruences,
     all_congruences_bruteforce,
     charr_set,
     distinguished_congruences,
-    is_congruence,
     is_nilpotent_congruence,
     is_supernilpotent_algebra,
     pdiv,
@@ -22,7 +23,6 @@ from nudfa.congruence import (
     supernilpotent_rank,
 )
 from nudfa.fixtures import get_fixture
-from nudfa.limits import default_budget
 from nudfa.partitions import Partition
 
 ETA_MOD2 = Partition.from_blocks(6, [{0, 2, 4}, {1, 3, 5}])
@@ -40,7 +40,43 @@ def lattice_of(name):
 def test_lattice_matches_bruteforce_enumeration(name):
     alg, lat = lattice_of(name)
     assert set(lat.elements) == set(all_congruences_bruteforce(alg))
-    assert all(is_congruence(alg, part) for part in lat.elements)
+    assert all(respects(alg, part) for part in lat.elements)
+
+
+@st.composite
+def small_algebras(draw):
+    """A binary operation plus optional unary and ternary ones on 2..5
+    elements.  Half the draws make every table respect the kernel of a
+    random labelling, so that nontrivial congruences turn up often."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    blocks = {c: [x for x in range(n) if labels[x] == c] for c in labels}
+    free = draw(st.booleans())
+    arities = [2] + [r for r in (1, 3) if draw(st.booleans())]
+    ops = []
+    for r in arities:
+        raw = draw(st.lists(st.integers(0, n - 1), min_size=n**r, max_size=n**r))
+        if not free:
+            lead: dict = {}
+            for i, args in enumerate(itertools.product(range(n), repeat=r)):
+                key = tuple(labels[a] for a in args)
+                block = blocks[labels[lead.setdefault(key, raw[i])]]
+                raw[i] = block[raw[i] % len(block)]
+        ops.append(Operation(f"f{r}", r, tuple(raw)))
+    return FiniteAlgebra(f"random{n}", n, tuple(ops))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_algebras(), st.data())
+def test_translation_closure_matches_bruteforce_on_random_tables(alg, data):
+    brute = all_congruences_bruteforce(alg)
+    assert list(all_congruences(alg).elements) == sorted(brute)
+    a = data.draw(st.integers(0, alg.size - 1))
+    b = data.draw(st.integers(0, alg.size - 1))
+    relating = [c for c in brute if c.same(a, b)]
+    assert principal_congruence(alg, a, b) == functools.reduce(
+        Partition.meet, relating
+    )
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
@@ -77,10 +113,9 @@ def test_characteristic_rejects_non_covers():
 
 def test_principal_congruences_of_the_cyclic_group():
     alg = get_fixture("Z6").algebra
-    clone = UnaryClone(alg, default_budget())
-    assert principal_congruence(alg, 0, 2, clone) == ETA_MOD2
-    assert principal_congruence(alg, 0, 3, clone) == ETA_MOD3
-    assert principal_congruence(alg, 0, 1, clone).is_total()
+    assert principal_congruence(alg, 0, 2) == ETA_MOD2
+    assert principal_congruence(alg, 0, 3) == ETA_MOD3
+    assert principal_congruence(alg, 0, 1).is_total()
 
 
 @pytest.mark.parametrize("name", ("Z2", "Z3", "Z4", "Z6"))

@@ -7,14 +7,12 @@ import itertools
 import pytest
 
 from nudfa.circuits import CONST, CircuitBuilder
-from nudfa.congruence import all_congruences, prime_power_decomposition
 from nudfa.fixtures import demo_program, get_fixture
 from nudfa.limits import default_budget
 from nudfa.partitions import Partition
 from nudfa.programs import (
     AlgProgram,
     Instruction,
-    decompose_program,
     map_circuit_constants,
     quotient_program,
     subprogram,
@@ -137,18 +135,6 @@ def test_subprogram_isolates_a_single_node():
         single = with_accepting(subprogram(prog, node), {1})
         for word in itertools.product((0, 1), repeat=prog.n):
             assert single.inner_value(word) in range(prog.algebra.size)
-
-
-def test_decompose_program_splits_single_element_acceptance():
-    prog = demo_program("and2_z6")
-    lat = all_congruences(prog.algebra)
-    dec = prime_power_decomposition(prog.algebra, lat)
-    target = 2
-    factors = decompose_program(prog, dec, target)
-    assert sorted(f.prime for f in factors) == [2, 3]
-    for word in itertools.product((0, 1), repeat=prog.n):
-        direct = prog.inner_value(word) == target
-        assert direct == all(f.program.accepts(word) for f in factors)
 
 
 def test_truth_table_refuses_oversized_words():
