@@ -11,7 +11,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
+
+import numpy as np
 
 from .circuits import AlgCircuit, CircuitBuilder, eval_circuit
 from .limits import Budget, charge, default_budget
@@ -142,15 +144,22 @@ class UnaryFn:
 class UnaryClone:
     """All unary polynomials of an algebra, closed under the basic operations.
 
-    Functions are deduplicated by value table; each carries a witness circuit
-    in the single variable x0.  Iteration order is the canonical sort by value
-    table, so searches over the clone are deterministic.
+    A batched breadth-first closure (``_closure``) with k = 1.  Functions
+    are deduplicated by value table, and each carries the first witness
+    circuit in the variable x0 found in breadth-first ``product`` order.
+    Iteration order is the canonical sort by value table, so searches over
+    the clone are deterministic.
     """
 
     def __init__(self, algebra: FiniteAlgebra, budget: Optional[Budget] = None):
         self.algebra = algebra
-        budget = budget or default_budget()
-        self.functions = _close_unary(algebra, budget)
+        builder, seen, _ = _closure(algebra, 1, budget, "unary clone")
+        dtype = np.min_scalar_type(algebra.size - 1)
+        found = sorted(
+            (tuple(np.frombuffer(key, dtype).tolist()), node)
+            for key, node in seen.items()
+        )
+        self.functions = tuple(UnaryFn(tab, builder.finish(nd)) for tab, nd in found)
         self._by_table = {fn.values: fn for fn in self.functions}
 
     def __iter__(self):
@@ -177,63 +186,98 @@ class UnaryClone:
         return self.find(lambda fn: all(fn.values[a] == b for a, b in pairs))
 
 
-def _close_unary(algebra: FiniteAlgebra, budget: Budget) -> tuple[UnaryFn, ...]:
+# Most rows one numpy gather produces; bounds the scratch memory of a batch.
+_BATCH_ROWS = 512
+
+
+def _closure(
+    algebra: FiniteAlgebra,
+    k: int,
+    budget: Optional[Budget],
+    label: str,
+    depth_bound: Optional[int] = None,
+    stop: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    *,
+    charge_seeds: bool = True,
+) -> tuple[CircuitBuilder, dict[bytes, int], Optional[int]]:
+    """Breadth-first closure of the k-ary polynomial tables of an algebra.
+
+    Round 0 holds the projections, the constants and the nullary operations.
+    Each later round, up to ``depth_bound``, applies every basic operation
+    in ``product`` order to the tuples of tables seen before the round that
+    include one found in the previous round; the last argument runs over a
+    batch of rows at once, as one gather on the flat operation table.
+    Tables are keyed by their bytes in the smallest unsigned dtype and map to
+    the node that first produced them.  Each new table is charged to
+    ``label``, and so is each seed if ``charge_seeds``.  ``stop`` maps a
+    stack of rows to a boolean mask; the closure ends at the first table it
+    accepts and returns that table's node.
+    """
+    budget = budget or default_budget()
     n = algebra.size
-    builder = CircuitBuilder(1)
-    seen: dict[tuple[int, ...], int] = {}
+    width = n**k
+    dtype = np.min_scalar_type(n - 1)
+    builder = CircuitBuilder(k)
+    seen: dict[bytes, int] = {}
 
-    def add(tab: tuple[int, ...], node: int) -> bool:
-        if tab in seen:
-            return False
-        seen[tab] = node
-        charge(len(seen), budget.clone_functions, "unary clone")
-        return True
+    def rows_of(keys) -> np.ndarray:
+        return np.frombuffer(b"".join(keys), dtype).reshape(-1, width)
 
-    add(tuple(range(n)), builder.var(0))
-    for a in algebra.elements:
-        add((a,) * n, builder.const(a))
+    grid = np.indices((n,) * k, dtype=dtype).reshape(k, width)
+    seeds = [(grid[i], builder.var(i)) for i in range(k)]
+    seeds += [(np.full(width, a, dtype), builder.const(a)) for a in range(n)]
     for op in algebra.ops:
         if op.arity == 0:
-            add((op.table[0],) * n, builder.gate(op.name))
+            seeds.append((np.full(width, op.table[0], dtype), builder.gate(op.name)))
+    for i, (row, node) in enumerate(seeds):
+        key = row.tobytes()
+        if key not in seen:
+            seen[key] = node
+            if charge_seeds:
+                charge(len(seen), budget.clone_functions, label)
+        elif i < k:
+            seen[key] = node  # |A| = 1: the last variable names the table
+    hits = np.flatnonzero(stop(rows_of(seen))) if stop else ()
+    if len(hits):
+        return builder, seen, list(seen.values())[hits[0]]
 
-    frontier = list(seen)
-    while frontier:
-        current = list(seen)
-        fresh: list[tuple[int, ...]] = []
-        frontier_set = set(frontier)
-        for op in algebra.ops:
-            if op.arity == 0:
-                continue
-            for combo in product(current, repeat=op.arity):
-                if not any(t in frontier_set for t in combo):
-                    continue  # already combined in an earlier round
-                tab = tuple(
-                    algebra.eval_op(op.name, [t[x] for t in combo]) for x in range(n)
-                )
-                if add(tab, builder.gate(op.name, *(seen[t] for t in combo))):
-                    fresh.append(tab)
-        frontier = fresh
-    out = []
-    for tab in sorted(seen):
-        out.append(UnaryFn(tab, builder.finish(seen[tab])))
-    return tuple(out)
+    void = np.dtype((np.void, width * dtype.itemsize))
+    frontier, rounds = 0, 0
+    while len(seen) > frontier and (depth_bound is None or rounds < depth_bound):
+        rounds += 1
+        current = rows_of(seen)
+        node_of = list(seen.values())
+        m = len(node_of)
+        for op in (op for op in algebra.ops if op.arity):
+            flat = np.asarray(op.table, dtype)
+            for prefix in product(range(m), repeat=op.arity - 1):
+                offset = 0
+                for p in prefix:
+                    offset = (offset + current[p].astype(np.intp)) * n
+                # a tuple without a frontier table was applied in an earlier round
+                lo = 0 if any(p >= frontier for p in prefix) else frontier
+                children = [node_of[p] for p in prefix]
+                for start in range(lo, m, _BATCH_ROWS):
+                    rows = flat[offset + current[start : start + _BATCH_ROWS]]
+                    _, first = np.unique(rows.view(void).ravel(), return_index=True)
+                    first.sort()
+                    accepted = stop(rows[first]) if stop else None
+                    for j, i in enumerate(first.tolist()):
+                        key = rows[i].tobytes()
+                        if key in seen:
+                            continue
+                        node = builder.gate(op.name, *children, node_of[start + i])
+                        seen[key] = node
+                        charge(len(seen), budget.clone_functions, label)
+                        if stop and accepted[j]:
+                            return builder, seen, node
+        frontier = m
+    return builder, seen, None
 
 
 # ---------------------------------------------------------------------------
 # Malcev polynomial search
 # ---------------------------------------------------------------------------
-
-
-def is_malcev_table(n: int, table: tuple[int, ...]) -> bool:
-    """Check d(y,x,x) = y = d(x,x,y) for a flat ternary table over {0..n-1}."""
-    nn = n * n
-    for x in range(n):
-        for y in range(n):
-            if table[y * nn + x * n + x] != y:
-                return False
-            if table[x * nn + x * n + y] != y:
-                return False
-    return True
 
 
 def find_malcev_polynomial(
@@ -243,68 +287,23 @@ def find_malcev_polynomial(
 ) -> Optional[AlgCircuit]:
     """Search for a ternary polynomial d with d(y,x,x) = y = d(x,x,y).
 
-    Iterative deepening over circuit depth with memoised function tables:
+    A batched breadth-first closure (``_closure``) over ternary tables:
     depth 0 holds the three projections and the constants, depth k+1 applies
     every basic operation to already-seen functions.  Returns the first
-    witnessing circuit found, or None if none exists within the depth bound.
+    witnessing circuit in breadth-first ``product`` order, or None if none
+    exists within the depth bound.
     """
-    budget = budget or default_budget()
     n = algebra.size
-    builder = CircuitBuilder(3)
-    nn = n * n
+    x, y = np.indices((n, n)).reshape(2, n * n)
+    yxx, xxy = (y * n + x) * n + x, (x * n + x) * n + y
 
-    proj = [
-        tuple(x for x in range(n) for _ in range(nn)),
-        tuple(y for _ in range(n) for y in range(n) for _ in range(n)),
-        tuple(z for _ in range(nn) for z in range(n)),
-    ]
-    seen: dict[tuple[int, ...], int] = {}
-    for i, tab in enumerate(proj):
-        seen[tab] = builder.var(i)
-    for a in algebra.elements:
-        seen.setdefault((a,) * (n * nn), builder.const(a))
-    for op in algebra.ops:
-        if op.arity == 0:
-            seen.setdefault((op.table[0],) * (n * nn), builder.gate(op.name))
+    def is_malcev(rows: np.ndarray) -> np.ndarray:
+        return ((rows[:, yxx] == y) & (rows[:, xxy] == y)).all(axis=1)
 
-    def check(tab: tuple[int, ...], node: int) -> Optional[AlgCircuit]:
-        if is_malcev_table(n, tab):
-            return builder.finish(node)
-        return None
-
-    for tab, node in list(seen.items()):
-        hit = check(tab, node)
-        if hit is not None:
-            return hit
-
-    frontier = list(seen)
-    for _depth in range(depth_bound):
-        if not frontier:
-            break
-        current = list(seen)
-        frontier_set = set(frontier)
-        fresh: list[tuple[int, ...]] = []
-        for op in algebra.ops:
-            if op.arity == 0:
-                continue
-            for combo in product(current, repeat=op.arity):
-                if not any(t in frontier_set for t in combo):
-                    continue
-                tab = tuple(
-                    algebra.eval_op(op.name, [t[i] for t in combo])
-                    for i in range(n * nn)
-                )
-                if tab in seen:
-                    continue
-                node = builder.gate(op.name, *(seen[t] for t in combo))
-                seen[tab] = node
-                charge(len(seen), budget.clone_functions, "Malcev search")
-                hit = check(tab, node)
-                if hit is not None:
-                    return hit
-                fresh.append(tab)
-        frontier = fresh
-    return None
+    builder, _, hit = _closure(
+        algebra, 3, budget, "Malcev search", depth_bound, is_malcev, charge_seeds=False
+    )
+    return None if hit is None else builder.finish(hit)
 
 
 def verify_malcev(algebra: FiniteAlgebra, circuit: AlgCircuit) -> bool:

@@ -1,9 +1,14 @@
 """Operation tables, unary clone generation, difference-polynomial search."""
 
-import pytest
+import tracemalloc
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import closure_reference as reference
 from nudfa.algebra import (
     FiniteAlgebra,
+    Operation,
     UnaryClone,
     find_malcev_polynomial,
     make_op,
@@ -12,7 +17,7 @@ from nudfa.algebra import (
 )
 from nudfa.circuits import eval_circuit
 from nudfa.fixtures import get_fixture
-from nudfa.limits import default_budget
+from nudfa.limits import Budget, BudgetExceeded, default_budget
 from nudfa.partitions import Partition
 
 
@@ -65,12 +70,141 @@ def test_clone_functions_certified_by_witness_circuits():
             assert eval_circuit(zm, fn.witness, (x,)) == fn.values[x]
 
 
+def dihedral4() -> FiniteAlgebra:
+    """The symmetries of a square; r^i s^j is encoded as 2 i + j."""
+
+    def mul(x, y):
+        (i, j), (k, l) = divmod(x, 2), divmod(y, 2)
+        return 2 * ((i + (k if j == 0 else -k)) % 4) + (j + l) % 2
+
+    return FiniteAlgebra("D4", 8, (make_op("*", 2, 8, mul),))
+
+
+def ternary_circuit_json(op, gates):
+    nodes = [["var", i] for i in range(3)] + [["gate", op, list(c)] for c in gates]
+    return {"k": 3, "nodes": nodes, "output": len(nodes) - 1}
+
+
+GROUP_DIFFERENCE = [[1, 1], [1, 2], [0, 3], [3, 4], [5, 6]]
+
+
 def test_difference_polynomial_search_and_verify():
-    z6 = get_fixture("Z6").algebra
-    found = find_malcev_polynomial(z6, budget=default_budget())
-    assert found is not None and verify_malcev(z6, found)
+    """The first witness in breadth-first product order is pinned exactly."""
+    cases = [
+        (get_fixture("Z6").algebra, "+", GROUP_DIFFERENCE),
+        (get_fixture("Z6%2").algebra, "+", GROUP_DIFFERENCE),
+        (get_fixture("S3").algebra, "*", GROUP_DIFFERENCE),
+        (dihedral4(), "*", [[1, 1], [1, 2], [3, 4], [0, 5]]),
+    ]
+    for algebra, op, gates in cases:
+        found = find_malcev_polynomial(algebra, budget=default_budget())
+        assert found is not None and verify_malcev(algebra, found)
+        assert found.to_json() == ternary_circuit_json(op, gates), algebra.name
     lat2 = get_fixture("LAT2").algebra
     assert find_malcev_polynomial(lat2, budget=default_budget()) is None
+
+
+def outcome(search, *args):
+    """The search's result, or the message of the budget it exceeded."""
+    try:
+        return search(*args)
+    except BudgetExceeded as exc:
+        return f"BudgetExceeded: {exc}"
+
+
+@st.composite
+def closure_cases(draw):
+    """A small random algebra, a depth bound and a budget cap.
+
+    Half of the binary operations are relabelled cyclic groups, which have
+    a Malcev polynomial.  Ternary operations come only with |A| <= 3: the
+    reference closure of a ternary operation on four elements applies it to
+    up to 256**3 tuples.
+    """
+    n = draw(st.integers(min_value=2, max_value=4))
+
+    def table(r):
+        if r == 2 and draw(st.booleans()):
+            perm = draw(st.permutations(range(n)))
+            return tuple(
+                perm[(perm.index(x) + perm.index(y)) % n]
+                for x in range(n)
+                for y in range(n)
+            )
+        values = st.lists(st.integers(0, n - 1), min_size=n**r, max_size=n**r)
+        return tuple(draw(values))
+
+    arities = [r for r in (0, 1, 2, 3) if draw(st.booleans()) and (r < 3 or n <= 3)]
+    ops = tuple(Operation(f"f{r}", r, table(r)) for r in arities)
+    depth = draw(st.integers(min_value=1, max_value=4))
+    budget = Budget(clone_functions=draw(st.integers(min_value=1, max_value=150)))
+    return FiniteAlgebra(f"R{n}", n, ops), depth, budget
+
+
+@settings(max_examples=60, deadline=None)
+@given(closure_cases())
+def test_closures_match_the_per_entry_reference(case):
+    """Same tables, witnesses and first Malcev witness as the per-entry
+    closure, or the same budget failure."""
+    alg, depth, budget = case
+    clone = outcome(lambda: UnaryClone(alg, budget).functions)
+    assert clone == outcome(reference.close_unary, alg, budget)
+    if not isinstance(clone, str):
+        assert all(type(v) is int for fn in clone for v in fn.values)
+    found = outcome(find_malcev_polynomial, alg, depth, budget)
+    assert found == outcome(reference.find_malcev_polynomial, alg, depth, budget)
+
+
+@pytest.mark.parametrize(
+    "name, caps",
+    [
+        ("Z6%2", (1, 6, 7, 8, 60, 107, 108, 500)),
+        ("S3", (1, 7, 8, 90)),
+        ("Z4", (114, 115)),  # the Malcev witness of Z4 is its 115th table
+    ],
+)
+def test_budget_failures_match_the_per_entry_reference(name, caps):
+    """The clone charges its seeds and the Malcev search does not; both
+    charge once per new table, before the Malcev test."""
+    alg = get_fixture(name).algebra
+    for cap in caps:
+        budget = Budget(clone_functions=cap)
+        assert outcome(lambda: UnaryClone(alg, budget).functions) == outcome(
+            reference.close_unary, alg, budget
+        )
+        assert outcome(find_malcev_polynomial, alg, 4, budget) == outcome(
+            reference.find_malcev_polynomial, alg, 4, budget
+        )
+
+
+def test_one_element_algebra_matches_the_per_entry_reference():
+    """All projections share one table; the last variable names it."""
+    alg = FiniteAlgebra("1", 1, (Operation("c", 0, (0,)), Operation("*", 2, (0,))))
+    budget = default_budget()
+    assert UnaryClone(alg, budget).functions == reference.close_unary(alg, budget)
+    found = find_malcev_polynomial(alg, 4, budget)
+    assert found == reference.find_malcev_polynomial(alg, 4, budget)
+    assert found.to_json() == {"k": 3, "nodes": [["var", 2]], "output": 0}
+
+
+def test_closures_keep_copies_not_batch_views():
+    """Peak traced memory of two searches.  A kept row that is a view of
+    its 512-row batch keeps the whole batch alive, which roughly triples
+    the Malcev peak (about 1.3 MiB with copies); the per-entry closure of
+    the S3 clone peaked near 20 MiB."""
+    peaks = {}
+    for name, search in (
+        ("Z6%2", find_malcev_polynomial),
+        ("S3", lambda alg: UnaryClone(alg).functions),
+    ):
+        alg = get_fixture(name).algebra
+        tracemalloc.start()
+        try:
+            search(alg)
+            peaks[name] = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+    assert peaks["Z6%2"] < 2.0 and peaks["S3"] < 1.0, peaks
 
 
 def test_recorded_fixture_differences_verify():
