@@ -5,12 +5,18 @@ basic operation name.  Nodes are stored in a topologically ordered tuple and
 are hash-consed at construction time, so structurally equal subterms share a
 node.  Circuits stand in for terms-with-constants (polynomials) everywhere in
 the package.
+
+``eval_circuit`` evaluates one assignment; ``node_columns`` and
+``eval_columns`` evaluate a whole block of assignments, each gate as one
+gather on its operation's flat table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Protocol, Sequence
+
+import numpy as np
 
 VAR = "var"
 CONST = "const"
@@ -19,6 +25,10 @@ GATE = "gate"
 
 class OpTable(Protocol):
     """Anything that can evaluate a named basic operation (see algebra.py)."""
+
+    size: int
+
+    def op(self, name: str): ...
 
     def eval_op(self, name: str, args: Sequence[int]) -> int: ...
 
@@ -108,6 +118,89 @@ def eval_circuit(algebra: OpTable, circuit: AlgCircuit, args: Sequence[int]) -> 
         else:
             vals[idx] = algebra.eval_op(node[1], [vals[c] for c in node[2]])
     return vals[circuit.output]
+
+
+def product_columns(indices: np.ndarray, size: int, k: int) -> np.ndarray:
+    """Assignments number ``indices`` of ``product(range(size), repeat=k)``,
+    as a (k, len(indices)) array: the first variable is the most
+    significant digit."""
+    cols = np.empty((k, len(indices)), np.min_scalar_type(size - 1))
+    rest = np.asarray(indices, dtype=np.int64)
+    for i in range(k - 1, -1, -1):
+        rest, cols[i] = np.divmod(rest, size)
+    return cols
+
+
+def node_columns(
+    algebra: OpTable, circuit: AlgCircuit, args: np.ndarray
+) -> list[np.ndarray]:
+    """Every node's value on a block of assignments at once.
+
+    ``args`` has one row of element values per variable, shape (k, rows).
+    A gate is one gather on its operation's flat table, at index
+    sum(a_i * n**(r-1-i)) over its children's columns (the layout of
+    algebra.py); columns use the smallest unsigned dtype holding the
+    universe.
+    """
+    return _columns(algebra, circuit, args, keep_all=True)
+
+
+def eval_columns(
+    algebra: OpTable, circuit: AlgCircuit, args: np.ndarray
+) -> np.ndarray:
+    """The output column of ``node_columns``; each other column is dropped
+    after its last reader."""
+    return _columns(algebra, circuit, args, keep_all=False)[circuit.output]
+
+
+def _columns(
+    algebra: OpTable, circuit: AlgCircuit, args: np.ndarray, keep_all: bool
+) -> list:
+    if len(args) != circuit.k:
+        raise ValueError(f"expected {circuit.k} arguments, got {len(args)}")
+    n = algebra.size
+    dtype = np.min_scalar_type(n - 1)
+    rows = args.shape[1]
+    readers = list(range(len(circuit.nodes)))
+    if not keep_all:
+        for idx, node in enumerate(circuit.nodes):
+            if node[0] == GATE:
+                for c in node[2]:
+                    readers[c] = idx
+        readers[circuit.output] = len(readers)
+    flat: dict[str, np.ndarray] = {}
+    cols: list = []
+    for idx, node in enumerate(circuit.nodes):
+        tag = node[0]
+        if tag == VAR:
+            col = args[node[1]].astype(dtype, copy=False)
+        elif tag == CONST:
+            col = np.full(rows, node[1], dtype)
+        else:
+            op = algebra.op(node[1])
+            children = node[2]
+            if len(children) != op.arity:
+                raise ValueError(
+                    f"{node[1]}: expected {op.arity} args, got {len(children)}"
+                )
+            table = flat.get(node[1])
+            if table is None:
+                table = flat[node[1]] = np.asarray(op.table, dtype)
+            if not children:
+                col = np.full(rows, table[0], dtype)
+            elif len(children) == 1:
+                col = table[cols[children[0]]]
+            else:
+                at = cols[children[0]].astype(np.intp)
+                for c in children[1:]:
+                    at *= n
+                    at += cols[c]
+                col = table[at]
+            for c in children:
+                if readers[c] == idx:
+                    cols[c] = None
+        cols.append(col)
+    return cols
 
 
 class CircuitBuilder:

@@ -22,6 +22,8 @@ import json
 from dataclasses import asdict
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .algebra import FiniteAlgebra, UnaryClone, find_malcev_polynomial
 from .circuits import AlgCircuit
 from .compile import (
@@ -65,8 +67,9 @@ from .modcircuit import (
     SUMP,
     SUMPC,
     CCircuit,
-    cc_truth_table,
+    cc_table,
     eval_cc,
+    index_blocks,
     shape_of,
     validate_shape,
 )
@@ -122,11 +125,11 @@ def _load_cnf(path: str) -> "object":
         return parse_dimacs(fh.read())
 
 
-def _scalar(value):
+def _scalar(table: np.ndarray) -> np.ndarray:
     """Open scalar SUMP outputs come back as 1-vectors; unwrap them."""
-    if isinstance(value, tuple) and len(value) == 1:
-        return value[0]
-    return value
+    if table.ndim == 2 and table.shape[1] == 1:
+        return table[:, 0]
+    return table
 
 
 def _parse_word(text: str, width: int) -> tuple[int, ...]:
@@ -200,7 +203,9 @@ def verify_harness(
     """Exhaustive truth-table comparison of a program and a circuit.
 
     Word length must stay within ``n_bound`` (itself capped at 20); the
-    first disagreeing word is reported in full.
+    first disagreeing word is reported in full.  Both sides are evaluated
+    a block of words at a time.  A circuit whose output is an open SUMP
+    vector has no truth value and never matches.
     """
     if not 0 <= n_bound <= 20:
         raise UsageError("verification bound must lie in 0..20")
@@ -216,17 +221,27 @@ def verify_harness(
                 f" program reads {program.n}"
             ),
         }
-    for word in range(1 << program.n):
-        bits = tuple((word >> i) & 1 for i in range(program.n))
-        wants = program.accepts(bits)
-        value = eval_cc(circuit, bits)
-        if bool(value) != wants:
+    if (
+        circuit.output >= circuit.inputs
+        and circuit.gate_of(circuit.output).kind == SUMP
+    ):
+        return {
+            "match": False,
+            "reason": "circuit output is an open SUMP vector, not a bit",
+        }
+    for rows in index_blocks(1 << program.n):
+        wants = program.accept_column(rows)
+        values = cc_table(circuit, rows)
+        bad = np.flatnonzero((values != 0) != wants)
+        if len(bad):
+            at = bad[0]
+            word = int(rows[at])
             return {
                 "match": False,
                 "reason": "truth tables differ",
-                "word": list(bits),
-                "program": wants,
-                "circuit": int(value),
+                "word": [(word >> i) & 1 for i in range(program.n)],
+                "program": bool(wants[at]),
+                "circuit": int(values[at]),
             }
     return {"match": True, "words": 1 << program.n}
 
@@ -396,9 +411,10 @@ def _cmd_lower(args) -> int:
     if report is not None:
         doc["report"] = asdict(report)
     if args.verify_n is not None and circuit.inputs <= min(args.verify_n, 20):
-        doc["reverified"] = [
-            _scalar(v) for v in cc_truth_table(circuit)
-        ] == [_scalar(v) for v in cc_truth_table(lowered)]
+        before, after = _scalar(cc_table(circuit)), _scalar(cc_table(lowered))
+        doc["reverified"] = before.shape == after.shape and bool(
+            (before == after).all()
+        )
         if not doc["reverified"]:
             _emit(doc)
             return 1
@@ -426,12 +442,9 @@ def _cmd_cceval(args) -> int:
             1 << budget.truth_table_bits,
             "circuit truth table",
         )
-        table = cc_truth_table(circuit)
         doc = {
             "inputs": circuit.inputs,
-            "table": [
-                list(v) if isinstance(v, tuple) else int(v) for v in table
-            ],
+            "table": cc_table(circuit).tolist(),
         }
     _emit(doc)
     return 0

@@ -28,7 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional, Sequence
+from typing import Optional
+
+import numpy as np
 
 from .algebra import FiniteAlgebra, verify_malcev, find_malcev_polynomial
 from .circuits import AlgCircuit, CONST, GATE, VAR
@@ -65,8 +67,7 @@ from .modcircuit import (
     SUMPC,
     CCircuit,
     Gate,
-    cc_truth_table,
-    eval_cc,
+    cc_table,
     shape_of,
     validate_shape,
 )
@@ -75,7 +76,6 @@ from .programs import (
     AlgProgram,
     map_circuit_constants,
     quotient_program,
-    truth_table,
 )
 
 
@@ -387,42 +387,20 @@ class CompileCache:
 # ---------------------------------------------------------------------------
 
 
-def _eval_nodes(
-    algebra: FiniteAlgebra, circuit: AlgCircuit, args: Sequence[int]
-) -> list[int]:
-    vals: list[int] = []
-    for node in circuit.nodes:
-        if node[0] == VAR:
-            vals.append(args[node[1]])
-        elif node[0] == CONST:
-            vals.append(node[1])
-        else:
-            vals.append(algebra.eval_op(node[1], [vals[c] for c in node[2]]))
-    return vals
-
-
-def _node_value_tables(
-    program: AlgProgram, budget: Budget
-) -> list[list[int]]:
-    """tables[node][row] = value of the circuit node on input word `row`."""
-    if program.n > budget.truth_table_bits:
-        raise ValueError("too many input bits for value tables")
-    tables: list[list[int]] = [
-        [0] * (1 << program.n) for _ in program.circuit.nodes
-    ]
-    for row in range(1 << program.n):
-        word = [(row >> i) & 1 for i in range(program.n)]
-        args = [0] * program.circuit.k
-        for ins in program.instructions:
-            args[ins.var] = ins.value(word)
-        vals = _eval_nodes(program.algebra, program.circuit, args)
-        for node, v in enumerate(vals):
-            tables[node][row] = v
-    return tables
+def _check_table(got: np.ndarray, want: np.ndarray, n: int, what: str) -> None:
+    """Raise at the first word where two 0/1 truth-table columns differ."""
+    bad = np.flatnonzero((got != 0) != (want != 0))
+    if len(bad):
+        row = int(bad[0])
+        word = [(row >> i) & 1 for i in range(n)]
+        raise AssertionError(
+            f"{what} disagrees at word {word}: "
+            f"got {int(got[row])}, expected {int(want[row])}"
+        )
 
 
 def _combined_indicator(
-    value_table: Sequence[int],
+    value_table: np.ndarray,
     target: int,
     dec,
     m: int,
@@ -440,8 +418,8 @@ def _combined_indicator(
     for j, pj in enumerate(dec.primes):
         proj_j = dec.projections[j]
         tj = proj_j[target]
-        table = [1 if proj_j[v] == tj else 0 for v in value_table]
-        w = multilinear_interpolate(table, pj)
+        table = (np.asarray(proj_j)[value_table] == tj).astype(np.int64)
+        w = multilinear_interpolate(table.tolist(), pj)
         scale = m // pj
         for key, cf in w.terms.items():
             if key:
@@ -474,7 +452,9 @@ def compile_supernilpotent(
     m = pdiv(A)
     delta = sum(m // pj for pj in dec.primes) % m
 
-    root_values = _node_value_tables(program, budget)[program.circuit.output]
+    if program.n > budget.truth_table_bits:
+        raise ValueError("too many input bits for value tables")
+    root_values = program.node_columns()[program.circuit.output]
     branches = [
         _combined_indicator(root_values, c, dec, m, delta, budget)
         for c in sorted(program.accepting)
@@ -515,10 +495,9 @@ def compile_supernilpotent(
 
     verified: Optional[bool] = None
     if n <= VERIFY_INPUT_BOUND:
-        want = truth_table(program, budget)
-        got = cc_truth_table(circuit)
-        if [bool(v) for v in got] != want:
-            raise AssertionError("base-case circuit disagrees with the program")
+        _check_table(
+            cc_table(circuit), program.accept_column(), n, "base-case circuit"
+        )
         verified = True
     return circuit, PassReport(
         pass_name="compile_supernilpotent",
@@ -601,7 +580,7 @@ def descend_mod_beta(
     p: int,
     budget: Optional[Budget] = None,
     reports: Optional[list[PassReport]] = None,
-    value_table: Optional[Sequence[int]] = None,
+    value_table: Optional[np.ndarray] = None,
 ) -> CCircuit:
     """One chain step: compile [node value == target] over rep.D.
 
@@ -736,23 +715,10 @@ def descend_mod_beta(
     five_verified: Optional[bool] = None
     if n <= VERIFY_INPUT_BOUND:
         if value_table is None:
-            value_table = [
-                _eval_nodes(
-                    program.algebra,
-                    circuit,
-                    _instruction_args(program, row),
-                )[node]
-                for row in range(1 << n)
-            ]
-        for row in range(1 << n):
-            word = [(row >> i) & 1 for i in range(n)]
-            want = 1 if rep.mcoords[value_table[row]] == target_vec else 0
-            got = eval_cc(five, word)
-            if got != want:
-                raise AssertionError(
-                    f"module-part circuit disagrees at word {word}: "
-                    f"got {got}, expected {want}"
-                )
+            value_table = program.node_columns()[node]
+        mcoords = np.array(rep.mcoords, np.int64).reshape(-1, nu)
+        want = (mcoords[value_table] == target_vec).all(axis=1)
+        _check_table(cc_table(five), want, n, "module-part circuit")
         five_verified = True
     if reports is not None:
         reports.append(
@@ -776,22 +742,10 @@ def descend_mod_beta(
         reports.append(greport)
 
     if n <= VERIFY_INPUT_BOUND and value_table is not None:
-        for row in range(1 << n):
-            word = [(row >> i) & 1 for i in range(n)]
-            want = 1 if value_table[row] == target else 0
-            if eval_cc(glued, word) != want:
-                raise AssertionError(
-                    f"descended circuit disagrees at word {word}"
-                )
+        _check_table(
+            cc_table(glued), value_table == target, n, "descended circuit"
+        )
     return glued
-
-
-def _instruction_args(program: AlgProgram, row: int) -> list[int]:
-    word = [(row >> i) & 1 for i in range(program.n)]
-    args = [0] * program.circuit.k
-    for ins in program.instructions:
-        args[ins.var] = ins.value(word)
-    return args
 
 
 # ---------------------------------------------------------------------------
@@ -848,7 +802,7 @@ def _constant_circuit(n: int, m: int, p: int, value: int) -> CCircuit:
 
 def _base_modsum(
     pool: AtomPool,
-    value_table: Sequence[int],
+    value_table: np.ndarray,
     target: int,
     dec,
     m: int,
@@ -931,7 +885,9 @@ def compile_nilpotent(
         progs.append(Pj)
         projs.append(mapping)
 
-    vals = _node_value_tables(program, budget)
+    if n > budget.truth_table_bits:
+        raise ValueError("too many input bits for value tables")
+    vals = program.node_columns()
     nodes = range(len(program.circuit.nodes))
     root = program.circuit.output
     S0 = sorted({projs[0][c] for c in program.accepting})
@@ -957,17 +913,15 @@ def compile_nilpotent(
     )
     base_total = 0
     for q, t in base_entries:
-        table = [projs[h][v] for v in vals[q]]
+        table = np.asarray(projs[h])[vals[q]]
         pool = AtomPool()
         modsum = _base_modsum(pool, table, t, dec, m, p, delta, budget)
         cc = emit_modsum(n, m, p, pool, modsum, and_layer=True, final=MOD)
         if n <= VERIFY_INPUT_BOUND:
-            for row, v in enumerate(table):
-                word = [(row >> i) & 1 for i in range(n)]
-                if eval_cc(cc, word) != (1 if v == t else 0):
-                    raise AssertionError(
-                        f"base indicator for node {q}, target {t} wrong at {word}"
-                    )
+            _check_table(
+                cc_table(cc), table == t, n,
+                f"base indicator for node {q}, target {t}",
+            )
         cache.put((q, t), cc)
         base_total += cc.size
     reports.append(
@@ -1006,7 +960,7 @@ def compile_nilpotent(
         for q, t in entries:
             cc = descend_mod_beta(
                 progs[j], q, t, rep, cache, m, p, budget, reports,
-                value_table=[projs[j][v] for v in vals[q]],
+                value_table=np.asarray(projs[j])[vals[q]],
             )
             newcache.put((q, t), cc)
         cache = newcache
@@ -1024,8 +978,7 @@ def compile_nilpotent(
     if not ok:
         raise AssertionError(f"final circuit off-shape: {errors[0]}")
     if n <= VERIFY_INPUT_BOUND:
-        want = truth_table(program, budget)
-        got = [bool(v) for v in cc_truth_table(final)]
-        if got != want:
-            raise AssertionError("compiled circuit disagrees with the program")
+        _check_table(
+            cc_table(final), program.accept_column(), n, "compiled circuit"
+        )
     return final, reports

@@ -35,6 +35,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from .algebra import (
     FiniteAlgebra,
     UnaryClone,
@@ -42,7 +44,14 @@ from .algebra import (
     find_malcev_polynomial,
     verify_malcev,
 )
-from .circuits import AlgCircuit, CircuitBuilder, constant_circuit, eval_circuit
+from .circuits import (
+    AlgCircuit,
+    CircuitBuilder,
+    constant_circuit,
+    eval_circuit,
+    eval_columns,
+    product_columns,
+)
 from .congruence import (
     CongruenceLattice,
     all_congruences,
@@ -600,15 +609,18 @@ def beta_interpolate(
     out = b.inline(cfg.fix_fn.witness, [total])
     circ = b.finish(out)
 
-    for bits in product(range(2), repeat=s):
-        args = [cfg.in_one if t else cfg.in_zero for t in bits]
-        got = eval_circuit(cfg.algebra, circ, args)
-        want = f[flat_index(bits, 2)]
-        if not cfg.lower.same(got, want):
-            raise AssertionError(
-                f"interpolated circuit disagrees with the table at {bits}: "
-                f"got {got}, want {want}"
-            )
+    bits = product_columns(np.arange(size), 2, s)
+    got = eval_columns(
+        cfg.algebra, circ, np.where(bits == 1, cfg.in_one, cfg.in_zero)
+    )
+    cls = np.asarray(cfg.lower.class_of)
+    bad = np.flatnonzero(cls[got] != cls[np.asarray(f)])
+    if len(bad):
+        at = int(bad[0])
+        raise AssertionError(
+            f"interpolated circuit disagrees with the table at "
+            f"{tuple(bits[:, at].tolist())}: got {int(got[at])}, want {f[at]}"
+        )
     return circ
 
 
@@ -1038,9 +1050,10 @@ def build_two_prime_program(
         accepting=frozenset({e}),
     )
     if n <= 10:
+        accepted = program.accept_column().tolist()
         for word in range(1 << n):
             bits = tuple((word >> t) & 1 for t in range(n))
-            if program.accepts(bits) != cnf_satisfied(cnf, bits):
+            if accepted[word] != cnf_satisfied(cnf, bits):
                 raise AssertionError(
                     f"two-prime program disagrees with the formula at {bits}"
                 )

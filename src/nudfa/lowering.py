@@ -16,15 +16,18 @@ Every intermediate value is a GF(p) combination ``offset + sum mu_t * atom_t``
 
 Emission turns a ModSum into MOD(m)∘SUMP(p) (open affine output),
 MOD(m)∘MOD(p) (boolean output), or the AND-prefixed versions when the
-monomials need an AND level.  All passes verify their output pointwise
-against the input on up to 2^12 assignments and report sizes.
+monomials need an AND level.  All passes compare the truth table of their
+output with the input's on up to 2^14 words (``VERIFY_INPUT_BOUND``) and
+report sizes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
+
+import numpy as np
 
 from .fieldpoly import (
     MultilinearPoly,
@@ -40,12 +43,12 @@ from .modcircuit import (
     SUMP,
     CCircuit,
     Gate,
-    eval_cc,
+    cc_table,
     shape_of,
     validate_shape,
 )
 
-VERIFY_INPUT_BOUND = 12
+VERIFY_INPUT_BOUND = 14
 
 
 @dataclass(frozen=True)
@@ -549,19 +552,27 @@ def emit_modsum(
 
 
 def _verify_tables(
-    circuit: CCircuit, reference, n: int
+    circuit: CCircuit, reference: Callable[[], np.ndarray], n: int
 ) -> Optional[bool]:
-    """reference(bits) -> expected output; returns None when too wide."""
+    """Compare ``cc_table(circuit)`` with the whole expected table that
+    ``reference()`` returns (one row per word, as ``cc_table`` lays it out);
+    returns None without building either when n exceeds the bound."""
     if n > VERIFY_INPUT_BOUND:
         return None
-    for row in range(1 << n):
+    got = cc_table(circuit)
+    want = np.asarray(reference())
+    if got.shape != want.shape:
+        raise AssertionError(
+            f"pass output has shape {got.shape}, expected {want.shape}"
+        )
+    bad = np.flatnonzero((got != want).reshape(len(got), -1).any(axis=1))
+    if len(bad):
+        row = int(bad[0])
         bits = [(row >> i) & 1 for i in range(n)]
-        got = eval_cc(circuit, bits)
-        want = reference(bits)
-        if got != want:
-            raise AssertionError(
-                f"pass output disagrees at {bits}: got {got}, expected {want}"
-            )
+        raise AssertionError(
+            f"pass output disagrees at {bits}:"
+            f" got {got[row].tolist()}, expected {want[row].tolist()}"
+        )
     return True
 
 
@@ -638,9 +649,7 @@ def and_sum_lower(
         inputs=n, gates=tuple(gates), output=n + len(gates) - 1,
         declared_shape=f"AND({n})∘SUMP({p})",
     )
-    verified = _verify_tables(
-        circuit, lambda bits: rows[sum(b << i for i, b in enumerate(bits))], n
-    )
+    verified = _verify_tables(circuit, lambda: rows, n)
     return circuit, _report("and_sum_lower", f"table[{n}bit->Z_{p}^{k}]", size,
                             circuit, verified)
 
@@ -676,9 +685,7 @@ def modm_andd_to_sum(
     lowered = emit_modsum(circuit.inputs, m, p, pool, modsum,
                           and_layer=False, final=SUMP)
     verified = _verify_tables(
-        lowered,
-        lambda bits: (eval_cc(circuit, bits),),
-        circuit.inputs,
+        lowered, lambda: cc_table(circuit)[:, None], circuit.inputs
     )
     return lowered, _report("modm_andd_to_sum", shape_of(circuit), circuit.size,
                             lowered, verified)
@@ -701,7 +708,7 @@ def unmod(
     lowered = emit_modsum(ing.n, ing.m, ing.p, ing.pool, ing.modsum,
                           and_layer=False, final=SUMP)
     verified = _verify_tables(
-        lowered, lambda bits: (eval_cc(circuit, bits),), ing.n
+        lowered, lambda: cc_table(circuit)[:, None], ing.n
     )
     return lowered, _report("unmod", shape_of(circuit), circuit.size,
                             lowered, verified)
@@ -788,9 +795,9 @@ def apply_func(
     lowered = emit_modsum(n, m, p, pool, modsum,
                           and_layer=True if three_level else None, final=MOD)
 
-    def reference(bits):
-        idx = sum(eval_cc(fs[j], bits) << j for j in range(k))
-        return g_table[idx]
+    def reference() -> np.ndarray:
+        idx = sum(cc_table(fs[j]).astype(np.intp) << j for j in range(k))
+        return np.asarray(g_table)[idx]
 
     verified = _verify_tables(lowered, reference, n)
     in_shape = " | ".join(sorted({shape_of(f) for f in fs}))
@@ -878,6 +885,6 @@ def collapse_5to3(
         )
     modsum = poly_to_modsum(pool, total, budget)
     lowered = emit_modsum(n, m, p, pool, modsum, and_layer=True, final=MOD)
-    verified = _verify_tables(lowered, lambda bits: eval_cc(circuit, bits), n)
+    verified = _verify_tables(lowered, lambda: cc_table(circuit), n)
     return lowered, _report("collapse_5to3", shape_of(circuit), circuit.size,
                             lowered, verified)

@@ -14,6 +14,14 @@ Nodes are numbered with the n inputs first (0..n-1) and gates following in
 topological order.  Every gate carries a 1-based layer index; a circuit is
 shape-valid when gate kinds match the declared layer descriptors and every
 wire runs from layer i to layer i+1 (inputs forming layer 0).
+
+Evaluation: ``eval_cc`` reads one word and serves single-word queries;
+``cc_table`` computes whole truth tables, every gate as one numpy column
+over a block of ``TABLE_BLOCK`` words (word r has bit i = (r >> i) & 1),
+and is what every exhaustive check uses.  Boolean columns are uint8 and a
+column is dropped after its last reader, so a table of up to 2^20 words
+needs scratch memory for one block only.  Both refuse a SUMP gate that
+feeds another gate.
 """
 
 from __future__ import annotations
@@ -21,7 +29,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 AND = "AND"
 OR = "OR"
@@ -208,12 +218,126 @@ def eval_cc(circuit: CCircuit, word: Sequence[int]):
     return vals[circuit.output]
 
 
+# Most words one column evaluation holds at once: a truth table is computed
+# a block at a time, so its scratch memory is one uint8 column of this
+# length per live gate whatever the word length.
+TABLE_BLOCK = 1 << 12
+
+
+def index_blocks(count: int) -> Iterator[np.ndarray]:
+    """The indices 0..count-1 in order, as int64 blocks of TABLE_BLOCK."""
+    for start in range(0, count, TABLE_BLOCK):
+        yield np.arange(start, min(start + TABLE_BLOCK, count), dtype=np.int64)
+
+
+def word_blocks(n: int, rows: Optional[np.ndarray]) -> Iterator[np.ndarray]:
+    """Blocks of TABLE_BLOCK word indices: ``rows`` in order, or all 2^n
+    words in index order when ``rows`` is None."""
+    if rows is None:
+        yield from index_blocks(1 << n)
+        return
+    rows = np.asarray(rows, dtype=np.int64)
+    for start in range(0, len(rows), TABLE_BLOCK):
+        yield rows[start : start + TABLE_BLOCK]
+
+
+def cc_table(
+    circuit: CCircuit, rows: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The circuit on many words at once, one row per word.
+
+    Row r is the word whose bit i is (r >> i) & 1; ``rows`` lists the word
+    indices to evaluate, all 2^n in index order when None.  Every gate is
+    one column over a block of words: AND and OR are ``&`` and ``|`` over
+    the source columns, MOD looks the weighted sum mod m up in its
+    accepting set, SUMP/SUMPC add the row sums of their coefficient
+    matrices.  Returns a uint8 column, or an int64 array of shape
+    (words, nu) when the output is an open SUMP vector.
+    """
+    readers = [0] * (circuit.inputs + len(circuit.gates))
+    for gid, gate in enumerate(circuit.gates):
+        for src, _ in gate.wires:
+            if src >= circuit.inputs and circuit.gate_of(src).kind == SUMP:
+                raise ValueError("vector-valued gate feeds another gate")
+            readers[src] = circuit.inputs + gid
+    readers[circuit.output] = len(readers)  # the output column is never dropped
+    count = 1 << circuit.inputs if rows is None else len(rows)
+    out_gate = (
+        circuit.gate_of(circuit.output)
+        if circuit.output >= circuit.inputs
+        else None
+    )
+    if out_gate is not None and out_gate.kind == SUMP:
+        table = np.empty((count, out_gate.nu), np.int64)
+    else:
+        table = np.empty(count, np.uint8)
+    start = 0
+    for block in word_blocks(circuit.inputs, rows):
+        table[start : start + len(block)] = _cc_block(circuit, block, readers)
+        start += len(block)
+    return table
+
+
+def _cc_block(
+    circuit: CCircuit, rows: np.ndarray, readers: list[int]
+) -> np.ndarray:
+    """Output column on one block of words; a column is dropped after the
+    last gate that reads it (``readers[node]``)."""
+    cols: list = [
+        ((rows >> i) & 1).astype(np.uint8) for i in range(circuit.inputs)
+    ]
+    for gid, gate in enumerate(circuit.gates):
+        srcs = [(cols[s], mult) for s, mult in gate.wires]
+        if gate.kind in (AND, OR):
+            if not srcs:
+                out = np.full(len(rows), 1 if gate.kind == AND else 0, np.uint8)
+            else:
+                out = srcs[0][0].copy()
+                combine = np.bitwise_and if gate.kind == AND else np.bitwise_or
+                for col, _ in srcs[1:]:
+                    combine(out, col, out=out)
+        elif gate.kind == MOD:
+            total = np.zeros(len(rows), np.int64)
+            for col, mult in srcs:
+                if mult % gate.m:
+                    total += col * np.int64(mult % gate.m)
+            lut = np.zeros(gate.m, np.uint8)
+            lut[sorted(gate.accepting)] = 1
+            out = lut[total % gate.m]
+        else:
+            weights = np.array(
+                [
+                    [mult * sum(row) % gate.p for row in mat]
+                    for (_, mult), mat in zip(gate.wires, gate.coeffs)
+                ],
+                np.int64,
+            ).reshape(len(srcs), gate.nu)
+            total = np.zeros((len(rows), 1), np.int64) + [
+                o % gate.p for o in gate.offset
+            ]
+            if srcs:
+                total += np.column_stack([col for col, _ in srcs]) @ weights
+            vec = total % gate.p
+            if gate.kind == SUMP:
+                out = vec
+            else:
+                want = np.array([t % gate.p for t in gate.target], np.int64)
+                out = (vec == want).all(axis=1).astype(np.uint8)
+        node = circuit.inputs + gid
+        cols.append(out)
+        for src, _ in gate.wires:
+            if readers[src] == node:
+                cols[src] = None
+    return cols[circuit.output]
+
+
 def cc_truth_table(circuit: CCircuit) -> list:
-    out = []
-    for row in range(1 << circuit.inputs):
-        word = [(row >> i) & 1 for i in range(circuit.inputs)]
-        out.append(eval_cc(circuit, word))
-    return out
+    """``cc_table`` as a list: 0/1 per word, or a tuple per word for an open
+    SUMP output."""
+    table = cc_table(circuit)
+    if table.ndim == 2:
+        return [tuple(row) for row in table.tolist()]
+    return table.tolist()
 
 
 # ---------------------------------------------------------------------------

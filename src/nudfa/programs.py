@@ -4,7 +4,8 @@ A program reads an n-bit word through instructions: variable v of the
 underlying circuit is bound to one of two algebra elements depending on a
 single input bit.  The program accepts when the circuit value lands in the
 accepting set.  Programs are the bridge between boolean computation and
-algebra-valued circuits.
+algebra-valued circuits.  ``accepts`` reads one word; ``node_columns`` and
+``accept_column`` evaluate many words at once as numpy columns.
 """
 
 from __future__ import annotations
@@ -13,9 +14,20 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .algebra import FiniteAlgebra, quotient_algebra
-from .circuits import AlgCircuit, CircuitBuilder, eval_circuit, CONST, VAR
+from .circuits import (
+    CONST,
+    VAR,
+    AlgCircuit,
+    CircuitBuilder,
+    eval_circuit,
+    eval_columns,
+    node_columns,
+)
 from .limits import Budget, default_budget
+from .modcircuit import word_blocks
 from .partitions import Partition
 
 
@@ -49,6 +61,8 @@ class AlgProgram:
                 raise ValueError(f"two instructions for variable {ins.var}")
             if not 0 <= ins.bit < self.n:
                 raise ValueError(f"bit index {ins.bit} out of range")
+            if not all(0 <= a < self.algebra.size for a in (ins.a0, ins.a1)):
+                raise ValueError(f"instruction value out of universe: {ins}")
             seen.add(ins.var)
         if seen != set(range(self.circuit.k)):
             raise ValueError("every circuit variable needs exactly one instruction")
@@ -69,6 +83,39 @@ class AlgProgram:
 
     def accepts(self, word: Sequence[int]) -> bool:
         return self.inner_value(word) in self.accepting
+
+    # -- many words at once ------------------------------------------------
+
+    def _input_columns(self, rows: np.ndarray) -> np.ndarray:
+        """(k, len(rows)) values the instructions bind on the words ``rows``
+        (bit i of a row index is input bit i)."""
+        args = np.empty(
+            (self.circuit.k, len(rows)), np.min_scalar_type(self.algebra.size - 1)
+        )
+        for ins in self.instructions:
+            args[ins.var] = np.where((rows >> ins.bit) & 1, ins.a1, ins.a0)
+        return args
+
+    def node_columns(self) -> list[np.ndarray]:
+        """Every circuit node's value on all 2^n words in index order, one
+        column per node."""
+        rows = np.arange(1 << self.n, dtype=np.int64)
+        return node_columns(self.algebra, self.circuit, self._input_columns(rows))
+
+    def accept_column(self, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """Acceptance on the words ``rows`` (all 2^n in index order when
+        None) as a boolean column, computed in blocks of TABLE_BLOCK words."""
+        lut = np.zeros(self.algebra.size, np.bool_)
+        lut[sorted(self.accepting)] = True
+        out = np.empty(1 << self.n if rows is None else len(rows), np.bool_)
+        start = 0
+        for block in word_blocks(self.n, rows):
+            values = eval_columns(
+                self.algebra, self.circuit, self._input_columns(block)
+            )
+            out[start : start + len(block)] = lut[values]
+            start += len(block)
+        return out
 
     # -- serialization -----------------------------------------------------
 
@@ -121,11 +168,7 @@ def truth_table(program: AlgProgram, budget: Optional[Budget] = None) -> list[bo
             f"{program.n} input bits exceed truth-table bound "
             f"{budget.truth_table_bits}"
         )
-    out = []
-    for row in range(1 << program.n):
-        word = [(row >> i) & 1 for i in range(program.n)]
-        out.append(program.accepts(word))
-    return out
+    return program.accept_column().tolist()
 
 
 def map_circuit_constants(circuit: AlgCircuit, mapping: Sequence[int]) -> AlgCircuit:

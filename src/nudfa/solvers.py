@@ -8,9 +8,14 @@ program satisfiability through a value-selector polynomial built from a
 ternary difference circuit.  A quotient-lifting reduction and a
 subdirect-decomposition strategy for identities round out the toolbox.
 
-Every positive answer carries a witness that has been re-verified by
-direct evaluation; negative answers from the random sampler are explicitly
-tagged probabilistic.
+The exhaustive procedures scan words in index order and assignments in
+``product`` order a block of ``TABLE_BLOCK`` at a time, evaluating the
+block as numpy columns (``AlgProgram.accept_column``, ``eval_columns``);
+the first hit in the first block that has one is the answer, so witness
+and ``tried`` count are those of a one-at-a-time scan.  Every positive
+answer carries a witness that has been re-verified by direct evaluation
+of that single input; negative answers from the random sampler are
+explicitly tagged probabilistic.
 """
 
 from __future__ import annotations
@@ -19,10 +24,18 @@ import random
 import time
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .algebra import FiniteAlgebra, verify_malcev
-from .circuits import AlgCircuit, CircuitBuilder, eval_circuit
+from .circuits import (
+    AlgCircuit,
+    CircuitBuilder,
+    eval_circuit,
+    eval_columns,
+    product_columns,
+)
 from .compile import HypothesisViolation
 from .congruence import (
     CongruenceLattice,
@@ -30,6 +43,7 @@ from .congruence import (
     is_nilpotent_congruence,
 )
 from .limits import Budget, charge, default_budget
+from .modcircuit import index_blocks
 from .programs import AlgProgram, Instruction, map_circuit_constants
 
 
@@ -69,9 +83,13 @@ def progcsat_exhaustive(
     n = program.n
     charge(1 << n, 1 << budget.progcsat_bits, "program input words")
     start = time.perf_counter()
-    for word in range(1 << n):
-        bits = tuple((word >> i) & 1 for i in range(n))
-        if program.accepts(bits):
+    for rows in index_blocks(1 << n):
+        hits = np.flatnonzero(program.accept_column(rows))
+        if len(hits):
+            word = int(rows[hits[0]])
+            bits = tuple((word >> i) & 1 for i in range(n))
+            if not program.accepts(bits):
+                raise AssertionError(f"accepted word {bits} fails on recheck")
             return SolveResult(
                 status="sat",
                 witness=bits,
@@ -128,18 +146,21 @@ def csat_exhaustive(
     budget = budget or default_budget()
     charge(algebra.size**circuit.k, budget.domain_scan, "assignment scan")
     start = time.perf_counter()
-    tried = 0
-    for args in product(range(algebra.size), repeat=circuit.k):
-        tried += 1
-        if eval_circuit(algebra, circuit, args) == e:
-            return SolveResult(
-                status="sat",
-                witness=args,
-                tried=tried,
-                elapsed=time.perf_counter() - start,
-            )
+    hit = _first_assignment(algebra, circuit, lambda out: out == e)
+    if hit is not None:
+        index, args = hit
+        if eval_circuit(algebra, circuit, args) != e:
+            raise AssertionError(f"solution {args} fails on recheck")
+        return SolveResult(
+            status="sat",
+            witness=args,
+            tried=index + 1,
+            elapsed=time.perf_counter() - start,
+        )
     return SolveResult(
-        status="unsat", tried=tried, elapsed=time.perf_counter() - start
+        status="unsat",
+        tried=algebra.size**circuit.k,
+        elapsed=time.perf_counter() - start,
     )
 
 
@@ -153,19 +174,39 @@ def ceqv_exhaustive(
     budget = budget or default_budget()
     charge(algebra.size**circuit.k, budget.domain_scan, "assignment scan")
     start = time.perf_counter()
-    tried = 0
-    for args in product(range(algebra.size), repeat=circuit.k):
-        tried += 1
-        if eval_circuit(algebra, circuit, args) != e:
-            return SolveResult(
-                status="fails",
-                counterexample=args,
-                tried=tried,
-                elapsed=time.perf_counter() - start,
-            )
+    hit = _first_assignment(algebra, circuit, lambda out: out != e)
+    if hit is not None:
+        index, args = hit
+        if eval_circuit(algebra, circuit, args) == e:
+            raise AssertionError(f"counterexample {args} fails on recheck")
+        return SolveResult(
+            status="fails",
+            counterexample=args,
+            tried=index + 1,
+            elapsed=time.perf_counter() - start,
+        )
     return SolveResult(
-        status="holds", tried=tried, elapsed=time.perf_counter() - start
+        status="holds",
+        tried=algebra.size**circuit.k,
+        elapsed=time.perf_counter() - start,
     )
+
+
+def _first_assignment(
+    algebra: FiniteAlgebra,
+    circuit: AlgCircuit,
+    hit: Callable[[np.ndarray], np.ndarray],
+) -> Optional[tuple[int, tuple[int, ...]]]:
+    """First assignment in ``product`` order whose output column entry
+    ``hit`` marks, with its index; None if there is none.  Scans blocks of
+    TABLE_BLOCK assignments."""
+    for indices in index_blocks(algebra.size**circuit.k):
+        args = product_columns(indices, algebra.size, circuit.k)
+        found = np.flatnonzero(hit(eval_columns(algebra, circuit, args)))
+        if len(found):
+            first = found[0]
+            return int(indices[first]), tuple(args[:, first].tolist())
+    return None
 
 
 def _require_nilpotent_malcev(
@@ -328,19 +369,20 @@ def ceqv_via_meet_irreducibles(
         reps = {}
         for x in range(algebra.size):
             reps.setdefault(mapping[x], x)
-        for args in product(range(quo.size), repeat=circuit.k):
-            tried += 1
-            if eval_circuit(quo, mapped, args) != target:
-                lifted = tuple(reps[a] for a in args)
-                got = eval_circuit(algebra, circuit, lifted)
-                if got == e:
-                    raise AssertionError("pulled-back counterexample evaporated")
-                return SolveResult(
-                    status="fails",
-                    counterexample=lifted,
-                    tried=tried,
-                    elapsed=time.perf_counter() - start,
-                )
+        hit = _first_assignment(quo, mapped, lambda out: out != target)
+        if hit is not None:
+            index, args = hit
+            lifted = tuple(reps[a] for a in args)
+            got = eval_circuit(algebra, circuit, lifted)
+            if got == e:
+                raise AssertionError("pulled-back counterexample evaporated")
+            return SolveResult(
+                status="fails",
+                counterexample=lifted,
+                tried=tried + index + 1,
+                elapsed=time.perf_counter() - start,
+            )
+        tried += quo.size**circuit.k
     return SolveResult(
         status="holds", tried=tried, elapsed=time.perf_counter() - start
     )

@@ -1,0 +1,72 @@
+"""The command-line front end: the program-versus-circuit harness."""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import tracemalloc
+
+from nudfa.circuits import CircuitBuilder
+from nudfa.cli import main, verify_harness
+from nudfa.compile import compile_supernilpotent
+from nudfa.fixtures import demo_program, get_fixture
+from nudfa.modcircuit import SUMP, CCircuit, Gate
+from nudfa.programs import AlgProgram, Instruction, with_accepting
+
+# About twice the measured peak of the n = 14 harness run below.
+PEAK_HARNESS_BYTES = 1152 * 1024
+
+
+def sump_circuit() -> CCircuit:
+    """One SUMP(2) gate over two inputs: its output is a vector."""
+    gate = Gate(SUMP, 1, ((0, 1), (1, 1)), p=2, nu=1,
+                coeffs=(((1,),), ((1,),)), offset=(0,))
+    return CCircuit(2, (gate,), 2, "SUMP(2)")
+
+
+def count_ones(n: int) -> AlgProgram:
+    """Z6: x_0 + ... + x_{n-1} on 0/1 inputs, accepting {2}."""
+    b = CircuitBuilder(n)
+    acc = b.var(0)
+    for i in range(1, n):
+        acc = b.gate("+", acc, b.var(i))
+    return AlgProgram(
+        get_fixture("Z6").algebra, b.finish(acc), n,
+        tuple(Instruction(i, i, 0, 1) for i in range(n)), frozenset({2}),
+    )
+
+
+def test_vector_valued_circuits_never_match():
+    prog = demo_program("and2_z6")
+    everything = with_accepting(prog, range(prog.algebra.size))
+    for program in (prog, everything):
+        doc = verify_harness(program, sump_circuit())
+        assert doc["match"] is False
+        assert "SUMP" in doc["reason"]
+
+
+def test_verify_command_exits_1_on_a_vector_valued_circuit(tmp_path):
+    prog_path, circ_path = tmp_path / "prog.json", tmp_path / "circ.json"
+    demo_program("and2_z6").dump(str(prog_path))
+    sump_circuit().dump(str(circ_path))
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["verify", "--program", str(prog_path),
+                     "--circuit", str(circ_path)])
+    assert code == 1
+    assert json.loads(buf.getvalue())["match"] is False
+
+
+def test_harness_memory_stays_bounded():
+    """Both truth tables go a block of words at a time."""
+    prog = count_ones(14)
+    circuit, _ = compile_supernilpotent(prog)
+    tracemalloc.start()
+    try:
+        doc = verify_harness(prog, circuit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert doc == {"match": True, "words": 1 << 14}
+    assert peak < PEAK_HARNESS_BYTES, peak

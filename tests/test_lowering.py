@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from conftest import scalar
 
 from nudfa.lowering import (
+    VERIFY_INPUT_BOUND,
+    _verify_tables,
     and_sum_lower,
     apply_func,
     collapse_5to3,
@@ -238,3 +241,15 @@ def test_reports_track_sizes():
     assert report.input_size == circ.size
     assert report.output_size == lowered.size
     assert report.input_shape == "MOD(2)∘MOD(3)"
+
+
+def test_verification_compares_every_coordinate_and_stays_lazy():
+    table = [(r % 3, r * r % 3) for r in range(4)]
+    circuit, report = and_sum_lower(table, 3)
+    assert report.verified is True
+    wrong = np.array(table)
+    wrong[2, 1] = (wrong[2, 1] + 1) % 3
+    with pytest.raises(AssertionError, match=r"disagrees at \[0, 1\]"):
+        _verify_tables(circuit, lambda: wrong, 2)
+    too_wide = VERIFY_INPUT_BOUND + 1
+    assert _verify_tables(circuit, lambda: 1 // 0, too_wide) is None

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
-import pytest
+from unittest import mock
 
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from nudfa import modcircuit
 from nudfa.modcircuit import (
     AND,
     MOD,
@@ -12,6 +17,7 @@ from nudfa.modcircuit import (
     SUMPC,
     CCircuit,
     Gate,
+    cc_table,
     cc_truth_table,
     eval_cc,
     format_shape,
@@ -126,11 +132,95 @@ def test_vector_valued_gates_cannot_feed_other_gates():
     )
     with pytest.raises(ValueError):
         eval_cc(circ, (1,))
+    with pytest.raises(ValueError):
+        cc_table(circ)
 
 
 def test_eval_rejects_wrong_word_length():
     with pytest.raises(ValueError):
         eval_cc(mod_parity_circuit(), (0, 1, 1))
+
+
+@st.composite
+def layered_circuits(draw):
+    """Random circuits of all five gate kinds, wired from earlier layers.
+
+    Wires carry multiplicities up to 4 and AND/OR gates may have none.  In
+    about one circuit in three a SUMP gate may feed a later gate, which
+    every evaluator must refuse.  The output is the last gate about half
+    the time, so open SUMP outputs are common.
+    """
+    n = draw(st.integers(0, 5))
+    vector_feeds = draw(st.integers(0, 2)) == 0
+    nodes = list(range(n))
+    sump_nodes: set[int] = set()
+    gates = []
+    for layer in range(1, draw(st.integers(1, 3)) + 1):
+        sources = [x for x in nodes if vector_feeds or x not in sump_nodes]
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from([AND, OR, MOD, SUMP, SUMPC]))
+            wires = tuple(
+                draw(
+                    st.lists(
+                        st.tuples(st.sampled_from(sources), st.integers(1, 4)),
+                        max_size=4,
+                    )
+                )
+                if sources
+                else ()
+            )
+            if kind == MOD:
+                m = draw(st.integers(1, 6))
+                accepting = draw(st.frozensets(st.integers(0, m - 1)))
+                gate = Gate(MOD, layer, wires, m=m, accepting=accepting)
+            elif kind in (SUMP, SUMPC):
+                p = draw(st.sampled_from([2, 3, 5]))
+                nu = draw(st.integers(1, 2))
+                entry = st.integers(-3, 7)
+                vec = st.lists(entry, min_size=nu, max_size=nu).map(tuple)
+                coeffs = tuple(
+                    tuple(draw(vec) for _ in range(nu)) for _ in wires
+                )
+                gate = Gate(
+                    kind, layer, wires, p=p, nu=nu, coeffs=coeffs,
+                    offset=draw(vec), target=draw(vec) if kind == SUMPC else (),
+                )
+            else:
+                gate = Gate(kind, layer, wires)
+            node = n + len(gates)
+            gates.append(gate)
+            if kind == SUMP:
+                sump_nodes.add(node)
+        nodes = list(range(n + len(gates)))
+    if vector_feeds and sump_nodes:
+        src = draw(st.sampled_from(sorted(sump_nodes)))
+        gates.append(Gate(draw(st.sampled_from([AND, OR])), layer + 1, ((src, 1),)))
+    last = n + len(gates) - 1
+    output = draw(st.one_of(st.just(last), st.integers(0, last)))
+    return CCircuit(n, tuple(gates), output, "")
+
+
+@settings(max_examples=150, deadline=None)
+@given(layered_circuits(), st.sampled_from([1, 3, 4, 4096]), st.data())
+def test_column_table_matches_the_word_evaluator(circuit, block, data):
+    words = [
+        [(row >> i) & 1 for i in range(circuit.inputs)]
+        for row in range(1 << circuit.inputs)
+    ]
+    with mock.patch.object(modcircuit, "TABLE_BLOCK", block):
+        try:
+            want = [eval_cc(circuit, w) for w in words]
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                cc_table(circuit)
+            return
+        assert cc_truth_table(circuit) == want
+        rows = data.draw(
+            st.lists(st.integers(0, len(words) - 1), max_size=9)
+        )
+        table = cc_table(circuit, np.array(rows, dtype=np.int64))
+        got = [tuple(v) if table.ndim == 2 else v for v in table.tolist()]
+        assert got == [want[r] for r in rows]
 
 
 # -- shapes ------------------------------------------------------------------

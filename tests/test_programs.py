@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import itertools
+import random
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nudfa.circuits import CONST, CircuitBuilder
-from nudfa.fixtures import demo_program, get_fixture
+from conftest import random_program
+
+from nudfa import modcircuit
+from nudfa.circuits import CONST, AlgCircuit, CircuitBuilder, eval_circuit
+from nudfa.fixtures import demo_program, fixture_names, get_fixture
 from nudfa.limits import default_budget
 from nudfa.partitions import Partition
 from nudfa.programs import (
@@ -58,6 +65,9 @@ def test_size_counts_gates_and_instructions():
         (Instruction(0, 0, 0, 1), Instruction(2, 1, 0, 1)),
         # bit index outside the word
         (Instruction(0, 0, 0, 1), Instruction(1, 2, 0, 1)),
+        # instruction values outside the universe
+        (Instruction(0, 0, 0, 6), Instruction(1, 1, 0, 1)),
+        (Instruction(0, 0, 0, 1), Instruction(1, 1, -1, 1)),
     ],
 )
 def test_malformed_instruction_lists_are_rejected(instructions):
@@ -148,3 +158,31 @@ def test_truth_table_refuses_oversized_words():
     )
     with pytest.raises(ValueError):
         truth_table(wide, default_budget())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(fixture_names()),
+    st.integers(1, 7),
+    st.integers(0, 2**32),
+    st.sampled_from([1, 5, 4096]),
+)
+def test_columns_match_the_word_evaluator(name, n, seed, block):
+    """Random programs: every node column and the accept column agree with
+    evaluating one word at a time."""
+    prog = random_program(random.Random(seed), get_fixture(name).algebra, n, 8)
+    words = [[(row >> i) & 1 for i in range(n)] for row in range(1 << n)]
+    with mock.patch.object(modcircuit, "TABLE_BLOCK", block):
+        accept = prog.accept_column()
+        cols = prog.node_columns()
+        odd = prog.accept_column(np.arange(1, 1 << n, 2))
+    assert accept.tolist() == [prog.accepts(w) for w in words]
+    assert odd.tolist() == accept.tolist()[1::2]
+    assert truth_table(prog) == accept.tolist()
+    for node, col in enumerate(cols):
+        at_node = AlgCircuit(prog.circuit.k, prog.circuit.nodes, node)
+        for row, word in enumerate(words):
+            args = [0] * prog.circuit.k
+            for ins in prog.instructions:
+                args[ins.var] = ins.value(word)
+            assert col[row] == eval_circuit(prog.algebra, at_node, args)

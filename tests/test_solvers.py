@@ -4,18 +4,34 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import random_alg_circuit
+import scan_reference as reference
+from conftest import random_alg_circuit, random_program
 
-from nudfa.circuits import CircuitBuilder, constant_circuit, eval_circuit
+from nudfa import modcircuit
+from nudfa.circuits import (
+    CircuitBuilder,
+    constant_circuit,
+    eval_circuit,
+    variable_circuit,
+)
 from nudfa.compile import HypothesisViolation
 from nudfa.fixtures import demo_program, get_fixture
 from nudfa.limits import BudgetExceeded, default_budget
 from nudfa.partitions import Partition
-from nudfa.programs import quotient_program, truth_table, with_accepting
+from nudfa.programs import (
+    AlgProgram,
+    Instruction,
+    quotient_program,
+    truth_table,
+    with_accepting,
+)
 from nudfa.solvers import (
     ceqv_exhaustive,
     ceqv_to_progcsat,
@@ -29,6 +45,9 @@ from nudfa.solvers import (
 )
 
 ETA = Partition.from_blocks(6, [{0, 2, 4}, {1, 3, 5}])
+
+# About twice the measured peak of the 6^6-assignment scan below.
+PEAK_SCAN_BYTES = 384 * 1024
 
 
 def repeated_sum(algebra, times):
@@ -197,6 +216,124 @@ def test_meet_irreducible_strategy_matches_the_scan(name):
         assert got.status == want.status
         if got.status == "fails":
             assert eval_circuit(alg, circ, got.counterexample) != e
+
+
+# -- block scans against the per-assignment loops ---------------------------
+
+
+def outcome(res):
+    return (res.status, res.witness, res.counterexample, res.tried)
+
+
+def circuit_or_constant(rng, algebra, k):
+    """A random circuit in k variables; for k = 0, gates over constants."""
+    if k:
+        return random_alg_circuit(rng, algebra, k, 6)
+    b = CircuitBuilder(0)
+    pool = [b.const(rng.randrange(algebra.size))]
+    for _ in range(rng.randrange(3)):
+        op = rng.choice(algebra.ops)
+        pool.append(b.gate(op.name, *(rng.choice(pool) for _ in range(op.arity))))
+    return b.finish(pool[-1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["LAT2", "Z2", "Z3", "Z6", "Z6%2", "S3"]),
+    st.integers(0, 3),
+    st.integers(0, 2**32),
+    st.sampled_from([1, 3, 4, 4096]),
+)
+def test_scans_match_the_per_assignment_reference(name, k, seed, block):
+    rng = random.Random(seed)
+    alg = get_fixture(name).algebra
+    circ = circuit_or_constant(rng, alg, k)
+    prog = random_program(rng, alg, rng.randrange(1, 8), 6)
+    with mock.patch.object(modcircuit, "TABLE_BLOCK", block):
+        assert outcome(progcsat_exhaustive(prog)) == outcome(
+            reference.progcsat_exhaustive(prog)
+        )
+        for e in range(alg.size):
+            for new, old in (
+                (csat_exhaustive, reference.csat_exhaustive),
+                (ceqv_exhaustive, reference.ceqv_exhaustive),
+                (ceqv_via_meet_irreducibles,
+                 reference.ceqv_via_meet_irreducibles),
+            ):
+                assert outcome(new(alg, circ, e)) == outcome(old(alg, circ, e))
+
+
+def and_of_bits(n, bits):
+    """Program over LAT2 accepting the words with every bit in ``bits`` set;
+    the first is word sum(2**b), and no bits give a 0-variable circuit."""
+    lat = get_fixture("LAT2").algebra
+    b = CircuitBuilder(len(bits))
+    acc = b.const(1)
+    for i in range(len(bits)):
+        acc = b.gate("and", acc, b.var(i))
+    return AlgProgram(
+        lat, b.finish(acc), n,
+        tuple(Instruction(i, bit, 0, 1) for i, bit in enumerate(bits)),
+        frozenset({1}),
+    )
+
+
+@pytest.mark.parametrize(
+    "bits, first",
+    [((), 0), ((0, 1), 3), ((2,), 4), ((0, 1, 2), 7)],
+    ids=["row0-k0", "block-end", "block-start", "last-row"],
+)
+def test_program_scan_hits_around_block_boundaries(bits, first):
+    prog = and_of_bits(3, bits)
+    with mock.patch.object(modcircuit, "TABLE_BLOCK", 4):
+        res = progcsat_exhaustive(prog)
+    assert outcome(res) == outcome(reference.progcsat_exhaustive(prog))
+    assert res.tried == first + 1
+    unsat = with_accepting(prog, set())
+    with mock.patch.object(modcircuit, "TABLE_BLOCK", 4):
+        assert outcome(progcsat_exhaustive(unsat)) == ("unsat", None, None, 8)
+
+
+@pytest.mark.parametrize("block", [1, 3, 4, 7, 4096])
+def test_equation_scans_hit_around_block_boundaries(block):
+    z6 = get_fixture("Z6").algebra
+    lat = get_fixture("LAT2").algebra
+    b = CircuitBuilder(2)
+    meet = b.finish(b.gate("and", b.var(0), b.var(1)))
+    cases = [
+        (z6, variable_circuit(2, 1), e) for e in range(6)
+    ] + [
+        (lat, meet, 0), (lat, meet, 1),  # first hit on the last row
+        (z6, constant_circuit(0, 2), 2), (z6, constant_circuit(0, 2), 3),
+    ]
+    with mock.patch.object(modcircuit, "TABLE_BLOCK", block):
+        for alg, circ, e in cases:
+            for new, old in (
+                (csat_exhaustive, reference.csat_exhaustive),
+                (ceqv_exhaustive, reference.ceqv_exhaustive),
+                (ceqv_via_meet_irreducibles,
+                 reference.ceqv_via_meet_irreducibles),
+            ):
+                assert outcome(new(alg, circ, e)) == outcome(old(alg, circ, e))
+
+
+def test_assignment_scan_memory_stays_bounded():
+    """A full 6^6-assignment scan holds a block of columns, not the space."""
+    alg = get_fixture("Z6%2").algebra
+    b = CircuitBuilder(6)
+    terms = [b.gate("%2", b.gate("+", b.var(i), b.var(i))) for i in range(6)]
+    acc = terms[0]
+    for t in terms[1:]:
+        acc = b.gate("+", acc, t)
+    identity = b.finish(acc)
+    tracemalloc.start()
+    try:
+        res = ceqv_exhaustive(alg, identity, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert outcome(res) == ("holds", None, None, 6**6)
+    assert peak < PEAK_SCAN_BYTES, peak
 
 
 # -- quotient lifting --------------------------------------------------------
