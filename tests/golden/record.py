@@ -19,7 +19,8 @@ from pathlib import Path
 
 from nudfa.circuits import CircuitBuilder
 from nudfa.cli import main
-from nudfa.fixtures import demo_names, demo_program, get_fixture
+from nudfa.congruence import all_congruences
+from nudfa.fixtures import demo_names, demo_program, fixture_names, get_fixture
 from nudfa.modcircuit import AND, MOD, OR, SUMP, CCircuit, Gate
 from nudfa.programs import AlgProgram, Instruction
 
@@ -198,6 +199,20 @@ def cases() -> list[tuple[str, list[str]]]:
     out.append(("verify_width_mismatch",
                 ["verify", "--program", "inputs/demo_and2_z6.json",
                  "--circuit", "inputs/boolean.json"]))
+    # Structure of every fixture; ``localize`` takes the first cover in
+    # the lattice's canonical order.
+    for name in fixture_names():
+        spec = f"fixtures:{name}"
+        out.append((f"algebra_{name}", ["algebra", "--algebra", spec]))
+        out.append((f"con_{name}", ["con", "--algebra", spec]))
+        lower, upper = all_congruences(get_fixture(name).algebra).covers[0]
+        out.append((f"localize_{name}",
+                    ["localize", "--algebra", spec,
+                     "--lower", str(lower), "--upper", str(upper)]))
+    for name in ("Z6%2", "S3"):
+        out.append((f"gadget_twoprime_{name}",
+                    ["gadget", "twoprime", "--algebra", f"fixtures:{name}",
+                     "--cnf", "inputs/sat.cnf"]))
     return out
 
 
