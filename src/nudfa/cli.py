@@ -34,6 +34,7 @@ from .compile import (
 from .congruence import (
     CongruenceLattice,
     all_congruences,
+    clear_commutators,
     distinguished_congruences,
     is_supernilpotent_algebra,
     supernilpotent_rank,
@@ -739,6 +740,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    clear_commutators()
     try:
         return args.func(args)
     except UsageError as exc:

@@ -6,8 +6,13 @@ congruence generated by a set of pairs is their closure under the basic
 translations and transitivity (R. Freese, "Computing congruences
 efficiently", Algebra Universalis 2008).  The full lattice is the
 join-closure of the principal congruences.  The binary commutator is the
-term-condition commutator, computed from the matrix subalgebra of A^4.  On
-top of these sit characteristics of prime quotients, intervals that decompose
+term-condition commutator, computed from the matrix subalgebra M(alpha, beta)
+of A^4: each matrix is coded as a pair of rows, each row a pair of elements,
+so unary and binary operations act on it through their tables on A^2.  Each
+commutator is computed once per run: a bounded memo keyed by the operation
+tables and the two congruences serves every lattice of an algebra and of its
+copies under other names, and ``cli.main`` empties it on every call.  On top
+of these sit characteristics of prime quotients, intervals that decompose
 into independent single-prime pieces, and the distinguished congruences that
 drive the circuit compiler.
 """
@@ -77,9 +82,7 @@ class CongruenceLattice:
     elements: tuple[Partition, ...]  # canonically sorted
     _index: dict = field(repr=False)
     covers: tuple[tuple[int, int], ...]  # (lower, upper) index pairs
-    _commutator: dict = field(default_factory=dict, repr=False)
     _char: dict = field(default_factory=dict, repr=False)
-    _pupi: dict = field(default_factory=dict, repr=False)
     _quotient: dict = field(default_factory=dict, repr=False)
 
     # -- order helpers -----------------------------------------------------
@@ -158,10 +161,9 @@ class CongruenceLattice:
     # -- commutator and solvability ----------------------------------------
 
     def commutator(self, left: Partition, right: Partition) -> Partition:
-        key = (self.index(left), self.index(right))
-        if key not in self._commutator:
-            self._commutator[key] = commutator(self.algebra, left, right)
-        return self._commutator[key]
+        for part in (left, right):
+            self.index(part)  # raises KeyError unless a congruence here
+        return commutator(self.algebra, left, right)
 
     def characteristic(self, lo: Partition, hi: Partition) -> int:
         key = (self.index(lo), self.index(hi))
@@ -222,77 +224,103 @@ def all_congruences_bruteforce(algebra: FiniteAlgebra) -> list[Partition]:
 # ---------------------------------------------------------------------------
 
 
+# Products of matrices are evaluated this many at a time.
+MATRIX_BLOCK = 1 << 14
+# Most commutators the run memo holds; the oldest entry goes first.
+COMMUTATOR_MEMO_SIZE = 4096
+_COMMUTATORS: dict = {}
+
+
+def clear_commutators() -> None:
+    """Empty the run memo of commutators; ``cli.main`` calls this per run."""
+    _COMMUTATORS.clear()
+
+
+def _argument_blocks(pools: list[np.ndarray], block: int):
+    """Every tuple of ``product(*pools)`` as argument arrays that broadcast
+    to at most ``block`` tuples: the last pool runs along the columns, the
+    other pools' tuples along the rows."""
+    *head, last = pools
+    if not last.size:
+        return
+    step = max(1, block // last.size)
+    total = int(np.prod([p.size for p in head], dtype=np.int64))
+    for start in range(0, total, step):
+        q = np.arange(start, min(start + step, total))
+        prefix = []
+        for pool in reversed(head):
+            q, r = np.divmod(q, pool.size)
+            prefix.append(pool[r][:, None])
+        prefix.reverse()
+        for lo in range(0, last.size, block):
+            yield prefix + [last[None, lo:lo + block]]
+
+
+def _related(part: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """Both coordinates of every pair the partition relates."""
+    cls = np.array(part.class_of)
+    return np.nonzero(cls[:, None] == cls)
+
+
 def _matrix_subalgebra(
     algebra: FiniteAlgebra, left: Partition, right: Partition
 ) -> np.ndarray:
     """Closure in A^4 of the generator matrices (a,a,b,b) for related (a,b)
     on the left and (u,v,u,v) for related (u,v) on the right; rows of every
-    matrix are right-related, columns left-related."""
+    matrix are right-related, columns left-related.
+
+    A matrix with rows (x1, x2) and (x3, x4) is coded ``top * n**2 +
+    bottom``, each row one pair ``x * n + y``.  Unary and binary operations
+    act on both rows through their tables on A^2 (n**2 or n**4 entries),
+    one gather per row; higher arities gather each of the four entries from
+    the flat table.  Each round applies every operation to the tuples with
+    at least one matrix new in the last round (semi-naive: argument j new,
+    those before it older, those after it anything), ``MATRIX_BLOCK``
+    products at a time.  Returns the sorted codes.
+    """
     n = algebra.size
-    gens: set[int] = set()
-
-    def code(x1: int, x2: int, x3: int, x4: int) -> int:
-        return ((x1 * n + x2) * n + x3) * n + x4
-
-    for block in left.blocks():
-        for a in block:
-            for b in block:
-                gens.add(code(a, a, b, b))
-    for block in right.blocks():
-        for u in block:
-            for v in block:
-                gens.add(code(u, v, u, v))
+    n2 = n * n
+    diagonal = np.arange(n) * (n + 1)  # the row (x, x)
+    a, b = _related(left)
+    u, v = _related(right)
+    # A nullary operation adds only its constant matrix (c, c, c, c), which
+    # is a generator already.
+    appliers = []
+    for op in algebra.ops:
+        t = np.array(op.table, dtype=np.int64)
+        if op.arity in (1, 2):
+            tk = t.reshape((n,) * op.arity)
+            first = tk.reshape((n, 1) * op.arity)
+            second = tk.reshape((1, n) * op.arity)
+            appliers.append((op.arity, 2, n2, (first * n + second).ravel()))
+        elif op.arity > 2:
+            appliers.append((op.arity, 4, n, t))
 
     present = np.zeros(n**4, dtype=bool)
-    codes = np.fromiter(gens, dtype=np.int64)
-    present[codes] = True
-
-    def coords(cs: np.ndarray) -> list[np.ndarray]:
-        out = []
-        rest = cs
-        for _ in range(4):
-            out.append(rest % n)
-            rest = rest // n
-        return out[::-1]
-
-    tables = {op.name: np.array(op.table, dtype=np.int64) for op in algebra.ops}
-    frontier = codes
+    present[diagonal[a] * n2 + diagonal[b]] = True
+    present[(u * n + v) * (n2 + 1)] = True
+    frontier = np.flatnonzero(present)
+    old = frontier[:0]
     while frontier.size:
         existing = np.flatnonzero(present)
-        new_mask = np.zeros(n**4, dtype=bool)
-        for op in algebra.ops:
-            t = tables[op.name]
-            if op.arity == 0:
-                v = int(t[0])
-                new_mask[code(v, v, v, v)] = True
-            elif op.arity == 1:
-                cs = coords(frontier)
-                res = sum(t[c] * n ** (3 - i) for i, c in enumerate(cs))
-                new_mask[res] = True
-            elif op.arity == 2:
-                for xs, ys in ((frontier, existing), (existing, frontier)):
-                    xc = coords(xs)
-                    yc = coords(ys)
-                    acc = np.zeros((xs.size, ys.size), dtype=np.int64)
-                    for i in range(4):
-                        acc = acc * n + t[xc[i][:, None] * n + yc[i][None, :]]
-                    new_mask[acc.ravel()] = True
-            else:
-                # rare: recombine everything for higher arities
-                cs = [coords(existing)] * op.arity
-                for combo in product(range(existing.size), repeat=op.arity):
-                    args = [existing[j] for j in combo]
-                    cds = [coords(np.array([a]))[i][0] for a in args for i in range(4)]
-                    vals = []
-                    for i in range(4):
+        fresh = np.zeros(n**4, dtype=bool)
+        for arity, digits, base, table in appliers:
+            for j in range(arity):
+                pools = [old] * j + [frontier] + [existing] * (arity - 1 - j)
+                for args in _argument_blocks(pools, MATRIX_BLOCK):
+                    # Digit d of every argument, most significant first: a
+                    # row for the tables on A^2, an entry for the flat ones.
+                    out = 0
+                    for d in range(digits - 1, -1, -1):
                         idx = 0
-                        for j in range(op.arity):
-                            idx = idx * n + cds[j * 4 + i]
-                        vals.append(int(t[idx]))
-                    new_mask[code(*vals)] = True
-        new_mask &= ~present
-        present |= new_mask
-        frontier = np.flatnonzero(new_mask)
+                        for arg in args:
+                            idx = idx * base + arg // base**d % base
+                        out = out * base + table[idx]
+                    fresh[out] = True
+        fresh &= ~present
+        present |= fresh
+        old = existing
+        frontier = np.flatnonzero(fresh)
     return np.flatnonzero(present)
 
 
@@ -307,28 +335,38 @@ def commutator(
     top row lies in d has its bottom row in d; computed by seeding with the
     bottom rows of matrices with equal top entries and re-closing until the
     forcing condition is stable.
-    """
-    n = algebra.size
-    matrices = _matrix_subalgebra(algebra, left, right)
-    rows = np.empty((matrices.size, 4), dtype=np.int64)
-    rest = matrices.copy()
-    for i in range(3, -1, -1):
-        rows[:, i] = rest % n
-        rest //= n
 
-    seeds = {
-        (int(r[2]), int(r[3])) for r in rows if r[0] == r[1] and r[2] != r[3]
-    }
-    delta = congruence_generated(algebra, seeds)
+    Results are memoised for the run, keyed by the operations' arities and
+    tables and the two congruences, so an algebra and a copy of it under
+    another name (such as its quotient by zero) share them.
+    """
+    key = (tuple((op.arity, op.table) for op in algebra.ops), left, right)
+    if key not in _COMMUTATORS:
+        if len(_COMMUTATORS) >= COMMUTATOR_MEMO_SIZE:
+            del _COMMUTATORS[next(iter(_COMMUTATORS))]
+        _COMMUTATORS[key] = _commutator(algebra, left, right)
+    return _COMMUTATORS[key]
+
+
+def _commutator(
+    algebra: FiniteAlgebra, left: Partition, right: Partition
+) -> Partition:
+    n = algebra.size
+    x1, x2, x3, x4 = np.unravel_index(
+        _matrix_subalgebra(algebra, left, right), (n,) * 4
+    )
+    delta = Partition.identity(n)
     while True:
-        forced = set()
-        for r in rows:
-            if delta.same(int(r[0]), int(r[1])) and not delta.same(int(r[2]), int(r[3])):
-                forced.add((int(r[2]), int(r[3])))
-        if not forced:
+        cls = np.array(delta.class_of)
+        forced = (cls[x1] == cls[x2]) & (cls[x3] != cls[x4])
+        if not forced.any():
             return delta
-        seeds |= forced
-        delta = congruence_generated(algebra, seeds)
+        bottoms = np.unique(x3[forced] * n + x4[forced])
+        delta = congruence_generated(
+            algebra,
+            [*enumerate(delta.class_of),
+             *zip((bottoms // n).tolist(), (bottoms % n).tolist())],
+        )
 
 
 def solvability_class(algebra: FiniteAlgebra, lat: CongruenceLattice,
@@ -403,23 +441,10 @@ def characteristic(
     if len(counts) != 1:
         raise ValueError(f"hi-blocks split into unequal lo-block counts {counts}")
     count = counts.pop()
-    p = _prime_power_base(count)
-    if p is None:
+    primes = prime_divisors(count)
+    if len(primes) != 1:
         raise ValueError(f"block count {count} is not a prime power")
-    return p
-
-
-def _prime_power_base(m: int) -> Optional[int]:
-    if m < 2:
-        return None
-    p = None
-    for q in range(2, m + 1):
-        if m % q == 0:
-            p = q
-            break
-    while m % p == 0:
-        m //= p
-    return p if m == 1 else None
+    return primes[0]
 
 
 def prime_divisors(m: int) -> list[int]:
@@ -579,16 +604,10 @@ def distinguished_congruences(
         cands = [
             c
             for c in supernil
-            if all(_is_power_of(len(b), p) for b in c.blocks())
+            if all(set(prime_divisors(len(b))) <= {p} for b in c.blocks())
         ]
         by_prime[p] = _unique_max(cands, f"largest supernilpotent for prime {p}")
     return DistinguishedCongruences(largest, smallest, by_prime)
-
-
-def _is_power_of(m: int, p: int) -> bool:
-    while m % p == 0:
-        m //= p
-    return m == 1
 
 
 def supernilpotent_rank(

@@ -2,21 +2,35 @@
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import io
 import itertools
+import random
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import commutator_reference as reference
+from nudfa import congruence
 from nudfa.algebra import FiniteAlgebra, Operation, respects
+from nudfa.cli import main
 from nudfa.congruence import (
     all_congruences,
     all_congruences_bruteforce,
     charr_set,
+    clear_commutators,
+    commutator,
+    congruence_generated,
     distinguished_congruences,
     is_nilpotent_congruence,
     is_supernilpotent_algebra,
     pdiv,
+    prime_divisors,
     prime_power_decomposition,
     principal_congruence,
     solvability_class,
@@ -24,6 +38,8 @@ from nudfa.congruence import (
 )
 from nudfa.fixtures import get_fixture
 from nudfa.partitions import Partition
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 ETA_MOD2 = Partition.from_blocks(6, [{0, 2, 4}, {1, 3, 5}])
 ETA_MOD3 = Partition.from_blocks(6, [{0, 3}, {1, 4}, {2, 5}])
@@ -43,16 +59,13 @@ def test_lattice_matches_bruteforce_enumeration(name):
     assert all(respects(alg, part) for part in lat.elements)
 
 
-@st.composite
-def small_algebras(draw):
-    """A binary operation plus optional unary and ternary ones on 2..5
-    elements.  Half the draws make every table respect the kernel of a
-    random labelling, so that nontrivial congruences turn up often."""
-    n = draw(st.integers(min_value=2, max_value=5))
+def random_algebra(draw, n, arities):
+    """Random operations of the given arities on n elements.  Half the
+    draws make every table respect the kernel of a random labelling, so
+    that nontrivial congruences turn up often."""
     labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
     blocks = {c: [x for x in range(n) if labels[x] == c] for c in labels}
     free = draw(st.booleans())
-    arities = [2] + [r for r in (1, 3) if draw(st.booleans())]
     ops = []
     for r in arities:
         raw = draw(st.lists(st.integers(0, n - 1), min_size=n**r, max_size=n**r))
@@ -64,6 +77,14 @@ def small_algebras(draw):
                 raw[i] = block[raw[i] % len(block)]
         ops.append(Operation(f"f{r}", r, tuple(raw)))
     return FiniteAlgebra(f"random{n}", n, tuple(ops))
+
+
+@st.composite
+def small_algebras(draw):
+    """A binary operation plus optional unary and ternary ones on 2..5
+    elements."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    return random_algebra(draw, n, [2] + [r for r in (1, 3) if draw(st.booleans())])
 
 
 @settings(max_examples=60, deadline=None)
@@ -216,3 +237,216 @@ def test_prime_power_decomposition_of_the_order_six_group():
 def test_pdiv_is_the_product_of_primes_dividing_the_size():
     for name, value in [("Z2", 2), ("Z3", 3), ("Z4", 2), ("Z6", 6), ("S3", 6)]:
         assert pdiv(get_fixture(name).algebra) == value, name
+
+
+def test_prime_divisors_single_out_prime_powers():
+    """A block count is a prime power exactly when it has one prime
+    divisor; 1 has none, and a block of size 1 has p-power size for every
+    p."""
+    assert prime_divisors(1) == []
+    for m in range(2, 300):
+        divisors = [q for q in range(2, m + 1) if m % q == 0]
+        p = divisors[0]
+        power = p
+        while power < m:
+            power *= p
+        assert (prime_divisors(m) == [p]) == (power == m), m
+
+
+# ---------------------------------------------------------------------------
+# Term-condition commutator against the earlier implementation
+# ---------------------------------------------------------------------------
+
+
+def assert_matches_reference(alg):
+    """M(alpha, beta) and [alpha, beta] for every pair of congruences; the
+    reference commutator runs on the reference matrices just compared, so
+    that each slow reference closure runs once."""
+    clear_commutators()
+    lat = all_congruences(alg)
+    for left, right in itertools.product(lat.elements, repeat=2):
+        matrices = reference.matrix_subalgebra(alg, left, right)
+        assert congruence._matrix_subalgebra(alg, left, right).tolist() == (
+            matrices.tolist()
+        )
+        with mock.patch.object(reference, "matrix_subalgebra", lambda *_: matrices):
+            expected = reference.commutator(alg, left, right)
+        assert commutator(alg, left, right) == expected
+
+
+@st.composite
+def commutator_algebras(draw, ternary=False):
+    """Nullary, unary and binary operations on 1..4 elements or, with
+    ``ternary``, on two elements next to a ternary one: the reference
+    applies a ternary operation to every triple of matrices in Python,
+    about a second of work on two elements and minutes on three."""
+    n = 2 if ternary else draw(st.integers(min_value=1, max_value=4))
+    arities = [r for r in (0, 1, 2) if draw(st.booleans())]
+    return random_algebra(draw, n, arities + [3] * ternary)
+
+
+@settings(max_examples=40, deadline=None)
+@given(commutator_algebras())
+def test_commutators_match_the_reference(alg):
+    assert_matches_reference(alg)
+
+
+@settings(max_examples=3, deadline=None)
+@given(commutator_algebras(ternary=True))
+def test_ternary_commutators_match_the_reference(alg):
+    assert_matches_reference(alg)
+
+
+@pytest.mark.parametrize("block", (1, 2, 5, 7, 20, 60, 61))
+def test_argument_blocks_enumerate_the_product_in_order(block):
+    pools = [np.arange(3), np.arange(10, 14), np.arange(20, 25)]
+    tuples = []
+    for args in congruence._argument_blocks(pools, block):
+        shaped = np.broadcast_arrays(*args)
+        assert shaped[0].size <= block
+        tuples += zip(*(a.ravel().tolist() for a in shaped))
+    assert tuples == list(itertools.product(*(p.tolist() for p in pools)))
+    empty = pools[0][:0]
+    assert list(congruence._argument_blocks([empty, pools[1]], block)) == []
+    assert list(congruence._argument_blocks([pools[0], empty], block)) == []
+
+
+def test_forcing_takes_a_second_round():
+    """In this 5-element groupoid the bottoms of the matrices with equal
+    top entries generate a congruence that some matrix violates, so the
+    forcing condition has to be re-closed."""
+    table = (1, 1, 0, 1, 1, 1, 0, 0, 1, 1, 1, 0, 1, 1,
+             1, 1, 1, 4, 1, 1, 1, 1, 0, 1, 1)
+    alg = FiniteAlgebra("F5", 5, (Operation("*", 2, table),))
+    left, right = Partition((0, 0, 2, 0, 0)), Partition((0, 0, 2, 2, 0))
+    x1, x2, x3, x4 = np.unravel_index(
+        reference.matrix_subalgebra(alg, left, right), (5,) * 4
+    )
+    same_top = x1 == x2
+    first = congruence_generated(
+        alg, zip(x3[same_top].tolist(), x4[same_top].tolist())
+    )
+    clear_commutators()
+    result = commutator(alg, left, right)
+    assert result == reference.commutator(alg, left, right) != first
+
+
+@pytest.mark.parametrize("block", (1, 2, 5, 64))
+def test_blocks_of_any_size_close_the_same_matrices(block):
+    """Small blocks cut the frontier-by-existing products of every arity
+    at many places; the closure stays the one of the default block."""
+    rng = random.Random(block)
+    ternary = tuple(rng.randrange(2) for _ in range(8))
+    algebras = [
+        get_fixture(name).algebra for name in ("Z2", "Z3", "LAT2", "Z4")
+    ] + [FiniteAlgebra("T2", 2, (Operation("t", 3, ternary),))]
+    for alg in algebras:
+        lat = all_congruences(alg)
+        for left, right in itertools.product(lat.elements, repeat=2):
+            expected = congruence._matrix_subalgebra(alg, left, right).tolist()
+            with mock.patch.object(congruence, "MATRIX_BLOCK", block):
+                got = congruence._matrix_subalgebra(alg, left, right).tolist()
+            assert got == expected, (alg.name, left, right)
+
+
+# x + y + z on two elements: a ternary operation whose M(1, 1) has 8 of
+# the 16 matrices, cheap for the reference.
+MINORITY = FiniteAlgebra(
+    "minority", 2,
+    (Operation("m", 3, tuple(x ^ y ^ z for x, y, z in itertools.product(
+        range(2), repeat=3))),),
+)
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES + ("minority",))
+def test_fixture_commutators_match_the_reference(name):
+    alg = MINORITY if name == "minority" else get_fixture(name).algebra
+    assert_matches_reference(alg)
+
+
+def test_matrix_closure_memory_stays_bounded():
+    """A random 7-element groupoid whose M(1, 1) is all of A^4 (2,401
+    matrices).  The earlier closure built a dense frontier-by-existing
+    block per round and peaked at 84 MiB here, growing as |M|^2; the row-
+    pair closure works in blocks of ``MATRIX_BLOCK`` products (measured
+    0.7 MiB)."""
+    rng = random.Random(7)
+    n = 7
+    table = tuple(rng.randrange(n) for _ in range(n * n))
+    alg = FiniteAlgebra("G7", n, (Operation("*", 2, table),))
+    one = Partition.total(n)
+    tracemalloc.start()
+    try:
+        size = congruence._matrix_subalgebra(alg, one, one).size
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert size == n**4
+    assert peak < 8.0, peak
+
+
+def test_commutators_are_computed_once_per_run(monkeypatch):
+    """Within one ``con`` call every distinct (tables, alpha, beta) is
+    closed once, the quotient of S3 by zero reusing the commutators of S3;
+    a second call starts from an empty memo and repeats exactly that
+    work."""
+    keys: list = []
+    inner = congruence._matrix_subalgebra
+
+    def counted(alg, left, right):
+        keys.append((tuple((op.arity, op.table) for op in alg.ops), left, right))
+        return inner(alg, left, right)
+
+    asked = []
+    outer = congruence.commutator
+
+    def asking(alg, left, right):
+        asked.append(1)
+        return outer(alg, left, right)
+
+    monkeypatch.setattr(congruence, "_matrix_subalgebra", counted)
+    monkeypatch.setattr(congruence, "commutator", asking)
+    runs = []
+    for _ in range(2):
+        keys.clear()
+        asked.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["con", "--algebra", "fixtures:S3"]) == 0
+        runs.append((list(keys), len(asked)))
+    (first, asked_first), (second, asked_second) = runs
+    assert len(first) == len(set(first)) > 0
+    assert first == second and asked_first == asked_second
+    assert asked_first > len(first)
+
+
+def test_commutator_memo_is_keyed_by_the_tables(monkeypatch):
+    """Z2 and LAT2 share their universe and congruences but not their
+    commutators; a renamed copy of LAT2 shares LAT2's."""
+    clear_commutators()
+    z2, lat2 = get_fixture("Z2").algebra, get_fixture("LAT2").algebra
+    zero, one = Partition.identity(2), Partition.total(2)
+    assert commutator(z2, one, one) == zero
+    assert commutator(lat2, one, one) == one
+    monkeypatch.setattr(congruence, "_matrix_subalgebra", None)
+    copy = FiniteAlgebra("copy", 2, lat2.ops)
+    assert commutator(copy, one, one) == one
+
+
+def test_commutator_memo_never_exceeds_its_size(monkeypatch):
+    """With room for two commutators the memo evicts its oldest entries,
+    and the output stays the recorded one."""
+    monkeypatch.setattr(congruence, "COMMUTATOR_MEMO_SIZE", 2)
+    sizes = []
+    inner = congruence._commutator
+
+    def watched(alg, left, right):
+        sizes.append(len(congruence._COMMUTATORS))
+        return inner(alg, left, right)
+
+    monkeypatch.setattr(congruence, "_commutator", watched)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["con", "--algebra", "fixtures:S3"]) == 0
+    assert buf.getvalue() == (GOLDEN / "expected" / "con_S3.out").read_text()
+    assert len(congruence._COMMUTATORS) <= 2
+    assert max(sizes) <= 2 and len(sizes) > 2
