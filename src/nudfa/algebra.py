@@ -10,12 +10,21 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .circuits import AlgCircuit, CircuitBuilder, eval_circuit
+from .circuits import (
+    CONST,
+    GATE,
+    VAR,
+    AlgCircuit,
+    argument_blocks,
+    eval_circuit,
+    subcircuit,
+)
 from .limits import Budget, charge, default_budget
 from .partitions import Partition
 
@@ -123,12 +132,41 @@ def make_op(name: str, arity: int, size: int, fn) -> Operation:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class UnaryFn:
-    """A unary polynomial: its value table plus a witnessing circuit."""
+    """A unary polynomial: its value table plus a witnessing circuit in x0.
 
-    values: tuple[int, ...]
-    witness: AlgCircuit
+    ``witness`` is given either as an AlgCircuit or as a function of no
+    arguments that builds one; a clone passes the latter, so a circuit is
+    assembled on first read and only for the functions someone reads.  Two
+    functions are equal when their tables and their witnesses are.
+    """
+
+    __slots__ = ("values", "_witness")
+
+    def __init__(
+        self,
+        values: tuple[int, ...],
+        witness: AlgCircuit | Callable[[], AlgCircuit],
+    ):
+        self.values = values
+        self._witness = witness
+
+    @property
+    def witness(self) -> AlgCircuit:
+        if not isinstance(self._witness, AlgCircuit):
+            self._witness = self._witness()
+        return self._witness
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, UnaryFn):
+            return NotImplemented
+        return self.values == other.values and self.witness == other.witness
+
+    def __hash__(self) -> int:
+        return hash(self.values)
+
+    def __repr__(self) -> str:
+        return f"UnaryFn(values={self.values!r}, witness={self.witness!r})"
 
     def __call__(self, x: int) -> int:
         return self.values[x]
@@ -146,20 +184,19 @@ class UnaryClone:
 
     A batched breadth-first closure (``_closure``) with k = 1.  Functions
     are deduplicated by value table, and each carries the first witness
-    circuit in the variable x0 found in breadth-first ``product`` order.
-    Iteration order is the canonical sort by value table, so searches over
-    the clone are deterministic.
+    circuit in the variable x0 found in breadth-first ``product`` order,
+    built when first read.  Iteration order is the canonical sort by value
+    table, so searches over the clone are deterministic.
     """
 
     def __init__(self, algebra: FiniteAlgebra, budget: Optional[Budget] = None):
         self.algebra = algebra
-        builder, seen, _ = _closure(algebra, 1, budget, "unary clone")
-        dtype = np.min_scalar_type(algebra.size - 1)
-        found = sorted(
-            (tuple(np.frombuffer(key, dtype).tolist()), node)
-            for key, node in seen.items()
+        tables, nodes, _ = _closure(algebra, 1, budget, "unary clone")
+        order = np.lexsort(tables.T[::-1]).tolist()
+        self.functions = tuple(
+            UnaryFn(tuple(values), partial(subcircuit, 1, nodes, t))
+            for values, t in zip(tables[order].tolist(), order)
         )
-        self.functions = tuple(UnaryFn(tab, builder.finish(nd)) for tab, nd in found)
         self._by_table = {fn.values: fn for fn in self.functions}
 
     def __iter__(self):
@@ -186,8 +223,103 @@ class UnaryClone:
         return self.find(lambda fn: all(fn.values[a] == b for a, b in pairs))
 
 
-# Most rows one numpy gather produces; bounds the scratch memory of a batch.
-_BATCH_ROWS = 512
+# Most table entries (padded rows times their width) one block of products
+# holds; bounds the scratch memory of a block, about 10 bytes an entry.
+CLOSURE_BLOCK = 1 << 16
+
+
+class _Tables:
+    """Distinct tables in the order they were added, each row padded with
+    zeros to whole 64-bit words.
+
+    A row is found by its hash, a weighted sum of its words modulo 2**64,
+    in a sorted array of the stored rows' hashes.  Every match is checked
+    word by word; a block in which two different rows share a hash is
+    sorted out by comparing bytes instead.
+    """
+
+    def __init__(self, width: int, dtype: np.dtype):
+        self.width = width
+        self.padded = width + -width % (8 // dtype.itemsize)
+        self.rows = np.zeros((16, self.padded), dtype)
+        self.count = 0
+        z = np.arange(1, self.padded * dtype.itemsize // 8 + 1, dtype=np.uint64)
+        z *= np.uint64(0x9E3779B97F4A7C15)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        self._weights = z ^ (z >> np.uint64(31))
+        self._keys = np.empty(0, np.uint64)  # sorted hashes of the stored rows
+        self._where = np.empty(0, np.intp)  # the stored row of each
+
+    def hashes(self, rows: np.ndarray) -> np.ndarray:
+        return rows.view(np.uint64) @ self._weights
+
+    def fresh(self, rows: np.ndarray, hashes: np.ndarray) -> np.ndarray:
+        """Positions, ascending, of the rows that are neither stored nor
+        equal to an earlier row."""
+        order = np.argsort(hashes)
+        ordered = hashes[order]
+        head = np.ones(len(order), bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+        starts = np.flatnonzero(head)
+        first = np.minimum.reduceat(order, starts)
+        keys = ordered[starts]
+        at = np.searchsorted(self._keys, keys)
+        old = at < len(self._keys)
+        old[old] = self._keys[at[old]] == keys[old]
+        words = rows.view(np.uint64)
+        stored = self.rows.view(np.uint64)[self._where[at[old]]]
+        if (words[order] == words[first[np.cumsum(head) - 1]]).all() and (
+            words[first[old]] == stored
+        ).all():
+            return np.sort(first[~old])
+        known = {row.tobytes() for row in self.rows[: self.count]}
+        out = []
+        for i, row in enumerate(rows):
+            key = row.tobytes()
+            if key not in known:
+                known.add(key)
+                out.append(i)
+        return np.array(out, np.intp)
+
+    def add(self, rows: np.ndarray, hashes: np.ndarray) -> None:
+        end = self.count + len(rows)
+        if end > len(self.rows):
+            size = (max(end, 2 * len(self.rows)), self.padded)
+            grown = np.zeros(size, self.rows.dtype)
+            grown[: self.count] = self.rows[: self.count]
+            self.rows = grown
+        self.rows[self.count : end] = rows
+        order = np.argsort(hashes)
+        at = np.searchsorted(self._keys, hashes[order]) + np.arange(len(order))
+        rest = np.ones(end, bool)
+        rest[at] = False
+        keys, where = np.empty(end, np.uint64), np.empty(end, np.intp)
+        keys[at], keys[rest] = hashes[order], self._keys
+        where[at], where[rest] = self.count + order, self._where
+        self._keys, self._where = keys, where
+        self.count = end
+
+    def tables(self) -> np.ndarray:
+        return self.rows[: self.count, : self.width]
+
+
+def _fresh_tuples(m: int, frontier: int, arity: int):
+    """Pools whose products list, one after another and in ``product``
+    order, the tuples of range(m)**arity with an entry at or after
+    ``frontier``."""
+    old, new, every = np.arange(frontier), np.arange(frontier, m), np.arange(m)
+    if arity == 1:
+        yield [new]
+        return
+    rest = list(_fresh_tuples(m, frontier, arity - 1))
+    if len(rest) == 1:
+        yield [old, *rest[0]]
+    else:
+        for p in range(frontier):
+            for pools in rest:
+                yield [old[p : p + 1], *pools]
+    yield [new, *[every] * (arity - 1)]
 
 
 def _closure(
@@ -199,80 +331,95 @@ def _closure(
     stop: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     *,
     charge_seeds: bool = True,
-) -> tuple[CircuitBuilder, dict[bytes, int], Optional[int]]:
+) -> tuple[np.ndarray, list[tuple], Optional[int]]:
     """Breadth-first closure of the k-ary polynomial tables of an algebra.
 
     Round 0 holds the projections, the constants and the nullary operations.
     Each later round, up to ``depth_bound``, applies every basic operation
     in ``product`` order to the tuples of tables seen before the round that
-    include one found in the previous round; the last argument runs over a
-    batch of rows at once, as one gather on the flat operation table.
-    Tables are keyed by their bytes in the smallest unsigned dtype and map to
-    the node that first produced them.  Each new table is charged to
-    ``label``, and so is each seed if ``charge_seeds``.  ``stop`` maps a
-    stack of rows to a boolean mask; the closure ends at the first table it
-    accepts and returns that table's node.
+    include one found in the previous round.  The products are gathered on
+    the flat operation table in blocks of at most ``CLOSURE_BLOCK`` entries
+    (``argument_blocks``), and the rows already seen are dropped in numpy
+    (``_Tables``), so only the new tables are walked one by one: each
+    records its operation and argument tables, not a circuit.  Each new
+    table is charged to ``label``, and so is each seed if ``charge_seeds``.
+    ``stop`` maps a stack of rows to a boolean mask; the closure ends at the
+    first table it accepts.
+
+    Returns the tables in the order found, their witness nodes and the index
+    of the accepted table, or None.  Node i witnesses table i: a variable, a
+    constant, or a gate whose children are table indices, so
+    ``subcircuit(k, nodes, i)`` is the first circuit that produced table i.
     """
     budget = budget or default_budget()
     n = algebra.size
     width = n**k
     dtype = np.min_scalar_type(n - 1)
-    builder = CircuitBuilder(k)
-    seen: dict[bytes, int] = {}
-
-    def rows_of(keys) -> np.ndarray:
-        return np.frombuffer(b"".join(keys), dtype).reshape(-1, width)
+    seen = _Tables(width, dtype)
 
     grid = np.indices((n,) * k, dtype=dtype).reshape(k, width)
-    seeds = [(grid[i], builder.var(i)) for i in range(k)]
-    seeds += [(np.full(width, a, dtype), builder.const(a)) for a in range(n)]
-    for op in algebra.ops:
-        if op.arity == 0:
-            seeds.append((np.full(width, op.table[0], dtype), builder.gate(op.name)))
-    for i, (row, node) in enumerate(seeds):
-        key = row.tobytes()
-        if key not in seen:
-            seen[key] = node
-            if charge_seeds:
-                charge(len(seen), budget.clone_functions, label)
-        elif i < k:
-            seen[key] = node  # |A| = 1: the last variable names the table
-    hits = np.flatnonzero(stop(rows_of(seen))) if stop else ()
+    seeds = [(grid[i], (VAR, i)) for i in range(k)]
+    seeds += [(np.full(width, a, dtype), (CONST, a)) for a in range(n)]
+    seeds += [
+        (np.full(width, op.table[0], dtype), (GATE, op.name, ()))
+        for op in algebra.ops
+        if op.arity == 0
+    ]
+    rows = np.zeros((len(seeds), seen.padded), dtype)
+    rows[:, :width] = [row for row, _ in seeds]
+    hashes = seen.hashes(rows)
+    fresh = seen.fresh(rows, hashes)
+    seen.add(rows[fresh], hashes[fresh])
+    nodes = [seeds[i][1] for i in fresh.tolist()]
+    if n == 1:  # every seed has the one table; the last variable names it
+        nodes[0] = (VAR, k - 1)
+    if charge_seeds:
+        for count in range(1, seen.count + 1):
+            charge(count, budget.clone_functions, label)
+    hits = np.flatnonzero(stop(seen.tables())) if stop else ()
     if len(hits):
-        return builder, seen, list(seen.values())[hits[0]]
+        return seen.tables(), nodes, int(hits[0])
 
-    void = np.dtype((np.void, width * dtype.itemsize))
     frontier, rounds = 0, 0
-    while len(seen) > frontier and (depth_bound is None or rounds < depth_bound):
+    while seen.count > frontier and (depth_bound is None or rounds < depth_bound):
         rounds += 1
-        current = rows_of(seen)
-        node_of = list(seen.values())
-        m = len(node_of)
+        m = seen.count
+        current = seen.rows[:m]
+        block = max(1, CLOSURE_BLOCK // seen.padded)
         for op in (op for op in algebra.ops if op.arity):
             flat = np.asarray(op.table, dtype)
-            for prefix in product(range(m), repeat=op.arity - 1):
-                offset = 0
-                for p in prefix:
-                    offset = (offset + current[p].astype(np.intp)) * n
-                # a tuple without a frontier table was applied in an earlier round
-                lo = 0 if any(p >= frontier for p in prefix) else frontier
-                children = [node_of[p] for p in prefix]
-                for start in range(lo, m, _BATCH_ROWS):
-                    rows = flat[offset + current[start : start + _BATCH_ROWS]]
-                    _, first = np.unique(rows.view(void).ravel(), return_index=True)
-                    first.sort()
-                    accepted = stop(rows[first]) if stop else None
-                    for j, i in enumerate(first.tolist()):
-                        key = rows[i].tobytes()
-                        if key in seen:
-                            continue
-                        node = builder.gate(op.name, *children, node_of[start + i])
-                        seen[key] = node
-                        charge(len(seen), budget.clone_functions, label)
-                        if stop and accepted[j]:
-                            return builder, seen, node
+            for pools in _fresh_tuples(m, frontier, op.arity):
+                for args in argument_blocks(pools, block):
+                    rows = flat[_table_index(current, args, n)].reshape(-1, seen.padded)
+                    rows[:, width:] = 0
+                    hashes = seen.hashes(rows)
+                    fresh = seen.fresh(rows, hashes)
+                    if not len(fresh):
+                        continue
+                    hit = np.flatnonzero(stop(rows[fresh])) if stop else ()
+                    if len(hit):
+                        fresh = fresh[: hit[0] + 1]
+                    for count in range(seen.count + 1, seen.count + len(fresh) + 1):
+                        charge(count, budget.clone_functions, label)
+                    i, j = np.divmod(fresh, args[-1].size)
+                    children = [a[i, 0].tolist() for a in args[:-1]]
+                    children.append(args[-1][0, j].tolist())
+                    nodes += [(GATE, op.name, c) for c in zip(*children)]
+                    seen.add(rows[fresh], hashes[fresh])
+                    if len(hit):
+                        return seen.tables(), nodes, seen.count - 1
         frontier = m
-    return builder, seen, None
+    return seen.tables(), nodes, None
+
+
+def _table_index(current: np.ndarray, args: list[np.ndarray], n: int) -> np.ndarray:
+    """Flat-table index of the operation on every argument tuple of a
+    block, one row of entries per tuple."""
+    at = current[args[0]].astype(np.intp)
+    for a in args[1:]:
+        at *= n
+        at = at + current[a]
+    return at
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +447,10 @@ def find_malcev_polynomial(
     def is_malcev(rows: np.ndarray) -> np.ndarray:
         return ((rows[:, yxx] == y) & (rows[:, xxy] == y)).all(axis=1)
 
-    builder, _, hit = _closure(
+    _, nodes, hit = _closure(
         algebra, 3, budget, "Malcev search", depth_bound, is_malcev, charge_seeds=False
     )
-    return None if hit is None else builder.finish(hit)
+    return None if hit is None else subcircuit(3, nodes, hit)
 
 
 def verify_malcev(algebra: FiniteAlgebra, circuit: AlgCircuit) -> bool:

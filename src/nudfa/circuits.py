@@ -8,7 +8,9 @@ the package.
 
 ``eval_circuit`` evaluates one assignment; ``node_columns`` and
 ``eval_columns`` evaluate a whole block of assignments, each gate as one
-gather on its operation's flat table.
+gather on its operation's flat table.  ``product_columns`` and
+``argument_blocks`` list assignments and argument tuples in ``product``
+order as numpy arrays.
 """
 
 from __future__ import annotations
@@ -131,6 +133,26 @@ def product_columns(indices: np.ndarray, size: int, k: int) -> np.ndarray:
     return cols
 
 
+def argument_blocks(pools: list[np.ndarray], block: int):
+    """Every tuple of ``product(*pools)`` as argument arrays that broadcast
+    to at most ``block`` tuples: the last pool runs along the columns, the
+    other pools' tuples along the rows."""
+    *head, last = pools
+    if not last.size:
+        return
+    step = max(1, block // last.size)
+    total = int(np.prod([p.size for p in head], dtype=np.int64))
+    for start in range(0, total, step):
+        q = np.arange(start, min(start + step, total))
+        prefix = []
+        for pool in reversed(head):
+            q, r = np.divmod(q, pool.size)
+            prefix.append(pool[r][:, None])
+        prefix.reverse()
+        for lo in range(0, last.size, block):
+            yield prefix + [last[None, lo:lo + block]]
+
+
 def node_columns(
     algebra: OpTable, circuit: AlgCircuit, args: np.ndarray
 ) -> list[np.ndarray]:
@@ -250,19 +272,26 @@ class CircuitBuilder:
         return ids[circuit.output]
 
     def finish(self, output: int) -> AlgCircuit:
-        keep = _reachable(self._nodes, output)
-        remap: dict[int, int] = {}
-        nodes: list[tuple] = []
-        for idx in keep:
-            node = self._nodes[idx]
-            if node[0] == GATE:
-                node = (GATE, node[1], tuple(remap[c] for c in node[2]))
-            remap[idx] = len(nodes)
-            nodes.append(node)
-        return AlgCircuit(self.k, tuple(nodes), remap[output])
+        return subcircuit(self.k, self._nodes, output)
 
 
-def _reachable(nodes: list[tuple], root: int) -> list[int]:
+def subcircuit(k: int, nodes: Sequence[tuple], output: int) -> AlgCircuit:
+    """The circuit of ``output`` and its ancestors among ``nodes``, a
+    topologically ordered list whose gates name their children by index;
+    the kept nodes stay in their order."""
+    keep = _reachable(nodes, output)
+    remap: dict[int, int] = {}
+    kept: list[tuple] = []
+    for idx in keep:
+        node = nodes[idx]
+        if node[0] == GATE:
+            node = (GATE, node[1], tuple(remap[c] for c in node[2]))
+        remap[idx] = len(kept)
+        kept.append(node)
+    return AlgCircuit(k, tuple(kept), remap[output])
+
+
+def _reachable(nodes: Sequence[tuple], root: int) -> list[int]:
     seen: set[int] = set()
     stack = [root]
     while stack:

@@ -18,6 +18,7 @@ options, and identical invocations print byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 from dataclasses import asdict
 from typing import Optional, Sequence
@@ -621,7 +622,10 @@ def _cmd_fixtures(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first ``main`` call and reused:
+    parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="nudfa",
         description=(

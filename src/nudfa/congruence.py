@@ -26,20 +26,25 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .algebra import FiniteAlgebra, quotient_algebra, respects
+from .circuits import argument_blocks
 from .limits import Budget, default_budget
 from .partitions import Partition, all_partitions
 
 
-def _translations(algebra: FiniteAlgebra) -> set[tuple[int, ...]]:
-    """Value tables of the basic translations x -> f(c_1, ..., x, ..., c_r)."""
+def _translation_columns(algebra: FiniteAlgebra) -> list[tuple[int, ...]]:
+    """The distinct basic translations x -> f(c_1, ..., x, ..., c_r) as one
+    table read by columns: column x holds the image of x under each."""
     n = algebra.size
-    out: set[tuple[int, ...]] = set()
+    rows = set()
     for op in algebra.ops:
-        table = np.array(op.table).reshape((n,) * op.arity)
-        for i in range(op.arity):
-            rows = np.moveaxis(table, i, -1).reshape(-1, n)
-            out.update(map(tuple, rows.tolist()))
-    return out
+        table, r = op.table, op.arity
+        for i in range(r):
+            step = n ** (r - 1 - i)
+            span = step * n
+            for high in range(0, len(table), span):
+                for start in range(high, high + step):
+                    rows.add(table[start : start + span : step])
+    return list(zip(*rows)) if rows else [()] * n
 
 
 def congruence_generated(
@@ -47,22 +52,24 @@ def congruence_generated(
 ) -> Partition:
     """Least congruence containing the given pairs.
 
-    A worklist of pairs is merged into a partition; each pair that joins two
-    blocks sends its images under every basic translation back to the
-    worklist.  The merging pairs generate the result as an equivalence and
-    each translation maps them into it, so it is a congruence; every pair
-    merged is forced by the generators, so it is the least one.
+    A worklist of pairs is merged into one array of block labels, each
+    label the least member of its block; each pair that joins two blocks
+    sends its images under every basic translation back to the worklist.
+    The merging pairs generate the result as an equivalence and each
+    translation maps them into it, so it is a congruence; every pair merged
+    is forced by the generators, so it is the least one.
     """
-    n = algebra.size
-    translations = _translations(algebra)
-    theta = Partition.identity(n)
+    images = _translation_columns(algebra)
+    label = list(range(algebra.size))
     work = list(pairs)
     while work:
         a, b = work.pop()
-        if not theta.same(a, b):
-            theta = Partition.from_pairs(n, [*enumerate(theta.class_of), (a, b)])
-            work += [(t[a], t[b]) for t in translations]
-    return theta
+        la, lb = label[a], label[b]
+        if la != lb:
+            keep, drop = min(la, lb), max(la, lb)
+            label = [keep if x == drop else x for x in label]
+            work += zip(images[a], images[b])
+    return Partition(tuple(label))
 
 
 def principal_congruence(algebra: FiniteAlgebra, a: int, b: int) -> Partition:
@@ -236,26 +243,6 @@ def clear_commutators() -> None:
     _COMMUTATORS.clear()
 
 
-def _argument_blocks(pools: list[np.ndarray], block: int):
-    """Every tuple of ``product(*pools)`` as argument arrays that broadcast
-    to at most ``block`` tuples: the last pool runs along the columns, the
-    other pools' tuples along the rows."""
-    *head, last = pools
-    if not last.size:
-        return
-    step = max(1, block // last.size)
-    total = int(np.prod([p.size for p in head], dtype=np.int64))
-    for start in range(0, total, step):
-        q = np.arange(start, min(start + step, total))
-        prefix = []
-        for pool in reversed(head):
-            q, r = np.divmod(q, pool.size)
-            prefix.append(pool[r][:, None])
-        prefix.reverse()
-        for lo in range(0, last.size, block):
-            yield prefix + [last[None, lo:lo + block]]
-
-
 def _related(part: Partition) -> tuple[np.ndarray, np.ndarray]:
     """Both coordinates of every pair the partition relates."""
     cls = np.array(part.class_of)
@@ -307,7 +294,7 @@ def _matrix_subalgebra(
         for arity, digits, base, table in appliers:
             for j in range(arity):
                 pools = [old] * j + [frontier] + [existing] * (arity - 1 - j)
-                for args in _argument_blocks(pools, MATRIX_BLOCK):
+                for args in argument_blocks(pools, MATRIX_BLOCK):
                     # Digit d of every argument, most significant first: a
                     # row for the tables on A^2, an entry for the flat ones.
                     out = 0

@@ -1,23 +1,30 @@
 """Operation tables, unary clone generation, difference-polynomial search."""
 
+import functools
 import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import closure_reference as reference
+from nudfa import algebra
 from nudfa.algebra import (
     FiniteAlgebra,
     Operation,
     UnaryClone,
+    UnaryFn,
     find_malcev_polynomial,
     make_op,
     quotient_algebra,
     verify_malcev,
 )
-from nudfa.circuits import eval_circuit
+from nudfa.circuits import CircuitBuilder, eval_circuit
+from nudfa.congruence import all_congruences
 from nudfa.fixtures import get_fixture
 from nudfa.limits import Budget, BudgetExceeded, default_budget
+from nudfa.localize import minimal_sets
 from nudfa.partitions import Partition
 
 
@@ -189,9 +196,10 @@ def test_one_element_algebra_matches_the_per_entry_reference():
 
 def test_closures_keep_copies_not_batch_views():
     """Peak traced memory of two searches.  A kept row that is a view of
-    its 512-row batch keeps the whole batch alive, which roughly triples
-    the Malcev peak (about 1.3 MiB with copies); the per-entry closure of
-    the S3 clone peaked near 20 MiB."""
+    its block of ``CLOSURE_BLOCK`` entries keeps the whole block alive; with
+    copies the Z6%2 Malcev search peaks at about 1.3 MiB and the S3 clone,
+    whose scratch memory is mostly the gather index of one block, at about
+    0.8 MiB.  The per-entry closure of the S3 clone peaked near 20 MiB."""
     peaks = {}
     for name, search in (
         ("Z6%2", find_malcev_polynomial),
@@ -205,6 +213,109 @@ def test_closures_keep_copies_not_batch_views():
         finally:
             tracemalloc.stop()
     assert peaks["Z6%2"] < 2.0 and peaks["S3"] < 1.0, peaks
+
+
+@functools.cache
+def reference_outcome(name: str, search: str, cap: int = 100_000):
+    """The per-entry reference's result on a fixture, computed once."""
+    alg = get_fixture(name).algebra
+    if search == "clone":
+        return outcome(reference.close_unary, alg, Budget(clone_functions=cap))
+    return outcome(
+        reference.find_malcev_polynomial, alg, 4, Budget(clone_functions=cap)
+    )
+
+
+def test_clone_witnesses_are_built_only_when_read(monkeypatch):
+    """Building the S3 clone and every minimal set of its lattice reads
+    value tables only, so no witness circuit is assembled; each one is
+    built on its first read, once, and equals the per-entry reference's."""
+    alg = get_fixture("S3").algebra
+    finished, built = [], []
+    finish, subcircuit = CircuitBuilder.finish, algebra.subcircuit
+    monkeypatch.setattr(
+        CircuitBuilder, "finish", lambda *a: finished.append(a) or finish(*a)
+    )
+    monkeypatch.setattr(
+        algebra, "subcircuit", lambda *a: built.append(a) or subcircuit(*a)
+    )
+    clone = UnaryClone(alg)
+    lat = all_congruences(alg)
+    for lo, hi in lat.covers:
+        assert minimal_sets(alg, clone, lat.elements[lo], lat.elements[hi])
+    assert (len(finished), len(built)) == (0, 0)
+    witnesses = [fn.witness for fn in clone]
+    assert [fn.witness for fn in clone] == witnesses
+    assert (len(finished), len(built)) == (0, len(clone))
+    monkeypatch.undo()
+    assert clone.functions == reference_outcome("S3", "clone")
+
+
+def block_of(rows: int, k: int, n: int) -> int:
+    """``CLOSURE_BLOCK`` for blocks of ``rows`` k-ary tables over n
+    elements, each row padded to whole 64-bit words."""
+    return rows * algebra._Tables(n**k, np.min_scalar_type(n - 1)).padded
+
+
+@pytest.mark.parametrize("rows", (1, 2, 3, 7, None))
+def test_blocks_of_any_size_close_the_same_tables(rows):
+    """Blocks of a few rows cut the products at many places; both searches
+    still match the per-entry reference.  Z4's Malcev witness is its 115th
+    table: at 2 and 7 rows it is the last row of its block, at 1 row every
+    table is a block of its own, and the caps 114 and 115 make the budget
+    fail on it or let it through.  The S3 clone takes 105k products, so it
+    runs only with blocks of 7 rows and the default."""
+    cases = [("Z4", (114, 115, 100_000)), ("Z6%2", (100_000,))]
+    if rows in (7, None):
+        cases.append(("S3", ()))
+    for name, caps in cases:
+        alg = get_fixture(name).algebra
+        size = block_of(rows, 1, alg.size) if rows else algebra.CLOSURE_BLOCK
+        with mock.patch.object(algebra, "CLOSURE_BLOCK", size):
+            clone = outcome(lambda: UnaryClone(alg).functions)
+        assert clone == reference_outcome(name, "clone"), name
+        size = block_of(rows, 3, alg.size) if rows else algebra.CLOSURE_BLOCK
+        for cap in caps:
+            with mock.patch.object(algebra, "CLOSURE_BLOCK", size):
+                found = outcome(
+                    find_malcev_polynomial, alg, 4, Budget(clone_functions=cap)
+                )
+            assert found == reference_outcome(name, "Malcev", cap), (name, cap)
+
+
+@settings(max_examples=20, deadline=None)
+@given(closure_cases(), st.sampled_from((1, 2, 3, 7)))
+def test_random_closures_in_small_blocks_match_the_reference(case, rows):
+    alg, depth, budget = case
+    with mock.patch.object(algebra, "CLOSURE_BLOCK", block_of(rows, 1, alg.size)):
+        clone = outcome(lambda: UnaryClone(alg, budget).functions)
+    assert clone == outcome(reference.close_unary, alg, budget)
+    with mock.patch.object(algebra, "CLOSURE_BLOCK", block_of(rows, 3, alg.size)):
+        found = outcome(find_malcev_polynomial, alg, depth, budget)
+    assert found == outcome(reference.find_malcev_polynomial, alg, depth, budget)
+
+
+def test_colliding_hashes_are_told_apart():
+    """With a hash that maps many different tables together, every block
+    is sorted out by comparing rows, and the closures stay exact."""
+    weak = lambda self, rows: rows.view(np.uint64).sum(axis=1) % np.uint64(5)
+    with mock.patch.object(algebra._Tables, "hashes", weak):
+        for name in ("Z4", "Z6%2", "S3"):
+            alg = get_fixture(name).algebra
+            clone = UnaryClone(alg).functions
+            assert clone == reference_outcome(name, "clone"), name
+        found = find_malcev_polynomial(get_fixture("Z4").algebra, 4, Budget())
+    assert found == reference_outcome("Z4", "Malcev")
+
+
+def test_unary_functions_compare_tables_and_witnesses():
+    alg = get_fixture("Z6").algebra
+    clone = UnaryClone(alg)
+    ident, const = clone.lookup(range(6)), clone.lookup((0,) * 6)
+    copy = UnaryFn(ident.values, lambda: ident.witness)
+    assert copy == ident and hash(copy) == hash(ident)
+    assert UnaryFn(ident.values, const.witness) != ident
+    assert len({ident, copy, const}) == 2
 
 
 def test_recorded_fixture_differences_verify():

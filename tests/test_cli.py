@@ -6,6 +6,9 @@ import contextlib
 import io
 import json
 import tracemalloc
+from pathlib import Path
+
+import pytest
 
 from nudfa.circuits import CircuitBuilder
 from nudfa.cli import main, verify_harness
@@ -70,3 +73,28 @@ def test_harness_memory_stays_bounded():
         tracemalloc.stop()
     assert doc == {"match": True, "words": 1 << 14}
     assert peak < PEAK_HARNESS_BYTES, peak
+
+
+def test_reused_parser_keeps_no_state_between_calls(monkeypatch, capsys):
+    """The parser is built once per process.  A usage error, a ``con`` run
+    and a ``solve`` run in a row each print their recorded bytes, and an
+    option left out after a run that gave it takes its default again."""
+    golden = Path(__file__).resolve().parent / "golden"
+    recorded = json.loads((golden / "cases.json").read_text())
+    cases = {case["name"]: case["argv"] for case in recorded}
+    monkeypatch.chdir(golden)
+    monkeypatch.delenv("NUDFA_BUDGET", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        main(["con", "--format", "json"])
+    assert exc.value.code == 2
+    assert "--algebra" in capsys.readouterr().err
+    scan = cases["ceqv_scan_eq_mixed_e3"]
+    runs = [
+        ("con_S3", cases["con_S3"]),
+        ("ceqv_meet_eq_mixed_e3", cases["ceqv_meet_eq_mixed_e3"]),
+        ("ceqv_scan_eq_mixed_e3", scan[: scan.index("--strategy")]),
+    ]
+    for name, argv in runs:
+        assert main(argv) == 0
+        expected = (golden / "expected" / f"{name}.out").read_text()
+        assert capsys.readouterr().out == expected, name

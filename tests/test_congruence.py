@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 import commutator_reference as reference
 from nudfa import congruence
 from nudfa.algebra import FiniteAlgebra, Operation, respects
+from nudfa.circuits import argument_blocks
 from nudfa.cli import main
 from nudfa.congruence import (
     all_congruences,
@@ -98,6 +99,15 @@ def test_translation_closure_matches_bruteforce_on_random_tables(alg, data):
     assert principal_congruence(alg, a, b) == functools.reduce(
         Partition.meet, relating
     )
+
+
+def test_without_translations_a_congruence_is_any_equivalence():
+    """Constants translate nothing, so the pairs generate an equivalence
+    and nothing more."""
+    alg = FiniteAlgebra("C4", 4, (Operation("c", 0, (2,)),))
+    pairs = [(3, 1), (2, 3)]
+    assert congruence_generated(alg, pairs) == Partition.from_pairs(4, pairs)
+    assert congruence_generated(alg, []) == Partition.identity(4)
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
@@ -301,14 +311,14 @@ def test_ternary_commutators_match_the_reference(alg):
 def test_argument_blocks_enumerate_the_product_in_order(block):
     pools = [np.arange(3), np.arange(10, 14), np.arange(20, 25)]
     tuples = []
-    for args in congruence._argument_blocks(pools, block):
+    for args in argument_blocks(pools, block):
         shaped = np.broadcast_arrays(*args)
         assert shaped[0].size <= block
         tuples += zip(*(a.ravel().tolist() for a in shaped))
     assert tuples == list(itertools.product(*(p.tolist() for p in pools)))
     empty = pools[0][:0]
-    assert list(congruence._argument_blocks([empty, pools[1]], block)) == []
-    assert list(congruence._argument_blocks([pools[0], empty], block)) == []
+    assert list(argument_blocks([empty, pools[1]], block)) == []
+    assert list(argument_blocks([pools[0], empty], block)) == []
 
 
 def test_forcing_takes_a_second_round():
