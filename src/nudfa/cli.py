@@ -25,19 +25,21 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, UnaryClone, find_malcev_polynomial
+from . import congruence, lowering
+from .algebra import FiniteAlgebra
 from .circuits import AlgCircuit
 from .compile import (
     HypothesisViolation,
     compile_nilpotent,
     compile_supernilpotent,
 )
-from .congruence import (
-    CongruenceLattice,
+# ``all_congruences`` is not called here: bench/tests/test_bench_tracer.py
+# checks that tracing rebinds this module's name for it.
+from .congruence import (  # noqa: F401
+    Structure,
     all_congruences,
-    clear_commutators,
-    distinguished_congruences,
     is_supernilpotent_algebra,
+    structure,
     supernilpotent_rank,
 )
 from .fieldpoly import parse_dimacs
@@ -142,7 +144,8 @@ def _parse_word(text: str, width: int) -> tuple[int, ...]:
     return tuple(int(c) for c in text)
 
 
-def _lattice_dot(lat: CongruenceLattice) -> str:
+def _lattice_dot(s: Structure) -> str:
+    lat = s.lattice
     lines = ["digraph congruences {", "  rankdir=BT;"]
     for i, part in enumerate(lat.elements):
         label = " | ".join(
@@ -151,7 +154,7 @@ def _lattice_dot(lat: CongruenceLattice) -> str:
         lines.append(f'  n{i} [label="{i}: {label}"];')
     for lo, hi in lat.covers:
         try:
-            tag = str(lat.characteristic(lat.elements[lo], lat.elements[hi]))
+            tag = str(s.characteristic(lat.elements[lo], lat.elements[hi]))
         except ValueError:
             tag = "?"
         lines.append(f'  n{lo} -> n{hi} [label="{tag}"];')
@@ -186,7 +189,7 @@ def _difference_circuit(
 ) -> AlgCircuit:
     malcev = resolve_malcev(spec)
     if malcev is None:
-        malcev = find_malcev_polynomial(algebra, budget=budget)
+        malcev = structure(algebra, budget).malcev
     if malcev is None:
         raise HypothesisViolation(
             f"no ternary difference polynomial found for {algebra.name}"
@@ -261,15 +264,15 @@ def _cmd_algebra(args) -> int:
 
 def _cmd_con(args) -> int:
     algebra = resolve_algebra(args.algebra)
-    budget = default_budget()
-    lat = all_congruences(algebra, budget=budget)
+    s = structure(algebra)
+    lat = s.lattice
     if args.format == "dot":
-        print(_lattice_dot(lat))
+        print(_lattice_dot(s))
         return 0
     covers = []
     for lo, hi in lat.covers:
         try:
-            tag: Optional[int] = lat.characteristic(
+            tag: Optional[int] = s.characteristic(
                 lat.elements[lo], lat.elements[hi]
             )
         except ValueError:
@@ -282,10 +285,10 @@ def _cmd_con(args) -> int:
             for i, part in enumerate(lat.elements)
         ],
         "covers": covers,
-        "rank": supernilpotent_rank(algebra, lat),
+        "rank": supernilpotent_rank(s),
     }
     try:
-        dist = distinguished_congruences(algebra, lat)
+        dist = s.distinguished
         doc["distinguished"] = {
             "largest_supernilpotent": lat.index(dist.largest_supernilpotent),
             "smallest_supernilpotent_quotient": lat.index(
@@ -304,8 +307,8 @@ def _cmd_con(args) -> int:
 
 def _cmd_localize(args) -> int:
     algebra = resolve_algebra(args.algebra)
-    budget = default_budget()
-    lat = all_congruences(algebra, budget=budget)
+    s = structure(algebra)
+    lat = s.lattice
     count = len(lat.elements)
     if not (0 <= args.lower < count and 0 <= args.upper < count):
         raise UsageError(f"congruence indices must lie in 0..{count - 1}")
@@ -313,8 +316,7 @@ def _cmd_localize(args) -> int:
     hi = lat.elements[args.upper]
     if not (lo.leq(hi) and lo != hi):
         raise ValueError("--lower must be strictly below --upper")
-    clone = UnaryClone(algebra, budget)
-    found = minimal_sets(algebra, clone, lo, hi)
+    found = minimal_sets(s, lo, hi)
     doc = {
         "algebra": algebra.name,
         "pair": {"lower": args.lower, "upper": args.upper},
@@ -339,8 +341,7 @@ def _cmd_localize(args) -> int:
 def _cmd_compile(args) -> int:
     program = AlgProgram.load(args.program)
     budget = default_budget()
-    lat = all_congruences(program.algebra, budget=budget)
-    if is_supernilpotent_algebra(program.algebra, lat):
+    if is_supernilpotent_algebra(program.algebra, budget):
         circuit, report = compile_supernilpotent(program, budget)
         reports = [report]
     else:
@@ -744,7 +745,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    clear_commutators()
+    # Each call starts from empty run memos.
+    congruence._STRUCTURES.clear()
+    lowering._INGEST_CACHE.clear()
+    lowering._conj_cache.clear()
     try:
         return args.func(args)
     except UsageError as exc:

@@ -32,21 +32,19 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, verify_malcev, find_malcev_polynomial
+from .algebra import FiniteAlgebra, verify_malcev
 from .circuits import AlgCircuit, CONST, GATE, VAR
 from .congruence import (
     CongruenceLattice,
-    all_congruences,
     charr_set,
-    commutator,
-    distinguished_congruences,
     is_nilpotent_congruence,
     is_pupi,
     is_supernilpotent_algebra,
     pdiv,
     prime_power_decomposition,
+    structure,
 )
-from .fieldpoly import is_prime, multilinear_interpolate
+from .fieldpoly import multilinear_interpolate, prime_divisors
 from .limits import Budget, charge, default_budget
 from .localize import block_group
 from .lowering import (
@@ -188,7 +186,7 @@ def central_representation(
 
     if not verify_malcev(D, malcev):
         raise ValueError("the supplied circuit is not a Malcev polynomial")
-    if not commutator(D, beta, beta).is_identity():
+    if not structure(D).commutator(beta, beta).is_identity():
         raise HypothesisViolation("the congruence is not abelian")
 
     add, p = block_group(D, malcev, beta, e)
@@ -440,15 +438,15 @@ def compile_supernilpotent(
     """Program over a supernilpotent algebra as AND∘MOD(pdiv)∘OR."""
     budget = budget or default_budget()
     A = program.algebra
-    lat = all_congruences(A, budget=budget)
-    if not is_supernilpotent_algebra(A, lat):
+    s = structure(A, budget)
+    if not is_supernilpotent_algebra(A, budget):
         raise HypothesisViolation(f"{A.name} is not supernilpotent")
-    ok, _ = is_pupi(A, lat, lat.zero, lat.one)
+    ok, _ = is_pupi(s, s.lattice.zero, s.lattice.one)
     if not ok:
         raise HypothesisViolation(
             f"{A.name} has no prime-uniform independent interval split"
         )
-    dec = prime_power_decomposition(A, lat)
+    dec = prime_power_decomposition(s)
     m = pdiv(A)
     delta = sum(m // pj for pj in dec.primes) % m
 
@@ -513,24 +511,16 @@ def compile_supernilpotent(
 # Descent along an abelian atom
 # ---------------------------------------------------------------------------
 
-_BIT_CIRCUITS: dict[tuple[int, int, int, int], CCircuit] = {}
-
-
 def _bit_passthrough(n: int, bit: int, m: int, p: int) -> CCircuit:
     """3-layer circuit computing input bit `bit` (wire discipline filler)."""
-    key = (n, bit, m, p)
-    cc = _BIT_CIRCUITS.get(key)
-    if cc is None:
-        pool = AtomPool()
-        atom = make_atom(m, {frozenset([bit]): 1}, {1})
-        if atom is None:
-            raise AssertionError(f"input bit {bit} has a constant indicator")
-        cc = emit_modsum(
-            n, m, p, pool, ModSum(p, 0, {pool.get(atom): 1}),
-            and_layer=True, final=MOD,
-        )
-        _BIT_CIRCUITS[key] = cc
-    return cc
+    pool = AtomPool()
+    atom = make_atom(m, {frozenset([bit]): 1}, {1})
+    if atom is None:
+        raise AssertionError(f"input bit {bit} has a constant indicator")
+    return emit_modsum(
+        n, m, p, pool, ModSum(p, 0, {pool.get(atom): 1}),
+        and_layer=True, final=MOD,
+    )
 
 
 class _LayerMerge:
@@ -755,10 +745,9 @@ def descend_mod_beta(
 
 def _smallest_coprime_prime(size: int) -> int:
     q = 2
-    while True:
-        if is_prime(q) and size % q != 0:
-            return q
+    while prime_divisors(q) != [q] or size % q == 0:
         q += 1
+    return q
 
 
 def _maximal_chain(
@@ -818,10 +807,7 @@ def _base_modsum(
 
 
 def compile_nilpotent(
-    program: AlgProgram,
-    malcev: Optional[AlgCircuit] = None,
-    budget: Optional[Budget] = None,
-    trace: Optional[list[PassReport]] = None,
+    program: AlgProgram, budget: Optional[Budget] = None
 ) -> tuple[CCircuit, list[PassReport]]:
     """Compile a program over a nilpotent Malcev algebra whose
     characteristics below the least supernilpotent quotient are one prime.
@@ -831,24 +817,22 @@ def compile_nilpotent(
     word is narrow enough.
     """
     budget = budget or default_budget()
-    reports: list[PassReport] = trace if trace is not None else []
+    reports: list[PassReport] = []
     A = program.algebra
     n = program.n
-    lat = all_congruences(A, budget=budget)
-    if not is_nilpotent_congruence(lat, lat.one):
+    s = structure(A, budget)
+    lat = s.lattice
+    if not is_nilpotent_congruence(s, lat.one):
         raise HypothesisViolation(f"{A.name} is not nilpotent")
+    malcev = s.malcev
     if malcev is None:
-        malcev = find_malcev_polynomial(A, budget=budget)
-        if malcev is None:
-            raise HypothesisViolation(
-                f"no Malcev polynomial of {A.name} found within the depth bound"
-            )
-    elif not verify_malcev(A, malcev):
-        raise ValueError("the supplied circuit is not a Malcev polynomial")
+        raise HypothesisViolation(
+            f"no Malcev polynomial of {A.name} found within the depth bound"
+        )
 
-    dist = distinguished_congruences(A, lat)
+    dist = s.distinguished
     kappa = dist.smallest_supernilpotent_quotient
-    chars = charr_set(A, lat, lat.zero, kappa)
+    chars = charr_set(s, lat.zero, kappa)
     if not chars:
         if not kappa.is_identity():
             raise AssertionError("no characteristics below a nonzero congruence")
@@ -896,13 +880,13 @@ def compile_nilpotent(
     top = progs[h]
     if not _same_op_tables(top.algebra, Abar):
         raise AssertionError("top quotient program is not over A/sigma")
-    latbar = all_congruences(Abar, budget=budget)
-    okp, _ = is_pupi(Abar, latbar, latbar.zero, latbar.one)
+    sbar = structure(Abar, budget)
+    okp, _ = is_pupi(sbar, sbar.lattice.zero, sbar.lattice.one)
     if not okp:
         raise HypothesisViolation(
             "supernilpotent quotient has no independent prime split"
         )
-    dec = prime_power_decomposition(Abar, latbar)
+    dec = prime_power_decomposition(sbar)
     delta = sum(m // pj for pj in dec.primes) % m
 
     cache = CompileCache()

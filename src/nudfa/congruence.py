@@ -8,27 +8,119 @@ efficiently", Algebra Universalis 2008).  The full lattice is the
 join-closure of the principal congruences.  The binary commutator is the
 term-condition commutator, computed from the matrix subalgebra M(alpha, beta)
 of A^4: each matrix is coded as a pair of rows, each row a pair of elements,
-so unary and binary operations act on it through their tables on A^2.  Each
-commutator is computed once per run: a bounded memo keyed by the operation
-tables and the two congruences serves every lattice of an algebra and of its
-copies under other names, and ``cli.main`` empties it on every call.  On top
-of these sit characteristics of prime quotients, intervals that decompose
-into independent single-prime pieces, and the distinguished congruences that
-drive the circuit compiler.
+so unary and binary operations act on it through their tables on A^2.
+
+Everything derived from one algebra lives in its :class:`Structure`: the
+translations, the lattice, the unary clone, a Malcev polynomial, the
+distinguished congruences and memos of commutators and characteristics,
+each computed on first read.  ``structure`` hands out one Structure per
+budget and operation tables for the run, so an algebra and its copies
+under other names (such as its quotient by zero) share theirs; the memo
+holds at most ``STRUCTURE_MEMO_SIZE`` of them, oldest out first, and
+``cli.main`` empties it on every call.  On top of these sit characteristics
+of prime quotients, intervals that decompose into independent single-prime
+pieces, and the distinguished congruences that drive the circuit compiler.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, quotient_algebra, respects
-from .circuits import argument_blocks
+from .algebra import (
+    FiniteAlgebra,
+    UnaryClone,
+    find_malcev_polynomial,
+    quotient_algebra,
+    respects,
+)
+from .circuits import AlgCircuit, argument_blocks
+from .fieldpoly import prime_divisors
 from .limits import Budget, default_budget
 from .partitions import Partition, all_partitions
+
+
+# ---------------------------------------------------------------------------
+# The structure of one algebra
+# ---------------------------------------------------------------------------
+
+
+class Structure:
+    """What the package derives from an algebra, each part computed on its
+    first read and kept: the basic translations, the congruence lattice,
+    the unary clone, a Malcev polynomial (None if the search finds none),
+    the distinguished congruences, and memos of commutators and
+    characteristics.  ``algebra`` is the one the Structure was made for;
+    callers name results after their own algebra, not after it.
+    """
+
+    def __init__(self, algebra: FiniteAlgebra, budget: Budget):
+        self.algebra = algebra
+        self.budget = budget
+        self._commutators: dict[tuple[Partition, Partition], Partition] = {}
+        self._characteristics: dict[tuple[Partition, Partition], int] = {}
+
+    @cached_property
+    def translations(self) -> list[tuple[int, ...]]:
+        return _translation_columns(self.algebra)
+
+    @cached_property
+    def lattice(self) -> "CongruenceLattice":
+        return all_congruences(self.algebra, budget=self.budget)
+
+    @cached_property
+    def clone(self) -> UnaryClone:
+        return UnaryClone(self.algebra, self.budget)
+
+    @cached_property
+    def malcev(self) -> Optional[AlgCircuit]:
+        return find_malcev_polynomial(self.algebra, budget=self.budget)
+
+    @cached_property
+    def distinguished(self) -> "DistinguishedCongruences":
+        return distinguished_congruences(self)
+
+    def commutator(self, left: Partition, right: Partition) -> Partition:
+        key = (left, right)
+        if key not in self._commutators:
+            self._commutators[key] = commutator(self.algebra, left, right)
+        return self._commutators[key]
+
+    def characteristic(self, lo: Partition, hi: Partition) -> int:
+        key = (lo, hi)
+        if key not in self._characteristics:
+            self._characteristics[key] = characteristic(self, key)
+        return self._characteristics[key]
+
+
+# Most structures the run memo holds; the oldest entry goes first.
+STRUCTURE_MEMO_SIZE = 64
+_STRUCTURES: dict[tuple, Structure] = {}
+
+
+def structure(algebra: FiniteAlgebra, budget: Optional[Budget] = None) -> Structure:
+    """The run's Structure for the algebra's operation tables and budget.
+
+    The key holds the size and each operation's name, arity and table:
+    witness circuits name operations, and an algebra with nullary
+    operations only has the same tables at every size.
+    """
+    budget = budget or default_budget()
+    key = (
+        budget,
+        algebra.size,
+        tuple((op.name, op.arity, op.table) for op in algebra.ops),
+    )
+    found = _STRUCTURES.get(key)
+    if found is None:
+        if len(_STRUCTURES) >= STRUCTURE_MEMO_SIZE:
+            del _STRUCTURES[next(iter(_STRUCTURES))]
+        found = _STRUCTURES[key] = Structure(algebra, budget)
+    return found
 
 
 def _translation_columns(algebra: FiniteAlgebra) -> list[tuple[int, ...]]:
@@ -57,9 +149,10 @@ def congruence_generated(
     sends its images under every basic translation back to the worklist.
     The merging pairs generate the result as an equivalence and each
     translation maps them into it, so it is a congruence; every pair merged
-    is forced by the generators, so it is the least one.
+    is forced by the generators, so it is the least one.  The translations
+    do not depend on the budget; they come from the default one's structure.
     """
-    images = _translation_columns(algebra)
+    images = structure(algebra).translations
     label = list(range(algebra.size))
     work = list(pairs)
     while work:
@@ -89,7 +182,6 @@ class CongruenceLattice:
     elements: tuple[Partition, ...]  # canonically sorted
     _index: dict = field(repr=False)
     covers: tuple[tuple[int, int], ...]  # (lower, upper) index pairs
-    _char: dict = field(default_factory=dict, repr=False)
     _quotient: dict = field(default_factory=dict, repr=False)
 
     # -- order helpers -----------------------------------------------------
@@ -165,19 +257,6 @@ class CongruenceLattice:
             self._quotient[i] = quotient_algebra(self.algebra, part)
         return self._quotient[i]
 
-    # -- commutator and solvability ----------------------------------------
-
-    def commutator(self, left: Partition, right: Partition) -> Partition:
-        for part in (left, right):
-            self.index(part)  # raises KeyError unless a congruence here
-        return commutator(self.algebra, left, right)
-
-    def characteristic(self, lo: Partition, hi: Partition) -> int:
-        key = (self.index(lo), self.index(hi))
-        if key not in self._char:
-            self._char[key] = characteristic(self.algebra, self, (lo, hi))
-        return self._char[key]
-
 
 def all_congruences(
     algebra: FiniteAlgebra, budget: Optional[Budget] = None
@@ -233,14 +312,6 @@ def all_congruences_bruteforce(algebra: FiniteAlgebra) -> list[Partition]:
 
 # Products of matrices are evaluated this many at a time.
 MATRIX_BLOCK = 1 << 14
-# Most commutators the run memo holds; the oldest entry goes first.
-COMMUTATOR_MEMO_SIZE = 4096
-_COMMUTATORS: dict = {}
-
-
-def clear_commutators() -> None:
-    """Empty the run memo of commutators; ``cli.main`` calls this per run."""
-    _COMMUTATORS.clear()
 
 
 def _related(part: Partition) -> tuple[np.ndarray, np.ndarray]:
@@ -312,32 +383,16 @@ def _matrix_subalgebra(
 
 
 def commutator(
-    algebra: FiniteAlgebra,
-    left: Partition,
-    right: Partition,
+    algebra: FiniteAlgebra, left: Partition, right: Partition
 ) -> Partition:
     """Term-condition commutator of two congruences.
 
     Least congruence d such that every matrix of the matrix subalgebra whose
     top row lies in d has its bottom row in d; computed by seeding with the
     bottom rows of matrices with equal top entries and re-closing until the
-    forcing condition is stable.
-
-    Results are memoised for the run, keyed by the operations' arities and
-    tables and the two congruences, so an algebra and a copy of it under
-    another name (such as its quotient by zero) share them.
+    forcing condition is stable.  Uncached: ``Structure.commutator`` keeps
+    each result for the run.
     """
-    key = (tuple((op.arity, op.table) for op in algebra.ops), left, right)
-    if key not in _COMMUTATORS:
-        if len(_COMMUTATORS) >= COMMUTATOR_MEMO_SIZE:
-            del _COMMUTATORS[next(iter(_COMMUTATORS))]
-        _COMMUTATORS[key] = _commutator(algebra, left, right)
-    return _COMMUTATORS[key]
-
-
-def _commutator(
-    algebra: FiniteAlgebra, left: Partition, right: Partition
-) -> Partition:
     n = algebra.size
     x1, x2, x3, x4 = np.unravel_index(
         _matrix_subalgebra(algebra, left, right), (n,) * 4
@@ -356,17 +411,16 @@ def _commutator(
         )
 
 
-def solvability_class(algebra: FiniteAlgebra, lat: CongruenceLattice,
-                      alpha: Optional[Partition] = None):
+def solvability_class(s: Structure, alpha: Optional[Partition] = None):
     """Classify a congruence (default: the total one).
 
     Returns ("abelian",), ("nilpotent", k), ("solvable", k) or
     ("non-solvable",).  k counts commutator steps until zero in the lower
     central chain (nilpotent) or the derived chain (solvable).
     """
-    alpha = alpha if alpha is not None else lat.one
-    zero = lat.zero
-    if lat.commutator(alpha, alpha) == zero:
+    alpha = alpha if alpha is not None else s.lattice.one
+    zero = s.lattice.zero
+    if s.commutator(alpha, alpha) == zero:
         return ("abelian",)
     # lower central chain g_{k+1} = [g_k, alpha]
     g = alpha
@@ -374,7 +428,7 @@ def solvability_class(algebra: FiniteAlgebra, lat: CongruenceLattice,
     seen = set()
     while g != zero and g not in seen:
         seen.add(g)
-        g = lat.commutator(g, alpha)
+        g = s.commutator(g, alpha)
         steps += 1
     if g == zero:
         return ("nilpotent", steps)
@@ -383,20 +437,20 @@ def solvability_class(algebra: FiniteAlgebra, lat: CongruenceLattice,
     seen = set()
     while d != zero and d not in seen:
         seen.add(d)
-        d = lat.commutator(d, d)
+        d = s.commutator(d, d)
         steps += 1
     if d == zero:
         return ("solvable", steps)
     return ("non-solvable",)
 
 
-def is_nilpotent_congruence(lat: CongruenceLattice, beta: Partition) -> bool:
-    zero = lat.zero
+def is_nilpotent_congruence(s: Structure, beta: Partition) -> bool:
+    zero = s.lattice.zero
     g = beta
     seen = set()
     while g != zero and g not in seen:
         seen.add(g)
-        g = lat.commutator(g, beta)
+        g = s.commutator(g, beta)
     return g == zero
 
 
@@ -405,22 +459,20 @@ def is_nilpotent_congruence(lat: CongruenceLattice, beta: Partition) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def characteristic(
-    algebra: FiniteAlgebra,
-    lat: CongruenceLattice,
-    cover: tuple[Partition, Partition],
-) -> int:
+def characteristic(s: Structure, cover: tuple[Partition, Partition]) -> int:
     """Prime p for a covering pair (lo, hi): in A/lo every hi-block splits
     into the same prime-power number p**k of lo-blocks.
 
     Requires the cover to be abelian ([hi, hi] <= lo); raises otherwise.
+    Uncached: ``Structure.characteristic`` keeps each result for the run.
     """
     lo, hi = cover
+    lat = s.lattice
     if (lo, hi) not in [
         (lat.elements[a], lat.elements[b]) for a, b in lat.covers
     ]:
         raise ValueError("not a covering pair of the lattice")
-    if not lat.commutator(hi, hi).leq(lo):
+    if not s.commutator(hi, hi).leq(lo):
         raise ValueError("cover is not abelian; characteristic undefined")
     counts = set()
     for block in hi.blocks():
@@ -434,31 +486,12 @@ def characteristic(
     return primes[0]
 
 
-def prime_divisors(m: int) -> list[int]:
-    out = []
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            out.append(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
-def charr_set(
-    algebra: FiniteAlgebra,
-    lat: CongruenceLattice,
-    lo: Partition,
-    hi: Partition,
-) -> frozenset[int]:
+def charr_set(s: Structure, lo: Partition, hi: Partition) -> frozenset[int]:
     """Characteristics of all covering pairs inside the interval [lo, hi]."""
     if not lo.leq(hi):
         raise ValueError("lo must lie below hi")
     return frozenset(
-        lat.characteristic(a, b) for a, b in lat.cover_pairs(lo, hi)
+        s.characteristic(a, b) for a, b in s.lattice.cover_pairs(lo, hi)
     )
 
 
@@ -469,10 +502,7 @@ class PupiWitness:
 
 
 def is_pupi(
-    algebra: FiniteAlgebra,
-    lat: CongruenceLattice,
-    lo: Partition,
-    hi: Partition,
+    s: Structure, lo: Partition, hi: Partition
 ) -> tuple[bool, Optional[PupiWitness]]:
     """Does [lo, hi] split into independent single-characteristic pieces?
 
@@ -483,12 +513,13 @@ def is_pupi(
     """
     if lo == hi:
         return True, PupiWitness((), ())
+    lat = s.lattice
     interval = lat.interval(lo, hi)
     cands = []
     for c in interval:
         if c == lo:
             continue
-        chars = charr_set(algebra, lat, lo, c)
+        chars = charr_set(s, lo, c)
         if len(chars) == 1:
             cands.append((c, next(iter(chars))))
     interval_atoms = [hi2 for lo2, hi2 in lat.cover_pairs(lo, hi) if lo2 == lo]
@@ -517,22 +548,22 @@ def is_pupi(
     return False, None
 
 
-def is_supernilpotent_congruence(
-    algebra: FiniteAlgebra, lat: CongruenceLattice, beta: Partition
-) -> bool:
+def is_supernilpotent_congruence(s: Structure, beta: Partition) -> bool:
     """Nilpotent and [0, beta] is a prime-uniform product interval."""
-    if beta == lat.zero:
+    zero = s.lattice.zero
+    if beta == zero:
         return True
-    if not is_nilpotent_congruence(lat, beta):
+    if not is_nilpotent_congruence(s, beta):
         return False
-    ok, _ = is_pupi(algebra, lat, lat.zero, beta)
+    ok, _ = is_pupi(s, zero, beta)
     return ok
 
 
-def is_supernilpotent_algebra(algebra: FiniteAlgebra,
-                              lat: Optional[CongruenceLattice] = None) -> bool:
-    lat = lat or all_congruences(algebra)
-    return is_supernilpotent_congruence(algebra, lat, lat.one)
+def is_supernilpotent_algebra(
+    algebra: FiniteAlgebra, budget: Optional[Budget] = None
+) -> bool:
+    s = structure(algebra, budget)
+    return is_supernilpotent_congruence(s, s.lattice.one)
 
 
 # ---------------------------------------------------------------------------
@@ -571,23 +602,20 @@ def _unique_min(cands: list[Partition], what: str) -> Partition:
     return bots[0]
 
 
-def distinguished_congruences(
-    algebra: FiniteAlgebra, lat: CongruenceLattice
-) -> DistinguishedCongruences:
-    supernil = [
-        c for c in lat.elements if is_supernilpotent_congruence(algebra, lat, c)
-    ]
+def distinguished_congruences(s: Structure) -> DistinguishedCongruences:
+    lat = s.lattice
+    supernil = [c for c in lat.elements if is_supernilpotent_congruence(s, c)]
     largest = _unique_max(supernil, "largest supernilpotent congruence")
 
     quot_ok = []
     for c in lat.elements:
         quo, _ = lat.quotient(c)
-        if is_supernilpotent_algebra(quo):
+        if is_supernilpotent_algebra(quo, s.budget):
             quot_ok.append(c)
     smallest = _unique_min(quot_ok, "smallest supernilpotent quotient")
 
     by_prime = {}
-    for p in prime_divisors(algebra.size):
+    for p in prime_divisors(s.algebra.size):
         cands = [
             c
             for c in supernil
@@ -597,10 +625,7 @@ def distinguished_congruences(
     return DistinguishedCongruences(largest, smallest, by_prime)
 
 
-def supernilpotent_rank(
-    algebra: FiniteAlgebra,
-    lat: Optional[CongruenceLattice] = None,
-) -> Optional[int]:
+def supernilpotent_rank(s: Structure) -> Optional[int]:
     """Least number of steps in a chain 0 = t_0 < ... < t_k = 1 whose every
     interval [t_i, t_{i+1}] splits into independent single-prime pieces.
 
@@ -608,8 +633,7 @@ def supernilpotent_rank(
     the split test is undefined (a non-abelian cover inside) are simply not
     edges.  Returns None when no such chain exists.
     """
-    if lat is None:
-        lat = all_congruences(algebra)
+    lat = s.lattice
     n = len(lat.elements)
     start = lat.index(lat.zero)
     goal = lat.index(lat.one)
@@ -628,7 +652,7 @@ def supernilpotent_rank(
                 if not lo.leq(hi):
                     continue
                 try:
-                    ok, _ = is_pupi(algebra, lat, lo, hi)
+                    ok, _ = is_pupi(s, lo, hi)
                 except ValueError:
                     ok = False
                 if ok:
@@ -654,7 +678,6 @@ class Decomposition:
     each element to its tuple of factor classes.
     """
 
-    algebra: FiniteAlgebra
     kernels: tuple[Partition, ...]
     factors: tuple[FiniteAlgebra, ...]
     projections: tuple[tuple[int, ...], ...]
@@ -662,22 +685,20 @@ class Decomposition:
     iso: tuple[tuple[int, ...], ...]
 
 
-def prime_power_decomposition(
-    algebra: FiniteAlgebra, lat: CongruenceLattice
-) -> Decomposition:
+def prime_power_decomposition(s: Structure) -> Decomposition:
     """Split A into factors of prime-power size via complementary congruences.
 
     For each prime p dividing |A| the kernel must have quotient of p-power
     size and blocks of size coprime to p; the family must meet to zero so
     that the joint projection is a bijection (verified).
     """
-    n = algebra.size
+    lat = s.lattice
+    n = s.algebra.size
     primes = prime_divisors(n)
     if len(primes) == 1:
         kernels = (lat.zero,)
         quo, mapping = lat.quotient(lat.zero)
         return Decomposition(
-            algebra,
             kernels,
             (quo,),
             (mapping,),
@@ -715,7 +736,6 @@ def prime_power_decomposition(
             tuple(quos[j][1][x] for j in range(len(family))) for x in range(n)
         )
         return Decomposition(
-            algebra,
             tuple(family),
             tuple(q for q, _ in quos),
             tuple(m for _, m in quos),

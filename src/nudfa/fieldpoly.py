@@ -22,13 +22,20 @@ from typing import Iterable, Optional, Sequence
 from .limits import Budget, charge, default_budget
 
 
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    for q in range(2, int(p**0.5) + 1):
-        if p % q == 0:
-            return False
-    return True
+def prime_divisors(m: int) -> list[int]:
+    """The distinct primes dividing m, ascending; [] for m < 2.  m is prime
+    exactly when this is [m]."""
+    out = []
+    q = 2
+    while q * q <= m:
+        if m % q == 0:
+            out.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    if m > 1:
+        out.append(m)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +50,7 @@ class MultilinearPoly:
     __slots__ = ("p", "terms")
 
     def __init__(self, p: int, terms: Optional[dict] = None):
-        if not is_prime(p):
+        if prime_divisors(p) != [p]:
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.terms: dict[frozenset[int], int] = {}
@@ -280,21 +287,6 @@ def _zero_indicator_terms(q: int, k: int, p: int) -> dict:
     return terms
 
 
-def prime_factors(m: int) -> list[int]:
-    out = []
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            if m // q % q == 0:
-                raise ValueError(f"{m} is not squarefree")
-            out.append(q)
-            m //= q
-        q += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
 def coset_indicator_form(
     values: Sequence[int],
     m: int,
@@ -313,7 +305,7 @@ def coset_indicator_form(
     The result is verified pointwise before return.
     """
     budget = budget or default_budget()
-    if not is_prime(p):
+    if prime_divisors(p) != [p]:
         raise ValueError(f"{p} is not prime")
     if math.gcd(m, p) != 1:
         raise ValueError("m and p must be coprime")
@@ -323,7 +315,9 @@ def coset_indicator_form(
         # only the empty linear form; f is a constant
         return CosetIndicatorSum(1, p, s, {((0,) * s, 0): values[0] % p})
 
-    factors = prime_factors(m)
+    factors = prime_divisors(m)
+    if math.prod(factors) != m:
+        raise ValueError(f"{m} is not squarefree")
     zero_terms: dict[tuple[tuple[int, ...], int], int] = {((0,) * s, 0): 1}
     for q in factors:
         lift = m // q
@@ -395,7 +389,7 @@ def divisibility_coeffs(ell: int, p: int, nu: int) -> list[int]:
     suffices; the closing loop checks every weight 0..ell and raises if the
     truncation is wrong.
     """
-    if not is_prime(p) or nu < 1:
+    if prime_divisors(p) != [p] or nu < 1:
         raise ValueError("need a prime p and nu >= 1")
     bound = p**nu
 

@@ -37,13 +37,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .algebra import (
-    FiniteAlgebra,
-    UnaryClone,
-    UnaryFn,
-    find_malcev_polynomial,
-    verify_malcev,
-)
+from .algebra import FiniteAlgebra, UnaryFn, verify_malcev
 from .circuits import (
     AlgCircuit,
     CircuitBuilder,
@@ -53,11 +47,10 @@ from .circuits import (
     product_columns,
 )
 from .congruence import (
-    CongruenceLattice,
-    all_congruences,
+    Structure,
     charr_set,
-    distinguished_congruences,
     is_nilpotent_congruence,
+    structure,
     supernilpotent_rank,
 )
 from .fieldpoly import Cnf3, coset_indicator_form, flat_index, pseudo_and
@@ -162,8 +155,7 @@ class BetaIntConfig:
     """
 
     algebra: FiniteAlgebra
-    lat: CongruenceLattice
-    clone: UnaryClone
+    structure: Structure
     malcev: AlgCircuit
     lower: Partition
     mid: Partition
@@ -206,8 +198,6 @@ def complete_interpolation_config(
     mid: Partition,
     upper: Partition,
     *,
-    lat: Optional[CongruenceLattice] = None,
-    clone: Optional[UnaryClone] = None,
     in_pair: Optional[tuple[int, int]] = None,
     base: Optional[int] = None,
     mark: Optional[int] = None,
@@ -219,11 +209,8 @@ def complete_interpolation_config(
     elements ascending), so results are deterministic.  Raises
     ``GadgetSearchError`` naming the first step that cannot be completed.
     """
-    budget = budget or default_budget()
-    if lat is None:
-        lat = all_congruences(algebra, budget=budget)
-    if clone is None:
-        clone = UnaryClone(algebra, budget)
+    s = structure(algebra, budget)
+    lat, clone = s.lattice, s.clone
     size = algebra.size
     if not verify_malcev(algebra, malcev):
         raise GadgetSearchError("malcev", "supplied circuit fails the difference identities")
@@ -234,8 +221,8 @@ def complete_interpolation_config(
     if lower not in lat.subcovers_of(mid):
         raise GadgetSearchError("chain", "the bottom pair must be a covering pair")
     try:
-        in_char = lat.characteristic(mid, upper)
-        out_char = lat.characteristic(lower, mid)
+        in_char = s.characteristic(mid, upper)
+        out_char = s.characteristic(lower, mid)
     except ValueError as ex:
         raise GadgetSearchError("characteristic", str(ex)) from None
     if in_char == out_char:
@@ -263,7 +250,7 @@ def complete_interpolation_config(
 
     # Project the input pair into a minimal set of the upper covering step.
     found = None
-    for ms in minimal_sets(algebra, clone, mid, upper):
+    for ms in minimal_sets(s, mid, upper):
         if ms.idempotent is None:
             continue
         retract = ms.idempotent
@@ -306,7 +293,7 @@ def complete_interpolation_config(
         raise GadgetSearchError("cycle", "orbit does not close up after one period")
 
     def attempt(e: int, want_mark: Optional[int]) -> BetaIntConfig:
-        out_min = minimal_set_through(algebra, clone, lat, lower, mid, e)
+        out_min = minimal_set_through(s, lower, mid, e)
         if out_min is None or out_min.idempotent is None:
             raise GadgetSearchError(
                 "out-set",
@@ -446,8 +433,7 @@ def complete_interpolation_config(
 
         return BetaIntConfig(
             algebra=algebra,
-            lat=lat,
-            clone=clone,
+            structure=s,
             malcev=malcev,
             lower=lower,
             mid=mid,
@@ -484,8 +470,6 @@ def complete_interpolation_config(
 def find_interpolation_configs(
     algebra: FiniteAlgebra,
     malcev: Optional[AlgCircuit] = None,
-    lat: Optional[CongruenceLattice] = None,
-    clone: Optional[UnaryClone] = None,
     budget: Optional[Budget] = None,
 ) -> tuple[list[BetaIntConfig], list[str]]:
     """All congruence chains of an algebra that admit interpolation data.
@@ -493,15 +477,12 @@ def find_interpolation_configs(
     Returns the validated configurations together with a per-chain log of
     outcomes (validated, or the first failing search stage).
     """
-    budget = budget or default_budget()
-    if lat is None:
-        lat = all_congruences(algebra, budget=budget)
+    s = structure(algebra, budget)
+    lat = s.lattice
     if malcev is None:
-        malcev = find_malcev_polynomial(algebra, budget=budget)
+        malcev = s.malcev
     if malcev is None:
         return [], ["no ternary difference polynomial: interpolation needs permutability"]
-    if clone is None:
-        clone = UnaryClone(algebra, budget)
     configs: list[BetaIntConfig] = []
     notes: list[str] = []
     for upper in lat.elements:
@@ -515,14 +496,7 @@ def find_interpolation_configs(
             )
             try:
                 cfg = complete_interpolation_config(
-                    algebra,
-                    malcev,
-                    lower,
-                    mid,
-                    upper,
-                    lat=lat,
-                    clone=clone,
-                    budget=budget,
+                    algebra, malcev, lower, mid, upper, budget=budget
                 )
             except GadgetSearchError as ex:
                 notes.append(f"{label}: failed at {ex}")
@@ -674,8 +648,7 @@ class TwoPrimeWitness:
     """Full validated configuration for the two-prime program assembly."""
 
     algebra: FiniteAlgebra
-    lat: CongruenceLattice
-    clone: UnaryClone
+    structure: Structure
     malcev: AlgCircuit
     kappa: Partition
     base: int
@@ -685,8 +658,6 @@ class TwoPrimeWitness:
 def find_two_prime_witness(
     algebra: FiniteAlgebra,
     malcev: Optional[AlgCircuit] = None,
-    lat: Optional[CongruenceLattice] = None,
-    clone: Optional[UnaryClone] = None,
     budget: Optional[Budget] = None,
 ) -> Union[TwoPrimeWitness, WitnessFailure]:
     """Search the congruence lattice for the two-prime configuration.
@@ -694,28 +665,25 @@ def find_two_prime_witness(
     Scans in canonical order and returns either a fully validated witness
     or a ``WitnessFailure`` naming the first fact that cannot be matched.
     """
-    budget = budget or default_budget()
-    if lat is None:
-        lat = all_congruences(algebra, budget=budget)
-    if not is_nilpotent_congruence(lat, lat.one):
+    s = structure(algebra, budget)
+    lat = s.lattice
+    if not is_nilpotent_congruence(s, lat.one):
         return WitnessFailure("nilpotent", f"{algebra.name} is not nilpotent")
-    rank = supernilpotent_rank(algebra, lat)
+    rank = supernilpotent_rank(s)
     if rank != 2:
         return WitnessFailure(
             "supernilpotent-rank", f"sr={rank}, the construction needs rank exactly 2"
         )
     if malcev is None:
-        malcev = find_malcev_polynomial(algebra, budget=budget)
+        malcev = s.malcev
     if malcev is None:
         return WitnessFailure("malcev", "no ternary difference polynomial found")
-    if clone is None:
-        clone = UnaryClone(algebra, budget)
 
-    kappa = distinguished_congruences(algebra, lat).smallest_supernilpotent_quotient
+    kappa = s.distinguished.smallest_supernilpotent_quotient
     prized = []
     for gamma in lat.subcovers_of(kappa):
         try:
-            prized.append((gamma, lat.characteristic(gamma, kappa)))
+            prized.append((gamma, s.characteristic(gamma, kappa)))
         except ValueError:
             continue
     primes = sorted({q for _, q in prized})
@@ -763,7 +731,7 @@ def find_two_prime_witness(
                                "co-supernilpotent congruence"
             )
         try:
-            if lat.characteristic(phi, phi_plus) != q:
+            if s.characteristic(phi, phi_plus) != q:
                 return WitnessFailure(
                     "avoid-characteristic",
                     f"{tag}: the avoiding cover's characteristic differs from {q}",
@@ -775,7 +743,7 @@ def find_two_prime_witness(
         step = p = None
         for cand in lat.covers_of(phi_plus):
             try:
-                ch = lat.characteristic(phi_plus, cand)
+                ch = s.characteristic(phi_plus, cand)
             except ValueError:
                 continue
             if ch != q:
@@ -804,8 +772,8 @@ def find_two_prime_witness(
             )
         try:
             if (
-                lat.characteristic(floor, peak_sub) != q
-                or lat.characteristic(peak_sub, peak) != p
+                s.characteristic(floor, peak_sub) != q
+                or s.characteristic(peak_sub, peak) != p
             ):
                 return WitnessFailure(
                     "projected-characteristics",
@@ -834,7 +802,7 @@ def find_two_prime_witness(
                 f"{tag}: the subcover does not transpose onto the avoiding interval",
             )
         if gamma.leq(floor) and gamma != floor:
-            if q in charr_set(algebra, lat, gamma, floor):
+            if q in charr_set(s, gamma, floor):
                 return WitnessFailure(
                     "prime-separation",
                     f"{tag}: prime {q} reappears between the atom and the floor",
@@ -869,9 +837,7 @@ def find_two_prime_witness(
     def assemble(e: int) -> Union[TwoPrimeWitness, WitnessFailure]:
         vsets = []
         for idx, raw in enumerate(raw_sides):
-            vset = minimal_set_through(
-                algebra, clone, lat, raw["floor"], raw["peak_sub"], e
-            )
+            vset = minimal_set_through(s, raw["floor"], raw["peak_sub"], e)
             if vset is None or vset.idempotent is None:
                 return WitnessFailure(
                     "out-set",
@@ -917,8 +883,6 @@ def find_two_prime_witness(
                     raw["floor"],
                     raw["peak_sub"],
                     raw["peak"],
-                    lat=lat,
-                    clone=clone,
                     in_pair=(c, d),
                     base=e,
                     mark=mark,
@@ -946,8 +910,7 @@ def find_two_prime_witness(
             )
         return TwoPrimeWitness(
             algebra=algebra,
-            lat=lat,
-            clone=clone,
+            structure=s,
             malcev=malcev,
             kappa=kappa,
             base=e,

@@ -14,7 +14,8 @@ from typing import Optional
 
 from .algebra import FiniteAlgebra, UnaryClone, UnaryFn
 from .circuits import AlgCircuit, eval_circuit
-from .congruence import CongruenceLattice, principal_congruence
+from .congruence import Structure, principal_congruence
+from .fieldpoly import prime_divisors
 from .partitions import Partition
 
 
@@ -34,18 +35,14 @@ def _separates(fn: UnaryFn, lo: Partition, hi: Partition) -> bool:
     )
 
 
-def minimal_sets(
-    algebra: FiniteAlgebra,
-    clone: UnaryClone,
-    lo: Partition,
-    hi: Partition,
-) -> list[MinimalSet]:
+def minimal_sets(s: Structure, lo: Partition, hi: Partition) -> list[MinimalSet]:
     """All minimal sets of the pair (lo, hi), sorted canonically.
 
     Scans the unary clone for functions separating hi from lo, keeps the
     inclusion-minimal ranges, and attaches an idempotent with that exact
     range: a power of the witness when one works, otherwise a clone search.
     """
+    clone = s.clone
     separating: dict[frozenset[int], UnaryFn] = {}
     for fn in clone:
         if _separates(fn, lo, hi):
@@ -57,20 +54,16 @@ def minimal_sets(
     out = []
     for r in sorted(minimal, key=sorted):
         witness = separating[r]
-        idem = _idempotent_for(algebra, clone, witness, r)
+        idem = _idempotent_for(clone, witness, r)
         out.append(MinimalSet(r, witness, idem))
     return out
 
 
 def _idempotent_for(
-    algebra: FiniteAlgebra,
-    clone: UnaryClone,
-    witness: UnaryFn,
-    universe: frozenset[int],
+    clone: UnaryClone, witness: UnaryFn, universe: frozenset[int]
 ) -> Optional[UnaryFn]:
-    n = algebra.size
     power = witness.values
-    for _ in range(n):
+    for _ in range(len(power)):
         fn = clone.lookup(power)
         if fn is not None and fn.image == universe and fn.is_idempotent():
             return fn
@@ -99,12 +92,7 @@ def traces(
 
 
 def minimal_set_through(
-    algebra: FiniteAlgebra,
-    clone: UnaryClone,
-    lat: CongruenceLattice,
-    lo: Partition,
-    hi: Partition,
-    e: int,
+    s: Structure, lo: Partition, hi: Partition, e: int
 ) -> Optional[MinimalSet]:
     """A minimal set of (lo, hi) containing the element e.
 
@@ -114,9 +102,10 @@ def minimal_set_through(
     requested minimal set.  Returns None (with no side effects) if some step
     finds no witness.
     """
-    sets = minimal_sets(algebra, clone, lo, hi)
+    sets = minimal_sets(s, lo, hi)
     if not sets:
         return None
+    algebra, clone = s.algebra, s.clone
     ranges = {s.universe for s in sets}
     for base in sets:
         members = sorted(base.universe)
@@ -133,7 +122,7 @@ def minimal_set_through(
                         continue
                     image = frozenset(p.values[x] for x in members)
                     if image in ranges:
-                        idem = _idempotent_for(algebra, clone, p, image)
+                        idem = _idempotent_for(clone, p, image)
                         return MinimalSet(image, p, idem)
     return None
 
@@ -143,9 +132,7 @@ def minimal_set_through(
 # ---------------------------------------------------------------------------
 
 
-def atom_blocks_simple(
-    algebra: FiniteAlgebra, clone: UnaryClone, beta: Partition
-) -> bool:
+def atom_blocks_simple(s: Structure, beta: Partition) -> bool:
     """Every block of an atom congruence is polynomially simple: collapsing
     any two distinct members via block-preserving unary polynomials and
     chaining collapses the whole block."""
@@ -153,13 +140,13 @@ def atom_blocks_simple(
         if len(block) == 1:
             continue
         bset = set(block)
-        keep = [f for f in clone if all(f.values[x] in bset for x in block)]
+        keep = [f for f in s.clone if all(f.values[x] in bset for x in block)]
         for a in block:
             for b in block:
                 if a >= b:
                     continue
                 part = Partition.from_pairs(
-                    algebra.size, [(f.values[a], f.values[b]) for f in keep]
+                    s.algebra.size, [(f.values[a], f.values[b]) for f in keep]
                 )
                 if len({part.class_of[x] for x in block}) != 1:
                     return False
@@ -194,14 +181,10 @@ def block_group(
             for z in block:
                 if add[(add[(x, y)], z)] != add[(x, add[(y, z)])]:
                     raise ValueError("pseudo-addition is not associative")
-    size = len(block)
-    p = None
-    for q in range(2, size + 1):
-        if size % q == 0:
-            p = q
-            break
-    if p is None:
+    primes = prime_divisors(len(block))
+    if not primes:
         raise ValueError("trivial block")
+    p = primes[0]
     for x in block:
         acc = e
         for _ in range(p):

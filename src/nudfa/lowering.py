@@ -23,6 +23,7 @@ report sizes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Mapping, Optional, Sequence
@@ -32,9 +33,8 @@ import numpy as np
 from .fieldpoly import (
     MultilinearPoly,
     coset_indicator_form,
-    is_prime,
     multilinear_interpolate,
-    prime_factors,
+    prime_divisors,
 )
 from .limits import Budget, charge, default_budget
 from .modcircuit import (
@@ -336,9 +336,10 @@ def _layer_modulus(circuit: CCircuit, layer: int, p: int) -> int:
     if len(ms) > 1:
         raise ValueError("MOD layer mixes moduli")
     m = ms.pop() if ms else (3 if p == 2 else 2)
-    if not is_prime(p):
+    if prime_divisors(p) != [p]:
         raise ValueError(f"{p} is not prime")
-    prime_factors(m)  # raises unless squarefree
+    if math.prod(prime_divisors(m)) != m:
+        raise ValueError(f"{m} is not squarefree")
     if m % p == 0:
         raise ValueError("p must not divide m")
     return m

@@ -37,11 +37,7 @@ from .circuits import (
     product_columns,
 )
 from .compile import HypothesisViolation
-from .congruence import (
-    CongruenceLattice,
-    all_congruences,
-    is_nilpotent_congruence,
-)
+from .congruence import is_nilpotent_congruence, structure
 from .limits import Budget, charge, default_budget
 from .modcircuit import index_blocks
 from .programs import AlgProgram, Instruction, map_circuit_constants
@@ -209,11 +205,7 @@ def _first_assignment(
     return None
 
 
-def _require_nilpotent_malcev(
-    algebra: FiniteAlgebra,
-    malcev: AlgCircuit,
-    lat: Optional[CongruenceLattice] = None,
-) -> None:
+def _require_nilpotent_malcev(algebra: FiniteAlgebra, malcev: AlgCircuit) -> None:
     """Both preconditions of the equation reductions, reported separately.
 
     The selector argument below needs the difference identities, and the
@@ -224,9 +216,8 @@ def _require_nilpotent_malcev(
         raise HypothesisViolation(
             "the supplied circuit fails the difference identities"
         )
-    if lat is None:
-        lat = all_congruences(algebra)
-    if not is_nilpotent_congruence(lat, lat.one):
+    s = structure(algebra)
+    if not is_nilpotent_congruence(s, s.lattice.one):
         raise HypothesisViolation("the algebra is not nilpotent")
 
 
@@ -236,7 +227,6 @@ def normalize_equation(
     left: AlgCircuit,
     right: AlgCircuit,
     e: int = 0,
-    lat: Optional[CongruenceLattice] = None,
 ) -> AlgCircuit:
     """Fold the two-sided equation left = right into d(left, right, e) = e.
 
@@ -244,7 +234,7 @@ def normalize_equation(
     circuit is invertible in its first argument (true in nilpotent
     algebras); one direction (left = right implies value e) always holds.
     """
-    _require_nilpotent_malcev(algebra, malcev, lat)
+    _require_nilpotent_malcev(algebra, malcev)
     k = max(left.k, right.k)
     b = CircuitBuilder(k)
     vars_ = [b.var(i) for i in range(k)]
@@ -280,7 +270,6 @@ def csat_to_progcsat(
     malcev: AlgCircuit,
     circuit: AlgCircuit,
     e: int,
-    lat: Optional[CongruenceLattice] = None,
 ) -> AlgProgram:
     """Program that accepts some word iff t(x) = e has a solution.
 
@@ -290,7 +279,7 @@ def csat_to_progcsat(
     algebra is reachable by activating at most one bit per block, and every
     word produces some assignment, so acceptance is exactly solvability.
     """
-    _require_nilpotent_malcev(algebra, malcev, lat)
+    _require_nilpotent_malcev(algebra, malcev)
     size = algebra.size
     if size < 2:
         raise ValueError("need at least two elements")
@@ -321,13 +310,12 @@ def ceqv_to_progcsat(
     malcev: AlgCircuit,
     circuit: AlgCircuit,
     e: int,
-    lat: Optional[CongruenceLattice] = None,
 ) -> AlgProgram:
     """Program that accepts no word iff t(x) = e holds identically.
 
     Same selector construction as the solvability reduction, but accepting
     exactly the non-e values: an accepted word is a counterexample."""
-    prog = csat_to_progcsat(algebra, malcev, circuit, e, lat)
+    prog = csat_to_progcsat(algebra, malcev, circuit, e)
     complement = frozenset(range(algebra.size)) - {e}
     return AlgProgram(
         algebra=prog.algebra,
@@ -347,7 +335,6 @@ def ceqv_via_meet_irreducibles(
     algebra: FiniteAlgebra,
     circuit: AlgCircuit,
     e: int,
-    lat: Optional[CongruenceLattice] = None,
     budget: Optional[Budget] = None,
 ) -> SolveResult:
     """Check t(x) = e in every subdirectly irreducible quotient instead.
@@ -357,8 +344,7 @@ def ceqv_via_meet_irreducibles(
     representatives and re-verified in the original algebra.
     """
     budget = budget or default_budget()
-    if lat is None:
-        lat = all_congruences(algebra, budget=budget)
+    lat = structure(algebra, budget).lattice
     start = time.perf_counter()
     tried = 0
     for theta in lat.meet_irreducibles():

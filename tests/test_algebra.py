@@ -21,7 +21,7 @@ from nudfa.algebra import (
     verify_malcev,
 )
 from nudfa.circuits import CircuitBuilder, eval_circuit
-from nudfa.congruence import all_congruences
+from nudfa.congruence import Structure
 from nudfa.fixtures import get_fixture
 from nudfa.limits import Budget, BudgetExceeded, default_budget
 from nudfa.localize import minimal_sets
@@ -239,10 +239,10 @@ def test_clone_witnesses_are_built_only_when_read(monkeypatch):
     monkeypatch.setattr(
         algebra, "subcircuit", lambda *a: built.append(a) or subcircuit(*a)
     )
-    clone = UnaryClone(alg)
-    lat = all_congruences(alg)
+    s = Structure(alg, default_budget())
+    clone, lat = s.clone, s.lattice
     for lo, hi in lat.covers:
-        assert minimal_sets(alg, clone, lat.elements[lo], lat.elements[hi])
+        assert minimal_sets(s, lat.elements[lo], lat.elements[hi])
     assert (len(finished), len(built)) == (0, 0)
     witnesses = [fn.witness for fn in clone]
     assert [fn.witness for fn in clone] == witnesses

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from nudfa import cli, congruence, lowering
 from nudfa.circuits import CircuitBuilder
 from nudfa.cli import main, verify_harness
 from nudfa.compile import compile_supernilpotent
@@ -98,3 +99,26 @@ def test_reused_parser_keeps_no_state_between_calls(monkeypatch, capsys):
         assert main(argv) == 0
         expected = (golden / "expected" / f"{name}.out").read_text()
         assert capsys.readouterr().out == expected, name
+
+
+def test_each_call_starts_with_empty_run_memos(monkeypatch, tmp_path):
+    """The structure memo and the lowering caches hold what one ``main``
+    call computed; the next call starts without them."""
+    program = tmp_path / "program.json"
+    demo_program("and2_z6%2").dump(str(program))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["compile", "--program", str(program)]) == 0
+    lowering._conj_normal_form(3, 2, (frozenset({0}),))
+    memos = (congruence._STRUCTURES, lowering._INGEST_CACHE, lowering._conj_cache)
+    assert all(memos)
+    sizes = []
+    resolve = cli.resolve_algebra
+
+    def resolving(spec):
+        sizes.append([len(memo) for memo in memos])
+        return resolve(spec)
+
+    monkeypatch.setattr(cli, "resolve_algebra", resolving)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["algebra", "--algebra", "fixtures:Z2"]) == 0
+    assert sizes == [[0, 0, 0]]

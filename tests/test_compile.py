@@ -6,7 +6,8 @@ import itertools
 
 import pytest
 
-from nudfa.circuits import variable_circuit
+from nudfa import compile as compile_module
+from nudfa.circuits import CircuitBuilder, variable_circuit
 from nudfa.compile import (
     HypothesisViolation,
     central_representation,
@@ -19,7 +20,7 @@ from nudfa.congruence import all_congruences
 from nudfa.fixtures import demo_program, get_fixture
 from nudfa.modcircuit import cc_truth_table, validate_shape
 from nudfa.partitions import Partition
-from nudfa.programs import truth_table
+from nudfa.programs import AlgProgram, Instruction, truth_table
 
 ETA = Partition.from_blocks(6, [{0, 2, 4}, {1, 3, 5}])
 
@@ -77,6 +78,27 @@ def test_nilpotent_compile_also_handles_plain_modules():
 def test_nilpotent_compile_refuses_non_nilpotent_algebras():
     with pytest.raises(HypothesisViolation):
         compile_nilpotent(demo_program("or2_lat2"))
+
+
+def test_descent_reads_instruction_bits_directly(monkeypatch):
+    """x0 + x1 over Z6%2 with each bit choosing 0 or 2 moves only the
+    module part, so the descent wires both input bits through
+    ``_bit_passthrough``; accepting {2} leaves the words with one bit set."""
+    bits = []
+    passthrough = compile_module._bit_passthrough
+    monkeypatch.setattr(
+        compile_module, "_bit_passthrough",
+        lambda n, bit, m, p: bits.append(bit) or passthrough(n, bit, m, p),
+    )
+    b = CircuitBuilder(2)
+    prog = AlgProgram(
+        get_fixture("Z6%2").algebra, b.finish(b.gate("+", b.var(0), b.var(1))),
+        2, (Instruction(0, 0, 0, 2), Instruction(1, 1, 0, 2)), frozenset({2}),
+    )
+    circuit, _ = compile_nilpotent(prog)
+    assert bits == [0, 1]
+    assert truth_table(prog) == [False, True, True, False]
+    assert_compiled_matches(circuit, prog)
 
 
 # -- the central representation ---------------------------------------------

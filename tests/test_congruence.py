@@ -6,6 +6,7 @@ import contextlib
 import functools
 import io
 import itertools
+import math
 import random
 import tracemalloc
 from pathlib import Path
@@ -21,23 +22,25 @@ from nudfa.algebra import FiniteAlgebra, Operation, respects
 from nudfa.circuits import argument_blocks
 from nudfa.cli import main
 from nudfa.congruence import (
+    Structure,
     all_congruences,
     all_congruences_bruteforce,
     charr_set,
-    clear_commutators,
     commutator,
     congruence_generated,
     distinguished_congruences,
     is_nilpotent_congruence,
     is_supernilpotent_algebra,
     pdiv,
-    prime_divisors,
     prime_power_decomposition,
     principal_congruence,
     solvability_class,
+    structure,
     supernilpotent_rank,
 )
+from nudfa.fieldpoly import prime_divisors
 from nudfa.fixtures import get_fixture
+from nudfa.limits import Budget, BudgetExceeded
 from nudfa.partitions import Partition
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -51,6 +54,11 @@ ALL_FIXTURES = ("Z2", "Z3", "Z4", "Z6", "Z6%2", "LAT2", "S3")
 def lattice_of(name):
     alg = get_fixture(name).algebra
     return alg, all_congruences(alg)
+
+
+def structure_of(name):
+    s = structure(get_fixture(name).algebra)
+    return s, s.lattice
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
@@ -120,26 +128,26 @@ def test_lattice_is_closed_under_meet_and_join(name):
 
 
 def test_plain_cyclic_group_of_order_six_has_four_congruences():
-    alg, lat = lattice_of("Z6")
+    s, lat = structure_of("Z6")
     assert len(lat.elements) == 4
     atoms = lat.atoms()
     assert set(atoms) == {ETA_MOD2, ETA_MOD3}
-    assert {lat.characteristic(lat.zero, a) for a in atoms} == {2, 3}
-    assert sorted(charr_set(alg, lat, lat.zero, lat.one)) == [2, 3]
+    assert {s.characteristic(lat.zero, a) for a in atoms} == {2, 3}
+    assert sorted(charr_set(s, lat.zero, lat.one)) == [2, 3]
 
 
 def test_marked_order_six_lattice_is_a_three_chain():
-    _, lat = lattice_of("Z6%2")
+    s, lat = structure_of("Z6%2")
     assert len(lat.elements) == 3
     assert set(lat.elements) == {lat.zero, ETA_MOD2, lat.one}
-    assert lat.characteristic(lat.zero, ETA_MOD2) == 3
-    assert lat.characteristic(ETA_MOD2, lat.one) == 2
+    assert s.characteristic(lat.zero, ETA_MOD2) == 3
+    assert s.characteristic(ETA_MOD2, lat.one) == 2
 
 
 def test_characteristic_rejects_non_covers():
-    _, lat = lattice_of("Z6")
+    s, lat = structure_of("Z6")
     with pytest.raises(ValueError):
-        lat.characteristic(lat.zero, lat.one)
+        s.characteristic(lat.zero, lat.one)
 
 
 def test_principal_congruences_of_the_cyclic_group():
@@ -151,9 +159,9 @@ def test_principal_congruences_of_the_cyclic_group():
 
 @pytest.mark.parametrize("name", ("Z2", "Z3", "Z4", "Z6"))
 def test_commutator_of_module_like_fixtures_vanishes(name):
-    _, lat = lattice_of(name)
-    assert lat.commutator(lat.one, lat.one) == lat.zero
-    assert solvability_class(get_fixture(name).algebra, lat) == ("abelian",)
+    s, lat = structure_of(name)
+    assert s.commutator(lat.one, lat.one) == lat.zero
+    assert solvability_class(s) == ("abelian",)
 
 
 def derived_subgroup_partition(alg):
@@ -182,17 +190,17 @@ def derived_subgroup_partition(alg):
 
 
 def test_symmetric_group_commutator_matches_derived_subgroup():
-    alg, lat = lattice_of("S3")
-    assert lat.commutator(lat.one, lat.one) == derived_subgroup_partition(alg)
-    assert solvability_class(alg, lat)[0] == "solvable"
+    s, lat = structure_of("S3")
+    assert s.commutator(lat.one, lat.one) == derived_subgroup_partition(s.algebra)
+    assert solvability_class(s)[0] == "solvable"
 
 
 def test_two_element_lattice_has_trivial_commutator_theory():
-    alg, lat = lattice_of("LAT2")
-    assert lat.commutator(lat.one, lat.one) == lat.one
-    assert solvability_class(alg, lat) == ("non-solvable",)
-    assert not is_nilpotent_congruence(lat, lat.one)
-    assert supernilpotent_rank(alg, lat) is None
+    s, lat = structure_of("LAT2")
+    assert s.commutator(lat.one, lat.one) == lat.one
+    assert solvability_class(s) == ("non-solvable",)
+    assert not is_nilpotent_congruence(s, lat.one)
+    assert supernilpotent_rank(s) is None
 
 
 def test_nilpotence_and_supernilpotence_classification():
@@ -202,20 +210,19 @@ def test_nilpotence_and_supernilpotence_classification():
         ("Z6%2", True, False),
         ("S3", False, False),
     ]:
-        alg, lat = lattice_of(name)
-        assert is_nilpotent_congruence(lat, lat.one) is nilpotent, name
-        assert is_supernilpotent_algebra(alg, lat) is supernil, name
+        s, lat = structure_of(name)
+        assert is_nilpotent_congruence(s, lat.one) is nilpotent, name
+        assert is_supernilpotent_algebra(s.algebra) is supernil, name
 
 
 def test_supernilpotent_rank_values():
     for name, rank in [("Z2", 1), ("Z4", 1), ("Z6", 1), ("Z6%2", 2)]:
-        alg, lat = lattice_of(name)
-        assert supernilpotent_rank(alg, lat) == rank, name
+        assert supernilpotent_rank(structure_of(name)[0]) == rank, name
 
 
 def test_distinguished_congruences_of_the_marked_algebra():
-    alg, lat = lattice_of("Z6%2")
-    dist = distinguished_congruences(alg, lat)
+    s, lat = structure_of("Z6%2")
+    dist = distinguished_congruences(s)
     assert dist.largest_supernilpotent == ETA_MOD2
     assert dist.smallest_supernilpotent_quotient == ETA_MOD2
     assert sorted(dist.by_prime) == [2, 3]
@@ -237,8 +244,9 @@ def test_quotient_by_a_congruence_is_a_homomorphic_image():
 
 
 def test_prime_power_decomposition_of_the_order_six_group():
-    alg, lat = lattice_of("Z6")
-    dec = prime_power_decomposition(alg, lat)
+    s, _ = structure_of("Z6")
+    alg = s.algebra
+    dec = prime_power_decomposition(s)
     assert sorted(dec.primes) == [2, 3]
     assert sorted(f.size for f in dec.factors) == [2, 3]
     assert len(set(dec.iso)) == alg.size
@@ -251,9 +259,14 @@ def test_pdiv_is_the_product_of_primes_dividing_the_size():
 
 def test_prime_divisors_single_out_prime_powers():
     """A block count is a prime power exactly when it has one prime
-    divisor; 1 has none, and a block of size 1 has p-power size for every
-    p."""
-    assert prime_divisors(1) == []
+    divisor; 0 and 1 have none, and a block of size 1 has p-power size for
+    every p.  A number is prime exactly when it is its only prime divisor,
+    and squarefree exactly when it is their product."""
+    assert prime_divisors(0) == prime_divisors(1) == []
+    for p in (2, 3, 5, 7, 97):
+        assert prime_divisors(p) == [p]
+    assert prime_divisors(12) == [2, 3] and math.prod(prime_divisors(12)) != 12
+    assert prime_divisors(30) == [2, 3, 5] and math.prod(prime_divisors(30)) == 30
     for m in range(2, 300):
         divisors = [q for q in range(2, m + 1) if m % q == 0]
         p = divisors[0]
@@ -272,7 +285,6 @@ def assert_matches_reference(alg):
     """M(alpha, beta) and [alpha, beta] for every pair of congruences; the
     reference commutator runs on the reference matrices just compared, so
     that each slow reference closure runs once."""
-    clear_commutators()
     lat = all_congruences(alg)
     for left, right in itertools.product(lat.elements, repeat=2):
         matrices = reference.matrix_subalgebra(alg, left, right)
@@ -336,7 +348,6 @@ def test_forcing_takes_a_second_round():
     first = congruence_generated(
         alg, zip(x3[same_top].tolist(), x4[same_top].tolist())
     )
-    clear_commutators()
     result = commutator(alg, left, right)
     assert result == reference.commutator(alg, left, right) != first
 
@@ -396,67 +407,95 @@ def test_matrix_closure_memory_stays_bounded():
 
 
 def test_commutators_are_computed_once_per_run(monkeypatch):
-    """Within one ``con`` call every distinct (tables, alpha, beta) is
-    closed once, the quotient of S3 by zero reusing the commutators of S3;
-    a second call starts from an empty memo and repeats exactly that
-    work."""
-    keys: list = []
-    inner = congruence._matrix_subalgebra
+    """Within one ``con`` call each distinct set of tables gets one lattice
+    and each (tables, alpha, beta) one commutator, the quotient of S3 by
+    zero reusing the structure of S3; a second call starts from an empty
+    memo and repeats exactly that work."""
+    lattices, keys = [], []
+    build, inner = congruence.all_congruences, congruence.commutator
+
+    def tables(alg):
+        return tuple((op.arity, op.table) for op in alg.ops)
+
+    def counted_lattice(alg, budget=None):
+        lattices.append(tables(alg))
+        return build(alg, budget=budget)
 
     def counted(alg, left, right):
-        keys.append((tuple((op.arity, op.table) for op in alg.ops), left, right))
+        keys.append((tables(alg), left, right))
         return inner(alg, left, right)
 
     asked = []
-    outer = congruence.commutator
+    ask = Structure.commutator
 
-    def asking(alg, left, right):
+    def asking(self, left, right):
         asked.append(1)
-        return outer(alg, left, right)
+        return ask(self, left, right)
 
-    monkeypatch.setattr(congruence, "_matrix_subalgebra", counted)
-    monkeypatch.setattr(congruence, "commutator", asking)
+    monkeypatch.setattr(congruence, "all_congruences", counted_lattice)
+    monkeypatch.setattr(congruence, "commutator", counted)
+    monkeypatch.setattr(Structure, "commutator", asking)
     runs = []
     for _ in range(2):
+        lattices.clear()
         keys.clear()
         asked.clear()
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["con", "--algebra", "fixtures:S3"]) == 0
-        runs.append((list(keys), len(asked)))
-    (first, asked_first), (second, asked_second) = runs
+        runs.append((list(lattices), list(keys), len(asked)))
+    (lat_first, first, asked_first), (lat_second, second, asked_second) = runs
+    assert len(lat_first) == len(set(lat_first)) > 1
     assert len(first) == len(set(first)) > 0
-    assert first == second and asked_first == asked_second
+    assert (lat_first, first, asked_first) == (lat_second, second, asked_second)
     assert asked_first > len(first)
 
 
 def test_commutator_memo_is_keyed_by_the_tables(monkeypatch):
     """Z2 and LAT2 share their universe and congruences but not their
-    commutators; a renamed copy of LAT2 shares LAT2's."""
-    clear_commutators()
+    structures; a renamed copy of LAT2 shares LAT2's, commutators
+    included."""
     z2, lat2 = get_fixture("Z2").algebra, get_fixture("LAT2").algebra
     zero, one = Partition.identity(2), Partition.total(2)
-    assert commutator(z2, one, one) == zero
-    assert commutator(lat2, one, one) == one
+    assert structure(z2) is not structure(lat2)
+    assert structure(z2).commutator(one, one) == zero
+    assert structure(lat2).commutator(one, one) == one
     monkeypatch.setattr(congruence, "_matrix_subalgebra", None)
     copy = FiniteAlgebra("copy", 2, lat2.ops)
-    assert commutator(copy, one, one) == one
+    assert structure(copy) is structure(lat2)
+    assert structure(copy).commutator(one, one) == one
 
 
 def test_commutator_memo_never_exceeds_its_size(monkeypatch):
-    """With room for two commutators the memo evicts its oldest entries,
+    """With room for two structures the memo evicts its oldest entries,
     and the output stays the recorded one."""
-    monkeypatch.setattr(congruence, "COMMUTATOR_MEMO_SIZE", 2)
+    monkeypatch.setattr(congruence, "STRUCTURE_MEMO_SIZE", 2)
     sizes = []
-    inner = congruence._commutator
+    make = Structure.__init__
 
-    def watched(alg, left, right):
-        sizes.append(len(congruence._COMMUTATORS))
-        return inner(alg, left, right)
+    def watched(self, alg, budget):
+        sizes.append(len(congruence._STRUCTURES))
+        make(self, alg, budget)
 
-    monkeypatch.setattr(congruence, "_commutator", watched)
+    monkeypatch.setattr(Structure, "__init__", watched)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         assert main(["con", "--algebra", "fixtures:S3"]) == 0
     assert buf.getvalue() == (GOLDEN / "expected" / "con_S3.out").read_text()
-    assert len(congruence._COMMUTATORS) <= 2
-    assert max(sizes) <= 2 and len(sizes) > 2
+    assert len(congruence._STRUCTURES) <= 2
+    assert max(sizes) <= 1 and len(sizes) > 2
+
+
+def test_structures_are_keyed_by_the_budget():
+    """A clone cap below S3's 324 unary polynomials fails under its own
+    budget only: the default budget's structure still closes the clone,
+    whichever of the two is asked first."""
+    s3 = get_fixture("S3").algebra
+    capped = Budget(clone_functions=100)
+    for order in ((capped, None), (None, capped)):
+        congruence._STRUCTURES.clear()  # a fresh run
+        for budget in order:
+            if budget is capped:
+                with pytest.raises(BudgetExceeded):
+                    structure(s3, budget).clone
+            else:
+                assert len(structure(s3, budget).clone) == 324

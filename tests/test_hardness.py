@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
 
+from nudfa.algebra import FiniteAlgebra
 from nudfa.circuits import eval_circuit
+from nudfa.compile import HypothesisViolation, compile_nilpotent
+from nudfa.congruence import structure
 from nudfa.fieldpoly import Cnf3, parse_dimacs
-from nudfa.fixtures import get_fixture
+from nudfa.fixtures import demo_program, get_fixture
 from nudfa.hardness import (
     GadgetSearchError,
     WitnessFailure,
@@ -156,3 +160,21 @@ def test_witness_failure_details_explain_the_refusal():
     resm = find_two_prime_witness(fxm.algebra, fxm.malcev)
     assert "characteristic set [3]" in resm.detail
     assert "two distinct primes" in resm.detail
+
+
+def test_results_name_the_callers_algebra():
+    """A renamed copy of a fixture shares the fixture's structure, made
+    first, but every result and refusal names the copy."""
+    lat2, marked = get_fixture("LAT2"), get_fixture("Z6%2")
+    for fx in (lat2, marked):
+        structure(fx.algebra).lattice
+    lat2_copy = FiniteAlgebra("copy", 2, lat2.algebra.ops)
+    marked_copy = FiniteAlgebra("marked copy", 6, marked.algebra.ops)
+    assert structure(lat2_copy) is structure(lat2.algebra)
+    assert find_two_prime_witness(lat2_copy).detail == "copy is not nilpotent"
+    prog = demo_program("or2_lat2")
+    with pytest.raises(HypothesisViolation, match="^copy is not nilpotent$"):
+        compile_nilpotent(replace(prog, algebra=lat2_copy))
+    (cfg,), _ = find_interpolation_configs(marked_copy)
+    assert cfg.algebra is marked_copy
+    assert cfg.structure is structure(marked.algebra)

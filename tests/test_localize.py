@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from nudfa.algebra import UnaryClone
-from nudfa.congruence import all_congruences
+from nudfa.congruence import structure
 from nudfa.fixtures import get_fixture
-from nudfa.limits import default_budget
 from nudfa.localize import (
     atom_blocks_simple,
     block_group,
@@ -23,13 +21,13 @@ ETA = Partition.from_blocks(6, [{0, 2, 4}, {1, 3, 5}])
 @pytest.fixture(scope="module")
 def marked():
     fx = get_fixture("Z6%2")
-    clone = UnaryClone(fx.algebra, default_budget())
-    return fx, clone, all_congruences(fx.algebra)
+    s = structure(fx.algebra)
+    return fx, s, s.lattice
 
 
 def test_minimal_sets_of_the_characteristic_three_cover(marked):
-    fx, clone, lat = marked
-    sets = minimal_sets(fx.algebra, clone, lat.zero, ETA)
+    fx, s, lat = marked
+    sets = minimal_sets(s, lat.zero, ETA)
     assert [sorted(s.universe) for s in sets] == [[0, 2, 4], [1, 3, 5]]
     for ms in sets:
         assert ms.witness.image == ms.universe
@@ -39,8 +37,8 @@ def test_minimal_sets_of_the_characteristic_three_cover(marked):
 
 
 def test_minimal_sets_of_the_characteristic_two_cover(marked):
-    fx, clone, lat = marked
-    sets = minimal_sets(fx.algebra, clone, ETA, lat.one)
+    fx, s, lat = marked
+    sets = minimal_sets(s, ETA, lat.one)
     # every two-element polynomial image crossing the parity classes
     assert [sorted(s.universe) for s in sets] == [
         [0, 1], [0, 3], [0, 5], [1, 2], [1, 4],
@@ -50,24 +48,22 @@ def test_minimal_sets_of_the_characteristic_two_cover(marked):
 
 
 def test_traces_are_the_blocks_that_actually_split(marked):
-    fx, clone, lat = marked
-    lower = minimal_sets(fx.algebra, clone, lat.zero, ETA)[0]
+    fx, s, lat = marked
+    lower = minimal_sets(s, lat.zero, ETA)[0]
     assert [sorted(t) for t in traces(fx.algebra, lower.universe, lat.zero, ETA)] == [
         [0, 2, 4]
     ]
-    upper = minimal_sets(fx.algebra, clone, ETA, lat.one)[0]
+    upper = minimal_sets(s, ETA, lat.one)[0]
     assert [sorted(t) for t in traces(fx.algebra, upper.universe, ETA, lat.one)] == [
         [0, 1]
     ]
 
 
 def test_minimal_set_through_a_requested_element(marked):
-    fx, clone, lat = marked
-    all_ranges = {
-        s.universe for s in minimal_sets(fx.algebra, clone, ETA, lat.one)
-    }
+    _, s, lat = marked
+    all_ranges = {ms.universe for ms in minimal_sets(s, ETA, lat.one)}
     for e in range(6):
-        ms = minimal_set_through(fx.algebra, clone, lat, ETA, lat.one, e)
+        ms = minimal_set_through(s, ETA, lat.one, e)
         assert ms is not None
         assert e in ms.universe
         assert ms.universe in all_ranges
@@ -90,5 +86,5 @@ def test_block_group_rejects_a_non_prime_block(marked):
 
 
 def test_atom_blocks_are_polynomially_simple(marked):
-    fx, clone, _ = marked
-    assert atom_blocks_simple(fx.algebra, clone, ETA)
+    _, s, _ = marked
+    assert atom_blocks_simple(s, ETA)
