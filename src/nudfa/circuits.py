@@ -34,8 +34,6 @@ class OpTable(Protocol):
 
     def eval_op(self, name: str, args: Sequence[int]) -> int: ...
 
-    def op_arity(self, name: str) -> int: ...
-
 
 @dataclass(frozen=True)
 class AlgCircuit:
@@ -72,15 +70,6 @@ class AlgCircuit:
             if node[0] == GATE:
                 d[idx] = 1 + max((d[c] for c in node[2]), default=0)
         return d[self.output]
-
-    def validate_ops(self, algebra: OpTable) -> None:
-        for node in self.nodes:
-            if node[0] == GATE:
-                want = algebra.op_arity(node[1])
-                if want != len(node[2]):
-                    raise ValueError(
-                        f"gate {node[1]} expects {want} children, got {len(node[2])}"
-                    )
 
     def to_json(self) -> dict:
         nodes = []

@@ -354,10 +354,6 @@ def _cmd_compile(args) -> int:
         "size": circuit.size,
         "passes": [asdict(r) for r in reports],
     }
-    if args.trace_sizes:
-        doc["size_trace"] = [
-            [r.pass_name, r.input_size, r.output_size] for r in reports
-        ]
     exit_code = 0
     if args.verify_n is not None:
         bound = min(args.verify_n, 20)
@@ -656,7 +652,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--program", required=True, metavar="FILE")
     p.add_argument("--out", metavar="FILE")
     p.add_argument("--verify-n", type=int, dest="verify_n", metavar="K")
-    p.add_argument("--trace-sizes", action="store_true", dest="trace_sizes")
     p.set_defaults(func=_cmd_compile)
 
     p = sub.add_parser("lower", help="run one lowering pass")

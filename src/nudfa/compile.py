@@ -26,13 +26,13 @@ the input word is narrow enough.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Optional
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, verify_malcev
+from .algebra import FiniteAlgebra, quotient_algebra, verify_malcev
 from .circuits import AlgCircuit, CONST, GATE, VAR
 from .congruence import (
     CongruenceLattice,
@@ -54,6 +54,7 @@ from .lowering import (
     PassReport,
     and_sum_lower,
     apply_func,
+    check_table,
     collapse_5to3,
     emit_modsum,
     make_atom,
@@ -229,8 +230,6 @@ def central_representation(
             if vec_add(coords[x], coords[y], p) != coords[add[(x, y)]]:
                 raise HypothesisViolation("coordinates do not respect addition")
 
-    from .algebra import quotient_algebra
-
     quotient, proj = quotient_algebra(D, beta)
     transversal = tuple(
         min(x for x in range(D.size) if proj[x] == c) for c in range(quotient.size)
@@ -385,18 +384,6 @@ class CompileCache:
 # ---------------------------------------------------------------------------
 
 
-def _check_table(got: np.ndarray, want: np.ndarray, n: int, what: str) -> None:
-    """Raise at the first word where two 0/1 truth-table columns differ."""
-    bad = np.flatnonzero((got != 0) != (want != 0))
-    if len(bad):
-        row = int(bad[0])
-        word = [(row >> i) & 1 for i in range(n)]
-        raise AssertionError(
-            f"{what} disagrees at word {word}: "
-            f"got {int(got[row])}, expected {int(want[row])}"
-        )
-
-
 def _combined_indicator(
     value_table: np.ndarray,
     target: int,
@@ -441,8 +428,7 @@ def compile_supernilpotent(
     s = structure(A, budget)
     if not is_supernilpotent_algebra(A, budget):
         raise HypothesisViolation(f"{A.name} is not supernilpotent")
-    ok, _ = is_pupi(s, s.lattice.zero, s.lattice.one)
-    if not ok:
+    if not is_pupi(s, s.lattice.zero, s.lattice.one):
         raise HypothesisViolation(
             f"{A.name} has no prime-uniform independent interval split"
         )
@@ -493,7 +479,7 @@ def compile_supernilpotent(
 
     verified: Optional[bool] = None
     if n <= VERIFY_INPUT_BOUND:
-        _check_table(
+        check_table(
             cc_table(circuit), program.accept_column(), n, "base-case circuit"
         )
         verified = True
@@ -544,17 +530,8 @@ class _LayerMerge:
             raise ValueError("sub-circuit reads a different input word")
         remap: dict[int, int] = {i: i for i in range(sub.inputs)}
         for gid, gate in enumerate(sub.gates):
-            rewired = Gate(
-                kind=gate.kind,
-                layer=gate.layer,
-                wires=tuple((remap[s], mult) for s, mult in gate.wires),
-                m=gate.m,
-                accepting=gate.accepting,
-                p=gate.p,
-                nu=gate.nu,
-                coeffs=gate.coeffs,
-                offset=gate.offset,
-                target=gate.target,
+            rewired = replace(
+                gate, wires=tuple((remap[s], mult) for s, mult in gate.wires)
             )
             remap[sub.inputs + gid] = self.add_gate(rewired)
         return remap[sub.output]
@@ -568,9 +545,9 @@ def descend_mod_beta(
     cache: CompileCache,
     m: int,
     p: int,
-    budget: Optional[Budget] = None,
-    reports: Optional[list[PassReport]] = None,
-    value_table: Optional[np.ndarray] = None,
+    budget: Budget,
+    reports: list[PassReport],
+    value_table: np.ndarray,
 ) -> CCircuit:
     """One chain step: compile [node value == target] over rep.D.
 
@@ -579,9 +556,10 @@ def descend_mod_beta(
     an affine combination over Z_p^nu of instruction bits and per-gate
     correction terms; corrections are expanded through class-indicator
     booleans, lowered, assembled as a 5-layer circuit, collapsed to three
-    layers and AND-glued with the quotient-level indicator.
+    layers and AND-glued with the quotient-level indicator.  ``value_table``
+    holds the node's value on every word; the pass reports are appended to
+    ``reports``.
     """
-    budget = budget or default_budget()
     if program.algebra is not rep.D and program.algebra != rep.D:
         raise ValueError("program and representation disagree on the algebra")
     n = program.n
@@ -633,9 +611,8 @@ def descend_mod_beta(
             low_cc, _ = and_sum_lower(table, p, budget)
             sump = low_cc.gates[low_cc.output - low_cc.inputs]
             offset = vec_add(offset, mat_vec(W, sump.offset, p), p)
-            for (src, mult), mat in zip(sump.wires, sump.coeffs):
-                vec = tuple((mult * sum(mat[j])) % p for j in range(nu))
-                wv = mat_vec(W, vec, p)
+            for (src, mult), vec in zip(sump.wires, sump.coeffs):
+                wv = mat_vec(W, tuple(mult * c % p for c in vec), p)
                 if not any(wv):
                     continue
                 and_gate = low_cc.gates[src - low_cc.inputs]
@@ -656,27 +633,21 @@ def descend_mod_beta(
     for bit in sorted(bit_vecs):
         bit_out[bit] = merge.add_sub(_bit_passthrough(n, bit, m, p))
 
-    def col_matrix(vec: Vector) -> Matrix:
-        return tuple(
-            tuple(vec[row] if c == 0 else 0 for c in range(nu))
-            for row in range(nu)
-        )
-
     sumpc_wires: list[tuple[int, int]] = []
-    sumpc_mats: list[Matrix] = []
+    sumpc_coeffs: list[Vector] = []
     for key in sorted(mono_vecs, key=lambda k: sorted(k)):
         srcs = sorted({sub_out[pair] for pair in key})
         gate_id = merge.add_gate(
             Gate(kind=AND, layer=4, wires=tuple((x, 1) for x in srcs))
         )
         sumpc_wires.append((gate_id, 1))
-        sumpc_mats.append(col_matrix(mono_vecs[key]))
+        sumpc_coeffs.append(mono_vecs[key])
     for bit in sorted(bit_vecs):
         gate_id = merge.add_gate(
             Gate(kind=AND, layer=4, wires=((bit_out[bit], 1),))
         )
         sumpc_wires.append((gate_id, 1))
-        sumpc_mats.append(col_matrix(bit_vecs[bit]))
+        sumpc_coeffs.append(bit_vecs[bit])
 
     target_vec = rep.mcoords[target]
     gates = list(merge.gates)
@@ -687,7 +658,7 @@ def descend_mod_beta(
             wires=tuple(sumpc_wires),
             p=p,
             nu=nu,
-            coeffs=tuple(sumpc_mats),
+            coeffs=tuple(sumpc_coeffs),
             offset=offset,
             target=target_vec,
         )
@@ -704,35 +675,30 @@ def descend_mod_beta(
 
     five_verified: Optional[bool] = None
     if n <= VERIFY_INPUT_BOUND:
-        if value_table is None:
-            value_table = program.node_columns()[node]
         mcoords = np.array(rep.mcoords, np.int64).reshape(-1, nu)
         want = (mcoords[value_table] == target_vec).all(axis=1)
-        _check_table(cc_table(five), want, n, "module-part circuit")
+        check_table(cc_table(five), want, n, "module-part circuit")
         five_verified = True
-    if reports is not None:
-        reports.append(
-            PassReport(
-                pass_name=f"descend_assemble[node={node},target={target}]",
-                input_shape="module-part display",
-                output_shape=shape_of(five),
-                input_size=program.size,
-                output_size=five.size,
-                verified=five_verified,
-            )
+    reports.append(
+        PassReport(
+            pass_name=f"descend_assemble[node={node},target={target}]",
+            input_shape="module-part display",
+            output_shape=shape_of(five),
+            input_size=program.size,
+            output_size=five.size,
+            verified=five_verified,
         )
+    )
 
     collapsed, creport = collapse_5to3(five, budget)
-    if reports is not None:
-        reports.append(creport)
+    reports.append(creport)
 
     quotient_cc = cache.get((node, rep.proj[target]))
     glued, greport = apply_func([0, 0, 0, 1], [quotient_cc, collapsed], budget)
-    if reports is not None:
-        reports.append(greport)
+    reports.append(greport)
 
-    if n <= VERIFY_INPUT_BOUND and value_table is not None:
-        _check_table(
+    if n <= VERIFY_INPUT_BOUND:
+        check_table(
             cc_table(glued), value_table == target, n, "descended circuit"
         )
     return glued
@@ -848,7 +814,7 @@ def compile_nilpotent(
     sigma = dist.by_prime.get(p, lat.zero)
     if not kappa.leq(sigma):
         raise AssertionError("supernilpotent quotient escapes the p-radical")
-    Abar, _ = lat.quotient(sigma)
+    Abar, _ = quotient_algebra(A, sigma)
     m = pdiv(Abar)
     if chars and m * p != pdiv(A):
         raise AssertionError("quotient primes do not complement p")
@@ -881,8 +847,7 @@ def compile_nilpotent(
     if not _same_op_tables(top.algebra, Abar):
         raise AssertionError("top quotient program is not over A/sigma")
     sbar = structure(Abar, budget)
-    okp, _ = is_pupi(sbar, sbar.lattice.zero, sbar.lattice.one)
-    if not okp:
+    if not is_pupi(sbar, sbar.lattice.zero, sbar.lattice.one):
         raise HypothesisViolation(
             "supernilpotent quotient has no independent prime split"
         )
@@ -902,7 +867,7 @@ def compile_nilpotent(
         modsum = _base_modsum(pool, table, t, dec, m, p, delta, budget)
         cc = emit_modsum(n, m, p, pool, modsum, and_layer=True, final=MOD)
         if n <= VERIFY_INPUT_BOUND:
-            _check_table(
+            check_table(
                 cc_table(cc), table == t, n,
                 f"base indicator for node {q}, target {t}",
             )
@@ -962,7 +927,7 @@ def compile_nilpotent(
     if not ok:
         raise AssertionError(f"final circuit off-shape: {errors[0]}")
     if n <= VERIFY_INPUT_BOUND:
-        _check_table(
+        check_table(
             cc_table(final), program.accept_column(), n, "compiled circuit"
         )
     return final, reports

@@ -176,13 +176,12 @@ def principal_congruence(algebra: FiniteAlgebra, a: int, b: int) -> Partition:
 
 @dataclass
 class CongruenceLattice:
-    """All congruences of a finite algebra, with order data and caches."""
+    """All congruences of a finite algebra, with order data."""
 
     algebra: FiniteAlgebra
     elements: tuple[Partition, ...]  # canonically sorted
     _index: dict = field(repr=False)
     covers: tuple[tuple[int, int], ...]  # (lower, upper) index pairs
-    _quotient: dict = field(default_factory=dict, repr=False)
 
     # -- order helpers -----------------------------------------------------
 
@@ -236,26 +235,6 @@ class CongruenceLattice:
 
     def meet_irreducibles(self) -> list[Partition]:
         return [c for c in self.elements if len(self.covers_of(c)) == 1]
-
-    def unique_subcover(self, part: Partition) -> Partition:
-        subs = self.subcovers_of(part)
-        if len(subs) != 1:
-            raise ValueError(f"not join-irreducible: {len(subs)} subcovers")
-        return subs[0]
-
-    def unique_cover(self, part: Partition) -> Partition:
-        ups = self.covers_of(part)
-        if len(ups) != 1:
-            raise ValueError(f"not meet-irreducible: {len(ups)} covers")
-        return ups[0]
-
-    # -- quotients ---------------------------------------------------------
-
-    def quotient(self, part: Partition) -> tuple[FiniteAlgebra, tuple[int, ...]]:
-        i = self.index(part)
-        if i not in self._quotient:
-            self._quotient[i] = quotient_algebra(self.algebra, part)
-        return self._quotient[i]
 
 
 def all_congruences(
@@ -495,57 +474,41 @@ def charr_set(s: Structure, lo: Partition, hi: Partition) -> frozenset[int]:
     )
 
 
-@dataclass(frozen=True)
-class PupiWitness:
-    parts: tuple[Partition, ...]
-    characteristics: tuple[int, ...]
-
-
-def is_pupi(
-    s: Structure, lo: Partition, hi: Partition
-) -> tuple[bool, Optional[PupiWitness]]:
+def is_pupi(s: Structure, lo: Partition, hi: Partition) -> bool:
     """Does [lo, hi] split into independent single-characteristic pieces?
 
     Searches for congruences a_1..a_k strictly above lo inside the interval
     with join hi, each a_i meeting the join of the others in lo, and each
     charr{lo, a_i} a single prime.  Family size is capped by the number of
-    atoms of the interval.  Returns (flag, first witness in canonical order).
+    atoms of the interval.
     """
     if lo == hi:
-        return True, PupiWitness((), ())
+        return True
     lat = s.lattice
-    interval = lat.interval(lo, hi)
-    cands = []
-    for c in interval:
-        if c == lo:
-            continue
-        chars = charr_set(s, lo, c)
-        if len(chars) == 1:
-            cands.append((c, next(iter(chars))))
+    cands = [
+        c
+        for c in lat.interval(lo, hi)
+        if c != lo and len(charr_set(s, lo, c)) == 1
+    ]
     interval_atoms = [hi2 for lo2, hi2 in lat.cover_pairs(lo, hi) if lo2 == lo]
     max_k = max(1, len(interval_atoms))
     for k in range(1, max_k + 1):
-        for combo in combinations(cands, k):
-            parts = [c for c, _ in combo]
+        for parts in combinations(cands, k):
             join = lo
             for c in parts:
                 join = join.join(c)
             if join != hi:
                 continue
-            ok = True
             for i, c in enumerate(parts):
                 rest = lo
                 for j, other in enumerate(parts):
                     if i != j:
                         rest = rest.join(other)
                 if c.meet(rest) != lo:
-                    ok = False
                     break
-            if ok:
-                return True, PupiWitness(
-                    tuple(parts), tuple(ch for _, ch in combo)
-                )
-    return False, None
+            else:
+                return True
+    return False
 
 
 def is_supernilpotent_congruence(s: Structure, beta: Partition) -> bool:
@@ -555,8 +518,7 @@ def is_supernilpotent_congruence(s: Structure, beta: Partition) -> bool:
         return True
     if not is_nilpotent_congruence(s, beta):
         return False
-    ok, _ = is_pupi(s, zero, beta)
-    return ok
+    return is_pupi(s, zero, beta)
 
 
 def is_supernilpotent_algebra(
@@ -609,7 +571,7 @@ def distinguished_congruences(s: Structure) -> DistinguishedCongruences:
 
     quot_ok = []
     for c in lat.elements:
-        quo, _ = lat.quotient(c)
+        quo, _ = quotient_algebra(s.algebra, c)
         if is_supernilpotent_algebra(quo, s.budget):
             quot_ok.append(c)
     smallest = _unique_min(quot_ok, "smallest supernilpotent quotient")
@@ -652,7 +614,7 @@ def supernilpotent_rank(s: Structure) -> Optional[int]:
                 if not lo.leq(hi):
                     continue
                 try:
-                    ok, _ = is_pupi(s, lo, hi)
+                    ok = is_pupi(s, lo, hi)
                 except ValueError:
                     ok = False
                 if ok:
@@ -673,16 +635,13 @@ def supernilpotent_rank(s: Structure) -> Optional[int]:
 class Decomposition:
     """A direct decomposition A ~ prod A/eta_j into prime-power factors.
 
-    ``primes[j]`` is the prime of factor j, ``projections[j]`` the universe
-    map of the quotient, and ``iso`` the verified product bijection sending
-    each element to its tuple of factor classes.
+    ``primes[j]`` is the prime of factor j and ``projections[j]`` the
+    universe map onto the quotient A/eta_j; the joint projection is a
+    verified bijection onto the product.
     """
 
-    kernels: tuple[Partition, ...]
-    factors: tuple[FiniteAlgebra, ...]
     projections: tuple[tuple[int, ...], ...]
     primes: tuple[int, ...]
-    iso: tuple[tuple[int, ...], ...]
 
 
 def prime_power_decomposition(s: Structure) -> Decomposition:
@@ -695,16 +654,6 @@ def prime_power_decomposition(s: Structure) -> Decomposition:
     lat = s.lattice
     n = s.algebra.size
     primes = prime_divisors(n)
-    if len(primes) == 1:
-        kernels = (lat.zero,)
-        quo, mapping = lat.quotient(lat.zero)
-        return Decomposition(
-            kernels,
-            (quo,),
-            (mapping,),
-            (primes[0],),
-            tuple((mapping[x],) for x in range(n)),
-        )
     ppart = {p: 1 for p in primes}
     for p in primes:
         m = n
@@ -731,16 +680,9 @@ def prime_power_decomposition(s: Structure) -> Decomposition:
         tuples = [tuple(c.class_of[x] for c in family) for x in range(n)]
         if len(set(tuples)) != n:
             continue
-        quos = [lat.quotient(c) for c in family]
-        iso = tuple(
-            tuple(quos[j][1][x] for j in range(len(family))) for x in range(n)
-        )
         return Decomposition(
-            tuple(family),
-            tuple(q for q, _ in quos),
-            tuple(m for _, m in quos),
+            tuple(quotient_algebra(s.algebra, c)[1] for c in family),
             tuple(primes),
-            iso,
         )
     raise ValueError("no complementary family of prime-power kernels found")
 

@@ -86,12 +86,6 @@ class MultilinearPoly:
     def degree(self) -> int:
         return max((len(k) for k in self.terms), default=0)
 
-    def support(self) -> frozenset[int]:
-        out: set[int] = set()
-        for k in self.terms:
-            out |= k
-        return frozenset(out)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MultilinearPoly)

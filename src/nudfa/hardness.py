@@ -77,16 +77,6 @@ class GadgetSearchError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def cnf_satisfied(cnf: Cnf3, bits: Sequence[int]) -> bool:
-    """Evaluate the formula directly on a 0/1 word (bit i = variable i+1)."""
-    for clause in cnf.clauses:
-        if not any(
-            (bits[lit - 1] if lit > 0 else 1 - bits[-lit - 1]) for lit in clause
-        ):
-            return False
-    return True
-
-
 def cnf_to_lattice_program(cnf: Cnf3) -> AlgProgram:
     """Program over ({0,1}; and, or) accepting exactly the satisfying words.
 
@@ -1016,7 +1006,7 @@ def build_two_prime_program(
         accepted = program.accept_column().tolist()
         for word in range(1 << n):
             bits = tuple((word >> t) & 1 for t in range(n))
-            if accepted[word] != cnf_satisfied(cnf, bits):
+            if accepted[word] != cnf.satisfied(bits):
                 raise AssertionError(
                     f"two-prime program disagrees with the formula at {bits}"
                 )

@@ -76,13 +76,6 @@ class ModAtom:
     coeffs: tuple[tuple[Key, int], ...]
     accepting: frozenset[int]
 
-    def value(self, bits: Sequence[int]) -> int:
-        total = 0
-        for key, c in self.coeffs:
-            if all(bits[i] for i in key):
-                total += c
-        return 1 if total % self.m in self.accepting else 0
-
 
 def make_atom(
     m: int, coeff_map: Mapping[Key, int], accepting
@@ -154,12 +147,6 @@ class ModSum:
 
     def as_poly(self) -> MultilinearPoly:
         return MultilinearPoly.affine(self.p, dict(self.coeffs), self.offset)
-
-    def eval(self, pool: AtomPool, bits: Sequence[int]) -> int:
-        total = self.offset
-        for i, c in self.coeffs.items():
-            total += c * pool.atoms[i].value(bits)
-        return total % self.p
 
 
 # conjunction normal forms keyed by (m, p, accepting profile); the coset
@@ -515,7 +502,7 @@ def emit_modsum(
                 wires=tuple((atom_node[i], 1) for i in order),
                 p=p,
                 nu=1,
-                coeffs=tuple(((modsum.coeffs[i],),) for i in order),
+                coeffs=tuple((modsum.coeffs[i],) for i in order),
                 offset=(modsum.offset,),
             )
         )
@@ -552,28 +539,34 @@ def emit_modsum(
 # ---------------------------------------------------------------------------
 
 
-def _verify_tables(
-    circuit: CCircuit, reference: Callable[[], np.ndarray], n: int
-) -> Optional[bool]:
-    """Compare ``cc_table(circuit)`` with the whole expected table that
-    ``reference()`` returns (one row per word, as ``cc_table`` lays it out);
-    returns None without building either when n exceeds the bound."""
-    if n > VERIFY_INPUT_BOUND:
-        return None
-    got = cc_table(circuit)
-    want = np.asarray(reference())
+def check_table(got: np.ndarray, want, n: int, what: str) -> None:
+    """Raise at the first word where two truth tables differ; row r of each
+    is the word whose bit i is (r >> i) & 1, as ``cc_table`` lays it out."""
+    want = np.asarray(want)
     if got.shape != want.shape:
         raise AssertionError(
-            f"pass output has shape {got.shape}, expected {want.shape}"
+            f"{what} has shape {got.shape}, expected {want.shape}"
         )
     bad = np.flatnonzero((got != want).reshape(len(got), -1).any(axis=1))
     if len(bad):
         row = int(bad[0])
         bits = [(row >> i) & 1 for i in range(n)]
         raise AssertionError(
-            f"pass output disagrees at {bits}:"
-            f" got {got[row].tolist()}, expected {want[row].tolist()}"
+            f"{what} disagrees at {bits}:"
+            f" got {got[row].astype(np.int64).tolist()},"
+            f" expected {want[row].astype(np.int64).tolist()}"
         )
+
+
+def _verify_tables(
+    circuit: CCircuit, reference: Callable[[], np.ndarray], n: int
+) -> Optional[bool]:
+    """Compare ``cc_table(circuit)`` with the whole expected table that
+    ``reference()`` returns; returns None without building either when n
+    exceeds the bound."""
+    if n > VERIFY_INPUT_BOUND:
+        return None
+    check_table(cc_table(circuit), reference(), n, "pass output")
     return True
 
 
@@ -607,7 +600,7 @@ def and_sum_lower(
     Row index reads the assignment with bit 0 least significant.  One AND
     gate per nonconstant monomial of the coordinatewise multilinear
     interpolations (shared across coordinates); the SUMP gate carries each
-    monomial's coefficient vector as a diagonal matrix.
+    monomial's coefficient vector.
     """
     budget = budget or default_budget()
     size = len(table)
@@ -634,17 +627,11 @@ def and_sum_lower(
     order = sorted(monomials, key=lambda s: (len(s), sorted(s)))
     for key in order:
         gates.append(Gate(kind=AND, layer=1, wires=tuple((i, 1) for i in sorted(key))))
-    wires = []
-    mats = []
-    for gid, key in enumerate(order):
-        wires.append((n + gid, 1))
-        vec = monomials[key]
-        mats.append(tuple(
-            tuple(vec[j] if j == col else 0 for col in range(k)) for j in range(k)
-        ))
     gates.append(
-        Gate(kind=SUMP, layer=2, wires=tuple(wires), p=p, nu=k,
-             coeffs=tuple(mats), offset=tuple(offset))
+        Gate(kind=SUMP, layer=2,
+             wires=tuple((n + gid, 1) for gid in range(len(order))), p=p, nu=k,
+             coeffs=tuple(tuple(monomials[key]) for key in order),
+             offset=tuple(offset))
     )
     circuit = CCircuit(
         inputs=n, gates=tuple(gates), output=n + len(gates) - 1,
@@ -723,8 +710,8 @@ def finalize_boolean_sum(circuit: CCircuit) -> CCircuit:
         raise ValueError("expected a scalar SUMP output gate")
     p = out_gate.p
     wires = []
-    for (src, mult), mat in zip(out_gate.wires, out_gate.coeffs):
-        c = (mult * mat[0][0]) % p
+    for (src, mult), vec in zip(out_gate.wires, out_gate.coeffs):
+        c = (mult * vec[0]) % p
         if c:
             wires.append((src, c))
     gates = list(circuit.gates[:-1])
@@ -863,8 +850,8 @@ def collapse_5to3(
     total = MultilinearPoly.constant(p, 1)
     for j in range(nu):
         row_coeffs: dict[int, int] = {}
-        for (src, mult), mat in zip(out_gate.wires, out_gate.coeffs):
-            w = (mult * sum(mat[j])) % p
+        for (src, mult), vec in zip(out_gate.wires, out_gate.coeffs):
+            w = (mult * vec[j]) % p
             i = z_pos[src]
             row_coeffs[i] = (row_coeffs.get(i, 0) + w) % p
         if all(zp.degree() <= 1 for zp in z_polys.values()):

@@ -5,9 +5,9 @@ Gate kinds:
 - ``AND`` / ``OR``: plain boolean gates (empty AND is 1, empty OR is 0);
 - ``MOD``: sums its inputs with wire multiplicities modulo m and outputs 1
   iff the sum lies in the accepting set;
-- ``SUMP``: an affine map into Z_p^nu; each boolean input b is read as the
-  constant vector (b, ..., b) and hit with a nu-by-nu matrix coefficient;
-  the output is the vector (so a SUMP may only sit at the output);
+- ``SUMP``: an affine sum into Z_p^nu; each wire carries a coefficient
+  vector c in Z_p^nu and a boolean input b adds b * c; the output is the
+  vector (so a SUMP may only sit at the output);
 - ``SUMPC``: same sum, but outputs the boolean test "vector == target".
 
 Nodes are numbered with the n inputs first (0..n-1) and gates following in
@@ -39,8 +39,6 @@ MOD = "MOD"
 SUMP = "SUMP"
 SUMPC = "SUMPC"
 
-Matrix = tuple[tuple[int, ...], ...]
-
 
 @dataclass(frozen=True)
 class Gate:
@@ -51,7 +49,7 @@ class Gate:
     accepting: frozenset[int] = frozenset()
     p: int = 0                      # SUMP/SUMPC prime
     nu: int = 0
-    coeffs: tuple[Matrix, ...] = ()  # one matrix per wire
+    coeffs: tuple[tuple[int, ...], ...] = ()  # one vector per wire
     offset: tuple[int, ...] = ()
     target: tuple[int, ...] = ()     # SUMPC only
 
@@ -69,10 +67,9 @@ class Gate:
             if self.p < 2 or self.nu < 1:
                 raise ValueError("SUMP gate needs a prime p and nu >= 1")
             if len(self.coeffs) != len(self.wires):
-                raise ValueError("one coefficient matrix per wire")
-            for mat in self.coeffs:
-                if len(mat) != self.nu or any(len(r) != self.nu for r in mat):
-                    raise ValueError("coefficient matrix has wrong shape")
+                raise ValueError("one coefficient vector per wire")
+            if any(len(vec) != self.nu for vec in self.coeffs):
+                raise ValueError("coefficient vector has wrong length")
             if len(self.offset) != self.nu:
                 raise ValueError("offset has wrong length")
         if self.kind == SUMPC and len(self.target) != self.nu:
@@ -125,7 +122,7 @@ class CCircuit:
             elif g.kind in (SUMP, SUMPC):
                 item["p"] = g.p
                 item["nu"] = g.nu
-                item["coeffs"] = [[list(r) for r in mat] for mat in g.coeffs]
+                item["coeffs"] = [list(vec) for vec in g.coeffs]
                 item["offset"] = list(g.offset)
                 if g.kind == SUMPC:
                     item["target"] = list(g.target)
@@ -139,6 +136,8 @@ class CCircuit:
 
     @staticmethod
     def from_json(data: dict) -> "CCircuit":
+        """Also reads the older SUMP form with one nu-by-nu matrix per wire,
+        applied to (b, ..., b): each matrix becomes its vector of row sums."""
         gates = []
         for item in data["gates"]:
             kind = item["kind"]
@@ -152,8 +151,11 @@ class CCircuit:
                     p=int(item.get("p", 0)),
                     nu=int(item.get("nu", 0)),
                     coeffs=tuple(
-                        tuple(tuple(int(v) for v in row) for row in mat)
-                        for mat in item.get("coeffs", [])
+                        tuple(
+                            sum(map(int, v)) if isinstance(v, list) else int(v)
+                            for v in vec
+                        )
+                        for vec in item.get("coeffs", [])
                     ),
                     offset=tuple(int(v) for v in item.get("offset", [])),
                     target=tuple(int(v) for v in item.get("target", [])),
@@ -204,10 +206,10 @@ def eval_cc(circuit: CCircuit, word: Sequence[int]):
             out = 1 if total in gate.accepting else 0
         else:
             acc = list(gate.offset)
-            for (v, mult), mat in zip(srcs, gate.coeffs):
+            for (v, mult), vec in zip(srcs, gate.coeffs):
                 if v:
                     for j in range(gate.nu):
-                        acc[j] += mult * sum(mat[j])
+                        acc[j] += mult * vec[j]
             vec = tuple(a % gate.p for a in acc)
             if gate.kind == SUMP:
                 out = vec
@@ -250,9 +252,9 @@ def cc_table(
     indices to evaluate, all 2^n in index order when None.  Every gate is
     one column over a block of words: AND and OR are ``&`` and ``|`` over
     the source columns, MOD looks the weighted sum mod m up in its
-    accepting set, SUMP/SUMPC add the row sums of their coefficient
-    matrices.  Returns a uint8 column, or an int64 array of shape
-    (words, nu) when the output is an open SUMP vector.
+    accepting set, SUMP/SUMPC add their coefficient vectors.  Returns a
+    uint8 column, or an int64 array of shape (words, nu) when the output is
+    an open SUMP vector.
     """
     readers = [0] * (circuit.inputs + len(circuit.gates))
     for gid, gate in enumerate(circuit.gates):
@@ -307,8 +309,8 @@ def _cc_block(
         else:
             weights = np.array(
                 [
-                    [mult * sum(row) % gate.p for row in mat]
-                    for (_, mult), mat in zip(gate.wires, gate.coeffs)
+                    [mult * c % gate.p for c in vec]
+                    for (_, mult), vec in zip(gate.wires, gate.coeffs)
                 ],
                 np.int64,
             ).reshape(len(srcs), gate.nu)

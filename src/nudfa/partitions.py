@@ -82,9 +82,6 @@ class Partition:
     def num_blocks(self) -> int:
         return len(set(self.class_of))
 
-    def block_sizes(self) -> list[int]:
-        return sorted(len(b) for b in self.blocks())
-
     def pairs(self) -> Iterator[tuple[int, int]]:
         """All related pairs (a, b) with a < b."""
         for block in self.blocks():

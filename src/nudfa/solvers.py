@@ -21,14 +21,13 @@ explicitly tagged probabilistic.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, verify_malcev
+from .algebra import FiniteAlgebra, quotient_algebra, verify_malcev
 from .circuits import (
     AlgCircuit,
     CircuitBuilder,
@@ -50,20 +49,15 @@ class SolveResult:
     ``status`` is one of "sat", "unsat", "unsat (probabilistic)", "holds",
     "fails".  Satisfying words / solutions land in ``witness``, failing
     assignments in ``counterexample``; both are re-verified before being
-    returned.  ``tried`` counts evaluated inputs, ``elapsed`` is wall-clock
-    seconds, ``seed`` is set by the random sampler only.
+    returned.  ``tried`` counts evaluated inputs, ``seed`` is set by the
+    random sampler only.
     """
 
     status: str
     witness: Optional[tuple[int, ...]] = None
     counterexample: Optional[tuple[int, ...]] = None
     tried: int = 0
-    elapsed: float = 0.0
     seed: Optional[int] = None
-
-    @property
-    def decided(self) -> bool:
-        return self.status in ("sat", "unsat", "holds", "fails")
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +72,6 @@ def progcsat_exhaustive(
     budget = budget or default_budget()
     n = program.n
     charge(1 << n, 1 << budget.progcsat_bits, "program input words")
-    start = time.perf_counter()
     for rows in index_blocks(1 << n):
         hits = np.flatnonzero(program.accept_column(rows))
         if len(hits):
@@ -90,11 +83,8 @@ def progcsat_exhaustive(
                 status="sat",
                 witness=bits,
                 tried=word + 1,
-                elapsed=time.perf_counter() - start,
             )
-    return SolveResult(
-        status="unsat", tried=1 << n, elapsed=time.perf_counter() - start
-    )
+    return SolveResult(status="unsat", tried=1 << n)
 
 
 def progcsat_sample(
@@ -107,7 +97,6 @@ def progcsat_sample(
         trials = 4 * program.size**2
     rng = random.Random(seed)
     n = program.n
-    start = time.perf_counter()
     for t in range(trials):
         word = rng.getrandbits(n) if n else 0
         bits = tuple((word >> i) & 1 for i in range(n))
@@ -116,13 +105,11 @@ def progcsat_sample(
                 status="sat",
                 witness=bits,
                 tried=t + 1,
-                elapsed=time.perf_counter() - start,
                 seed=seed,
             )
     return SolveResult(
         status="unsat (probabilistic)",
         tried=trials,
-        elapsed=time.perf_counter() - start,
         seed=seed,
     )
 
@@ -141,7 +128,6 @@ def csat_exhaustive(
     """Is t(x) = e solvable?  Scans the full assignment space."""
     budget = budget or default_budget()
     charge(algebra.size**circuit.k, budget.domain_scan, "assignment scan")
-    start = time.perf_counter()
     hit = _first_assignment(algebra, circuit, lambda out: out == e)
     if hit is not None:
         index, args = hit
@@ -151,13 +137,8 @@ def csat_exhaustive(
             status="sat",
             witness=args,
             tried=index + 1,
-            elapsed=time.perf_counter() - start,
         )
-    return SolveResult(
-        status="unsat",
-        tried=algebra.size**circuit.k,
-        elapsed=time.perf_counter() - start,
-    )
+    return SolveResult(status="unsat", tried=algebra.size**circuit.k)
 
 
 def ceqv_exhaustive(
@@ -169,7 +150,6 @@ def ceqv_exhaustive(
     """Does t(x) = e hold for every assignment?"""
     budget = budget or default_budget()
     charge(algebra.size**circuit.k, budget.domain_scan, "assignment scan")
-    start = time.perf_counter()
     hit = _first_assignment(algebra, circuit, lambda out: out != e)
     if hit is not None:
         index, args = hit
@@ -179,13 +159,8 @@ def ceqv_exhaustive(
             status="fails",
             counterexample=args,
             tried=index + 1,
-            elapsed=time.perf_counter() - start,
         )
-    return SolveResult(
-        status="holds",
-        tried=algebra.size**circuit.k,
-        elapsed=time.perf_counter() - start,
-    )
+    return SolveResult(status="holds", tried=algebra.size**circuit.k)
 
 
 def _first_assignment(
@@ -345,10 +320,9 @@ def ceqv_via_meet_irreducibles(
     """
     budget = budget or default_budget()
     lat = structure(algebra, budget).lattice
-    start = time.perf_counter()
     tried = 0
     for theta in lat.meet_irreducibles():
-        quo, mapping = lat.quotient(theta)
+        quo, mapping = quotient_algebra(algebra, theta)
         charge(quo.size**circuit.k, budget.domain_scan, "quotient scan")
         mapped = map_circuit_constants(circuit, mapping)
         target = mapping[e]
@@ -366,12 +340,9 @@ def ceqv_via_meet_irreducibles(
                 status="fails",
                 counterexample=lifted,
                 tried=tried + index + 1,
-                elapsed=time.perf_counter() - start,
             )
         tried += quo.size**circuit.k
-    return SolveResult(
-        status="holds", tried=tried, elapsed=time.perf_counter() - start
-    )
+    return SolveResult(status="holds", tried=tried)
 
 
 def quotient_reduce_progcsat(

@@ -101,15 +101,19 @@ def _boolean_circuit() -> CCircuit:
     return CCircuit(4, gates, 9, "AND(*)∘OR(*)∘OR(*)")
 
 
-def _sump_circuit() -> CCircuit:
-    """MOD(2) layer into an open SUMP(3, 2) output over 3 inputs."""
+def _sump_json() -> dict:
+    """MOD(2) layer into an open SUMP(3, 2) output over 3 inputs, written
+    in the older coefficient form (one nu-by-nu matrix per wire, whose row
+    sums are the vector) so that ``cceval_table_sump`` covers its loading."""
     gates = (
         Gate(MOD, 1, ((0, 1), (1, 1)), m=2, accepting=frozenset({1})),
         Gate(MOD, 1, ((1, 1), (2, 1)), m=2, accepting=frozenset({0})),
         Gate(SUMP, 2, ((3, 1), (4, 2)), p=3, nu=2,
-             coeffs=(((1, 0), (0, 2)), ((1, 1), (0, 1))), offset=(1, 0)),
+             coeffs=((1, 2), (2, 1)), offset=(1, 0)),
     )
-    return CCircuit(3, gates, 5, "MOD(2)∘SUMP(3)")
+    doc = CCircuit(3, gates, 5, "MOD(2)∘SUMP(3)").to_json()
+    doc["gates"][-1]["coeffs"] = [[[1, 0], [0, 2]], [[1, 1], [0, 1]]]
+    return doc
 
 
 def _modmod_circuit() -> CCircuit:
@@ -144,7 +148,9 @@ def write_inputs() -> None:
     for name, doc in (("eq_mixed", EQ_MIXED), ("eq_identity", EQ_IDENTITY)):
         (d / f"{name}.json").write_text(json.dumps(doc, indent=2) + "\n")
     _boolean_circuit().dump(str(d / "boolean.json"))
-    _sump_circuit().dump(str(d / "sump.json"))
+    (d / "sump.json").write_text(
+        json.dumps(_sump_json(), indent=2, sort_keys=True) + "\n"
+    )
     _modmod_circuit().dump(str(d / "modmod.json"))
     _modand_circuit().dump(str(d / "modand.json"))
     for cnf in ("sat", "unsat"):

@@ -25,7 +25,7 @@ PEAK_HARNESS_BYTES = 1152 * 1024
 def sump_circuit() -> CCircuit:
     """One SUMP(2) gate over two inputs: its output is a vector."""
     gate = Gate(SUMP, 1, ((0, 1), (1, 1)), p=2, nu=1,
-                coeffs=(((1,),), ((1,),)), offset=(0,))
+                coeffs=((1,), (1,)), offset=(0,))
     return CCircuit(2, (gate,), 2, "SUMP(2)")
 
 

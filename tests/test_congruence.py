@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import commutator_reference as reference
 from nudfa import congruence
-from nudfa.algebra import FiniteAlgebra, Operation, respects
+from nudfa.algebra import FiniteAlgebra, Operation, quotient_algebra, respects
 from nudfa.circuits import argument_blocks
 from nudfa.cli import main
 from nudfa.congruence import (
@@ -231,8 +231,8 @@ def test_distinguished_congruences_of_the_marked_algebra():
 
 
 def test_quotient_by_a_congruence_is_a_homomorphic_image():
-    alg, lat = lattice_of("Z6%2")
-    quo, mapping = lat.quotient(ETA_MOD2)
+    alg = get_fixture("Z6%2").algebra
+    quo, mapping = quotient_algebra(alg, ETA_MOD2)
     assert quo.size == 2
     assert all(mapping[x] == mapping[y] for x, y in ETA_MOD2.pairs())
     for op in alg.ops:
@@ -248,8 +248,8 @@ def test_prime_power_decomposition_of_the_order_six_group():
     alg = s.algebra
     dec = prime_power_decomposition(s)
     assert sorted(dec.primes) == [2, 3]
-    assert sorted(f.size for f in dec.factors) == [2, 3]
-    assert len(set(dec.iso)) == alg.size
+    assert sorted(len(set(proj)) for proj in dec.projections) == [2, 3]
+    assert len(set(zip(*dec.projections))) == alg.size
 
 
 def test_pdiv_is_the_product_of_primes_dividing_the_size():

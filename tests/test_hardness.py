@@ -18,7 +18,6 @@ from nudfa.hardness import (
     GadgetSearchError,
     WitnessFailure,
     beta_interpolate,
-    cnf_satisfied,
     cnf_to_lattice_program,
     find_interpolation_configs,
     find_two_prime_witness,
@@ -50,8 +49,7 @@ def test_lattice_program_accepts_exactly_the_satisfying_words():
         assert prog.circuit.k == 2 * n
         assert prog.algebra.size == 2
         for word in product((0, 1), repeat=n):
-            assert prog.accepts(word) == cnf_satisfied(cnf, word)
-            assert cnf_satisfied(cnf, word) == cnf.satisfied(word)
+            assert prog.accepts(word) == cnf.satisfied(word)
 
 
 def test_empty_formula_is_always_satisfied():

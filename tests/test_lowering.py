@@ -93,10 +93,7 @@ def rand_five_layer(rng, n, m, p, nu):
     base = n + ands1 + mods + ps
     wires = tuple((base + i, 1) for i in range(ands2))
     coeffs = tuple(
-        tuple(
-            tuple(rng.randrange(p) for _ in range(nu)) for _ in range(nu)
-        )
-        for _ in wires
+        tuple(rng.randrange(p) for _ in range(nu)) for _ in wires
     )
     gates.append(
         Gate(

@@ -26,7 +26,7 @@ from nudfa.modcircuit import (
     validate_shape,
 )
 
-IDENT2 = ((1, 0), (0, 1))
+ONES2 = (1, 1)
 
 
 def mod_parity_circuit():
@@ -45,7 +45,7 @@ def and_or_circuit():
 
 def open_sum_circuit():
     gate = Gate(
-        SUMP, 1, ((0, 1),), p=3, nu=2, coeffs=(IDENT2,), offset=(0, 2)
+        SUMP, 1, ((0, 1),), p=3, nu=2, coeffs=(ONES2,), offset=(0, 2)
     )
     return CCircuit(inputs=1, gates=(gate,), output=1, declared_shape="SUMP(3)")
 
@@ -73,15 +73,13 @@ def test_sum_gate_validation():
     with pytest.raises(ValueError):
         Gate(SUMP, 1, ((0, 1),), p=3, nu=2, coeffs=(), offset=(0, 0))
     with pytest.raises(ValueError):
-        Gate(
-            SUMP, 1, ((0, 1),), p=3, nu=2, coeffs=(((1,),),), offset=(0, 0)
-        )
+        Gate(SUMP, 1, ((0, 1),), p=3, nu=2, coeffs=((1,),), offset=(0, 0))
     with pytest.raises(ValueError):
-        Gate(SUMP, 1, ((0, 1),), p=3, nu=2, coeffs=(IDENT2,), offset=(0,))
+        Gate(SUMP, 1, ((0, 1),), p=3, nu=2, coeffs=(ONES2,), offset=(0,))
     with pytest.raises(ValueError):
         Gate(
             SUMPC, 1, ((0, 1),), p=3, nu=2,
-            coeffs=(IDENT2,), offset=(0, 0), target=(1,),
+            coeffs=(ONES2,), offset=(0, 0), target=(1,),
         )
 
 
@@ -118,14 +116,14 @@ def test_open_sum_output_is_a_vector():
 def test_closed_sum_gate_compares_to_target():
     gate = Gate(
         SUMPC, 1, ((0, 1),), p=3, nu=2,
-        coeffs=(IDENT2,), offset=(0, 2), target=(1, 0),
+        coeffs=(ONES2,), offset=(0, 2), target=(1, 0),
     )
     circ = CCircuit(inputs=1, gates=(gate,), output=1, declared_shape="SUMPC(3)")
     assert cc_truth_table(circ) == [0, 1]
 
 
 def test_vector_valued_gates_cannot_feed_other_gates():
-    vec = Gate(SUMP, 1, ((0, 1),), p=3, nu=1, coeffs=(((1,),),), offset=(0,))
+    vec = Gate(SUMP, 1, ((0, 1),), p=3, nu=1, coeffs=((1,),), offset=(0,))
     top = Gate(AND, 2, ((1, 1),))
     circ = CCircuit(
         inputs=1, gates=(vec, top), output=2, declared_shape="SUMP(3)∘AND(*)"
@@ -178,9 +176,7 @@ def layered_circuits(draw):
                 nu = draw(st.integers(1, 2))
                 entry = st.integers(-3, 7)
                 vec = st.lists(entry, min_size=nu, max_size=nu).map(tuple)
-                coeffs = tuple(
-                    tuple(draw(vec) for _ in range(nu)) for _ in wires
-                )
+                coeffs = tuple(draw(vec) for _ in wires)
                 gate = Gate(
                     kind, layer, wires, p=p, nu=nu, coeffs=coeffs,
                     offset=draw(vec), target=draw(vec) if kind == SUMPC else (),
@@ -272,7 +268,7 @@ def test_layer_skipping_wires_are_flagged():
 
 
 def test_non_output_open_sum_is_flagged():
-    vec = Gate(SUMP, 1, ((0, 1),), p=3, nu=1, coeffs=(((1,),),), offset=(0,))
+    vec = Gate(SUMP, 1, ((0, 1),), p=3, nu=1, coeffs=((1,),), offset=(0,))
     top = Gate(AND, 2, ((1, 1),))
     circ = CCircuit(
         inputs=1, gates=(vec, top), output=2, declared_shape="SUMP(3)∘AND(*)"
@@ -288,10 +284,20 @@ def test_non_output_open_sum_is_flagged():
     "make", [mod_parity_circuit, and_or_circuit, open_sum_circuit]
 )
 def test_json_round_trip(make):
+    """Also loads the older SUMP form, one nu-by-nu matrix per wire read on
+    (b, ..., b), here with rows (c_j - nu + 1, 1, ..., 1) that sum to c_j."""
     circ = make()
-    back = CCircuit.from_json(circ.to_json())
-    assert back == circ
-    assert cc_truth_table(back) == cc_truth_table(circ)
+    legacy = circ.to_json()
+    for gate in legacy["gates"]:
+        if "coeffs" in gate:
+            ones = [1] * (gate["nu"] - 1)
+            gate["coeffs"] = [
+                [[c - len(ones)] + ones for c in vec] for vec in gate["coeffs"]
+            ]
+    for doc in (circ.to_json(), legacy):
+        back = CCircuit.from_json(doc)
+        assert back == circ
+        assert np.array_equal(cc_table(back), cc_table(circ))
 
 
 def test_file_round_trip(tmp_path):
