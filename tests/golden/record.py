@@ -71,6 +71,21 @@ def parity_sum(n: int) -> AlgProgram:
     )
 
 
+def count_ones(n: int) -> AlgProgram:
+    """Z6: x_0 + ... + x_{n-1} with 0/1 inputs, accepting {2}."""
+    b = CircuitBuilder(n)
+    acc = b.var(0)
+    for i in range(1, n):
+        acc = b.gate("+", acc, b.var(i))
+    return AlgProgram(
+        get_fixture("Z6").algebra,
+        b.finish(acc),
+        n,
+        tuple(Instruction(i, i, 0, 1) for i in range(n)),
+        frozenset({2}),
+    )
+
+
 def _equation(gates) -> dict:
     """Two-variable Z6%2 circuit JSON from a node list."""
     return {"k": 2, "nodes": gates, "output": len(gates) - 1}
@@ -143,6 +158,8 @@ def write_inputs() -> None:
     for name in demo_names():
         demo_program(name).dump(str(d / f"demo_{name}.json"))
     parity_sum(10).dump(str(d / "parity_sum_z6m2_10.json"))
+    parity_sum(12).dump(str(d / "parity_sum_z6m2_12.json"))
+    count_ones(14).dump(str(d / "count_ones_z6_14.json"))
     (d / "sat.cnf").write_text(SAT_CNF)
     (d / "unsat.cnf").write_text(UNSAT_CNF)
     for name, doc in (("eq_mixed", EQ_MIXED), ("eq_identity", EQ_IDENTITY)):
@@ -166,9 +183,11 @@ def cases() -> list[tuple[str, list[str]]]:
         out.append((f"compile_{name}",
                     ["compile", "--program", f"inputs/demo_{name}.json",
                      "--verify-n", "20"]))
-    out.append(("compile_parity_sum_z6m2_10",
-                ["compile", "--program", "inputs/parity_sum_z6m2_10.json",
-                 "--verify-n", "20"]))
+    for prog in ("parity_sum_z6m2_10", "parity_sum_z6m2_12",
+                 "count_ones_z6_14"):
+        out.append((f"compile_{prog}",
+                    ["compile", "--program", f"inputs/{prog}.json",
+                     "--verify-n", "20"]))
     z = "fixtures:Z6%2"
     for eq, e in (("eq_mixed", "3"), ("eq_mixed", "1"), ("eq_identity", "0"),
                   ("eq_identity", "1")):
