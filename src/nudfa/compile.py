@@ -404,7 +404,7 @@ def _combined_indicator(
         proj_j = dec.projections[j]
         tj = proj_j[target]
         table = (np.asarray(proj_j)[value_table] == tj).astype(np.int64)
-        w = multilinear_interpolate(table.tolist(), pj)
+        w = multilinear_interpolate(table, pj)
         scale = m // pj
         for key, cf in w.terms.items():
             if key:
@@ -425,6 +425,10 @@ def compile_supernilpotent(
     """Program over a supernilpotent algebra as AND∘MOD(pdiv)∘OR."""
     budget = budget or default_budget()
     A = program.algebra
+    if A.size == 1:
+        raise HypothesisViolation(
+            f"{A.name} has one element, so no prime divides its size"
+        )
     s = structure(A, budget)
     if not is_supernilpotent_algebra(A, budget):
         raise HypothesisViolation(f"{A.name} is not supernilpotent")

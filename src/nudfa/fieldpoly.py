@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .limits import Budget, charge, default_budget
 
 
@@ -195,22 +197,25 @@ def multilinear_interpolate(table: Sequence[int], p: int) -> MultilinearPoly:
     """Unique multilinear polynomial matching a truth table over {0,1}^n.
 
     Row index encodes the assignment with variable 0 least significant.
-    Uses the subset Moebius transform in place, O(n 2^n).
+    Uses the subset Moebius transform on an int64 copy of the table, one
+    vector step per variable: viewed as (-1, 2, 2^i), the half with bit i
+    set loses the half without it, mod p.  Terms come in ascending mask
+    order.
     """
     size = len(table)
     n = size.bit_length() - 1
     if 1 << n != size:
         raise ValueError("table length must be a power of two")
-    t = [v % p for v in table]
+    t = np.remainder(table, p, dtype=np.int64)
     for i in range(n):
-        bit = 1 << i
-        for mask in range(size):
-            if mask & bit:
-                t[mask] = (t[mask] - t[mask ^ bit]) % p
-    terms = {}
-    for mask in range(size):
-        if t[mask]:
-            terms[frozenset(i for i in range(n) if mask >> i & 1)] = t[mask]
+        halves = t.reshape(-1, 2, 1 << i)
+        halves[:, 1] -= halves[:, 0]
+        halves[:, 1] %= p
+    masks = np.flatnonzero(t)
+    terms = {
+        frozenset(i for i in range(n) if mask >> i & 1): c
+        for mask, c in zip(masks.tolist(), t[masks].tolist())
+    }
     return MultilinearPoly(p, terms)
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from nudfa import cli, congruence, lowering
+from nudfa.algebra import FiniteAlgebra, Operation
 from nudfa.circuits import CircuitBuilder
 from nudfa.cli import main, verify_harness
 from nudfa.compile import compile_supernilpotent
@@ -74,6 +75,27 @@ def test_harness_memory_stays_bounded():
         tracemalloc.stop()
     assert doc == {"match": True, "words": 1 << 14}
     assert peak < PEAK_HARNESS_BYTES, peak
+
+
+def test_compile_refuses_a_one_element_algebra(tmp_path):
+    """No prime divides the size of a one-element algebra, so there is no
+    modulus to count in: ``compile`` prints a JSON error and exits 1."""
+    trivial = FiniteAlgebra("T1", 1, (Operation("+", 2, (0,)),))
+    b = CircuitBuilder(2)
+    prog = AlgProgram(
+        trivial, b.finish(b.gate("+", b.var(0), b.var(1))), 2,
+        (Instruction(0, 0, 0, 0), Instruction(1, 1, 0, 0)), frozenset({0}),
+    )
+    path = tmp_path / "prog.json"
+    prog.dump(str(path))
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["compile", "--program", str(path), "--verify-n", "20"])
+    assert code == 1
+    assert json.loads(buf.getvalue()) == {
+        "error": "T1 has one element, so no prime divides its size",
+        "kind": "HypothesisViolation",
+    }
 
 
 def test_reused_parser_keeps_no_state_between_calls(monkeypatch, capsys):

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import interpolate_reference as reference
 from nudfa.fieldpoly import (
     Cnf3,
     MultilinearPoly,
@@ -19,6 +23,10 @@ from nudfa.fieldpoly import (
     parse_dimacs,
     pseudo_and,
 )
+from nudfa.limits import Budget
+
+# One int64 working copy of a 2^20-row table is 8 MiB.
+PEAK_INTERPOLATION_BYTES = 12 * 1024 * 1024
 
 
 def all_words(n):
@@ -51,8 +59,52 @@ def test_interpolation_of_named_tables():
 
 
 def test_interpolation_rejects_non_power_of_two_tables():
-    with pytest.raises(ValueError):
-        multilinear_interpolate([0, 1, 1], 2)
+    for size in (3, 6):
+        for table in ([1] * size, np.ones(size, dtype=np.int64)):
+            with pytest.raises(ValueError, match="power of two"):
+                multilinear_interpolate(table, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 12),
+    p=st.sampled_from((2, 3, 5, 7, 251)),
+    kind=st.sampled_from(("list", "int64", "uint8")),
+    density=st.sampled_from((0.0, 0.01, 0.5, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_interpolation_matches_the_reference_transform(n, p, kind, density, seed):
+    """Same coefficients in the same term order as the per-row loop, for
+    sparse and dense tables whose entries may be negative or at least p."""
+    rng = np.random.default_rng(seed)
+    lo, hi = (0, 256) if kind == "uint8" else (-300, 301)
+    values = rng.integers(lo, hi, size=1 << n) * (rng.random(1 << n) < density)
+    table = {
+        "list": values.tolist(),
+        "int64": values.astype(np.int64),
+        "uint8": values.astype(np.uint8),
+    }[kind]
+    poly = multilinear_interpolate(table, p)
+    expected = reference.multilinear_interpolate(values.tolist(), p)
+    assert poly.p == p
+    assert list(poly.terms.items()) == list(expected.terms.items())
+    assert all(type(c) is int for c in poly.terms.values())
+
+
+def test_interpolation_memory_stays_bounded():
+    """The conjunction of 20 bits takes one working copy of its table, not
+    a (2^n x n) bit matrix."""
+    n = Budget().truth_table_bits
+    table = np.zeros(1 << n, dtype=np.int64)
+    table[-1] = 1
+    tracemalloc.start()
+    try:
+        poly = multilinear_interpolate(table, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert poly.terms == {frozenset(range(n)): 1}
+    assert peak < PEAK_INTERPOLATION_BYTES, peak
 
 
 def test_ring_operations_agree_with_pointwise_arithmetic():
