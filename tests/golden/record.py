@@ -15,8 +15,11 @@ import contextlib
 import io
 import json
 import os
+import random
+from itertools import product
 from pathlib import Path
 
+from nudfa.algebra import FiniteAlgebra, Operation
 from nudfa.circuits import CircuitBuilder
 from nudfa.cli import main
 from nudfa.congruence import all_congruences
@@ -84,6 +87,42 @@ def count_ones(n: int) -> AlgProgram:
         tuple(Instruction(i, i, 0, 1) for i in range(n)),
         frozenset({2}),
     )
+
+
+def _binary(name: str, n: int, fn) -> FiniteAlgebra:
+    table = tuple(fn(x, y) for x, y in product(range(n), repeat=2))
+    return FiniteAlgebra(name, n, (Operation("*", 2, table),))
+
+
+def dihedral4() -> FiniteAlgebra:
+    """The symmetries of a square, r^i s^j encoded as 2 i + j: M(1, 1)
+    has 1,024 matrices."""
+
+    def mul(x: int, y: int) -> int:
+        i, j = divmod(x, 2)
+        k, l = divmod(y, 2)
+        return 2 * ((i + (k if j == 0 else -k)) % 4) + (j + l) % 2
+
+    return _binary("D4", 8, mul)
+
+
+def z3xz3() -> FiniteAlgebra:
+    """Z3 x Z3 with (i, j) encoded as 3 i + j: M(1, 1) has 729 matrices."""
+    return _binary(
+        "Z3xZ3", 9,
+        lambda x, y: ((x // 3 + y // 3) % 3) * 3 + (x % 3 + y % 3) % 3,
+    )
+
+
+def groupoid7() -> FiniteAlgebra:
+    """The random 7-element groupoid whose M(1, 1) is all of A^4."""
+    rng = random.Random(7)
+    table = tuple(rng.randrange(7) for _ in range(49))
+    return FiniteAlgebra("G7", 7, (Operation("*", 2, table),))
+
+
+# Table-built algebras with the largest matrix subalgebras, for ``con``.
+TABLE_ALGEBRAS = {"D4": dihedral4, "Z3xZ3": z3xz3, "G7": groupoid7}
 
 
 def _equation(gates) -> dict:
@@ -170,6 +209,8 @@ def write_inputs() -> None:
     )
     _modmod_circuit().dump(str(d / "modmod.json"))
     _modand_circuit().dump(str(d / "modand.json"))
+    for name, make in TABLE_ALGEBRAS.items():
+        make().dump(str(d / f"algebra_{name}.json"))
     for cnf in ("sat", "unsat"):
         _run(["gadget", "lattice", "--cnf", f"inputs/{cnf}.cnf",
               "--out", f"inputs/lattice_{cnf}.json"])
@@ -234,6 +275,9 @@ def cases() -> list[tuple[str, list[str]]]:
         out.append((f"localize_{name}",
                     ["localize", "--algebra", spec,
                      "--lower", str(lower), "--upper", str(upper)]))
+    for name in TABLE_ALGEBRAS:
+        out.append((f"con_{name}",
+                    ["con", "--algebra", f"inputs/algebra_{name}.json"]))
     for name in ("Z6%2", "S3"):
         out.append((f"gadget_twoprime_{name}",
                     ["gadget", "twoprime", "--algebra", f"fixtures:{name}",
