@@ -192,10 +192,12 @@ class UnaryClone:
     def __init__(self, algebra: FiniteAlgebra, budget: Optional[Budget] = None):
         self.algebra = algebra
         tables, nodes, _ = _closure(algebra, 1, budget, "unary clone")
-        order = np.lexsort(tables.T[::-1]).tolist()
+        order = np.lexsort(tables.T[::-1])
+        # The value tables stacked in iteration order, one row a function.
+        self.tables = tables[order]
         self.functions = tuple(
             UnaryFn(tuple(values), partial(subcircuit, 1, nodes, t))
-            for values, t in zip(tables[order].tolist(), order)
+            for values, t in zip(self.tables.tolist(), order.tolist())
         )
         self._by_table = {fn.values: fn for fn in self.functions}
 

@@ -10,11 +10,12 @@ the package.
 ``eval_columns`` evaluate a whole block of assignments, each gate as one
 gather on its operation's flat table.  ``product_columns`` and
 ``argument_blocks`` list assignments and argument tuples in ``product``
-order as numpy arrays.
+order as numpy arrays, ``index_blocks`` their positions in the pools.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -122,24 +123,35 @@ def product_columns(indices: np.ndarray, size: int, k: int) -> np.ndarray:
     return cols
 
 
+def index_blocks(sizes: Sequence[int], block: int):
+    """The positions of every tuple of a product of pools of the given
+    sizes, in ``product`` order, at most ``block`` tuples at a time: one
+    array of positions (a row each) for every pool but the last, and a
+    slice of the last pool (the columns)."""
+    *head, last = sizes
+    if not last:
+        return
+    step = max(1, block // last)
+    total = math.prod(head)
+    for start in range(0, total, step):
+        q = np.arange(start, min(start + step, total))
+        rows = []
+        for size in reversed(head):
+            q, r = np.divmod(q, size)
+            rows.append(r)
+        rows.reverse()
+        for lo in range(0, last, block):
+            yield rows, slice(lo, lo + block)
+
+
 def argument_blocks(pools: list[np.ndarray], block: int):
     """Every tuple of ``product(*pools)`` as argument arrays that broadcast
     to at most ``block`` tuples: the last pool runs along the columns, the
     other pools' tuples along the rows."""
-    *head, last = pools
-    if not last.size:
-        return
-    step = max(1, block // last.size)
-    total = int(np.prod([p.size for p in head], dtype=np.int64))
-    for start in range(0, total, step):
-        q = np.arange(start, min(start + step, total))
-        prefix = []
-        for pool in reversed(head):
-            q, r = np.divmod(q, pool.size)
-            prefix.append(pool[r][:, None])
-        prefix.reverse()
-        for lo in range(0, last.size, block):
-            yield prefix + [last[None, lo:lo + block]]
+    for rows, cols in index_blocks([p.size for p in pools], block):
+        yield [p[r][:, None] for p, r in zip(pools, rows)] + [
+            pools[-1][None, cols]
+        ]
 
 
 def node_columns(

@@ -9,6 +9,11 @@ join-closure of the principal congruences.  The binary commutator is the
 term-condition commutator, computed from the matrix subalgebra M(alpha, beta)
 of A^4: each matrix is coded as a pair of rows, each row a pair of elements,
 so unary and binary operations act on it through their tables on A^2.
+Congruences are symmetric, so M(alpha, beta) is invariant under exchanging
+the rows and exchanging the columns of its matrices, and M(alpha, alpha)
+also under transposing them (Freese and McKenzie, "Commutator Theory for
+Congruence Modular Varieties", 1987); the closure applies each operation
+with its first argument running over orbit representatives only.
 
 Everything derived from one algebra lives in its :class:`Structure`: the
 translations, the lattice, the unary clone, a Malcev polynomial, the
@@ -25,7 +30,7 @@ pieces, and the distinguished congruences that drive the circuit compiler.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from typing import Iterable, Optional
 
@@ -38,7 +43,7 @@ from .algebra import (
     quotient_algebra,
     respects,
 )
-from .circuits import AlgCircuit, argument_blocks
+from .circuits import AlgCircuit, index_blocks
 from .fieldpoly import prime_divisors
 from .limits import Budget, default_budget
 from .partitions import Partition, all_partitions
@@ -292,11 +297,44 @@ def all_congruences_bruteforce(algebra: FiniteAlgebra) -> list[Partition]:
 # Products of matrices are evaluated this many at a time.
 MATRIX_BLOCK = 1 << 14
 
+# The symmetries of a 2x2 matrix (x1, x2, x3, x4) as the entry each
+# position takes: exchanging the rows, exchanging the columns, transposing.
+ROW_SWAP = (2, 3, 0, 1)
+COLUMN_SWAP = (1, 0, 3, 2)
+TRANSPOSE = (0, 2, 1, 3)
+
 
 def _related(part: Partition) -> tuple[np.ndarray, np.ndarray]:
     """Both coordinates of every pair the partition relates."""
     cls = np.array(part.class_of)
     return np.nonzero(cls[:, None] == cls)
+
+
+@lru_cache(maxsize=16)
+def _symmetries(n: int, transpose: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The group generated by the row and column swaps, and by the
+    transposition if ``transpose``, acting on the codes of A^4.
+
+    Returns the image of every code under each group element, one row per
+    element, and the mask of the orbit representatives: the codes no image
+    of which is smaller.  Both arrays are read-only.
+    """
+    moves = [ROW_SWAP, COLUMN_SWAP] + [TRANSPOSE] * transpose
+    group = {(0, 1, 2, 3)}
+    grown = group
+    while grown:
+        grown = {tuple(g[m] for m in move) for g in grown for move in moves}
+        grown -= group
+        group |= grown
+    entries = np.unravel_index(np.arange(n**4), (n,) * 4)
+    images = np.stack([
+        np.ravel_multi_index([entries[i] for i in g], (n,) * 4)
+        for g in sorted(group)
+    ])
+    representative = images.min(axis=0) == images[0]
+    images.setflags(write=False)
+    representative.setflags(write=False)
+    return images, representative
 
 
 def _matrix_subalgebra(
@@ -310,18 +348,34 @@ def _matrix_subalgebra(
     bottom``, each row one pair ``x * n + y``.  Unary and binary operations
     act on both rows through their tables on A^2 (n**2 or n**4 entries),
     one gather per row; higher arities gather each of the four entries from
-    the flat table.  Each round applies every operation to the tuples with
-    at least one matrix new in the last round (semi-naive: argument j new,
-    those before it older, those after it anything), ``MATRIX_BLOCK``
-    products at a time.  Returns the sorted codes.
+    the flat table.  Each pool of matrices is split into these digits once
+    a round, each digit weighted by its argument's place in the table
+    index, so a block of products is one broadcast sum and one gather per
+    digit.
+
+    Each round applies every operation to the tuples with at least one
+    matrix new in the last round (semi-naive: argument j new, those before
+    it older, those after it anything), ``MATRIX_BLOCK`` products at a
+    time.  The generators are invariant under exchanging the rows and
+    exchanging the columns, and when left == right under transposing, since
+    congruences are symmetric.  Operations act entrywise, so they commute
+    with these symmetries and every pool stays invariant under the group G
+    they generate; then f(m_1, ..., m_r) = g f(g^-1 m_1, ..., g^-1 m_r)
+    with g^-1 m_1 the least code of its orbit.  So the first argument runs
+    over orbit representatives only, and every G-image of each new matrix
+    is added before the next round: each round finds the matrices of the
+    plain closure's round, for about 1/|G| of its products (|G| = 4, or 8
+    when left == right).  Returns the sorted codes.
     """
     n = algebra.size
     n2 = n * n
+    images, representative = _symmetries(n, left == right)
     diagonal = np.arange(n) * (n + 1)  # the row (x, x)
     a, b = _related(left)
     u, v = _related(right)
     # A nullary operation adds only its constant matrix (c, c, c, c), which
-    # is a generator already.
+    # is a generator already.  Each applier holds the arity, the digit base
+    # and the table scaled for each digit, most significant first.
     appliers = []
     for op in algebra.ops:
         t = np.array(op.table, dtype=np.int64)
@@ -329,9 +383,15 @@ def _matrix_subalgebra(
             tk = t.reshape((n,) * op.arity)
             first = tk.reshape((n, 1) * op.arity)
             second = tk.reshape((1, n) * op.arity)
-            appliers.append((op.arity, 2, n2, (first * n + second).ravel()))
+            pair = (first * n + second).ravel()
+            appliers.append((op.arity, n2, [pair * n2, pair]))
         elif op.arity > 2:
-            appliers.append((op.arity, 4, n, t))
+            appliers.append((op.arity, n, [t * n**d for d in (3, 2, 1, 0)]))
+
+    def digits(pool: np.ndarray, base: int) -> list[np.ndarray]:
+        if base == n2:
+            return list(np.divmod(pool, n2))
+        return list(np.unravel_index(pool, (n,) * 4))
 
     present = np.zeros(n**4, dtype=bool)
     present[diagonal[a] * n2 + diagonal[b]] = True
@@ -340,20 +400,38 @@ def _matrix_subalgebra(
     old = frontier[:0]
     while frontier.size:
         existing = np.flatnonzero(present)
+        pools = {
+            "old": old,
+            "frontier": frontier,
+            "existing": existing,
+            "old reps": old[representative[old]],
+            "frontier reps": frontier[representative[frontier]],
+        }
+        split = {
+            (name, base): digits(pool, base)
+            for name, pool in pools.items()
+            for base in {base for _, base, _ in appliers}
+        }
         fresh = np.zeros(n**4, dtype=bool)
-        for arity, digits, base, table in appliers:
+        for arity, base, scaled in appliers:
             for j in range(arity):
-                pools = [old] * j + [frontier] + [existing] * (arity - 1 - j)
-                for args in argument_blocks(pools, MATRIX_BLOCK):
-                    # Digit d of every argument, most significant first: a
-                    # row for the tables on A^2, an entry for the flat ones.
+                names = ["old"] * j + ["frontier"] + ["existing"] * (arity - 1 - j)
+                names[0] += " reps"
+                weighted = [
+                    [d * base ** (arity - 1 - i) for d in split[name, base]]
+                    for i, name in enumerate(names)
+                ]
+                *head, last = weighted
+                sizes = [pools[name].size for name in names]
+                for rows, cols in index_blocks(sizes, MATRIX_BLOCK):
                     out = 0
-                    for d in range(digits - 1, -1, -1):
-                        idx = 0
-                        for arg in args:
-                            idx = idx * base + arg // base**d % base
-                        out = out * base + table[idx]
+                    for d, table in enumerate(scaled):
+                        idx = last[d][None, cols]
+                        for w, r in zip(head, rows):
+                            idx = idx + w[d][r][:, None]
+                        out = out + table[idx]
                     fresh[out] = True
+        fresh[images[:, fresh]] = True
         fresh &= ~present
         present |= fresh
         old = existing
@@ -649,10 +727,15 @@ def prime_power_decomposition(s: Structure) -> Decomposition:
 
     For each prime p dividing |A| the kernel must have quotient of p-power
     size and blocks of size coprime to p; the family must meet to zero so
-    that the joint projection is a bijection (verified).
+    that the joint projection is a bijection (verified).  A one-element
+    algebra has no prime dividing its size, so it is refused.
     """
     lat = s.lattice
     n = s.algebra.size
+    if n == 1:
+        raise ValueError(
+            f"{s.algebra.name} has one element, so no prime divides its size"
+        )
     primes = prime_divisors(n)
     ppart = {p: 1 for p in primes}
     for p in primes:

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .algebra import FiniteAlgebra, UnaryClone, UnaryFn
 from .circuits import AlgCircuit, eval_circuit
 from .congruence import Structure, principal_congruence
@@ -28,25 +30,24 @@ class MinimalSet:
     idempotent: Optional[UnaryFn]  # range exactly U, e o e = e (when found)
 
 
-def _separates(fn: UnaryFn, lo: Partition, hi: Partition) -> bool:
-    """fn maps some hi-related pair outside lo."""
-    return any(
-        not lo.same(fn.values[a], fn.values[b]) for a, b in hi.pairs()
-    )
-
-
 def minimal_sets(s: Structure, lo: Partition, hi: Partition) -> list[MinimalSet]:
     """All minimal sets of the pair (lo, hi), sorted canonically.
 
-    Scans the unary clone for functions separating hi from lo, keeps the
-    inclusion-minimal ranges, and attaches an idempotent with that exact
-    range: a power of the witness when one works, otherwise a clone search.
+    Tests every function of the unary clone at once for separating hi from
+    lo (mapping some hi-related pair outside lo), keeps the
+    inclusion-minimal ranges, each with its first separating function in
+    the clone's order as witness, and attaches an idempotent with that
+    exact range: a power of the witness when one works, otherwise a clone
+    search.
     """
     clone = s.clone
+    first, second = np.array(list(hi.pairs()), dtype=np.intp).reshape(-1, 2).T
+    images = np.array(lo.class_of)[clone.tables]
+    separates = (images[:, first] != images[:, second]).any(axis=1)
     separating: dict[frozenset[int], UnaryFn] = {}
-    for fn in clone:
-        if _separates(fn, lo, hi):
-            separating.setdefault(fn.image, fn)
+    for i in np.flatnonzero(separates).tolist():
+        fn = clone.functions[i]
+        separating.setdefault(fn.image, fn)
     ranges = list(separating)
     minimal = [
         r for r in ranges if not any(o < r for o in ranges)

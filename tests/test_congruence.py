@@ -252,6 +252,14 @@ def test_prime_power_decomposition_of_the_order_six_group():
     assert len(set(zip(*dec.projections))) == alg.size
 
 
+def test_prime_power_decomposition_refuses_a_one_element_algebra():
+    """No prime divides 1, so there is no family of kernels to search;
+    the refusal names the case instead of failing on an empty family."""
+    trivial = FiniteAlgebra("T1", 1, (Operation("+", 2, (0,)),))
+    with pytest.raises(ValueError, match="T1 has one element"):
+        prime_power_decomposition(structure(trivial))
+
+
 def test_pdiv_is_the_product_of_primes_dividing_the_size():
     for name, value in [("Z2", 2), ("Z3", 3), ("Z4", 2), ("Z6", 6), ("S3", 6)]:
         assert pdiv(get_fixture(name).algebra) == value, name
@@ -383,6 +391,48 @@ MINORITY = FiniteAlgebra(
 def test_fixture_commutators_match_the_reference(name):
     alg = MINORITY if name == "minority" else get_fixture(name).algebra
     assert_matches_reference(alg)
+
+
+def moved(codes, n, move):
+    """The sorted codes of the matrices (x1, x2, x3, x4) with their
+    entries rearranged to ``move(x1, x2, x3, x4)``."""
+    entries = np.unravel_index(codes, (n,) * 4)
+    return np.sort(np.ravel_multi_index(move(*entries), (n,) * 4)).tolist()
+
+
+def assert_reference_symmetries(alg, alpha, beta):
+    """M(alpha, beta) of the reference closure is invariant under swapping
+    its rows and swapping its columns, M(alpha, alpha) also under
+    transposing, and M(beta, alpha) is the transpose of M(alpha, beta)."""
+    n = alg.size
+    m = reference.matrix_subalgebra(alg, alpha, beta)
+    codes = m.tolist()
+    assert moved(m, n, lambda x1, x2, x3, x4: (x3, x4, x1, x2)) == codes
+    assert moved(m, n, lambda x1, x2, x3, x4: (x2, x1, x4, x3)) == codes
+    transposed = moved(m, n, lambda x1, x2, x3, x4: (x1, x3, x2, x4))
+    if alpha == beta:
+        assert transposed == codes
+    else:
+        assert transposed == reference.matrix_subalgebra(alg, beta, alpha).tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(commutator_algebras(), st.data())
+def test_reference_matrix_subalgebras_have_the_swap_symmetries(alg, data):
+    """The symmetries the closure's orbit representatives rest on, checked
+    on the reference closure alone, for random congruences of random
+    algebras."""
+    elements = all_congruences(alg).elements
+    alpha = data.draw(st.sampled_from(elements))
+    beta = data.draw(st.sampled_from(elements))
+    assert_reference_symmetries(alg, alpha, beta)
+
+
+@pytest.mark.parametrize("name", ("minority", "S3"))
+def test_reference_symmetries_for_every_pair_of_congruences(name):
+    alg = MINORITY if name == "minority" else get_fixture(name).algebra
+    for alpha, beta in itertools.product(all_congruences(alg).elements, repeat=2):
+        assert_reference_symmetries(alg, alpha, beta)
 
 
 def test_matrix_closure_memory_stays_bounded():

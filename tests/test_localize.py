@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from nudfa.congruence import structure
-from nudfa.fixtures import get_fixture
+from nudfa.fixtures import fixture_names, get_fixture
 from nudfa.localize import (
     atom_blocks_simple,
     block_group,
@@ -45,6 +45,26 @@ def test_minimal_sets_of_the_characteristic_two_cover(marked):
         [2, 3], [2, 5], [3, 4], [4, 5],
     ]
     assert all(len(s.universe) == 2 for s in sets)
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_minimal_sets_keep_the_first_separating_witness(name):
+    """Against a walk of the clone one function at a time: on every cover
+    of every fixture the minimal ranges are the inclusion-minimal ranges
+    of the functions mapping a hi-related pair outside lo, and each
+    witness is the first such function with that range."""
+    s = structure(get_fixture(name).algebra)
+    lat = s.lattice
+    for a, b in lat.covers:
+        lo, hi = lat.elements[a], lat.elements[b]
+        first = {}
+        for fn in s.clone:
+            if any(not lo.same(fn.values[x], fn.values[y]) for x, y in hi.pairs()):
+                first.setdefault(fn.image, fn)
+        minimal = [r for r in first if not any(o < r for o in first)]
+        got = minimal_sets(s, lo, hi)
+        assert [m.universe for m in got] == sorted(minimal, key=sorted)
+        assert all(m.witness is first[m.universe] for m in got)
 
 
 def test_traces_are_the_blocks_that_actually_split(marked):

@@ -70,3 +70,53 @@ def test_every_definition_is_named_elsewhere():
         and not mentions[name] - {(path, line)}
     ]
     assert unused == []
+
+
+def _cache_decorator(node) -> tuple[str, bool] | None:
+    """The name of a ``functools.cache``/``lru_cache`` decorator and whether
+    it sets an integer ``maxsize``; None for any other decorator."""
+    call = node if isinstance(node, ast.Call) else None
+    target = call.func if call else node
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+    if name not in ("cache", "lru_cache"):
+        return None
+    sizes = [kw.value for kw in call.keywords if kw.arg == "maxsize"] if call else []
+    sizes += call.args[:1] if call else []
+    bounded = name == "lru_cache" and any(
+        isinstance(v, ast.Constant) and type(v.value) is int for v in sizes
+    )
+    return name, bounded
+
+
+def test_caches_with_arguments_are_bounded():
+    """A memo of a function with arguments grows with the arguments it
+    sees, so every ``functools`` cache on one names an integer ``maxsize``;
+    an argument-free function caches one value and may use ``cache``."""
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            takes = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+            for deco in map(_cache_decorator, node.decorator_list):
+                if deco and any(takes) and not deco[1]:
+                    found.append(f"{path.name}:{node.lineno} {node.name} @{deco[0]}")
+    assert found == []
+
+
+def test_the_cache_check_sees_unbounded_caches():
+    decorators = {
+        "functools.cache": (False, "cache"),
+        "cache": (False, "cache"),
+        "functools.lru_cache": (False, "lru_cache"),
+        "lru_cache(maxsize=None)": (False, "lru_cache"),
+        "lru_cache(None)": (False, "lru_cache"),
+        "lru_cache(maxsize=16)": (True, "lru_cache"),
+        "functools.lru_cache(8)": (True, "lru_cache"),
+    }
+    for source, (bounded, name) in decorators.items():
+        tree = ast.parse(f"@{source}\ndef f(x):\n    return x\n")
+        assert _cache_decorator(tree.body[0].decorator_list[0]) == (name, bounded)
+    tree = ast.parse("@staticmethod\ndef f(x):\n    return x\n")
+    assert _cache_decorator(tree.body[0].decorator_list[0]) is None
