@@ -9,222 +9,9 @@ localization machinery, polynomial normal forms over prime fields, and
 the CNF gadgets used to map satisfiability questions into programs.
 """
 
-from .algebra import (
-    FiniteAlgebra,
-    Operation,
-    UnaryClone,
-    UnaryFn,
-    find_malcev_polynomial,
-    make_op,
-    quotient_algebra,
-    verify_malcev,
+# ``import nudfa`` binds every submodule.  Without bytecode caches the order
+# they are compiled in moves a process's peak memory, so it stays as it was.
+from . import (  # noqa: F401
+    algebra, circuits, compile, congruence, fieldpoly, fixtures, hardness,
+    limits, localize, lowering, modcircuit, partitions, programs, solvers,
 )
-from .circuits import (
-    AlgCircuit,
-    CircuitBuilder,
-    compose,
-    constant_circuit,
-    eval_circuit,
-    eval_columns,
-    variable_circuit,
-)
-from .compile import (
-    CentralRep,
-    HypothesisViolation,
-    central_representation,
-    compile_nilpotent,
-    compile_supernilpotent,
-)
-from .congruence import (
-    CongruenceLattice,
-    Structure,
-    all_congruences,
-    characteristic,
-    charr_set,
-    commutator,
-    distinguished_congruences,
-    is_nilpotent_congruence,
-    is_pupi,
-    is_supernilpotent_algebra,
-    prime_power_decomposition,
-    structure,
-    supernilpotent_rank,
-)
-from .fieldpoly import (
-    Cnf3,
-    CosetIndicatorSum,
-    MultilinearPoly,
-    coset_indicator_form,
-    divisibility_poly,
-    multilinear_interpolate,
-    parse_dimacs,
-    pseudo_and,
-)
-from .fixtures import (
-    Fixture,
-    demo_names,
-    demo_program,
-    fixture_names,
-    get_fixture,
-    resolve_algebra,
-    resolve_malcev,
-)
-from .hardness import (
-    BetaIntConfig,
-    GadgetSearchError,
-    PrimeSideWitness,
-    TwoPrimeWitness,
-    WitnessFailure,
-    beta_interpolate,
-    build_two_prime_program,
-    cnf_to_lattice_program,
-    complete_interpolation_config,
-    find_interpolation_configs,
-    find_two_prime_witness,
-)
-from .limits import Budget, BudgetExceeded, charge, default_budget
-from .localize import MinimalSet, minimal_set_through, minimal_sets, traces
-from .lowering import (
-    PassReport,
-    and_sum_lower,
-    apply_func,
-    collapse_5to3,
-    finalize_boolean_sum,
-    modm_andd_to_sum,
-    unmod,
-)
-from .modcircuit import (
-    CCircuit,
-    Gate,
-    cc_table,
-    cc_truth_table,
-    eval_cc,
-    format_shape,
-    parse_shape,
-    shape_of,
-    validate_shape,
-)
-from .partitions import Partition
-from .programs import (
-    AlgProgram,
-    Instruction,
-    map_circuit_constants,
-    quotient_program,
-    truth_table,
-)
-from .solvers import (
-    SolveResult,
-    ceqv_exhaustive,
-    ceqv_to_progcsat,
-    ceqv_via_meet_irreducibles,
-    csat_exhaustive,
-    csat_to_progcsat,
-    normalize_equation,
-    progcsat_exhaustive,
-    progcsat_sample,
-    quotient_reduce_progcsat,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AlgCircuit",
-    "AlgProgram",
-    "BetaIntConfig",
-    "Budget",
-    "BudgetExceeded",
-    "CCircuit",
-    "CentralRep",
-    "CircuitBuilder",
-    "Cnf3",
-    "CongruenceLattice",
-    "CosetIndicatorSum",
-    "FiniteAlgebra",
-    "Fixture",
-    "GadgetSearchError",
-    "Gate",
-    "HypothesisViolation",
-    "Instruction",
-    "MinimalSet",
-    "MultilinearPoly",
-    "Operation",
-    "Partition",
-    "PassReport",
-    "PrimeSideWitness",
-    "SolveResult",
-    "Structure",
-    "TwoPrimeWitness",
-    "UnaryClone",
-    "UnaryFn",
-    "WitnessFailure",
-    "all_congruences",
-    "and_sum_lower",
-    "apply_func",
-    "beta_interpolate",
-    "build_two_prime_program",
-    "cc_table",
-    "cc_truth_table",
-    "central_representation",
-    "ceqv_exhaustive",
-    "ceqv_to_progcsat",
-    "ceqv_via_meet_irreducibles",
-    "characteristic",
-    "charge",
-    "charr_set",
-    "cnf_to_lattice_program",
-    "collapse_5to3",
-    "commutator",
-    "compile_nilpotent",
-    "compile_supernilpotent",
-    "complete_interpolation_config",
-    "compose",
-    "constant_circuit",
-    "coset_indicator_form",
-    "csat_exhaustive",
-    "csat_to_progcsat",
-    "default_budget",
-    "demo_names",
-    "demo_program",
-    "distinguished_congruences",
-    "divisibility_poly",
-    "eval_cc",
-    "eval_circuit",
-    "eval_columns",
-    "finalize_boolean_sum",
-    "find_interpolation_configs",
-    "find_malcev_polynomial",
-    "find_two_prime_witness",
-    "fixture_names",
-    "format_shape",
-    "get_fixture",
-    "is_nilpotent_congruence",
-    "is_pupi",
-    "is_supernilpotent_algebra",
-    "make_op",
-    "map_circuit_constants",
-    "minimal_set_through",
-    "minimal_sets",
-    "modm_andd_to_sum",
-    "multilinear_interpolate",
-    "normalize_equation",
-    "parse_dimacs",
-    "parse_shape",
-    "prime_power_decomposition",
-    "progcsat_exhaustive",
-    "progcsat_sample",
-    "pseudo_and",
-    "quotient_algebra",
-    "quotient_program",
-    "quotient_reduce_progcsat",
-    "resolve_algebra",
-    "resolve_malcev",
-    "shape_of",
-    "structure",
-    "supernilpotent_rank",
-    "traces",
-    "truth_table",
-    "unmod",
-    "validate_shape",
-    "variable_circuit",
-    "verify_malcev",
-]

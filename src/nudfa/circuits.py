@@ -10,7 +10,7 @@ the package.
 ``eval_columns`` evaluate a whole block of assignments, each gate as one
 gather on its operation's flat table.  ``product_columns`` and
 ``argument_blocks`` list assignments and argument tuples in ``product``
-order as numpy arrays, ``index_blocks`` their positions in the pools.
+order as numpy arrays, ``product_blocks`` their positions in the pools.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ def product_columns(indices: np.ndarray, size: int, k: int) -> np.ndarray:
     return cols
 
 
-def index_blocks(sizes: Sequence[int], block: int):
+def product_blocks(sizes: Sequence[int], block: int):
     """The positions of every tuple of a product of pools of the given
     sizes, in ``product`` order, at most ``block`` tuples at a time: one
     array of positions (a row each) for every pool but the last, and a
@@ -148,7 +148,7 @@ def argument_blocks(pools: list[np.ndarray], block: int):
     """Every tuple of ``product(*pools)`` as argument arrays that broadcast
     to at most ``block`` tuples: the last pool runs along the columns, the
     other pools' tuples along the rows."""
-    for rows, cols in index_blocks([p.size for p in pools], block):
+    for rows, cols in product_blocks([p.size for p in pools], block):
         yield [p[r][:, None] for p, r in zip(pools, rows)] + [
             pools[-1][None, cols]
         ]

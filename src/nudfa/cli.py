@@ -104,6 +104,16 @@ def _emit(doc: dict) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
+def _dump_or_embed(doc: dict, out: Optional[str], key: str, thing) -> None:
+    """Write a circuit or program to ``out`` and record the path, or, with
+    no ``--out``, embed its JSON form in the document under ``key``."""
+    if out:
+        thing.dump(out)
+        doc["out"] = out
+    else:
+        doc[key] = thing.to_json()
+
+
 def _blocks(part: Partition) -> list[list[int]]:
     return sorted(sorted(b) for b in part.blocks())
 
@@ -365,11 +375,7 @@ def _cmd_compile(args) -> int:
                 exit_code = 1
         else:
             doc["verified"] = None
-    if args.out:
-        circuit.dump(args.out)
-        doc["out"] = args.out
-    else:
-        doc["circuit"] = circuit.to_json()
+    _dump_or_embed(doc, args.out, "circuit", circuit)
     _emit(doc)
     return exit_code
 
@@ -417,11 +423,7 @@ def _cmd_lower(args) -> int:
         if not doc["reverified"]:
             _emit(doc)
             return 1
-    if args.out:
-        lowered.dump(args.out)
-        doc["out"] = args.out
-    else:
-        doc["circuit"] = lowered.to_json()
+    _dump_or_embed(doc, args.out, "circuit", lowered)
     _emit(doc)
     return 0
 
@@ -528,11 +530,7 @@ def _cmd_gadget_lattice(args) -> int:
         "n": program.n,
         "size": program.size,
     }
-    if args.out:
-        program.dump(args.out)
-        doc["out"] = args.out
-    else:
-        doc["program"] = program.to_json()
+    _dump_or_embed(doc, args.out, "program", program)
     _emit(doc)
     return 0
 
@@ -564,11 +562,7 @@ def _cmd_gadget_twoprime(args) -> int:
         "n": program.n,
         "size": program.size,
     }
-    if args.out:
-        program.dump(args.out)
-        doc["out"] = args.out
-    else:
-        doc["program"] = program.to_json()
+    _dump_or_embed(doc, args.out, "program", program)
     _emit(doc)
     return 0
 
@@ -590,11 +584,7 @@ def _cmd_fixtures(args) -> int:
             "n": program.n,
             "size": program.size,
         }
-        if args.out:
-            program.dump(args.out)
-            doc["out"] = args.out
-        else:
-            doc["program"] = program.to_json()
+        _dump_or_embed(doc, args.out, "program", program)
         _emit(doc)
         return 0
     listing = []
@@ -743,7 +733,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # Each call starts from empty run memos.
     congruence._STRUCTURES.clear()
     lowering._INGEST_CACHE.clear()
-    lowering._conj_cache.clear()
+    lowering._conj_normal_form.cache_clear()
     try:
         return args.func(args)
     except UsageError as exc:

@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import FiniteAlgebra, quotient_algebra, verify_malcev
-from .circuits import AlgCircuit, CONST, GATE, VAR
+from .circuits import AlgCircuit, CONST, GATE, VAR, eval_circuit
 from .congruence import (
     CongruenceLattice,
     charr_set,
@@ -171,8 +171,6 @@ class CentralRep:
         return self.m_part(x), self.proj[x]
 
     def decode(self, mval: int, cls: int) -> int:
-        from .circuits import eval_circuit
-
         return eval_circuit(self.D, self.malcev, (mval, self.e, self.transversal[cls]))
 
 
@@ -183,8 +181,6 @@ def central_representation(
     malcev: AlgCircuit,
 ) -> CentralRep:
     """Build and exhaustively verify the module/quotient split along beta."""
-    from .circuits import eval_circuit
-
     if not verify_malcev(D, malcev):
         raise ValueError("the supplied circuit is not a Malcev polynomial")
     if not structure(D).commutator(beta, beta).is_identity():
@@ -436,7 +432,7 @@ def compile_supernilpotent(
         raise HypothesisViolation(
             f"{A.name} has no prime-uniform independent interval split"
         )
-    dec = prime_power_decomposition(s)
+    dec = prime_power_decomposition(A, budget)
     m = pdiv(A)
     delta = sum(m // pj for pj in dec.primes) % m
 
@@ -740,15 +736,6 @@ def _maximal_chain(
     return chain
 
 
-def _same_op_tables(a: FiniteAlgebra, b: FiniteAlgebra) -> bool:
-    if a.size != b.size or len(a.ops) != len(b.ops):
-        return False
-    return all(
-        (x.name, x.arity, x.table) == (y.name, y.arity, y.table)
-        for x, y in zip(a.ops, b.ops)
-    )
-
-
 def _or_table(k: int) -> list[int]:
     return [0 if idx == 0 else 1 for idx in range(1 << k)]
 
@@ -848,14 +835,14 @@ def compile_nilpotent(
 
     # base level: supernilpotent quotient, one atom per (node, target)
     top = progs[h]
-    if not _same_op_tables(top.algebra, Abar):
+    if (top.algebra.size, top.algebra.ops) != (Abar.size, Abar.ops):
         raise AssertionError("top quotient program is not over A/sigma")
     sbar = structure(Abar, budget)
     if not is_pupi(sbar, sbar.lattice.zero, sbar.lattice.one):
         raise HypothesisViolation(
             "supernilpotent quotient has no independent prime split"
         )
-    dec = prime_power_decomposition(sbar)
+    dec = prime_power_decomposition(Abar, budget)
     delta = sum(m // pj for pj in dec.primes) % m
 
     cache = CompileCache()
@@ -900,7 +887,8 @@ def compile_nilpotent(
             raise AssertionError(
                 f"atom at level {j} has characteristic {rep.p}, expected {p}"
             )
-        if not _same_op_tables(rep.quotient, progs[j + 1].algebra) or any(
+        quotient, below = rep.quotient, progs[j + 1].algebra
+        if (quotient.size, quotient.ops) != (below.size, below.ops) or any(
             rep.proj[projs[j][x]] != projs[j + 1][x] for x in range(A.size)
         ):
             raise AssertionError(f"level {j} quotient disagrees with level {j + 1}")

@@ -19,12 +19,14 @@ Everything derived from one algebra lives in its :class:`Structure`: the
 translations, the lattice, the unary clone, a Malcev polynomial, the
 distinguished congruences and memos of commutators and characteristics,
 each computed on first read.  ``structure`` hands out one Structure per
-budget and operation tables for the run, so an algebra and its copies
-under other names (such as its quotient by zero) share theirs; the memo
-holds at most ``STRUCTURE_MEMO_SIZE`` of them, oldest out first, and
-``cli.main`` empties it on every call.  On top of these sit characteristics
-of prime quotients, intervals that decompose into independent single-prime
-pieces, and the distinguished congruences that drive the circuit compiler.
+budget, size and operations for the run, so an algebra and its copies
+under other names (such as its quotient by zero) share one, whose
+``algebra`` is the copy seen first: names come from the caller's algebra.
+The memo holds at most ``STRUCTURE_MEMO_SIZE`` structures, oldest out
+first, and ``cli.main`` empties it on every call.  On top of these sit
+characteristics of prime quotients, intervals that decompose into
+independent single-prime pieces, and the distinguished congruences that
+drive the circuit compiler.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .algebra import (
     quotient_algebra,
     respects,
 )
-from .circuits import AlgCircuit, index_blocks
+from .circuits import AlgCircuit, product_blocks
 from .fieldpoly import prime_divisors
 from .limits import Budget, default_budget
 from .partitions import Partition, all_partitions
@@ -108,18 +110,16 @@ _STRUCTURES: dict[tuple, Structure] = {}
 
 
 def structure(algebra: FiniteAlgebra, budget: Optional[Budget] = None) -> Structure:
-    """The run's Structure for the algebra's operation tables and budget.
+    """The run's Structure for the algebra's operations and budget.
 
-    The key holds the size and each operation's name, arity and table:
-    witness circuits name operations, and an algebra with nullary
-    operations only has the same tables at every size.
+    The key is the budget, the size and the operations, which compare by
+    name, arity and table: witness circuits name operations, and an
+    algebra with nullary operations only has the same tables at every
+    size.  The algebra's name is not in the key, so the Structure's
+    ``algebra`` may be a copy under another name.
     """
     budget = budget or default_budget()
-    key = (
-        budget,
-        algebra.size,
-        tuple((op.name, op.arity, op.table) for op in algebra.ops),
-    )
+    key = (budget, algebra.size, algebra.ops)
     found = _STRUCTURES.get(key)
     if found is None:
         if len(_STRUCTURES) >= STRUCTURE_MEMO_SIZE:
@@ -423,7 +423,7 @@ def _matrix_subalgebra(
                 ]
                 *head, last = weighted
                 sizes = [pools[name].size for name in names]
-                for rows, cols in index_blocks(sizes, MATRIX_BLOCK):
+                for rows, cols in product_blocks(sizes, MATRIX_BLOCK):
                     out = 0
                     for d, table in enumerate(scaled):
                         idx = last[d][None, cols]
@@ -722,20 +722,22 @@ class Decomposition:
     primes: tuple[int, ...]
 
 
-def prime_power_decomposition(s: Structure) -> Decomposition:
+def prime_power_decomposition(
+    algebra: FiniteAlgebra, budget: Optional[Budget] = None
+) -> Decomposition:
     """Split A into factors of prime-power size via complementary congruences.
 
     For each prime p dividing |A| the kernel must have quotient of p-power
     size and blocks of size coprime to p; the family must meet to zero so
     that the joint projection is a bijection (verified).  A one-element
-    algebra has no prime dividing its size, so it is refused.
+    algebra has no prime dividing its size, so it is refused by name.
     """
-    lat = s.lattice
-    n = s.algebra.size
+    n = algebra.size
     if n == 1:
         raise ValueError(
-            f"{s.algebra.name} has one element, so no prime divides its size"
+            f"{algebra.name} has one element, so no prime divides its size"
         )
+    lat = structure(algebra, budget).lattice
     primes = prime_divisors(n)
     ppart = {p: 1 for p in primes}
     for p in primes:
@@ -764,7 +766,7 @@ def prime_power_decomposition(s: Structure) -> Decomposition:
         if len(set(tuples)) != n:
             continue
         return Decomposition(
-            tuple(quotient_algebra(s.algebra, c)[1] for c in family),
+            tuple(quotient_algebra(algebra, c)[1] for c in family),
             tuple(primes),
         )
     raise ValueError("no complementary family of prime-power kernels found")

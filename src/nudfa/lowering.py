@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -149,11 +150,6 @@ class ModSum:
         return MultilinearPoly.affine(self.p, dict(self.coeffs), self.offset)
 
 
-# conjunction normal forms keyed by (m, p, accepting profile); the coset
-# machinery only depends on those, not on the particular linear forms
-_conj_cache: dict[tuple, list[tuple[tuple[int, ...], int, int]]] = {}
-
-
 def _conj_modsum_mod2(
     pool: AtomPool, atoms: Sequence[ModAtom], p: int
 ) -> ModSum:
@@ -207,20 +203,17 @@ def _conj_modsum_mod2(
     return out
 
 
+# Keyed by (m, p, accepting profile): the coset machinery depends only on
+# those, not on the particular linear forms.
+@lru_cache(maxsize=1024)
 def _conj_normal_form(m: int, p: int, accepting: tuple[frozenset, ...]):
-    key = (m, p, accepting)
-    cached = _conj_cache.get(key)
-    if cached is not None:
-        return cached
     d = len(accepting)
     values = [
         1 if all(y in s for y, s in zip(ys, accepting)) else 0
         for ys in product(range(m), repeat=d)
     ]
     form = coset_indicator_form(values, m, d, p)
-    result = [(beta, u, mu) for (beta, u), mu in form.terms.items()]
-    _conj_cache[key] = result
-    return result
+    return tuple((beta, u, mu) for (beta, u), mu in form.terms.items())
 
 
 def conj_modsum(
@@ -273,28 +266,6 @@ def poly_to_modsum(
         out = out.add(conj_modsum(pool, sorted(subset), poly.p, budget).scale(coeff))
         charge(len(out.coeffs), budget.monomials, "polynomial collapse")
     return out
-
-
-def compose_affine(
-    p: int,
-    outer_coeffs: Mapping[int, int],
-    outer_offset: int,
-    inner: Mapping[int, tuple[Mapping[int, int], int]],
-) -> tuple[dict[int, int], int]:
-    """Merge two adjacent affine-sum levels over GF(p): substitute the inner
-    affine maps (coeffs, offset) into the outer one."""
-    coeffs: dict[int, int] = {}
-    offset = outer_offset
-    for var, c in outer_coeffs.items():
-        sub_coeffs, sub_off = inner[var]
-        offset += c * sub_off
-        for i, ci in sub_coeffs.items():
-            v = (coeffs.get(i, 0) + c * ci) % p
-            if v:
-                coeffs[i] = v
-            else:
-                coeffs.pop(i, None)
-    return coeffs, offset % p
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +341,6 @@ def _mod_layer_atoms(
             if key is None:
                 raise ValueError("MOD layer reads a non-monomial node")
             if not key:  # AND of zero inputs: constant 1
-                acc[frozenset([-1])] = 0  # placeholder never used
                 raise ValueError("constant AND gates under MOD not supported")
             v = (acc.get(key, 0) + mult) % gate.m
             if v:
@@ -387,11 +357,24 @@ def _mod_layer_atoms(
 
 
 def _chi_poly(
-    p: int, accepting: frozenset[int], affine: MultilinearPoly, budget: Budget
+    gate: Gate, atoms: dict[int, tuple[Optional[int], int]], budget: Budget
 ) -> MultilinearPoly:
-    """chi_T(affine value) as a polynomial over the affine form's variables."""
+    """The indicator of a MOD(p) gate over MOD(m)-layer nodes, as a
+    polynomial over the pool ids of their atoms (``_mod_layer_atoms``)."""
+    p = gate.m
+    coeffs: dict[int, int] = {}
+    shift = 0
+    for src, mult in gate.wires:
+        if src not in atoms:
+            raise ValueError("a MOD(p) gate must read the MOD(m) layer")
+        idx, const = atoms[src]
+        if idx is None:
+            shift += mult * const
+        else:
+            coeffs[idx] = (coeffs.get(idx, 0) + mult) % p
+    affine = MultilinearPoly.affine(p, coeffs, shift)
     total = MultilinearPoly(p)
-    for t in sorted(accepting):
+    for t in sorted(gate.accepting):
         shifted = affine.sub(MultilinearPoly.constant(p, t))
         total = total.add(
             MultilinearPoly.constant(p, 1).sub(shifted.power(p - 1, budget))
@@ -424,18 +407,7 @@ def _ingest_modmod(circuit: CCircuit, budget: Budget) -> _Ingested:
     pool = AtomPool()
     atoms = _mod_layer_atoms(circuit, mod_layer, keys, pool)
     m = _layer_modulus(circuit, mod_layer, p)
-    coeffs: dict[int, int] = {}
-    shift = 0
-    for src, mult in out_gate.wires:
-        if src not in atoms:
-            raise ValueError("output gate must read the MOD layer")
-        idx, const = atoms[src]
-        if idx is None:
-            shift += mult * const
-        else:
-            coeffs[idx] = (coeffs.get(idx, 0) + mult) % p
-    affine = MultilinearPoly.affine(p, coeffs, shift)
-    chi = _chi_poly(p, out_gate.accepting, affine, budget)
+    chi = _chi_poly(out_gate, atoms, budget)
     result = _Ingested(
         circuit.inputs, m, p, pool, poly_to_modsum(pool, chi, budget)
     )
@@ -755,10 +727,8 @@ def apply_func(
     p = None
     levels3 = False
     for f in fs:
-        ing_budget = budget
-        layers = _layer_count(f)
-        levels3 = levels3 or layers == 3
-        ing = _ingest_modmod(f, ing_budget)
+        levels3 = levels3 or _layer_count(f) == 3
+        ing = _ingest_modmod(f, budget)
         # re-intern into the shared pool
         remap: dict[int, int] = {
             i: pool.get(a) for i, a in enumerate(ing.pool.atoms)
@@ -823,16 +793,7 @@ def collapse_5to3(
             continue
         if gate.kind != MOD or gate.m != p:
             raise ValueError("layer 3 must be MOD(p) gates")
-        coeffs: dict[int, int] = {}
-        shift = 0
-        for src, mult in gate.wires:
-            idx, const = atoms[src]
-            if idx is None:
-                shift += mult * const
-            else:
-                coeffs[idx] = (coeffs.get(idx, 0) + mult) % p
-        affine = MultilinearPoly.affine(p, coeffs, shift)
-        f_polys[circuit.inputs + gid] = _chi_poly(p, gate.accepting, affine, budget)
+        f_polys[circuit.inputs + gid] = _chi_poly(gate, atoms, budget)
 
     # layer 4: AND over sub-results = products of their polynomials
     z_polys: dict[int, MultilinearPoly] = {}
@@ -854,18 +815,9 @@ def collapse_5to3(
             w = (mult * vec[j]) % p
             i = z_pos[src]
             row_coeffs[i] = (row_coeffs.get(i, 0) + w) % p
-        if all(zp.degree() <= 1 for zp in z_polys.values()):
-            # adjacent affine levels: merge by composition
-            inner = {}
-            for node, zp in z_polys.items():
-                cmap = {next(iter(key)): c for key, c in zp.terms.items() if key}
-                inner[z_pos[node]] = (cmap, zp.terms.get(frozenset(), 0))
-            coeffs, off = compose_affine(p, row_coeffs, out_gate.offset[j], inner)
-            t_poly = MultilinearPoly.affine(p, coeffs, off)
-        else:
-            t_poly = MultilinearPoly.constant(p, out_gate.offset[j])
-            for node, zp in z_polys.items():
-                t_poly = t_poly.add(zp.scale(row_coeffs.get(z_pos[node], 0)))
+        t_poly = MultilinearPoly.constant(p, out_gate.offset[j])
+        for node, zp in z_polys.items():
+            t_poly = t_poly.add(zp.scale(row_coeffs.get(z_pos[node], 0)))
         shifted = t_poly.sub(MultilinearPoly.constant(p, out_gate.target[j]))
         total = total.mul(
             MultilinearPoly.constant(p, 1).sub(shifted.power(p - 1, budget)),

@@ -131,13 +131,17 @@ def test_each_call_starts_with_empty_run_memos(monkeypatch, tmp_path):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["compile", "--program", str(program)]) == 0
     lowering._conj_normal_form(3, 2, (frozenset({0}),))
-    memos = (congruence._STRUCTURES, lowering._INGEST_CACHE, lowering._conj_cache)
-    assert all(memos)
+    memos = (
+        lambda: len(congruence._STRUCTURES),
+        lambda: len(lowering._INGEST_CACHE),
+        lambda: lowering._conj_normal_form.cache_info().currsize,
+    )
+    assert all(size() for size in memos)
     sizes = []
     resolve = cli.resolve_algebra
 
     def resolving(spec):
-        sizes.append([len(memo) for memo in memos])
+        sizes.append([size() for size in memos])
         return resolve(spec)
 
     monkeypatch.setattr(cli, "resolve_algebra", resolving)

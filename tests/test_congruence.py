@@ -244,9 +244,8 @@ def test_quotient_by_a_congruence_is_a_homomorphic_image():
 
 
 def test_prime_power_decomposition_of_the_order_six_group():
-    s, _ = structure_of("Z6")
-    alg = s.algebra
-    dec = prime_power_decomposition(s)
+    alg = get_fixture("Z6").algebra
+    dec = prime_power_decomposition(alg)
     assert sorted(dec.primes) == [2, 3]
     assert sorted(len(set(proj)) for proj in dec.projections) == [2, 3]
     assert len(set(zip(*dec.projections))) == alg.size
@@ -257,7 +256,18 @@ def test_prime_power_decomposition_refuses_a_one_element_algebra():
     the refusal names the case instead of failing on an empty family."""
     trivial = FiniteAlgebra("T1", 1, (Operation("+", 2, (0,)),))
     with pytest.raises(ValueError, match="T1 has one element"):
-        prime_power_decomposition(structure(trivial))
+        prime_power_decomposition(trivial)
+
+
+def test_the_one_element_refusal_names_the_callers_algebra():
+    """Z6's quotient by the total congruence has T1's operations, so the
+    two share one Structure; the refusal still names the algebra asked
+    about, whichever of them the memo saw first."""
+    quotient, _ = quotient_algebra(get_fixture("Z6").algebra, Partition.total(6))
+    trivial = FiniteAlgebra("T1", 1, (Operation("+", 2, (0,)),))
+    assert structure(quotient) is structure(trivial)
+    with pytest.raises(ValueError, match="T1 has one element"):
+        prime_power_decomposition(trivial)
 
 
 def test_pdiv_is_the_product_of_primes_dividing_the_size():

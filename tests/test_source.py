@@ -43,14 +43,55 @@ def test_structure_is_not_threaded_through_optional_parameters():
     assert found == []
 
 
+MODULES = [path for path in SOURCES if path.name != "__init__.py"]
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), str(path))
+
+
+def _definitions(tree: ast.Module) -> set[str]:
+    """The functions, classes and assigned names at a module's top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_the_package_module_binds_only_its_submodules():
+    """``__init__.py`` defines nothing and imports only submodules, so each
+    name is reached through the module that defines it."""
+    tree = _parse(Path(nudfa.__file__))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert _definitions(tree) == set()
+    assert imported <= {path.stem for path in MODULES}
+
+
+def test_no_top_level_name_is_defined_in_two_modules():
+    """A function, class or constant has one definition in the package."""
+    homes: dict[str, list[str]] = defaultdict(list)
+    for path in MODULES:
+        for name in _definitions(_parse(path)):
+            homes[name].append(path.name)
+    assert {name: where for name, where in homes.items() if len(where) > 1} == {}
+
+
 def test_every_definition_is_named_elsewhere():
     """Each function, method and class of the package is mentioned (as a
     name, an attribute or an import) on some other line of the package or
-    its tests; the re-exports in ``__init__.py`` do not count."""
-    modules = [path for path in SOURCES if path.name != "__init__.py"]
+    its tests."""
     defined = []
     mentions: dict[str, set] = defaultdict(set)
-    for path in modules + TESTS:
+    for path in MODULES + TESTS:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Name):
                 mentions[node.id].add((path, node.lineno))
@@ -59,7 +100,7 @@ def test_every_definition_is_named_elsewhere():
             elif isinstance(node, ast.alias):
                 name = node.name.rsplit(".", 1)[-1]
                 mentions[name].add((path, node.lineno))
-            elif path in modules and isinstance(
+            elif path in MODULES and isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
             ):
                 defined.append((node.name, path, node.lineno))
