@@ -247,9 +247,21 @@ def cases() -> list[tuple[str, list[str]]]:
         out.append((f"progcsat_lattice_{cnf}",
                     ["solve", "progcsat", "--program",
                      f"inputs/lattice_{cnf}.json"]))
+        out.append((f"progcsat_sample_lattice_{cnf}",
+                    ["solve", "progcsat", "--program",
+                     f"inputs/lattice_{cnf}.json", "--sample"]))
+        out.append((f"progcsat_sample3_seed1_lattice_{cnf}",
+                    ["solve", "progcsat", "--program",
+                     f"inputs/lattice_{cnf}.json", "--sample", "3",
+                     "--seed", "1"]))
     for circ in ("boolean", "sump", "and2_z6m2_circuit"):
         out.append((f"cceval_table_{circ}",
                     ["cceval", "--circuit", f"inputs/{circ}.json", "--table"]))
+    # One word each: a 0/1 output, and the open SUMP vector.
+    for circ, word in (("boolean", "1011"), ("sump", "110")):
+        out.append((f"cceval_word_{circ}",
+                    ["cceval", "--circuit", f"inputs/{circ}.json",
+                     "--word", word]))
     out.append(("lower_unmod",
                 ["lower", "--pass", "unmod", "--in", "inputs/modmod.json",
                  "--verify-n", "20"]))
