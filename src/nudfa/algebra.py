@@ -22,7 +22,7 @@ from .circuits import (
     VAR,
     AlgCircuit,
     argument_blocks,
-    eval_circuit,
+    eval_columns,
     subcircuit,
 )
 from .limits import Budget, charge, default_budget
@@ -459,13 +459,12 @@ def verify_malcev(algebra: FiniteAlgebra, circuit: AlgCircuit) -> bool:
     """True iff the ternary circuit satisfies the Malcev identities."""
     if circuit.k != 3:
         return False
-    for x in algebra.elements:
-        for y in algebra.elements:
-            if eval_circuit(algebra, circuit, (y, x, x)) != y:
-                return False
-            if eval_circuit(algebra, circuit, (x, x, y)) != y:
-                return False
-    return True
+    n = algebra.size
+    x, y = np.indices((n, n)).reshape(2, n * n)
+    return all(
+        (eval_columns(algebra, circuit, np.stack(args)) == y).all()
+        for args in ((y, x, x), (x, x, y))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ are hash-consed at construction time, so structurally equal subterms share a
 node.  Circuits stand in for terms-with-constants (polynomials) everywhere in
 the package.
 
-``eval_circuit`` evaluates one assignment; ``node_columns`` and
-``eval_columns`` evaluate a whole block of assignments, each gate as one
-gather on its operation's flat table.  ``product_columns`` and
+``node_columns`` and ``eval_columns`` evaluate a whole block of
+assignments, each gate as one gather on its operation's flat table; they
+are the one evaluator, and ``eval_circuit`` is their one-row view for a
+single assignment.  ``product_columns`` and
 ``argument_blocks`` list assignments and argument tuples in ``product``
 order as numpy arrays, ``product_blocks`` their positions in the pools.
 """
@@ -27,13 +28,12 @@ GATE = "gate"
 
 
 class OpTable(Protocol):
-    """Anything that can evaluate a named basic operation (see algebra.py)."""
+    """Anything that looks up a named basic operation, with its arity and
+    flat table (see algebra.py)."""
 
     size: int
 
     def op(self, name: str): ...
-
-    def eval_op(self, name: str, args: Sequence[int]) -> int: ...
 
 
 @dataclass(frozen=True)
@@ -97,19 +97,10 @@ class AlgCircuit:
 
 
 def eval_circuit(algebra: OpTable, circuit: AlgCircuit, args: Sequence[int]) -> int:
-    """Evaluate bottom-up; args supplies the k variable values."""
-    if len(args) != circuit.k:
-        raise ValueError(f"expected {circuit.k} arguments, got {len(args)}")
-    vals = [0] * len(circuit.nodes)
-    for idx, node in enumerate(circuit.nodes):
-        tag = node[0]
-        if tag == VAR:
-            vals[idx] = args[node[1]]
-        elif tag == CONST:
-            vals[idx] = node[1]
-        else:
-            vals[idx] = algebra.eval_op(node[1], [vals[c] for c in node[2]])
-    return vals[circuit.output]
+    """The circuit on one assignment of its k variables, as a one-row
+    ``eval_columns``."""
+    column = np.array(args, np.intp).reshape(-1, 1)
+    return int(eval_columns(algebra, circuit, column)[0])
 
 
 def product_columns(indices: np.ndarray, size: int, k: int) -> np.ndarray:

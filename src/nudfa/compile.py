@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import FiniteAlgebra, quotient_algebra, verify_malcev
-from .circuits import AlgCircuit, CONST, GATE, VAR, eval_circuit
+from .circuits import AlgCircuit, CONST, GATE, VAR, eval_columns
 from .congruence import (
     CongruenceLattice,
     charr_set,
@@ -147,31 +147,13 @@ class CentralRep:
     """
 
     D: FiniteAlgebra
-    beta: Partition
-    e: int
-    malcev: AlgCircuit
     p: int
     nu: int
-    module: tuple[int, ...]  # the block of e, sorted
-    basis: tuple[int, ...]
-    add: dict  # (x, y) in M^2 -> x + y
     quotient: FiniteAlgebra
     proj: tuple[int, ...]  # D -> D' class indices
-    transversal: tuple[int, ...]  # class -> least element
-    coords: dict  # M element -> Z_p^nu vector
-    from_coords: dict  # vector -> M element
     mcoords: tuple[Vector, ...]  # element of D -> coords of its M-part
     alpha: dict  # op name -> tuple of nu x nu matrices (one per argument)
     hat: dict  # op name -> {class tuple -> Z_p^nu vector}
-
-    def m_part(self, x: int) -> int:
-        return self.from_coords[self.mcoords[x]]
-
-    def encode(self, x: int) -> tuple[int, int]:
-        return self.m_part(x), self.proj[x]
-
-    def decode(self, mval: int, cls: int) -> int:
-        return eval_circuit(self.D, self.malcev, (mval, self.e, self.transversal[cls]))
 
 
 def central_representation(
@@ -220,7 +202,6 @@ def central_representation(
         if elt in coords:
             raise HypothesisViolation("basis is not independent")
         coords[elt] = tuple(combo)
-    from_coords = {v: k for k, v in coords.items()}
     for x in module:
         for y in module:
             if vec_add(coords[x], coords[y], p) != coords[add[(x, y)]]:
@@ -233,15 +214,17 @@ def central_representation(
     if transversal[proj[e]] != e:
         raise ValueError("anchor is not the least element of its class")
 
-    mpart = []
-    for x in range(D.size):
-        mv = eval_circuit(D, malcev, (x, transversal[proj[x]], e))
+    # x = d(m(x), e, t(x)) with m(x) = d(x, t(x), e), t(x) the least
+    # element of the class of x
+    ts = np.array(transversal)[list(proj)]
+    es = np.full(D.size, e)
+    mpart = eval_columns(D, malcev, np.stack([np.arange(D.size), ts, es])).tolist()
+    for x, mv in enumerate(mpart):
         if mv not in coords:
             raise HypothesisViolation(f"module part of {x} escapes the block")
-        mpart.append(mv)
-    for x in range(D.size):
-        back = eval_circuit(D, malcev, (mpart[x], e, transversal[proj[x]]))
-        if back != x:
+    back = eval_columns(D, malcev, np.stack([mpart, es, ts])).tolist()
+    for x, y in enumerate(back):
+        if y != x:
             raise HypothesisViolation(f"encode/decode fails at {x}")
     mcoords = tuple(coords[mv] for mv in mpart)
 
@@ -286,19 +269,10 @@ def central_representation(
 
     return CentralRep(
         D=D,
-        beta=beta,
-        e=e,
-        malcev=malcev,
         p=p,
         nu=nu,
-        module=module,
-        basis=tuple(basis),
-        add=add,
         quotient=quotient,
         proj=proj,
-        transversal=transversal,
-        coords=coords,
-        from_coords=from_coords,
         mcoords=mcoords,
         alpha=alpha,
         hat=hat,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -182,14 +182,6 @@ class MultilinearPoly:
             for i in k:
                 v = (v * assignment[i]) % self.p
             total += v
-        return total % self.p
-
-    def eval_sparse(self, ones: Iterable[int]) -> int:
-        on = set(ones)
-        total = 0
-        for k, c in self.terms.items():
-            if k <= on:
-                total += c
         return total % self.p
 
 

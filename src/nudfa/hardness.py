@@ -42,7 +42,6 @@ from .circuits import (
     AlgCircuit,
     CircuitBuilder,
     constant_circuit,
-    eval_circuit,
     eval_columns,
     product_columns,
 )
@@ -172,13 +171,9 @@ def _wrapped_add(
 ) -> tuple[tuple[int, ...], ...]:
     """Cayley table of x (+) y = wrap(d(x, zero, y))."""
     n = algebra.size
-    return tuple(
-        tuple(
-            wrap.values[eval_circuit(algebra, malcev, (x, zero, y))]
-            for y in range(n)
-        )
-        for x in range(n)
-    )
+    x, y = np.indices((n, n)).reshape(2, n * n)
+    d = eval_columns(algebra, malcev, np.stack([x, np.full_like(x, zero), y]))
+    return tuple(map(tuple, np.array(wrap.values)[d].reshape(n, n).tolist()))
 
 
 def complete_interpolation_config(

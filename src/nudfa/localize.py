@@ -10,12 +10,13 @@ reachable through the Malcev polynomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
 import numpy as np
 
 from .algebra import FiniteAlgebra, UnaryClone, UnaryFn
-from .circuits import AlgCircuit, eval_circuit
+from .circuits import AlgCircuit, eval_columns
 from .congruence import Structure, principal_congruence
 from .fieldpoly import prime_divisors
 from .partitions import Partition
@@ -163,14 +164,14 @@ def block_group(
     """The block of e under x + y = d(x, e, y) must be an elementary abelian
     p-group with zero e; returns (operation table, prime p) or raises."""
     block = beta.block_of(e)
-    add = {}
     bset = set(block)
-    for x in block:
-        for y in block:
-            v = eval_circuit(algebra, malcev, (x, e, y))
-            if v not in bset:
-                raise ValueError(f"pseudo-addition leaves the block: {x}+{y}={v}")
-            add[(x, y)] = v
+    pairs = list(product(block, repeat=2))
+    left, right = np.array(pairs).T
+    args = np.stack([left, np.full_like(left, e), right])
+    add = dict(zip(pairs, eval_columns(algebra, malcev, args).tolist()))
+    for (x, y), v in add.items():
+        if v not in bset:
+            raise ValueError(f"pseudo-addition leaves the block: {x}+{y}={v}")
     for x in block:
         if add[(x, e)] != x or add[(e, x)] != x:
             raise ValueError("e is not a neutral element")

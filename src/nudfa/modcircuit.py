@@ -15,13 +15,12 @@ topological order.  Every gate carries a 1-based layer index; a circuit is
 shape-valid when gate kinds match the declared layer descriptors and every
 wire runs from layer i to layer i+1 (inputs forming layer 0).
 
-Evaluation: ``eval_cc`` reads one word and serves single-word queries;
-``cc_table`` computes whole truth tables, every gate as one numpy column
-over a block of ``TABLE_BLOCK`` words (word r has bit i = (r >> i) & 1),
-and is what every exhaustive check uses.  Boolean columns are uint8 and a
-column is dropped after its last reader, so a table of up to 2^20 words
-needs scratch memory for one block only.  Both refuse a SUMP gate that
-feeds another gate.
+Evaluation: ``cc_table`` is the one evaluator.  It computes every gate as
+one numpy column over a block of ``TABLE_BLOCK`` words (word r has bit
+i = (r >> i) & 1).  Boolean columns are uint8 and a column is dropped
+after its last reader, so a table of up to 2^20 words needs scratch memory
+for one block only.  ``eval_cc`` is its one-row view for a single word.
+A SUMP gate that feeds another gate is refused.
 """
 
 from __future__ import annotations
@@ -185,39 +184,12 @@ class CCircuit:
 
 
 def eval_cc(circuit: CCircuit, word: Sequence[int]):
-    """Evaluate on an n-bit word.  Returns 0/1, or a tuple for an open
-    vector-valued output gate."""
+    """The circuit on one n-bit word, as a one-row ``cc_table``: 0/1, or a
+    tuple for an open SUMP output."""
     if len(word) != circuit.inputs:
         raise ValueError(f"expected {circuit.inputs} bits")
-    vals: list = [1 if b else 0 for b in word]
-    for gate in circuit.gates:
-        srcs = []
-        for s, mult in gate.wires:
-            v = vals[s]
-            if isinstance(v, tuple):
-                raise ValueError("vector-valued gate feeds another gate")
-            srcs.append((v, mult))
-        if gate.kind == AND:
-            out = 1 if all(v for v, _ in srcs) else 0
-        elif gate.kind == OR:
-            out = 1 if any(v for v, _ in srcs) else 0
-        elif gate.kind == MOD:
-            total = sum(v * mult for v, mult in srcs) % gate.m
-            out = 1 if total in gate.accepting else 0
-        else:
-            acc = list(gate.offset)
-            for (v, mult), vec in zip(srcs, gate.coeffs):
-                if v:
-                    for j in range(gate.nu):
-                        acc[j] += mult * vec[j]
-            vec = tuple(a % gate.p for a in acc)
-            if gate.kind == SUMP:
-                out = vec
-            else:
-                want = tuple(t % gate.p for t in gate.target)
-                out = 1 if vec == want else 0
-        vals.append(out)
-    return vals[circuit.output]
+    value = cc_table(circuit, word_row(word))[0].tolist()
+    return tuple(value) if isinstance(value, list) else value
 
 
 # Most words one column evaluation holds at once: a truth table is computed
@@ -232,13 +204,19 @@ def index_blocks(count: int) -> Iterator[np.ndarray]:
         yield np.arange(start, min(start + TABLE_BLOCK, count), dtype=np.int64)
 
 
+def word_row(word: Sequence[int]) -> np.ndarray:
+    """The one-row block of ``word``: its index, whose bit i is word[i], as
+    a Python int (dtype object), so that a word of any width fits."""
+    return np.array([sum(1 << i for i, b in enumerate(word) if b)], object)
+
+
 def word_blocks(n: int, rows: Optional[np.ndarray]) -> Iterator[np.ndarray]:
     """Blocks of TABLE_BLOCK word indices: ``rows`` in order, or all 2^n
     words in index order when ``rows`` is None."""
     if rows is None:
         yield from index_blocks(1 << n)
         return
-    rows = np.asarray(rows, dtype=np.int64)
+    rows = np.asarray(rows)
     for start in range(0, len(rows), TABLE_BLOCK):
         yield rows[start : start + TABLE_BLOCK]
 

@@ -4,8 +4,9 @@ A program reads an n-bit word through instructions: variable v of the
 underlying circuit is bound to one of two algebra elements depending on a
 single input bit.  The program accepts when the circuit value lands in the
 accepting set.  Programs are the bridge between boolean computation and
-algebra-valued circuits.  ``accepts`` reads one word; ``node_columns`` and
-``accept_column`` evaluate many words at once as numpy columns.
+algebra-valued circuits.  ``node_columns`` and ``accept_column`` evaluate
+many words at once as numpy columns through the circuit's column
+evaluator; ``accepts`` is the one-row view of ``accept_column``.
 """
 
 from __future__ import annotations
@@ -22,12 +23,11 @@ from .circuits import (
     VAR,
     AlgCircuit,
     CircuitBuilder,
-    eval_circuit,
     eval_columns,
     node_columns,
 )
 from .limits import Budget, default_budget
-from .modcircuit import word_blocks
+from .modcircuit import word_blocks, word_row
 from .partitions import Partition
 
 
@@ -39,9 +39,6 @@ class Instruction:
     bit: int
     a0: int
     a1: int
-
-    def value(self, word: Sequence[int]) -> int:
-        return self.a1 if word[self.bit] else self.a0
 
 
 @dataclass(frozen=True)
@@ -75,14 +72,11 @@ class AlgProgram:
         """Gate count plus instruction count."""
         return self.circuit.gate_count + len(self.instructions)
 
-    def inner_value(self, word: Sequence[int]) -> int:
-        args = [0] * self.circuit.k
-        for ins in self.instructions:
-            args[ins.var] = ins.value(word)
-        return eval_circuit(self.algebra, self.circuit, args)
-
     def accepts(self, word: Sequence[int]) -> bool:
-        return self.inner_value(word) in self.accepting
+        """Acceptance of one word, as a one-row ``accept_column``."""
+        if len(word) != self.n:
+            raise ValueError(f"expected {self.n} bits")
+        return bool(self.accept_column(word_row(word))[0])
 
     # -- many words at once ------------------------------------------------
 

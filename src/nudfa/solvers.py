@@ -9,13 +9,14 @@ ternary difference circuit.  A quotient-lifting reduction and a
 subdirect-decomposition strategy for identities round out the toolbox.
 
 The exhaustive procedures scan words in index order and assignments in
-``product`` order a block of ``TABLE_BLOCK`` at a time, evaluating the
-block as numpy columns (``AlgProgram.accept_column``, ``eval_columns``);
-the first hit in the first block that has one is the answer, so witness
-and ``tried`` count are those of a one-at-a-time scan.  Every positive
-answer carries a witness that has been re-verified by direct evaluation
-of that single input; negative answers from the random sampler are
-explicitly tagged probabilistic.
+``product`` order, and the random sampler its drawn words in draw order,
+a block of ``TABLE_BLOCK`` at a time, evaluating the block as numpy
+columns (``AlgProgram.accept_column``, ``eval_columns``); the first hit in
+the first block that has one is the answer, so witness and ``tried`` count
+are those of a one-at-a-time scan.  Every positive answer carries a
+witness that has been re-checked on its own through the one-row views
+(``AlgProgram.accepts``, ``eval_circuit``); negative answers from the
+random sampler are explicitly tagged probabilistic.
 """
 
 from __future__ import annotations
@@ -97,14 +98,20 @@ def progcsat_sample(
         trials = 4 * program.size**2
     rng = random.Random(seed)
     n = program.n
-    for t in range(trials):
-        word = rng.getrandbits(n) if n else 0
-        bits = tuple((word >> i) & 1 for i in range(n))
-        if program.accepts(bits):
+    for block in index_blocks(trials):
+        words = [rng.getrandbits(n) if n else 0 for _ in block]
+        hits = np.flatnonzero(
+            program.accept_column(np.array(words, np.int64 if n < 64 else object))
+        )
+        if len(hits):
+            word = words[hits[0]]
+            bits = tuple((word >> i) & 1 for i in range(n))
+            if not program.accepts(bits):
+                raise AssertionError(f"accepted word {bits} fails on recheck")
             return SolveResult(
                 status="sat",
                 witness=bits,
-                tried=t + 1,
+                tried=int(block[hits[0]]) + 1,
                 seed=seed,
             )
     return SolveResult(

@@ -10,8 +10,10 @@ import random
 import time
 
 import pytest
+from hypothesis import strategies as st
 
 from nudfa.circuits import AlgCircuit, CircuitBuilder
+from nudfa.modcircuit import AND, MOD, OR, SUMP, SUMPC, CCircuit, Gate
 from nudfa.programs import AlgProgram, Instruction
 
 SESSION_START = time.perf_counter()
@@ -68,6 +70,63 @@ def random_program(
         instructions=instrs,
         accepting=accepting,
     )
+
+
+@st.composite
+def layered_circuits(draw):
+    """Random circuits of all five gate kinds, wired from earlier layers.
+
+    Wires carry multiplicities up to 4 and AND/OR gates may have none.  In
+    about one circuit in three a SUMP gate may feed a later gate, which
+    every evaluator must refuse.  The output is the last gate about half
+    the time, so open SUMP outputs are common.
+    """
+    n = draw(st.integers(0, 5))
+    vector_feeds = draw(st.integers(0, 2)) == 0
+    nodes = list(range(n))
+    sump_nodes: set[int] = set()
+    gates = []
+    for layer in range(1, draw(st.integers(1, 3)) + 1):
+        sources = [x for x in nodes if vector_feeds or x not in sump_nodes]
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from([AND, OR, MOD, SUMP, SUMPC]))
+            wires = tuple(
+                draw(
+                    st.lists(
+                        st.tuples(st.sampled_from(sources), st.integers(1, 4)),
+                        max_size=4,
+                    )
+                )
+                if sources
+                else ()
+            )
+            if kind == MOD:
+                m = draw(st.integers(1, 6))
+                accepting = draw(st.frozensets(st.integers(0, m - 1)))
+                gate = Gate(MOD, layer, wires, m=m, accepting=accepting)
+            elif kind in (SUMP, SUMPC):
+                p = draw(st.sampled_from([2, 3, 5]))
+                nu = draw(st.integers(1, 2))
+                entry = st.integers(-3, 7)
+                vec = st.lists(entry, min_size=nu, max_size=nu).map(tuple)
+                coeffs = tuple(draw(vec) for _ in wires)
+                gate = Gate(
+                    kind, layer, wires, p=p, nu=nu, coeffs=coeffs,
+                    offset=draw(vec), target=draw(vec) if kind == SUMPC else (),
+                )
+            else:
+                gate = Gate(kind, layer, wires)
+            node = n + len(gates)
+            gates.append(gate)
+            if kind == SUMP:
+                sump_nodes.add(node)
+        nodes = list(range(n + len(gates)))
+    if vector_feeds and sump_nodes:
+        src = draw(st.sampled_from(sorted(sump_nodes)))
+        gates.append(Gate(draw(st.sampled_from([AND, OR])), layer + 1, ((src, 1),)))
+    last = n + len(gates) - 1
+    output = draw(st.one_of(st.just(last), st.integers(0, last)))
+    return CCircuit(n, tuple(gates), output, "")
 
 
 @pytest.fixture(scope="session")

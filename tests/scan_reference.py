@@ -1,20 +1,25 @@
 """Reference oracles: the per-assignment scans the column evaluators replaced.
 
-``progcsat_exhaustive``, ``csat_exhaustive``, ``ceqv_exhaustive`` and
-``ceqv_via_meet_irreducibles`` below are the earlier implementations of the
-functions of the same names in ``nudfa.solvers``, kept as they were.  They
-evaluate one word or assignment at a time with ``AlgProgram.accepts`` and
-``eval_circuit`` and serve as differential oracles for the block scans: the
-same status, witness or counterexample, ``tried`` count and budget charges.
+``progcsat_exhaustive``, ``progcsat_sample``, ``csat_exhaustive``,
+``ceqv_exhaustive`` and ``ceqv_via_meet_irreducibles`` below are the
+earlier implementations of the functions of the same names in
+``nudfa.solvers``, kept as they were.  They
+evaluate one word or assignment at a time with the one-word interpreters
+of ``eval_reference`` and serve as differential oracles for the block
+scans: the same status, witness or counterexample, ``tried`` count and
+budget charges.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import product
 from typing import Optional
 
+from eval_reference import accepts, eval_circuit
+
 from nudfa.algebra import FiniteAlgebra, quotient_algebra
-from nudfa.circuits import AlgCircuit, eval_circuit
+from nudfa.circuits import AlgCircuit
 from nudfa.congruence import CongruenceLattice, all_congruences
 from nudfa.limits import Budget, charge, default_budget
 from nudfa.programs import AlgProgram, map_circuit_constants
@@ -30,7 +35,7 @@ def progcsat_exhaustive(
     charge(1 << n, 1 << budget.progcsat_bits, "program input words")
     for word in range(1 << n):
         bits = tuple((word >> i) & 1 for i in range(n))
-        if program.accepts(bits):
+        if accepts(program, bits):
             return SolveResult(
                 status="sat",
                 witness=bits,
@@ -38,6 +43,33 @@ def progcsat_exhaustive(
             )
     return SolveResult(
         status="unsat", tried=1 << n
+    )
+
+
+def progcsat_sample(
+    program: AlgProgram,
+    trials: Optional[int] = None,
+    seed: int = 0,
+) -> SolveResult:
+    """Random search for an accepted word; a miss is only probabilistic."""
+    if trials is None:
+        trials = 4 * program.size**2
+    rng = random.Random(seed)
+    n = program.n
+    for t in range(trials):
+        word = rng.getrandbits(n) if n else 0
+        bits = tuple((word >> i) & 1 for i in range(n))
+        if accepts(program, bits):
+            return SolveResult(
+                status="sat",
+                witness=bits,
+                tried=t + 1,
+                seed=seed,
+            )
+    return SolveResult(
+        status="unsat (probabilistic)",
+        tried=trials,
+        seed=seed,
     )
 
 

@@ -5,8 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_alg_circuit
-from nudfa.algebra import FiniteAlgebra, make_op
+import eval_reference as reference
+from conftest import layered_circuits, random_alg_circuit
+from nudfa.algebra import FiniteAlgebra, Operation, make_op
 from nudfa.circuits import (
     AlgCircuit,
     CircuitBuilder,
@@ -16,6 +17,8 @@ from nudfa.circuits import (
     variable_circuit,
 )
 from nudfa.fixtures import get_fixture
+from nudfa.modcircuit import CCircuit, eval_cc
+from nudfa.programs import AlgProgram, Instruction
 
 Z6 = get_fixture("Z6").algebra
 
@@ -96,3 +99,85 @@ def test_evaluation_checks_operation_and_arity():
     b = CircuitBuilder(1)
     circ = b.finish(b.gate("not", b.var(0)))
     assert eval_circuit(tiny, circ, (0,)) == 1
+
+
+@st.composite
+def algebra_circuits(draw):
+    """A random algebra of 1-4 elements with up to three operations of
+    arity 0-3, and a random circuit over it in k = 0-3 variables.  About
+    one gate in ten has one child too many, which every evaluator must
+    refuse with the same ``ValueError``."""
+    size = draw(st.integers(1, 4))
+    ops = []
+    for i in range(draw(st.integers(1, 3))):
+        arity = draw(st.integers(0, 3))
+        cell = st.integers(0, size - 1)
+        table = draw(st.lists(cell, min_size=size**arity, max_size=size**arity))
+        ops.append(Operation(f"f{i}", arity, tuple(table)))
+    algebra = FiniteAlgebra("R", size, tuple(ops))
+    k = draw(st.integers(0, 3))
+    nodes = [("var", i) for i in range(k)]
+    nodes += [("const", draw(st.integers(0, size - 1)))] * draw(st.integers(0, 1))
+    for _ in range(draw(st.integers(1, 5))):
+        op = draw(st.sampled_from(ops))
+        arity = op.arity + (draw(st.integers(0, 9)) == 0)
+        if arity and not nodes:
+            continue
+        child = st.integers(0, len(nodes) - 1)
+        nodes.append(("gate", op.name, tuple(draw(child) for _ in range(arity))))
+    if not nodes:
+        nodes.append(("const", 0))
+    output = draw(st.integers(0, len(nodes) - 1))
+    return algebra, AlgCircuit(k, tuple(nodes), output)
+
+
+def _outcome(evaluate, *args):
+    """The value and its type, or the text of the ValueError raised."""
+    try:
+        value = evaluate(*args)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    return value, type(value)
+
+
+def _bits(draw, width):
+    """A 0/1 word, of the given width about two times in three."""
+    length = draw(st.one_of(st.just(width), st.integers(0, width + 1)))
+    return draw(st.lists(st.integers(0, 1), min_size=length, max_size=length))
+
+
+@settings(max_examples=150, deadline=None)
+@given(layered_circuits(), algebra_circuits(), st.data())
+def test_one_row_views_match_the_reference_interpreters(cc, alg_circuit, data):
+    """``eval_cc``, ``eval_circuit`` and ``AlgProgram.accepts`` give what
+    the gate-by-gate interpreters give, with every node in turn as the
+    output: on SUMP outputs, empty AND/OR gates, k = 0 and nullary
+    operations, and raising the same errors."""
+    word = _bits(data.draw, cc.inputs)
+    for node in range(cc.inputs + len(cc.gates)):
+        at = CCircuit(cc.inputs, cc.gates, node, "")
+        assert _outcome(eval_cc, at, word) == _outcome(reference.eval_cc, at, word)
+
+    algebra, circuit = alg_circuit
+    k = circuit.k
+    length = data.draw(st.one_of(st.just(k), st.integers(0, k + 1)))
+    element = st.integers(0, algebra.size - 1)
+    args = data.draw(st.lists(element, min_size=length, max_size=length))
+    for node in range(len(circuit.nodes)):
+        at = AlgCircuit(k, circuit.nodes, node)
+        assert _outcome(eval_circuit, algebra, at, args) == _outcome(
+            reference.eval_circuit, algebra, at, args
+        )
+
+    n = data.draw(st.integers(1 if k else 0, 5))
+    instructions = tuple(
+        Instruction(v, data.draw(st.integers(0, n - 1)), data.draw(element),
+                    data.draw(element))
+        for v in range(k)
+    )
+    accepting = data.draw(st.frozensets(element))
+    program = AlgProgram(algebra, circuit, n, instructions, accepting)
+    word = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    assert _outcome(program.accepts, word) == _outcome(
+        reference.accepts, program, word
+    )

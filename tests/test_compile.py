@@ -113,24 +113,24 @@ def marked_rep():
 def test_representation_parameters(marked_rep):
     rep = marked_rep
     assert (rep.p, rep.nu) == (3, 1)
-    assert rep.module == (0, 2, 4)
+    assert [x for x in range(6) if rep.proj[x] == rep.proj[0]] == [0, 2, 4]
     assert rep.quotient.size == 2
-    assert len(rep.coords) == 3 and len(rep.from_coords) == 3
+    assert sorted(set(rep.mcoords)) == [(0,), (1,), (2,)]
 
 
 def test_encode_decode_round_trip(marked_rep):
+    """x -> (coordinates of its module part, class) is injective, so the
+    descent's encoding of an element can be decoded."""
     rep = marked_rep
-    for x in range(rep.D.size):
-        mval, cls = rep.encode(x)
-        assert mval in rep.module
-        assert rep.decode(mval, cls) == x
+    pairs = {(rep.mcoords[x], rep.proj[x]) for x in range(rep.D.size)}
+    assert len(pairs) == rep.D.size
 
 
 def test_operations_act_affinely_on_the_module(marked_rep):
     rep = marked_rep
     assert rep.alpha["+"] == (((1,),), ((1,),))
     assert rep.alpha["%2"] == (((0,),),)
-    assert rep.from_coords[rep.hat["+"][(1, 1)]] == 2
+    assert rep.hat["+"][(1, 1)] == rep.mcoords[2]
     for op in rep.D.ops:
         mats = rep.alpha[op.name]
         for dbar in itertools.product(range(rep.D.size), repeat=op.arity):

@@ -46,9 +46,6 @@ def test_interpolation_matches_the_table_pointwise():
             for row in range(1 << n):
                 point = [(row >> i) & 1 for i in range(n)]
                 assert poly.eval(point) == table[row] % p
-                assert poly.eval_sparse(
-                    [i for i in range(n) if point[i]]
-                ) == table[row] % p
 
 
 def test_interpolation_of_named_tables():

@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import eval_reference as reference
+from conftest import layered_circuits
+
 from nudfa import modcircuit
 from nudfa.modcircuit import (
     AND,
@@ -139,61 +142,11 @@ def test_eval_rejects_wrong_word_length():
         eval_cc(mod_parity_circuit(), (0, 1, 1))
 
 
-@st.composite
-def layered_circuits(draw):
-    """Random circuits of all five gate kinds, wired from earlier layers.
-
-    Wires carry multiplicities up to 4 and AND/OR gates may have none.  In
-    about one circuit in three a SUMP gate may feed a later gate, which
-    every evaluator must refuse.  The output is the last gate about half
-    the time, so open SUMP outputs are common.
-    """
-    n = draw(st.integers(0, 5))
-    vector_feeds = draw(st.integers(0, 2)) == 0
-    nodes = list(range(n))
-    sump_nodes: set[int] = set()
-    gates = []
-    for layer in range(1, draw(st.integers(1, 3)) + 1):
-        sources = [x for x in nodes if vector_feeds or x not in sump_nodes]
-        for _ in range(draw(st.integers(1, 3))):
-            kind = draw(st.sampled_from([AND, OR, MOD, SUMP, SUMPC]))
-            wires = tuple(
-                draw(
-                    st.lists(
-                        st.tuples(st.sampled_from(sources), st.integers(1, 4)),
-                        max_size=4,
-                    )
-                )
-                if sources
-                else ()
-            )
-            if kind == MOD:
-                m = draw(st.integers(1, 6))
-                accepting = draw(st.frozensets(st.integers(0, m - 1)))
-                gate = Gate(MOD, layer, wires, m=m, accepting=accepting)
-            elif kind in (SUMP, SUMPC):
-                p = draw(st.sampled_from([2, 3, 5]))
-                nu = draw(st.integers(1, 2))
-                entry = st.integers(-3, 7)
-                vec = st.lists(entry, min_size=nu, max_size=nu).map(tuple)
-                coeffs = tuple(draw(vec) for _ in wires)
-                gate = Gate(
-                    kind, layer, wires, p=p, nu=nu, coeffs=coeffs,
-                    offset=draw(vec), target=draw(vec) if kind == SUMPC else (),
-                )
-            else:
-                gate = Gate(kind, layer, wires)
-            node = n + len(gates)
-            gates.append(gate)
-            if kind == SUMP:
-                sump_nodes.add(node)
-        nodes = list(range(n + len(gates)))
-    if vector_feeds and sump_nodes:
-        src = draw(st.sampled_from(sorted(sump_nodes)))
-        gates.append(Gate(draw(st.sampled_from([AND, OR])), layer + 1, ((src, 1),)))
-    last = n + len(gates) - 1
-    output = draw(st.one_of(st.just(last), st.integers(0, last)))
-    return CCircuit(n, tuple(gates), output, "")
+def test_eval_reads_words_wider_than_an_int64():
+    gate = Gate(MOD, 1, ((0, 1), (69, 1)), m=2, accepting=frozenset({1}))
+    circ = CCircuit(inputs=70, gates=(gate,), output=70, declared_shape="MOD(2)")
+    for word in ([1] * 70, [0] * 69 + [1], [1] + [0] * 69, [0] * 70):
+        assert eval_cc(circ, word) == reference.eval_cc(circ, word) == word[0] ^ word[69]
 
 
 @settings(max_examples=150, deadline=None)
@@ -205,7 +158,7 @@ def test_column_table_matches_the_word_evaluator(circuit, block, data):
     ]
     with mock.patch.object(modcircuit, "TABLE_BLOCK", block):
         try:
-            want = [eval_cc(circuit, w) for w in words]
+            want = [reference.eval_cc(circuit, w) for w in words]
         except ValueError as exc:
             with pytest.raises(ValueError, match=str(exc)):
                 cc_table(circuit)

@@ -11,6 +11,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import eval_reference
 import scan_reference as reference
 from conftest import random_alg_circuit, random_program
 
@@ -252,6 +253,10 @@ def test_scans_match_the_per_assignment_reference(name, k, seed, block):
         assert outcome(progcsat_exhaustive(prog)) == outcome(
             reference.progcsat_exhaustive(prog)
         )
+        trials = rng.randrange(12)
+        assert progcsat_sample(prog, trials, seed) == reference.progcsat_sample(
+            prog, trials, seed
+        )
         for e in range(alg.size):
             for new, old in (
                 (csat_exhaustive, reference.csat_exhaustive),
@@ -291,6 +296,17 @@ def test_program_scan_hits_around_block_boundaries(bits, first):
     unsat = with_accepting(prog, set())
     with mock.patch.object(modcircuit, "TABLE_BLOCK", 4):
         assert outcome(progcsat_exhaustive(unsat)) == ("unsat", None, None, 8)
+
+
+def test_sampler_and_accepts_read_words_wider_than_an_int64():
+    """A 70-bit word's index does not fit int64; the sampler and the
+    one-row view still read such words, as the one-word reference does."""
+    prog = and_of_bits(70, (0, 33, 69))
+    for word in ([1] * 70, [1] * 69 + [0], [0] * 70):
+        assert prog.accepts(word) == eval_reference.accepts(prog, word)
+    res = progcsat_sample(prog, 64, seed=5)
+    assert res.status == "sat"
+    assert res == reference.progcsat_sample(prog, 64, seed=5)
 
 
 @pytest.mark.parametrize("block", [1, 3, 4, 7, 4096])

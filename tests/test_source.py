@@ -161,3 +161,76 @@ def test_the_cache_check_sees_unbounded_caches():
         assert _cache_decorator(tree.body[0].decorator_list[0]) == (name, bounded)
     tree = ast.parse("@staticmethod\ndef f(x):\n    return x\n")
     assert _cache_decorator(tree.body[0].decorator_list[0]) is None
+
+
+ONE_ROW_VIEWS = {"eval_cc", "eval_circuit", "accepts"}
+_LOOPS = (ast.For, ast.AsyncFor, ast.While)
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.Module)
+
+
+def _repeated_one_row_calls(tree: ast.AST) -> list[int]:
+    """Lines of calls to a one-row view that run once per pass of a loop
+    or comprehension around them.  A call in a statement list that ends
+    in ``return`` or ``raise`` runs at most once per loop, as a re-check of
+    a single witness does."""
+    parent = {
+        child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)
+    }
+    found = []
+    for call in ast.walk(tree):
+        func = getattr(call, "func", None)
+        if getattr(func, "attr", getattr(func, "id", None)) not in ONE_ROW_VIEWS:
+            continue
+        child, up = call, parent[call]
+        while not isinstance(up, _SCOPES):
+            if isinstance(up, _COMPREHENSIONS) or (
+                isinstance(up, ast.While) and child is up.test
+            ):
+                found.append(call.lineno)
+                break
+            if isinstance(child, ast.stmt):
+                field, block = next(
+                    (f, v) for f, v in ast.iter_fields(up)
+                    if isinstance(v, list) and any(s is child for s in v)
+                )
+                if isinstance(block[-1], (ast.Return, ast.Raise)):
+                    break
+                if isinstance(up, _LOOPS) and field == "body":
+                    found.append(call.lineno)
+                    break
+            child, up = up, parent[up]
+    return found
+
+
+def test_one_row_views_are_not_called_in_loops():
+    """``eval_cc``, ``eval_circuit`` and ``AlgProgram.accepts`` are one-row
+    views of the column evaluators; many points go through one column call
+    instead of one view call each."""
+    found = [
+        f"{path.name}:{line}"
+        for path in MODULES
+        for line in _repeated_one_row_calls(_parse(path))
+    ]
+    assert found == []
+
+
+def test_the_loop_check_sees_repeated_calls():
+    repeated = [
+        "for x in xs:\n    if p.accepts(x):\n        return x\n",
+        "for x in xs:\n    v = eval_cc(c, x)\n    out.append(v)\n",
+        "while eval_circuit(a, c, x) != y:\n    x = step(x)\n",
+        "t = [eval_circuit(a, c, (x, y)) for x in xs]\n",
+        "for x in xs:\n    if x:\n        if eval_cc(c, x):\n            raise E\n",
+    ]
+    once = [
+        "v = eval_cc(c, w)\n",
+        "for b in blocks:\n    if hit:\n        if not p.accepts(w):\n"
+        "            raise E\n        return w\n",
+        "for t in ts:\n    got = eval_circuit(a, c, x)\n    return got\n",
+        "for x in eval_cc(c, w):\n    use(x)\n",
+    ]
+    for source in repeated:
+        assert len(_repeated_one_row_calls(ast.parse(source))) == 1, source
+    for source in once:
+        assert _repeated_one_row_calls(ast.parse(source)) == [], source
