@@ -166,8 +166,7 @@ def block_group(
     block = beta.block_of(e)
     bset = set(block)
     pairs = list(product(block, repeat=2))
-    left, right = np.array(pairs).T
-    args = np.stack([left, np.full_like(left, e), right])
+    args = np.array([(x, e, y) for x, y in pairs]).T
     add = dict(zip(pairs, eval_columns(algebra, malcev, args).tolist()))
     for (x, y), v in add.items():
         if v not in bset:
