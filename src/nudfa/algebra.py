@@ -22,6 +22,7 @@ from .circuits import (
     VAR,
     AlgCircuit,
     argument_blocks,
+    dump_json,
     eval_columns,
     subcircuit,
 )
@@ -116,9 +117,7 @@ class FiniteAlgebra:
             return FiniteAlgebra.from_json(json.load(fh))
 
     def dump(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        dump_json(path, self.to_json())
 
 
 def make_op(name: str, arity: int, size: int, fn) -> Operation:

@@ -12,10 +12,12 @@ are the one evaluator, and ``eval_circuit`` is their one-row view for a
 single assignment.  ``product_columns`` and
 ``argument_blocks`` list assignments and argument tuples in ``product``
 order as numpy arrays, ``product_blocks`` their positions in the pools.
+``dump_json`` writes every JSON file the package saves.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Protocol, Sequence
@@ -94,6 +96,13 @@ class AlgCircuit:
             else:
                 raise ValueError(f"bad node {raw!r}")
         return AlgCircuit(int(data["k"]), tuple(nodes), int(data["output"]))
+
+
+def dump_json(path: str, data: dict) -> None:
+    """Write the package's JSON file format: sorted keys, two-space indent
+    and a final newline, in one write."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def eval_circuit(algebra: OpTable, circuit: AlgCircuit, args: Sequence[int]) -> int:

@@ -4,16 +4,19 @@ By Mal'cev's lemma an equivalence relation is a congruence exactly when every
 basic translation x -> f(c_1, ..., x, ..., c_r) preserves it, so the
 congruence generated by a set of pairs is their closure under the basic
 translations and transitivity (R. Freese, "Computing congruences
-efficiently", Algebra Universalis 2008).  The full lattice is the
-join-closure of the principal congruences.  The binary commutator is the
-term-condition commutator, computed from the matrix subalgebra M(alpha, beta)
-of A^4: each matrix is coded as a pair of rows, each row a pair of elements,
-so unary and binary operations act on it through their tables on A^2.
-Congruences are symmetric, so M(alpha, beta) is invariant under exchanging
-the rows and exchanging the columns of its matrices, and M(alpha, alpha)
-also under transposing them (Freese and McKenzie, "Commutator Theory for
-Congruence Modular Varieties", 1987); the closure applies each operation
-with its first argument running over orbit representatives only.
+efficiently", Algebra Universalis 2008).  A translation t that permutes
+the universe has a power for inverse, so Cg(a, b) = Cg(t(a), t(b)): the
+lattice needs one principal per orbit of pairs, and is what the covers,
+the minimal joins lo v Cg(a, b) above lo, reach from 0.  The binary
+commutator is the term-condition commutator, computed from the matrix
+subalgebra M(alpha, beta) of A^4: each matrix is coded as a pair of rows,
+each row a pair of elements, so unary and binary operations act on it
+through their tables on A^2.  Congruences are symmetric, so M(alpha, beta)
+is invariant under exchanging the rows and exchanging the columns of its
+matrices, and M(alpha, alpha) also under transposing them (Freese and
+McKenzie, "Commutator Theory for Congruence Modular Varieties", 1987); the
+closure applies each operation with its first argument running over orbit
+representatives only.
 
 Everything derived from one algebra lives in its :class:`Structure`: the
 translations, the lattice, the unary clone, a Malcev polynomial, the
@@ -48,7 +51,7 @@ from .algebra import (
 from .circuits import AlgCircuit, product_blocks
 from .fieldpoly import prime_divisors
 from .limits import Budget, default_budget
-from .partitions import Partition, all_partitions
+from .partitions import Partition, all_partitions, label_join, label_leq
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +248,17 @@ class CongruenceLattice:
 def all_congruences(
     algebra: FiniteAlgebra, budget: Optional[Budget] = None
 ) -> CongruenceLattice:
-    """Build the full congruence lattice (join-closure of principals)."""
+    """Build the full congruence lattice (R. Freese, "Computing congruences
+    efficiently", Algebra Universalis 2008).
+
+    A basic translation t that permutes the universe has some order k, so
+    its inverse t^(k-1) is a unary polynomial and Cg(a, b) = Cg(t(a), t(b)):
+    one principal congruence per orbit of pairs under these permutations
+    gives them all.  Every congruence is the join of the principals below
+    it, so hi covers lo exactly when hi is a minimal element of
+    {lo v Cg(a, b)} - {lo}; walking up these covers from 0 reaches every
+    element.  Partitions stay least-member label tuples until the end.
+    """
     budget = budget or default_budget()
     if algebra.size > budget.lattice_universe:
         raise ValueError(
@@ -253,35 +266,31 @@ def all_congruences(
             f"{budget.lattice_universe}"
         )
     n = algebra.size
-    found: set[Partition] = {Partition.identity(n), Partition.total(n)}
-    principals = set()
-    for a, b in combinations(range(n), 2):
-        principals.add(principal_congruence(algebra, a, b))
-    found |= principals
-    frontier = set(found)
-    while frontier:
-        fresh = set()
-        for x in frontier:
-            for y in found:
-                j = x.join(y)
-                if j not in found and j not in fresh:
-                    fresh.add(j)
-        found |= fresh
-        frontier = fresh
-    elements = tuple(sorted(found))
-    index = {c: i for i, c in enumerate(elements)}
-    covers = []
-    for i, lo in enumerate(elements):
-        for j, hi in enumerate(elements):
-            if i == j or not lo.leq(hi):
-                continue
-            if any(
-                lo.leq(mid) and mid.leq(hi) and mid != lo and mid != hi
-                for mid in elements
-            ):
-                continue
-            covers.append((i, j))
-    return CongruenceLattice(algebra, elements, index, tuple(covers))
+    perms = [t for t in zip(*structure(algebra).translations) if len(set(t)) == n]
+    principals, seen = set(), set()
+    for pair in combinations(range(n), 2):
+        if pair not in seen:
+            principals.add(principal_congruence(algebra, *pair).class_of)
+            orbit = [pair]
+            for a, b in orbit:
+                fresh = {(min(t[a], t[b]), max(t[a], t[b])) for t in perms} - seen
+                seen |= fresh
+                orbit += fresh
+    upper: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    todo = [tuple(range(n))]
+    for lo in todo:
+        if lo in upper:
+            continue
+        joins = {label_join(lo, enumerate(p)) for p in principals} - {lo}
+        upper[lo] = [
+            hi for hi in joins
+            if not any(m != hi and label_leq(m, hi) for m in joins)
+        ]
+        todo += upper[lo]
+    rank = {c: i for i, c in enumerate(sorted(upper))}
+    covers = sorted((rank[lo], rank[hi]) for lo in upper for hi in upper[lo])
+    index = {Partition(c): i for c, i in rank.items()}
+    return CongruenceLattice(algebra, tuple(index), index, tuple(covers))
 
 
 def all_congruences_bruteforce(algebra: FiniteAlgebra) -> list[Partition]:
@@ -460,7 +469,8 @@ def commutator(
         forced = (cls[x1] == cls[x2]) & (cls[x3] != cls[x4])
         if not forced.any():
             return delta
-        bottoms = np.unique(x3[forced] * n + x4[forced])
+        codes = x3[forced] * n + x4[forced]
+        bottoms = np.flatnonzero(np.bincount(codes, minlength=n * n))
         delta = congruence_generated(
             algebra,
             [*enumerate(delta.class_of),

@@ -32,6 +32,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from .circuits import dump_json
+
 AND = "AND"
 OR = "OR"
 MOD = "MOD"
@@ -173,9 +175,7 @@ class CCircuit:
             return CCircuit.from_json(json.load(fh))
 
     def dump(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        dump_json(path, self.to_json())
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 A partition is stored as the vector mapping each element to the least member
 of its block, which makes equality, hashing and refinement tests cheap and
-gives every partition a unique normal form.
+gives every partition a unique normal form.  ``label_join`` and
+``label_leq`` are the one join and the one order test; they take such
+vectors as plain tuples, so the lattice builder joins and compares
+without making a Partition for each candidate.
 """
 
 from __future__ import annotations
@@ -46,19 +49,7 @@ class Partition:
 
     @staticmethod
     def from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> "Partition":
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in pairs:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        return Partition(tuple(find(x) for x in range(n)))
+        return Partition(label_join(range(n), pairs))
 
     # -- basic queries -----------------------------------------------------
 
@@ -91,12 +82,7 @@ class Partition:
 
     def leq(self, other: "Partition") -> bool:
         """Refinement order: every block of self lies inside a block of other."""
-        seen: dict[int, int] = {}
-        for x, c in enumerate(self.class_of):
-            o = other.class_of[x]
-            if seen.setdefault(c, o) != o:
-                return False
-        return True
+        return label_leq(self.class_of, other.class_of)
 
     def meet(self, other: "Partition") -> "Partition":
         key: dict[tuple[int, int], int] = {}
@@ -107,15 +93,44 @@ class Partition:
         return Partition(tuple(cls))
 
     def join(self, other: "Partition") -> "Partition":
-        pairs = [(x, self.class_of[x]) for x in range(self.n)]
-        pairs += [(x, other.class_of[x]) for x in range(self.n)]
-        return Partition.from_pairs(self.n, pairs)
+        return Partition(label_join(self.class_of, enumerate(other.class_of)))
 
     def is_identity(self) -> bool:
         return all(c == x for x, c in enumerate(self.class_of))
 
     def is_total(self) -> bool:
         return all(c == 0 for c in self.class_of)
+
+
+def label_leq(lo: Sequence[int], hi: Sequence[int]) -> bool:
+    """Refinement order on least-member label vectors: each x lies in the
+    hi-block of the least member of its lo-block."""
+    return all(hi[x] == hi[c] for x, c in enumerate(lo))
+
+
+def label_join(
+    labels: Sequence[int], pairs: Iterable[tuple[int, int]]
+) -> tuple[int, ...]:
+    """Least-member label vector of the equivalence generated by the
+    least-member label vector ``labels`` and the pairs.
+
+    A union-find forest starts from ``labels`` and merges each pair, hanging
+    each root under the smaller one, so a parent never exceeds its child
+    and one pass in increasing order resolves every root.
+    """
+    parent = list(labels)
+    for a, b in pairs:
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    for x, p in enumerate(parent):
+        parent[x] = parent[p]
+    return tuple(parent)
 
 
 def all_partitions(n: int) -> Iterator[Partition]:

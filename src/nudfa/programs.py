@@ -23,6 +23,7 @@ from .circuits import (
     VAR,
     AlgCircuit,
     CircuitBuilder,
+    dump_json,
     eval_columns,
     node_columns,
 )
@@ -148,9 +149,7 @@ class AlgProgram:
             return AlgProgram.from_json(json.load(fh), algebra)
 
     def dump(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        dump_json(path, self.to_json())
 
 
 def truth_table(program: AlgProgram, budget: Optional[Budget] = None) -> list[bool]:

@@ -12,6 +12,7 @@ import time
 import pytest
 from hypothesis import strategies as st
 
+from nudfa.algebra import FiniteAlgebra, make_op
 from nudfa.circuits import AlgCircuit, CircuitBuilder
 from nudfa.modcircuit import AND, MOD, OR, SUMP, SUMPC, CCircuit, Gate
 from nudfa.programs import AlgProgram, Instruction
@@ -30,6 +31,16 @@ def scalar(value):
     if isinstance(value, tuple) and len(value) == 1:
         return value[0]
     return value
+
+
+def dihedral4() -> FiniteAlgebra:
+    """The symmetries of a square; r^i s^j is encoded as 2 i + j."""
+
+    def mul(x, y):
+        (i, j), (k, l) = divmod(x, 2), divmod(y, 2)
+        return 2 * ((i + (k if j == 0 else -k)) % 4) + (j + l) % 2
+
+    return FiniteAlgebra("D4", 8, (make_op("*", 2, 8, mul),))
 
 
 def random_alg_circuit(

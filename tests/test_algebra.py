@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import closure_reference as reference
+from conftest import dihedral4
 from nudfa import algebra
 from nudfa.algebra import (
     FiniteAlgebra,
@@ -75,16 +76,6 @@ def test_clone_functions_certified_by_witness_circuits():
     for fn in clone:
         for x in range(6):
             assert eval_circuit(zm, fn.witness, (x,)) == fn.values[x]
-
-
-def dihedral4() -> FiniteAlgebra:
-    """The symmetries of a square; r^i s^j is encoded as 2 i + j."""
-
-    def mul(x, y):
-        (i, j), (k, l) = divmod(x, 2), divmod(y, 2)
-        return 2 * ((i + (k if j == 0 else -k)) % 4) + (j + l) % 2
-
-    return FiniteAlgebra("D4", 8, (make_op("*", 2, 8, mul),))
 
 
 def ternary_circuit_json(op, gates):

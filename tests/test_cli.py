@@ -5,6 +5,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -148,3 +151,42 @@ def test_each_call_starts_with_empty_run_memos(monkeypatch, tmp_path):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["algebra", "--algebra", "fixtures:Z2"]) == 0
     assert sizes == [[0, 0, 0]]
+
+
+def test_a_con_call_never_imports_numpy_ma():
+    """``numpy.ma`` is a sizeable import for one short CLI process, and
+    ``np.unique`` imports it on first use in numpy 2.4, so the commutator
+    counts codes with ``np.bincount`` instead."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from nudfa.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['con', '--algebra', 'fixtures:Z6%2'])\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == "False\n"
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: get_fixture("S3").algebra,
+        sump_circuit,
+        lambda: demo_program("and2_z6%2"),
+    ],
+)
+def test_json_files_match_the_streaming_writer(tmp_path, make):
+    """Each ``dump`` writes the bytes of ``json.dump(..., indent=2,
+    sort_keys=True)`` plus a final newline."""
+    obj = make()
+    path = tmp_path / "obj.json"
+    obj.dump(str(path))
+    expected = io.StringIO()
+    json.dump(obj.to_json(), expected, indent=2, sort_keys=True)
+    assert path.read_text() == expected.getvalue() + "\n"

@@ -17,8 +17,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import commutator_reference as reference
+import lattice_reference
+from conftest import dihedral4
 from nudfa import congruence
-from nudfa.algebra import FiniteAlgebra, Operation, quotient_algebra, respects
+from nudfa.algebra import FiniteAlgebra, Operation, make_op, quotient_algebra, respects
 from nudfa.circuits import argument_blocks
 from nudfa.cli import main
 from nudfa.congruence import (
@@ -107,6 +109,83 @@ def test_translation_closure_matches_bruteforce_on_random_tables(alg, data):
     assert principal_congruence(alg, a, b) == functools.reduce(
         Partition.meet, relating
     )
+
+
+@st.composite
+def permuting_algebras(draw):
+    """Algebras on 1..6 elements whose translations often permute the
+    universe, so that orbits of pairs really merge: an isotope of Z_n (a
+    Latin square) as binary operation, a permutation as unary one, and a
+    random table, each present or not."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    elements = list(range(n))
+    ops = []
+    if draw(st.booleans()):
+        r, c, v = (draw(st.permutations(elements)) for _ in range(3))
+        cells = itertools.product(elements, repeat=2)
+        ops.append(Operation("*", 2, tuple(v[(r[x] + c[y]) % n] for x, y in cells)))
+    if draw(st.booleans()):
+        ops.append(Operation("u", 1, tuple(draw(st.permutations(elements)))))
+    if not ops or draw(st.booleans()):
+        ops += random_algebra(draw, n, [draw(st.sampled_from([1, 2]))]).ops
+    return FiniteAlgebra(f"permuting{n}", n, tuple(ops))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(permuting_algebras(), small_algebras()))
+def test_lattice_matches_the_all_pairs_reference(alg):
+    """Same elements in the same order, and the same covers, as the join
+    closure over all pairs with its cubic cover loop."""
+    lat, ref = all_congruences(alg), lattice_reference.all_congruences(alg)
+    assert lat.elements == ref.elements
+    assert lat.covers == ref.covers
+
+
+def elementary_two_group(k):
+    return FiniteAlgebra(f"Z2^{k}", 2**k, (make_op("+", 2, 2**k, int.__xor__),))
+
+
+def z3_squared():
+    def add(x, y):
+        return ((x // 3 + y // 3) % 3) * 3 + (x + y) % 3
+
+    return FiniteAlgebra("Z3xZ3", 9, (make_op("+", 2, 9, add),))
+
+
+def test_lattices_of_elementary_abelian_two_groups():
+    """Z2^4 has 67 subgroups with 240 covers, as the reference finds too,
+    and Z2^5 has 374 with 2,077 covers; both lie above the default
+    universe cap."""
+    wide = Budget(lattice_universe=64)
+    z2_4 = elementary_two_group(4)
+    lat = all_congruences(z2_4, wide)
+    ref = lattice_reference.all_congruences(z2_4)
+    assert (len(lat), len(lat.covers)) == (67, 240)
+    assert (lat.elements, lat.covers) == (ref.elements, ref.covers)
+    lat = all_congruences(elementary_two_group(5), wide)
+    assert (len(lat), len(lat.covers)) == (374, 2077)
+
+
+@pytest.mark.parametrize(
+    "make, generated",
+    [(z3_squared, 4), (dihedral4, 4), (lambda: get_fixture("S3").algebra, 2)],
+)
+def test_one_principal_congruence_per_orbit_of_pairs(monkeypatch, make, generated):
+    """Translations of a group permute it, so a lattice generates one
+    principal congruence per orbit of pairs, not one per pair (36, 28
+    and 15 here)."""
+    calls = []
+    inner = congruence.congruence_generated
+
+    def counted(alg, pairs):
+        calls.append(1)
+        return inner(alg, pairs)
+
+    alg = make()
+    monkeypatch.setattr(congruence, "congruence_generated", counted)
+    lat = all_congruences(alg)
+    assert len(calls) == generated
+    assert lat.elements == lattice_reference.all_congruences(alg).elements
 
 
 def test_without_translations_a_congruence_is_any_equivalence():

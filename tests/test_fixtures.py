@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from nudfa.algebra import FiniteAlgebra, verify_malcev
+from nudfa.algebra import verify_malcev
 from nudfa.congruence import all_congruences
 from nudfa.fixtures import (
     demo_names,

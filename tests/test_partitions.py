@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import lattice_reference
+
 from nudfa.partitions import Partition
 
 
@@ -88,3 +90,14 @@ def test_leq_agrees_with_meet(a, b):
     n = min(len(a), len(b))
     x, y = from_labels(a[:n]), from_labels(b[:n])
     assert x.leq(y) == (x.meet(y) == x)
+
+
+@given(labelings, labelings)
+def test_join_and_order_match_the_earlier_ones(a, b):
+    """The label-vector join and order test agree with the earlier
+    pair-union join and block-map order test."""
+    n = min(len(a), len(b))
+    x, y = from_labels(a[:n]), from_labels(b[:n])
+    assert x.join(y) == lattice_reference.join(x, y)
+    assert x.leq(y) == lattice_reference.leq(x, y)
+    assert y.leq(x.join(y))
