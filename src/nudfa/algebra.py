@@ -9,6 +9,7 @@ permitted (table of length 1).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
@@ -21,6 +22,7 @@ from .circuits import (
     GATE,
     VAR,
     AlgCircuit,
+    CircuitBuilder,
     argument_blocks,
     dump_json,
     eval_columns,
@@ -424,7 +426,7 @@ def _table_index(current: np.ndarray, args: list[np.ndarray], n: int) -> np.ndar
 
 
 # ---------------------------------------------------------------------------
-# Malcev polynomial search
+# Malcev polynomials
 # ---------------------------------------------------------------------------
 
 
@@ -452,6 +454,80 @@ def find_malcev_polynomial(
         algebra, 3, budget, "Malcev search", depth_bound, is_malcev, charge_seeds=False
     )
     return None if hit is None else subcircuit(3, nodes, hit)
+
+
+def quasigroup_malcev(
+    algebra: FiniteAlgebra, budget: Optional[Budget] = None
+) -> Optional[AlgCircuit]:
+    r"""The quasigroup Malcev term q(x, y, z) = (x / (y\y)) * (y\z).
+
+    ``*`` is the first binary operation, in ``algebra.ops`` order, whose
+    table is a Latin square.  Its translations L_y: z -> y * z and
+    R_u: x -> x * u then permute the universe, so the divisions are powers
+    of them: y\z = L_y^(e-1)(z), where e is the lcm of the orders of all
+    the L_y, and x / u = R_u^(f-1)(x) likewise.  Since y / (y\y) = y,
+    q(x, x, z) = z and q(x, y, y) = x (Mal'cev 1954; Freese and McKenzie,
+    "Commutator Theory for Congruence Modular Varieties", 1987).
+
+    The circuit has 2e + f - 2 gates.  It is returned only if
+    ``verify_malcev`` accepts it; the result is None when no operation is a
+    Latin square or the circuit would need more than
+    ``budget.clone_functions`` gates.
+    """
+    budget = budget or default_budget()
+    cap = budget.clone_functions
+    n = algebra.size
+    column = np.arange(n)[:, None]
+    for op in algebra.ops:
+        if op.arity != 2:
+            continue
+        square = np.asarray(op.table).reshape(n, n)
+        if (np.sort(square, axis=0) == column).all() and (
+            np.sort(square, axis=1) == column.T
+        ).all():
+            break
+    else:
+        return None
+    e = _exponent(square, cap)
+    f = None if e is None else _exponent(square.T, cap)
+    if f is None or 2 * e + f - 2 > cap:
+        return None
+
+    b = CircuitBuilder(3)
+    x, y, z = (b.var(i) for i in range(3))
+
+    def left_divide(u: int, v: int) -> int:
+        for _ in range(e - 1):
+            v = b.gate(op.name, u, v)
+        return v
+
+    def right_divide(v: int, u: int) -> int:
+        for _ in range(f - 1):
+            v = b.gate(op.name, v, u)
+        return v
+
+    q = b.gate(op.name, right_divide(x, left_divide(y, y)), left_divide(y, z))
+    circuit = b.finish(q)
+    return circuit if verify_malcev(algebra, circuit) else None
+
+
+def _exponent(perms: np.ndarray, cap: int) -> Optional[int]:
+    """The lcm of the orders of the permutations listed as rows, or None
+    as soon as it exceeds ``cap``."""
+    e = 1
+    for perm in perms.tolist():
+        seen = [False] * len(perm)
+        for start in range(len(perm)):
+            at, length = start, 0
+            while not seen[at]:
+                seen[at] = True
+                at = perm[at]
+                length += 1
+            if length:
+                e = math.lcm(e, length)
+                if e > cap:
+                    return None
+    return e
 
 
 def verify_malcev(algebra: FiniteAlgebra, circuit: AlgCircuit) -> bool:

@@ -758,7 +758,8 @@ def compile_nilpotent(
     malcev = s.malcev
     if malcev is None:
         raise HypothesisViolation(
-            f"no Malcev polynomial of {A.name} found within the depth bound"
+            f"no Malcev polynomial of {A.name}: no operation is a Latin "
+            "square and the search found none within its depth bound"
         )
 
     dist = s.distinguished

@@ -21,7 +21,11 @@ representatives only.
 Everything derived from one algebra lives in its :class:`Structure`: the
 translations, the lattice, the unary clone, a Malcev polynomial, the
 distinguished congruences and memos of commutators and characteristics,
-each computed on first read.  ``structure`` hands out one Structure per
+each computed on first read.  The Malcev polynomial of an algebra with a
+Latin-square operation, such as every group, is built from that
+operation's divisions (``quasigroup_malcev``); only other algebras, or a
+term longer than the budget, pay for the breadth-first search, which
+gives None if it finds none.  ``structure`` hands out one Structure per
 budget, size and operations for the run, so an algebra and its copies
 under other names (such as its quotient by zero) share one, whose
 ``algebra`` is the copy seen first: names come from the caller's algebra.
@@ -45,6 +49,7 @@ from .algebra import (
     FiniteAlgebra,
     UnaryClone,
     find_malcev_polynomial,
+    quasigroup_malcev,
     quotient_algebra,
     respects,
 )
@@ -62,10 +67,14 @@ from .partitions import Partition, all_partitions, label_join, label_leq
 class Structure:
     """What the package derives from an algebra, each part computed on its
     first read and kept: the basic translations, the congruence lattice,
-    the unary clone, a Malcev polynomial (None if the search finds none),
-    the distinguished congruences, and memos of commutators and
-    characteristics.  ``algebra`` is the one the Structure was made for;
-    callers name results after their own algebra, not after it.
+    the unary clone, a Malcev polynomial, the distinguished congruences,
+    and memos of commutators and characteristics.  The Malcev polynomial
+    is the quasigroup term built from the first Latin-square operation;
+    without one, or when that term needs more gates than
+    ``budget.clone_functions``, it is the search's first witness, and
+    None if the search finds none.  ``algebra`` is the one the Structure
+    was made for; callers name results after their own algebra, not after
+    it.
     """
 
     def __init__(self, algebra: FiniteAlgebra, budget: Budget):
@@ -88,7 +97,9 @@ class Structure:
 
     @cached_property
     def malcev(self) -> Optional[AlgCircuit]:
-        return find_malcev_polynomial(self.algebra, budget=self.budget)
+        return quasigroup_malcev(self.algebra, self.budget) or find_malcev_polynomial(
+            self.algebra, budget=self.budget
+        )
 
     @cached_property
     def distinguished(self) -> "DistinguishedCongruences":

@@ -18,7 +18,7 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class Budget:
-    clone_functions: int = 100_000     # unary polynomial closure
+    clone_functions: int = 100_000     # clone and Malcev search tables; quasigroup term gates
     lattice_universe: int = 10         # max |A| for full congruence lattices
     truth_table_bits: int = 20         # 2**bits rows for program truth tables
     progcsat_bits: int = 24            # exhaustive program satisfiability scan

@@ -6,13 +6,14 @@ session, so collection is reordered to run it last.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 
 import pytest
 from hypothesis import strategies as st
 
-from nudfa.algebra import FiniteAlgebra, make_op
+from nudfa.algebra import FiniteAlgebra, Operation, make_op
 from nudfa.circuits import AlgCircuit, CircuitBuilder
 from nudfa.modcircuit import AND, MOD, OR, SUMP, SUMPC, CCircuit, Gate
 from nudfa.programs import AlgProgram, Instruction
@@ -41,6 +42,46 @@ def dihedral4() -> FiniteAlgebra:
         return 2 * ((i + (k if j == 0 else -k)) % 4) + (j + l) % 2
 
     return FiniteAlgebra("D4", 8, (make_op("*", 2, 8, mul),))
+
+
+def random_algebra(draw, n, arities):
+    """Random operations of the given arities on n elements.  Half the
+    draws make every table respect the kernel of a random labelling, so
+    that nontrivial congruences turn up often."""
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    blocks = {c: [x for x in range(n) if labels[x] == c] for c in labels}
+    free = draw(st.booleans())
+    ops = []
+    for r in arities:
+        raw = draw(st.lists(st.integers(0, n - 1), min_size=n**r, max_size=n**r))
+        if not free:
+            lead: dict = {}
+            for i, args in enumerate(itertools.product(range(n), repeat=r)):
+                key = tuple(labels[a] for a in args)
+                block = blocks[labels[lead.setdefault(key, raw[i])]]
+                raw[i] = block[raw[i] % len(block)]
+        ops.append(Operation(f"f{r}", r, tuple(raw)))
+    return FiniteAlgebra(f"random{n}", n, tuple(ops))
+
+
+@st.composite
+def permuting_algebras(draw):
+    """Algebras on 1..6 elements whose translations often permute the
+    universe, so that orbits of pairs really merge: an isotope of Z_n (a
+    Latin square) as binary operation, a permutation as unary one, and a
+    random table, each present or not."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    elements = list(range(n))
+    ops = []
+    if draw(st.booleans()):
+        r, c, v = (draw(st.permutations(elements)) for _ in range(3))
+        cells = itertools.product(elements, repeat=2)
+        ops.append(Operation("*", 2, tuple(v[(r[x] + c[y]) % n] for x, y in cells)))
+    if draw(st.booleans()):
+        ops.append(Operation("u", 1, tuple(draw(st.permutations(elements)))))
+    if not ops or draw(st.booleans()):
+        ops += random_algebra(draw, n, [draw(st.sampled_from([1, 2]))]).ops
+    return FiniteAlgebra(f"permuting{n}", n, tuple(ops))
 
 
 def random_alg_circuit(

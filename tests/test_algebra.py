@@ -1,7 +1,11 @@
 """Operation tables, unary clone generation, difference-polynomial search."""
 
+import contextlib
 import functools
+import io
+import random
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,8 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import closure_reference as reference
-from conftest import dihedral4
-from nudfa import algebra
+from conftest import dihedral4, permuting_algebras
+from nudfa import algebra, congruence
 from nudfa.algebra import (
     FiniteAlgebra,
     Operation,
@@ -18,15 +22,19 @@ from nudfa.algebra import (
     UnaryFn,
     find_malcev_polynomial,
     make_op,
+    quasigroup_malcev,
     quotient_algebra,
     verify_malcev,
 )
-from nudfa.circuits import CircuitBuilder, eval_circuit
+from nudfa.circuits import GATE, CircuitBuilder, eval_circuit, eval_columns
+from nudfa.cli import main
 from nudfa.congruence import Structure
 from nudfa.fixtures import get_fixture
 from nudfa.limits import Budget, BudgetExceeded, default_budget
 from nudfa.localize import minimal_sets
 from nudfa.partitions import Partition
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_make_op_and_eval():
@@ -314,6 +322,148 @@ def test_recorded_fixture_differences_verify():
         fix = get_fixture(name)
         assert fix.malcev is not None
         assert verify_malcev(fix.algebra, fix.malcev)
+
+
+def cube_table(alg: FiniteAlgebra, circuit) -> list[int]:
+    """A ternary circuit's values on A^3 in ``product`` order."""
+    n = alg.size
+    return eval_columns(alg, circuit, np.indices((n,) * 3).reshape(3, -1)).tolist()
+
+
+def relabelled(alg: FiniteAlgebra, seed: int) -> FiniteAlgebra:
+    """An isomorphic copy of the algebra: element x is renamed perm[x]."""
+    n = alg.size
+    perm = random.Random(seed).sample(range(n), n)
+    back = [perm.index(x) for x in range(n)]
+
+    def renamed(op):
+        return lambda *args: perm[alg.eval_op(op.name, [back[a] for a in args])]
+
+    ops = tuple(make_op(op.name, op.arity, n, renamed(op)) for op in alg.ops)
+    return FiniteAlgebra(f"{alg.name}'", n, ops)
+
+
+def cyclic(k: int) -> FiniteAlgebra:
+    return FiniteAlgebra(f"Z{k}", k, (make_op("+", 2, k, lambda x, y: (x + y) % k),))
+
+
+def cyclic_product(a: int, b: int) -> FiniteAlgebra:
+    def add(x, y):
+        return ((x // b + y // b) % a) * b + (x + y) % b
+
+    return FiniteAlgebra(f"Z{a}xZ{b}", a * b, (make_op("+", 2, a * b, add),))
+
+
+def retraction(k: int, d: int) -> FiniteAlgebra:
+    """Z_k expanded by x -> x mod d, the pattern of Z6%2."""
+    ops = cyclic(k).ops + (make_op(f"%{d}", 1, k, lambda x: x % d),)
+    return FiniteAlgebra(f"Z{k}%{d}", k, ops)
+
+
+TABLE_QUASIGROUPS = {
+    "D4": dihedral4,
+    "Z5'": lambda: relabelled(cyclic(5), 5),
+    "Z8'": lambda: relabelled(cyclic(8), 8),
+    "Z2xZ4'": lambda: relabelled(cyclic_product(2, 4), 24),
+    "Z3xZ3'": lambda: relabelled(cyclic_product(3, 3), 33),
+    "Z4%2'": lambda: relabelled(retraction(4, 2), 42),
+    "Z6%3'": lambda: relabelled(retraction(6, 3), 63),
+}
+
+
+@pytest.mark.parametrize(
+    "name", ("Z2", "Z3", "Z4", "Z6", "Z6%2", "S3", *TABLE_QUASIGROUPS)
+)
+def test_the_built_term_has_the_table_of_the_searched_witness(name):
+    """Only the Malcev circuit's table reaches the CLI outputs, so building
+    the quasigroup term instead of searching keeps them byte-identical."""
+    make = TABLE_QUASIGROUPS.get(name)
+    alg = make() if make else get_fixture(name).algebra
+    malcev = Structure(alg, default_budget()).malcev
+    assert malcev == quasigroup_malcev(alg)
+    assert cube_table(alg, malcev) == cube_table(alg, find_malcev_polynomial(alg))
+
+
+def test_a_term_longer_than_the_budget_falls_back_to_the_search():
+    """Every translation of Z6 has order dividing 6, so e = f = 6 and the
+    term has 2e + f - 2 = 16 gates.  Below that cap the Structure searches
+    under the same budget, and fails as the search alone does."""
+    alg = get_fixture("Z6%2").algebra
+    assert quasigroup_malcev(alg, Budget(clone_functions=16)).gate_count == 16
+    for cap in (15, 2):
+        budget = Budget(clone_functions=cap)
+        assert quasigroup_malcev(alg, budget) is None
+        found = outcome(lambda: Structure(alg, budget).malcev)
+        assert found == outcome(find_malcev_polynomial, alg, 4, budget)
+        assert "BudgetExceeded" in found
+
+
+def test_compile_builds_the_term_and_lattices_still_search(monkeypatch):
+    """The golden Z6%2 compile prints its recorded bytes and never calls
+    the search.  LAT2 and G7 have no Latin square, so their Structures
+    search as before: LAT2 has no Malcev polynomial and G7 exceeds the
+    default cap."""
+    calls = {"built": 0, "searched": 0}
+    build, search = congruence.quasigroup_malcev, congruence.find_malcev_polynomial
+
+    def counted(key, inner):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(congruence, "quasigroup_malcev", counted("built", build))
+    monkeypatch.setattr(congruence, "find_malcev_polynomial", counted("searched", search))
+    monkeypatch.chdir(GOLDEN)
+    monkeypatch.delenv("NUDFA_BUDGET", raising=False)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["compile", "--program", "inputs/demo_and2_z6%2.json", "--verify-n", "20"])
+    assert buf.getvalue() == (GOLDEN / "expected" / "compile_and2_z6%2.out").read_text()
+    assert code == 0 and calls == {"built": 1, "searched": 0}
+    for alg in (get_fixture("LAT2").algebra, FiniteAlgebra.load("inputs/algebra_G7.json")):
+        expected = outcome(search, alg, 4, default_budget())
+        assert outcome(lambda: Structure(alg, default_budget()).malcev) == expected
+    assert calls == {"built": 3, "searched": 2}
+    assert "BudgetExceeded" in expected
+
+
+def latin_operations(alg: FiniteAlgebra) -> list[str]:
+    """The binary operations whose every row and column lists the universe."""
+    n, universe = alg.size, list(range(alg.size))
+    return [
+        op.name
+        for op in alg.ops
+        if op.arity == 2
+        and all(sorted(op.table[i * n : (i + 1) * n]) == universe for i in range(n))
+        and all(sorted(op.table[i::n]) == universe for i in range(n))
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(permuting_algebras())
+def test_the_term_is_built_exactly_over_latin_squares(alg):
+    """From the first Latin square, and only when there is one."""
+    latin, built = latin_operations(alg), quasigroup_malcev(alg)
+    if not latin:
+        assert built is None
+    else:
+        assert verify_malcev(alg, built)
+        assert {node[1] for node in built.nodes if node[0] == GATE} == {latin[0]}
+
+
+@settings(max_examples=60, deadline=None)
+@given(permuting_algebras(), st.integers(min_value=1, max_value=500))
+def test_without_the_built_term_the_structure_searches(alg, cap):
+    """Same circuit or budget failure as the search alone."""
+    budget = Budget(clone_functions=cap)
+    built = quasigroup_malcev(alg, budget)
+    malcev = outcome(lambda: Structure(alg, budget).malcev)
+    if built is None:
+        assert malcev == outcome(find_malcev_polynomial, alg, 4, budget)
+    else:
+        assert malcev == built and built.gate_count <= cap
 
 
 def test_quotient_algebra_is_homomorphic_image():

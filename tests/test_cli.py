@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from nudfa import cli, congruence, lowering
-from nudfa.algebra import FiniteAlgebra, Operation
+from nudfa.algebra import FiniteAlgebra, Operation, quasigroup_malcev, verify_malcev
 from nudfa.circuits import CircuitBuilder
 from nudfa.cli import main, verify_harness
 from nudfa.compile import compile_supernilpotent
@@ -82,8 +82,11 @@ def test_harness_memory_stays_bounded():
 
 def test_compile_refuses_a_one_element_algebra(tmp_path):
     """No prime divides the size of a one-element algebra, so there is no
-    modulus to count in: ``compile`` prints a JSON error and exits 1."""
+    modulus to count in: ``compile`` prints a JSON error and exits 1.  The
+    refusal does not rest on a missing Malcev term: its one table is a
+    Latin square, so the quasigroup term is built."""
     trivial = FiniteAlgebra("T1", 1, (Operation("+", 2, (0,)),))
+    assert verify_malcev(trivial, quasigroup_malcev(trivial))
     b = CircuitBuilder(2)
     prog = AlgProgram(
         trivial, b.finish(b.gate("+", b.var(0), b.var(1))), 2,

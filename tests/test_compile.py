@@ -7,6 +7,7 @@ import itertools
 import pytest
 
 from nudfa import compile as compile_module
+from nudfa.algebra import FiniteAlgebra, make_op
 from nudfa.circuits import CircuitBuilder, variable_circuit
 from nudfa.compile import (
     HypothesisViolation,
@@ -18,6 +19,7 @@ from nudfa.compile import (
 )
 from nudfa.congruence import all_congruences
 from nudfa.fixtures import demo_program, get_fixture
+from nudfa.limits import Budget
 from nudfa.modcircuit import cc_truth_table, validate_shape
 from nudfa.partitions import Partition
 from nudfa.programs import AlgProgram, Instruction, truth_table
@@ -98,6 +100,32 @@ def test_descent_reads_instruction_bits_directly(monkeypatch):
     circuit, _ = compile_nilpotent(prog)
     assert bits == [0, 1]
     assert truth_table(prog) == [False, True, True, False]
+    assert_compiled_matches(circuit, prog)
+
+
+def test_the_descent_runs_down_a_chain_of_length_two(monkeypatch):
+    """Over Z12 with x -> x mod 3 the one characteristic below the
+    supernilpotent quotient is 2, and the chain from 0 to the congruence
+    mod 3 is 0 < mod 6 < mod 3, so the descent has h = 2 levels where every
+    fixture has one.  The lattice lies above the default universe cap, and
+    the Malcev term is built: the search exceeds its table cap."""
+    chains = []
+    maximal_chain = compile_module._maximal_chain
+    monkeypatch.setattr(
+        compile_module, "_maximal_chain",
+        lambda *args: chains.append(maximal_chain(*args)) or chains[-1],
+    )
+    add = make_op("+", 2, 12, lambda x, y: (x + y) % 12)
+    alg = FiniteAlgebra("Z12%3", 12, (add, make_op("%3", 1, 12, lambda x: x % 3)))
+    b = CircuitBuilder(4)
+    terms = [b.gate("%3", b.gate("+", b.var(i), b.var(i + 1))) for i in (0, 2)]
+    prog = AlgProgram(
+        alg, b.finish(b.gate("+", *terms)), 4,
+        tuple(Instruction(i, i, 0, 1) for i in range(4)), frozenset({2}),
+    )
+    circuit, reports = compile_nilpotent(prog, Budget(lattice_universe=12))
+    assert [len(chain) - 1 for chain in chains] == [2]
+    assert all(r.verified is True for r in reports)
     assert_compiled_matches(circuit, prog)
 
 

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import commutator_reference as reference
 import lattice_reference
-from conftest import dihedral4
+from conftest import dihedral4, permuting_algebras, random_algebra
 from nudfa import congruence
 from nudfa.algebra import FiniteAlgebra, Operation, make_op, quotient_algebra, respects
 from nudfa.circuits import argument_blocks
@@ -70,26 +70,6 @@ def test_lattice_matches_bruteforce_enumeration(name):
     assert all(respects(alg, part) for part in lat.elements)
 
 
-def random_algebra(draw, n, arities):
-    """Random operations of the given arities on n elements.  Half the
-    draws make every table respect the kernel of a random labelling, so
-    that nontrivial congruences turn up often."""
-    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
-    blocks = {c: [x for x in range(n) if labels[x] == c] for c in labels}
-    free = draw(st.booleans())
-    ops = []
-    for r in arities:
-        raw = draw(st.lists(st.integers(0, n - 1), min_size=n**r, max_size=n**r))
-        if not free:
-            lead: dict = {}
-            for i, args in enumerate(itertools.product(range(n), repeat=r)):
-                key = tuple(labels[a] for a in args)
-                block = blocks[labels[lead.setdefault(key, raw[i])]]
-                raw[i] = block[raw[i] % len(block)]
-        ops.append(Operation(f"f{r}", r, tuple(raw)))
-    return FiniteAlgebra(f"random{n}", n, tuple(ops))
-
-
 @st.composite
 def small_algebras(draw):
     """A binary operation plus optional unary and ternary ones on 2..5
@@ -109,26 +89,6 @@ def test_translation_closure_matches_bruteforce_on_random_tables(alg, data):
     assert principal_congruence(alg, a, b) == functools.reduce(
         Partition.meet, relating
     )
-
-
-@st.composite
-def permuting_algebras(draw):
-    """Algebras on 1..6 elements whose translations often permute the
-    universe, so that orbits of pairs really merge: an isotope of Z_n (a
-    Latin square) as binary operation, a permutation as unary one, and a
-    random table, each present or not."""
-    n = draw(st.integers(min_value=1, max_value=6))
-    elements = list(range(n))
-    ops = []
-    if draw(st.booleans()):
-        r, c, v = (draw(st.permutations(elements)) for _ in range(3))
-        cells = itertools.product(elements, repeat=2)
-        ops.append(Operation("*", 2, tuple(v[(r[x] + c[y]) % n] for x, y in cells)))
-    if draw(st.booleans()):
-        ops.append(Operation("u", 1, tuple(draw(st.permutations(elements)))))
-    if not ops or draw(st.booleans()):
-        ops += random_algebra(draw, n, [draw(st.sampled_from([1, 2]))]).ops
-    return FiniteAlgebra(f"permuting{n}", n, tuple(ops))
 
 
 @settings(max_examples=80, deadline=None)
