@@ -140,6 +140,9 @@ EQ_IDENTITY = _equation(
     [["var", 0], ["var", 1], ["gate", "+", [0, 0]], ["gate", "+", [1, 1]],
      ["gate", "%2", [2]], ["gate", "%2", [3]], ["gate", "+", [4, 5]]]
 )
+# t(x) = x * x over D4: the squares are 0 and r^2 = 4, so t(x) = 4 is
+# solvable, t(x) = 1 is not, and neither holds identically
+EQ_D4_SQUARE = {"k": 1, "nodes": [["var", 0], ["gate", "*", [0, 0]]], "output": 1}
 
 
 def _boolean_circuit() -> CCircuit:
@@ -201,7 +204,8 @@ def write_inputs() -> None:
     count_ones(14).dump(str(d / "count_ones_z6_14.json"))
     (d / "sat.cnf").write_text(SAT_CNF)
     (d / "unsat.cnf").write_text(UNSAT_CNF)
-    for name, doc in (("eq_mixed", EQ_MIXED), ("eq_identity", EQ_IDENTITY)):
+    for name, doc in (("eq_mixed", EQ_MIXED), ("eq_identity", EQ_IDENTITY),
+                      ("eq_d4_square", EQ_D4_SQUARE)):
         (d / f"{name}.json").write_text(json.dumps(doc, indent=2) + "\n")
     _boolean_circuit().dump(str(d / "boolean.json"))
     (d / "sump.json").write_text(
@@ -240,6 +244,16 @@ def cases() -> list[tuple[str, list[str]]]:
         for strategy in ("scan", "meet", "reduce"):
             out.append((f"ceqv_{strategy}_{eq}_e{e}",
                         ["solve", "ceqv", "--algebra", z, "--circuit", src,
+                         "--e", e, "--strategy", strategy]))
+    # The JSON-file D4 has no recorded Malcev term; the reductions use the
+    # one its structure makes.
+    d4 = "inputs/algebra_D4.json"
+    for e in ("4", "1"):
+        src = "inputs/eq_d4_square.json"
+        for problem, strategy in (("csat", "scan"), ("csat", "reduce"),
+                                  ("ceqv", "reduce")):
+            out.append((f"{problem}_{strategy}_eq_d4_square_e{e}",
+                        ["solve", problem, "--algebra", d4, "--circuit", src,
                          "--e", e, "--strategy", strategy]))
     for cnf in ("sat", "unsat"):
         out.append((f"gadget_lattice_{cnf}",
@@ -294,6 +308,11 @@ def cases() -> list[tuple[str, list[str]]]:
         out.append((f"gadget_twoprime_{name}",
                     ["gadget", "twoprime", "--algebra", f"fixtures:{name}",
                      "--cnf", "inputs/sat.cnf"]))
+    out.append(("gadget_twoprime_D4",
+                ["gadget", "twoprime", "--algebra", d4,
+                 "--cnf", "inputs/sat.cnf"]))
+    out.append(("fixtures", ["fixtures"]))
+    out.append(("fixtures_demo_and2_z6%2", ["fixtures", "--demo", "and2_z6%2"]))
     return out
 
 
