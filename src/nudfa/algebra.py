@@ -459,7 +459,8 @@ def find_malcev_polynomial(
 def quasigroup_malcev(
     algebra: FiniteAlgebra, budget: Optional[Budget] = None
 ) -> Optional[AlgCircuit]:
-    r"""The quasigroup Malcev term q(x, y, z) = (x / (y\y)) * (y\z).
+    r"""A quasigroup Malcev term: x * (y\z) when that is one, else
+    q(x, y, z) = (x / (y\y)) * (y\z).
 
     ``*`` is the first binary operation, in ``algebra.ops`` order, whose
     table is a Latin square.  Its translations L_y: z -> y * z and
@@ -467,11 +468,13 @@ def quasigroup_malcev(
     of them: y\z = L_y^(e-1)(z), where e is the lcm of the orders of all
     the L_y, and x / u = R_u^(f-1)(x) likewise.  Since y / (y\y) = y,
     q(x, x, z) = z and q(x, y, y) = x (Mal'cev 1954; Freese and McKenzie,
-    "Commutator Theory for Congruence Modular Varieties", 1987).
+    "Commutator Theory for Congruence Modular Varieties", 1987).  The short
+    term gives x * (x\z) = z always, and y * (x\x) = y when x\x is a right
+    identity, as in every group and loop.
 
-    The circuit has 2e + f - 2 gates.  It is returned only if
-    ``verify_malcev`` accepts it; the result is None when no operation is a
-    Latin square or the circuit would need more than
+    The short term has e gates and q has 2e + f - 2.  The short one is
+    returned if ``verify_malcev`` accepts it, else q; the result is None
+    when no operation is a Latin square or the term would need more than
     ``budget.clone_functions`` gates.
     """
     budget = budget or default_budget()
@@ -489,25 +492,33 @@ def quasigroup_malcev(
     else:
         return None
     e = _exponent(square, cap)
-    f = None if e is None else _exponent(square.T, cap)
-    if f is None or 2 * e + f - 2 > cap:
+    if e is None:
         return None
 
-    b = CircuitBuilder(3)
-    x, y, z = (b.var(i) for i in range(3))
+    def term(f: int) -> AlgCircuit:
+        r"""(x / (y\y)) * (y\z) with x / u = R_u^(f-1)(x): f = 1 gives the
+        short term."""
+        b = CircuitBuilder(3)
+        x, y, z = (b.var(i) for i in range(3))
 
-    def left_divide(u: int, v: int) -> int:
-        for _ in range(e - 1):
-            v = b.gate(op.name, u, v)
-        return v
+        def left_divide(u: int, v: int) -> int:
+            for _ in range(e - 1):
+                v = b.gate(op.name, u, v)
+            return v
 
-    def right_divide(v: int, u: int) -> int:
-        for _ in range(f - 1):
-            v = b.gate(op.name, v, u)
-        return v
+        if f > 1:
+            u = left_divide(y, y)
+            for _ in range(f - 1):
+                x = b.gate(op.name, x, u)
+        return b.finish(b.gate(op.name, x, left_divide(y, z)))
 
-    q = b.gate(op.name, right_divide(x, left_divide(y, y)), left_divide(y, z))
-    circuit = b.finish(q)
+    short = term(1)
+    if verify_malcev(algebra, short):
+        return short
+    f = _exponent(square.T, cap)
+    if f is None or 2 * e + f - 2 > cap:
+        return None
+    circuit = term(f)
     return circuit if verify_malcev(algebra, circuit) else None
 
 

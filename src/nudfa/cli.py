@@ -26,7 +26,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import congruence, lowering
-from .algebra import FiniteAlgebra
 from .circuits import AlgCircuit
 from .compile import (
     HypothesisViolation,
@@ -49,7 +48,6 @@ from .fixtures import (
     fixture_names,
     get_fixture,
     resolve_algebra,
-    resolve_malcev,
 )
 from .hardness import (
     GadgetSearchError,
@@ -112,6 +110,12 @@ def _dump_or_embed(doc: dict, out: Optional[str], key: str, thing) -> None:
         doc["out"] = out
     else:
         doc[key] = thing.to_json()
+
+
+def _require_nonnegative(value: Optional[int], flag: str) -> None:
+    """Refuse a negative count option; None means the option was not given."""
+    if value is not None and value < 0:
+        raise UsageError(f"{flag} must not be negative, got {value}")
 
 
 def _blocks(part: Partition) -> list[list[int]]:
@@ -192,19 +196,6 @@ def _circuit_dot(circuit: CCircuit) -> str:
     lines.append(f"  n{circuit.output} -> out;")
     lines.append("}")
     return "\n".join(lines)
-
-
-def _difference_circuit(
-    algebra: FiniteAlgebra, spec: str, budget
-) -> AlgCircuit:
-    malcev = resolve_malcev(spec)
-    if malcev is None:
-        malcev = structure(algebra, budget).malcev
-    if malcev is None:
-        raise HypothesisViolation(
-            f"no ternary difference polynomial found for {algebra.name}"
-        )
-    return malcev
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +340,7 @@ def _cmd_localize(args) -> int:
 
 
 def _cmd_compile(args) -> int:
+    _require_nonnegative(args.verify_n, "--verify-n")
     program = AlgProgram.load(args.program)
     budget = default_budget()
     if is_supernilpotent_algebra(program.algebra, budget):
@@ -395,6 +387,7 @@ def _cmd_lower(args) -> int:
             f"unknown pass {args.pass_name!r};"
             f" available: {', '.join(sorted(_PASSES))}"
         )
+    _require_nonnegative(args.verify_n, "--verify-n")
     circuit = CCircuit.load(args.infile)
     budget = default_budget()
     if name == "modm_andd_to_sum":
@@ -468,6 +461,7 @@ def _cmd_ccshape(args) -> int:
 
 
 def _cmd_solve_progcsat(args) -> int:
+    _require_nonnegative(args.sample, "--sample")
     program = AlgProgram.load(args.program)
     if args.sample is not None:
         trials = args.sample if args.sample > 0 else None
@@ -483,8 +477,7 @@ def _cmd_solve_csat(args) -> int:
     circuit = _load_algcircuit(args.circuit)
     budget = default_budget()
     if args.strategy == "reduce":
-        malcev = _difference_circuit(algebra, args.algebra, budget)
-        program = csat_to_progcsat(algebra, malcev, circuit, args.e)
+        program = csat_to_progcsat(algebra, circuit, args.e)
         res = progcsat_exhaustive(program, budget)
         doc = _result_doc(res)
         doc["level"] = "program"
@@ -500,8 +493,7 @@ def _cmd_solve_ceqv(args) -> int:
     circuit = _load_algcircuit(args.circuit)
     budget = default_budget()
     if args.strategy == "reduce":
-        malcev = _difference_circuit(algebra, args.algebra, budget)
-        program = ceqv_to_progcsat(algebra, malcev, circuit, args.e)
+        program = ceqv_to_progcsat(algebra, circuit, args.e)
         res = progcsat_exhaustive(program, budget)
         doc = {
             "status": "holds" if res.status == "unsat" else "fails",
@@ -538,8 +530,7 @@ def _cmd_gadget_lattice(args) -> int:
 def _cmd_gadget_twoprime(args) -> int:
     algebra = resolve_algebra(args.algebra)
     budget = default_budget()
-    malcev = resolve_malcev(args.algebra)
-    witness = find_two_prime_witness(algebra, malcev, budget=budget)
+    witness = find_two_prime_witness(algebra, budget)
     if isinstance(witness, WitnessFailure):
         _emit(
             {
@@ -596,7 +587,7 @@ def _cmd_fixtures(args) -> int:
                 "size": fix.algebra.size,
                 "ops": [op.name for op in fix.algebra.ops],
                 "congruences": fix.congruence_count,
-                "difference_circuit": fix.malcev is not None,
+                "difference_circuit": structure(fix.algebra).malcev is not None,
                 "description": fix.description,
             }
         )

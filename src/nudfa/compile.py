@@ -52,9 +52,9 @@ from .lowering import (
     AtomPool,
     ModSum,
     PassReport,
+    _verify_tables,
     and_sum_lower,
     apply_func,
-    check_table,
     collapse_5to3,
     emit_modsum,
     make_atom,
@@ -66,7 +66,6 @@ from .modcircuit import (
     SUMPC,
     CCircuit,
     Gate,
-    cc_table,
     shape_of,
     validate_shape,
 )
@@ -451,12 +450,7 @@ def compile_supernilpotent(
         declared_shape=f"AND({width})∘MOD({m})∘OR({len(branches)})",
     )
 
-    verified: Optional[bool] = None
-    if n <= VERIFY_INPUT_BOUND:
-        check_table(
-            cc_table(circuit), program.accept_column(), n, "base-case circuit"
-        )
-        verified = True
+    verified = _verify_tables(circuit, program.accept_column, n, "base-case circuit")
     return circuit, PassReport(
         pass_name="compile_supernilpotent",
         input_shape=f"program(size={program.size})",
@@ -647,12 +641,13 @@ def descend_mod_beta(
     if not ok:
         raise AssertionError(f"assembled circuit is malformed: {errors[0]}")
 
-    five_verified: Optional[bool] = None
-    if n <= VERIFY_INPUT_BOUND:
-        mcoords = np.array(rep.mcoords, np.int64).reshape(-1, nu)
-        want = (mcoords[value_table] == target_vec).all(axis=1)
-        check_table(cc_table(five), want, n, "module-part circuit")
-        five_verified = True
+    mcoords = np.array(rep.mcoords, np.int64).reshape(-1, nu)
+    five_verified = _verify_tables(
+        five,
+        lambda: (mcoords[value_table] == target_vec).all(axis=1),
+        n,
+        "module-part circuit",
+    )
     reports.append(
         PassReport(
             pass_name=f"descend_assemble[node={node},target={target}]",
@@ -671,10 +666,7 @@ def descend_mod_beta(
     glued, greport = apply_func([0, 0, 0, 1], [quotient_cc, collapsed], budget)
     reports.append(greport)
 
-    if n <= VERIFY_INPUT_BOUND:
-        check_table(
-            cc_table(glued), value_table == target, n, "descended circuit"
-        )
+    _verify_tables(glued, lambda: value_table == target, n, "descended circuit")
     return glued
 
 
@@ -832,11 +824,9 @@ def compile_nilpotent(
         pool = AtomPool()
         modsum = _base_modsum(pool, table, t, dec, m, p, delta, budget)
         cc = emit_modsum(n, m, p, pool, modsum, and_layer=True, final=MOD)
-        if n <= VERIFY_INPUT_BOUND:
-            check_table(
-                cc_table(cc), table == t, n,
-                f"base indicator for node {q}, target {t}",
-            )
+        _verify_tables(
+            cc, lambda: table == t, n, f"base indicator for node {q}, target {t}"
+        )
         cache.put((q, t), cc)
         base_total += cc.size
     reports.append(
@@ -855,8 +845,6 @@ def compile_nilpotent(
         Dj = progs[j].algebra
         beta_j = project(chain[j + 1], projs[j], Dj.size)
         malcev_j = map_circuit_constants(malcev, projs[j])
-        if not verify_malcev(Dj, malcev_j):
-            raise AssertionError(f"Malcev polynomial fails at level {j}")
         rep = central_representation(Dj, beta_j, 0, malcev_j)
         if rep.p != p:
             raise AssertionError(
@@ -893,8 +881,5 @@ def compile_nilpotent(
     ok, errors = validate_shape(final, f"AND(*)∘MOD({m})∘MOD({p})")
     if not ok:
         raise AssertionError(f"final circuit off-shape: {errors[0]}")
-    if n <= VERIFY_INPUT_BOUND:
-        check_table(
-            cc_table(final), program.accept_column(), n, "compiled circuit"
-        )
+    _verify_tables(final, program.accept_column, n, "compiled circuit")
     return final, reports

@@ -21,19 +21,21 @@ representatives only.
 Everything derived from one algebra lives in its :class:`Structure`: the
 translations, the lattice, the unary clone, a Malcev polynomial, the
 distinguished congruences and memos of commutators and characteristics,
-each computed on first read.  The Malcev polynomial of an algebra with a
-Latin-square operation, such as every group, is built from that
-operation's divisions (``quasigroup_malcev``); only other algebras, or a
-term longer than the budget, pay for the breadth-first search, which
-gives None if it finds none.  ``structure`` hands out one Structure per
-budget, size and operations for the run, so an algebra and its copies
-under other names (such as its quotient by zero) share one, whose
-``algebra`` is the copy seen first: names come from the caller's algebra.
-The memo holds at most ``STRUCTURE_MEMO_SIZE`` structures, oldest out
-first, and ``cli.main`` empties it on every call.  On top of these sit
-characteristics of prime quotients, intervals that decompose into
-independent single-prime pieces, and the distinguished congruences that
-drive the circuit compiler.
+each computed on first read.  The Malcev polynomial is the one source of
+the term every caller uses, and it is verified where it is made.  For an
+algebra with a Latin-square operation it is built from that operation's
+divisions (``quasigroup_malcev``): the short term x * (y\\z), which serves
+every group and loop, else the full (x / (y\\y)) * (y\\z).  Only other
+algebras, or a term longer than the budget, pay for the breadth-first
+search, which gives None if it finds none.  ``structure`` hands out one
+Structure per budget, size and operations for the run, so an algebra and
+its copies under other names (such as its quotient by zero) share one,
+whose ``algebra`` is the copy seen first: names come from the caller's
+algebra.  The memo holds at most ``STRUCTURE_MEMO_SIZE`` structures,
+oldest out first, and ``cli.main`` empties it on every call.  On top of
+these sit characteristics of prime quotients, intervals that decompose
+into independent single-prime pieces, and the distinguished congruences
+that drive the circuit compiler.
 """
 
 from __future__ import annotations
@@ -69,12 +71,13 @@ class Structure:
     first read and kept: the basic translations, the congruence lattice,
     the unary clone, a Malcev polynomial, the distinguished congruences,
     and memos of commutators and characteristics.  The Malcev polynomial
-    is the quasigroup term built from the first Latin-square operation;
-    without one, or when that term needs more gates than
-    ``budget.clone_functions``, it is the search's first witness, and
-    None if the search finds none.  ``algebra`` is the one the Structure
-    was made for; callers name results after their own algebra, not after
-    it.
+    is the quasigroup term built from the first Latin-square operation:
+    x * (y\\z) when that satisfies the identities, as in every group and
+    loop, else (x / (y\\y)) * (y\\z).  Without a Latin square, or when
+    the term needs more gates than ``budget.clone_functions``, it is the
+    search's first witness, and None if the search finds none.  Every
+    caller reads the term here.  ``algebra`` is the one the Structure was
+    made for; callers name results after their own algebra, not after it.
     """
 
     def __init__(self, algebra: FiniteAlgebra, budget: Budget):

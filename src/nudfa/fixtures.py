@@ -1,20 +1,19 @@
 """Built-in example algebras with verified invariants.
 
-Each fixture bundles a finite algebra with an explicit difference-style
-(Malcev) circuit when one exists and the expected number of congruences.
-``get_fixture`` runs a self-test on first access: the recorded congruence
-count must match a fresh lattice computation and the recorded circuit must
-pass the Malcev identities.  ``resolve_algebra`` understands the
-``fixtures:NAME`` URI scheme used by the command line tools and falls back
-to loading a JSON file.
+Each fixture bundles a finite algebra with its expected number of
+congruences.  ``get_fixture`` runs a self-test on first access: the
+recorded count must match a fresh lattice computation.  An algebra's
+Malcev term comes from its ``congruence.Structure``, as for any other
+algebra.  ``resolve_algebra`` understands the ``fixtures:NAME`` URI scheme
+used by the command line tools and falls back to loading a JSON file.
 
 The registry:
 
-=========  ====================================================m==========
+=========  ==============================================================
 Z2 Z3 Z4   cyclic groups (Zk; +)
 Z6         the cyclic group (Z6; +)
-Z6%2       (Z6; +, %2) -- Z6 expanded with the parity retraction x %% 2
-LAT2       the two-element lattice ({0,1}; and, or); no Malcev circuit
+Z6%2       (Z6; +, %2) -- Z6 expanded with the parity retraction x % 2
+LAT2       the two-element lattice ({0,1}; and, or); no Malcev polynomial
 S3         the symmetric group on three points, multiplication only
 =========  ==============================================================
 
@@ -27,10 +26,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
-from .algebra import FiniteAlgebra, make_op, verify_malcev
-from .circuits import AlgCircuit, CircuitBuilder
+from .algebra import FiniteAlgebra, make_op
+from .circuits import CircuitBuilder
 from .congruence import all_congruences
 from .programs import AlgProgram, Instruction
 
@@ -41,7 +40,6 @@ class Fixture:
 
     name: str
     algebra: FiniteAlgebra
-    malcev: Optional[AlgCircuit]
     congruence_count: int
     description: str
 
@@ -50,21 +48,6 @@ def _cyclic(k: int, name: str) -> FiniteAlgebra:
     return FiniteAlgebra(
         name, k, (make_op("+", 2, k, lambda x, y: (x + y) % k),)
     )
-
-
-def _fold_op_malcev(op_name: str, k_minus: int) -> AlgCircuit:
-    """d(x,y,z) built as x op y op ... op y op z with ``k_minus`` copies of y.
-
-    For a cyclic group (+, size k) with k_minus = k-1 this is x - y + z; for
-    a group written multiplicatively with k_minus = exponent-1 it is
-    x * y^-1 * z.
-    """
-    b = CircuitBuilder(3)
-    acc = b.var(0)
-    for _ in range(k_minus):
-        acc = b.gate(op_name, acc, b.var(1))
-    acc = b.gate(op_name, acc, b.var(2))
-    return b.finish(acc)
 
 
 def _z6mod2() -> FiniteAlgebra:
@@ -108,40 +91,28 @@ def _build_registry() -> dict[str, Fixture]:
     def add(
         name: str,
         algebra: FiniteAlgebra,
-        malcev: Optional[AlgCircuit],
         congruence_count: int,
         description: str,
     ) -> None:
-        reg[name] = Fixture(name, algebra, malcev, congruence_count, description)
+        reg[name] = Fixture(name, algebra, congruence_count, description)
 
     for k, count in ((2, 2), (3, 2), (4, 3), (6, 4)):
-        add(
-            f"Z{k}",
-            _cyclic(k, f"Z{k}"),
-            _fold_op_malcev("+", k - 1),
-            count,
-            f"cyclic group of order {k}",
-        )
+        add(f"Z{k}", _cyclic(k, f"Z{k}"), count, f"cyclic group of order {k}")
     add(
         "Z6%2",
         _z6mod2(),
-        _fold_op_malcev("+", 5),
         3,
         "Z6 with the parity retraction; nilpotent but not supernilpotent",
     )
     add(
         "LAT2",
         _lat2(),
-        None,
         2,
         "two-element lattice; not congruence-permutable",
     )
-    # Every S3 element satisfies g^6 = identity, so y^5 is the inverse of
-    # y and x * y^5 * z is a difference circuit.
     add(
         "S3",
         _s3(),
-        _fold_op_malcev("*", 5),
         3,
         "symmetric group on 3 points; solvable, not nilpotent",
     )
@@ -183,8 +154,6 @@ def get_fixture(name: str) -> Fixture:
                 f"fixture {name}: recorded congruence count "
                 f"{fix.congruence_count} != computed {len(lat.elements)}"
             )
-        if fix.malcev is not None and not verify_malcev(fix.algebra, fix.malcev):
-            raise AssertionError(f"fixture {name}: recorded circuit is not Malcev")
         _CHECKED.add(name)
     return fix
 
@@ -194,13 +163,6 @@ def resolve_algebra(spec: str) -> FiniteAlgebra:
     if spec.startswith("fixtures:"):
         return get_fixture(spec[len("fixtures:") :]).algebra
     return FiniteAlgebra.load(spec)
-
-
-def resolve_malcev(spec: str) -> Optional[AlgCircuit]:
-    """The recorded difference circuit for a ``fixtures:`` URI, else None."""
-    if spec.startswith("fixtures:"):
-        return get_fixture(spec[len("fixtures:") :]).malcev
-    return None
 
 
 # ---------------------------------------------------------------------------

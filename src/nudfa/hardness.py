@@ -37,7 +37,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, UnaryFn, verify_malcev
+from .algebra import FiniteAlgebra, UnaryFn
 from .circuits import (
     AlgCircuit,
     CircuitBuilder,
@@ -145,7 +145,6 @@ class BetaIntConfig:
 
     algebra: FiniteAlgebra
     structure: Structure
-    malcev: AlgCircuit
     lower: Partition
     mid: Partition
     upper: Partition
@@ -178,7 +177,6 @@ def _wrapped_add(
 
 def complete_interpolation_config(
     algebra: FiniteAlgebra,
-    malcev: AlgCircuit,
     lower: Partition,
     mid: Partition,
     upper: Partition,
@@ -197,8 +195,9 @@ def complete_interpolation_config(
     s = structure(algebra, budget)
     lat, clone = s.lattice, s.clone
     size = algebra.size
-    if not verify_malcev(algebra, malcev):
-        raise GadgetSearchError("malcev", "supplied circuit fails the difference identities")
+    malcev = s.malcev
+    if malcev is None:
+        raise GadgetSearchError("malcev", "no ternary difference polynomial found")
     if lat.subcovers_of(upper) != [mid]:
         raise GadgetSearchError(
             "chain", "the top congruence must have the middle one as its only subcover"
@@ -419,7 +418,6 @@ def complete_interpolation_config(
         return BetaIntConfig(
             algebra=algebra,
             structure=s,
-            malcev=malcev,
             lower=lower,
             mid=mid,
             upper=upper,
@@ -454,7 +452,6 @@ def complete_interpolation_config(
 
 def find_interpolation_configs(
     algebra: FiniteAlgebra,
-    malcev: Optional[AlgCircuit] = None,
     budget: Optional[Budget] = None,
 ) -> tuple[list[BetaIntConfig], list[str]]:
     """All congruence chains of an algebra that admit interpolation data.
@@ -464,9 +461,7 @@ def find_interpolation_configs(
     """
     s = structure(algebra, budget)
     lat = s.lattice
-    if malcev is None:
-        malcev = s.malcev
-    if malcev is None:
+    if s.malcev is None:
         return [], ["no ternary difference polynomial: interpolation needs permutability"]
     configs: list[BetaIntConfig] = []
     notes: list[str] = []
@@ -481,7 +476,7 @@ def find_interpolation_configs(
             )
             try:
                 cfg = complete_interpolation_config(
-                    algebra, malcev, lower, mid, upper, budget=budget
+                    algebra, lower, mid, upper, budget=budget
                 )
             except GadgetSearchError as ex:
                 notes.append(f"{label}: failed at {ex}")
@@ -522,6 +517,7 @@ def beta_interpolate(
             table[flat_index(bits, q)] = 1
     form = coset_indicator_form(table, q, s, p, budget)
 
+    malcev = cfg.structure.malcev
     b = CircuitBuilder(s)
     czero = b.const(cfg.cycle[0])
     bzero = b.const(cfg.base)
@@ -529,13 +525,13 @@ def beta_interpolate(
     def xor(u: int, v: int) -> int:
         return b.inline(
             cfg.in_min.idempotent.witness,
-            [b.inline(cfg.malcev, [u, czero, v])],
+            [b.inline(malcev, [u, czero, v])],
         )
 
     def vadd(u: int, v: int) -> int:
         return b.inline(
             cfg.out_min.idempotent.witness,
-            [b.inline(cfg.malcev, [u, bzero, v])],
+            [b.inline(malcev, [u, bzero, v])],
         )
 
     ys = [b.inline(cfg.g_fn.witness, [b.var(i)]) for i in range(s)]
@@ -634,7 +630,6 @@ class TwoPrimeWitness:
 
     algebra: FiniteAlgebra
     structure: Structure
-    malcev: AlgCircuit
     kappa: Partition
     base: int
     sides: tuple[PrimeSideWitness, PrimeSideWitness]
@@ -642,7 +637,6 @@ class TwoPrimeWitness:
 
 def find_two_prime_witness(
     algebra: FiniteAlgebra,
-    malcev: Optional[AlgCircuit] = None,
     budget: Optional[Budget] = None,
 ) -> Union[TwoPrimeWitness, WitnessFailure]:
     """Search the congruence lattice for the two-prime configuration.
@@ -659,9 +653,7 @@ def find_two_prime_witness(
         return WitnessFailure(
             "supernilpotent-rank", f"sr={rank}, the construction needs rank exactly 2"
         )
-    if malcev is None:
-        malcev = s.malcev
-    if malcev is None:
+    if s.malcev is None:
         return WitnessFailure("malcev", "no ternary difference polynomial found")
 
     kappa = s.distinguished.smallest_supernilpotent_quotient
@@ -864,7 +856,6 @@ def find_two_prime_witness(
             try:
                 cfg = complete_interpolation_config(
                     algebra,
-                    malcev,
                     raw["floor"],
                     raw["peak_sub"],
                     raw["peak"],
@@ -896,7 +887,6 @@ def find_two_prime_witness(
         return TwoPrimeWitness(
             algebra=algebra,
             structure=s,
-            malcev=malcev,
             kappa=kappa,
             base=e,
             sides=(sides[0], sides[1]),
@@ -934,6 +924,7 @@ def build_two_prime_program(
     budget = budget or default_budget()
     n = cnf.num_vars
     ell = len(cnf.clauses)
+    malcev = witness.structure.malcev
     b = CircuitBuilder(2 * n)
     e = witness.base
     enode = b.const(e)
@@ -949,7 +940,7 @@ def build_two_prime_program(
         retract = cfg.out_min.idempotent.witness
 
         def vadd(u: int, v: int) -> int:
-            return b.inline(retract, [b.inline(cfg.malcev, [u, enode, v])])
+            return b.inline(retract, [b.inline(malcev, [u, enode, v])])
 
         pattern_cache: dict[int, AlgCircuit] = {}
         total = None
@@ -982,7 +973,7 @@ def build_two_prime_program(
         if total is None:
             total = enode
         side_nodes.append(total)
-    out = b.inline(witness.malcev, [side_nodes[0], side_nodes[1], enode])
+    out = b.inline(malcev, [side_nodes[0], side_nodes[1], enode])
     circ = b.finish(out)
     instrs = []
     for i, side in enumerate(witness.sides):

@@ -531,14 +531,17 @@ def check_table(got: np.ndarray, want, n: int, what: str) -> None:
 
 
 def _verify_tables(
-    circuit: CCircuit, reference: Callable[[], np.ndarray], n: int
+    circuit: CCircuit,
+    reference: Callable[[], np.ndarray],
+    n: int,
+    what: str = "pass output",
 ) -> Optional[bool]:
     """Compare ``cc_table(circuit)`` with the whole expected table that
-    ``reference()`` returns; returns None without building either when n
-    exceeds the bound."""
+    ``reference()`` returns, naming ``what`` in a mismatch; returns None
+    without building either when n exceeds the bound."""
     if n > VERIFY_INPUT_BOUND:
         return None
-    check_table(cc_table(circuit), reference(), n, "pass output")
+    check_table(cc_table(circuit), reference(), n, what)
     return True
 
 
@@ -699,7 +702,6 @@ def apply_func(
     g_table: Sequence[int],
     fs: Sequence[CCircuit],
     budget: Optional[Budget] = None,
-    three_level: Optional[bool] = None,
 ) -> tuple[CCircuit, PassReport]:
     """g(f_1, ..., f_k) for a boolean g and MOD(m)∘MOD(p)-shaped f_i
     (with or without a leading AND level), same shape out.
@@ -748,10 +750,8 @@ def apply_func(
         {j: sums[j].as_poly() for j in range(k)}, budget
     )
     modsum = poly_to_modsum(pool, composed, budget)
-    if three_level is None:
-        three_level = levels3
     lowered = emit_modsum(n, m, p, pool, modsum,
-                          and_layer=True if three_level else None, final=MOD)
+                          and_layer=True if levels3 else None, final=MOD)
 
     def reference() -> np.ndarray:
         idx = sum(cc_table(fs[j]).astype(np.intp) << j for j in range(k))

@@ -4,9 +4,10 @@ Two kinds of questions are answered here.  Program satisfiability: does a
 program accept any input word?  Circuit equations: is t(x) = e solvable
 (CSat), or does it hold identically (CEqv)?  Each question has a direct
 exhaustive procedure, and the equation problems additionally reduce to
-program satisfiability through a value-selector polynomial built from a
-ternary difference circuit.  A quotient-lifting reduction and a
-subdirect-decomposition strategy for identities round out the toolbox.
+program satisfiability through a value-selector polynomial built from
+the algebra's Malcev term, read from its ``Structure``.  A
+quotient-lifting reduction and a subdirect-decomposition strategy for
+identities round out the toolbox.
 
 The exhaustive procedures scan words in index order and assignments in
 ``product`` order, and the random sampler its drawn words in draw order,
@@ -28,7 +29,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, quotient_algebra, verify_malcev
+from .algebra import FiniteAlgebra, quotient_algebra
 from .circuits import (
     AlgCircuit,
     CircuitBuilder,
@@ -187,25 +188,26 @@ def _first_assignment(
     return None
 
 
-def _require_nilpotent_malcev(algebra: FiniteAlgebra, malcev: AlgCircuit) -> None:
-    """Both preconditions of the equation reductions, reported separately.
+def _nilpotent_malcev(algebra: FiniteAlgebra) -> AlgCircuit:
+    """The algebra's Malcev term, after both preconditions of the equation
+    reductions, reported separately.
 
     The selector argument below needs the difference identities, and the
     two-sided-to-one-sided fold needs first-argument invertibility of the
     difference, which nilpotence supplies.
     """
-    if not verify_malcev(algebra, malcev):
-        raise HypothesisViolation(
-            "the supplied circuit fails the difference identities"
-        )
     s = structure(algebra)
+    if s.malcev is None:
+        raise HypothesisViolation(
+            f"no ternary difference polynomial found for {algebra.name}"
+        )
     if not is_nilpotent_congruence(s, s.lattice.one):
         raise HypothesisViolation("the algebra is not nilpotent")
+    return s.malcev
 
 
 def normalize_equation(
     algebra: FiniteAlgebra,
-    malcev: AlgCircuit,
     left: AlgCircuit,
     right: AlgCircuit,
     e: int = 0,
@@ -216,7 +218,7 @@ def normalize_equation(
     circuit is invertible in its first argument (true in nilpotent
     algebras); one direction (left = right implies value e) always holds.
     """
-    _require_nilpotent_malcev(algebra, malcev)
+    malcev = _nilpotent_malcev(algebra)
     k = max(left.k, right.k)
     b = CircuitBuilder(k)
     vars_ = [b.var(i) for i in range(k)]
@@ -249,7 +251,6 @@ def _value_selector(algebra: FiniteAlgebra, malcev: AlgCircuit) -> AlgCircuit:
 
 def csat_to_progcsat(
     algebra: FiniteAlgebra,
-    malcev: AlgCircuit,
     circuit: AlgCircuit,
     e: int,
 ) -> AlgProgram:
@@ -261,7 +262,7 @@ def csat_to_progcsat(
     algebra is reachable by activating at most one bit per block, and every
     word produces some assignment, so acceptance is exactly solvability.
     """
-    _require_nilpotent_malcev(algebra, malcev)
+    malcev = _nilpotent_malcev(algebra)
     size = algebra.size
     if size < 2:
         raise ValueError("need at least two elements")
@@ -289,7 +290,6 @@ def csat_to_progcsat(
 
 def ceqv_to_progcsat(
     algebra: FiniteAlgebra,
-    malcev: AlgCircuit,
     circuit: AlgCircuit,
     e: int,
 ) -> AlgProgram:
@@ -297,7 +297,7 @@ def ceqv_to_progcsat(
 
     Same selector construction as the solvability reduction, but accepting
     exactly the non-e values: an accepted word is a counterexample."""
-    prog = csat_to_progcsat(algebra, malcev, circuit, e)
+    prog = csat_to_progcsat(algebra, circuit, e)
     complement = frozenset(range(algebra.size)) - {e}
     return AlgProgram(
         algebra=prog.algebra,

@@ -317,13 +317,6 @@ def test_unary_functions_compare_tables_and_witnesses():
     assert len({ident, copy, const}) == 2
 
 
-def test_recorded_fixture_differences_verify():
-    for name in ("Z2", "Z3", "Z4", "Z6", "Z6%2", "S3"):
-        fix = get_fixture(name)
-        assert fix.malcev is not None
-        assert verify_malcev(fix.algebra, fix.malcev)
-
-
 def cube_table(alg: FiniteAlgebra, circuit) -> list[int]:
     """A ternary circuit's values on A^3 in ``product`` order."""
     n = alg.size
@@ -384,18 +377,30 @@ def test_the_built_term_has_the_table_of_the_searched_witness(name):
     assert cube_table(alg, malcev) == cube_table(alg, find_malcev_polynomial(alg))
 
 
+def left_subtraction(k: int) -> FiniteAlgebra:
+    """Z_k under x o y = y - x: a quasigroup whose left identity 0 is no
+    right identity."""
+    return FiniteAlgebra(f"Z{k}-", k, (make_op("-", 2, k, lambda x, y: (y - x) % k),))
+
+
 def test_a_term_longer_than_the_budget_falls_back_to_the_search():
-    """Every translation of Z6 has order dividing 6, so e = f = 6 and the
-    term has 2e + f - 2 = 16 gates.  Below that cap the Structure searches
-    under the same budget, and fails as the search alone does."""
-    alg = get_fixture("Z6%2").algebra
-    assert quasigroup_malcev(alg, Budget(clone_functions=16)).gate_count == 16
-    for cap in (15, 2):
-        budget = Budget(clone_functions=cap)
-        assert quasigroup_malcev(alg, budget) is None
-        found = outcome(lambda: Structure(alg, budget).malcev)
-        assert found == outcome(find_malcev_polynomial, alg, 4, budget)
-        assert "BudgetExceeded" in found
+    """Every translation of Z6 has order dividing 6, so e = 6 and the short
+    term x * (y\\z) has 6 gates.  Over Z5 under y - x the short term fails
+    the identities (y o (x\\x) = 2x - y), and the full one, with e = 5 and
+    f = 2, has 2e + f - 2 = 10 gates.  Below either cap the Structure
+    searches under the same budget, and fails or finds as the search alone
+    does."""
+    marked, subtraction = get_fixture("Z6%2").algebra, left_subtraction(5)
+    for alg, gates in ((marked, 6), (subtraction, 10)):
+        assert quasigroup_malcev(alg, Budget(clone_functions=gates)).gate_count == gates
+        for cap in (gates - 1, 2):
+            budget = Budget(clone_functions=cap)
+            assert quasigroup_malcev(alg, budget) is None
+            found = outcome(lambda: Structure(alg, budget).malcev)
+            assert found == outcome(find_malcev_polynomial, alg, 4, budget)
+    assert "BudgetExceeded" in outcome(
+        lambda: Structure(marked, Budget(clone_functions=5)).malcev
+    )
 
 
 def test_compile_builds_the_term_and_lattices_still_search(monkeypatch):

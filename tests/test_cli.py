@@ -80,6 +80,28 @@ def test_harness_memory_stays_bounded():
     assert peak < PEAK_HARNESS_BYTES, peak
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["compile", "--program", "inputs/demo_and2_z6%2.json", "--verify-n", "-1"],
+        ["lower", "--pass", "unmod", "--in", "inputs/modmod.json", "--verify-n", "-1"],
+        ["solve", "progcsat", "--program", "inputs/lattice_sat.json", "--sample", "-3"],
+        ["verify", "--program", "inputs/demo_and2_z6%2.json",
+         "--circuit", "inputs/and2_z6m2_circuit.json", "--n-bound", "-1"],
+    ),
+)
+def test_negative_counts_are_usage_errors(argv, monkeypatch):
+    """A negative bound or trial count exits 2 with a usage error, as
+    ``verify --n-bound -1`` does, instead of skipping the check or taking
+    the default."""
+    monkeypatch.chdir(Path(__file__).resolve().parent / "golden")
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    assert code == 2
+    assert json.loads(buf.getvalue())["kind"] == "usage"
+
+
 def test_compile_refuses_a_one_element_algebra(tmp_path):
     """No prime divides the size of a one-element algebra, so there is no
     modulus to count in: ``compile`` prints a JSON error and exits 1.  The

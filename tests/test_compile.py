@@ -17,7 +17,7 @@ from nudfa.compile import (
     mat_vec,
     vec_add,
 )
-from nudfa.congruence import all_congruences
+from nudfa.congruence import all_congruences, structure
 from nudfa.fixtures import demo_program, get_fixture
 from nudfa.limits import Budget
 from nudfa.modcircuit import cc_truth_table, validate_shape
@@ -135,7 +135,7 @@ def test_the_descent_runs_down_a_chain_of_length_two(monkeypatch):
 @pytest.fixture(scope="module")
 def marked_rep():
     fx = get_fixture("Z6%2")
-    return central_representation(fx.algebra, ETA, 0, fx.malcev)
+    return central_representation(fx.algebra, ETA, 0, structure(fx.algebra).malcev)
 
 
 def test_representation_parameters(marked_rep):
@@ -175,7 +175,7 @@ def test_operations_act_affinely_on_the_module(marked_rep):
 def test_representation_rejects_a_misplaced_anchor():
     fx = get_fixture("Z6%2")
     with pytest.raises(ValueError):
-        central_representation(fx.algebra, ETA, 2, fx.malcev)
+        central_representation(fx.algebra, ETA, 2, structure(fx.algebra).malcev)
 
 
 def test_representation_rejects_a_non_difference_circuit():
@@ -186,7 +186,8 @@ def test_representation_rejects_a_non_difference_circuit():
 
 def test_representation_rejects_non_abelian_congruences():
     fx = get_fixture("S3")
-    assert fx.malcev is not None  # groups always have one
+    malcev = structure(fx.algebra).malcev
+    assert malcev is not None  # groups always have one
     lat = all_congruences(fx.algebra)
     with pytest.raises(HypothesisViolation):
-        central_representation(fx.algebra, lat.one, 0, fx.malcev)
+        central_representation(fx.algebra, lat.one, 0, malcev)

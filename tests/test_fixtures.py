@@ -7,14 +7,13 @@ import itertools
 import pytest
 
 from nudfa.algebra import verify_malcev
-from nudfa.congruence import all_congruences
+from nudfa.congruence import all_congruences, structure
 from nudfa.fixtures import (
     demo_names,
     demo_program,
     fixture_names,
     get_fixture,
     resolve_algebra,
-    resolve_malcev,
 )
 from nudfa.programs import truth_table
 
@@ -30,12 +29,15 @@ def test_recorded_invariants_hold(name):
     assert fx.name == name
     assert fx.description
     assert len(all_congruences(fx.algebra).elements) == fx.congruence_count
-    if fx.malcev is not None:
-        assert verify_malcev(fx.algebra, fx.malcev)
+    malcev = structure(fx.algebra).malcev
+    if malcev is not None:
+        assert verify_malcev(fx.algebra, malcev)
 
 
 def test_only_the_lattice_lacks_a_difference_circuit():
-    without = [n for n in fixture_names() if get_fixture(n).malcev is None]
+    without = [
+        n for n in fixture_names() if structure(get_fixture(n).algebra).malcev is None
+    ]
     assert without == ["LAT2"]
 
 
@@ -59,8 +61,6 @@ def test_unknown_names_raise_key_errors():
 def test_resolvers_understand_the_uri_scheme(tmp_path):
     alg = resolve_algebra("fixtures:Z6")
     assert alg.size == 6
-    assert resolve_malcev("fixtures:Z6") is not None
-    assert resolve_malcev("/nowhere.json") is None
     path = tmp_path / "alg.json"
     alg.dump(str(path))
     loaded = resolve_algebra(str(path))

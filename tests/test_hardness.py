@@ -70,7 +70,7 @@ def test_dimacs_formula_round_trips_through_the_gadget():
 @pytest.fixture(scope="module")
 def marked_config():
     fx = get_fixture("Z6%2")
-    configs, notes = find_interpolation_configs(fx.algebra, fx.malcev)
+    configs, notes = find_interpolation_configs(fx.algebra)
     assert notes == ["chain 2 < 1 < 0: validated"]
     assert len(configs) == 1
     return fx, configs[0]
@@ -145,17 +145,17 @@ def test_no_small_fixture_admits_a_two_prime_witness():
     }
     for name, stage in expected_stage.items():
         fx = get_fixture(name)
-        result = find_two_prime_witness(fx.algebra, fx.malcev)
+        result = find_two_prime_witness(fx.algebra)
         assert isinstance(result, WitnessFailure), name
         assert result.stage == stage, (name, result)
 
 
 def test_witness_failure_details_explain_the_refusal():
     fx = get_fixture("Z6")
-    res = find_two_prime_witness(fx.algebra, fx.malcev)
+    res = find_two_prime_witness(fx.algebra)
     assert "sr=1" in res.detail and "rank exactly 2" in res.detail
     fxm = get_fixture("Z6%2")
-    resm = find_two_prime_witness(fxm.algebra, fxm.malcev)
+    resm = find_two_prime_witness(fxm.algebra)
     assert "characteristic set [3]" in resm.detail
     assert "two distinct primes" in resm.detail
 

@@ -90,19 +90,19 @@ def test_minimal_set_through_a_requested_element(marked):
 
 
 def test_block_group_is_an_elementary_abelian_three_group(marked):
-    fx, _, _ = marked
-    add, p = block_group(fx.algebra, fx.malcev, ETA, 0)
+    fx, s, _ = marked
+    add, p = block_group(fx.algebra, s.malcev, ETA, 0)
     assert p == 3
     assert add[(2, 4)] == 0 and add[(4, 4)] == 2
-    add1, p1 = block_group(fx.algebra, fx.malcev, ETA, 1)
+    add1, p1 = block_group(fx.algebra, s.malcev, ETA, 1)
     assert p1 == 3
     assert add1[(3, 5)] == 1 and add1[(3, 3)] == 5
 
 
 def test_block_group_rejects_a_non_prime_block(marked):
-    fx, _, lat = marked
+    fx, s, lat = marked
     with pytest.raises(ValueError):
-        block_group(fx.algebra, fx.malcev, lat.one, 0)
+        block_group(fx.algebra, s.malcev, lat.one, 0)
 
 
 def test_atom_blocks_are_polynomially_simple(marked):

@@ -129,22 +129,21 @@ def test_normalized_equation_preserves_identity_status():
     fx = get_fixture("Z6")
     left = repeated_sum(fx.algebra, 6)
     right = constant_circuit(1, 0)
-    folded = normalize_equation(fx.algebra, fx.malcev, left, right)
+    folded = normalize_equation(fx.algebra, left, right)
     assert ceqv_exhaustive(fx.algebra, folded, 0).status == "holds"
-    bad = normalize_equation(fx.algebra, fx.malcev, repeated_sum(fx.algebra, 2), right)
+    bad = normalize_equation(fx.algebra, repeated_sum(fx.algebra, 2), right)
     res = ceqv_exhaustive(fx.algebra, bad, 0)
     assert res.status == "fails" and res.counterexample == (1,)
 
 
 def test_normalized_equation_matches_direct_comparison_on_randoms():
     rng = random.Random(21)
-    fx = get_fixture("Z6%2")
-    alg = fx.algebra
+    alg = get_fixture("Z6%2").algebra
     for _ in range(8):
         k = rng.randint(1, 2)
         left = random_alg_circuit(rng, alg, k, 3)
         right = random_alg_circuit(rng, alg, k, 3)
-        folded = normalize_equation(alg, fx.malcev, left, right)
+        folded = normalize_equation(alg, left, right)
         direct = all(
             eval_circuit(alg, left, args) == eval_circuit(alg, right, args)
             for args in itertools.product(range(alg.size), repeat=k)
@@ -153,11 +152,22 @@ def test_normalized_equation_matches_direct_comparison_on_randoms():
         assert got == ("holds" if direct else "fails")
 
 
-def test_equation_reductions_reject_a_non_difference_circuit():
-    fx = get_fixture("Z6")
-    bogus = constant_circuit(3, 0)
-    with pytest.raises(HypothesisViolation, match="difference"):
-        csat_to_progcsat(fx.algebra, bogus, repeated_sum(fx.algebra, 2), 0)
+def test_equation_reductions_refuse_an_algebra_without_a_difference_term():
+    """The lattice has no Malcev polynomial, so its structure offers no
+    term to build the value selector from."""
+    lat2 = get_fixture("LAT2").algebra
+    b = CircuitBuilder(1)
+    circ = b.finish(b.gate("and", b.var(0), b.var(0)))
+    reductions = (
+        lambda: csat_to_progcsat(lat2, circ, 0),
+        lambda: ceqv_to_progcsat(lat2, circ, 0),
+        lambda: normalize_equation(lat2, circ, circ),
+    )
+    for reduce in reductions:
+        with pytest.raises(
+            HypothesisViolation, match="^no ternary difference polynomial found for LAT2$"
+        ):
+            reduce()
 
 
 def test_equation_reductions_reject_non_nilpotent_algebras():
@@ -165,7 +175,7 @@ def test_equation_reductions_reject_non_nilpotent_algebras():
     b = CircuitBuilder(1)
     circ = b.finish(b.gate("*", b.var(0), b.var(0)))
     with pytest.raises(HypothesisViolation, match="nilpotent"):
-        csat_to_progcsat(fx.algebra, fx.malcev, circ, 0)
+        csat_to_progcsat(fx.algebra, circ, 0)
 
 
 # -- equation-to-program reductions ------------------------------------------
@@ -174,14 +184,13 @@ def test_equation_reductions_reject_non_nilpotent_algebras():
 @pytest.mark.parametrize("name", ("Z2", "Z6", "Z6%2"))
 def test_solvability_reduction_agrees_with_the_scan(name):
     rng = random.Random(sum(map(ord, name)))
-    fx = get_fixture(name)
-    alg = fx.algebra
+    alg = get_fixture(name).algebra
     for _ in range(6):
         k = rng.randint(1, 2)
         circ = random_alg_circuit(rng, alg, k, 4)
         e = rng.randrange(alg.size)
         want = csat_exhaustive(alg, circ, e).status
-        prog = csat_to_progcsat(alg, fx.malcev, circ, e)
+        prog = csat_to_progcsat(alg, circ, e)
         assert prog.n == k * (alg.size - 1)
         got = progcsat_exhaustive(prog).status
         assert got == want, (name, circ.to_json(), e)
@@ -190,14 +199,13 @@ def test_solvability_reduction_agrees_with_the_scan(name):
 @pytest.mark.parametrize("name", ("Z2", "Z6", "Z6%2"))
 def test_identity_reduction_agrees_with_the_scan(name):
     rng = random.Random(2 * sum(map(ord, name)))
-    fx = get_fixture(name)
-    alg = fx.algebra
+    alg = get_fixture(name).algebra
     for _ in range(6):
         k = rng.randint(1, 2)
         circ = random_alg_circuit(rng, alg, k, 4)
         e = rng.randrange(alg.size)
         want = ceqv_exhaustive(alg, circ, e).status
-        prog = ceqv_to_progcsat(alg, fx.malcev, circ, e)
+        prog = ceqv_to_progcsat(alg, circ, e)
         got = progcsat_exhaustive(prog).status
         assert (got == "unsat") == (want == "holds")
 

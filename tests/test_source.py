@@ -25,11 +25,12 @@ def test_no_assert_statements_guard_the_package():
 
 
 def test_structure_is_not_threaded_through_optional_parameters():
-    """An algebra's lattice and clone come from its ``Structure``; no
-    function takes them as optional parameters with a rebuild fallback."""
+    """An algebra's lattice, clone and Malcev term come from its
+    ``Structure``; no function takes them as optional parameters with a
+    rebuild fallback."""
     threaded = {
         f"{wrap}[{name}]" if wrap else f"{name} | None"
-        for name in ("CongruenceLattice", "UnaryClone")
+        for name in ("CongruenceLattice", "UnaryClone", "AlgCircuit")
         for wrap in ("Optional", "")
     }
     found = [
