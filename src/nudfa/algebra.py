@@ -456,21 +456,38 @@ def find_malcev_polynomial(
     return None if hit is None else subcircuit(3, nodes, hit)
 
 
+def latin_square(algebra: FiniteAlgebra) -> Optional[Operation]:
+    """The first binary operation, in ``algebra.ops`` order, whose table is
+    a Latin square: every row and every column lists the universe.  Such an
+    algebra has the Malcev term of ``quasigroup_malcev`` whatever the
+    budget."""
+    n = algebra.size
+    column = np.arange(n)[:, None]
+    for op in algebra.ops:
+        if op.arity == 2:
+            square = np.asarray(op.table).reshape(n, n)
+            if (np.sort(square, axis=0) == column).all() and (
+                np.sort(square, axis=1) == column.T
+            ).all():
+                return op
+    return None
+
+
 def quasigroup_malcev(
     algebra: FiniteAlgebra, budget: Optional[Budget] = None
 ) -> Optional[AlgCircuit]:
     r"""A quasigroup Malcev term: x * (y\z) when that is one, else
     q(x, y, z) = (x / (y\y)) * (y\z).
 
-    ``*`` is the first binary operation, in ``algebra.ops`` order, whose
-    table is a Latin square.  Its translations L_y: z -> y * z and
-    R_u: x -> x * u then permute the universe, so the divisions are powers
-    of them: y\z = L_y^(e-1)(z), where e is the lcm of the orders of all
-    the L_y, and x / u = R_u^(f-1)(x) likewise.  Since y / (y\y) = y,
-    q(x, x, z) = z and q(x, y, y) = x (Mal'cev 1954; Freese and McKenzie,
-    "Commutator Theory for Congruence Modular Varieties", 1987).  The short
-    term gives x * (x\z) = z always, and y * (x\x) = y when x\x is a right
-    identity, as in every group and loop.
+    ``*`` is the operation ``latin_square`` picks.  Its translations
+    L_y: z -> y * z and R_u: x -> x * u permute the universe, so the
+    divisions are powers of them: y\z = L_y^(e-1)(z), where e is the lcm
+    of the orders of all the L_y, and x / u = R_u^(f-1)(x) likewise.
+    Since y / (y\y) = y, q(x, x, z) = z and q(x, y, y) = x (Mal'cev 1954;
+    Freese and McKenzie, "Commutator Theory for Congruence Modular
+    Varieties", 1987).  The short term gives x * (x\z) = z always, and
+    y * (x\x) = y when x\x is a right identity, as in every group and
+    loop.
 
     The short term has e gates and q has 2e + f - 2.  The short one is
     returned if ``verify_malcev`` accepts it, else q; the result is None
@@ -479,18 +496,10 @@ def quasigroup_malcev(
     """
     budget = budget or default_budget()
     cap = budget.clone_functions
-    n = algebra.size
-    column = np.arange(n)[:, None]
-    for op in algebra.ops:
-        if op.arity != 2:
-            continue
-        square = np.asarray(op.table).reshape(n, n)
-        if (np.sort(square, axis=0) == column).all() and (
-            np.sort(square, axis=1) == column.T
-        ).all():
-            break
-    else:
+    op = latin_square(algebra)
+    if op is None:
         return None
+    square = np.asarray(op.table).reshape(algebra.size, algebra.size)
     e = _exponent(square, cap)
     if e is None:
         return None

@@ -118,6 +118,13 @@ def _require_nonnegative(value: Optional[int], flag: str) -> None:
         raise UsageError(f"{flag} must not be negative, got {value}")
 
 
+def _require_element(size: int, e: int) -> None:
+    """Refuse an ``--e`` outside the universe {0, ..., size-1}, before any
+    strategy reads it."""
+    if not 0 <= e < size:
+        raise UsageError(f"--e must lie in 0..{size - 1}, got {e}")
+
+
 def _blocks(part: Partition) -> list[list[int]]:
     return sorted(sorted(b) for b in part.blocks())
 
@@ -474,6 +481,7 @@ def _cmd_solve_progcsat(args) -> int:
 
 def _cmd_solve_csat(args) -> int:
     algebra = resolve_algebra(args.algebra)
+    _require_element(algebra.size, args.e)
     circuit = _load_algcircuit(args.circuit)
     budget = default_budget()
     if args.strategy == "reduce":
@@ -490,6 +498,7 @@ def _cmd_solve_csat(args) -> int:
 
 def _cmd_solve_ceqv(args) -> int:
     algebra = resolve_algebra(args.algebra)
+    _require_element(algebra.size, args.e)
     circuit = _load_algcircuit(args.circuit)
     budget = default_budget()
     if args.strategy == "reduce":

@@ -8,15 +8,25 @@ efficiently", Algebra Universalis 2008).  A translation t that permutes
 the universe has a power for inverse, so Cg(a, b) = Cg(t(a), t(b)): the
 lattice needs one principal per orbit of pairs, and is what the covers,
 the minimal joins lo v Cg(a, b) above lo, reach from 0.  The binary
-commutator is the term-condition commutator, computed from the matrix
-subalgebra M(alpha, beta) of A^4: each matrix is coded as a pair of rows,
-each row a pair of elements, so unary and binary operations act on it
-through their tables on A^2.  Congruences are symmetric, so M(alpha, beta)
-is invariant under exchanging the rows and exchanging the columns of its
-matrices, and M(alpha, alpha) also under transposing them (Freese and
-McKenzie, "Commutator Theory for Congruence Modular Varieties", 1987); the
-closure applies each operation with its first argument running over orbit
-representatives only.
+commutator is the term-condition commutator, computed on one of two paths
+chosen by the algebra alone (Freese and McKenzie, "Commutator Theory for
+Congruence Modular Varieties", 1987):
+
+- An algebra with a binary Latin-square operation (``latin_square``: every
+  group, loop and quasigroup expansion) has a Malcev term, so it
+  generates a modular variety, where (x, y) lies in [alpha, beta] iff
+  (x, x) and (x, y) share a block of Delta_{alpha,beta} (ch. 4).  That
+  congruence of the subalgebra alpha of A^2 is generated by the pairs
+  ((c, c), (d, d)) with c beta d, and is closed by joining block labels
+  under the basic translations of alpha, at most n**2 elements.
+- Every other algebra closes the matrix subalgebra M(alpha, beta) of A^4:
+  each matrix is coded as a pair of rows, each row a pair of elements, so
+  unary and binary operations act on it through their tables on A^2.
+  Congruences are symmetric, so M(alpha, beta) is invariant under
+  exchanging the rows and exchanging the columns of its matrices, and
+  M(alpha, alpha) also under transposing them; the closure applies each
+  operation with its first argument running over orbit representatives
+  only.
 
 Everything derived from one algebra lives in its :class:`Structure`: the
 translations, the lattice, the unary clone, a Malcev polynomial, the
@@ -51,6 +61,7 @@ from .algebra import (
     FiniteAlgebra,
     UnaryClone,
     find_malcev_polynomial,
+    latin_square,
     quasigroup_malcev,
     quotient_algebra,
     respects,
@@ -411,8 +422,9 @@ def _matrix_subalgebra(
         elif op.arity > 2:
             appliers.append((op.arity, n, [t * n**d for d in (3, 2, 1, 0)]))
 
-    def digits(pool: np.ndarray, base: int) -> list[np.ndarray]:
-        if base == n2:
+    # Split by digit count, not base: on one element the two bases agree.
+    def digits(pool: np.ndarray, count: int) -> list[np.ndarray]:
+        if count == 2:
             return list(np.divmod(pool, n2))
         return list(np.unravel_index(pool, (n,) * 4))
 
@@ -431,9 +443,9 @@ def _matrix_subalgebra(
             "frontier reps": frontier[representative[frontier]],
         }
         split = {
-            (name, base): digits(pool, base)
+            (name, count): digits(pool, count)
             for name, pool in pools.items()
-            for base in {base for _, base, _ in appliers}
+            for count in {len(scaled) for _, _, scaled in appliers}
         }
         fresh = np.zeros(n**4, dtype=bool)
         for arity, base, scaled in appliers:
@@ -441,7 +453,7 @@ def _matrix_subalgebra(
                 names = ["old"] * j + ["frontier"] + ["existing"] * (arity - 1 - j)
                 names[0] += " reps"
                 weighted = [
-                    [d * base ** (arity - 1 - i) for d in split[name, base]]
+                    [d * base ** (arity - 1 - i) for d in split[name, len(scaled)]]
                     for i, name in enumerate(names)
                 ]
                 *head, last = weighted
@@ -462,17 +474,97 @@ def _matrix_subalgebra(
     return np.flatnonzero(present)
 
 
-def commutator(
+def _join_labels(
+    label: np.ndarray, u: np.ndarray, v: np.ndarray
+) -> np.ndarray:
+    """The least-member labels with the blocks of u[i] and v[i] joined, as
+    a new array when any two differ.  Each round hooks the least member of
+    every block to the least label among the pairs that still differ
+    there, then follows the labels to their fixed points; labels only
+    fall, so the least member of each block stays its label."""
+    while True:
+        lu, lv = label[u], label[v]
+        differ = lu != lv
+        if not differ.any():
+            return label
+        u, v, lu, lv = u[differ], v[differ], lu[differ], lv[differ]
+        low = np.minimum(lu, lv)
+        label = label.copy()
+        np.minimum.at(label, lu, low)
+        np.minimum.at(label, lv, low)
+        while True:
+            up = label[label]
+            if (up == label).all():
+                break
+            label = up
+
+
+def _diagonal_commutator(
     algebra: FiniteAlgebra, left: Partition, right: Partition
 ) -> Partition:
-    """Term-condition commutator of two congruences.
+    """[left, right] for an algebra in a modular variety, read off Delta on
+    A(left), the subalgebra of A^2 on the pairs ``left`` relates: (x, y)
+    lies in it iff (x, x) Delta (x, y) (Freese and McKenzie 1987, ch. 4).
 
-    Least congruence d such that every matrix of the matrix subalgebra whose
-    top row lies in d has its bottom row in d; computed by seeding with the
-    bottom rows of matrices with equal top entries and re-closing until the
-    forcing condition is stable.  Uncached: ``Structure.commutator`` keeps
-    each result for the run.
+    The elements of A(left) are numbered in ``_related(left)`` order, and
+    ``label`` maps each to the least member of its Delta-block, starting
+    from the generators ((c, c), (d, d)) with c right-related to d.  By
+    Mal'cev's lemma the labels give a congruence iff t(i) and t(label[i])
+    share a block for every i and basic translation t, so only the
+    elements whose label moved are tested again.  A translation fixes all
+    arguments of an operation but the one of weight w to elements of
+    A(left); it is kept as w and as the fixed arguments' share of the index
+    into the operations' concatenated tables, in each coordinate.  A round
+    tests every translation with one gather per coordinate,
+    ``MATRIX_BLOCK`` images at a time.
     """
+    n = algebra.size
+    a, b = _related(left)
+    m = a.size
+    index = np.zeros(n * n, dtype=np.intp)
+    index[a * n + b] = np.arange(m)
+    diagonal = index[np.arange(n) * (n + 1)]
+    tables = np.concatenate([np.array(op.table) for op in algebra.ops])
+    parts = []
+    offset = 0
+    for op in algebra.ops:
+        weights = n ** np.arange(op.arity)[::-1]
+        for j, w in enumerate(weights):
+            first = second = np.array([offset])
+            for v in np.delete(weights, j):
+                first = (first[:, None] + a * v).ravel()
+                second = (second[:, None] + b * v).ravel()
+            parts.append((np.full(first.size, w), first, second))
+        offset += len(op.table)
+    weight, first, second = (np.concatenate(x)[:, None] for x in zip(*parts))
+    label = np.arange(m)
+    label[diagonal] = diagonal[list(right.class_of)]
+    moved = np.flatnonzero(label != np.arange(m))
+    while moved.size:
+        before = label
+        ends = np.stack([moved, label[moved]])[:, None]
+        step = max(1, MATRIX_BLOCK // moved.size)
+        for lo in range(0, first.size, step):
+            w = weight[lo : lo + step]
+            images = index[
+                tables[first[lo : lo + step] + a[ends] * w] * n
+                + tables[second[lo : lo + step] + b[ends] * w]
+            ]
+            label = _join_labels(label, images[0].ravel(), images[1].ravel())
+        moved = np.flatnonzero(label != before)
+    same = label[diagonal[a]] == label
+    cls = np.arange(n)
+    np.minimum.at(cls, b[same], a[same])
+    return Partition(tuple(cls.tolist()))
+
+
+def _matrix_commutator(
+    algebra: FiniteAlgebra, left: Partition, right: Partition
+) -> Partition:
+    """Least congruence d such that every matrix of M(left, right) whose top
+    row lies in d has its bottom row in d; computed by seeding with the
+    bottom rows of matrices with equal top entries and re-closing until the
+    forcing condition is stable."""
     n = algebra.size
     x1, x2, x3, x4 = np.unravel_index(
         _matrix_subalgebra(algebra, left, right), (n,) * 4
@@ -492,6 +584,26 @@ def commutator(
         )
 
 
+def commutator(
+    algebra: FiniteAlgebra, left: Partition, right: Partition
+) -> Partition:
+    """Term-condition commutator [left, right] of two congruences.
+
+    The path is chosen by the algebra alone.  One with a Latin-square
+    operation (``latin_square``) has the quasigroup Malcev term, so it
+    generates a congruence permutable, hence modular, variety, and the
+    commutator is read off Delta on A(left) (``_diagonal_commutator``;
+    Freese and McKenzie, "Commutator Theory for Congruence Modular
+    Varieties", 1987, ch. 4).  Every other algebra closes the matrix
+    subalgebra M(left, right) of A^4 and applies the term condition
+    (``_matrix_commutator``).  Uncached: ``Structure.commutator`` keeps
+    each result for the run.
+    """
+    if latin_square(algebra) is not None:
+        return _diagonal_commutator(algebra, left, right)
+    return _matrix_commutator(algebra, left, right)
+
+
 def solvability_class(s: Structure, alpha: Optional[Partition] = None):
     """Classify a congruence (default: the total one).
 
@@ -503,16 +615,9 @@ def solvability_class(s: Structure, alpha: Optional[Partition] = None):
     zero = s.lattice.zero
     if s.commutator(alpha, alpha) == zero:
         return ("abelian",)
-    # lower central chain g_{k+1} = [g_k, alpha]
-    g = alpha
-    steps = 0
-    seen = set()
-    while g != zero and g not in seen:
-        seen.add(g)
-        g = s.commutator(g, alpha)
-        steps += 1
-    if g == zero:
-        return ("nilpotent", steps)
+    chain = lower_central_chain(s, alpha)
+    if chain[-1] == zero:
+        return ("nilpotent", len(chain) - 1)
     d = alpha
     steps = 0
     seen = set()
@@ -525,14 +630,20 @@ def solvability_class(s: Structure, alpha: Optional[Partition] = None):
     return ("non-solvable",)
 
 
+def lower_central_chain(s: Structure, beta: Partition) -> list[Partition]:
+    """beta = g_0 > g_1 > ... with g_{k+1} = [g_k, beta], up to zero or to
+    the first term that repeats, which is left out."""
+    chain = [beta]
+    while chain[-1] != s.lattice.zero:
+        g = s.commutator(chain[-1], beta)
+        if g in chain:
+            break
+        chain.append(g)
+    return chain
+
+
 def is_nilpotent_congruence(s: Structure, beta: Partition) -> bool:
-    zero = s.lattice.zero
-    g = beta
-    seen = set()
-    while g != zero and g not in seen:
-        seen.add(g)
-        g = s.commutator(g, beta)
-    return g == zero
+    return lower_central_chain(s, beta)[-1] == s.lattice.zero
 
 
 # ---------------------------------------------------------------------------

@@ -44,11 +44,12 @@ def dihedral4() -> FiniteAlgebra:
     return FiniteAlgebra("D4", 8, (make_op("*", 2, 8, mul),))
 
 
-def random_algebra(draw, n, arities):
+def random_algebra(draw, n, arities, labels=None):
     """Random operations of the given arities on n elements.  Half the
-    draws make every table respect the kernel of a random labelling, so
-    that nontrivial congruences turn up often."""
-    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    draws make every table respect the kernel of a labelling, random
+    unless given, so that nontrivial congruences turn up often."""
+    if labels is None:
+        labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
     blocks = {c: [x for x in range(n) if labels[x] == c] for c in labels}
     free = draw(st.booleans())
     ops = []

@@ -21,6 +21,7 @@ from nudfa.algebra import (
     UnaryClone,
     UnaryFn,
     find_malcev_polynomial,
+    latin_square,
     make_op,
     quasigroup_malcev,
     quotient_algebra,
@@ -451,6 +452,8 @@ def latin_operations(alg: FiniteAlgebra) -> list[str]:
 def test_the_term_is_built_exactly_over_latin_squares(alg):
     """From the first Latin square, and only when there is one."""
     latin, built = latin_operations(alg), quasigroup_malcev(alg)
+    square = latin_square(alg)
+    assert (square and square.name) == (latin[0] if latin else None)
     if not latin:
         assert built is None
     else:

@@ -102,6 +102,27 @@ def test_negative_counts_are_usage_errors(argv, monkeypatch):
     assert json.loads(buf.getvalue())["kind"] == "usage"
 
 
+@pytest.mark.parametrize(
+    "problem, e, strategy",
+    (("csat", "9", "scan"), ("csat", "9", "reduce"), ("ceqv", "-1", "meet")),
+)
+def test_elements_outside_the_universe_are_usage_errors(problem, e, strategy, monkeypatch):
+    """Z6%2 has six elements.  Every strategy refuses an ``--e`` outside
+    them with one usage error, where ``scan`` printed "unsat", ``reduce``
+    exited 1 with a domain error and ``meet`` printed "fails"."""
+    monkeypatch.chdir(Path(__file__).resolve().parent / "golden")
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main([
+            "solve", problem, "--algebra", "fixtures:Z6%2",
+            "--circuit", "inputs/eq_mixed.json", "--e", e, "--strategy", strategy,
+        ])
+    assert code == 2
+    assert json.loads(buf.getvalue()) == {
+        "error": f"--e must lie in 0..5, got {e}", "kind": "usage",
+    }
+
+
 def test_compile_refuses_a_one_element_algebra(tmp_path):
     """No prime divides the size of a one-element algebra, so there is no
     modulus to count in: ``compile`` prints a JSON error and exits 1.  The

@@ -20,7 +20,14 @@ import commutator_reference as reference
 import lattice_reference
 from conftest import dihedral4, permuting_algebras, random_algebra
 from nudfa import congruence
-from nudfa.algebra import FiniteAlgebra, Operation, make_op, quotient_algebra, respects
+from nudfa.algebra import (
+    FiniteAlgebra,
+    Operation,
+    latin_square,
+    make_op,
+    quotient_algebra,
+    respects,
+)
 from nudfa.circuits import argument_blocks
 from nudfa.cli import main
 from nudfa.congruence import (
@@ -33,6 +40,7 @@ from nudfa.congruence import (
     distinguished_congruences,
     is_nilpotent_congruence,
     is_supernilpotent_algebra,
+    lower_central_chain,
     pdiv,
     prime_power_decomposition,
     principal_congruence,
@@ -442,6 +450,118 @@ def test_fixture_commutators_match_the_reference(name):
     assert_matches_reference(alg)
 
 
+@st.composite
+def latin_expansions(draw):
+    """A random isotope of Z_n for n <= 6 next to random nullary, unary and
+    binary operations, and a ternary one only for n <= 3.  The isotope is
+    Z_n's table with its rows, columns and values each permuted, by
+    permutations that map the residues modulo d onto each other, so that
+    it keeps the congruence modulo d; half the time the other operations
+    keep it too.  d is a proper divisor of n above 1 where there is one,
+    else 1, and then the permutations are any."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    d = draw(st.sampled_from([k for k in range(2, n) if n % k == 0] or [1]))
+
+    def permutation():
+        residues = draw(st.permutations(range(d)))
+        within = [draw(st.permutations(range(n // d))) for _ in range(d)]
+        return [residues[x % d] + d * within[x % d][x // d] for x in range(n)]
+
+    r, c, v = permutation(), permutation(), permutation()
+    cells = itertools.product(range(n), repeat=2)
+    square = Operation("*", 2, tuple(v[(r[x] + c[y]) % n] for x, y in cells))
+    arities = [k for k in (0, 1, 2) if draw(st.booleans())]
+    arities += [3] * (n <= 3 and draw(st.booleans()))
+    others = random_algebra(draw, n, arities, [x % d for x in range(n)]).ops
+    ops = draw(st.permutations([square, *others]))
+    return FiniteAlgebra(f"latin{n}", n, tuple(ops))
+
+
+@settings(max_examples=80, deadline=None)
+@given(latin_expansions())
+def test_delta_commutators_match_the_matrix_path(alg):
+    """Every pair of congruences, in both orders: the commutator read off
+    Delta equals the term-condition commutator of the M(alpha, beta) path
+    forced on the same algebra and the reference's.  The reference closes
+    ternary operations in a Python loop over triples of matrices, minutes
+    of work on three elements, so next to a ternary operation its forcing
+    loop runs on the matrices of ``_matrix_subalgebra``, which
+    ``test_ternary_commutators_match_the_reference`` checks against it."""
+    assert latin_square(alg) is not None
+    ternary = any(op.arity == 3 for op in alg.ops)
+    closure = congruence._matrix_subalgebra if ternary else reference.matrix_subalgebra
+    for left, right in itertools.product(all_congruences(alg).elements, repeat=2):
+        got = commutator(alg, left, right)
+        assert got == congruence._matrix_commutator(alg, left, right)
+        with mock.patch.object(reference, "matrix_subalgebra", closure):
+            assert got == reference.commutator(alg, left, right)
+
+
+def z5_z2_z3():
+    """Z5 x Z2 x Z3 with + and g(x, y) = (0, [a != 0], [a != 0]), where a
+    is x's Z5 coordinate; (a, b, c) is coded 6 a + 3 b + c."""
+
+    def add(x, y):
+        (a, b), (c, d) = divmod(x, 6), divmod(y, 6)
+        return (a + c) % 5 * 6 + (b // 3 + d // 3) % 2 * 3 + (b + d) % 3
+
+    def g(x, y):
+        return 4 * (x >= 6)
+
+    return FiniteAlgebra(
+        "Z5xZ2xZ3", 30, (make_op("+", 2, 30, add), make_op("g", 2, 30, g))
+    )
+
+
+def test_thirty_elements_are_nilpotent_without_matrices(monkeypatch):
+    """The lower central chain of Z5 x Z2 x Z3 with g has 1, 5 and 30
+    blocks, and no commutator on it closes a matrix subalgebra: the M(1, 1)
+    path took about a minute here."""
+
+    def refuse(*_):
+        raise AssertionError("closed a matrix subalgebra")
+
+    monkeypatch.setattr(congruence, "_matrix_subalgebra", refuse)
+    s = Structure(z5_z2_z3(), Budget(lattice_universe=64))
+    one = s.lattice.one
+    assert len(s.lattice) == 5
+    assert [c.num_blocks() for c in lower_central_chain(s, one)] == [1, 5, 30]
+    assert is_nilpotent_congruence(s, one)
+    assert solvability_class(s) == ("nilpotent", 2)
+
+
+def test_one_element_matrix_closures_split_their_codes_right():
+    """On one element the bases of row-pair and entry tables are both 1;
+    next to a unary operation, a ternary one was split into two digits
+    instead of four and raised IndexError."""
+    alg = FiniteAlgebra(
+        "T1", 1, (Operation("u", 1, (0,)), Operation("t", 3, (0,)))
+    )
+    one = Partition.total(1)
+    assert latin_square(alg) is None
+    assert congruence._matrix_subalgebra(alg, one, one).tolist() == [0]
+    assert commutator(alg, one, one) == one
+
+
+def test_algebras_without_a_latin_square_close_matrices(monkeypatch):
+    """LAT2 and G7 have no Latin square, so their commutators still come
+    from M(alpha, beta)."""
+    closed = []
+    inner = congruence._matrix_subalgebra
+
+    def counted(alg, left, right):
+        closed.append(alg.name)
+        return inner(alg, left, right)
+
+    monkeypatch.setattr(congruence, "_matrix_subalgebra", counted)
+    g7 = FiniteAlgebra.load(str(GOLDEN / "inputs" / "algebra_G7.json"))
+    for alg in (get_fixture("LAT2").algebra, g7):
+        assert latin_square(alg) is None
+        one = Partition.total(alg.size)
+        commutator(alg, one, one)
+    assert closed == ["LAT2", "G7"]
+
+
 def moved(codes, n, move):
     """The sorted codes of the matrices (x1, x2, x3, x4) with their
     entries rearranged to ``move(x1, x2, x3, x4)``."""
@@ -489,7 +609,9 @@ def test_matrix_closure_memory_stays_bounded():
     matrices).  The earlier closure built a dense frontier-by-existing
     block per round and peaked at 84 MiB here, growing as |M|^2; the row-
     pair closure works in blocks of ``MATRIX_BLOCK`` products (measured
-    0.7 MiB)."""
+    0.7 MiB).  The Delta path on Z3 x Z3 with alpha = beta = 1 joins labels
+    on the 81 pairs of A(1), ``MATRIX_BLOCK`` images at a time (measured
+    0.33 MiB); it is held to 1 MiB."""
     rng = random.Random(7)
     n = 7
     table = tuple(rng.randrange(n) for _ in range(n * n))
@@ -503,6 +625,16 @@ def test_matrix_closure_memory_stays_bounded():
         tracemalloc.stop()
     assert size == n**4
     assert peak < 8.0, peak
+    z3z3 = z3_squared()
+    one = Partition.total(9)
+    tracemalloc.start()
+    try:
+        result = congruence._diagonal_commutator(z3z3, one, one)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert result == Partition.identity(9)
+    assert peak < 1.0, peak
 
 
 def test_commutators_are_computed_once_per_run(monkeypatch):
