@@ -398,13 +398,8 @@ def compile_supernilpotent(
         raise HypothesisViolation(
             f"{A.name} has one element, so no prime divides its size"
         )
-    s = structure(A, budget)
     if not is_supernilpotent_algebra(A, budget):
         raise HypothesisViolation(f"{A.name} is not supernilpotent")
-    if not is_pupi(s, s.lattice.zero, s.lattice.one):
-        raise HypothesisViolation(
-            f"{A.name} has no prime-uniform independent interval split"
-        )
     dec = prime_power_decomposition(A, budget)
     m = pdiv(A)
     delta = sum(m // pj for pj in dec.primes) % m

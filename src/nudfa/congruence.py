@@ -31,21 +31,25 @@ Congruence Modular Varieties", 1987):
 Everything derived from one algebra lives in its :class:`Structure`: the
 translations, the lattice, the unary clone, a Malcev polynomial, the
 distinguished congruences and memos of commutators and characteristics,
-each computed on first read.  The Malcev polynomial is the one source of
-the term every caller uses, and it is verified where it is made.  For an
-algebra with a Latin-square operation it is built from that operation's
-divisions (``quasigroup_malcev``): the short term x * (y\\z), which serves
-every group and loop, else the full (x / (y\\y)) * (y\\z).  Only other
-algebras, or a term longer than the budget, pay for the breadth-first
-search, which gives None if it finds none.  ``structure`` hands out one
-Structure per budget, size and operations for the run, so an algebra and
-its copies under other names (such as its quotient by zero) share one,
-whose ``algebra`` is the copy seen first: names come from the caller's
-algebra.  The memo holds at most ``STRUCTURE_MEMO_SIZE`` structures,
-oldest out first, and ``cli.main`` empties it on every call.  On top of
-these sit characteristics of prime quotients, intervals that decompose
-into independent single-prime pieces, and the distinguished congruences
-that drive the circuit compiler.
+each computed on first read.  A quotient A/theta is read on A, with no
+algebra of its own (``Structure.quotient``): its lattice is the interval
+[theta, 1], and its commutators are relative to theta, the least
+d >= theta with C(alpha, beta; d), which is [alpha, beta] v theta in a
+modular variety (Freese and McKenzie, ch. 4).  The Malcev polynomial is
+the one source of the term every caller uses, and it is verified where it
+is made.  For an algebra with a Latin-square operation it is built from
+that operation's divisions (``quasigroup_malcev``): the short term
+x * (y\\z), which serves every group and loop, else the full
+(x / (y\\y)) * (y\\z).  Only other algebras, or a term longer than the
+budget, pay for the breadth-first search, which gives None if it finds
+none.  ``structure`` hands out one Structure per budget, size and
+operations for the run, so an algebra and its copies under other names
+share one, whose ``algebra`` is the copy seen first: names come from the
+caller's algebra.  The memo holds at most ``STRUCTURE_MEMO_SIZE``
+structures, oldest out first, and ``cli.main`` empties it on every call.
+On top of these sit characteristics of prime quotients, intervals that
+decompose into independent single-prime pieces, and the distinguished
+congruences that drive the circuit compiler.
 """
 
 from __future__ import annotations
@@ -89,11 +93,21 @@ class Structure:
     search's first witness, and None if the search finds none.  Every
     caller reads the term here.  ``algebra`` is the one the Structure was
     made for; callers name results after their own algebra, not after it.
+
+    ``quotient(theta)`` is A/theta read on A, with no quotient algebra
+    built: its lattice is the interval [theta, 1], and its commutators are
+    relative to ``floor`` = theta, over a Latin square the parent's joined
+    with theta.  A view answers lattice, commutator and characteristic
+    questions only.
     """
 
-    def __init__(self, algebra: FiniteAlgebra, budget: Budget):
+    def __init__(
+        self, algebra: FiniteAlgebra, budget: Budget, parent=None, floor=None
+    ):
         self.algebra = algebra
         self.budget = budget
+        self.parent = parent
+        self.floor = floor
         self._commutators: dict[tuple[Partition, Partition], Partition] = {}
         self._characteristics: dict[tuple[Partition, Partition], int] = {}
 
@@ -103,6 +117,8 @@ class Structure:
 
     @cached_property
     def lattice(self) -> "CongruenceLattice":
+        if self.parent is not None:
+            return self.parent.lattice.above(self.floor)
         return all_congruences(self.algebra, budget=self.budget)
 
     @cached_property
@@ -119,10 +135,20 @@ class Structure:
     def distinguished(self) -> "DistinguishedCongruences":
         return distinguished_congruences(self)
 
+    def quotient(self, theta: Partition) -> "Structure":
+        return self if theta.is_identity() else Structure(
+            self.algebra, self.budget, self, theta
+        )
+
     def commutator(self, left: Partition, right: Partition) -> Partition:
+        """[left, right], relative to ``floor`` on a quotient view."""
         key = (left, right)
         if key not in self._commutators:
-            self._commutators[key] = commutator(self.algebra, left, right)
+            if self.parent is not None and latin_square(self.algebra) is not None:
+                found = self.parent.commutator(left, right).join(self.floor)
+            else:
+                found = commutator(self.algebra, left, right, self.floor)
+            self._commutators[key] = found
         return self._commutators[key]
 
     def characteristic(self, lo: Partition, hi: Partition) -> int:
@@ -209,12 +235,15 @@ def principal_congruence(algebra: FiniteAlgebra, a: int, b: int) -> Partition:
 
 @dataclass
 class CongruenceLattice:
-    """All congruences of a finite algebra, with order data."""
+    """All congruences of a finite algebra, or the interval [theta, 1] of
+    them, with order data.  Elements are sorted by their label tuples, so a
+    coarser congruence sorts before a finer one: the total partition comes
+    first and the least element last."""
 
     algebra: FiniteAlgebra
     elements: tuple[Partition, ...]  # canonically sorted
     _index: dict = field(repr=False)
-    covers: tuple[tuple[int, int], ...]  # (lower, upper) index pairs
+    covers: tuple[tuple[int, int], ...]  # (lower, upper), sorted by lower
 
     # -- order helpers -----------------------------------------------------
 
@@ -232,17 +261,38 @@ class CongruenceLattice:
 
     @property
     def zero(self) -> Partition:
-        return Partition.identity(self.algebra.size)
+        return self.elements[-1]
 
     @property
     def one(self) -> Partition:
-        return Partition.total(self.algebra.size)
+        return self.elements[0]
 
-    def leq(self, lo: Partition, hi: Partition) -> bool:
-        return lo.leq(hi)
+    @cached_property
+    def _order(self) -> list[int]:
+        """The order table: bit j of entry i is set iff element i lies below
+        element j.  An upper cover sorts before its lower one, so each
+        entry is final before a cover reads it."""
+        order = [1 << i for i in range(len(self.elements))]
+        for a, b in self.covers:
+            order[a] |= order[b]
+        return order
+
+    @cached_property
+    def cover_set(self) -> frozenset[tuple[Partition, Partition]]:
+        return frozenset((self.elements[a], self.elements[b]) for a, b in self.covers)
 
     def interval(self, lo: Partition, hi: Partition) -> list[Partition]:
-        return [c for c in self.elements if lo.leq(c) and c.leq(hi)]
+        up, top, order = self._order[self.index(lo)], self.index(hi), self._order
+        return [c for i, c in enumerate(self.elements) if up >> i & order[i] >> top & 1]
+
+    def above(self, floor: Partition) -> "CongruenceLattice":
+        """The interval [floor, 1] with its covers: by the correspondence
+        theorem, the congruence lattice of A/floor."""
+        elements = tuple(self.interval(floor, self.one))
+        index = {c: i for i, c in enumerate(elements)}
+        pairs = ((self.elements[a], self.elements[b]) for a, b in self.covers)
+        covers = tuple((index[a], index[b]) for a, b in pairs if a in index)
+        return CongruenceLattice(self.algebra, elements, index, covers)
 
     def covers_of(self, part: Partition) -> list[Partition]:
         i = self.index(part)
@@ -256,12 +306,12 @@ class CongruenceLattice:
         self, lo: Partition, hi: Partition
     ) -> list[tuple[Partition, Partition]]:
         """All covering pairs inside the interval [lo, hi]."""
-        out = []
-        for a, b in self.covers:
-            ca, cb = self.elements[a], self.elements[b]
-            if lo.leq(ca) and cb.leq(hi):
-                out.append((ca, cb))
-        return out
+        up, top, order = self._order[self.index(lo)], self.index(hi), self._order
+        return [
+            (self.elements[a], self.elements[b])
+            for a, b in self.covers
+            if up >> a & order[b] >> top & 1
+        ]
 
     def atoms(self) -> list[Partition]:
         return self.covers_of(self.zero)
@@ -559,17 +609,17 @@ def _diagonal_commutator(
 
 
 def _matrix_commutator(
-    algebra: FiniteAlgebra, left: Partition, right: Partition
+    algebra: FiniteAlgebra, left: Partition, right: Partition, floor=None
 ) -> Partition:
-    """Least congruence d such that every matrix of M(left, right) whose top
-    row lies in d has its bottom row in d; computed by seeding with the
-    bottom rows of matrices with equal top entries and re-closing until the
-    forcing condition is stable."""
+    """Least congruence d above ``floor`` (default zero) such that every
+    matrix of M(left, right) whose top row lies in d has its bottom row in
+    d; computed by seeding with the bottom rows of matrices with equal top
+    entries and re-closing until the forcing condition is stable."""
     n = algebra.size
     x1, x2, x3, x4 = np.unravel_index(
         _matrix_subalgebra(algebra, left, right), (n,) * 4
     )
-    delta = Partition.identity(n)
+    delta = floor or Partition.identity(n)
     while True:
         cls = np.array(delta.class_of)
         forced = (cls[x1] == cls[x2]) & (cls[x3] != cls[x4])
@@ -585,9 +635,14 @@ def _matrix_commutator(
 
 
 def commutator(
-    algebra: FiniteAlgebra, left: Partition, right: Partition
+    algebra: FiniteAlgebra, left: Partition, right: Partition, floor=None
 ) -> Partition:
-    """Term-condition commutator [left, right] of two congruences.
+    """Term-condition commutator [left, right] of two congruences, or with
+    a ``floor`` below both the relative one: the least d >= floor with
+    C(left, right; d).  The term condition passes through A -> A/floor, so
+    that is the lift of [left/floor, right/floor] in A/floor, and in a
+    modular variety it is [left, right] v floor (Freese and McKenzie 1987,
+    ch. 4).
 
     The path is chosen by the algebra alone.  One with a Latin-square
     operation (``latin_square``) has the quasigroup Malcev term, so it
@@ -596,12 +651,13 @@ def commutator(
     Freese and McKenzie, "Commutator Theory for Congruence Modular
     Varieties", 1987, ch. 4).  Every other algebra closes the matrix
     subalgebra M(left, right) of A^4 and applies the term condition
-    (``_matrix_commutator``).  Uncached: ``Structure.commutator`` keeps
-    each result for the run.
+    (``_matrix_commutator``), whose forcing loop starts from the floor.
+    Uncached: ``Structure.commutator`` keeps each result for the run.
     """
     if latin_square(algebra) is not None:
-        return _diagonal_commutator(algebra, left, right)
-    return _matrix_commutator(algebra, left, right)
+        found = _diagonal_commutator(algebra, left, right)
+        return found.join(floor) if floor else found
+    return _matrix_commutator(algebra, left, right, floor)
 
 
 def solvability_class(s: Structure, alpha: Optional[Partition] = None):
@@ -659,16 +715,11 @@ def characteristic(s: Structure, cover: tuple[Partition, Partition]) -> int:
     Uncached: ``Structure.characteristic`` keeps each result for the run.
     """
     lo, hi = cover
-    lat = s.lattice
-    if (lo, hi) not in [
-        (lat.elements[a], lat.elements[b]) for a, b in lat.covers
-    ]:
+    if (lo, hi) not in s.lattice.cover_set:
         raise ValueError("not a covering pair of the lattice")
     if not s.commutator(hi, hi).leq(lo):
         raise ValueError("cover is not abelian; characteristic undefined")
-    counts = set()
-    for block in hi.blocks():
-        counts.add(len({lo.class_of[x] for x in block}))
+    counts = {len({lo.class_of[x] for x in block}) for block in hi.blocks()}
     if len(counts) != 1:
         raise ValueError(f"hi-blocks split into unequal lo-block counts {counts}")
     count = counts.pop()
@@ -782,11 +833,10 @@ def distinguished_congruences(s: Structure) -> DistinguishedCongruences:
     supernil = [c for c in lat.elements if is_supernilpotent_congruence(s, c)]
     largest = _unique_max(supernil, "largest supernilpotent congruence")
 
-    quot_ok = []
-    for c in lat.elements:
-        quo, _ = quotient_algebra(s.algebra, c)
-        if is_supernilpotent_algebra(quo, s.budget):
-            quot_ok.append(c)
+    quot_ok = [
+        c for c in lat.elements
+        if is_supernilpotent_congruence(s.quotient(c), lat.one)
+    ]
     smallest = _unique_min(quot_ok, "smallest supernilpotent quotient")
 
     by_prime = {}
@@ -809,7 +859,6 @@ def supernilpotent_rank(s: Structure) -> Optional[int]:
     edges.  Returns None when no such chain exists.
     """
     lat = s.lattice
-    n = len(lat.elements)
     start = lat.index(lat.zero)
     goal = lat.index(lat.one)
     if start == goal:
@@ -820,11 +869,9 @@ def supernilpotent_rank(s: Structure) -> Optional[int]:
         nxt: list[int] = []
         for i in frontier:
             lo = lat.elements[i]
-            for j in range(n):
-                if j in dist or i == j:
-                    continue
-                hi = lat.elements[j]
-                if not lo.leq(hi):
+            for hi in lat.interval(lo, lat.one):
+                j = lat.index(hi)
+                if j in dist:
                     continue
                 try:
                     ok = is_pupi(s, lo, hi)

@@ -8,6 +8,7 @@ import io
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -39,7 +40,9 @@ from nudfa.congruence import (
     congruence_generated,
     distinguished_congruences,
     is_nilpotent_congruence,
+    is_pupi,
     is_supernilpotent_algebra,
+    is_supernilpotent_congruence,
     lower_central_chain,
     pdiv,
     prime_power_decomposition,
@@ -49,7 +52,7 @@ from nudfa.congruence import (
     supernilpotent_rank,
 )
 from nudfa.fieldpoly import prime_divisors
-from nudfa.fixtures import get_fixture
+from nudfa.fixtures import fixture_names, get_fixture, resolve_algebra
 from nudfa.limits import Budget, BudgetExceeded
 from nudfa.partitions import Partition
 
@@ -59,6 +62,17 @@ ETA_MOD2 = Partition.from_blocks(6, [{0, 2, 4}, {1, 3, 5}])
 ETA_MOD3 = Partition.from_blocks(6, [{0, 3}, {1, 4}, {2, 5}])
 
 ALL_FIXTURES = ("Z2", "Z3", "Z4", "Z6", "Z6%2", "LAT2", "S3")
+
+
+# Every fixture and the table-built algebras of the golden ``con`` cases.
+CON_ALGEBRAS = (*fixture_names(), "D4", "Z3xZ3", "G7")
+
+
+def algebra_spec(name):
+    """The ``--algebra`` argument naming a fixture or a golden input."""
+    if name in fixture_names():
+        return f"fixtures:{name}"
+    return str(GOLDEN / "inputs" / f"algebra_{name}.json")
 
 
 def lattice_of(name):
@@ -192,9 +206,40 @@ def test_marked_order_six_lattice_is_a_three_chain():
 
 
 def test_characteristic_rejects_non_covers():
+    """A non-cover, a partition outside the lattice and, on a quotient
+    view, a congruence below its floor are all refused with the same
+    ValueError, never a KeyError."""
     s, lat = structure_of("Z6")
-    with pytest.raises(ValueError):
-        s.characteristic(lat.zero, lat.one)
+    stranger = Partition.from_blocks(6, [{0, 1}])
+    assert stranger not in lat
+    view = s.quotient(ETA_MOD2)
+    for where, lo, hi in (
+        (s, lat.zero, lat.one),
+        (s, stranger, lat.one),
+        (s, lat.zero, stranger),
+        (view, lat.zero, ETA_MOD2),
+        (view, ETA_MOD2, ETA_MOD2),
+    ):
+        with pytest.raises(ValueError, match="^not a covering pair of the lattice$"):
+            where.characteristic(lo, hi)
+    assert view.characteristic(ETA_MOD2, lat.one) == 2
+
+
+@pytest.mark.parametrize("name", CON_ALGEBRAS)
+def test_intervals_and_covers_match_the_refinement_order(name):
+    """``interval``, ``cover_pairs`` and ``cover_set`` read the order data;
+    brute-force ``leq`` tests give the same answers, and the same covers."""
+    lat = structure(resolve_algebra(algebra_spec(name))).lattice
+    elements = lat.elements
+    pairs = [(elements[a], elements[b]) for a, b in lat.covers]
+    assert all(lat.zero.leq(c) and c.leq(lat.one) for c in elements)
+    for lo, hi in itertools.product(elements, repeat=2):
+        between = [c for c in elements if lo.leq(c) and c.leq(hi)]
+        assert lat.interval(lo, hi) == between
+        assert lat.cover_pairs(lo, hi) == [
+            (a, b) for a, b in pairs if lo.leq(a) and b.leq(hi)
+        ]
+        assert ((lo, hi) in lat.cover_set) == (between == [hi, lo])
 
 
 def test_principal_congruences_of_the_cyclic_group():
@@ -497,6 +542,116 @@ def test_delta_commutators_match_the_matrix_path(alg):
             assert got == reference.commutator(alg, left, right)
 
 
+@st.composite
+def congruence_keeping_algebras(draw):
+    """Algebras on 2-4 elements without a Latin square, whose tables keep
+    the kernel of a drawn labelling half the time, so that quotients
+    with nontrivial lattices turn up; a ternary operation only on 2
+    elements."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    arities = draw(st.sampled_from([[1], [2], [1, 2], [0, 2]] + [[3]] * (n == 2)))
+    return random_algebra(draw, n, arities, labels)
+
+
+def _lift(part, mapping):
+    """The congruence of A above the kernel of ``mapping`` that a
+    congruence of the quotient corresponds to."""
+    return Partition.from_blocks(
+        len(mapping),
+        [[x for x, b in enumerate(mapping) if b in block] for block in part.blocks()],
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    latin_expansions(),
+    congruence_keeping_algebras().filter(lambda alg: latin_square(alg) is None),
+))
+def test_quotient_views_answer_as_the_quotient_algebras(alg):
+    """For every congruence theta, the view ``quotient(theta)`` read on A
+    agrees with the Structure of the built quotient A/theta, lifted through
+    the projection: lattice and covers, relative commutators of every pair
+    above theta, nilpotence, characteristics (or their refusal), the
+    prime-uniform splits of every interval, and supernilpotence."""
+    budget = Budget()
+    s = Structure(alg, budget)
+    for theta in s.lattice.elements:
+        view = s.quotient(theta)
+        quo, mapping = quotient_algebra(alg, theta)
+        sq = Structure(quo, budget)
+        lat, qlat = view.lattice, sq.lattice
+        up = {q: _lift(q, mapping) for q in qlat.elements}
+        assert (lat.zero, lat.one) == (theta, s.lattice.one)
+        assert set(lat.elements) == set(up.values())
+        assert {(lat.elements[a], lat.elements[b]) for a, b in lat.covers} == {
+            (up[qlat.elements[a]], up[qlat.elements[b]]) for a, b in qlat.covers
+        }
+        for qa, qb in itertools.product(qlat.elements, repeat=2):
+            assert view.commutator(up[qa], up[qb]) == up[sq.commutator(qa, qb)]
+        for qa in qlat.elements:
+            assert is_nilpotent_congruence(view, up[qa]) == is_nilpotent_congruence(sq, qa)
+            assert _outcome(is_supernilpotent_congruence, view, up[qa]) == _outcome(
+                is_supernilpotent_congruence, sq, qa
+            )
+        for a, b in qlat.covers:
+            lo, hi = qlat.elements[a], qlat.elements[b]
+            assert _outcome(view.characteristic, up[lo], up[hi]) == _outcome(
+                sq.characteristic, lo, hi
+            )
+        for lo, hi in itertools.product(qlat.elements, repeat=2):
+            if lo.leq(hi):
+                assert _outcome(is_pupi, view, up[lo], up[hi]) == _outcome(
+                    is_pupi, sq, lo, hi
+                )
+
+
+@pytest.mark.parametrize("name", CON_ALGEBRAS)
+def test_distinguished_congruences_match_the_built_quotients(name):
+    """The least congruence with a supernilpotent quotient, found as
+    before: by building each quotient algebra and its own Structure."""
+    alg = resolve_algebra(algebra_spec(name))
+    s = Structure(alg, Budget())
+    ok = [
+        c for c in s.lattice.elements
+        if is_supernilpotent_algebra(quotient_algebra(alg, c)[0])
+    ]
+    least = [c for c in ok if all(c.leq(d) for d in ok)]
+    got = _outcome(lambda: s.distinguished.smallest_supernilpotent_quotient)
+    if len(least) == 1:
+        assert got == least[0]
+    else:
+        assert got[0] == "ValueError"
+
+
+def test_relative_commutators_outside_modular_varieties_are_not_joins():
+    """On this product of a two- and a three-element algebra, which has no
+    Latin square, C(1, beta; [1, beta] v theta) fails: the relative
+    commutator is the lift of A/theta's [1, beta/theta], strictly above
+    [1, beta] v theta, so the floor must enter the forcing loop."""
+    table = (5, 3, 5, 5, 3, 5, 5, 4, 3, 5, 4, 3, 5, 3, 3, 5, 3, 3,
+             2, 0, 2, 2, 0, 2, 2, 1, 0, 2, 1, 0, 2, 0, 0, 2, 0, 0)
+    alg = FiniteAlgebra("B2xC3", 6, (Operation("*", 2, table),))
+    theta = Partition((0, 1, 0, 0, 4, 0))
+    beta = Partition((0, 1, 0, 0, 1, 0))
+    one = Partition.total(6)
+    s = Structure(alg, Budget())
+    assert latin_square(alg) is None
+    assert s.commutator(one, beta).join(theta) == theta
+    assert s.quotient(theta).commutator(one, beta) == beta
+    assert commutator(alg, one, beta, theta) == beta
+    quo, mapping = quotient_algebra(alg, theta)
+    b = Partition.from_blocks(quo.size, [{mapping[x] for x in blk} for blk in beta.blocks()])
+    assert Structure(quo, Budget()).commutator(Partition.total(quo.size), b) == b
+
+
 def z5_z2_z3():
     """Z5 x Z2 x Z3 with + and g(x, y) = (0, [a != 0], [a != 0]), where a
     is x's Z5 coordinate; (a, b, c) is coded 6 a + 3 b + c."""
@@ -638,10 +793,10 @@ def test_matrix_closure_memory_stays_bounded():
 
 
 def test_commutators_are_computed_once_per_run(monkeypatch):
-    """Within one ``con`` call each distinct set of tables gets one lattice
-    and each (tables, alpha, beta) one commutator, the quotient of S3 by
-    zero reusing the structure of S3; a second call starts from an empty
-    memo and repeats exactly that work."""
+    """Within one ``con`` call S3 gets one lattice, its quotients being
+    intervals of it, and each (tables, alpha, beta, floor) one commutator;
+    a second call starts from an empty memo and repeats exactly that
+    work."""
     lattices, keys = [], []
     build, inner = congruence.all_congruences, congruence.commutator
 
@@ -652,9 +807,9 @@ def test_commutators_are_computed_once_per_run(monkeypatch):
         lattices.append(tables(alg))
         return build(alg, budget=budget)
 
-    def counted(alg, left, right):
-        keys.append((tables(alg), left, right))
-        return inner(alg, left, right)
+    def counted(alg, left, right, floor=None):
+        keys.append((tables(alg), left, right, floor))
+        return inner(alg, left, right, floor)
 
     asked = []
     ask = Structure.commutator
@@ -675,10 +830,33 @@ def test_commutators_are_computed_once_per_run(monkeypatch):
             assert main(["con", "--algebra", "fixtures:S3"]) == 0
         runs.append((list(lattices), list(keys), len(asked)))
     (lat_first, first, asked_first), (lat_second, second, asked_second) = runs
-    assert len(lat_first) == len(set(lat_first)) > 1
+    assert lat_first == [tables(get_fixture("S3").algebra)]
     assert len(first) == len(set(first)) > 0
     assert (lat_first, first, asked_first) == (lat_second, second, asked_second)
     assert asked_first > len(first)
+
+
+@pytest.mark.parametrize("name", CON_ALGEBRAS)
+def test_con_builds_one_lattice_and_no_quotient_algebra(monkeypatch, name):
+    """The distinguished congruences read each quotient A/theta on A's own
+    lattice, so ``con`` builds A's lattice once and no quotient algebra."""
+    calls = []
+    build = congruence.all_congruences
+
+    def counted_lattice(alg, budget=None):
+        calls.append("lattice")
+        return build(alg, budget=budget)
+
+    def refuse(*_):
+        raise AssertionError("built a quotient algebra")
+
+    monkeypatch.setattr(congruence, "all_congruences", counted_lattice)
+    for module in list(sys.modules.values()):
+        if getattr(module, "quotient_algebra", None) is quotient_algebra:
+            monkeypatch.setattr(module, "quotient_algebra", refuse)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["con", "--algebra", algebra_spec(name)]) == 0
+    assert calls == ["lattice"]
 
 
 def test_commutator_memo_is_keyed_by_the_tables(monkeypatch):
@@ -697,21 +875,22 @@ def test_commutator_memo_is_keyed_by_the_tables(monkeypatch):
 
 
 def test_commutator_memo_never_exceeds_its_size(monkeypatch):
-    """With room for two structures the memo evicts its oldest entries,
-    and the output stays the recorded one."""
+    """With room for two structures the memo evicts its oldest entries
+    while the ``fixtures`` listing asks for one structure per fixture, and
+    the output stays the recorded one."""
     monkeypatch.setattr(congruence, "STRUCTURE_MEMO_SIZE", 2)
     sizes = []
-    make = Structure.__init__
 
-    def watched(self, alg, budget):
-        sizes.append(len(congruence._STRUCTURES))
-        make(self, alg, budget)
+    class Watched(dict):
+        def __setitem__(self, key, value):
+            sizes.append(len(self))
+            super().__setitem__(key, value)
 
-    monkeypatch.setattr(Structure, "__init__", watched)
+    monkeypatch.setattr(congruence, "_STRUCTURES", Watched())
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        assert main(["con", "--algebra", "fixtures:S3"]) == 0
-    assert buf.getvalue() == (GOLDEN / "expected" / "con_S3.out").read_text()
+        assert main(["fixtures"]) == 0
+    assert buf.getvalue() == (GOLDEN / "expected" / "fixtures.out").read_text()
     assert len(congruence._STRUCTURES) <= 2
     assert max(sizes) <= 1 and len(sizes) > 2
 
