@@ -77,9 +77,6 @@ class FiniteAlgebra:
         except KeyError:
             raise KeyError(f"no operation named {name!r}") from None
 
-    def op_arity(self, name: str) -> int:
-        return self.op(name).arity
-
     def eval_op(self, name: str, args: Sequence[int]) -> int:
         op = self.op(name)
         if len(args) != op.arity:
@@ -562,6 +559,23 @@ def verify_malcev(algebra: FiniteAlgebra, circuit: AlgCircuit) -> bool:
     )
 
 
+def check_circuit(algebra: FiniteAlgebra, circuit: AlgCircuit) -> None:
+    """Refuse, with ValueError, a circuit that does not live over the
+    algebra: a constant outside 0..size-1, or a gate whose operation the
+    algebra lacks or takes another number of arguments."""
+    arity = {op.name: op.arity for op in algebra.ops}
+    for node in circuit.nodes:
+        if node[0] == CONST and not 0 <= node[1] < algebra.size:
+            raise ValueError(
+                f"circuit constant {node[1]} outside the universe "
+                f"0..{algebra.size - 1}"
+            )
+        if node[0] == GATE and arity.get(node[1]) != len(node[2]):
+            raise ValueError(
+                f"no operation {node[1]!r} of arity {len(node[2])} in {algebra.name}"
+            )
+
+
 # ---------------------------------------------------------------------------
 # Quotients
 # ---------------------------------------------------------------------------
@@ -603,8 +617,7 @@ def quotient_algebra(
     if not respects(algebra, part):
         raise ValueError("partition is not a congruence of the algebra")
     reps = sorted(set(part.class_of))
-    index = {rep: i for i, rep in enumerate(reps)}
-    mapping = tuple(index[c] for c in part.class_of)
+    mapping = part.labels()
     s = len(reps)
     ops = []
     for op in algebra.ops:

@@ -306,20 +306,6 @@ def _reachable(nodes: Sequence[tuple], root: int) -> list[int]:
     return sorted(seen)
 
 
-def variable_circuit(k: int, i: int) -> AlgCircuit:
-    b = CircuitBuilder(k)
-    return b.finish(b.var(i))
-
-
 def constant_circuit(k: int, a: int) -> AlgCircuit:
     b = CircuitBuilder(k)
     return b.finish(b.const(a))
-
-
-def compose(outer: AlgCircuit, inners: Sequence[AlgCircuit], k: int) -> AlgCircuit:
-    """outer(inner_1(x), ..., inner_j(x)) over a common variable space of size k."""
-    if len(inners) != outer.k:
-        raise ValueError("need one inner circuit per outer variable")
-    b = CircuitBuilder(k)
-    roots = [b.inline(c, [b.var(i) for i in range(k)]) for c in inners]
-    return b.finish(b.inline(outer, roots))

@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import congruence, lowering
+from .algebra import FiniteAlgebra, check_circuit
 from .circuits import AlgCircuit
 from .compile import (
     HypothesisViolation,
@@ -140,9 +141,16 @@ def _result_doc(res: SolveResult) -> dict:
     return doc
 
 
-def _load_algcircuit(path: str) -> AlgCircuit:
+def _load_algcircuit(path: str, algebra: FiniteAlgebra) -> AlgCircuit:
+    """The circuit saved at ``path``, refused before any strategy reads it
+    unless it lives over the algebra."""
     with open(path) as fh:
-        return AlgCircuit.from_json(json.load(fh))
+        circuit = AlgCircuit.from_json(json.load(fh))
+    try:
+        check_circuit(algebra, circuit)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    return circuit
 
 
 def _load_cnf(path: str) -> "object":
@@ -482,7 +490,7 @@ def _cmd_solve_progcsat(args) -> int:
 def _cmd_solve_csat(args) -> int:
     algebra = resolve_algebra(args.algebra)
     _require_element(algebra.size, args.e)
-    circuit = _load_algcircuit(args.circuit)
+    circuit = _load_algcircuit(args.circuit, algebra)
     budget = default_budget()
     if args.strategy == "reduce":
         program = csat_to_progcsat(algebra, circuit, args.e)
@@ -499,7 +507,7 @@ def _cmd_solve_csat(args) -> int:
 def _cmd_solve_ceqv(args) -> int:
     algebra = resolve_algebra(args.algebra)
     _require_element(algebra.size, args.e)
-    circuit = _load_algcircuit(args.circuit)
+    circuit = _load_algcircuit(args.circuit, algebra)
     budget = default_budget()
     if args.strategy == "reduce":
         program = ceqv_to_progcsat(algebra, circuit, args.e)

@@ -28,11 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, quotient_algebra, verify_malcev
+from .algebra import FiniteAlgebra, verify_malcev
 from .circuits import AlgCircuit, CONST, GATE, VAR, eval_columns
 from .congruence import (
     CongruenceLattice,
@@ -69,7 +69,7 @@ from .modcircuit import (
     shape_of,
     validate_shape,
 )
-from .partitions import Partition, project
+from .partitions import Partition
 from .programs import (
     AlgProgram,
     map_circuit_constants,
@@ -157,13 +157,24 @@ class CentralRep:
 
 def central_representation(
     D: FiniteAlgebra,
-    beta: Partition,
+    quotient: FiniteAlgebra,
+    proj: Sequence[int],
     e: int,
     malcev: AlgCircuit,
 ) -> CentralRep:
-    """Build and exhaustively verify the module/quotient split along beta."""
+    """Build and exhaustively verify the module/quotient split of D along
+    beta, the kernel of the map ``proj`` of D onto ``quotient``.
+
+    The representation identity is checked on every tuple, proj(f(d)) =
+    f(proj(d)) included, so ``proj`` is verified to be a homomorphism onto
+    ``quotient``, which the caller may have built from another algebra.
+    """
     if not verify_malcev(D, malcev):
         raise ValueError("the supplied circuit is not a Malcev polynomial")
+    if len(proj) != D.size or set(proj) != set(range(quotient.size)):
+        raise ValueError("the projection is not a map of D onto the quotient")
+    transversal: dict[int, int] = {}  # class -> its least member
+    beta = Partition(tuple(transversal.setdefault(c, x) for x, c in enumerate(proj)))
     if not structure(D).commutator(beta, beta).is_identity():
         raise HypothesisViolation("the congruence is not abelian")
 
@@ -206,16 +217,9 @@ def central_representation(
             if vec_add(coords[x], coords[y], p) != coords[add[(x, y)]]:
                 raise HypothesisViolation("coordinates do not respect addition")
 
-    quotient, proj = quotient_algebra(D, beta)
-    transversal = tuple(
-        min(x for x in range(D.size) if proj[x] == c) for c in range(quotient.size)
-    )
-    if transversal[proj[e]] != e:
-        raise ValueError("anchor is not the least element of its class")
-
     # x = d(m(x), e, t(x)) with m(x) = d(x, t(x), e), t(x) the least
     # element of the class of x
-    ts = np.array(transversal)[list(proj)]
+    ts = np.array([transversal[c] for c in proj])
     es = np.full(D.size, e)
     mpart = eval_columns(D, malcev, np.stack([np.arange(D.size), ts, es])).tolist()
     for x, mv in enumerate(mpart):
@@ -271,7 +275,7 @@ def central_representation(
         p=p,
         nu=nu,
         quotient=quotient,
-        proj=proj,
+        proj=tuple(proj),
         mcoords=mcoords,
         alpha=alpha,
         hat=hat,
@@ -401,7 +405,7 @@ def compile_supernilpotent(
     if not is_supernilpotent_algebra(A, budget):
         raise HypothesisViolation(f"{A.name} is not supernilpotent")
     dec = prime_power_decomposition(A, budget)
-    m = pdiv(A)
+    m = pdiv(A.size)
     delta = sum(m // pj for pj in dec.primes) % m
 
     if program.n > budget.truth_table_bits:
@@ -767,9 +771,8 @@ def compile_nilpotent(
     sigma = dist.by_prime.get(p, lat.zero)
     if not kappa.leq(sigma):
         raise AssertionError("supernilpotent quotient escapes the p-radical")
-    Abar, _ = quotient_algebra(A, sigma)
-    m = pdiv(Abar)
-    if chars and m * p != pdiv(A):
+    m = pdiv(sigma.num_blocks())
+    if chars and m * p != pdiv(A.size):
         raise AssertionError("quotient primes do not complement p")
     if m == 1:
         raise HypothesisViolation(
@@ -781,26 +784,23 @@ def compile_nilpotent(
 
     chain = _maximal_chain(lat, sigma)
     h = len(chain) - 1
-    progs: list[AlgProgram] = []
-    projs: list[tuple[int, ...]] = []
-    for gamma in chain:
+    progs = [program]
+    projs = [tuple(range(A.size))]
+    for gamma in chain[1:]:
         Pj, mapping = quotient_program(program, gamma)
         progs.append(Pj)
         projs.append(mapping)
+    Abar = progs[h].algebra
 
     if n > budget.truth_table_bits:
         raise ValueError("too many input bits for value tables")
     vals = program.node_columns()
     nodes = range(len(program.circuit.nodes))
     root = program.circuit.output
-    S0 = sorted({projs[0][c] for c in program.accepting})
+    S0 = sorted(program.accepting)
 
     # base level: supernilpotent quotient, one atom per (node, target)
-    top = progs[h]
-    if (top.algebra.size, top.algebra.ops) != (Abar.size, Abar.ops):
-        raise AssertionError("top quotient program is not over A/sigma")
-    sbar = structure(Abar, budget)
-    if not is_pupi(sbar, sbar.lattice.zero, sbar.lattice.one):
+    if not is_pupi(s.quotient(sigma), sigma, lat.one):
         raise HypothesisViolation(
             "supernilpotent quotient has no independent prime split"
         )
@@ -809,7 +809,7 @@ def compile_nilpotent(
 
     cache = CompileCache()
     base_entries = (
-        [(root, t) for t in sorted({projs[0][c] for c in program.accepting})]
+        [(root, t) for t in S0]
         if h == 0
         else [(q, t) for q in nodes for t in range(Abar.size)]
     )
@@ -838,18 +838,14 @@ def compile_nilpotent(
     # descend the chain
     for j in range(h - 1, -1, -1):
         Dj = progs[j].algebra
-        beta_j = project(chain[j + 1], projs[j], Dj.size)
+        # D_j -> D_{j+1} through the least member in A of each class
+        step = [projs[j + 1][projs[j].index(y)] for y in range(Dj.size)]
         malcev_j = map_circuit_constants(malcev, projs[j])
-        rep = central_representation(Dj, beta_j, 0, malcev_j)
+        rep = central_representation(Dj, progs[j + 1].algebra, step, 0, malcev_j)
         if rep.p != p:
             raise AssertionError(
                 f"atom at level {j} has characteristic {rep.p}, expected {p}"
             )
-        quotient, below = rep.quotient, progs[j + 1].algebra
-        if (quotient.size, quotient.ops) != (below.size, below.ops) or any(
-            rep.proj[projs[j][x]] != projs[j + 1][x] for x in range(A.size)
-        ):
-            raise AssertionError(f"level {j} quotient disagrees with level {j + 1}")
         entries = (
             [(root, c) for c in S0]
             if j == 0

@@ -67,13 +67,11 @@ from .algebra import (
     find_malcev_polynomial,
     latin_square,
     quasigroup_malcev,
-    quotient_algebra,
-    respects,
 )
 from .circuits import AlgCircuit, product_blocks
 from .fieldpoly import prime_divisors
 from .limits import Budget, default_budget
-from .partitions import Partition, all_partitions, label_join, label_leq
+from .partitions import Partition, label_join, label_leq
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +364,6 @@ def all_congruences(
     covers = sorted((rank[lo], rank[hi]) for lo in upper for hi in upper[lo])
     index = {Partition(c): i for c, i in rank.items()}
     return CongruenceLattice(algebra, tuple(index), index, tuple(covers))
-
-
-def all_congruences_bruteforce(algebra: FiniteAlgebra) -> list[Partition]:
-    """Oracle: filter every partition of the universe for compatibility."""
-    return [p for p in all_partitions(algebra.size) if respects(algebra, p)]
 
 
 # ---------------------------------------------------------------------------
@@ -911,7 +904,9 @@ def prime_power_decomposition(
 
     For each prime p dividing |A| the kernel must have quotient of p-power
     size and blocks of size coprime to p; the family must meet to zero so
-    that the joint projection is a bijection (verified).  A one-element
+    that the joint projection is a bijection (verified).  Each projection
+    is its kernel's ``Partition.labels``, the block numbering of
+    ``quotient_algebra``, so no quotient algebra is built.  A one-element
     algebra has no prime dividing its size, so it is refused by name.
     """
     n = algebra.size
@@ -948,15 +943,15 @@ def prime_power_decomposition(
         if len(set(tuples)) != n:
             continue
         return Decomposition(
-            tuple(quotient_algebra(algebra, c)[1] for c in family),
+            tuple(c.labels() for c in family),
             tuple(primes),
         )
     raise ValueError("no complementary family of prime-power kernels found")
 
 
-def pdiv(algebra: FiniteAlgebra) -> int:
-    """Product of the distinct primes dividing |A|."""
+def pdiv(size: int) -> int:
+    """Product of the distinct primes dividing ``size``."""
     out = 1
-    for p in prime_divisors(algebra.size):
+    for p in prime_divisors(size):
         out *= p
     return out

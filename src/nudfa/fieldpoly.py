@@ -405,24 +405,6 @@ def divisibility_coeffs(ell: int, p: int, nu: int) -> list[int]:
     return alphas
 
 
-def divisibility_poly(
-    ell: int, p: int, nu: int, budget: Optional[Budget] = None
-) -> MultilinearPoly:
-    """Materialised divisibility polynomial in variables 0..ell-1."""
-    budget = budget or default_budget()
-    alphas = divisibility_coeffs(ell, p, nu)
-    terms: dict[frozenset[int], int] = {}
-    count = 0
-    for k, a in enumerate(alphas):
-        if a == 0:
-            continue
-        for combo in combinations(range(ell), k):
-            terms[frozenset(combo)] = a
-            count += 1
-            charge(count, budget.monomials, "divisibility polynomial")
-    return MultilinearPoly(p, terms)
-
-
 @dataclass(frozen=True)
 class Cnf3:
     """3-CNF over variables 1..num_vars; clauses hold exactly three DIMACS

@@ -134,27 +134,6 @@ def minimal_set_through(
 # ---------------------------------------------------------------------------
 
 
-def atom_blocks_simple(s: Structure, beta: Partition) -> bool:
-    """Every block of an atom congruence is polynomially simple: collapsing
-    any two distinct members via block-preserving unary polynomials and
-    chaining collapses the whole block."""
-    for block in beta.blocks():
-        if len(block) == 1:
-            continue
-        bset = set(block)
-        keep = [f for f in s.clone if all(f.values[x] in bset for x in block)]
-        for a in block:
-            for b in block:
-                if a >= b:
-                    continue
-                part = Partition.from_pairs(
-                    s.algebra.size, [(f.values[a], f.values[b]) for f in keep]
-                )
-                if len({part.class_of[x] for x in block}) != 1:
-                    return False
-    return True
-
-
 def block_group(
     algebra: FiniteAlgebra,
     malcev: AlgCircuit,

@@ -78,6 +78,12 @@ class Partition:
         for block in self.blocks():
             yield from combinations(block, 2)
 
+    def labels(self) -> tuple[int, ...]:
+        """The block index of each element, blocks numbered 0, 1, ... in
+        order of their least member: the projection onto the quotient."""
+        index = {c: i for i, c in enumerate(sorted(set(self.class_of)))}
+        return tuple(index[c] for c in self.class_of)
+
     # -- lattice structure -------------------------------------------------
 
     def leq(self, other: "Partition") -> bool:
@@ -97,9 +103,6 @@ class Partition:
 
     def is_identity(self) -> bool:
         return all(c == x for x, c in enumerate(self.class_of))
-
-    def is_total(self) -> bool:
-        return all(c == 0 for c in self.class_of)
 
 
 def label_leq(lo: Sequence[int], hi: Sequence[int]) -> bool:
@@ -131,34 +134,3 @@ def label_join(
     for x, p in enumerate(parent):
         parent[x] = parent[p]
     return tuple(parent)
-
-
-def all_partitions(n: int) -> Iterator[Partition]:
-    """Every partition of {0..n-1} (restricted growth strings)."""
-
-    def rec(x: int, cls: list[int]) -> Iterator[Partition]:
-        if x == n:
-            yield Partition(tuple(cls))
-            return
-        for c in sorted(set(cls)):
-            cls.append(c)
-            yield from rec(x + 1, cls)
-            cls.pop()
-        cls.append(x)
-        yield from rec(x + 1, cls)
-        cls.pop()
-
-    if n == 0:
-        yield Partition(())
-        return
-    yield from rec(1, [0])
-
-
-def project(part: Partition, mapping: Sequence[int], m: int) -> Partition:
-    """Image of ``part`` under a surjection x -> mapping[x] onto {0..m-1}.
-
-    Only meaningful when the kernel of ``mapping`` refines ``part``; the
-    result relates mapping[a] with mapping[b] for every related (a, b).
-    """
-    pairs = [(mapping[a], mapping[b]) for a, b in part.pairs()]
-    return Partition.from_pairs(m, pairs)

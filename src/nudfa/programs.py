@@ -17,16 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, quotient_algebra
-from .circuits import (
-    CONST,
-    VAR,
-    AlgCircuit,
-    CircuitBuilder,
-    dump_json,
-    eval_columns,
-    node_columns,
-)
+from .algebra import FiniteAlgebra, check_circuit, quotient_algebra
+from .circuits import CONST, AlgCircuit, dump_json, eval_columns, node_columns
 from .limits import Budget, default_budget
 from .modcircuit import word_blocks, word_row
 from .partitions import Partition
@@ -67,6 +59,7 @@ class AlgProgram:
         for a in self.accepting:
             if not 0 <= a < self.algebra.size:
                 raise ValueError("accepting element out of universe")
+        check_circuit(self.algebra, self.circuit)
 
     @property
     def size(self) -> int:
@@ -194,46 +187,4 @@ def quotient_program(
             frozenset(mapping[a] for a in program.accepting),
         ),
         mapping,
-    )
-
-
-def with_accepting(program: AlgProgram, accepting) -> AlgProgram:
-    return AlgProgram(
-        program.algebra,
-        program.circuit,
-        program.n,
-        program.instructions,
-        frozenset(accepting),
-    )
-
-
-def subprogram(program: AlgProgram, node: int) -> AlgProgram:
-    """The program computing the value of one circuit node (same word space,
-    acceptance untouched: caller sets it)."""
-    b = CircuitBuilder(program.circuit.k)
-    ids = []
-    for nd in program.circuit.nodes:
-        if nd[0] == VAR:
-            ids.append(b.var(nd[1]))
-        elif nd[0] == CONST:
-            ids.append(b.const(nd[1]))
-        else:
-            ids.append(b.gate(nd[1], *(ids[c] for c in nd[2])))
-    cut = b.finish(ids[node])
-    used = sorted({nd[1] for nd in cut.nodes if nd[0] == VAR})
-    remap = {v: i for i, v in enumerate(used)}
-    shrunk = AlgCircuit(
-        len(used),
-        tuple(
-            (VAR, remap[nd[1]]) if nd[0] == VAR else nd for nd in cut.nodes
-        ),
-        cut.output,
-    )
-    instructions = tuple(
-        Instruction(remap[i.var], i.bit, i.a0, i.a1)
-        for i in program.instructions
-        if i.var in remap
-    )
-    return AlgProgram(
-        program.algebra, shrunk, program.n, instructions, program.accepting
     )

@@ -6,8 +6,7 @@ program accept any input word?  Circuit equations: is t(x) = e solvable
 exhaustive procedure, and the equation problems additionally reduce to
 program satisfiability through a value-selector polynomial built from
 the algebra's Malcev term, read from its ``Structure``.  A
-quotient-lifting reduction and a subdirect-decomposition strategy for
-identities round out the toolbox.
+subdirect-decomposition strategy for identities rounds out the toolbox.
 
 The exhaustive procedures scan words in index order and assignments in
 ``product`` order, and the random sampler its drawn words in draw order,
@@ -24,8 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -192,9 +190,9 @@ def _nilpotent_malcev(algebra: FiniteAlgebra) -> AlgCircuit:
     """The algebra's Malcev term, after both preconditions of the equation
     reductions, reported separately.
 
-    The selector argument below needs the difference identities, and the
-    two-sided-to-one-sided fold needs first-argument invertibility of the
-    difference, which nilpotence supplies.
+    The selector argument below needs the difference identities; the
+    reductions refuse algebras that are not nilpotent, the class they are
+    stated for.
     """
     s = structure(algebra)
     if s.malcev is None:
@@ -204,28 +202,6 @@ def _nilpotent_malcev(algebra: FiniteAlgebra) -> AlgCircuit:
     if not is_nilpotent_congruence(s, s.lattice.one):
         raise HypothesisViolation("the algebra is not nilpotent")
     return s.malcev
-
-
-def normalize_equation(
-    algebra: FiniteAlgebra,
-    left: AlgCircuit,
-    right: AlgCircuit,
-    e: int = 0,
-) -> AlgCircuit:
-    """Fold the two-sided equation left = right into d(left, right, e) = e.
-
-    Left-to-right solvability transfers both ways whenever the difference
-    circuit is invertible in its first argument (true in nilpotent
-    algebras); one direction (left = right implies value e) always holds.
-    """
-    malcev = _nilpotent_malcev(algebra)
-    k = max(left.k, right.k)
-    b = CircuitBuilder(k)
-    vars_ = [b.var(i) for i in range(k)]
-    lnode = b.inline(left, vars_[: left.k])
-    rnode = b.inline(right, vars_[: right.k])
-    out = b.inline(malcev, [lnode, rnode, b.const(e)])
-    return b.finish(out)
 
 
 # ---------------------------------------------------------------------------
@@ -350,48 +326,3 @@ def ceqv_via_meet_irreducibles(
             )
         tried += quo.size**circuit.k
     return SolveResult(status="holds", tried=tried)
-
-
-def quotient_reduce_progcsat(
-    program: AlgProgram,
-    algebra: FiniteAlgebra,
-    mapping: Sequence[int],
-) -> AlgProgram:
-    """Lift a program over a quotient back to the full algebra.
-
-    ``mapping`` sends each element of ``algebra`` to its class in the
-    program's algebra (verified to be a surjective homomorphism).  Circuit
-    constants and instruction values are replaced by least representatives
-    and the accepting set by the union of its classes, so the accepted
-    language is unchanged.
-    """
-    quo = program.algebra
-    if len(mapping) != algebra.size or set(mapping) != set(range(quo.size)):
-        raise ValueError("mapping is not onto the program's algebra")
-    for op in algebra.ops:
-        quo.op(op.name)  # raises if the quotient lacks the operation
-        for args in product(range(algebra.size), repeat=op.arity):
-            down = tuple(mapping[a] for a in args)
-            if mapping[algebra.eval_op(op.name, args)] != quo.eval_op(
-                op.name, down
-            ):
-                raise ValueError(f"mapping fails to commute with {op.name}")
-    reps: dict[int, int] = {}
-    for x in range(algebra.size):
-        reps.setdefault(mapping[x], x)
-    rep_table = [reps[c] for c in range(quo.size)]
-    circuit = map_circuit_constants(program.circuit, rep_table)
-    instrs = tuple(
-        Instruction(var=ins.var, bit=ins.bit, a0=rep_table[ins.a0], a1=rep_table[ins.a1])
-        for ins in program.instructions
-    )
-    accepting = frozenset(
-        x for x in range(algebra.size) if mapping[x] in program.accepting
-    )
-    return AlgProgram(
-        algebra=algebra,
-        circuit=circuit,
-        n=program.n,
-        instructions=instrs,
-        accepting=accepting,
-    )

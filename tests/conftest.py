@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 import time
 
 import pytest
 from hypothesis import strategies as st
 
-from nudfa.algebra import FiniteAlgebra, Operation, make_op
+from nudfa.algebra import FiniteAlgebra, Operation, make_op, quotient_algebra
 from nudfa.circuits import AlgCircuit, CircuitBuilder
 from nudfa.modcircuit import AND, MOD, OR, SUMP, SUMPC, CCircuit, Gate
 from nudfa.programs import AlgProgram, Instruction
@@ -83,6 +84,28 @@ def permuting_algebras(draw):
     if not ops or draw(st.booleans()):
         ops += random_algebra(draw, n, [draw(st.sampled_from([1, 2]))]).ops
     return FiniteAlgebra(f"permuting{n}", n, tuple(ops))
+
+
+def count_quotient_algebras(monkeypatch) -> list:
+    """The congruences of every later ``quotient_algebra`` call, counted
+    through each module that binds the function."""
+    calls = []
+    build = quotient_algebra
+
+    def counted(algebra, part):
+        calls.append(part)
+        return build(algebra, part)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "quotient_algebra", None) is quotient_algebra:
+            monkeypatch.setattr(module, "quotient_algebra", counted)
+    return calls
+
+
+def variable_circuit(k: int, i: int) -> AlgCircuit:
+    """The circuit of variable i among k."""
+    b = CircuitBuilder(k)
+    return b.finish(b.var(i))
 
 
 def random_alg_circuit(

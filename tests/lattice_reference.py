@@ -7,14 +7,16 @@ join closure over all pairs of elements, and a cubic cover loop.  Its join
 and order test are the earlier ``Partition.join`` (a union of both label
 vectors through ``Partition.from_pairs``) and ``Partition.leq`` (a block
 map), so the oracle shares neither with the label-vector functions the
-package now uses.
+package now uses.  ``all_congruences_bruteforce`` is the older oracle
+still: it filters every partition of the universe for compatibility.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Iterator
 
-from nudfa.algebra import FiniteAlgebra
+from nudfa.algebra import FiniteAlgebra, respects
 from nudfa.congruence import CongruenceLattice, principal_congruence
 from nudfa.partitions import Partition
 
@@ -65,3 +67,29 @@ def all_congruences(algebra: FiniteAlgebra) -> CongruenceLattice:
                 continue
             covers.append((i, j))
     return CongruenceLattice(algebra, elements, index, tuple(covers))
+
+
+def all_partitions(n: int) -> Iterator[Partition]:
+    """Every partition of {0..n-1} (restricted growth strings)."""
+
+    def rec(x: int, cls: list[int]) -> Iterator[Partition]:
+        if x == n:
+            yield Partition(tuple(cls))
+            return
+        for c in sorted(set(cls)):
+            cls.append(c)
+            yield from rec(x + 1, cls)
+            cls.pop()
+        cls.append(x)
+        yield from rec(x + 1, cls)
+        cls.pop()
+
+    if n == 0:
+        yield Partition(())
+        return
+    yield from rec(1, [0])
+
+
+def all_congruences_bruteforce(algebra: FiniteAlgebra) -> list[Partition]:
+    """Filter every partition of the universe for compatibility."""
+    return [p for p in all_partitions(algebra.size) if respects(algebra, p)]

@@ -43,7 +43,7 @@ def test_make_op_and_eval():
         "Z4", 4, (make_op("+", 2, 4, lambda a, b: (a + b) % 4),)
     )
     assert alg.eval_op("+", (3, 2)) == 1
-    assert alg.op_arity("+") == 2
+    assert alg.op("+").arity == 2
     with pytest.raises(KeyError):
         alg.op("*")
 

@@ -6,15 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import eval_reference as reference
-from conftest import layered_circuits, random_alg_circuit
+from conftest import layered_circuits, random_alg_circuit, variable_circuit
 from nudfa.algebra import FiniteAlgebra, Operation, make_op
 from nudfa.circuits import (
     AlgCircuit,
     CircuitBuilder,
-    compose,
     constant_circuit,
     eval_circuit,
-    variable_circuit,
 )
 from nudfa.fixtures import get_fixture
 from nudfa.modcircuit import CCircuit, eval_cc
@@ -53,11 +51,15 @@ def test_inline_substitutes_arguments():
 
 
 def test_compose_matches_manual_evaluation():
+    """Inlining circuits into one builder composes them, as the equation
+    reductions and gadgets do."""
     b = CircuitBuilder(2)
     outer = b.finish(b.gate("+", b.var(0), b.var(1)))
     rng = random.Random(3)
     inners = [random_alg_circuit(rng, Z6, 2, 4) for _ in range(2)]
-    combined = compose(outer, inners, 2)
+    b = CircuitBuilder(2)
+    roots = [b.inline(c, [b.var(0), b.var(1)]) for c in inners]
+    combined = b.finish(b.inline(outer, roots))
     for x in range(6):
         for y in range(6):
             want = (
@@ -152,7 +154,8 @@ def test_one_row_views_match_the_reference_interpreters(cc, alg_circuit, data):
     """``eval_cc``, ``eval_circuit`` and ``AlgProgram.accepts`` give what
     the gate-by-gate interpreters give, with every node in turn as the
     output: on SUMP outputs, empty AND/OR gates, k = 0 and nullary
-    operations, and raising the same errors."""
+    operations, and raising the same errors.  A program refuses a circuit
+    with a gate of the wrong arity when it is made."""
     word = _bits(data.draw, cc.inputs)
     for node in range(cc.inputs + len(cc.gates)):
         at = CCircuit(cc.inputs, cc.gates, node, "")
@@ -176,6 +179,13 @@ def test_one_row_views_match_the_reference_interpreters(cc, alg_circuit, data):
         for v in range(k)
     )
     accepting = data.draw(st.frozensets(element))
+    if any(
+        node[0] == "gate" and len(node[2]) != algebra.op(node[1]).arity
+        for node in circuit.nodes
+    ):
+        with pytest.raises(ValueError, match="^no operation 'f[0-2]' of arity [1-4] in R$"):
+            AlgProgram(algebra, circuit, n, instructions, accepting)
+        return
     program = AlgProgram(algebra, circuit, n, instructions, accepting)
     word = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     assert _outcome(program.accepts, word) == _outcome(

@@ -6,9 +6,11 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -20,7 +22,7 @@ from nudfa.cli import main, verify_harness
 from nudfa.compile import compile_supernilpotent
 from nudfa.fixtures import demo_program, get_fixture
 from nudfa.modcircuit import SUMP, CCircuit, Gate
-from nudfa.programs import AlgProgram, Instruction, with_accepting
+from nudfa.programs import AlgProgram, Instruction
 
 # About twice the measured peak of the n = 14 harness run below.
 PEAK_HARNESS_BYTES = 1152 * 1024
@@ -47,7 +49,7 @@ def count_ones(n: int) -> AlgProgram:
 
 def test_vector_valued_circuits_never_match():
     prog = demo_program("and2_z6")
-    everything = with_accepting(prog, range(prog.algebra.size))
+    everything = replace(prog, accepting=frozenset(range(prog.algebra.size)))
     for program in (prog, everything):
         doc = verify_harness(program, sump_circuit())
         assert doc["match"] is False
@@ -121,6 +123,73 @@ def test_elements_outside_the_universe_are_usage_errors(problem, e, strategy, mo
     assert json.loads(buf.getvalue()) == {
         "error": f"--e must lie in 0..5, got {e}", "kind": "usage",
     }
+
+
+def circuits_off_the_algebra():
+    """Circuits in one variable that do not live over Z6%2, with the
+    error each is refused with: t(x) = %2(x) + 7, whose constant lies
+    outside 0..5, and gates of a wrong arity or of no operation."""
+    b = CircuitBuilder(1)
+    x = b.var(0)
+    seven = b.finish(b.gate("+", b.gate("%2", x), b.const(7)))
+    unary_sum = b.finish(b.gate("+", x))
+    product = b.finish(b.gate("*", x, x))
+    return [
+        (seven, "circuit constant 7 outside the universe 0..5"),
+        (unary_sum, "no operation '+' of arity 1 in Z6%2"),
+        (product, "no operation '*' of arity 2 in Z6%2"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "problem, strategy",
+    [("csat", "scan"), ("csat", "reduce"), ("ceqv", "scan"), ("ceqv", "meet"),
+     ("ceqv", "reduce")],
+)
+def test_circuits_off_the_algebra_are_usage_errors(tmp_path, problem, strategy):
+    """Every solve route refuses the circuit on load, where with
+    t(x) = %2(x) + 7 and ``--e 2`` csat printed "sat", ceqv ``scan``
+    printed "fails" and ``meet`` died with an IndexError."""
+    for circuit, error in circuits_off_the_algebra():
+        path = tmp_path / "eq.json"
+        path.write_text(json.dumps(circuit.to_json()))
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main([
+                "solve", problem, "--algebra", "fixtures:Z6%2", "--circuit",
+                str(path), "--e", "2", "--strategy", strategy,
+            ])
+        assert (code, json.loads(buf.getvalue())) == (
+            2, {"error": error, "kind": "usage"}
+        )
+
+
+@pytest.mark.parametrize(
+    "command", [["solve", "progcsat"], ["solve", "progcsat", "--sample", "5"],
+                ["compile"]]
+)
+def test_programs_refuse_circuits_off_the_algebra(tmp_path, command):
+    """A program's circuit must live over its algebra, as its instruction
+    values must; ``solve progcsat`` answered "sat" with t(x) = %2(x) + 7
+    and ``compile`` died with an IndexError."""
+    algebra = get_fixture("Z6%2").algebra
+    for circuit, error in circuits_off_the_algebra():
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            AlgProgram(
+                algebra, circuit, 1, (Instruction(0, 0, 0, 1),), frozenset({2})
+            )
+        path = tmp_path / "prog.json"
+        path.write_text(json.dumps({
+            "algebra": algebra.to_json(), "circuit": circuit.to_json(), "n": 1,
+            "instructions": [{"var": 0, "bit": 0, "a0": 0, "a1": 1}],
+            "accepting": [2],
+        }))
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main([*command, "--program", str(path)])
+        assert (code, json.loads(buf.getvalue())) == (
+            1, {"error": error, "kind": "domain"}
+        )
 
 
 def test_compile_refuses_a_one_element_algebra(tmp_path):

@@ -6,9 +6,10 @@ import itertools
 
 import pytest
 
+from conftest import count_quotient_algebras, variable_circuit
 from nudfa import compile as compile_module
-from nudfa.algebra import FiniteAlgebra, make_op
-from nudfa.circuits import CircuitBuilder, variable_circuit
+from nudfa.algebra import FiniteAlgebra, make_op, quotient_algebra
+from nudfa.circuits import CircuitBuilder
 from nudfa.compile import (
     HypothesisViolation,
     central_representation,
@@ -123,8 +124,10 @@ def test_the_descent_runs_down_a_chain_of_length_two(monkeypatch):
         alg, b.finish(b.gate("+", *terms)), 4,
         tuple(Instruction(i, i, 0, 1) for i in range(4)), frozenset({2}),
     )
+    quotients = count_quotient_algebras(monkeypatch)
     circuit, reports = compile_nilpotent(prog, Budget(lattice_universe=12))
     assert [len(chain) - 1 for chain in chains] == [2]
+    assert len(quotients) == 2  # one program over A/gamma_j per level j > 0
     assert all(r.verified is True for r in reports)
     assert_compiled_matches(circuit, prog)
 
@@ -132,10 +135,15 @@ def test_the_descent_runs_down_a_chain_of_length_two(monkeypatch):
 # -- the central representation ---------------------------------------------
 
 
+def represent(algebra, beta, e, malcev):
+    """The representation along beta, with A/beta built from the algebra."""
+    return central_representation(algebra, *quotient_algebra(algebra, beta), e, malcev)
+
+
 @pytest.fixture(scope="module")
 def marked_rep():
     fx = get_fixture("Z6%2")
-    return central_representation(fx.algebra, ETA, 0, structure(fx.algebra).malcev)
+    return represent(fx.algebra, ETA, 0, structure(fx.algebra).malcev)
 
 
 def test_representation_parameters(marked_rep):
@@ -172,16 +180,31 @@ def test_operations_act_affinely_on_the_module(marked_rep):
             )
 
 
+def test_representation_checks_the_projection():
+    """The projection must map D onto the quotient, and be a homomorphism:
+    with the labels of Z6%2 mod 2 swapped its kernel is still a
+    congruence, but + no longer commutes with it."""
+    fx = get_fixture("Z6%2")
+    malcev = structure(fx.algebra).malcev
+    quo, proj = quotient_algebra(fx.algebra, ETA)
+    for bad in (proj[:5], (0,) * 6):
+        with pytest.raises(ValueError, match="not a map of D onto the quotient"):
+            central_representation(fx.algebra, quo, bad, 0, malcev)
+    swapped = tuple(1 - c for c in proj)
+    with pytest.raises(HypothesisViolation, match="representation identity fails"):
+        central_representation(fx.algebra, quo, swapped, 0, malcev)
+
+
 def test_representation_rejects_a_misplaced_anchor():
     fx = get_fixture("Z6%2")
     with pytest.raises(ValueError):
-        central_representation(fx.algebra, ETA, 2, structure(fx.algebra).malcev)
+        represent(fx.algebra, ETA, 2, structure(fx.algebra).malcev)
 
 
 def test_representation_rejects_a_non_difference_circuit():
     fx = get_fixture("Z6%2")
     with pytest.raises(ValueError):
-        central_representation(fx.algebra, ETA, 0, variable_circuit(3, 0))
+        represent(fx.algebra, ETA, 0, variable_circuit(3, 0))
 
 
 def test_representation_rejects_non_abelian_congruences():
@@ -190,4 +213,4 @@ def test_representation_rejects_non_abelian_congruences():
     assert malcev is not None  # groups always have one
     lat = all_congruences(fx.algebra)
     with pytest.raises(HypothesisViolation):
-        central_representation(fx.algebra, lat.one, 0, malcev)
+        represent(fx.algebra, lat.one, 0, malcev)

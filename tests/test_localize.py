@@ -7,7 +7,6 @@ import pytest
 from nudfa.congruence import structure
 from nudfa.fixtures import fixture_names, get_fixture
 from nudfa.localize import (
-    atom_blocks_simple,
     block_group,
     minimal_set_through,
     minimal_sets,
@@ -103,8 +102,3 @@ def test_block_group_rejects_a_non_prime_block(marked):
     fx, s, lat = marked
     with pytest.raises(ValueError):
         block_group(fx.algebra, s.malcev, lat.one, 0)
-
-
-def test_atom_blocks_are_polynomially_simple(marked):
-    _, s, _ = marked
-    assert atom_blocks_simple(s, ETA)

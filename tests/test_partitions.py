@@ -39,8 +39,15 @@ def test_identity_and_total():
     assert total.num_blocks() == 1
     assert ident.leq(total)
     assert not total.leq(ident)
-    assert ident.is_identity() and not ident.is_total()
-    assert total.is_total() and not total.is_identity()
+    assert ident.is_identity() and not total.is_identity()
+    assert ident.labels() == (0, 1, 2, 3) and total.labels() == (0, 0, 0, 0)
+
+
+def test_labels_number_blocks_by_least_member():
+    assert Partition.from_blocks(6, [[3, 2], [5, 0], [4, 1]]).labels() == (
+        0, 1, 2, 2, 1, 0
+    )
+    assert Partition.from_blocks(5, [[3, 1]]).labels() == (0, 1, 2, 1, 3)
 
 
 def test_from_blocks_matches_from_pairs():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -23,9 +24,7 @@ from nudfa.programs import (
     Instruction,
     map_circuit_constants,
     quotient_program,
-    subprogram,
     truth_table,
-    with_accepting,
 )
 
 ETA = Partition.from_blocks(6, [{0, 2, 4}, {1, 3, 5}])
@@ -135,21 +134,12 @@ def test_quotient_program_commutes_with_evaluation():
 
 
 def test_with_accepting_replaces_only_the_accepting_set():
+    """A program with another accepting set keeps its circuit and
+    instructions, so on the two-element lattice {0} accepts exactly the
+    words {1} rejects."""
     prog = demo_program("or2_lat2")
-    flipped = with_accepting(prog, {0})
+    flipped = replace(prog, accepting=frozenset({0}))
     assert truth_table(flipped) == [not v for v in truth_table(prog)]
-
-
-def test_subprogram_isolates_a_single_node():
-    prog = demo_program("and2_z6")
-    sub = subprogram(prog, prog.circuit.output)
-    assert truth_table(sub) == truth_table(prog)
-    for node, spec in enumerate(prog.circuit.nodes):
-        if spec[0] != "var":
-            continue
-        single = with_accepting(subprogram(prog, node), {1})
-        for word in itertools.product((0, 1), repeat=prog.n):
-            assert reference.inner_value(single, word) in range(prog.algebra.size)
 
 
 def test_truth_table_refuses_oversized_words():

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import random
 import tracemalloc
 from dataclasses import replace
@@ -13,39 +12,23 @@ from hypothesis import given, settings, strategies as st
 
 import eval_reference
 import scan_reference as reference
-from conftest import random_alg_circuit, random_program
+from conftest import random_alg_circuit, random_program, variable_circuit
 
 from nudfa import modcircuit
-from nudfa.circuits import (
-    CircuitBuilder,
-    constant_circuit,
-    eval_circuit,
-    variable_circuit,
-)
+from nudfa.circuits import CircuitBuilder, constant_circuit, eval_circuit
 from nudfa.compile import HypothesisViolation
 from nudfa.fixtures import demo_program, get_fixture
 from nudfa.limits import BudgetExceeded, default_budget
-from nudfa.partitions import Partition
-from nudfa.programs import (
-    AlgProgram,
-    Instruction,
-    quotient_program,
-    truth_table,
-    with_accepting,
-)
+from nudfa.programs import AlgProgram, Instruction
 from nudfa.solvers import (
     ceqv_exhaustive,
     ceqv_to_progcsat,
     ceqv_via_meet_irreducibles,
     csat_exhaustive,
     csat_to_progcsat,
-    normalize_equation,
     progcsat_exhaustive,
     progcsat_sample,
-    quotient_reduce_progcsat,
 )
-
-ETA = Partition.from_blocks(6, [{0, 2, 4}, {1, 3, 5}])
 
 # About twice the measured peak of the 6^6-assignment scan below.
 PEAK_SCAN_BYTES = 384 * 1024
@@ -71,7 +54,7 @@ def test_exhaustive_program_search_finds_the_lexically_first_witness():
 
 
 def test_exhaustive_program_search_reports_unsat():
-    empty = with_accepting(demo_program("and2_z6"), set())
+    empty = replace(demo_program("and2_z6"), accepting=frozenset())
     res = progcsat_exhaustive(empty)
     assert res.status == "unsat"
     assert res.witness is None and res.tried == 4
@@ -83,7 +66,7 @@ def test_sampler_verifies_witnesses_and_tags_misses():
     assert res.status == "sat"
     assert prog.accepts(res.witness)
     assert res.seed == 3
-    miss = progcsat_sample(with_accepting(prog, set()), trials=20, seed=3)
+    miss = progcsat_sample(replace(prog, accepting=frozenset()), trials=20, seed=3)
     assert miss.status == "unsat (probabilistic)"
     assert miss.tried == 20
 
@@ -122,36 +105,6 @@ def test_identity_scan_over_the_cyclic_group():
     assert res.counterexample == (1,)
 
 
-# -- two-sided equations via the difference circuit --------------------------
-
-
-def test_normalized_equation_preserves_identity_status():
-    fx = get_fixture("Z6")
-    left = repeated_sum(fx.algebra, 6)
-    right = constant_circuit(1, 0)
-    folded = normalize_equation(fx.algebra, left, right)
-    assert ceqv_exhaustive(fx.algebra, folded, 0).status == "holds"
-    bad = normalize_equation(fx.algebra, repeated_sum(fx.algebra, 2), right)
-    res = ceqv_exhaustive(fx.algebra, bad, 0)
-    assert res.status == "fails" and res.counterexample == (1,)
-
-
-def test_normalized_equation_matches_direct_comparison_on_randoms():
-    rng = random.Random(21)
-    alg = get_fixture("Z6%2").algebra
-    for _ in range(8):
-        k = rng.randint(1, 2)
-        left = random_alg_circuit(rng, alg, k, 3)
-        right = random_alg_circuit(rng, alg, k, 3)
-        folded = normalize_equation(alg, left, right)
-        direct = all(
-            eval_circuit(alg, left, args) == eval_circuit(alg, right, args)
-            for args in itertools.product(range(alg.size), repeat=k)
-        )
-        got = ceqv_exhaustive(alg, folded, 0).status
-        assert got == ("holds" if direct else "fails")
-
-
 def test_equation_reductions_refuse_an_algebra_without_a_difference_term():
     """The lattice has no Malcev polynomial, so its structure offers no
     term to build the value selector from."""
@@ -161,7 +114,6 @@ def test_equation_reductions_refuse_an_algebra_without_a_difference_term():
     reductions = (
         lambda: csat_to_progcsat(lat2, circ, 0),
         lambda: ceqv_to_progcsat(lat2, circ, 0),
-        lambda: normalize_equation(lat2, circ, circ),
     )
     for reduce in reductions:
         with pytest.raises(
@@ -301,7 +253,7 @@ def test_program_scan_hits_around_block_boundaries(bits, first):
         res = progcsat_exhaustive(prog)
     assert outcome(res) == outcome(reference.progcsat_exhaustive(prog))
     assert res.tried == first + 1
-    unsat = with_accepting(prog, set())
+    unsat = replace(prog, accepting=frozenset())
     with mock.patch.object(modcircuit, "TABLE_BLOCK", 4):
         assert outcome(progcsat_exhaustive(unsat)) == ("unsat", None, None, 8)
 
@@ -357,25 +309,3 @@ def test_assignment_scan_memory_stays_bounded():
         tracemalloc.stop()
     assert outcome(res) == ("holds", None, None, 6**6)
     assert peak < PEAK_SCAN_BYTES, peak
-
-
-# -- quotient lifting --------------------------------------------------------
-
-
-def test_quotient_lift_preserves_the_accepted_language():
-    prog = demo_program("and2_z6%2")
-    small, mapping = quotient_program(prog, ETA)
-    lifted = quotient_reduce_progcsat(small, prog.algebra, mapping)
-    assert truth_table(lifted) == truth_table(small)
-    assert lifted.algebra is prog.algebra
-
-
-def test_quotient_lift_validates_the_mapping():
-    prog = demo_program("and2_z6%2")
-    small, mapping = quotient_program(prog, ETA)
-    with pytest.raises(ValueError):
-        quotient_reduce_progcsat(small, prog.algebra, (0,) * 6)
-    scrambled = list(mapping)
-    scrambled[0] = 1 - scrambled[0]
-    with pytest.raises(ValueError):
-        quotient_reduce_progcsat(small, prog.algebra, scrambled)

@@ -9,7 +9,6 @@ from pathlib import Path
 import nudfa
 
 SOURCES = sorted(Path(nudfa.__file__).parent.glob("*.py"))
-TESTS = sorted(Path(__file__).parent.rglob("*.py"))
 
 
 def test_no_assert_statements_guard_the_package():
@@ -86,13 +85,30 @@ def test_no_top_level_name_is_defined_in_two_modules():
     assert {name: where for name, where in homes.items() if len(where) > 1} == {}
 
 
+# Definitions that no other line of the package names, each with the
+# reason it stays.
+KEPT = {
+    "solvability_class": "the planned per-algebra explain report reads "
+    "the lower central chain it reads, or it goes",
+    "find_interpolation_configs": "the only source of configurations for "
+    "the interpolation gadget's tests",
+    "truth_table": "bench/tracer.py wraps it",
+    "cc_truth_table": "bench/tracer.py wraps it",
+    "from_blocks": "the tests' constructor of partitions",
+    "from_pairs": "the tests' constructor from generating pairs, on which "
+    "the lattice oracle's join is built",
+    "unsat_count": "the pseudo-AND test's oracle",
+}
+
+
 def test_every_definition_is_named_elsewhere():
     """Each function, method and class of the package is mentioned (as a
-    name, an attribute or an import) on some other line of the package or
-    its tests."""
+    name, an attribute or an import) on some other line of the package,
+    or KEPT gives the reason it stays; a kept name that gains a caller
+    leaves KEPT."""
     defined = []
     mentions: dict[str, set] = defaultdict(set)
-    for path in MODULES + TESTS:
+    for path in MODULES:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Name):
                 mentions[node.id].add((path, node.lineno))
@@ -101,17 +117,17 @@ def test_every_definition_is_named_elsewhere():
             elif isinstance(node, ast.alias):
                 name = node.name.rsplit(".", 1)[-1]
                 mentions[name].add((path, node.lineno))
-            elif path in MODULES and isinstance(
+            elif isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
             ):
                 defined.append((node.name, path, node.lineno))
-    unused = [
-        f"{path.name}:{line} {name}"
+    unused = {
+        name: f"{path.name}:{line}"
         for name, path, line in defined
         if not (name.startswith("__") and name.endswith("__"))
         and not mentions[name] - {(path, line)}
-    ]
-    assert unused == []
+    }
+    assert sorted(unused) == sorted(KEPT), unused
 
 
 def _cache_decorator(node) -> tuple[str, bool] | None:
