@@ -37,6 +37,7 @@ from .circuits import AlgCircuit, CONST, GATE, VAR, eval_columns
 from .congruence import (
     CongruenceLattice,
     charr_set,
+    commutator,
     is_nilpotent_congruence,
     is_pupi,
     is_supernilpotent_algebra,
@@ -168,6 +169,7 @@ def central_representation(
     The representation identity is checked on every tuple, proj(f(d)) =
     f(proj(d)) included, so ``proj`` is verified to be a homomorphism onto
     ``quotient``, which the caller may have built from another algebra.
+    D has no Structure, so the uncached ``commutator`` checks beta abelian.
     """
     if not verify_malcev(D, malcev):
         raise ValueError("the supplied circuit is not a Malcev polynomial")
@@ -175,7 +177,7 @@ def central_representation(
         raise ValueError("the projection is not a map of D onto the quotient")
     transversal: dict[int, int] = {}  # class -> its least member
     beta = Partition(tuple(transversal.setdefault(c, x) for x, c in enumerate(proj)))
-    if not structure(D).commutator(beta, beta).is_identity():
+    if not commutator(D, beta, beta).is_identity():
         raise HypothesisViolation("the congruence is not abelian")
 
     add, p = block_group(D, malcev, beta, e)
@@ -404,7 +406,7 @@ def compile_supernilpotent(
         )
     if not is_supernilpotent_algebra(A, budget):
         raise HypothesisViolation(f"{A.name} is not supernilpotent")
-    dec = prime_power_decomposition(A, budget)
+    dec = prime_power_decomposition(structure(A, budget), A.name)
     m = pdiv(A.size)
     delta = sum(m // pj for pj in dec.primes) % m
 
@@ -800,11 +802,12 @@ def compile_nilpotent(
     S0 = sorted(program.accepting)
 
     # base level: supernilpotent quotient, one atom per (node, target)
-    if not is_pupi(s.quotient(sigma), sigma, lat.one):
+    top = s.quotient(sigma)
+    if not is_pupi(top, sigma, lat.one):
         raise HypothesisViolation(
             "supernilpotent quotient has no independent prime split"
         )
-    dec = prime_power_decomposition(Abar, budget)
+    dec = prime_power_decomposition(top, Abar.name)
     delta = sum(m // pj for pj in dec.primes) % m
 
     cache = CompileCache()

@@ -33,17 +33,23 @@ translations, the lattice, the unary clone, a Malcev polynomial, the
 distinguished congruences and memos of commutators and characteristics,
 each computed on first read.  A quotient A/theta is read on A, with no
 algebra of its own (``Structure.quotient``): its lattice is the interval
-[theta, 1], and its commutators are relative to theta, the least
-d >= theta with C(alpha, beta; d), which is [alpha, beta] v theta in a
-modular variety (Freese and McKenzie, ch. 4).  The Malcev polynomial is
-the one source of the term every caller uses, and it is verified where it
-is made.  For an algebra with a Latin-square operation it is built from
-that operation's divisions (``quasigroup_malcev``): the short term
-x * (y\\z), which serves every group and loop, else the full
-(x / (y\\y)) * (y\\z).  Only other algebras, or a term longer than the
-budget, pay for the breadth-first search, which gives None if it finds
-none.  ``structure`` hands out one Structure per budget, size and
-operations for the run, so an algebra and its copies under other names
+[theta, 1], its commutators are relative to theta, the least d >= theta
+with C(alpha, beta; d), which is [alpha, beta] v theta in a modular
+variety (Freese and McKenzie, ch. 4), and its prime-power factors are
+read there too.  The Malcev polynomial is the one source of the term
+every caller uses, and it is verified where it is made.  For an algebra
+with a Latin-square operation it is built from that operation's divisions
+(``quasigroup_malcev``): the short term x * (y\\z), which serves every
+group and loop, else the full (x / (y\\y)) * (y\\z).  Only other
+algebras, or a term longer than the budget, pay for the breadth-first
+search, which gives None if it finds none.
+
+Only entry points call ``structure``, with their caller's budget; the
+helpers below them are handed that Structure or a view of it, so none
+makes a second one or a quotient's lattice.  The lattice builder and the
+matrix commutator, which take a bare algebra, make the translation
+columns that ``congruence_generated`` closes under themselves.
+``structure`` hands out one Structure per budget, size and operations for the run, so an algebra and its copies under other names
 share one, whose ``algebra`` is the copy seen first: names come from the
 caller's algebra.  The memo holds at most ``STRUCTURE_MEMO_SIZE``
 structures, oldest out first, and ``cli.main`` empties it on every call.
@@ -57,7 +63,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations, product
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -95,8 +101,9 @@ class Structure:
     ``quotient(theta)`` is A/theta read on A, with no quotient algebra
     built: its lattice is the interval [theta, 1], and its commutators are
     relative to ``floor`` = theta, over a Latin square the parent's joined
-    with theta.  A view answers lattice, commutator and characteristic
-    questions only.
+    with theta.  A view answers lattice, commutator, characteristic and
+    prime-power factor questions.  Helpers are handed a Structure or a
+    view; only entry points look one up.
     """
 
     def __init__(
@@ -197,20 +204,20 @@ def _translation_columns(algebra: FiniteAlgebra) -> list[tuple[int, ...]]:
 
 
 def congruence_generated(
-    algebra: FiniteAlgebra, pairs: Iterable[tuple[int, int]]
+    translations: Sequence[tuple[int, ...]], pairs: Iterable[tuple[int, int]]
 ) -> Partition:
-    """Least congruence containing the given pairs.
+    """Least congruence containing the given pairs, for the algebra whose
+    basic translations are the columns ``translations``
+    (``Structure.translations``).
 
     A worklist of pairs is merged into one array of block labels, each
     label the least member of its block; each pair that joins two blocks
     sends its images under every basic translation back to the worklist.
     The merging pairs generate the result as an equivalence and each
     translation maps them into it, so it is a congruence; every pair merged
-    is forced by the generators, so it is the least one.  The translations
-    do not depend on the budget; they come from the default one's structure.
+    is forced by the generators, so it is the least one.
     """
-    images = structure(algebra).translations
-    label = list(range(algebra.size))
+    label = list(range(len(translations)))
     work = list(pairs)
     while work:
         a, b = work.pop()
@@ -218,12 +225,8 @@ def congruence_generated(
         if la != lb:
             keep, drop = min(la, lb), max(la, lb)
             label = [keep if x == drop else x for x in label]
-            work += zip(images[a], images[b])
+            work += zip(translations[a], translations[b])
     return Partition(tuple(label))
-
-
-def principal_congruence(algebra: FiniteAlgebra, a: int, b: int) -> Partition:
-    return congruence_generated(algebra, [(a, b)])
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +342,12 @@ def all_congruences(
             f"{budget.lattice_universe}"
         )
     n = algebra.size
-    perms = [t for t in zip(*structure(algebra).translations) if len(set(t)) == n]
+    columns = _translation_columns(algebra)
+    perms = [t for t in zip(*columns) if len(set(t)) == n]
     principals, seen = set(), set()
     for pair in combinations(range(n), 2):
         if pair not in seen:
-            principals.add(principal_congruence(algebra, *pair).class_of)
+            principals.add(congruence_generated(columns, [pair]).class_of)
             orbit = [pair]
             for a, b in orbit:
                 fresh = {(min(t[a], t[b]), max(t[a], t[b])) for t in perms} - seen
@@ -612,6 +616,7 @@ def _matrix_commutator(
     x1, x2, x3, x4 = np.unravel_index(
         _matrix_subalgebra(algebra, left, right), (n,) * 4
     )
+    columns = _translation_columns(algebra)
     delta = floor or Partition.identity(n)
     while True:
         cls = np.array(delta.class_of)
@@ -621,7 +626,7 @@ def _matrix_commutator(
         codes = x3[forced] * n + x4[forced]
         bottoms = np.flatnonzero(np.bincount(codes, minlength=n * n))
         delta = congruence_generated(
-            algebra,
+            columns,
             [*enumerate(delta.class_of),
              *zip((bottoms // n).tolist(), (bottoms % n).tolist())],
         )
@@ -897,55 +902,44 @@ class Decomposition:
     primes: tuple[int, ...]
 
 
-def prime_power_decomposition(
-    algebra: FiniteAlgebra, budget: Optional[Budget] = None
-) -> Decomposition:
-    """Split A into factors of prime-power size via complementary congruences.
+def prime_power_decomposition(s: Structure, name: str) -> Decomposition:
+    """Split A/theta into factors of prime-power size via complementary
+    congruences; ``s`` is A's Structure (theta = 0) or its view
+    ``quotient(theta)``, and ``name`` the caller's name for A/theta.
 
-    For each prime p dividing |A| the kernel must have quotient of p-power
-    size and blocks of size coprime to p; the family must meet to zero so
-    that the joint projection is a bijection (verified).  Each projection
-    is its kernel's ``Partition.labels``, the block numbering of
-    ``quotient_algebra``, so no quotient algebra is built.  A one-element
-    algebra has no prime dividing its size, so it is refused by name.
+    The kernels are picked in [theta, 1], A/theta's lattice by the
+    correspondence theorem, so no quotient algebra or second lattice is
+    built.  A/theta's elements are the theta-blocks, and they and each
+    kernel's blocks are numbered by least member, as ``quotient_algebra``
+    and ``Partition.labels`` number them.  For each prime p the kernel has
+    the p-part of |A/theta| blocks, each of equally many theta-blocks, and
+    the family's joint projection must be injective, so by counting it is a
+    bijection.  A one-element A/theta has no prime dividing its size; the
+    refusal names ``name``, as ``s.algebra`` may be a copy.
     """
-    n = algebra.size
+    lat = s.lattice
+    reps = sorted(set(lat.zero.class_of))
+    n = len(reps)
     if n == 1:
-        raise ValueError(
-            f"{algebra.name} has one element, so no prime divides its size"
-        )
-    lat = structure(algebra, budget).lattice
+        raise ValueError(f"{name} has one element, so no prime divides its size")
     primes = prime_divisors(n)
-    ppart = {p: 1 for p in primes}
-    for p in primes:
-        m = n
-        while m % p == 0:
-            ppart[p] *= p
-            m //= p
+    labels = [c.labels() for c in lat.elements]
+    projections = [tuple(row[x] for x in reps) for row in labels]
     cand_lists = []
     for p in primes:
+        q = p  # the p-part of n
+        while n % (q * p) == 0:
+            q *= p
         cands = [
-            c
-            for c in lat.elements
-            if c.num_blocks() == ppart[p]
-            and all(len(b) == n // ppart[p] for b in c.blocks())
+            proj for proj in projections
+            if all(proj.count(i) == n // q for i in range(q))
         ]
         if not cands:
             raise ValueError(f"no factor kernel candidate for prime {p}")
         cand_lists.append(cands)
     for family in product(*cand_lists):
-        meet = family[0]
-        for c in family[1:]:
-            meet = meet.meet(c)
-        if not meet.is_identity():
-            continue
-        tuples = [tuple(c.class_of[x] for c in family) for x in range(n)]
-        if len(set(tuples)) != n:
-            continue
-        return Decomposition(
-            tuple(c.labels() for c in family),
-            tuple(primes),
-        )
+        if len(set(zip(*family))) == n:
+            return Decomposition(family, tuple(primes))
     raise ValueError("no complementary family of prime-power kernels found")
 
 

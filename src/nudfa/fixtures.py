@@ -30,7 +30,7 @@ from typing import Callable
 
 from .algebra import FiniteAlgebra, make_op
 from .circuits import CircuitBuilder
-from .congruence import all_congruences
+from .congruence import structure
 from .programs import AlgProgram, Instruction
 
 
@@ -148,7 +148,7 @@ def get_fixture(name: str) -> Fixture:
             f"unknown fixture {name!r}; available: {', '.join(fixture_names())}"
         ) from None
     if name not in _CHECKED:
-        lat = all_congruences(fix.algebra)
+        lat = structure(fix.algebra).lattice
         if len(lat.elements) != fix.congruence_count:
             raise AssertionError(
                 f"fixture {name}: recorded congruence count "

@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import FiniteAlgebra, UnaryClone, UnaryFn
 from .circuits import AlgCircuit, eval_columns
-from .congruence import Structure, principal_congruence
+from .congruence import Structure, congruence_generated
 from .fieldpoly import prime_divisors
 from .partitions import Partition
 
@@ -115,7 +115,7 @@ def minimal_set_through(
             for d in members:
                 if c == d or lo.same(c, d) or not hi.same(c, d):
                     continue
-                theta = principal_congruence(algebra, c, d)
+                theta = congruence_generated(s.translations, [(c, d)])
                 for a in algebra.elements:
                     if lo.same(e, a) or not theta.same(e, a):
                         continue

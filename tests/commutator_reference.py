@@ -18,7 +18,7 @@ from itertools import product
 import numpy as np
 
 from nudfa.algebra import FiniteAlgebra
-from nudfa.congruence import congruence_generated
+from nudfa.congruence import congruence_generated, structure
 from nudfa.partitions import Partition
 
 
@@ -119,7 +119,8 @@ def commutator(
     seeds = {
         (int(r[2]), int(r[3])) for r in rows if r[0] == r[1] and r[2] != r[3]
     }
-    delta = congruence_generated(algebra, seeds)
+    translations = structure(algebra).translations
+    delta = congruence_generated(translations, seeds)
     while True:
         forced = set()
         for r in rows:
@@ -128,4 +129,4 @@ def commutator(
         if not forced:
             return delta
         seeds |= forced
-        delta = congruence_generated(algebra, seeds)
+        delta = congruence_generated(translations, seeds)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from nudfa.algebra import FiniteAlgebra, Operation, make_op, quotient_algebra
 from nudfa.circuits import AlgCircuit, CircuitBuilder
+from nudfa.congruence import Structure, all_congruences
 from nudfa.modcircuit import AND, MOD, OR, SUMP, SUMPC, CCircuit, Gate
 from nudfa.programs import AlgProgram, Instruction
 
@@ -86,20 +87,45 @@ def permuting_algebras(draw):
     return FiniteAlgebra(f"permuting{n}", n, tuple(ops))
 
 
-def count_quotient_algebras(monkeypatch) -> list:
-    """The congruences of every later ``quotient_algebra`` call, counted
-    through each module that binds the function."""
+def _count_calls(monkeypatch, function) -> list:
+    """The arguments of every later call of ``function``, counted through
+    each module that binds it."""
     calls = []
-    build = quotient_algebra
 
-    def counted(algebra, part):
-        calls.append(part)
-        return build(algebra, part)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
 
+    name = function.__name__
     for module in list(sys.modules.values()):
-        if getattr(module, "quotient_algebra", None) is quotient_algebra:
-            monkeypatch.setattr(module, "quotient_algebra", counted)
+        if getattr(module, name, None) is function:
+            monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def count_quotient_algebras(monkeypatch) -> list:
+    """Every later ``quotient_algebra`` call, through every binding."""
+    return _count_calls(monkeypatch, quotient_algebra)
+
+
+def count_lattices(monkeypatch) -> list:
+    """Every later ``all_congruences`` call, through every binding."""
+    return _count_calls(monkeypatch, all_congruences)
+
+
+def count_root_structures(monkeypatch) -> list:
+    """The algebra of every later ``Structure`` made with no parent, that
+    is every one but the quotient views."""
+    made = []
+    init = Structure.__init__
+
+    def counted(self, algebra, budget, parent=None, floor=None):
+        if parent is None:
+            made.append(algebra)
+        init(self, algebra, budget, parent, floor)
+
+    monkeypatch.setattr(Structure, "__init__", counted)
+    return made
 
 
 def variable_circuit(k: int, i: int) -> AlgCircuit:

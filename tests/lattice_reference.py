@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Iterator
 
 from nudfa.algebra import FiniteAlgebra, respects
-from nudfa.congruence import CongruenceLattice, principal_congruence
+from nudfa.congruence import CongruenceLattice, congruence_generated, structure
 from nudfa.partitions import Partition
 
 
@@ -40,8 +40,9 @@ def all_congruences(algebra: FiniteAlgebra) -> CongruenceLattice:
     n = algebra.size
     found: set[Partition] = {Partition.identity(n), Partition.total(n)}
     principals = set()
+    translations = structure(algebra).translations
     for a, b in combinations(range(n), 2):
-        principals.add(principal_congruence(algebra, a, b))
+        principals.add(congruence_generated(translations, [(a, b)]))
     found |= principals
     frontier = set(found)
     while frontier:

@@ -6,7 +6,13 @@ import itertools
 
 import pytest
 
-from conftest import count_quotient_algebras, variable_circuit
+from conftest import (
+    count_lattices,
+    count_quotient_algebras,
+    count_root_structures,
+    variable_circuit,
+)
+from nudfa import congruence
 from nudfa import compile as compile_module
 from nudfa.algebra import FiniteAlgebra, make_op, quotient_algebra
 from nudfa.circuits import CircuitBuilder
@@ -109,7 +115,9 @@ def test_the_descent_runs_down_a_chain_of_length_two(monkeypatch):
     supernilpotent quotient is 2, and the chain from 0 to the congruence
     mod 3 is 0 < mod 6 < mod 3, so the descent has h = 2 levels where every
     fixture has one.  The lattice lies above the default universe cap, and
-    the Malcev term is built: the search exceeds its table cap."""
+    the Malcev term is built: the search exceeds its table cap.  Every
+    level reads Z12%3's one Structure, under the caller's budget, or a
+    view of it, so one lattice is built."""
     chains = []
     maximal_chain = compile_module._maximal_chain
     monkeypatch.setattr(
@@ -124,10 +132,14 @@ def test_the_descent_runs_down_a_chain_of_length_two(monkeypatch):
         alg, b.finish(b.gate("+", *terms)), 4,
         tuple(Instruction(i, i, 0, 1) for i in range(4)), frozenset({2}),
     )
+    monkeypatch.setattr(congruence, "_STRUCTURES", {})  # a fresh run
     quotients = count_quotient_algebras(monkeypatch)
+    lattices = count_lattices(monkeypatch)
+    roots = count_root_structures(monkeypatch)
     circuit, reports = compile_nilpotent(prog, Budget(lattice_universe=12))
     assert [len(chain) - 1 for chain in chains] == [2]
     assert len(quotients) == 2  # one program over A/gamma_j per level j > 0
+    assert (len(lattices), len(roots)) == (1, 1)
     assert all(r.verified is True for r in reports)
     assert_compiled_matches(circuit, prog)
 

@@ -8,7 +8,6 @@ import io
 import itertools
 import math
 import random
-import sys
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -20,12 +19,14 @@ from hypothesis import given, settings, strategies as st
 import commutator_reference as reference
 import lattice_reference
 from conftest import (
+    count_lattices,
     count_quotient_algebras,
+    count_root_structures,
     dihedral4,
     permuting_algebras,
     random_algebra,
 )
-from nudfa import congruence
+from nudfa import congruence, fixtures
 from nudfa.algebra import (
     FiniteAlgebra,
     Operation,
@@ -50,7 +51,6 @@ from nudfa.congruence import (
     lower_central_chain,
     pdiv,
     prime_power_decomposition,
-    principal_congruence,
     solvability_class,
     structure,
     supernilpotent_rank,
@@ -112,9 +112,8 @@ def test_translation_closure_matches_bruteforce_on_random_tables(alg, data):
     a = data.draw(st.integers(0, alg.size - 1))
     b = data.draw(st.integers(0, alg.size - 1))
     relating = [c for c in brute if c.same(a, b)]
-    assert principal_congruence(alg, a, b) == functools.reduce(
-        Partition.meet, relating
-    )
+    principal = congruence_generated(structure(alg).translations, [(a, b)])
+    assert principal == functools.reduce(Partition.meet, relating)
 
 
 @settings(max_examples=80, deadline=None)
@@ -163,9 +162,9 @@ def test_one_principal_congruence_per_orbit_of_pairs(monkeypatch, make, generate
     calls = []
     inner = congruence.congruence_generated
 
-    def counted(alg, pairs):
+    def counted(translations, pairs):
         calls.append(1)
-        return inner(alg, pairs)
+        return inner(translations, pairs)
 
     alg = make()
     monkeypatch.setattr(congruence, "congruence_generated", counted)
@@ -179,8 +178,9 @@ def test_without_translations_a_congruence_is_any_equivalence():
     and nothing more."""
     alg = FiniteAlgebra("C4", 4, (Operation("c", 0, (2,)),))
     pairs = [(3, 1), (2, 3)]
-    assert congruence_generated(alg, pairs) == Partition.from_pairs(4, pairs)
-    assert congruence_generated(alg, []) == Partition.identity(4)
+    translations = structure(alg).translations
+    assert congruence_generated(translations, pairs) == Partition.from_pairs(4, pairs)
+    assert congruence_generated(translations, []) == Partition.identity(4)
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
@@ -247,10 +247,10 @@ def test_intervals_and_covers_match_the_refinement_order(name):
 
 
 def test_principal_congruences_of_the_cyclic_group():
-    alg = get_fixture("Z6").algebra
-    assert principal_congruence(alg, 0, 2) == ETA_MOD2
-    assert principal_congruence(alg, 0, 3) == ETA_MOD3
-    assert principal_congruence(alg, 0, 1) == Partition.total(6)
+    translations = structure(get_fixture("Z6").algebra).translations
+    assert congruence_generated(translations, [(0, 2)]) == ETA_MOD2
+    assert congruence_generated(translations, [(0, 3)]) == ETA_MOD3
+    assert congruence_generated(translations, [(0, 1)]) == Partition.total(6)
 
 
 @pytest.mark.parametrize("name", ("Z2", "Z3", "Z4", "Z6"))
@@ -341,7 +341,7 @@ def test_quotient_by_a_congruence_is_a_homomorphic_image():
 
 def test_prime_power_decomposition_of_the_order_six_group():
     alg = get_fixture("Z6").algebra
-    dec = prime_power_decomposition(alg)
+    dec = prime_power_decomposition(structure(alg), alg.name)
     assert sorted(dec.primes) == [2, 3]
     assert sorted(len(set(proj)) for proj in dec.projections) == [2, 3]
     assert len(set(zip(*dec.projections))) == alg.size
@@ -352,18 +352,49 @@ def test_prime_power_decomposition_refuses_a_one_element_algebra():
     the refusal names the case instead of failing on an empty family."""
     trivial = FiniteAlgebra("T1", 1, (Operation("+", 2, (0,)),))
     with pytest.raises(ValueError, match="T1 has one element"):
-        prime_power_decomposition(trivial)
+        prime_power_decomposition(structure(trivial), trivial.name)
 
 
-def test_the_one_element_refusal_names_the_callers_algebra():
+def test_the_one_element_refusal_names_the_callers_algebra(monkeypatch):
     """Z6's quotient by the total congruence has T1's operations, so the
-    two share one Structure; the refusal still names the algebra asked
-    about, whichever of them the memo saw first."""
-    quotient, _ = quotient_algebra(get_fixture("Z6").algebra, Partition.total(6))
+    two share one Structure, made for the quotient in a fresh run; the
+    refusal still names the algebra asked about.  The view of Z6 by its
+    total congruence is refused under the caller's name too, not Z6's."""
+    monkeypatch.setattr(congruence, "_STRUCTURES", {})
+    z6 = get_fixture("Z6").algebra
+    quotient, _ = quotient_algebra(z6, Partition.total(6))
     trivial = FiniteAlgebra("T1", 1, (Operation("+", 2, (0,)),))
     assert structure(quotient) is structure(trivial)
+    assert structure(trivial).algebra is quotient
     with pytest.raises(ValueError, match="T1 has one element"):
-        prime_power_decomposition(trivial)
+        prime_power_decomposition(structure(trivial), trivial.name)
+    view = structure(z6).quotient(Partition.total(6))
+    with pytest.raises(ValueError, match=f"^{quotient.name} has one element"):
+        prime_power_decomposition(view, quotient.name)
+
+
+def test_decompositions_on_views_match_the_quotient_algebras():
+    """For every congruence theta < 1 of every algebra, A/theta read on
+    A's lattice splits into the factors of the quotient algebra's own
+    structure, projections numbered alike, or both refuse alike."""
+    agree = refused = 0
+    for name in CON_ALGEBRAS:
+        alg = resolve_algebra(algebra_spec(name))
+        s = structure(alg)
+        for theta in s.lattice.elements[1:]:
+            quotient, _ = quotient_algebra(alg, theta)
+            outcomes = []
+            for view in (s.quotient(theta), structure(quotient)):
+                try:
+                    outcomes.append(prime_power_decomposition(view, quotient.name))
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], (name, theta)
+            if isinstance(outcomes[0], str):
+                refused += 1
+            else:
+                agree += 1
+    assert (agree, refused) == (21, 2)
 
 
 def test_pdiv_is_the_product_of_primes_dividing_the_size():
@@ -460,7 +491,7 @@ def test_forcing_takes_a_second_round():
     )
     same_top = x1 == x2
     first = congruence_generated(
-        alg, zip(x3[same_top].tolist(), x4[same_top].tolist())
+        structure(alg).translations, zip(x3[same_top].tolist(), x4[same_top].tolist())
     )
     result = commutator(alg, left, right)
     assert result == reference.commutator(alg, left, right) != first
@@ -843,24 +874,14 @@ def test_commutators_are_computed_once_per_run(monkeypatch):
 @pytest.mark.parametrize("name", CON_ALGEBRAS)
 def test_con_builds_one_lattice_and_no_quotient_algebra(monkeypatch, name):
     """The distinguished congruences read each quotient A/theta on A's own
-    lattice, so ``con`` builds A's lattice once and no quotient algebra."""
-    calls = []
-    build = congruence.all_congruences
-
-    def counted_lattice(alg, budget=None):
-        calls.append("lattice")
-        return build(alg, budget=budget)
-
-    def refuse(*_):
-        raise AssertionError("built a quotient algebra")
-
-    monkeypatch.setattr(congruence, "all_congruences", counted_lattice)
-    for module in list(sys.modules.values()):
-        if getattr(module, "quotient_algebra", None) is quotient_algebra:
-            monkeypatch.setattr(module, "quotient_algebra", refuse)
+    lattice, and a fixture's first-use check reads the same Structure, so
+    ``con`` builds A's lattice once and no quotient algebra."""
+    monkeypatch.setattr(fixtures, "_CHECKED", set())
+    lattices = count_lattices(monkeypatch)
+    quotients = count_quotient_algebras(monkeypatch)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["con", "--algebra", algebra_spec(name)]) == 0
-    assert calls == ["lattice"]
+    assert (len(lattices), quotients) == (1, [])
 
 
 @pytest.mark.parametrize(
@@ -872,13 +893,18 @@ def test_compile_builds_one_quotient_algebra_per_chain_level(
 ):
     """``compile`` builds a program over A/gamma_j for each level j > 0 of
     the chain and no other quotient algebra: the supernilpotent Z6 has no
-    chain, and the chain of Z6%2 is 0 < mod 2.  The descent test over
-    Z12%3 counts 2 for its chain of length two."""
+    chain, and the chain of Z6%2 is 0 < mod 2.  Every structural question
+    goes to A's one Structure or a view of it, so A's lattice is the only
+    one built.  The descent test over Z12%3 counts 2 quotients for its
+    chain of length two, and one lattice and one root Structure too."""
     calls = count_quotient_algebras(monkeypatch)
+    lattices = count_lattices(monkeypatch)
+    roots = count_root_structures(monkeypatch)
     path = GOLDEN / "inputs" / program
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["compile", "--program", str(path), "--verify-n", "20"]) == 0
     assert len(calls) == quotients
+    assert (len(lattices), len(roots)) == (1, 1)
 
 
 def test_commutator_memo_is_keyed_by_the_tables(monkeypatch):
@@ -920,7 +946,8 @@ def test_commutator_memo_never_exceeds_its_size(monkeypatch):
 def test_structures_are_keyed_by_the_budget():
     """A clone cap below S3's 324 unary polynomials fails under its own
     budget only: the default budget's structure still closes the clone,
-    whichever of the two is asked first."""
+    whichever of the two is asked first.  A lattice built under a wider
+    budget asks the default one's structure for nothing."""
     s3 = get_fixture("S3").algebra
     capped = Budget(clone_functions=100)
     for order in ((capped, None), (None, capped)):
@@ -931,3 +958,6 @@ def test_structures_are_keyed_by_the_budget():
                     structure(s3, budget).clone
             else:
                 assert len(structure(s3, budget).clone) == 324
+    congruence._STRUCTURES.clear()
+    structure(s3, Budget(lattice_universe=64)).lattice
+    assert len(congruence._STRUCTURES) == 1

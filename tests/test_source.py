@@ -43,6 +43,37 @@ def test_structure_is_not_threaded_through_optional_parameters():
     assert found == []
 
 
+def _default_budget_lookups(tree: ast.AST) -> list[int]:
+    """Lines of ``structure(...)`` calls that pass no budget."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "structure"
+        and len(node.args) + len(node.keywords) < 2
+    ]
+
+
+def test_structure_lookups_carry_the_callers_budget():
+    """Below the entry points an algebra's questions go to the caller's
+    ``Structure``; where ``congruence.py`` and ``compile.py`` look one up,
+    they pass the caller's budget, so none falls back to a second
+    Structure under the default one."""
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        if path.name in ("congruence.py", "compile.py")
+        for line in _default_budget_lookups(_parse(path))
+    ]
+    assert found == []
+    for source, lines in [
+        ("structure(a).lattice\n", [1]),
+        ("structure(a, budget=b)\n", []),
+        ("s = structure(a, b)\nstructure(c)\n", [2]),
+    ]:
+        assert _default_budget_lookups(ast.parse(source)) == lines, source
+
+
 MODULES = [path for path in SOURCES if path.name != "__init__.py"]
 
 
