@@ -559,6 +559,14 @@ def verify_malcev(algebra: FiniteAlgebra, circuit: AlgCircuit) -> bool:
     )
 
 
+def malcev_addition(algebra: FiniteAlgebra, malcev: AlgCircuit, zero: int) -> np.ndarray:
+    """The size x size table of x + y = d(x, zero, y) for a Malcev circuit d."""
+    n = algebra.size
+    x, y = np.indices((n, n)).reshape(2, n * n)
+    args = np.stack([x, np.full_like(x, zero), y])
+    return eval_columns(algebra, malcev, args).reshape(n, n)
+
+
 def check_circuit(algebra: FiniteAlgebra, circuit: AlgCircuit) -> None:
     """Refuse, with ValueError, a circuit that does not live over the
     algebra: a constant outside 0..size-1, or a gate whose operation the

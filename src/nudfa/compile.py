@@ -27,13 +27,12 @@ the input word is narrow enough.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, verify_malcev
-from .circuits import AlgCircuit, CONST, GATE, VAR, eval_columns
+from .algebra import FiniteAlgebra, malcev_addition, verify_malcev
+from .circuits import AlgCircuit, CONST, GATE, VAR, _reachable, eval_columns
 from .congruence import (
     CongruenceLattice,
     charr_set,
@@ -47,7 +46,6 @@ from .congruence import (
 )
 from .fieldpoly import multilinear_interpolate, prime_divisors
 from .limits import Budget, charge, default_budget
-from .localize import block_group
 from .lowering import (
     VERIFY_INPUT_BOUND,
     AtomPool,
@@ -83,55 +81,7 @@ class HypothesisViolation(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Small dense linear algebra over Z_p (nu stays tiny)
-# ---------------------------------------------------------------------------
-
-Matrix = tuple[tuple[int, ...], ...]
-Vector = tuple[int, ...]
-
-
-def mat_zero(nu: int) -> Matrix:
-    return tuple((0,) * nu for _ in range(nu))
-
-
-def mat_identity(nu: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(nu)) for i in range(nu))
-
-
-def mat_add(a: Matrix, b: Matrix, p: int) -> Matrix:
-    return tuple(
-        tuple((x + y) % p for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
-
-
-def mat_mul(a: Matrix, b: Matrix, p: int) -> Matrix:
-    nu = len(a)
-    return tuple(
-        tuple(
-            sum(a[i][k] * b[k][j] for k in range(nu)) % p for j in range(nu)
-        )
-        for i in range(nu)
-    )
-
-
-def mat_vec(a: Matrix, v: Vector, p: int) -> Vector:
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) % p for row in a)
-
-
-def vec_add(a: Vector, b: Vector, p: int) -> Vector:
-    return tuple((x + y) % p for x, y in zip(a, b))
-
-
-def vec_sub(a: Vector, b: Vector, p: int) -> Vector:
-    return tuple((x - y) % p for x, y in zip(a, b))
-
-
-def _is_zero_mat(a: Matrix) -> bool:
-    return all(all(x == 0 for x in row) for row in a)
-
-
-# ---------------------------------------------------------------------------
-# Central representations along an abelian atom
+# Central representations along an abelian atom, as arrays over Z_p
 # ---------------------------------------------------------------------------
 
 
@@ -143,7 +93,11 @@ class CentralRep:
     dimension nu under x + y = d(x, e, y).  Every basic operation then acts
     as f(d1..dr) = (sum alpha_i . d_i^M  +  hat_f(classes), f'(classes)):
     the alpha matrices and hat tables are extracted from the operation
-    tables and the whole identity is re-checked on every tuple.
+    tables and the whole identity is re-checked on every tuple.  All three
+    are int64 arrays with entries in 0..p-1: ``mcoords`` has shape
+    (|D|, nu), ``alpha[op]`` shape (r, nu, nu), column t of matrix i being
+    the image of basis element t in argument i, and ``hat[op]`` shape
+    (|D'|,) * r + (nu,).
     """
 
     D: FiniteAlgebra
@@ -151,9 +105,9 @@ class CentralRep:
     nu: int
     quotient: FiniteAlgebra
     proj: tuple[int, ...]  # D -> D' class indices
-    mcoords: tuple[Vector, ...]  # element of D -> coords of its M-part
-    alpha: dict  # op name -> tuple of nu x nu matrices (one per argument)
-    hat: dict  # op name -> {class tuple -> Z_p^nu vector}
+    mcoords: np.ndarray  # element of D -> coords of its M-part
+    alpha: dict[str, np.ndarray]
+    hat: dict[str, np.ndarray]
 
 
 def central_representation(
@@ -166,10 +120,16 @@ def central_representation(
     """Build and exhaustively verify the module/quotient split of D along
     beta, the kernel of the map ``proj`` of D onto ``quotient``.
 
-    The representation identity is checked on every tuple, proj(f(d)) =
-    f(proj(d)) included, so ``proj`` is verified to be a homomorphism onto
-    ``quotient``, which the caller may have built from another algebra.
-    D has no Structure, so the uncached ``commutator`` checks beta abelian.
+    The block M of e is read as a group through one table of
+    x + y = d(x, e, y), and p is the one prime dividing |M|.  Greedy
+    generators give coordinates in Z_p^nu; they are checked to be a
+    bijection onto Z_p^nu that turns + into vector addition, with every
+    sum inside M.  So (M, +) is isomorphic to Z_p^nu, which gives every
+    group axiom, e as the zero and exponent p.  The representation
+    identity is checked on every tuple, proj(f(d)) = f(proj(d)) included,
+    so ``proj`` is verified to be a homomorphism onto ``quotient``, which
+    the caller may have built from another algebra.  D has no Structure,
+    so the uncached ``commutator`` checks beta abelian.
     """
     if not verify_malcev(D, malcev):
         raise ValueError("the supplied circuit is not a Malcev polynomial")
@@ -179,98 +139,92 @@ def central_representation(
     beta = Partition(tuple(transversal.setdefault(c, x) for x, c in enumerate(proj)))
     if not commutator(D, beta, beta).is_identity():
         raise HypothesisViolation("the congruence is not abelian")
-
-    add, p = block_group(D, malcev, beta, e)
-    module = tuple(sorted(beta.block_of(e)))
+    n, s = D.size, quotient.size
+    classes_of = np.asarray(proj)
+    lifts = np.array([transversal[c] for c in range(s)])
+    module = np.flatnonzero(classes_of == proj[e])
     if e != module[0]:
         raise ValueError("the anchor must be the least element of its block")
-
-    # greedy independent generators of (M, +)
-    span = {e}
-    basis: list[int] = []
-    for x in module:
-        if x in span:
-            continue
-        basis.append(x)
-        grown = set()
-        for s in span:
-            t = s
-            for _ in range(p):
-                grown.add(t)
-                t = add[(t, x)]
-        span = grown
-    nu = len(basis)
-    if p**nu != len(module):
+    primes = prime_divisors(len(module))
+    if len(primes) != 1:
         raise HypothesisViolation(
-            f"module block has size {len(module)}, not a power of {p}"
+            f"module block has size {len(module)}, not a prime power"
         )
+    p = primes[0]
+    add = malcev_addition(D, malcev, e)
+    sums = add[np.ix_(module, module)]
+    if not np.isin(sums, module).all():
+        raise HypothesisViolation("pseudo-addition leaves the module block")
 
-    coords: dict[int, Vector] = {}
-    for combo in product(range(p), repeat=nu):
-        elt = e
-        for c, b in zip(combo, basis):
-            for _ in range(c):
-                elt = add[(elt, b)]
-        if elt in coords:
-            raise HypothesisViolation("basis is not independent")
-        coords[elt] = tuple(combo)
-    for x in module:
-        for y in module:
-            if vec_add(coords[x], coords[y], p) != coords[add[(x, y)]]:
-                raise HypothesisViolation("coordinates do not respect addition")
+    # greedy independent generators of (M, +), then the element at each
+    # coefficient vector: the generators added on to e in order
+    span = np.zeros(n, bool)
+    span[e] = True
+    basis: list[int] = []
+    for x in module.tolist():
+        if not span[x]:
+            basis.append(x)
+            grown = np.flatnonzero(span)
+            for _ in range(p - 1):
+                grown = add[grown, x]
+                span[grown] = True
+    nu = len(basis)
+    combos = np.indices((p,) * nu).reshape(nu, -1).T
+    elts = np.full(len(combos), e)
+    for j, b in enumerate(basis):
+        for c in range(1, p):
+            elts = np.where(combos[:, j] >= c, add[elts, b], elts)
+    if len(combos) != len(module) or len(set(elts.tolist())) != len(module):
+        raise HypothesisViolation("coordinates are not a bijection onto Z_p^nu")
+    coords = np.zeros((n, nu), np.int64)
+    coords[elts] = combos
+    mc = coords[module]
+    if not ((mc[:, None] + mc[None, :]) % p == coords[sums]).all():
+        raise HypothesisViolation("coordinates do not respect addition")
 
     # x = d(m(x), e, t(x)) with m(x) = d(x, t(x), e), t(x) the least
     # element of the class of x
-    ts = np.array([transversal[c] for c in proj])
-    es = np.full(D.size, e)
-    mpart = eval_columns(D, malcev, np.stack([np.arange(D.size), ts, es])).tolist()
-    for x, mv in enumerate(mpart):
-        if mv not in coords:
-            raise HypothesisViolation(f"module part of {x} escapes the block")
-    back = eval_columns(D, malcev, np.stack([mpart, es, ts])).tolist()
-    for x, y in enumerate(back):
-        if y != x:
-            raise HypothesisViolation(f"encode/decode fails at {x}")
-    mcoords = tuple(coords[mv] for mv in mpart)
+    ts = lifts[classes_of]
+    es = np.full(n, e)
+    mpart = eval_columns(D, malcev, np.stack([np.arange(n), ts, es]))
+    escaped = np.flatnonzero(~np.isin(mpart, module))
+    if escaped.size:
+        raise HypothesisViolation(f"module part of {escaped[0]} escapes the block")
+    back = eval_columns(D, malcev, np.stack([mpart, es, ts]))
+    wrong = np.flatnonzero(back != np.arange(n))
+    if wrong.size:
+        raise HypothesisViolation(f"encode/decode fails at {wrong[0]}")
+    mcoords = coords[mpart]
 
-    ref = proj[e]
-    alpha: dict[str, tuple[Matrix, ...]] = {}
-    hat: dict[str, dict[tuple, Vector]] = {}
+    alpha: dict[str, np.ndarray] = {}
+    hat: dict[str, np.ndarray] = {}
     for op in D.ops:
         r = op.arity
-        table: dict[tuple, Vector] = {}
-        for cbar in product(range(quotient.size), repeat=r):
-            val = D.eval_op(op.name, [transversal[c] for c in cbar])
-            table[cbar] = mcoords[val]
-        hat[op.name] = table
-        base = table[(ref,) * r]
-        mats = []
-        for i in range(r):
-            cols = []
-            for b in basis:
-                args = [e] * r
-                args[i] = b  # decode(b, class of e) = d(b, e, e) = b
-                val = D.eval_op(op.name, args)
-                cols.append(vec_sub(mcoords[val], base, p))
-            mats.append(
-                tuple(
-                    tuple(cols[t][row] for t in range(nu)) for row in range(nu)
-                )
-            )
-        alpha[op.name] = tuple(mats)
+        table = np.asarray(op.table)
+        place = n ** np.arange(r - 1, -1, -1)  # row-major weights of a tuple
+        cplace = s ** np.arange(r - 1, -1, -1)
+        cgrid = np.indices((s,) * r).reshape(r, s**r)
+        hat_flat = mcoords[table[lifts[cgrid].T @ place]]
+        hat[op.name] = hat_flat.reshape((s,) * r + (nu,))
+        # decode(b, class of e) = d(b, e, e) = b: argument i is b, the rest e
+        at_e = e * place.sum()
+        moved = table[at_e + np.multiply.outer(place, np.array(basis) - e)]
+        cols = (mcoords[moved] - mcoords[table[at_e]]) % p
+        alpha[op.name] = mats = cols.transpose(0, 2, 1)
 
         # the representation identity, on every tuple: this is the hard gate
-        for dbar in product(range(D.size), repeat=r):
-            val = D.eval_op(op.name, list(dbar))
-            want_cls = quotient.eval_op(op.name, [proj[d] for d in dbar])
-            acc = table[tuple(proj[d] for d in dbar)]
-            for i, d in enumerate(dbar):
-                acc = vec_add(acc, mat_vec(mats[i], mcoords[d], p), p)
-            if proj[val] != want_cls or mcoords[val] != acc:
-                raise HypothesisViolation(
-                    f"representation identity fails for {op.name} at {dbar}: "
-                    f"value {val} vs ({acc}, class {want_cls})"
-                )
+        grid = np.indices((n,) * r).reshape(r, n**r)
+        cidx = classes_of[grid].T @ cplace
+        want_cls = np.asarray(quotient.op(op.name).table)[cidx]
+        acc = (hat_flat[cidx] + np.einsum("irt,ikt->kr", mats, mcoords[grid])) % p
+        ok = (classes_of[table] == want_cls) & (mcoords[table] == acc).all(axis=1)
+        if not ok.all():
+            k = int(np.argmin(ok))
+            raise HypothesisViolation(
+                f"representation identity fails for {op.name} at "
+                f"{tuple(grid[:, k].tolist())}: value {table[k]} vs "
+                f"({tuple(acc[k].tolist())}, class {want_cls[k]})"
+            )
 
     return CentralRep(
         D=D,
@@ -286,72 +240,29 @@ def central_representation(
 
 def path_coefficients(
     circuit: AlgCircuit, rep: CentralRep, root: Optional[int] = None
-) -> tuple[dict[int, Matrix], dict[int, Matrix]]:
+) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
     """Module-part weight of every node reachable from the root.
 
     The root weighs the identity; a gate passes weight W down to its i-th
-    child as W * alpha_i, summed over all paths (the DAG is hash-consed, so
+    child as W @ alpha_i, summed over all paths (the DAG is hash-consed, so
     one node stands for every occurrence of its subterm).  Returns
     (per-node weights, per-variable-index weights).
     """
     root = circuit.output if root is None else root
-    p, nu = rep.p, rep.nu
-    reach: set[int] = set()
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        if v in reach:
-            continue
-        reach.add(v)
+    reach = _reachable(circuit.nodes, root)
+    coeff = {v: np.zeros((rep.nu, rep.nu), np.int64) for v in reach}
+    coeff[root] = np.eye(rep.nu, dtype=np.int64)
+    for v in reversed(reach):  # children precede their gates
         node = circuit.nodes[v]
         if node[0] == GATE:
-            stack.extend(node[2])
-    coeff: dict[int, Matrix] = {root: mat_identity(nu)}
-    for v in sorted(reach, reverse=True):
-        W = coeff.get(v)
-        if W is None:
-            coeff[v] = W = mat_zero(nu)
-        node = circuit.nodes[v]
-        if node[0] == GATE:
-            alphas = rep.alpha[node[1]]
-            for i, child in enumerate(node[2]):
-                prev = coeff.get(child, mat_zero(nu))
-                coeff[child] = mat_add(prev, mat_mul(W, alphas[i], p), p)
+            for child, a in zip(node[2], rep.alpha[node[1]]):
+                coeff[child] = (coeff[child] + coeff[v] @ a) % rep.p
     variables = {
         circuit.nodes[v][1]: coeff[v]
         for v in reach
         if circuit.nodes[v][0] == VAR
     }
     return coeff, variables
-
-
-# ---------------------------------------------------------------------------
-# Compile cache (write-once per key)
-# ---------------------------------------------------------------------------
-
-
-class CompileCache:
-    """Indicator circuits keyed by (circuit node id, target value)."""
-
-    def __init__(self) -> None:
-        self._store: dict[tuple[int, int], CCircuit] = {}
-
-    def put(self, key: tuple[int, int], circuit: CCircuit) -> None:
-        if key in self._store:
-            raise ValueError(f"cache key {key} written twice")
-        self._store[key] = circuit
-
-    def get(self, key: tuple[int, int]) -> CCircuit:
-        try:
-            return self._store[key]
-        except KeyError:
-            raise KeyError(f"no compiled circuit for node/target {key}") from None
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def __contains__(self, key: tuple[int, int]) -> bool:
-        return key in self._store
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +422,7 @@ def descend_mod_beta(
     node: int,
     target: int,
     rep: CentralRep,
-    cache: CompileCache,
+    cache: dict[tuple[int, int], CCircuit],
     m: int,
     p: int,
     budget: Budget,
@@ -537,52 +448,42 @@ def descend_mod_beta(
     coeff, var_coeff = path_coefficients(circuit, rep, root=node)
 
     ins_by_var = {ins.var: ins for ins in program.instructions}
-    offset = (0,) * nu
-    bit_vecs: dict[int, Vector] = {}
+    offset = np.zeros(nu, np.int64)
+    bit_vecs: dict[int, np.ndarray] = {}
     for var_idx, W in sorted(var_coeff.items()):
         ins = ins_by_var[var_idx]
         base = rep.mcoords[ins.a0]
-        delta = vec_sub(rep.mcoords[ins.a1], base, p)
-        offset = vec_add(offset, mat_vec(W, base, p), p)
-        dv = mat_vec(W, delta, p)
-        if any(dv):
-            bit_vecs[ins.bit] = vec_add(
-                bit_vecs.get(ins.bit, (0,) * nu), dv, p
-            )
+        offset += W @ base
+        dv = W @ (rep.mcoords[ins.a1] - base) % p
+        if dv.any():
+            bit_vecs[ins.bit] = (bit_vecs.get(ins.bit, 0) + dv) % p
 
     s = rep.quotient.size
-    mono_vecs: dict[frozenset, Vector] = {}
+    mono_vecs: dict[frozenset, np.ndarray] = {}
     need_subs: set[tuple[int, int]] = set()
     for v in sorted(coeff):
         nd = circuit.nodes[v]
         W = coeff[v]
         if nd[0] == CONST:
-            offset = vec_add(offset, mat_vec(W, rep.mcoords[nd[1]], p), p)
+            offset += W @ rep.mcoords[nd[1]]
         elif nd[0] == GATE:
-            if _is_zero_mat(W):
+            if not W.any():
                 continue
             children = nd[2]
             r = len(children)
             width = r * s
             charge(1 << width, budget.monomials, "correction-term table")
-            hat = rep.hat[nd[1]]
-            table = []
-            for ybits in range(1 << width):
-                classes = []
-                for pos in range(r):
-                    cls = 0
-                    for l in range(s):
-                        if (ybits >> (pos * s + l)) & 1:
-                            cls = l
-                            break
-                    classes.append(cls)
-                table.append(hat[tuple(classes)])
-            low_cc, _ = and_sum_lower(table, p, budget)
+            # row y reads position i's class off bits i*s..i*s+s-1: the
+            # first set bit, or class 0 when none is set
+            bits = (np.arange(1 << width)[:, None] >> np.arange(width)) & 1
+            classes = bits.reshape(1 << width, r, s).argmax(axis=2)
+            table = rep.hat[nd[1]][tuple(classes.T)].reshape(1 << width, nu)
+            low_cc, _ = and_sum_lower(table.tolist(), p, budget)
             sump = low_cc.gates[low_cc.output - low_cc.inputs]
-            offset = vec_add(offset, mat_vec(W, sump.offset, p), p)
+            offset += W @ sump.offset
             for (src, mult), vec in zip(sump.wires, sump.coeffs):
-                wv = mat_vec(W, tuple(mult * c % p for c in vec), p)
-                if not any(wv):
+                wv = mult * (W @ vec) % p
+                if not wv.any():
                     continue
                 and_gate = low_cc.gates[src - low_cc.inputs]
                 pairs = frozenset(
@@ -590,33 +491,31 @@ def descend_mod_beta(
                     for pos, _mult in and_gate.wires
                 )
                 need_subs |= pairs
-                mono_vecs[pairs] = vec_add(
-                    mono_vecs.get(pairs, (0,) * nu), wv, p
-                )
+                mono_vecs[pairs] = (mono_vecs.get(pairs, 0) + wv) % p
 
     merge = _LayerMerge(n)
     sub_out: dict[tuple[int, int], int] = {}
     for key in sorted(need_subs):
-        sub_out[key] = merge.add_sub(cache.get(key))
+        sub_out[key] = merge.add_sub(cache[key])
     bit_out: dict[int, int] = {}
     for bit in sorted(bit_vecs):
         bit_out[bit] = merge.add_sub(_bit_passthrough(n, bit, m, p))
 
     sumpc_wires: list[tuple[int, int]] = []
-    sumpc_coeffs: list[Vector] = []
+    sumpc_coeffs: list[tuple[int, ...]] = []
     for key in sorted(mono_vecs, key=lambda k: sorted(k)):
         srcs = sorted({sub_out[pair] for pair in key})
         gate_id = merge.add_gate(
             Gate(kind=AND, layer=4, wires=tuple((x, 1) for x in srcs))
         )
         sumpc_wires.append((gate_id, 1))
-        sumpc_coeffs.append(mono_vecs[key])
+        sumpc_coeffs.append(tuple(mono_vecs[key].tolist()))
     for bit in sorted(bit_vecs):
         gate_id = merge.add_gate(
             Gate(kind=AND, layer=4, wires=((bit_out[bit], 1),))
         )
         sumpc_wires.append((gate_id, 1))
-        sumpc_coeffs.append(bit_vecs[bit])
+        sumpc_coeffs.append(tuple(bit_vecs[bit].tolist()))
 
     target_vec = rep.mcoords[target]
     gates = list(merge.gates)
@@ -628,8 +527,8 @@ def descend_mod_beta(
             p=p,
             nu=nu,
             coeffs=tuple(sumpc_coeffs),
-            offset=offset,
-            target=target_vec,
+            offset=tuple((offset % p).tolist()),
+            target=tuple(target_vec.tolist()),
         )
     )
     five = CCircuit(
@@ -642,10 +541,9 @@ def descend_mod_beta(
     if not ok:
         raise AssertionError(f"assembled circuit is malformed: {errors[0]}")
 
-    mcoords = np.array(rep.mcoords, np.int64).reshape(-1, nu)
     five_verified = _verify_tables(
         five,
-        lambda: (mcoords[value_table] == target_vec).all(axis=1),
+        lambda: (rep.mcoords[value_table] == target_vec).all(axis=1),
         n,
         "module-part circuit",
     )
@@ -663,7 +561,7 @@ def descend_mod_beta(
     collapsed, creport = collapse_5to3(five, budget)
     reports.append(creport)
 
-    quotient_cc = cache.get((node, rep.proj[target]))
+    quotient_cc = cache[(node, rep.proj[target])]
     glued, greport = apply_func([0, 0, 0, 1], [quotient_cc, collapsed], budget)
     reports.append(greport)
 
@@ -810,7 +708,7 @@ def compile_nilpotent(
     dec = prime_power_decomposition(top, Abar.name)
     delta = sum(m // pj for pj in dec.primes) % m
 
-    cache = CompileCache()
+    cache: dict[tuple[int, int], CCircuit] = {}
     base_entries = (
         [(root, t) for t in S0]
         if h == 0
@@ -825,7 +723,7 @@ def compile_nilpotent(
         _verify_tables(
             cc, lambda: table == t, n, f"base indicator for node {q}, target {t}"
         )
-        cache.put((q, t), cc)
+        cache[(q, t)] = cc
         base_total += cc.size
     reports.append(
         PassReport(
@@ -854,16 +752,16 @@ def compile_nilpotent(
             if j == 0
             else [(q, t) for q in nodes for t in range(Dj.size)]
         )
-        newcache = CompileCache()
+        newcache = {}
         for q, t in entries:
             cc = descend_mod_beta(
                 progs[j], q, t, rep, cache, m, p, budget, reports,
                 value_table=np.asarray(projs[j])[vals[q]],
             )
-            newcache.put((q, t), cc)
+            newcache[(q, t)] = cc
         cache = newcache
 
-    branches = [cache.get((root, c)) for c in S0]
+    branches = [cache[(root, c)] for c in S0]
     if not branches:
         final = _constant_circuit(n, m, p, 0)
     elif len(branches) == 1:

@@ -37,7 +37,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, UnaryFn
+from .algebra import FiniteAlgebra, UnaryFn, malcev_addition
 from .circuits import (
     AlgCircuit,
     CircuitBuilder,
@@ -169,10 +169,8 @@ def _wrapped_add(
     algebra: FiniteAlgebra, malcev: AlgCircuit, wrap: UnaryFn, zero: int
 ) -> tuple[tuple[int, ...], ...]:
     """Cayley table of x (+) y = wrap(d(x, zero, y))."""
-    n = algebra.size
-    x, y = np.indices((n, n)).reshape(2, n * n)
-    d = eval_columns(algebra, malcev, np.stack([x, np.full_like(x, zero), y]))
-    return tuple(map(tuple, np.array(wrap.values)[d].reshape(n, n).tolist()))
+    d = malcev_addition(algebra, malcev, zero)
+    return tuple(map(tuple, np.array(wrap.values)[d].tolist()))
 
 
 def complete_interpolation_config(

@@ -10,15 +10,12 @@ reachable through the Malcev polynomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional
 
 import numpy as np
 
 from .algebra import FiniteAlgebra, UnaryClone, UnaryFn
-from .circuits import AlgCircuit, eval_columns
 from .congruence import Structure, congruence_generated
-from .fieldpoly import prime_divisors
 from .partitions import Partition
 
 
@@ -127,48 +124,3 @@ def minimal_set_through(
                         idem = _idempotent_for(clone, p, image)
                         return MinimalSet(image, p, idem)
     return None
-
-
-# ---------------------------------------------------------------------------
-# Local invariant checkers
-# ---------------------------------------------------------------------------
-
-
-def block_group(
-    algebra: FiniteAlgebra,
-    malcev: AlgCircuit,
-    beta: Partition,
-    e: int,
-) -> tuple[dict[tuple[int, int], int], int]:
-    """The block of e under x + y = d(x, e, y) must be an elementary abelian
-    p-group with zero e; returns (operation table, prime p) or raises."""
-    block = beta.block_of(e)
-    bset = set(block)
-    pairs = list(product(block, repeat=2))
-    args = np.array([(x, e, y) for x, y in pairs]).T
-    add = dict(zip(pairs, eval_columns(algebra, malcev, args).tolist()))
-    for (x, y), v in add.items():
-        if v not in bset:
-            raise ValueError(f"pseudo-addition leaves the block: {x}+{y}={v}")
-    for x in block:
-        if add[(x, e)] != x or add[(e, x)] != x:
-            raise ValueError("e is not a neutral element")
-        if all(add[(x, y)] != e for y in block):
-            raise ValueError(f"{x} has no inverse")
-        for y in block:
-            if add[(x, y)] != add[(y, x)]:
-                raise ValueError("pseudo-addition is not commutative")
-            for z in block:
-                if add[(add[(x, y)], z)] != add[(x, add[(y, z)])]:
-                    raise ValueError("pseudo-addition is not associative")
-    primes = prime_divisors(len(block))
-    if not primes:
-        raise ValueError("trivial block")
-    p = primes[0]
-    for x in block:
-        acc = e
-        for _ in range(p):
-            acc = add[(acc, x)]
-        if acc != e:
-            raise ValueError(f"element {x} does not have order dividing {p}")
-    return add, p

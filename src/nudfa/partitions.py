@@ -66,10 +66,6 @@ class Partition:
             out.setdefault(c, []).append(x)
         return [out[c] for c in sorted(out)]
 
-    def block_of(self, x: int) -> list[int]:
-        c = self.class_of[x]
-        return [y for y, d in enumerate(self.class_of) if d == c]
-
     def num_blocks(self) -> int:
         return len(set(self.class_of))
 

@@ -21,8 +21,6 @@ from nudfa.compile import (
     central_representation,
     compile_nilpotent,
     compile_supernilpotent,
-    mat_vec,
-    vec_add,
 )
 from nudfa.congruence import all_congruences, structure
 from nudfa.fixtures import demo_program, get_fixture
@@ -163,30 +161,38 @@ def test_representation_parameters(marked_rep):
     assert (rep.p, rep.nu) == (3, 1)
     assert [x for x in range(6) if rep.proj[x] == rep.proj[0]] == [0, 2, 4]
     assert rep.quotient.size == 2
-    assert sorted(set(rep.mcoords)) == [(0,), (1,), (2,)]
+    assert sorted(set(map(tuple, rep.mcoords.tolist()))) == [(0,), (1,), (2,)]
+    # the block sums 2 + 4 = 0 and 4 + 4 = 2 around the anchor 0, and
+    # 3 + 5 = 1 and 3 + 3 = 5 around 1, read in coordinates
+    odd = represent(rep.D, ETA, 1, structure(rep.D).malcev)
+    for r, (x, y, z) in [
+        (rep, (2, 4, 0)), (rep, (4, 4, 2)), (odd, (3, 5, 1)), (odd, (3, 3, 5)),
+    ]:
+        assert r.p == 3
+        assert ((r.mcoords[x] + r.mcoords[y]) % 3 == r.mcoords[z]).all()
 
 
 def test_encode_decode_round_trip(marked_rep):
     """x -> (coordinates of its module part, class) is injective, so the
     descent's encoding of an element can be decoded."""
     rep = marked_rep
-    pairs = {(rep.mcoords[x], rep.proj[x]) for x in range(rep.D.size)}
+    pairs = {(tuple(rep.mcoords[x].tolist()), rep.proj[x]) for x in range(rep.D.size)}
     assert len(pairs) == rep.D.size
 
 
 def test_operations_act_affinely_on_the_module(marked_rep):
     rep = marked_rep
-    assert rep.alpha["+"] == (((1,),), ((1,),))
-    assert rep.alpha["%2"] == (((0,),),)
-    assert rep.hat["+"][(1, 1)] == rep.mcoords[2]
+    assert rep.alpha["+"].tolist() == [[[1]], [[1]]]
+    assert rep.alpha["%2"].tolist() == [[[0]]]
+    assert rep.hat["+"][1, 1].tolist() == rep.mcoords[2].tolist()
     for op in rep.D.ops:
         mats = rep.alpha[op.name]
         for dbar in itertools.product(range(rep.D.size), repeat=op.arity):
             val = rep.D.eval_op(op.name, dbar)
             acc = rep.hat[op.name][tuple(rep.proj[d] for d in dbar)]
             for mat, d in zip(mats, dbar):
-                acc = vec_add(acc, mat_vec(mat, rep.mcoords[d], rep.p), rep.p)
-            assert rep.mcoords[val] == acc
+                acc = (acc + mat @ rep.mcoords[d]) % rep.p
+            assert rep.mcoords[val].tolist() == acc.tolist()
             assert rep.proj[val] == rep.quotient.eval_op(
                 op.name, [rep.proj[d] for d in dbar]
             )
@@ -226,3 +232,77 @@ def test_representation_rejects_non_abelian_congruences():
     lat = all_congruences(fx.algebra)
     with pytest.raises(HypothesisViolation):
         represent(fx.algebra, lat.one, 0, malcev)
+
+
+def test_representation_rejects_a_module_that_is_not_elementary():
+    """The total congruence of Z6 has a block of size 6, and that of Z4 a
+    group of exponent 4: neither block is a vector space over a prime
+    field."""
+    for name, message in [
+        ("Z6", "not a prime power"), ("Z4", "coordinates do not respect addition"),
+    ]:
+        alg = get_fixture(name).algebra
+        total = Partition.from_blocks(alg.size, [set(alg.elements)])
+        with pytest.raises(HypothesisViolation, match=message):
+            represent(alg, total, 0, structure(alg).malcev)
+
+
+def z3_squared_times_z2() -> FiniteAlgebra:
+    """Z3^2 x Z2, coded 6*a1 + 2*a2 + b, with addition, the rotation
+    r(a1, a2, b) = (-a2, a1, b), irreducible over GF(3), and
+    %2(a1, a2, b) = (b, 0, b)."""
+
+    def split(x):
+        return x // 6, x // 2 % 3, x % 2
+
+    def code(a1, a2, b):
+        return 6 * (a1 % 3) + 2 * (a2 % 3) + b % 2
+
+    ops = (
+        make_op("+", 2, 18, lambda x, y: code(*(
+            u + v for u, v in zip(split(x), split(y))
+        ))),
+        make_op("r", 1, 18, lambda x: code(-split(x)[1], split(x)[0], split(x)[2])),
+        make_op("%2", 1, 18, lambda x: code(x % 2, 0, x % 2)),
+    )
+    return FiniteAlgebra("Z3^2xZ2", 18, ops)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_the_descent_over_a_module_of_dimension_two(n, monkeypatch):
+    """Over Z3^2 x Z2 the atom is the Z3^2 block, a module of dimension
+    nu = 2 on which r acts by a matrix that is not symmetric, so a
+    transposed alpha would show.  The parity-sum through r, the sum of
+    r(%2(x_i + x_{i+1})) over i = 0, 2, ..., is compiled and matched with
+    the program's truth table."""
+    alg = z3_squared_times_z2()
+    budget = Budget(lattice_universe=18)
+    s = structure(alg, budget)
+    assert len(s.lattice.elements) == 3
+    beta = s.lattice.elements[1]
+    rep = represent(alg, beta, 0, s.malcev)
+    assert (rep.p, rep.nu) == (3, 2)
+    assert rep.alpha["r"].tolist() == [[[0, 1], [2, 0]]]
+
+    nus = []
+    descend = compile_module.descend_mod_beta
+    monkeypatch.setattr(
+        compile_module, "descend_mod_beta",
+        lambda *args, **kw: nus.append(args[3].nu) or descend(*args, **kw),
+    )
+    b = CircuitBuilder(n)
+    terms = [
+        b.gate("r", b.gate("%2", b.gate("+", b.var(i), b.var(i + 1))))
+        for i in range(0, n, 2)
+    ]
+    acc = terms[0]
+    for t in terms[1:]:
+        acc = b.gate("+", acc, t)
+    prog = AlgProgram(
+        alg, b.finish(acc), n,
+        tuple(Instruction(i, i, 0, 1) for i in range(n)), frozenset({3}),
+    )
+    circuit, reports = compile_nilpotent(prog, budget)
+    assert nus and set(nus) == {2}
+    assert all(r.verified is True for r in reports)
+    assert_compiled_matches(circuit, prog)

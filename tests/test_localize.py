@@ -7,7 +7,6 @@ import pytest
 from nudfa.congruence import structure
 from nudfa.fixtures import fixture_names, get_fixture
 from nudfa.localize import (
-    block_group,
     minimal_set_through,
     minimal_sets,
     traces,
@@ -86,19 +85,3 @@ def test_minimal_set_through_a_requested_element(marked):
         assert ms is not None
         assert e in ms.universe
         assert ms.universe in all_ranges
-
-
-def test_block_group_is_an_elementary_abelian_three_group(marked):
-    fx, s, _ = marked
-    add, p = block_group(fx.algebra, s.malcev, ETA, 0)
-    assert p == 3
-    assert add[(2, 4)] == 0 and add[(4, 4)] == 2
-    add1, p1 = block_group(fx.algebra, s.malcev, ETA, 1)
-    assert p1 == 3
-    assert add1[(3, 5)] == 1 and add1[(3, 3)] == 5
-
-
-def test_block_group_rejects_a_non_prime_block(marked):
-    fx, s, lat = marked
-    with pytest.raises(ValueError):
-        block_group(fx.algebra, s.malcev, lat.one, 0)

@@ -55,7 +55,6 @@ def test_from_blocks_matches_from_pairs():
     b = Partition.from_pairs(6, [(0, 2), (2, 4), (1, 3), (3, 5)])
     assert a == b
     assert a.blocks() == [[0, 2, 4], [1, 3, 5]]
-    assert a.block_of(3) == [1, 3, 5]
     assert a.same(0, 4) and not a.same(0, 1)
 
 
