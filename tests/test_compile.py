@@ -162,14 +162,6 @@ def test_representation_parameters(marked_rep):
     assert [x for x in range(6) if rep.proj[x] == rep.proj[0]] == [0, 2, 4]
     assert rep.quotient.size == 2
     assert sorted(set(map(tuple, rep.mcoords.tolist()))) == [(0,), (1,), (2,)]
-    # the block sums 2 + 4 = 0 and 4 + 4 = 2 around the anchor 0, and
-    # 3 + 5 = 1 and 3 + 3 = 5 around 1, read in coordinates
-    odd = represent(rep.D, ETA, 1, structure(rep.D).malcev)
-    for r, (x, y, z) in [
-        (rep, (2, 4, 0)), (rep, (4, 4, 2)), (odd, (3, 5, 1)), (odd, (3, 3, 5)),
-    ]:
-        assert r.p == 3
-        assert ((r.mcoords[x] + r.mcoords[y]) % 3 == r.mcoords[z]).all()
 
 
 def test_encode_decode_round_trip(marked_rep):

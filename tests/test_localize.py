@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from nudfa.algebra import quotient_algebra
+from nudfa.compile import central_representation
 from nudfa.congruence import structure
 from nudfa.fixtures import fixture_names, get_fixture
 from nudfa.localize import (
@@ -75,6 +77,19 @@ def test_traces_are_the_blocks_that_actually_split(marked):
     assert [sorted(t) for t in traces(fx.algebra, upper.universe, ETA, lat.one)] == [
         [0, 1]
     ]
+
+
+def test_block_group_is_an_elementary_abelian_three_group(marked):
+    """The blocks of 0 and 1 are Z3 under x + y = d(x, e, y): the block sums
+    2 + 4 = 0 and 4 + 4 = 2 around 0, and 3 + 5 = 1 and 3 + 3 = 5 around 1,
+    read in the coordinates of the central representation."""
+    fx, s, _ = marked
+    quo = quotient_algebra(fx.algebra, ETA)
+    for e, sums in [(0, [(2, 4, 0), (4, 4, 2)]), (1, [(3, 5, 1), (3, 3, 5)])]:
+        rep = central_representation(fx.algebra, *quo, e, s.malcev)
+        assert (rep.p, rep.nu) == (3, 1)
+        for x, y, z in sums:
+            assert ((rep.mcoords[x] + rep.mcoords[y]) % 3 == rep.mcoords[z]).all()
 
 
 def test_minimal_set_through_a_requested_element(marked):
