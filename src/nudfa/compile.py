@@ -44,12 +44,17 @@ from .congruence import (
     prime_power_decomposition,
     structure,
 )
-from .fieldpoly import multilinear_interpolate, prime_divisors
+from .fieldpoly import (
+    MultilinearPoly,
+    accumulate,
+    monomial_key,
+    multilinear_interpolate,
+    prime_divisors,
+)
 from .limits import Budget, charge, default_budget
 from .lowering import (
     VERIFY_INPUT_BOUND,
     AtomPool,
-    ModSum,
     PassReport,
     _verify_tables,
     and_sum_lower,
@@ -57,6 +62,7 @@ from .lowering import (
     collapse_5to3,
     emit_modsum,
     make_atom,
+    monomial_gates,
 )
 from .modcircuit import (
     AND,
@@ -294,11 +300,7 @@ def _combined_indicator(
         scale = m // pj
         for key, cf in w.terms.items():
             if key:
-                v = (acc.get(key, 0) + scale * cf) % m
-                if v:
-                    acc[key] = v
-                else:
-                    acc.pop(key, None)
+                accumulate(acc, key, scale * cf, m)
             else:
                 const = (const + scale * cf) % m
     charge(len(acc), budget.monomials, "base-case monomials")
@@ -329,23 +331,12 @@ def compile_supernilpotent(
         for c in sorted(program.accepting)
     ]
 
-    monos = sorted(
-        {key for acc, _ in branches for key in acc},
-        key=lambda k: (len(k), sorted(k)),
-    )
     n = program.n
-    gates: list[Gate] = []
-    mono_node = {}
-    for key in monos:
-        mono_node[key] = n + len(gates)
-        gates.append(
-            Gate(kind=AND, layer=1, wires=tuple((i, 1) for i in sorted(key)))
-        )
+    gates, mono_node = monomial_gates(n, {key for acc, _ in branches for key in acc})
     branch_nodes = []
     for acc, resid in branches:
         wires = tuple(
-            (mono_node[key], acc[key])
-            for key in sorted(acc, key=lambda k: (len(k), sorted(k)))
+            (mono_node[key], acc[key]) for key in sorted(acc, key=monomial_key)
         )
         branch_nodes.append(n + len(gates))
         gates.append(
@@ -354,7 +345,7 @@ def compile_supernilpotent(
     gates.append(
         Gate(kind=OR, layer=3, wires=tuple((b, 1) for b in branch_nodes))
     )
-    width = max((len(k) for k in monos), default=1)
+    width = max((len(k) for k in mono_node), default=1)
     circuit = CCircuit(
         inputs=n,
         gates=tuple(gates),
@@ -384,7 +375,7 @@ def _bit_passthrough(n: int, bit: int, m: int, p: int) -> CCircuit:
     if atom is None:
         raise AssertionError(f"input bit {bit} has a constant indicator")
     return emit_modsum(
-        n, m, p, pool, ModSum(p, 0, {pool.get(atom): 1}),
+        n, m, p, pool, MultilinearPoly.variable(p, pool.get(atom)),
         and_layer=True, final=MOD,
     )
 
@@ -607,7 +598,8 @@ def _or_table(k: int) -> list[int]:
 
 def _constant_circuit(n: int, m: int, p: int, value: int) -> CCircuit:
     return emit_modsum(
-        n, m, p, AtomPool(), ModSum(p, value), and_layer=True, final=MOD
+        n, m, p, AtomPool(), MultilinearPoly.constant(p, value),
+        and_layer=True, final=MOD,
     )
 
 
@@ -620,12 +612,12 @@ def _base_modsum(
     p: int,
     delta: int,
     budget: Budget,
-) -> ModSum:
+) -> MultilinearPoly:
     acc, resid = _combined_indicator(value_table, target, dec, m, delta, budget)
     atom = make_atom(m, acc, {resid})
     if atom is None:
-        return ModSum(p, 1 if resid == 0 else 0)
-    return ModSum(p, 0, {pool.get(atom): 1})
+        return MultilinearPoly.constant(p, 1 if resid == 0 else 0)
+    return MultilinearPoly.variable(p, pool.get(atom))
 
 
 def compile_nilpotent(

@@ -2,8 +2,12 @@
 
 Three tools live here:
 
-- multilinear polynomials over boolean variables, with interpolation from
-  truth tables (every boolean function has a unique multilinear form);
+- ``MultilinearPoly``, the package's one GF(p) polynomial type over boolean
+  variables, with interpolation from truth tables (every boolean function
+  has a unique multilinear form).  Its variables are input bits or, in the
+  lowering, pool ids of MOD(m) atoms.  ``monomial_key`` is the one order in
+  which monomials are listed, and ``accumulate`` adds into a sparse dict of
+  coefficients;
 - the coset-indicator normal form: any f: Z_m^s -> Z_p with gcd(m, p) = 1
   as a Z_p-combination of indicators [beta . x + u == 0 (mod m)], built by a
   recursion on the arity for each prime factor of m and glued by CRT;
@@ -40,9 +44,24 @@ def prime_divisors(m: int) -> list[int]:
     return out
 
 
+def accumulate(acc: dict, key, c: int, mod: int) -> None:
+    """Add c to ``acc[key]`` mod ``mod``, dropping the key when it reaches 0."""
+    v = (acc.get(key, 0) + c) % mod
+    if v:
+        acc[key] = v
+    else:
+        acc.pop(key, None)
+
+
 # ---------------------------------------------------------------------------
 # Multilinear polynomials
 # ---------------------------------------------------------------------------
+
+
+def monomial_key(key: frozenset[int]) -> tuple[int, list[int]]:
+    """The order of monomials everywhere they are listed: by degree, then by
+    their sorted variables."""
+    return len(key), sorted(key)
 
 
 class MultilinearPoly:
@@ -78,11 +97,6 @@ class MultilinearPoly:
         terms[frozenset()] = const
         return MultilinearPoly(p, terms)
 
-    def copy(self) -> "MultilinearPoly":
-        out = MultilinearPoly(self.p)
-        out.terms = dict(self.terms)
-        return out
-
     # -- structure ---------------------------------------------------------
 
     def degree(self) -> int:
@@ -96,7 +110,7 @@ class MultilinearPoly:
         )
 
     def __repr__(self) -> str:
-        items = sorted(self.terms.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+        items = sorted(self.terms.items(), key=lambda kv: monomial_key(kv[0]))
         body = " + ".join(
             f"{c}*{'.'.join('x%d' % v for v in sorted(k)) or '1'}" for k, c in items
         )
@@ -112,11 +126,7 @@ class MultilinearPoly:
         self._check(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            v = (out.get(k, 0) + c) % self.p
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
+            accumulate(out, k, c, self.p)
         res = MultilinearPoly(self.p)
         res.terms = out
         return res
@@ -139,6 +149,7 @@ class MultilinearPoly:
         self._check(other)
         budget = budget or default_budget()
         out: dict[frozenset[int], int] = {}
+        # ``accumulate`` inlined: this is the hot loop of ``collapse_5to3``
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 k = k1 | k2
@@ -172,17 +183,6 @@ class MultilinearPoly:
                 term = term.mul(mapping.get(v, MultilinearPoly.variable(self.p, v)), budget)
             res = res.add(term)
         return res
-
-    # -- evaluation --------------------------------------------------------
-
-    def eval(self, assignment: Sequence[int]) -> int:
-        total = 0
-        for k, c in self.terms.items():
-            v = c
-            for i in k:
-                v = (v * assignment[i]) % self.p
-            total += v
-        return total % self.p
 
 
 def multilinear_interpolate(table: Sequence[int], p: int) -> MultilinearPoly:
@@ -223,35 +223,6 @@ def flat_index(xs: Sequence[int], m: int) -> int:
     return idx
 
 
-class CosetIndicatorSum:
-    """f(x) = sum of mu * [beta . x + u == 0 (mod m)] with mu in GF(p).
-
-    ``terms`` maps (beta tuple, u) to mu; gcd(m, p) = 1 throughout.
-    """
-
-    __slots__ = ("m", "p", "s", "terms")
-
-    def __init__(self, m: int, p: int, s: int, terms: dict):
-        self.m = m
-        self.p = p
-        self.s = s
-        self.terms: dict[tuple[tuple[int, ...], int], int] = {}
-        for (beta, u), mu in terms.items():
-            mu %= p
-            if mu:
-                self.terms[(tuple(b % m for b in beta), u % m)] = mu
-
-    def eval(self, xs: Sequence[int]) -> int:
-        total = 0
-        for (beta, u), mu in self.terms.items():
-            if (sum(b * x for b, x in zip(beta, xs)) + u) % self.m == 0:
-                total += mu
-        return total % self.p
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-
 def _zero_indicator_terms(q: int, k: int, p: int) -> dict:
     """Indicator of the zero tuple of Z_q^k as a combination of coset
     indicators, built by the arity-lowering recursion; q prime, q != p."""
@@ -259,21 +230,12 @@ def _zero_indicator_terms(q: int, k: int, p: int) -> dict:
     terms: dict[tuple[tuple[int, ...], int], int] = {((1,), 0): 1}
     for _ in range(2, k + 1):
         nxt: dict[tuple[tuple[int, ...], int], int] = {}
-
-        def bump(beta: tuple[int, ...], u: int, mu: int) -> None:
-            key = (beta, u % q)
-            val = (nxt.get(key, 0) + mu) % p
-            if val:
-                nxt[key] = val
-            else:
-                nxt.pop(key, None)
-
         for (beta, u), mu in terms.items():
             head, last = beta[:-1], beta[-1]
             for i in range(q):
-                bump(head + (last, (last * i) % q), u, mu * qinv)
+                accumulate(nxt, (head + (last, (last * i) % q), u), mu * qinv, p)
             for i in range(1, q):
-                bump(head + (0, last), u + last * i, -mu * qinv)
+                accumulate(nxt, (head + (0, last), (u + last * i) % q), -mu * qinv, p)
         terms = nxt
     return terms
 
@@ -284,16 +246,20 @@ def coset_indicator_form(
     s: int,
     p: int,
     budget: Optional[Budget] = None,
-) -> CosetIndicatorSum:
+) -> dict[tuple[tuple[int, ...], int], int]:
     """Express f: Z_m^s -> Z_p (flat row-major table) in coset-indicator
     normal form; m squarefree and coprime to the prime p.
+
+    Returns ``{(beta, u): mu}`` with f(x) = sum of mu * [beta . x + u == 0
+    (mod m)]: each beta a tuple in Z_m^s, u in Z_m and mu a nonzero
+    element of GF(p).
 
     First the zero-tuple indicator of Z_m^s is assembled: for each prime
     q | m the recursion gives the indicator of Z_q^s, which embeds into Z_m
     through multiplication by m/q, and the product over the primes collapses
     because an indicator product is the indicator of the CRT sum.  Shifting
     the zero indicator through every point and weighting by f recovers f.
-    The result is verified pointwise before return.
+    The result is checked at every point of Z_m^s before return.
     """
     budget = budget or default_budget()
     if prime_divisors(p) != [p]:
@@ -302,9 +268,6 @@ def coset_indicator_form(
         raise ValueError("m and p must be coprime")
     if len(values) != m**s:
         raise ValueError(f"table must have {m ** s} entries")
-    if m == 1:
-        # only the empty linear form; f is a constant
-        return CosetIndicatorSum(1, p, s, {((0,) * s, 0): values[0] % p})
 
     factors = prime_divisors(m)
     if math.prod(factors) != m:
@@ -323,46 +286,35 @@ def coset_indicator_form(
                     tuple((x + y) % m for x, y in zip(b1, b2)),
                     (u1 + u2) % m,
                 )
-                val = (merged.get(key, 0) + mu1 * mu2) % p
-                if val:
-                    merged[key] = val
-                else:
-                    merged.pop(key, None)
+                accumulate(merged, key, mu1 * mu2, p)
             charge(len(merged), budget.monomials, "coset indicator product")
         zero_terms = merged
 
+    # column idx of the grid is the point of row-major index idx
+    grid = np.indices((m,) * s).reshape(s, m**s)
     out: dict[tuple[tuple[int, ...], int], int] = {}
-    for idx, fval in enumerate(values):
+    for point, fval in zip(grid.T.tolist(), values):
         fval %= p
         if not fval:
             continue
-        point = []
-        rest = idx
-        for _ in range(s):
-            point.append(rest % m)
-            rest //= m
-        point.reverse()
         for (beta, u), mu in zero_terms.items():
             shift = (u - sum(b * a for b, a in zip(beta, point))) % m
-            key = (beta, shift)
-            val = (out.get(key, 0) + fval * mu) % p
-            if val:
-                out[key] = val
-            else:
-                out.pop(key, None)
+            accumulate(out, (beta, shift), fval * mu, p)
         charge(len(out), budget.monomials, "coset indicator form")
 
-    form = CosetIndicatorSum(m, p, s, out)
-    for idx in range(m**s):
-        point = []
-        rest = idx
-        for _ in range(s):
-            point.append(rest % m)
-            rest //= m
-        point.reverse()
-        if form.eval(point) != values[idx] % p:
-            raise AssertionError(f"coset indicator form wrong at {tuple(point)}")
-    return form
+    # the form on the whole grid: the terms sharing a beta make one lookup
+    # table over beta . x, in which [beta . x + u == 0] is entry -u
+    tables: dict[tuple[int, ...], np.ndarray] = {}
+    for (beta, u), mu in out.items():
+        tables.setdefault(beta, np.zeros(m, dtype=np.int64))[-u % m] += mu
+    got = np.zeros(m**s, dtype=np.int64)
+    for beta, table in tables.items():
+        got += table[np.asarray(beta, dtype=np.int64) @ grid % m]
+    bad = np.flatnonzero((got - np.asarray(values, dtype=np.int64)) % p)
+    if len(bad):
+        point = tuple(grid[:, bad[0]].tolist())
+        raise AssertionError(f"coset indicator form wrong at {point}")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ from .congruence import (
     structure,
     supernilpotent_rank,
 )
-from .fieldpoly import Cnf3, coset_indicator_form, flat_index, pseudo_and
+from .fieldpoly import Cnf3, coset_indicator_form, flat_index, monomial_key, pseudo_and
 from .fixtures import get_fixture
 from .limits import Budget, BudgetExceeded, default_budget
 from .localize import MinimalSet, minimal_set_through, minimal_sets
@@ -543,7 +543,7 @@ def beta_interpolate(
         return acc
 
     total = None
-    for (coeffs, u), mu in sorted(form.terms.items()):
+    for (coeffs, u), mu in sorted(form.items()):
         comb = None
         for i, coef in enumerate(coeffs):
             if coef % q == 0:
@@ -942,10 +942,8 @@ def build_two_prime_program(
 
         pattern_cache: dict[int, AlgCircuit] = {}
         total = None
-        for key in sorted(poly.terms, key=lambda k: (len(k), sorted(k))):
-            lam = poly.terms[key] % q
-            if lam == 0:
-                continue
+        for key in sorted(poly.terms, key=monomial_key):
+            lam = poly.terms[key]
             if len(key) > MAX_INTERPOLATION_ARITY:
                 raise BudgetExceeded(
                     f"monomial support {len(key)} exceeds the interpolation "

@@ -4,19 +4,22 @@ The passes share one symbolic currency.  A *mod atom* is the boolean
 indicator [linear form over monomials of the input bits lands in an
 accepting set mod m]; it corresponds to one MOD(m) gate, wired either
 straight to the inputs or through one level of AND gates (the monomials).
-Every intermediate value is a GF(p) combination ``offset + sum mu_t * atom_t``
-(a :class:`ModSum`).  Two facts drive all rewrites:
+An ``AtomPool`` numbers the atoms, and every intermediate value is a
+``MultilinearPoly`` over GF(p) whose variables are pool ids.  The values a
+pass emits are affine, ``offset + sum mu_t * atom_t``; this module calls
+such a polynomial of degree <= 1 a *sum*.  Two facts drive all rewrites:
 
-- a *conjunction* of atoms is again a ModSum: view it as a function
+- a *conjunction* of atoms is again a sum: view it as a function
   Z_m^d -> Z_p of the raw linear-form values, take its coset-indicator
   normal form, and substitute the forms back in (the composed terms are
   single MOD(m) gates);
-- any polynomial over atom booleans therefore collapses to a ModSum by
+- any polynomial over atom booleans therefore collapses to a sum by
   expanding monomial by monomial.
 
-Emission turns a ModSum into MOD(m)∘SUMP(p) (open affine output),
+Emission turns a sum into MOD(m)∘SUMP(p) (open affine output),
 MOD(m)∘MOD(p) (boolean output), or the AND-prefixed versions when the
-monomials need an AND level.  All passes compare the truth table of their
+monomials need an AND level; ``monomial_gates`` builds that AND level for
+every circuit that has one.  All passes compare the truth table of their
 output with the input's on up to 2^14 words (``VERIFY_INPUT_BOUND``) and
 report sizes.
 """
@@ -27,13 +30,15 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .fieldpoly import (
     MultilinearPoly,
+    accumulate,
     coset_indicator_form,
+    monomial_key,
     multilinear_interpolate,
     prime_divisors,
 )
@@ -89,13 +94,13 @@ def make_atom(
             items.append((frozenset(key), c))
     if not items:
         return None
-    items.sort(key=lambda kc: (len(kc[0]), sorted(kc[0]), kc[1]))
+    items.sort(key=lambda kc: (monomial_key(kc[0]), kc[1]))
     return ModAtom(m, tuple(items), frozenset(a % m for a in accepting))
 
 
 def _atom_sort_key(a: ModAtom):
     return (
-        [(len(k), sorted(k), c) for k, c in a.coeffs],
+        [(monomial_key(k), c) for k, c in a.coeffs],
         sorted(a.accepting),
     )
 
@@ -116,43 +121,9 @@ class AtomPool:
         return idx
 
 
-class ModSum:
-    """offset + sum of coeff * atom over GF(p), atoms referenced by pool id."""
-
-    __slots__ = ("p", "offset", "coeffs")
-
-    def __init__(self, p: int, offset: int = 0, coeffs: Optional[dict] = None):
-        self.p = p
-        self.offset = offset % p
-        self.coeffs: dict[int, int] = {}
-        if coeffs:
-            for i, c in coeffs.items():
-                c %= p
-                if c:
-                    self.coeffs[i] = c
-
-    def add(self, other: "ModSum") -> "ModSum":
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            v = (out.get(i, 0) + c) % self.p
-            if v:
-                out[i] = v
-            else:
-                out.pop(i, None)
-        return ModSum(self.p, self.offset + other.offset, out)
-
-    def scale(self, c: int) -> "ModSum":
-        return ModSum(
-            self.p, self.offset * c, {i: v * c for i, v in self.coeffs.items()}
-        )
-
-    def as_poly(self) -> MultilinearPoly:
-        return MultilinearPoly.affine(self.p, dict(self.coeffs), self.offset)
-
-
 def _conj_modsum_mod2(
     pool: AtomPool, atoms: Sequence[ModAtom], p: int
-) -> ModSum:
+) -> MultilinearPoly:
     """Fast conjunction for m = 2: [y=r] = (1 + (-1)^(y+r))/2 over GF(p),
     so the product expands into XOR-combinations of the parity forms."""
     forms: list[frozenset] = []
@@ -161,12 +132,12 @@ def _conj_modsum_mod2(
         if a.accepting == frozenset({0, 1}):
             continue  # constant 1 factor
         if not a.accepting:
-            return ModSum(p)  # constant 0 factor
+            return MultilinearPoly(p)  # constant 0 factor
         forms.append(frozenset(key for key, _ in a.coeffs))
         residues.append(0 if 0 in a.accepting else 1)
     k = len(forms)
     if k == 0:
-        return ModSum(p, 1)
+        return MultilinearPoly.constant(p, 1)
     inv2 = pow(2, -1, p)
     unit = pow(inv2, k - 1, p)
     offset = 0
@@ -190,17 +161,15 @@ def _conj_modsum_mod2(
             offset += coeff
     if all(r == 0 for r in residues):
         offset -= 1
-    out = ModSum(p, offset)
-    coeffs: dict[int, int] = {}
+    terms = {frozenset(): offset}
     for form, c in acc.items():
         if c % p == 0:
             continue
         atom = make_atom(2, {key: 1 for key in form}, {0})
         if atom is None:
             raise AssertionError("conjunction form collapsed to a constant")
-        coeffs[pool.get(atom)] = c % p
-    out.coeffs = coeffs
-    return out
+        terms[frozenset([pool.get(atom)])] = c
+    return MultilinearPoly(p, terms)
 
 
 # Keyed by (m, p, accepting profile): the coset machinery depends only on
@@ -213,7 +182,31 @@ def _conj_normal_form(m: int, p: int, accepting: tuple[frozenset, ...]):
         for ys in product(range(m), repeat=d)
     ]
     form = coset_indicator_form(values, m, d, p)
-    return tuple((beta, u, mu) for (beta, u), mu in form.terms.items())
+    return tuple((beta, u, mu) for (beta, u), mu in form.items())
+
+
+def _conj_modsum_coset(
+    pool: AtomPool, atoms: Sequence[ModAtom], p: int
+) -> MultilinearPoly:
+    """Conjunction through the coset-indicator normal form of the atoms'
+    accepting profile: each term, composed with the atoms' linear forms,
+    is one MOD(m) atom."""
+    m = atoms[0].m
+    out = MultilinearPoly(p)
+    for beta, u, mu in _conj_normal_form(m, p, tuple(a.accepting for a in atoms)):
+        acc: dict[Key, int] = {}
+        for b, a in zip(beta, atoms):
+            if b == 0:
+                continue
+            for key, c in a.coeffs:
+                accumulate(acc, key, b * c, m)
+        atom = make_atom(m, acc, {(-u) % m})
+        if atom is None:
+            if u % m == 0:
+                accumulate(out.terms, frozenset(), mu, p)
+        else:
+            accumulate(out.terms, frozenset([pool.get(atom)]), mu, p)
+    return out
 
 
 def conj_modsum(
@@ -221,11 +214,11 @@ def conj_modsum(
     indices: Sequence[int],
     p: int,
     budget: Optional[Budget] = None,
-) -> ModSum:
-    """The conjunction of the pooled atoms as a ModSum."""
+) -> MultilinearPoly:
+    """The conjunction of the pooled atoms as a sum over pool ids."""
     budget = budget or default_budget()
     if not indices:
-        return ModSum(p, 1)
+        return MultilinearPoly.constant(p, 1)
     atoms = [pool.atoms[i] for i in indices]
     m = atoms[0].m
     if any(a.m != m for a in atoms):
@@ -233,38 +226,21 @@ def conj_modsum(
     charge(m ** len(atoms), budget.monomials, "conjunction table")
     if m == 2 and p % 2 == 1:
         return _conj_modsum_mod2(pool, atoms, p)
-    out = ModSum(p)
-    for beta, u, mu in _conj_normal_form(m, p, tuple(a.accepting for a in atoms)):
-        acc: dict[Key, int] = {}
-        for b, a in zip(beta, atoms):
-            if b == 0:
-                continue
-            for key, c in a.coeffs:
-                v = (acc.get(key, 0) + b * c) % m
-                if v:
-                    acc[key] = v
-                else:
-                    acc.pop(key, None)
-        atom = make_atom(m, acc, {(-u) % m})
-        if atom is None:
-            if u % m == 0:
-                out = out.add(ModSum(p, mu))
-        else:
-            out = out.add(ModSum(p, 0, {pool.get(atom): mu}))
-    return out
+    return _conj_modsum_coset(pool, atoms, p)
 
 
 def poly_to_modsum(
     pool: AtomPool,
     poly: MultilinearPoly,
     budget: Optional[Budget] = None,
-) -> ModSum:
-    """Collapse a polynomial over atom booleans (variables = pool ids)."""
+) -> MultilinearPoly:
+    """Collapse a polynomial over atom booleans (variables = pool ids) to a
+    sum."""
     budget = budget or default_budget()
-    out = ModSum(poly.p)
+    out = MultilinearPoly(poly.p)
     for subset, coeff in poly.terms.items():
         out = out.add(conj_modsum(pool, sorted(subset), poly.p, budget).scale(coeff))
-        charge(len(out.coeffs), budget.monomials, "polynomial collapse")
+        charge(len(out.terms), budget.monomials, "polynomial collapse")
     return out
 
 
@@ -279,8 +255,7 @@ class _Ingested:
     m: int
     p: int
     pool: AtomPool
-    # per layer-"MOD(p) gate" node id: (affine coeffs over pool ids, shift)
-    modsum: ModSum
+    modsum: MultilinearPoly  # the output gate's value, a sum over pool ids
 
 
 def _layer_count(circuit: CCircuit) -> int:
@@ -342,11 +317,7 @@ def _mod_layer_atoms(
                 raise ValueError("MOD layer reads a non-monomial node")
             if not key:  # AND of zero inputs: constant 1
                 raise ValueError("constant AND gates under MOD not supported")
-            v = (acc.get(key, 0) + mult) % gate.m
-            if v:
-                acc[key] = v
-            else:
-                acc.pop(key, None)
+            accumulate(acc, key, mult, gate.m)
         atom = make_atom(gate.m, acc, gate.accepting)
         node = circuit.inputs + gid
         if atom is None:
@@ -382,13 +353,13 @@ def _chi_poly(
     return total
 
 
-# circuits produced by emit_modsum remember their ModSum so re-ingesting
+# circuits produced by emit_modsum remember their sum so re-ingesting
 # (apply_func gluing, repeated cache hits) is a dictionary lookup
 _INGEST_CACHE: dict[CCircuit, _Ingested] = {}
 
 
 def _ingest_modmod(circuit: CCircuit, budget: Budget) -> _Ingested:
-    """Parse MOD(m)∘MOD(p) or AND∘MOD(m)∘MOD(p) into a ModSum."""
+    """Parse MOD(m)∘MOD(p) or AND∘MOD(m)∘MOD(p) into a sum over atoms."""
     cached = _INGEST_CACHE.get(circuit)
     if cached is not None:
         return cached
@@ -415,42 +386,56 @@ def _ingest_modmod(circuit: CCircuit, budget: Budget) -> _Ingested:
     return result
 
 
+def monomial_gates(
+    n: int, monomials: Iterable[Key]
+) -> tuple[list[Gate], dict[Key, int]]:
+    """The layer-1 AND gates of a circuit on n inputs, one per monomial in
+    ``monomial_key`` order, and the node id of each monomial's gate."""
+    gates: list[Gate] = []
+    node_of: dict[Key, int] = {}
+    for key in sorted(monomials, key=monomial_key):
+        node_of[key] = n + len(gates)
+        gates.append(Gate(kind=AND, layer=1, wires=tuple((i, 1) for i in sorted(key))))
+    return gates, node_of
+
+
+def _affine_parts(modsum: MultilinearPoly) -> tuple[int, dict[int, int]]:
+    """The constant and the pool-id coefficients of a sum."""
+    if modsum.degree() > 1:
+        raise ValueError(f"a sum of degree {modsum.degree()} is not affine")
+    coeffs = {next(iter(k)): c for k, c in modsum.terms.items() if k}
+    return modsum.terms.get(frozenset(), 0), coeffs
+
+
 def emit_modsum(
     n: int,
     m: int,
     p: int,
     pool: AtomPool,
-    modsum: ModSum,
+    modsum: MultilinearPoly,
     *,
     and_layer: Optional[bool] = None,
     final: str = MOD,
 ) -> CCircuit:
-    """Materialise a ModSum as a layered circuit.
+    """Materialise a sum over pool ids as a layered circuit.
 
     ``final=MOD`` needs the sum to be boolean-valued and yields
     [AND∘]MOD(m)∘MOD(p); ``final=SUMP`` yields [AND∘]MOD(m)∘SUMP(p).
     """
-    order = sorted(modsum.coeffs, key=lambda i: _atom_sort_key(pool.atoms[i]))
-    keys: set[Key] = set()
-    for i in order:
-        for key, _ in pool.atoms[i].coeffs:
-            keys.add(key)
+    offset, coeffs = _affine_parts(modsum)
+    order = sorted(coeffs, key=lambda i: _atom_sort_key(pool.atoms[i]))
+    keys = {key for i in order for key, _ in pool.atoms[i].coeffs}
     if and_layer is None:
         and_layer = any(len(k) != 1 for k in keys)
     if not and_layer and any(len(k) != 1 for k in keys):
         raise ValueError("monomials of size != 1 need an AND layer")
 
-    gates: list[Gate] = []
-    node_of: dict[Key, int] = {}
     if and_layer:
-        for key in sorted(keys, key=lambda k: (len(k), sorted(k))):
-            node_of[key] = n + len(gates)
-            gates.append(
-                Gate(kind=AND, layer=1, wires=tuple((i, 1) for i in sorted(key)))
-            )
+        gates, node_of = monomial_gates(n, keys)
         mod_layer = 2
         and_width = max((len(k) for k in keys), default=1)
     else:
+        gates = []
         node_of = {k: next(iter(k)) for k in keys}
         mod_layer = 1
     atom_node: dict[int, int] = {}
@@ -474,8 +459,8 @@ def emit_modsum(
                 wires=tuple((atom_node[i], 1) for i in order),
                 p=p,
                 nu=1,
-                coeffs=tuple((modsum.coeffs[i],) for i in order),
-                offset=(modsum.offset,),
+                coeffs=tuple((coeffs[i],) for i in order),
+                offset=(offset,),
             )
         )
         last = f"SUMP({p})"
@@ -484,9 +469,9 @@ def emit_modsum(
             Gate(
                 kind=MOD,
                 layer=mod_layer + 1,
-                wires=tuple((atom_node[i], modsum.coeffs[i]) for i in order),
+                wires=tuple((atom_node[i], coeffs[i]) for i in order),
                 m=p,
-                accepting=frozenset({(1 - modsum.offset) % p}),
+                accepting=frozenset({(1 - offset) % p}),
             )
         )
         last = f"MOD({p})"
@@ -500,9 +485,7 @@ def emit_modsum(
     if final == MOD:
         # contract: a MOD-final emission is only asked for boolean sums, so
         # the circuit's indicator semantics coincide with the sum itself
-        _INGEST_CACHE[circuit] = _Ingested(
-            n, m, p, pool, ModSum(p, modsum.offset, dict(modsum.coeffs))
-        )
+        _INGEST_CACHE[circuit] = _Ingested(n, m, p, pool, modsum)
     return circuit
 
 
@@ -598,14 +581,11 @@ def and_sum_lower(
             else:
                 monomials.setdefault(key, [0] * k)[j] = c
     charge(len(monomials), budget.monomials, "interpolated monomials")
-    gates: list[Gate] = []
-    order = sorted(monomials, key=lambda s: (len(s), sorted(s)))
-    for key in order:
-        gates.append(Gate(kind=AND, layer=1, wires=tuple((i, 1) for i in sorted(key))))
+    gates, node_of = monomial_gates(n, monomials)
     gates.append(
         Gate(kind=SUMP, layer=2,
-             wires=tuple((n + gid, 1) for gid in range(len(order))), p=p, nu=k,
-             coeffs=tuple(tuple(monomials[key]) for key in order),
+             wires=tuple((node, 1) for node in node_of.values()), p=p, nu=k,
+             coeffs=tuple(tuple(monomials[key]) for key in node_of),
              offset=tuple(offset))
     )
     circuit = CCircuit(
@@ -644,7 +624,7 @@ def modm_andd_to_sum(
                 const_zero = True
         else:
             indices.append(idx)
-    modsum = ModSum(p, 0) if const_zero else conj_modsum(pool, indices, p, budget)
+    modsum = MultilinearPoly(p) if const_zero else conj_modsum(pool, indices, p, budget)
     lowered = emit_modsum(circuit.inputs, m, p, pool, modsum,
                           and_layer=False, final=SUMP)
     verified = _verify_tables(
@@ -724,21 +704,20 @@ def apply_func(
     if any(f.inputs != n for f in fs):
         raise ValueError("all circuits must read the same input word")
     pool = AtomPool()
-    sums: list[ModSum] = []
+    sums: list[MultilinearPoly] = []
     m = None
     p = None
     levels3 = False
     for f in fs:
         levels3 = levels3 or _layer_count(f) == 3
         ing = _ingest_modmod(f, budget)
-        # re-intern into the shared pool
-        remap: dict[int, int] = {
-            i: pool.get(a) for i, a in enumerate(ing.pool.atoms)
-        }
-        sums.append(
-            ModSum(ing.p, ing.modsum.offset,
-                   {remap[i]: c for i, c in ing.modsum.coeffs.items()})
-        )
+        # re-intern into the shared pool, constant last: the order of the
+        # composed terms fixes the ids of new atoms, which later passes read
+        remap = [pool.get(a) for a in ing.pool.atoms]
+        offset, coeffs = _affine_parts(ing.modsum)
+        sums.append(MultilinearPoly.affine(
+            ing.p, {remap[i]: c for i, c in coeffs.items()}, offset
+        ))
         if m is None:
             m, p = ing.m, ing.p
         elif (ing.m, ing.p) != (m, p):
@@ -746,9 +725,7 @@ def apply_func(
     if m is None or p is None:
         raise AssertionError("no input circuit fixed the moduli")
     g_poly = multilinear_interpolate(g_table, p)
-    composed = g_poly.substitute(
-        {j: sums[j].as_poly() for j in range(k)}, budget
-    )
+    composed = g_poly.substitute(dict(enumerate(sums)), budget)
     modsum = poly_to_modsum(pool, composed, budget)
     lowered = emit_modsum(n, m, p, pool, modsum,
                           and_layer=True if levels3 else None, final=MOD)
@@ -786,7 +763,7 @@ def collapse_5to3(
     atoms = _mod_layer_atoms(circuit, 2, keys, pool)
     m = _layer_modulus(circuit, 2, p)
 
-    # layer 3: the MOD(p)-rooted boolean sub-results, as ModSums
+    # layer 3: the MOD(p)-rooted boolean sub-results, as polynomials
     f_polys: dict[int, MultilinearPoly] = {}
     for gid, gate in enumerate(circuit.gates):
         if gate.layer != 3:

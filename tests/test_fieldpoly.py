@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,9 +13,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import interpolate_reference as reference
+from nudfa import fieldpoly
 from nudfa.fieldpoly import (
     Cnf3,
     MultilinearPoly,
+    accumulate,
     clause_poly,
     coset_indicator_form,
     divisibility_coeffs,
@@ -33,6 +36,12 @@ def all_words(n):
     return itertools.product((0, 1), repeat=n)
 
 
+def value_at(poly, point):
+    """The polynomial's value at one point, term by term."""
+    terms = poly.terms.items()
+    return sum(c * math.prod(point[i] for i in k) for k, c in terms) % poly.p
+
+
 # -- multilinear polynomials -------------------------------------------------
 
 
@@ -45,7 +54,7 @@ def test_interpolation_matches_the_table_pointwise():
             assert poly.degree() <= n
             for row in range(1 << n):
                 point = [(row >> i) & 1 for i in range(n)]
-                assert poly.eval(point) == table[row] % p
+                assert value_at(poly, point) == table[row] % p
 
 
 def test_interpolation_of_named_tables():
@@ -112,11 +121,12 @@ def test_ring_operations_agree_with_pointwise_arithmetic():
         g = multilinear_interpolate([rng.randrange(p) for _ in range(8)], p)
         c = rng.randrange(p)
         for point in all_words(n):
-            assert f.add(g).eval(point) == (f.eval(point) + g.eval(point)) % p
-            assert f.sub(g).eval(point) == (f.eval(point) - g.eval(point)) % p
-            assert f.scale(c).eval(point) == c * f.eval(point) % p
-            assert f.mul(g).eval(point) == f.eval(point) * g.eval(point) % p
-            assert f.power(3).eval(point) == pow(f.eval(point), 3, p)
+            fv, gv = value_at(f, point), value_at(g, point)
+            assert value_at(f.add(g), point) == (fv + gv) % p
+            assert value_at(f.sub(g), point) == (fv - gv) % p
+            assert value_at(f.scale(c), point) == c * fv % p
+            assert value_at(f.mul(g), point) == fv * gv % p
+            assert value_at(f.power(3), point) == pow(fv, 3, p)
 
 
 def test_substitution_composes_polynomials():
@@ -125,7 +135,7 @@ def test_substitution_composes_polynomials():
     g = MultilinearPoly.variable(p, 2)
     h = f.substitute({0: g})
     for point in all_words(3):
-        assert h.eval(point) == (point[2] + point[1]) % p
+        assert value_at(h, point) == (point[2] + point[1]) % p
 
 
 # -- coset indicator sums ----------------------------------------------------
@@ -137,6 +147,15 @@ def test_flat_index_is_big_endian():
     assert flat_index((), 4) == 0
 
 
+def coset_value(form, xs, m, p):
+    """A coset-indicator form's value at one point, term by term."""
+    return sum(
+        mu
+        for (beta, u), mu in form.items()
+        if (sum(b * x for b, x in zip(beta, xs)) + u) % m == 0
+    ) % p
+
+
 @pytest.mark.parametrize("m,p", [(2, 3), (3, 2), (6, 5)])
 @pytest.mark.parametrize("s", [1, 2])
 def test_coset_form_reproduces_random_functions(m, p, s):
@@ -144,9 +163,32 @@ def test_coset_form_reproduces_random_functions(m, p, s):
     for _ in range(5):
         table = [rng.randrange(p) for _ in range(m**s)]
         form = coset_indicator_form(table, m, s, p)
-        assert form.m == m and form.p == p and form.s == s
+        for (beta, u), mu in form.items():
+            assert len(beta) == s and all(0 <= b < m for b in beta)
+            assert 0 <= u < m and 0 < mu < p
         for xs in itertools.product(range(m), repeat=s):
-            assert form.eval(xs) == table[flat_index(xs, m)]
+            assert coset_value(form, xs, m, p) == table[flat_index(xs, m)]
+
+
+def test_a_wrong_coset_form_is_caught_at_its_first_point(monkeypatch):
+    """The check over the whole grid still fires.  A zero indicator of
+    Z_3^2 that also holds on the line y_0 == 0 turns the form of
+    [x == (1, 2)] into [x == (1, 2)] + [x_0 == 1] over GF(2), wrong at the
+    three points with x_0 == 1; the first of them in row-major order is
+    (1, 0)."""
+    real = fieldpoly._zero_indicator_terms
+
+    def corrupted(q, k, p):
+        terms = dict(real(q, k, p))
+        accumulate(terms, ((1,) + (0,) * (k - 1), 0), 1, p)
+        return terms
+
+    table = [0] * 9
+    table[flat_index((1, 2), 3)] = 1
+    assert coset_value(coset_indicator_form(table, 3, 2, 2), (1, 2), 3, 2) == 1
+    monkeypatch.setattr(fieldpoly, "_zero_indicator_terms", corrupted)
+    with pytest.raises(AssertionError, match=re.escape("wrong at (1, 0)")):
+        coset_indicator_form(table, 3, 2, 2)
 
 
 def test_coset_form_rejects_bad_parameters():
@@ -226,7 +268,7 @@ def test_clause_polynomial_is_the_satisfaction_indicator():
             poly = clause_poly(p, clause)
             for point in all_words(n):
                 want = 1 if Cnf3.clause_value(clause, point) else 0
-                assert poly.eval(point) == want
+                assert value_at(poly, point) == want
 
 
 @pytest.mark.parametrize("p,nu", [(2, 1), (2, 2), (3, 1)])
@@ -239,4 +281,4 @@ def test_pseudo_and_vanishes_on_divisible_unsat_counts(p, nu):
     assert poly.degree() <= 3 * (bound - 1)
     for point in all_words(cnf.num_vars):
         want_zero = cnf.unsat_count(point) % bound == 0
-        assert (poly.eval(point) == 0) == want_zero
+        assert (value_at(poly, point) == 0) == want_zero

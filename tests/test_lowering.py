@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -9,13 +10,19 @@ import pytest
 
 from conftest import scalar
 
+from nudfa.fieldpoly import MultilinearPoly
 from nudfa.lowering import (
     VERIFY_INPUT_BOUND,
+    AtomPool,
+    _conj_modsum_coset,
+    _conj_modsum_mod2,
     _verify_tables,
     and_sum_lower,
     apply_func,
     collapse_5to3,
+    emit_modsum,
     finalize_boolean_sum,
+    make_atom,
     modm_andd_to_sum,
     unmod,
 )
@@ -205,6 +212,62 @@ def test_five_layer_collapse_to_three():
         assert lowered.declared_shape.count("∘") == 2
 
 
+def atom_value(atom, word):
+    """An atom's indicator on the word whose bit i is (word >> i) & 1."""
+    total = sum(c for key, c in atom.coeffs if all(word >> i & 1 for i in key))
+    return int(total % atom.m in atom.accepting)
+
+
+def sum_table(pool, modsum, n):
+    """A sum over pool ids on every word of n bits, term by term."""
+    return [
+        sum(
+            c * math.prod(atom_value(pool.atoms[i], word) for i in key)
+            for key, c in modsum.terms.items()
+        ) % modsum.p
+        for word in range(1 << n)
+    ]
+
+
+def test_the_two_conjunction_routes_agree_on_every_word():
+    """For m = 2 and odd p, a conjunction of atoms has two routes: the
+    Gray-code expansion and the coset normal form.  Both give the
+    conjunction on every word, but mostly through different atoms, so
+    dropping either route would change the circuits it emits."""
+    rng = random.Random(12)
+    differ = 0
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        p = rng.choice((3, 5, 7))
+        atoms = []
+        for _ in range(rng.randint(1, 4)):
+            form = {
+                frozenset(rng.sample(range(n), rng.randint(1, min(2, n)))): 1
+                for _ in range(rng.randint(1, 3))
+            }
+            atom = make_atom(2, form, rand_subset(rng, 2))
+            if atom is not None and atom not in atoms:
+                atoms.append(atom)
+        if not atoms:
+            continue
+        want = [
+            int(all(atom_value(a, word) for a in atoms)) for word in range(1 << n)
+        ]
+        forms = []
+        for route in (_conj_modsum_mod2, _conj_modsum_coset):
+            pool = AtomPool()
+            for atom in atoms:
+                pool.get(atom)
+            modsum = route(pool, atoms, p)
+            assert modsum.degree() <= 1
+            assert sum_table(pool, modsum, n) == want
+            forms.append({
+                tuple(pool.atoms[i] for i in key): c for key, c in modsum.terms.items()
+            })
+        differ += forms[0] != forms[1]
+    assert differ > 0
+
+
 def test_passes_reject_mismatched_shapes():
     rng = random.Random(8)
     and_circ = CCircuit(
@@ -218,6 +281,8 @@ def test_passes_reject_mismatched_shapes():
         collapse_5to3(and_circ)
     with pytest.raises(ValueError):
         and_sum_lower([0, 1, 1], 3)
+    with pytest.raises(ValueError, match="degree 2"):
+        emit_modsum(2, 3, 2, AtomPool(), MultilinearPoly(2, {frozenset({0, 1}): 1}))
 
 
 def test_unmod_rejects_shared_primes():

@@ -282,3 +282,86 @@ def test_the_loop_check_sees_repeated_calls():
         assert len(_repeated_one_row_calls(ast.parse(source))) == 1, source
     for source in once:
         assert _repeated_one_row_calls(ast.parse(source)) == [], source
+
+
+def _outside(tree: ast.AST, owner: str, hit) -> list[int]:
+    """Lines of the nodes of ``tree`` that ``hit`` accepts, outside any
+    function named ``owner``."""
+    inside = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == owner
+        for node in ast.walk(fn)
+    }
+    return [
+        node.lineno for node in ast.walk(tree) if id(node) not in inside and hit(node)
+    ]
+
+
+def _is_monomial_order(node: ast.AST) -> bool:
+    """A tuple holding ``len(x), sorted(x)`` side by side."""
+    if not isinstance(node, ast.Tuple):
+        return False
+    calls = [
+        (e.func.id, ast.dump(e.args[0]))
+        if isinstance(e, ast.Call) and isinstance(e.func, ast.Name) and len(e.args) == 1
+        else None
+        for e in node.elts
+    ]
+    return any(
+        a and b and (a[0], b[0]) == ("len", "sorted") and a[1] == b[1]
+        for a, b in zip(calls, calls[1:])
+    )
+
+
+def _is_layer_one_and(node: ast.AST) -> bool:
+    """A ``Gate`` call with kind ``AND`` and layer 1, by position or keyword."""
+    if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Gate"):
+        return False
+    args = dict(zip(("kind", "layer"), node.args))
+    args.update((kw.arg, kw.value) for kw in node.keywords)
+    layer = args.get("layer")
+    return (
+        getattr(args.get("kind"), "id", None) == "AND"
+        and isinstance(layer, ast.Constant)
+        and layer.value == 1
+    )
+
+
+OWNERS = {"monomial_key": _is_monomial_order, "monomial_gates": _is_layer_one_and}
+
+
+def test_the_monomial_order_and_the_and_layer_have_one_owner():
+    """Only ``fieldpoly.monomial_key`` spells the monomial order
+    ``(len(k), sorted(k))``, and only ``lowering.monomial_gates`` builds
+    layer-1 AND gates, so every circuit lists its monomials alike."""
+    found = [
+        f"{path.name}:{line} {owner}"
+        for path in MODULES
+        for owner, hit in OWNERS.items()
+        for line in _outside(_parse(path), owner, hit)
+    ]
+    assert found == []
+
+
+def test_the_owner_checks_see_copies():
+    copies = {
+        "sorted(ks, key=lambda k: (len(k), sorted(k)))\n": "monomial_key",
+        "xs.sort(key=lambda kc: (len(kc[0]), sorted(kc[0]), kc[1]))\n": "monomial_key",
+        "g = Gate(kind=AND, layer=1, wires=w)\n": "monomial_gates",
+        "g = Gate(AND, 1, w)\n": "monomial_gates",
+        "def f(k):\n    return Gate(AND, layer=1, wires=k)\n": "monomial_gates",
+    }
+    owned = {
+        "def monomial_key(k):\n    return len(k), sorted(k)\n": "monomial_key",
+        "x = (len(a), sorted(b))\n": "monomial_key",
+        "x = (sorted(k), len(k))\n": "monomial_key",
+        "def monomial_gates(n, ks):\n    return [Gate(AND, 1, k) for k in ks]\n":
+            "monomial_gates",
+        "g = Gate(kind=AND, layer=4, wires=w)\n": "monomial_gates",
+        "g = Gate(MOD, 1, w, m=2)\n": "monomial_gates",
+    }
+    for source, owner in copies.items():
+        assert len(_outside(ast.parse(source), owner, OWNERS[owner])) == 1, source
+    for source, owner in owned.items():
+        assert _outside(ast.parse(source), owner, OWNERS[owner]) == [], source
