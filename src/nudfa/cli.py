@@ -52,7 +52,6 @@ from .fixtures import (
 )
 from .hardness import (
     GadgetSearchError,
-    WitnessFailure,
     build_two_prime_program,
     cnf_to_lattice_program,
     find_two_prime_witness,
@@ -547,24 +546,22 @@ def _cmd_gadget_lattice(args) -> int:
 def _cmd_gadget_twoprime(args) -> int:
     algebra = resolve_algebra(args.algebra)
     budget = default_budget()
-    witness = find_two_prime_witness(algebra, budget)
-    if isinstance(witness, WitnessFailure):
+    try:
+        sides = find_two_prime_witness(algebra, budget)
+    except GadgetSearchError as exc:
         _emit(
             {
-                "error": {
-                    "stage": witness.stage,
-                    "detail": witness.detail,
-                },
+                "error": {"stage": exc.stage, "detail": exc.detail},
                 "kind": "witness-failure",
             }
         )
         return 1
     cnf = _load_cnf(args.cnf)
-    program = build_two_prime_program(algebra, witness, cnf, budget=budget)
+    program = build_two_prime_program(algebra, sides, cnf, budget=budget)
     doc: dict = {
         "gadget": "twoprime",
         "algebra": algebra.name,
-        "primes": sorted(side.q for side in witness.sides),
+        "primes": sorted(cfg.out_char for cfg in sides),
         "cnf_vars": cnf.num_vars,
         "clauses": len(cnf.clauses),
         "n": program.n,

@@ -49,10 +49,11 @@ helpers below them are handed that Structure or a view of it, so none
 makes a second one or a quotient's lattice.  The lattice builder and the
 matrix commutator, which take a bare algebra, make the translation
 columns that ``congruence_generated`` closes under themselves.
-``structure`` hands out one Structure per budget, size and operations for the run, so an algebra and its copies under other names
-share one, whose ``algebra`` is the copy seen first: names come from the
-caller's algebra.  The memo holds at most ``STRUCTURE_MEMO_SIZE``
-structures, oldest out first, and ``cli.main`` empties it on every call.
+``structure`` hands out one Structure per budget, size and operations for
+the run, so an algebra and its copies under other names share one, whose
+``algebra`` is the copy seen first: names come from the caller's algebra.
+The memo holds at most ``STRUCTURE_MEMO_SIZE`` structures, oldest out
+first, and ``cli.main`` empties it on every call.
 On top of these sit characteristics of prime quotients, intervals that
 decompose into independent single-prime pieces, and the distinguished
 congruences that drive the circuit compiler.

@@ -16,24 +16,28 @@ Three constructions live here:
   that make the construction go through; ``complete_interpolation_config``
   searches for them and validates every required condition.
 
-* ``find_two_prime_witness`` / ``build_two_prime_program`` assemble, on an
-  algebra whose congruence lattice exhibits two distinct primes below the
-  co-supernilpotent congruence, a program that accepts a bit string iff it
-  satisfies a given 3-CNF.  Satisfiability is detected by a pair of
-  divisibility polynomials over the two primes; a counting argument makes
-  simultaneous vanishing equivalent to "zero unsatisfied clauses".
+* ``find_two_prime_witness`` returns one such configuration per prime, on
+  an algebra whose congruence lattice exhibits two distinct primes below
+  the co-supernilpotent congruence, and ``build_two_prime_program`` turns
+  the pair into a program that accepts a bit string iff it satisfies a
+  given 3-CNF.  Satisfiability is detected by a pair of divisibility
+  polynomials over the two primes; a counting argument makes simultaneous
+  vanishing equivalent to "zero unsatisfied clauses".
 
-All discovered artifacts are circuits with evaluation-verified semantics:
-``beta_interpolate`` checks its output exhaustively on the input cube, and
-``build_two_prime_program`` replays the full truth table against direct
-formula evaluation whenever the variable count allows it.
+Every search raises ``GadgetSearchError`` naming the first fact it cannot
+match.  All discovered artifacts are circuits with evaluation-verified
+semantics: ``beta_interpolate`` checks its output exhaustively on the input
+cube, and ``build_two_prime_program`` replays the full truth table against
+direct formula evaluation whenever the variable count allows it.  Minimal
+sets follow Hobby and McKenzie, *The Structure of Finite Algebras*, 1988.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -127,7 +131,7 @@ def cnf_to_lattice_program(cnf: Cnf3) -> AlgProgram:
 class BetaIntConfig:
     """Validated data for interpolating two-letter patterns modulo ``lower``.
 
-    The chain ``lower < mid < upper`` consists of two covering steps with
+    The chain lower < mid < upper consists of two covering steps with
     distinct prime characteristics: ``in_char`` for (mid, upper) governs the
     input side, ``out_char`` for (lower, mid) the output side.  Inputs are
     words over {in_zero, in_one} (a pair inside upper but outside mid),
@@ -146,8 +150,6 @@ class BetaIntConfig:
     algebra: FiniteAlgebra
     structure: Structure
     lower: Partition
-    mid: Partition
-    upper: Partition
     in_zero: int
     in_one: int
     base: int
@@ -167,10 +169,55 @@ class BetaIntConfig:
 
 def _wrapped_add(
     algebra: FiniteAlgebra, malcev: AlgCircuit, wrap: UnaryFn, zero: int
-) -> tuple[tuple[int, ...], ...]:
-    """Cayley table of x (+) y = wrap(d(x, zero, y))."""
+) -> Callable[[int, int], int]:
+    """x (+) y = wrap(d(x, zero, y)), read off its Cayley table."""
     d = malcev_addition(algebra, malcev, zero)
-    return tuple(map(tuple, np.array(wrap.values)[d].tolist()))
+    table = np.array(wrap.values)[d].tolist()
+    return lambda x, y: table[x][y]
+
+
+def _wrapped_add_node(
+    b: CircuitBuilder, malcev: AlgCircuit, wrap: UnaryFn, zero: int
+) -> Callable[[int, int], int]:
+    """``_wrapped_add`` on nodes of ``b``, with ``zero`` a node."""
+    return lambda u, v: b.inline(wrap.witness, [b.inline(malcev, [u, zero, v])])
+
+
+def _multiple(add: Callable[[int, int], int], x: int, k: int, zero: int) -> int:
+    """The k-fold sum x + ... + x under ``add``, or ``zero`` when k = 0."""
+    if k == 0:
+        return zero
+    acc = x
+    for _ in range(k - 1):
+        acc = add(acc, x)
+    return acc
+
+
+def _separating_pair(
+    size: int, top: Partition, bottom: Partition
+) -> Optional[tuple[int, int]]:
+    """The first pair, in canonical order, inside ``top`` but not ``bottom``."""
+    return next(
+        (
+            (x, y)
+            for x in range(size)
+            for y in range(size)
+            if x != y and top.same(x, y) and not bottom.same(x, y)
+        ),
+        None,
+    )
+
+
+def _first_base(size: int, attempt: Callable[[int], object]):
+    """``attempt(e)`` for the first element e where it raises no
+    ``GadgetSearchError``; otherwise the first such error is raised."""
+    first_err: Optional[GadgetSearchError] = None
+    for e in range(size):
+        try:
+            return attempt(e)
+        except GadgetSearchError as ex:
+            first_err = first_err or ex
+    raise first_err
 
 
 def complete_interpolation_config(
@@ -213,15 +260,7 @@ def complete_interpolation_config(
         )
 
     if in_pair is None:
-        in_pair = next(
-            (
-                (x, y)
-                for x in range(size)
-                for y in range(size)
-                if x != y and upper.same(x, y) and not mid.same(x, y)
-            ),
-            None,
-        )
+        in_pair = _separating_pair(size, upper, mid)
         if in_pair is None:
             raise GadgetSearchError("input-pair", "no pair separates the covers")
     in_zero, in_one = in_pair
@@ -263,7 +302,7 @@ def complete_interpolation_config(
     cycle = [c0]
     cur = c0
     for _ in range(in_char - 1):
-        cur = in_add[cur][c1]
+        cur = in_add(cur, c1)
         cycle.append(cur)
     if any(c not in in_min.universe for c in cycle):
         raise GadgetSearchError("cycle", "orbit leaves the minimal set")
@@ -271,7 +310,7 @@ def complete_interpolation_config(
         raise GadgetSearchError(
             "cycle", "orbit points do not represent distinct middle classes"
         )
-    if mid.class_of[in_add[cycle[-1]][c1]] != mid.class_of[c0]:
+    if mid.class_of[in_add(cycle[-1], c1)] != mid.class_of[c0]:
         raise GadgetSearchError("cycle", "orbit does not close up after one period")
 
     def attempt(e: int, want_mark: Optional[int]) -> BetaIntConfig:
@@ -285,24 +324,16 @@ def complete_interpolation_config(
         out_add = _wrapped_add(algebra, malcev, retract, e)
         trace = [x for x in sorted(out_min.universe) if mid.same(x, e)]
         for x in trace:
-            if not lower.same(out_add[e][x], x) or not lower.same(out_add[x][e], x):
+            if not lower.same(out_add(e, x), x) or not lower.same(out_add(x, e), x):
                 raise GadgetSearchError(
                     "out-group", "the base element is not a unit on the trace"
                 )
-            acc = x
-            for _ in range(out_char - 1):
-                acc = out_add[acc][x]
-            if not lower.same(acc, e):
+            if not lower.same(_multiple(out_add, x, out_char, e), e):
                 raise GadgetSearchError(
                     "out-group",
                     f"trace element {x} lacks additive order dividing {out_char}",
                 )
-        neg = []
-        for x in range(size):
-            acc = x
-            for _ in range(out_char - 2):
-                acc = out_add[acc][x]
-            neg.append(acc if out_char > 1 else x)
+        neg = [_multiple(out_add, x, out_char - 1, e) for x in range(size)]
 
         if want_mark is None:
             cands = [x for x in trace if not lower.same(x, e)]
@@ -336,12 +367,9 @@ def complete_interpolation_config(
             return True
 
         def orbit_sum(tab: Sequence[int]) -> int:
-            acc = tab[cycle[0]]
-            for j in range(1, in_char):
-                acc = out_add[acc][tab[cycle[j]]]
-            return acc
+            return reduce(out_add, (tab[c] for c in cycle))
 
-        xor_c1 = [in_add[x][c1] for x in range(size)]
+        xor_c1 = [in_add(x, c1) for x in range(size)]
 
         chosen = None
         for h0 in clone:
@@ -356,13 +384,11 @@ def complete_interpolation_config(
             # orbit sum must differ from the old one by the full-period
             # multiple of the shift value, which we assert.
             shifted = tuple(
-                out_add[tab[xor_c1[x]]][neg[tab[c1]]] for x in range(size)
+                out_add(tab[xor_c1[x]], neg[tab[c1]]) for x in range(size)
             )
-            qfold = tab[c1]
-            for _ in range(in_char - 1):
-                qfold = out_add[qfold][tab[c1]]
+            qfold = _multiple(out_add, tab[c1], in_char, e)
             total2 = orbit_sum(shifted)
-            expect = out_add[total][neg[qfold]]
+            expect = out_add(total, neg[qfold])
             if not lower.same(total2, expect):
                 raise AssertionError(
                     "shifted orbit sum violates the re-centering identity"
@@ -382,17 +408,8 @@ def complete_interpolation_config(
 
         b_tab = []
         for z in range(size):
-            acc = None
-            for j in range(in_char):
-                if j == 0:
-                    jz = c0
-                else:
-                    jz = z
-                    for _ in range(j - 1):
-                        jz = in_add[jz][z]
-                val = h_tab[jz]
-                acc = val if acc is None else out_add[acc][val]
-            b_tab.append(out_add[anchor][neg[acc]])
+            shifts = (h_tab[_multiple(in_add, z, j, c0)] for j in range(in_char))
+            b_tab.append(out_add(anchor, neg[reduce(out_add, shifts)]))
         b_fn = clone.lookup(tuple(b_tab))
         if b_fn is None:
             raise AssertionError("class-indicator table escaped the unary clone")
@@ -417,8 +434,6 @@ def complete_interpolation_config(
             algebra=algebra,
             structure=s,
             lower=lower,
-            mid=mid,
-            upper=upper,
             in_zero=in_zero,
             in_one=in_one,
             base=e,
@@ -438,14 +453,7 @@ def complete_interpolation_config(
 
     if base is not None:
         return attempt(base, mark)
-    first_err: Optional[GadgetSearchError] = None
-    for e in range(size):
-        try:
-            return attempt(e, mark)
-        except GadgetSearchError as ex:
-            if first_err is None:
-                first_err = ex
-    raise first_err or GadgetSearchError("out-set", "no base element works")
+    return _first_base(size, lambda e: attempt(e, mark))
 
 
 def find_interpolation_configs(
@@ -520,27 +528,9 @@ def beta_interpolate(
     czero = b.const(cfg.cycle[0])
     bzero = b.const(cfg.base)
 
-    def xor(u: int, v: int) -> int:
-        return b.inline(
-            cfg.in_min.idempotent.witness,
-            [b.inline(malcev, [u, czero, v])],
-        )
-
-    def vadd(u: int, v: int) -> int:
-        return b.inline(
-            cfg.out_min.idempotent.witness,
-            [b.inline(malcev, [u, bzero, v])],
-        )
-
+    xor = _wrapped_add_node(b, malcev, cfg.in_min.idempotent, czero)
+    vadd = _wrapped_add_node(b, malcev, cfg.out_min.idempotent, bzero)
     ys = [b.inline(cfg.g_fn.witness, [b.var(i)]) for i in range(s)]
-
-    def multiple(node: int, j: int) -> int:
-        if j == 0:
-            return czero
-        acc = node
-        for _ in range(j - 1):
-            acc = xor(acc, node)
-        return acc
 
     total = None
     for (coeffs, u), mu in sorted(form.items()):
@@ -548,14 +538,11 @@ def beta_interpolate(
         for i, coef in enumerate(coeffs):
             if coef % q == 0:
                 continue
-            mnode = multiple(ys[i], coef % q)
+            mnode = _multiple(xor, ys[i], coef % q, czero)
             comb = mnode if comb is None else xor(comb, mnode)
         cu = b.const(cfg.cycle[u % q])
         comb = cu if comb is None else xor(comb, cu)
-        bnode = b.inline(cfg.b_fn.witness, [comb])
-        term = bnode
-        for _ in range(mu % p - 1):
-            term = vadd(term, bnode)
+        term = _multiple(vadd, b.inline(cfg.b_fn.witness, [comb]), mu % p, bzero)
         total = term if total is None else vadd(total, term)
     if total is None:
         total = bzero
@@ -582,77 +569,36 @@ def beta_interpolate(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WitnessFailure:
-    """Why the two-prime search stopped: the first unmatchable fact."""
-
-    stage: str
-    detail: str
-
-
-@dataclass(eq=False)
-class PrimeSideWitness:
-    """One prime's half of the two-prime configuration.
-
-    ``atom`` sits below the co-supernilpotent congruence with characteristic
-    ``q`` (the summation prime for this side).  ``avoid`` is a maximal
-    congruence above the atom avoiding the co-supernilpotent congruence;
-    its unique cover ``avoid_cover`` starts a covering step to ``step``
-    whose characteristic ``p`` differs from q.  ``peak`` is a minimal
-    congruence under ``step`` escaping ``avoid_cover``; the chain
-    (floor, peak_sub, peak) = (avoid∧peak, peak's unique subcover, peak)
-    carries the interpolation ``config`` with input pair (in_zero, in_one),
-    output pair (base of the witness, mark) inside the minimal set
-    ``out_set``.
-    """
-
-    atom: Partition
-    q: int
-    avoid: Partition
-    avoid_cover: Partition
-    step: Partition
-    p: int
-    peak: Partition
-    peak_sub: Partition
-    floor: Partition
-    out_set: MinimalSet
-    in_zero: int
-    in_one: int
-    mark: int
-    config: BetaIntConfig
-
-
-@dataclass(eq=False)
-class TwoPrimeWitness:
-    """Full validated configuration for the two-prime program assembly."""
-
-    algebra: FiniteAlgebra
-    structure: Structure
-    kappa: Partition
-    base: int
-    sides: tuple[PrimeSideWitness, PrimeSideWitness]
-
-
 def find_two_prime_witness(
     algebra: FiniteAlgebra,
     budget: Optional[Budget] = None,
-) -> Union[TwoPrimeWitness, WitnessFailure]:
+) -> tuple[BetaIntConfig, BetaIntConfig]:
     """Search the congruence lattice for the two-prime configuration.
 
-    Scans in canonical order and returns either a fully validated witness
-    or a ``WitnessFailure`` naming the first fact that cannot be matched.
+    Each side starts at an atom, of characteristic q, below the
+    co-supernilpotent congruence kappa.  ``phi`` is a maximal congruence
+    above the atom avoiding kappa; its unique cover ``phi_plus`` starts a
+    covering step to ``step`` whose characteristic p differs from q.
+    ``peak`` is a minimal congruence under ``step`` escaping ``phi_plus``;
+    the chain (phi ∧ peak, peak's unique subcover, peak) carries the side's
+    interpolation data, with characteristics (q, p).
+
+    Scans in canonical order and returns the two sides' validated
+    configurations, which share their base element; each side's summation
+    prime q is its ``out_char``.  Raises ``GadgetSearchError`` naming the
+    first fact that cannot be matched.
     """
     s = structure(algebra, budget)
     lat = s.lattice
     if not is_nilpotent_congruence(s, lat.one):
-        return WitnessFailure("nilpotent", f"{algebra.name} is not nilpotent")
+        raise GadgetSearchError("nilpotent", f"{algebra.name} is not nilpotent")
     rank = supernilpotent_rank(s)
     if rank != 2:
-        return WitnessFailure(
+        raise GadgetSearchError(
             "supernilpotent-rank", f"sr={rank}, the construction needs rank exactly 2"
         )
     if s.malcev is None:
-        return WitnessFailure("malcev", "no ternary difference polynomial found")
+        raise GadgetSearchError("malcev", "no ternary difference polynomial found")
 
     kappa = s.distinguished.smallest_supernilpotent_quotient
     prized = []
@@ -663,7 +609,7 @@ def find_two_prime_witness(
             continue
     primes = sorted({q for _, q in prized})
     if len(primes) < 2:
-        return WitnessFailure(
+        raise GadgetSearchError(
             "two-primes-below",
             f"the co-supernilpotent congruence has "
             f"{len(lat.subcovers_of(kappa))} subcover(s) with characteristic "
@@ -672,18 +618,18 @@ def find_two_prime_witness(
     gamma0, q0 = prized[0]
     gamma1, q1 = next((g, q) for g, q in prized if q != q0)
     if gamma0.meet(gamma1) != lat.zero:
-        return WitnessFailure(
+        raise GadgetSearchError(
             "atom-meet", "the two chosen subcovers must meet in the zero congruence"
         )
     for gamma in (gamma0, gamma1):
         if lat.subcovers_of(gamma) != [lat.zero]:
-            return WitnessFailure(
+            raise GadgetSearchError(
                 "atoms",
                 "subcovers of the co-supernilpotent congruence must be atoms",
             )
 
     size = algebra.size
-    raw_sides = []
+    raw_sides = []  # (other atom, floor, peak_sub, peak, input pair) per side
     for idx, (gamma, q, other_gamma) in enumerate(
         ((gamma0, q0, gamma1), (gamma1, q1, gamma0))
     ):
@@ -691,30 +637,30 @@ def find_two_prime_witness(
         dom = [t for t in lat.elements if gamma.leq(t) and not kappa.leq(t)]
         maximal = [t for t in dom if not any(t.leq(u) and t != u for u in dom)]
         if not maximal:
-            return WitnessFailure("avoid", f"{tag}: no congruence dominates the atom "
-                                           "while avoiding the co-supernilpotent one")
+            raise GadgetSearchError("avoid", f"{tag}: no congruence dominates the atom "
+                                             "while avoiding the co-supernilpotent one")
         phi = maximal[0]
         covers = lat.covers_of(phi)
         if len(covers) != 1:
-            return WitnessFailure(
+            raise GadgetSearchError(
                 "meet-irreducible", f"{tag}: the avoiding congruence has {len(covers)} covers"
             )
         phi_plus = covers[0]
         if not kappa.leq(phi_plus):
-            return WitnessFailure(
+            raise GadgetSearchError(
                 "avoid-cover", f"{tag}: the unique cover does not dominate the "
                                "co-supernilpotent congruence"
             )
         try:
             if s.characteristic(phi, phi_plus) != q:
-                return WitnessFailure(
+                raise GadgetSearchError(
                     "avoid-characteristic",
                     f"{tag}: the avoiding cover's characteristic differs from {q}",
                 )
         except ValueError:
-            return WitnessFailure(
+            raise GadgetSearchError(
                 "avoid-characteristic", f"{tag}: the avoiding cover is not abelian"
-            )
+            ) from None
         step = p = None
         for cand in lat.covers_of(phi_plus):
             try:
@@ -725,7 +671,7 @@ def find_two_prime_witness(
                 step, p = cand, ch
                 break
         if step is None:
-            return WitnessFailure(
+            raise GadgetSearchError(
                 "cross-prime-step",
                 f"{tag}: no covering step above carries a prime other than {q}",
             )
@@ -734,14 +680,14 @@ def find_two_prime_witness(
         peak = minimal[0]
         psubs = lat.subcovers_of(peak)
         if len(psubs) != 1:
-            return WitnessFailure(
+            raise GadgetSearchError(
                 "join-irreducible", f"{tag}: the minimal escaping congruence has "
                                     f"{len(psubs)} subcovers"
             )
         peak_sub = psubs[0]
         floor = phi.meet(peak)
         if floor not in lat.subcovers_of(peak_sub) or peak_sub not in lat.subcovers_of(peak):
-            return WitnessFailure(
+            raise GadgetSearchError(
                 "projected-chain", f"{tag}: floor, subcover and peak do not form "
                                    "a two-step covering chain"
             )
@@ -750,200 +696,139 @@ def find_two_prime_witness(
                 s.characteristic(floor, peak_sub) != q
                 or s.characteristic(peak_sub, peak) != p
             ):
-                return WitnessFailure(
+                raise GadgetSearchError(
                     "projected-characteristics",
                     f"{tag}: projected chain characteristics are not ({q}, {p})",
                 )
         except ValueError:
-            return WitnessFailure(
+            raise GadgetSearchError(
                 "projected-characteristics", f"{tag}: projected chain has a "
                                              "non-abelian cover"
-            )
+            ) from None
         case_atom = floor == lat.zero and peak_sub == other_gamma
         case_above = gamma.leq(floor) and kappa.leq(peak_sub)
         if not (case_atom or case_above):
-            return WitnessFailure(
+            raise GadgetSearchError(
                 "atom-or-above",
                 f"{tag}: the floor/subcover pair matches neither allowed shape",
             )
         if other_gamma.join(floor) != peak_sub or other_gamma.meet(floor) != lat.zero:
-            return WitnessFailure(
+            raise GadgetSearchError(
                 "lower-transposition",
                 f"{tag}: the other atom does not transpose onto the floor interval",
             )
         if peak_sub.join(phi) != phi_plus or peak_sub.meet(phi) != floor:
-            return WitnessFailure(
+            raise GadgetSearchError(
                 "upper-transposition",
                 f"{tag}: the subcover does not transpose onto the avoiding interval",
             )
         if gamma.leq(floor) and gamma != floor:
             if q in charr_set(s, gamma, floor):
-                return WitnessFailure(
+                raise GadgetSearchError(
                     "prime-separation",
                     f"{tag}: prime {q} reappears between the atom and the floor",
                 )
-        pair = next(
-            (
-                (x, y)
-                for x in range(size)
-                for y in range(size)
-                if x != y and peak.same(x, y) and not peak_sub.same(x, y)
-            ),
-            None,
-        )
+        pair = _separating_pair(size, peak, peak_sub)
         if pair is None:
-            return WitnessFailure("input-pair", f"{tag}: no separating pair")
-        raw_sides.append(
-            dict(
-                atom=gamma,
-                q=q,
-                other=other_gamma,
-                avoid=phi,
-                avoid_cover=phi_plus,
-                step=step,
-                p=p,
-                peak=peak,
-                peak_sub=peak_sub,
-                floor=floor,
-                pair=pair,
-            )
-        )
+            raise GadgetSearchError("input-pair", f"{tag}: no separating pair")
+        raw_sides.append((other_gamma, floor, peak_sub, peak, pair))
 
-    def assemble(e: int) -> Union[TwoPrimeWitness, WitnessFailure]:
+    def assemble(e: int) -> tuple[BetaIntConfig, BetaIntConfig]:
         vsets = []
-        for idx, raw in enumerate(raw_sides):
-            vset = minimal_set_through(s, raw["floor"], raw["peak_sub"], e)
+        for idx, (_, floor, peak_sub, _, _) in enumerate(raw_sides):
+            vset = minimal_set_through(s, floor, peak_sub, e)
             if vset is None or vset.idempotent is None:
-                return WitnessFailure(
+                raise GadgetSearchError(
                     "out-set",
                     f"side {idx}: no minimal set with an idempotent range "
                     f"through element {e}",
                 )
             vsets.append(vset)
         if vsets[0].universe & vsets[1].universe != {e}:
-            return WitnessFailure(
+            raise GadgetSearchError(
                 "disjoint-ranges",
                 f"the two minimal sets through {e} overlap beyond the base",
             )
-        for idx, (raw, vset) in enumerate(zip(raw_sides, vsets)):
+        for idx, ((other, floor, peak_sub, _, _), vset) in enumerate(
+            zip(raw_sides, vsets)
+        ):
             members = sorted(vset.universe)
             for xi, x in enumerate(members):
                 for y in members[xi + 1 :]:
-                    if raw["peak_sub"].same(x, y) and not raw["other"].same(x, y):
-                        return WitnessFailure(
+                    if peak_sub.same(x, y) and not other.same(x, y):
+                        raise GadgetSearchError(
                             "range-collapse",
                             f"side {idx}: subcover classes inside the minimal "
                             "set are not controlled by the other atom",
                         )
-                    if raw["floor"].same(x, y):
-                        return WitnessFailure(
+                    if floor.same(x, y):
+                        raise GadgetSearchError(
                             "range-separation",
                             f"side {idx}: the floor congruence is not trivial "
                             "on the minimal set",
                         )
-        sides = []
-        for idx, (raw, vset) in enumerate(zip(raw_sides, vsets)):
-            trace = [x for x in sorted(vset.universe) if raw["peak_sub"].same(x, e)]
-            marks = [x for x in trace if x != e]
+        configs = []
+        for idx, ((_, floor, peak_sub, peak, pair), vset) in enumerate(
+            zip(raw_sides, vsets)
+        ):
+            marks = [x for x in sorted(vset.universe) if peak_sub.same(x, e) and x != e]
             if not marks:
-                return WitnessFailure(
+                raise GadgetSearchError(
                     "mark", f"side {idx}: the trace through the base is trivial"
                 )
-            mark = marks[0]
-            c, d = raw["pair"]
             try:
-                cfg = complete_interpolation_config(
-                    algebra,
-                    raw["floor"],
-                    raw["peak_sub"],
-                    raw["peak"],
-                    in_pair=(c, d),
-                    base=e,
-                    mark=mark,
-                    budget=budget,
+                configs.append(
+                    complete_interpolation_config(
+                        algebra, floor, peak_sub, peak,
+                        in_pair=pair, base=e, mark=marks[0], budget=budget,
+                    )
                 )
             except GadgetSearchError as ex:
-                return WitnessFailure(f"interpolation-side{idx}", str(ex))
-            sides.append(
-                PrimeSideWitness(
-                    atom=raw["atom"],
-                    q=raw["q"],
-                    avoid=raw["avoid"],
-                    avoid_cover=raw["avoid_cover"],
-                    step=raw["step"],
-                    p=raw["p"],
-                    peak=raw["peak"],
-                    peak_sub=raw["peak_sub"],
-                    floor=raw["floor"],
-                    out_set=vset,
-                    in_zero=c,
-                    in_one=d,
-                    mark=mark,
-                    config=cfg,
-                )
-            )
-        return TwoPrimeWitness(
-            algebra=algebra,
-            structure=s,
-            kappa=kappa,
-            base=e,
-            sides=(sides[0], sides[1]),
-        )
+                raise GadgetSearchError(f"interpolation-side{idx}", str(ex)) from None
+        return configs[0], configs[1]
 
-    first_fail: Optional[WitnessFailure] = None
-    for e in range(size):
-        res = assemble(e)
-        if isinstance(res, TwoPrimeWitness):
-            return res
-        if first_fail is None:
-            first_fail = res
-    return first_fail
+    return _first_base(size, assemble)
 
 
 def build_two_prime_program(
     algebra: FiniteAlgebra,
-    witness: TwoPrimeWitness,
+    witness: tuple[BetaIntConfig, BetaIntConfig],
     cnf: Cnf3,
     budget: Optional[Budget] = None,
 ) -> AlgProgram:
     """Program accepting exactly the satisfying assignments of the formula.
 
+    ``witness`` holds the two sides' configurations, as
+    ``find_two_prime_witness`` returns them; they share their base element.
     Each side i turns the formula into a divisibility polynomial over its
-    prime q_i (modulus chosen so the two prime powers multiply out beyond
-    the clause count), interpolates its monomials as algebra circuits and
-    sums them inside the trace group of the side's minimal set.  The two
-    side values are combined with the difference polynomial; since the two
-    minimal sets meet only in the base element, the combination equals the
-    base exactly when both sides vanish — which by a counting argument
-    means no clause is unsatisfied.  The full truth table is replayed
-    against direct formula evaluation whenever the formula has at most 10
-    variables.
+    prime q_i = ``out_char`` (modulus chosen so the two prime powers
+    multiply out beyond the clause count), interpolates its monomials as
+    algebra circuits and sums them inside the trace group of the side's
+    minimal set.  The two side values are combined with the difference
+    polynomial; since the two minimal sets meet only in the base element,
+    the combination equals the base exactly when both sides vanish — which
+    by a counting argument means no clause is unsatisfied.  The full truth
+    table is replayed against direct formula evaluation whenever the
+    formula has at most 10 variables.
     """
     budget = budget or default_budget()
     n = cnf.num_vars
     ell = len(cnf.clauses)
-    malcev = witness.structure.malcev
+    malcev = witness[0].structure.malcev
     b = CircuitBuilder(2 * n)
-    e = witness.base
+    e = witness[0].base
     enode = b.const(e)
     side_nodes = []
-    for i, side in enumerate(witness.sides):
-        cfg = side.config
-        q = side.q
+    for i, cfg in enumerate(witness):
+        q = cfg.out_char
         nu = 1
         while q ** (2 * nu) <= ell:
             nu += 1
         poly = pseudo_and(cnf, q, nu, budget)
-
-        retract = cfg.out_min.idempotent.witness
-
-        def vadd(u: int, v: int) -> int:
-            return b.inline(retract, [b.inline(malcev, [u, enode, v])])
-
+        vadd = _wrapped_add_node(b, malcev, cfg.out_min.idempotent, enode)
         pattern_cache: dict[int, AlgCircuit] = {}
         total = None
         for key in sorted(poly.terms, key=monomial_key):
-            lam = poly.terms[key]
             if len(key) > MAX_INTERPOLATION_ARITY:
                 raise BudgetExceeded(
                     f"monomial support {len(key)} exceeds the interpolation "
@@ -959,12 +844,10 @@ def build_two_prime_program(
                     circ = beta_interpolate(cfg, table, budget)
                     pattern_cache[s] = circ
                 node = b.inline(circ, [b.var(i * n + j) for j in support])
-                node = b.inline(retract, [node])
+                node = b.inline(cfg.out_min.idempotent.witness, [node])
             else:
                 node = b.const(cfg.mark)
-            term = node
-            for _ in range(lam - 1):
-                term = vadd(term, node)
+            term = _multiple(vadd, node, poly.terms[key], enode)
             total = term if total is None else vadd(total, term)
         if total is None:
             total = enode
@@ -972,10 +855,10 @@ def build_two_prime_program(
     out = b.inline(malcev, [side_nodes[0], side_nodes[1], enode])
     circ = b.finish(out)
     instrs = []
-    for i, side in enumerate(witness.sides):
+    for i, cfg in enumerate(witness):
         for j in range(n):
             instrs.append(
-                Instruction(var=i * n + j, bit=j, a0=side.in_zero, a1=side.in_one)
+                Instruction(var=i * n + j, bit=j, a0=cfg.in_zero, a1=cfg.in_one)
             )
     program = AlgProgram(
         algebra=algebra,

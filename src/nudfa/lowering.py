@@ -50,6 +50,7 @@ from .modcircuit import (
     CCircuit,
     Gate,
     cc_table,
+    parse_shape,
     shape_of,
     validate_shape,
 )
@@ -264,11 +265,19 @@ def _layer_count(circuit: CCircuit) -> int:
 
 def _layer_modulus(circuit: CCircuit, layer: int, p: int) -> int:
     """The one modulus m of a MOD layer, checked to be squarefree and coprime
-    to the prime p; an empty layer takes any such m."""
+    to the prime p; an empty layer reads m off the declared shape."""
     ms = {g.m for g in circuit.gates if g.layer == layer}
     if len(ms) > 1:
         raise ValueError("MOD layer mixes moduli")
-    m = ms.pop() if ms else (3 if p == 2 else 2)
+    if ms:
+        m = ms.pop()
+    else:
+        spec = parse_shape(circuit.declared_shape)[layer - 1 : layer]
+        m = spec[0].param if spec and spec[0].kind == MOD else None
+        if m is None:
+            raise ValueError(
+                f"MOD layer {layer} is empty and its modulus is not declared"
+            )
     if prime_divisors(p) != [p]:
         raise ValueError(f"{p} is not prime")
     if math.prod(prime_divisors(m)) != m:

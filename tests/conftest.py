@@ -46,6 +46,22 @@ def dihedral4() -> FiniteAlgebra:
     return FiniteAlgebra("D4", 8, (make_op("*", 2, 8, mul),))
 
 
+def z5_z2_z3():
+    """Z5 x Z2 x Z3 with + and g(x, y) = (0, [a != 0], [a != 0]), where a
+    is x's Z5 coordinate; (a, b, c) is coded 6 a + 3 b + c."""
+
+    def add(x, y):
+        (a, b), (c, d) = divmod(x, 6), divmod(y, 6)
+        return (a + c) % 5 * 6 + (b // 3 + d // 3) % 2 * 3 + (b + d) % 3
+
+    def g(x, y):
+        return 4 * (x >= 6)
+
+    return FiniteAlgebra(
+        "Z5xZ2xZ3", 30, (make_op("+", 2, 30, add), make_op("g", 2, 30, g))
+    )
+
+
 def random_algebra(draw, n, arities, labels=None):
     """Random operations of the given arities on n elements.  Half the
     draws make every table respect the kernel of a labelling, random

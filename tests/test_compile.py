@@ -12,7 +12,7 @@ from conftest import (
     count_root_structures,
     variable_circuit,
 )
-from nudfa import congruence
+from nudfa import congruence, lowering
 from nudfa import compile as compile_module
 from nudfa.algebra import FiniteAlgebra, make_op, quotient_algebra
 from nudfa.circuits import CircuitBuilder
@@ -108,6 +108,26 @@ def test_descent_reads_instruction_bits_directly(monkeypatch):
     assert_compiled_matches(circuit, prog)
 
 
+def z12_mod3() -> FiniteAlgebra:
+    add = make_op("+", 2, 12, lambda x, y: (x + y) % 12)
+    return FiniteAlgebra("Z12%3", 12, (add, make_op("%3", 1, 12, lambda x: x % 3)))
+
+
+def parity_sum(algebra: FiniteAlgebra, mod: str, n: int) -> AlgProgram:
+    """The sum of mod(x_i + x_{i+1}) over i = 0, 2, 4, ..., accepting {2}."""
+    b = CircuitBuilder(n)
+    terms = [
+        b.gate(mod, b.gate("+", b.var(i), b.var(i + 1))) for i in range(0, n - 1, 2)
+    ]
+    out = terms[0]
+    for term in terms[1:]:
+        out = b.gate("+", out, term)
+    return AlgProgram(
+        algebra, b.finish(out), n,
+        tuple(Instruction(i, i, 0, 1) for i in range(n)), frozenset({2}),
+    )
+
+
 def test_the_descent_runs_down_a_chain_of_length_two(monkeypatch):
     """Over Z12 with x -> x mod 3 the one characteristic below the
     supernilpotent quotient is 2, and the chain from 0 to the congruence
@@ -122,14 +142,7 @@ def test_the_descent_runs_down_a_chain_of_length_two(monkeypatch):
         compile_module, "_maximal_chain",
         lambda *args: chains.append(maximal_chain(*args)) or chains[-1],
     )
-    add = make_op("+", 2, 12, lambda x, y: (x + y) % 12)
-    alg = FiniteAlgebra("Z12%3", 12, (add, make_op("%3", 1, 12, lambda x: x % 3)))
-    b = CircuitBuilder(4)
-    terms = [b.gate("%3", b.gate("+", b.var(i), b.var(i + 1))) for i in (0, 2)]
-    prog = AlgProgram(
-        alg, b.finish(b.gate("+", *terms)), 4,
-        tuple(Instruction(i, i, 0, 1) for i in range(4)), frozenset({2}),
-    )
+    prog = parity_sum(z12_mod3(), "%3", 4)
     monkeypatch.setattr(congruence, "_STRUCTURES", {})  # a fresh run
     quotients = count_quotient_algebras(monkeypatch)
     lattices = count_lattices(monkeypatch)
@@ -140,6 +153,46 @@ def test_the_descent_runs_down_a_chain_of_length_two(monkeypatch):
     assert (len(lattices), len(roots)) == (1, 1)
     assert all(r.verified is True for r in reports)
     assert_compiled_matches(circuit, prog)
+
+
+class IngestMemo(dict):
+    """An ingestion memo that counts its hits, or that never finds a key."""
+
+    def __init__(self, forget: bool):
+        super().__init__()
+        self.forget = forget
+        self.hits = 0
+
+    def get(self, key, default=None):
+        if self.forget or key not in self:
+            return default
+        self.hits += 1
+        return self[key]
+
+
+@pytest.mark.parametrize(
+    "algebra, mod, n, budget, size",
+    [
+        (get_fixture("Z6%2").algebra, "%2", 8, Budget(), 59),
+        (z12_mod3(), "%3", 2, Budget(lattice_universe=12), 7),
+    ],
+    ids=["Z6%2-8", "Z12%3-2"],
+)
+def test_the_ingestion_memo_only_saves_time(
+    monkeypatch, algebra, mod, n, budget, size
+):
+    """A memo that never finds a circuit gives the same circuit and the same
+    pass reports as one that is read.  Z12%3 descends h = 2 levels."""
+    prog = parity_sum(algebra, mod, n)
+    runs = []
+    for memo in (IngestMemo(forget=False), IngestMemo(forget=True)):
+        monkeypatch.setattr(lowering, "_INGEST_CACHE", memo)
+        circuit, reports = compile_nilpotent(prog, budget)
+        assert circuit.size == size
+        runs.append((circuit.to_json(), reports, memo.hits))
+    (cached, cached_reports, hits), (forgot, forgot_reports, _) = runs
+    assert hits > 0
+    assert (forgot, forgot_reports) == (cached, cached_reports)
 
 
 # -- the central representation ---------------------------------------------

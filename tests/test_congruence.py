@@ -25,6 +25,7 @@ from conftest import (
     dihedral4,
     permuting_algebras,
     random_algebra,
+    z5_z2_z3,
 )
 from nudfa import congruence, fixtures
 from nudfa.algebra import (
@@ -685,22 +686,6 @@ def test_relative_commutators_outside_modular_varieties_are_not_joins():
     quo, mapping = quotient_algebra(alg, theta)
     b = Partition.from_blocks(quo.size, [{mapping[x] for x in blk} for blk in beta.blocks()])
     assert Structure(quo, Budget()).commutator(Partition.total(quo.size), b) == b
-
-
-def z5_z2_z3():
-    """Z5 x Z2 x Z3 with + and g(x, y) = (0, [a != 0], [a != 0]), where a
-    is x's Z5 coordinate; (a, b, c) is coded 6 a + 3 b + c."""
-
-    def add(x, y):
-        (a, b), (c, d) = divmod(x, 6), divmod(y, 6)
-        return (a + c) % 5 * 6 + (b // 3 + d // 3) % 2 * 3 + (b + d) % 3
-
-    def g(x, y):
-        return 4 * (x >= 6)
-
-    return FiniteAlgebra(
-        "Z5xZ2xZ3", 30, (make_op("+", 2, 30, add), make_op("g", 2, 30, g))
-    )
 
 
 def test_thirty_elements_are_nilpotent_without_matrices(monkeypatch):

@@ -7,7 +7,9 @@ from dataclasses import replace
 from itertools import product
 
 import pytest
+from conftest import z5_z2_z3
 
+from nudfa import hardness
 from nudfa.algebra import FiniteAlgebra
 from nudfa.circuits import eval_circuit
 from nudfa.compile import HypothesisViolation, compile_nilpotent
@@ -16,12 +18,13 @@ from nudfa.fieldpoly import Cnf3, parse_dimacs
 from nudfa.fixtures import demo_program, get_fixture
 from nudfa.hardness import (
     GadgetSearchError,
-    WitnessFailure,
     beta_interpolate,
+    build_two_prime_program,
     cnf_to_lattice_program,
     find_interpolation_configs,
     find_two_prime_witness,
 )
+from nudfa.limits import Budget, BudgetExceeded
 
 
 def random_cnf(rng, num_vars, num_clauses):
@@ -116,6 +119,22 @@ def test_interpolation_rejects_malformed_tables(marked_config):
         beta_interpolate(cfg, [cfg.base, 5])
 
 
+def test_two_prime_program_replays_the_formula_up_to_ten_variables(marked_config):
+    """Z6%2's one configuration taken as both sides is no two-prime witness:
+    the two sides share their minimal set and their prime.  The program is
+    still built, and the replay against the formula refuses it; above ten
+    variables the replay is skipped and the program is returned."""
+    fx, cfg = marked_config
+    clauses = ((1, -2, 3), (-1, 2, -3))
+    with pytest.raises(
+        AssertionError,
+        match=r"^two-prime program disagrees with the formula at \(0, 1, 0\)$",
+    ):
+        build_two_prime_program(fx.algebra, (cfg, cfg), Cnf3(3, clauses))
+    prog = build_two_prime_program(fx.algebra, (cfg, cfg), Cnf3(11, clauses))
+    assert (prog.n, prog.size, prog.accepting) == (11, 548, frozenset({cfg.base}))
+
+
 def test_lattice_fixture_has_no_interpolation_chains():
     lat2 = get_fixture("LAT2").algebra
     configs, notes = find_interpolation_configs(lat2)
@@ -145,19 +164,38 @@ def test_no_small_fixture_admits_a_two_prime_witness():
     }
     for name, stage in expected_stage.items():
         fx = get_fixture(name)
-        result = find_two_prime_witness(fx.algebra)
-        assert isinstance(result, WitnessFailure), name
-        assert result.stage == stage, (name, result)
+        with pytest.raises(GadgetSearchError) as info:
+            find_two_prime_witness(fx.algebra)
+        assert info.value.stage == stage, (name, info.value)
 
 
 def test_witness_failure_details_explain_the_refusal():
-    fx = get_fixture("Z6")
-    res = find_two_prime_witness(fx.algebra)
-    assert "sr=1" in res.detail and "rank exactly 2" in res.detail
-    fxm = get_fixture("Z6%2")
-    resm = find_two_prime_witness(fxm.algebra)
-    assert "characteristic set [3]" in resm.detail
-    assert "two distinct primes" in resm.detail
+    with pytest.raises(GadgetSearchError) as res:
+        find_two_prime_witness(get_fixture("Z6").algebra)
+    assert "sr=1" in res.value.detail and "rank exactly 2" in res.value.detail
+    with pytest.raises(GadgetSearchError) as resm:
+        find_two_prime_witness(get_fixture("Z6%2").algebra)
+    assert "characteristic set [3]" in resm.value.detail
+    assert "two distinct primes" in resm.value.detail
+
+
+def test_the_thirty_element_algebra_passes_every_lattice_stage(monkeypatch):
+    """Z5 x Z2 x Z3 with g passes every stage of the search through
+    "input-pair" on both sides.  The first minimal set it then asks for, on
+    side 0's floor (10 blocks) and peak subcover (5 blocks) through element
+    0, needs more of the unary clone than the budget allows."""
+    calls = []
+    through = hardness.minimal_set_through
+
+    def spy(s, lo, hi, e):
+        calls.append((lo.num_blocks(), hi.num_blocks(), e))
+        return through(s, lo, hi, e)
+
+    monkeypatch.setattr(hardness, "minimal_set_through", spy)
+    budget = Budget(lattice_universe=30, clone_functions=2000)
+    with pytest.raises(BudgetExceeded, match="^unary clone: 2001 exceeds cap 2000$"):
+        find_two_prime_witness(z5_z2_z3(), budget)
+    assert calls == [(10, 5, 0)]
 
 
 def test_results_name_the_callers_algebra():
@@ -169,7 +207,9 @@ def test_results_name_the_callers_algebra():
     lat2_copy = FiniteAlgebra("copy", 2, lat2.algebra.ops)
     marked_copy = FiniteAlgebra("marked copy", 6, marked.algebra.ops)
     assert structure(lat2_copy) is structure(lat2.algebra)
-    assert find_two_prime_witness(lat2_copy).detail == "copy is not nilpotent"
+    with pytest.raises(GadgetSearchError) as info:
+        find_two_prime_witness(lat2_copy)
+    assert info.value.detail == "copy is not nilpotent"
     prog = demo_program("or2_lat2")
     with pytest.raises(HypothesisViolation, match="^copy is not nilpotent$"):
         compile_nilpotent(replace(prog, algebra=lat2_copy))

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import scalar
 
+from nudfa import lowering
 from nudfa.fieldpoly import MultilinearPoly
 from nudfa.lowering import (
     VERIFY_INPUT_BOUND,
@@ -283,6 +285,30 @@ def test_passes_reject_mismatched_shapes():
         and_sum_lower([0, 1, 1], 3)
     with pytest.raises(ValueError, match="degree 2"):
         emit_modsum(2, 3, 2, AtomPool(), MultilinearPoly(2, {frozenset({0, 1}): 1}))
+
+
+def test_an_emptied_mod_layer_keeps_its_declared_modulus(monkeypatch):
+    """c's one inner gate, 3 x_0 = 0 (mod 3), is constant, so the lowering
+    empties c's MOD(3) layer.  Its m then comes from the declared shape, not
+    from the ingestion memo, and a wildcard there is refused."""
+
+    def mod3_mod5(wires, accepting):
+        gates = (
+            Gate(MOD, 1, wires, m=3, accepting=frozenset(accepting)),
+            Gate(MOD, 2, ((2, 1),), m=5, accepting=frozenset({1})),
+        )
+        circ = CCircuit(2, gates, 3, "MOD(3)∘MOD(5)")
+        return finalize_boolean_sum(unmod(circ)[0])
+
+    a = mod3_mod5(((0, 1), (1, 1)), {1})
+    c = mod3_mod5(((0, 3),), {0})
+    assert [g.layer for g in c.gates] == [2]
+    monkeypatch.setattr(lowering, "_INGEST_CACHE", {})
+    combined, report = apply_func([0, 0, 0, 1], [a, c])
+    assert report.verified is True
+    assert [scalar(v) for v in cc_truth_table(combined)] == [0, 1, 1, 0]
+    with pytest.raises(ValueError, match="modulus is not declared"):
+        apply_func([0, 0, 0, 1], [a, replace(c, declared_shape="MOD(*)∘MOD(5)")])
 
 
 def test_unmod_rejects_shared_primes():
