@@ -40,7 +40,6 @@ from .congruence import (
     is_nilpotent_congruence,
     is_pupi,
     is_supernilpotent_algebra,
-    pdiv,
     prime_power_decomposition,
     structure,
 )
@@ -49,6 +48,7 @@ from .fieldpoly import (
     accumulate,
     monomial_key,
     multilinear_interpolate,
+    pdiv,
     prime_divisors,
 )
 from .limits import Budget, charge, default_budget

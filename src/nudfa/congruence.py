@@ -19,14 +19,9 @@ Congruence Modular Varieties", 1987):
   congruence of the subalgebra alpha of A^2 is generated by the pairs
   ((c, c), (d, d)) with c beta d, and is closed by joining block labels
   under the basic translations of alpha, at most n**2 elements.
-- Every other algebra closes the matrix subalgebra M(alpha, beta) of A^4:
-  each matrix is coded as a pair of rows, each row a pair of elements, so
-  unary and binary operations act on it through their tables on A^2.
-  Congruences are symmetric, so M(alpha, beta) is invariant under
-  exchanging the rows and exchanging the columns of its matrices, and
-  M(alpha, alpha) also under transposing them; the closure applies each
-  operation with its first argument running over orbit representatives
-  only.
+- Every other algebra closes the matrix subalgebra M(alpha, beta) of A^4,
+  semi-naively: each operation acts on the matrices entrywise, with one
+  gather per entry from its table.
 
 Everything derived from one algebra lives in its :class:`Structure`: the
 translations, the lattice, the unary clone, a Malcev polynomial, the
@@ -62,7 +57,7 @@ congruences that drive the circuit compiler.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
@@ -379,44 +374,11 @@ def all_congruences(
 # Products of matrices are evaluated this many at a time.
 MATRIX_BLOCK = 1 << 14
 
-# The symmetries of a 2x2 matrix (x1, x2, x3, x4) as the entry each
-# position takes: exchanging the rows, exchanging the columns, transposing.
-ROW_SWAP = (2, 3, 0, 1)
-COLUMN_SWAP = (1, 0, 3, 2)
-TRANSPOSE = (0, 2, 1, 3)
-
 
 def _related(part: Partition) -> tuple[np.ndarray, np.ndarray]:
     """Both coordinates of every pair the partition relates."""
     cls = np.array(part.class_of)
     return np.nonzero(cls[:, None] == cls)
-
-
-@lru_cache(maxsize=16)
-def _symmetries(n: int, transpose: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The group generated by the row and column swaps, and by the
-    transposition if ``transpose``, acting on the codes of A^4.
-
-    Returns the image of every code under each group element, one row per
-    element, and the mask of the orbit representatives: the codes no image
-    of which is smaller.  Both arrays are read-only.
-    """
-    moves = [ROW_SWAP, COLUMN_SWAP] + [TRANSPOSE] * transpose
-    group = {(0, 1, 2, 3)}
-    grown = group
-    while grown:
-        grown = {tuple(g[m] for m in move) for g in grown for move in moves}
-        grown -= group
-        group |= grown
-    entries = np.unravel_index(np.arange(n**4), (n,) * 4)
-    images = np.stack([
-        np.ravel_multi_index([entries[i] for i in g], (n,) * 4)
-        for g in sorted(group)
-    ])
-    representative = images.min(axis=0) == images[0]
-    images.setflags(write=False)
-    representative.setflags(write=False)
-    return images, representative
 
 
 def _matrix_subalgebra(
@@ -426,95 +388,48 @@ def _matrix_subalgebra(
     on the left and (u,v,u,v) for related (u,v) on the right; rows of every
     matrix are right-related, columns left-related.
 
-    A matrix with rows (x1, x2) and (x3, x4) is coded ``top * n**2 +
-    bottom``, each row one pair ``x * n + y``.  Unary and binary operations
-    act on both rows through their tables on A^2 (n**2 or n**4 entries),
-    one gather per row; higher arities gather each of the four entries from
-    the flat table.  Each pool of matrices is split into these digits once
-    a round, each digit weighted by its argument's place in the table
-    index, so a block of products is one broadcast sum and one gather per
-    digit.
+    A matrix with rows (x1, x2) and (x3, x4) is coded x1 * n**3 + x2 *
+    n**2 + x3 * n + x4.  Operations act entrywise: each pool of matrices
+    is split into its four entries once a round, and a block of products
+    takes, for each entry, one gather from the operation's flat table.
 
     Each round applies every operation to the tuples with at least one
     matrix new in the last round (semi-naive: argument j new, those before
     it older, those after it anything), ``MATRIX_BLOCK`` products at a
-    time.  The generators are invariant under exchanging the rows and
-    exchanging the columns, and when left == right under transposing, since
-    congruences are symmetric.  Operations act entrywise, so they commute
-    with these symmetries and every pool stays invariant under the group G
-    they generate; then f(m_1, ..., m_r) = g f(g^-1 m_1, ..., g^-1 m_r)
-    with g^-1 m_1 the least code of its orbit.  So the first argument runs
-    over orbit representatives only, and every G-image of each new matrix
-    is added before the next round: each round finds the matrices of the
-    plain closure's round, for about 1/|G| of its products (|G| = 4, or 8
-    when left == right).  Returns the sorted codes.
+    time.  Returns the sorted codes.
     """
     n = algebra.size
-    n2 = n * n
-    images, representative = _symmetries(n, left == right)
-    diagonal = np.arange(n) * (n + 1)  # the row (x, x)
     a, b = _related(left)
     u, v = _related(right)
     # A nullary operation adds only its constant matrix (c, c, c, c), which
-    # is a generator already.  Each applier holds the arity, the digit base
-    # and the table scaled for each digit, most significant first.
-    appliers = []
-    for op in algebra.ops:
-        t = np.array(op.table, dtype=np.int64)
-        if op.arity in (1, 2):
-            tk = t.reshape((n,) * op.arity)
-            first = tk.reshape((n, 1) * op.arity)
-            second = tk.reshape((1, n) * op.arity)
-            pair = (first * n + second).ravel()
-            appliers.append((op.arity, n2, [pair * n2, pair]))
-        elif op.arity > 2:
-            appliers.append((op.arity, n, [t * n**d for d in (3, 2, 1, 0)]))
-
-    # Split by digit count, not base: on one element the two bases agree.
-    def digits(pool: np.ndarray, count: int) -> list[np.ndarray]:
-        if count == 2:
-            return list(np.divmod(pool, n2))
-        return list(np.unravel_index(pool, (n,) * 4))
-
+    # is a generator already, so it takes no round.
+    tables = [(op.arity, np.array(op.table, dtype=np.int64)) for op in algebra.ops]
     present = np.zeros(n**4, dtype=bool)
-    present[diagonal[a] * n2 + diagonal[b]] = True
-    present[(u * n + v) * (n2 + 1)] = True
+    present[(a * n**2 + b) * (n + 1)] = True
+    present[(u * n + v) * (n**2 + 1)] = True
     frontier = np.flatnonzero(present)
     old = frontier[:0]
     while frontier.size:
         existing = np.flatnonzero(present)
-        pools = {
-            "old": old,
-            "frontier": frontier,
-            "existing": existing,
-            "old reps": old[representative[old]],
-            "frontier reps": frontier[representative[frontier]],
-        }
-        split = {
-            (name, count): digits(pool, count)
+        pools = {"old": old, "frontier": frontier, "existing": existing}
+        entries = {
+            name: np.unravel_index(pool, (n,) * 4)
             for name, pool in pools.items()
-            for count in {len(scaled) for _, _, scaled in appliers}
         }
         fresh = np.zeros(n**4, dtype=bool)
-        for arity, base, scaled in appliers:
+        for arity, table in tables:
             for j in range(arity):
                 names = ["old"] * j + ["frontier"] + ["existing"] * (arity - 1 - j)
-                names[0] += " reps"
-                weighted = [
-                    [d * base ** (arity - 1 - i) for d in split[name, len(scaled)]]
-                    for i, name in enumerate(names)
-                ]
-                *head, last = weighted
+                *head, last = names
                 sizes = [pools[name].size for name in names]
                 for rows, cols in product_blocks(sizes, MATRIX_BLOCK):
                     out = 0
-                    for d, table in enumerate(scaled):
-                        idx = last[d][None, cols]
-                        for w, r in zip(head, rows):
-                            idx = idx + w[d][r][:, None]
-                        out = out + table[idx]
+                    for d in range(4):
+                        idx = 0
+                        for name, r in zip(head, rows):
+                            idx = idx * n + entries[name][d][r][:, None]
+                        out = out * n + table[idx * n + entries[last][d][None, cols]]
                     fresh[out] = True
-        fresh[images[:, fresh]] = True
         fresh &= ~present
         present |= fresh
         old = existing
@@ -942,11 +857,3 @@ def prime_power_decomposition(s: Structure, name: str) -> Decomposition:
         if len(set(zip(*family))) == n:
             return Decomposition(family, tuple(primes))
     raise ValueError("no complementary family of prime-power kernels found")
-
-
-def pdiv(size: int) -> int:
-    """Product of the distinct primes dividing ``size``."""
-    out = 1
-    for p in prime_divisors(size):
-        out *= p
-    return out

@@ -44,6 +44,12 @@ def prime_divisors(m: int) -> list[int]:
     return out
 
 
+def pdiv(size: int) -> int:
+    """Product of the distinct primes dividing ``size``; ``size`` is
+    squarefree exactly when this is ``size``."""
+    return math.prod(prime_divisors(size))
+
+
 def accumulate(acc: dict, key, c: int, mod: int) -> None:
     """Add c to ``acc[key]`` mod ``mod``, dropping the key when it reaches 0."""
     v = (acc.get(key, 0) + c) % mod
@@ -269,11 +275,10 @@ def coset_indicator_form(
     if len(values) != m**s:
         raise ValueError(f"table must have {m ** s} entries")
 
-    factors = prime_divisors(m)
-    if math.prod(factors) != m:
+    if pdiv(m) != m:
         raise ValueError(f"{m} is not squarefree")
     zero_terms: dict[tuple[tuple[int, ...], int], int] = {((0,) * s, 0): 1}
-    for q in factors:
+    for q in prime_divisors(m):
         lift = m // q
         branch = {
             (tuple(b * lift % m for b in beta), u * lift % m): mu
@@ -387,7 +392,9 @@ class Cnf3:
 
 def parse_dimacs(text: str) -> Cnf3:
     """DIMACS CNF reader; clauses wider than 3 distinct literals are refused
-    (no clause splitting), shorter clauses are padded by repetition."""
+    (no clause splitting).  A clause of more than 3 literals keeps its
+    distinct ones in order of first occurrence, and shorter clauses are
+    padded by repeating the first literal."""
     num_vars = None
     clauses: list[tuple[int, int, int]] = []
     pending: list[int] = []
@@ -406,15 +413,14 @@ def parse_dimacs(text: str) -> Cnf3:
             if lit == 0:
                 if not pending:
                     raise ValueError("empty clause in DIMACS input")
-                distinct = sorted(set(pending), key=abs)
+                distinct = list(dict.fromkeys(pending))
                 if len(distinct) > 3:
                     raise ValueError(
                         f"clause {pending} has {len(distinct)} distinct "
                         "literals; width more than 3 is not supported"
                     )
-                while len(pending) < 3:
-                    pending.append(pending[0])
-                clauses.append(tuple(pending[:3]))
+                clause = distinct if len(pending) > 3 else pending
+                clauses.append(tuple(clause + clause[:1] * (3 - len(clause))))
                 pending = []
             else:
                 pending.append(lit)

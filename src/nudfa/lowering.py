@@ -26,7 +26,6 @@ report sizes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -40,6 +39,7 @@ from .fieldpoly import (
     coset_indicator_form,
     monomial_key,
     multilinear_interpolate,
+    pdiv,
     prime_divisors,
 )
 from .limits import Budget, charge, default_budget
@@ -280,7 +280,7 @@ def _layer_modulus(circuit: CCircuit, layer: int, p: int) -> int:
             )
     if prime_divisors(p) != [p]:
         raise ValueError(f"{p} is not prime")
-    if math.prod(prime_divisors(m)) != m:
+    if pdiv(m) != m:
         raise ValueError(f"{m} is not squarefree")
     if m % p == 0:
         raise ValueError("p must not divide m")

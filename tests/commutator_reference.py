@@ -1,4 +1,4 @@
-"""Reference oracles: the term-condition commutator before row-pair tables.
+"""Reference oracles: the term-condition commutator as first written.
 
 ``matrix_subalgebra`` and ``commutator`` below are the earlier
 implementations of ``nudfa.congruence._matrix_subalgebra`` and
@@ -7,8 +7,8 @@ this docstring.  They decode every matrix into its four entries, combine
 binary operations over one dense frontier-by-existing block a round, loop
 in Python over every tuple of matrices for higher arities, and test the
 forcing condition one matrix at a time.  They serve as differential
-oracles for the row-pair closure; their ternary loop is slow, so tests
-feed them ternary operations only on one or two elements.
+oracles for the semi-naive blocked closure; their ternary loop is slow, so
+tests feed them ternary operations only on one or two elements.
 """
 
 from __future__ import annotations

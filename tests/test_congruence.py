@@ -50,13 +50,12 @@ from nudfa.congruence import (
     is_supernilpotent_algebra,
     is_supernilpotent_congruence,
     lower_central_chain,
-    pdiv,
     prime_power_decomposition,
     solvability_class,
     structure,
     supernilpotent_rank,
 )
-from nudfa.fieldpoly import prime_divisors
+from nudfa.fieldpoly import pdiv, prime_divisors
 from nudfa.fixtures import fixture_names, get_fixture, resolve_algebra
 from nudfa.limits import Budget, BudgetExceeded
 from nudfa.partitions import Partition
@@ -706,9 +705,11 @@ def test_thirty_elements_are_nilpotent_without_matrices(monkeypatch):
 
 
 def test_one_element_matrix_closures_split_their_codes_right():
-    """On one element the bases of row-pair and entry tables are both 1;
-    next to a unary operation, a ternary one was split into two digits
-    instead of four and raised IndexError."""
+    """On one element every code is 0 and every table has one entry; a
+    unary and a ternary operation side by side close to the one matrix.
+    An earlier closure read unary and binary operations through tables on
+    A^2, split a ternary one into two digits instead of four there, and
+    raised IndexError."""
     alg = FiniteAlgebra(
         "T1", 1, (Operation("u", 1, (0,)), Operation("t", 3, (0,)))
     )
@@ -719,8 +720,11 @@ def test_one_element_matrix_closures_split_their_codes_right():
 
 
 def test_algebras_without_a_latin_square_close_matrices(monkeypatch):
-    """LAT2 and G7 have no Latin square, so their commutators still come
-    from M(alpha, beta)."""
+    """Only algebras without a Latin square close M(alpha, beta): ``con``
+    (lattice, characteristics, rank, distinguished congruences) on every
+    fixture with a Latin square and on the golden D4 and Z3 x Z3 never
+    reaches the closure, while the commutators of LAT2 and G7 still come
+    from it."""
     closed = []
     inner = congruence._matrix_subalgebra
 
@@ -729,6 +733,13 @@ def test_algebras_without_a_latin_square_close_matrices(monkeypatch):
         return inner(alg, left, right)
 
     monkeypatch.setattr(congruence, "_matrix_subalgebra", counted)
+    latin = [name for name in CON_ALGEBRAS if name not in ("LAT2", "G7")]
+    assert sorted(latin) == ["D4", "S3", "Z2", "Z3", "Z3xZ3", "Z4", "Z6", "Z6%2"]
+    for name in latin:
+        assert latin_square(resolve_algebra(algebra_spec(name))) is not None
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["con", "--algebra", algebra_spec(name)]) == 0
+    assert closed == []
     g7 = FiniteAlgebra.load(str(GOLDEN / "inputs" / "algebra_G7.json"))
     for alg in (get_fixture("LAT2").algebra, g7):
         assert latin_square(alg) is None
@@ -763,9 +774,10 @@ def assert_reference_symmetries(alg, alpha, beta):
 @settings(max_examples=40, deadline=None)
 @given(commutator_algebras(), st.data())
 def test_reference_matrix_subalgebras_have_the_swap_symmetries(alg, data):
-    """The symmetries the closure's orbit representatives rest on, checked
-    on the reference closure alone, for random congruences of random
-    algebras."""
+    """M(alpha, beta) is invariant under swapping its rows and swapping
+    its columns, since congruences are symmetric, and M(alpha, alpha)
+    under transposing; checked on the reference closure alone, for random
+    congruences of random algebras."""
     elements = all_congruences(alg).elements
     alpha = data.draw(st.sampled_from(elements))
     beta = data.draw(st.sampled_from(elements))
@@ -781,9 +793,9 @@ def test_reference_symmetries_for_every_pair_of_congruences(name):
 
 def test_matrix_closure_memory_stays_bounded():
     """A random 7-element groupoid whose M(1, 1) is all of A^4 (2,401
-    matrices).  The earlier closure built a dense frontier-by-existing
-    block per round and peaked at 84 MiB here, growing as |M|^2; the row-
-    pair closure works in blocks of ``MATRIX_BLOCK`` products (measured
+    matrices).  An earlier closure built a dense frontier-by-existing
+    block per round and peaked at 84 MiB here, growing as |M|^2; the
+    closure works in blocks of ``MATRIX_BLOCK`` products (measured
     0.7 MiB).  The Delta path on Z3 x Z3 with alpha = beta = 1 joins labels
     on the 81 pairs of A(1), ``MATRIX_BLOCK`` images at a time (measured
     0.33 MiB); it is held to 1 MiB."""

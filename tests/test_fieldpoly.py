@@ -251,6 +251,11 @@ p cnf 3 2
     assert all(len(c) == 3 for c in cnf.clauses)
     assert set(cnf.clauses[0]) == {1, -2}
     assert set(cnf.clauses[1]) == {2, 3}
+    # Four tokens, three distinct literals: the repeat goes, x3 stays.
+    cnf = parse_dimacs("p cnf 3 1\n1 2 1 3 0\n")
+    assert cnf.clauses == ((1, 2, 3),)
+    assert cnf.satisfied((0, 0, 1))
+    assert parse_dimacs("p cnf 2 1\n2 2 -1 0\n").clauses == ((2, 2, -1),)
     with pytest.raises(ValueError):
         parse_dimacs("p cnf 4 1\n1 2 3 4 0\n")
     with pytest.raises(ValueError):

@@ -107,6 +107,63 @@ def test_the_package_module_binds_only_its_submodules():
     assert imported <= {path.stem for path in MODULES}
 
 
+def _unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """The line and name of every import binding that no other node of
+    the module reads; ``import a.b`` binds ``a``, and a ``__future__``
+    import binds nothing."""
+    bound = [
+        (node.lineno, alias.asname or alias.name.split(".")[0])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+        if alias.name != "*"
+    ]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in bound if name not in read]
+
+
+# Imports that nothing in their module reads, each with the reason it stays.
+UNREAD_IMPORTS = {
+    ("cli.py", "all_congruences"): "bench/tests/test_bench_tracer.py checks "
+    "that tracing rebinds this module's name for it",
+}
+
+
+def test_no_imported_name_is_unused():
+    """Every name a module imports is read in it, or UNREAD_IMPORTS gives
+    the reason it stays; ``__init__.py`` imports its submodules to bind
+    them, which ``test_the_package_module_binds_only_its_submodules``
+    checks."""
+    found = {
+        (path.name, name): f"{path.name}:{line}"
+        for path in MODULES
+        for line, name in _unused_imports(_parse(path))
+    }
+    assert sorted(found) == sorted(UNREAD_IMPORTS), found
+
+
+def test_the_import_check_sees_unused_names():
+    unused = {
+        "import math\n": [(1, "math")],
+        "import os.path\n": [(1, "os")],
+        "from functools import cache, lru_cache\n@cache\ndef f():\n    pass\n":
+            [(1, "lru_cache")],
+        "import numpy as np\nnumpy = 1\n": [(1, "np")],
+    }
+    read = [
+        "import math\nx = math.pi\n",
+        "import os.path\nos.path.join('a')\n",
+        "from typing import Sequence\ndef f(x: Sequence[int]):\n    pass\n",
+        "from a import *\n",
+        "from __future__ import annotations\n",
+    ]
+    for source, names in unused.items():
+        assert _unused_imports(ast.parse(source)) == names, source
+    for source in read:
+        assert _unused_imports(ast.parse(source)) == [], source
+
+
 def test_no_top_level_name_is_defined_in_two_modules():
     """A function, class or constant has one definition in the package."""
     homes: dict[str, list[str]] = defaultdict(list)
