@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import congruence, lowering
+from . import congruence, lowering, modcircuit
 from .algebra import FiniteAlgebra, check_circuit
 from .circuits import AlgCircuit
 from .compile import (
@@ -223,9 +223,12 @@ def verify_harness(
     """Exhaustive truth-table comparison of a program and a circuit.
 
     Word length must stay within ``n_bound`` (itself capped at 20); the
-    first disagreeing word is reported in full.  Both sides are evaluated
-    a block of words at a time.  A circuit whose output is an open SUMP
-    vector has no truth value and never matches.
+    first disagreeing word is reported in full.  Up to
+    ``lowering.VERIFY_INPUT_BOUND`` bits it compares the two whole tables,
+    the circuit's from the run memo and the program's cached table, which
+    a compile has already built for its own final check; above that both
+    sides are evaluated a block of words at a time.  A circuit whose output
+    is an open SUMP vector has no truth value and never matches.
     """
     if not 0 <= n_bound <= 20:
         raise UsageError("verification bound must lie in 0..20")
@@ -249,13 +252,14 @@ def verify_harness(
             "match": False,
             "reason": "circuit output is an open SUMP vector, not a bit",
         }
-    for rows in index_blocks(1 << program.n):
+    whole = program.n <= lowering.VERIFY_INPUT_BOUND
+    for rows in [None] if whole else index_blocks(1 << program.n):
         wants = program.accept_column(rows)
         values = cc_table(circuit, rows)
         bad = np.flatnonzero((values != 0) != wants)
         if len(bad):
             at = bad[0]
-            word = int(rows[at])
+            word = int(at if rows is None else rows[at])
             return {
                 "match": False,
                 "reason": "truth tables differ",
@@ -738,6 +742,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # Each call starts from empty run memos.
     congruence._STRUCTURES.clear()
     lowering._INGEST_CACHE.clear()
+    modcircuit._TABLES.clear()
     lowering._conj_normal_form.cache_clear()
     try:
         return args.func(args)

@@ -26,7 +26,7 @@ the input word is narrow enough.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -46,14 +46,15 @@ from .congruence import (
 from .fieldpoly import (
     MultilinearPoly,
     accumulate,
+    coefficient_poly,
+    moebius_transform,
     monomial_key,
-    multilinear_interpolate,
     pdiv,
     prime_divisors,
 )
 from .limits import Budget, charge, default_budget
+from . import lowering
 from .lowering import (
-    VERIFY_INPUT_BOUND,
     AtomPool,
     PassReport,
     _verify_tables,
@@ -114,6 +115,8 @@ class CentralRep:
     mcoords: np.ndarray  # element of D -> coords of its M-part
     alpha: dict[str, np.ndarray]
     hat: dict[str, np.ndarray]
+    # each operation's correction table, lowered to AND∘SUMP once per level
+    lowered: dict[str, CCircuit] = field(default_factory=dict)
 
 
 def central_representation(
@@ -276,35 +279,45 @@ def path_coefficients(
 # ---------------------------------------------------------------------------
 
 
-def _combined_indicator(
+def _combined_indicators(
+    polys: dict,
     value_table: np.ndarray,
-    target: int,
+    targets: Sequence[int],
     dec,
     m: int,
     delta: int,
     budget: Budget,
-) -> tuple[dict[frozenset, int], int]:
-    """Monomial coefficients mod m and accepted residue for [value == target].
+) -> list[tuple[dict[frozenset, int], int]]:
+    """Monomial coefficients mod m and accepted residue for [value == t],
+    for each target t.
 
-    Per prime-power factor, interpolate the factor indicator over GF(p_j),
+    Per prime-power factor, interpolate the factor indicators over GF(p_j),
     then recombine with the coprime weights m/p_j; the word is accepted
     exactly when the combined sum hits delta = sum of the weights.
+    ``polys``, one compile's store, keeps each factor's class indicators
+    under the factor and its table of classes, so one transform serves
+    every class the call needs and every node with that table.
     """
-    acc: dict[frozenset, int] = {}
-    const = 0
+    accs: list[dict[frozenset, int]] = [{} for _ in targets]
     for j, pj in enumerate(dec.primes):
-        proj_j = dec.projections[j]
-        tj = proj_j[target]
-        table = (np.asarray(proj_j)[value_table] == tj).astype(np.int64)
-        w = multilinear_interpolate(table, pj)
-        scale = m // pj
-        for key, cf in w.terms.items():
-            if key:
-                accumulate(acc, key, scale * cf, m)
-            else:
-                const = (const + scale * cf) % m
-    charge(len(acc), budget.monomials, "base-case monomials")
-    return acc, (delta - const) % m
+        proj = np.asarray(dec.projections[j])
+        classes = proj.astype(np.min_scalar_type(proj.max()))[value_table]
+        made = polys.setdefault((j, classes.tobytes()), {})
+        wanted = [int(proj[t]) for t in targets]
+        missing = sorted(set(wanted) - made.keys())
+        if missing:
+            coeffs = moebius_transform(classes[:, None] == missing, pj)
+            for c, column in zip(missing, coeffs.T):
+                made[c] = coefficient_poly(column, pj)
+        for acc, c in zip(accs, wanted):
+            for key, cf in made[c].terms.items():
+                accumulate(acc, key, m // pj * cf, m)
+    out = []
+    for acc in accs:
+        const = acc.pop(frozenset(), 0)
+        charge(len(acc), budget.monomials, "base-case monomials")
+        out.append((acc, (delta - const) % m))
+    return out
 
 
 def compile_supernilpotent(
@@ -326,10 +339,9 @@ def compile_supernilpotent(
     if program.n > budget.truth_table_bits:
         raise ValueError("too many input bits for value tables")
     root_values = program.node_columns()[program.circuit.output]
-    branches = [
-        _combined_indicator(root_values, c, dec, m, delta, budget)
-        for c in sorted(program.accepting)
-    ]
+    branches = _combined_indicators(
+        {}, root_values, sorted(program.accepting), dec, m, delta, budget
+    )
 
     n = program.n
     gates, mono_node = monomial_gates(n, {key for acc, _ in branches for key in acc})
@@ -461,15 +473,18 @@ def descend_mod_beta(
             if not W.any():
                 continue
             children = nd[2]
-            r = len(children)
-            width = r * s
-            charge(1 << width, budget.monomials, "correction-term table")
-            # row y reads position i's class off bits i*s..i*s+s-1: the
-            # first set bit, or class 0 when none is set
-            bits = (np.arange(1 << width)[:, None] >> np.arange(width)) & 1
-            classes = bits.reshape(1 << width, r, s).argmax(axis=2)
-            table = rep.hat[nd[1]][tuple(classes.T)].reshape(1 << width, nu)
-            low_cc, _ = and_sum_lower(table.tolist(), p, budget)
+            low_cc = rep.lowered.get(nd[1])
+            if low_cc is None:
+                r = len(children)
+                width = r * s
+                charge(1 << width, budget.monomials, "correction-term table")
+                # row y reads position i's class off bits i*s..i*s+s-1:
+                # the first set bit, or class 0 when none is set
+                bits = (np.arange(1 << width)[:, None] >> np.arange(width)) & 1
+                classes = bits.reshape(1 << width, r, s).argmax(axis=2)
+                table = rep.hat[nd[1]][tuple(classes.T)].reshape(1 << width, nu)
+                low_cc, _ = and_sum_lower(table.tolist(), p, budget)
+                rep.lowered[nd[1]] = low_cc
             sump = low_cc.gates[low_cc.output - low_cc.inputs]
             offset += W @ sump.offset
             for (src, mult), vec in zip(sump.wires, sump.coeffs):
@@ -603,23 +618,6 @@ def _constant_circuit(n: int, m: int, p: int, value: int) -> CCircuit:
     )
 
 
-def _base_modsum(
-    pool: AtomPool,
-    value_table: np.ndarray,
-    target: int,
-    dec,
-    m: int,
-    p: int,
-    delta: int,
-    budget: Budget,
-) -> MultilinearPoly:
-    acc, resid = _combined_indicator(value_table, target, dec, m, delta, budget)
-    atom = make_atom(m, acc, {resid})
-    if atom is None:
-        return MultilinearPoly.constant(p, 1 if resid == 0 else 0)
-    return MultilinearPoly.variable(p, pool.get(atom))
-
-
 def compile_nilpotent(
     program: AlgProgram, budget: Optional[Budget] = None
 ) -> tuple[CCircuit, list[PassReport]]:
@@ -701,30 +699,32 @@ def compile_nilpotent(
     delta = sum(m // pj for pj in dec.primes) % m
 
     cache: dict[tuple[int, int], CCircuit] = {}
-    base_entries = (
-        [(root, t) for t in S0]
-        if h == 0
-        else [(q, t) for q in nodes for t in range(Abar.size)]
-    )
-    base_total = 0
-    for q, t in base_entries:
+    base_targets = {root: S0} if h == 0 else {q: range(Abar.size) for q in nodes}
+    polys: dict = {}
+    for q, targets in base_targets.items():
         table = np.asarray(projs[h])[vals[q]]
-        pool = AtomPool()
-        modsum = _base_modsum(pool, table, t, dec, m, p, delta, budget)
-        cc = emit_modsum(n, m, p, pool, modsum, and_layer=True, final=MOD)
-        _verify_tables(
-            cc, lambda: table == t, n, f"base indicator for node {q}, target {t}"
+        indicators = _combined_indicators(
+            polys, table, targets, dec, m, delta, budget
         )
-        cache[(q, t)] = cc
-        base_total += cc.size
+        for t, (acc, resid) in zip(targets, indicators):
+            pool = AtomPool()
+            atom = make_atom(m, acc, {resid})
+            modsum = (MultilinearPoly.constant(p, int(resid == 0)) if atom is None
+                      else MultilinearPoly.variable(p, pool.get(atom)))
+            cc = emit_modsum(n, m, p, pool, modsum, and_layer=True, final=MOD)
+            _verify_tables(
+                cc, lambda: table == t, n,
+                f"base indicator for node {q}, target {t}",
+            )
+            cache[(q, t)] = cc
     reports.append(
         PassReport(
-            pass_name=f"base_cache[{len(base_entries)} entries]",
+            pass_name=f"base_cache[{len(cache)} entries]",
             input_shape=f"program(size={program.size})/supernilpotent quotient",
             output_shape=f"AND(*)∘MOD({m})∘MOD({p})",
             input_size=program.size,
-            output_size=base_total,
-            verified=n <= VERIFY_INPUT_BOUND or None,
+            output_size=sum(cc.size for cc in cache.values()),
+            verified=n <= lowering.VERIFY_INPUT_BOUND or None,
         )
     )
 

@@ -191,30 +191,44 @@ class MultilinearPoly:
         return res
 
 
-def multilinear_interpolate(table: Sequence[int], p: int) -> MultilinearPoly:
-    """Unique multilinear polynomial matching a truth table over {0,1}^n.
+def moebius_transform(table, p: int) -> np.ndarray:
+    """Multilinear coefficients mod p of each column of a truth table.
 
-    Row index encodes the assignment with variable 0 least significant.
-    Uses the subset Moebius transform on an int64 copy of the table, one
-    vector step per variable: viewed as (-1, 2, 2^i), the half with bit i
-    set loses the half without it, mod p.  Terms come in ascending mask
-    order.
+    Axis 0 indexes the assignments over {0,1}^n, variable 0 least
+    significant; a 2-D table holds one function per column, so one
+    transform interpolates them all.  The subset Moebius transform runs on
+    an int64 copy, one vector step per variable: viewed as (-1, 2, 2^i),
+    the half with bit i set loses the half without it, mod p.  Entry S of
+    the result is the coefficient of the monomial with variable mask S.
     """
-    size = len(table)
-    n = size.bit_length() - 1
-    if 1 << n != size:
+    n = len(table).bit_length() - 1
+    if 1 << n != len(table):
         raise ValueError("table length must be a power of two")
     t = np.remainder(table, p, dtype=np.int64)
     for i in range(n):
-        halves = t.reshape(-1, 2, 1 << i)
+        halves = t.reshape(-1, 2, 1 << i, *t.shape[1:])
         halves[:, 1] -= halves[:, 0]
         halves[:, 1] %= p
-    masks = np.flatnonzero(t)
+    return t
+
+
+def coefficient_poly(coeffs: np.ndarray, p: int) -> MultilinearPoly:
+    """The polynomial of one column of ``moebius_transform``, its terms in
+    ascending mask order."""
+    n = len(coeffs).bit_length() - 1
+    masks = np.flatnonzero(coeffs)
     terms = {
         frozenset(i for i in range(n) if mask >> i & 1): c
-        for mask, c in zip(masks.tolist(), t[masks].tolist())
+        for mask, c in zip(masks.tolist(), coeffs[masks].tolist())
     }
     return MultilinearPoly(p, terms)
+
+
+def multilinear_interpolate(table: Sequence[int], p: int) -> MultilinearPoly:
+    """Unique multilinear polynomial matching a truth table over {0,1}^n
+    (row index = assignment, variable 0 least significant), terms in
+    ascending mask order."""
+    return coefficient_poly(moebius_transform(table, p), p)
 
 
 # ---------------------------------------------------------------------------

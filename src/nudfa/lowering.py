@@ -21,7 +21,8 @@ MOD(m)∘MOD(p) (boolean output), or the AND-prefixed versions when the
 monomials need an AND level; ``monomial_gates`` builds that AND level for
 every circuit that has one.  All passes compare the truth table of their
 output with the input's on up to 2^14 words (``VERIFY_INPUT_BOUND``) and
-report sizes.
+report sizes.  Circuit tables come from ``cc_table``'s run memo: a circuit
+one pass built and checked is read, not evaluated again, by the next.
 """
 
 from __future__ import annotations
@@ -126,47 +127,46 @@ def _conj_modsum_mod2(
     pool: AtomPool, atoms: Sequence[ModAtom], p: int
 ) -> MultilinearPoly:
     """Fast conjunction for m = 2: [y=r] = (1 + (-1)^(y+r))/2 over GF(p),
-    so the product expands into XOR-combinations of the parity forms."""
-    forms: list[frozenset] = []
+    so the product expands into XOR-combinations of the parity forms.  A
+    form is an int mask over the monomials, numbered as they occur."""
+    number: dict[Key, int] = {}
+    forms: list[int] = []
     residues: list[int] = []
     for a in atoms:
         if a.accepting == frozenset({0, 1}):
             continue  # constant 1 factor
         if not a.accepting:
             return MultilinearPoly(p)  # constant 0 factor
-        forms.append(frozenset(key for key, _ in a.coeffs))
+        ids = [number.setdefault(key, len(number)) for key, _ in a.coeffs]
+        forms.append(sum(1 << i for i in ids))
         residues.append(0 if 0 in a.accepting else 1)
     k = len(forms)
     if k == 0:
         return MultilinearPoly.constant(p, 1)
-    inv2 = pow(2, -1, p)
-    unit = pow(inv2, k - 1, p)
+    unit = pow(pow(2, -1, p), k - 1, p)
+    coeffs = (unit, (-unit) % p)
     offset = 0
-    acc: dict[frozenset, int] = {}
-    # Gray-code walk: successive subsets differ in a single atom
-    form: frozenset = frozenset()
-    r = 0
-    gray_prev = 0
+    acc: dict[int, int] = {}
+    # Gray-code walk: subset idx differs from idx - 1 in its lowest set bit
+    form = r = 0
     for idx in range(1 << k):
-        gray = idx ^ (idx >> 1)
-        diff = gray ^ gray_prev
-        if diff:
-            i = diff.bit_length() - 1
+        if idx:
+            i = (idx & -idx).bit_length() - 1
             form ^= forms[i]
             r ^= residues[i]
-        gray_prev = gray
-        coeff = unit if r == 0 else (-unit) % p
         if form:
-            acc[form] = (acc.get(form, 0) + coeff) % p
+            acc[form] = (acc.get(form, 0) + coeffs[r]) % p
         else:
-            offset += coeff
+            offset += coeffs[r]
     if all(r == 0 for r in residues):
         offset -= 1
+    monomials = list(number)
     terms = {frozenset(): offset}
     for form, c in acc.items():
         if c % p == 0:
             continue
-        atom = make_atom(2, {key: 1 for key in form}, {0})
+        keys = {key: 1 for b, key in enumerate(monomials) if form >> b & 1}
+        atom = make_atom(2, keys, {0})
         if atom is None:
             raise AssertionError("conjunction form collapsed to a constant")
         terms[frozenset([pool.get(atom)])] = c

@@ -21,6 +21,12 @@ i = (r >> i) & 1).  Boolean columns are uint8 and a column is dropped
 after its last reader, so a table of up to 2^20 words needs scratch memory
 for one block only.  ``eval_cc`` is its one-row view for a single word.
 A SUMP gate that feeds another gate is refused.
+
+A circuit's whole table is computed once per run: ``cc_table`` keeps it,
+read-only, in the memo ``_TABLES`` under the circuit's value, and every
+later check of an equal circuit (the next pass, the CLI harness) reads that
+copy.  ``cli.main`` empties the memo; it drops its oldest tables to stay
+within ``TABLE_MEMO_BYTES``.
 """
 
 from __future__ import annotations
@@ -221,6 +227,11 @@ def word_blocks(n: int, rows: Optional[np.ndarray]) -> Iterator[np.ndarray]:
         yield rows[start : start + TABLE_BLOCK]
 
 
+# Whole tables of this run, keyed by circuit value (see the module notes).
+TABLE_MEMO_BYTES = 1 << 23
+_TABLES: dict[CCircuit, np.ndarray] = {}
+
+
 def cc_table(
     circuit: CCircuit, rows: Optional[np.ndarray] = None
 ) -> np.ndarray:
@@ -232,8 +243,12 @@ def cc_table(
     the source columns, MOD looks the weighted sum mod m up in its
     accepting set, SUMP/SUMPC add their coefficient vectors.  Returns a
     uint8 column, or an int64 array of shape (words, nu) when the output is
-    an open SUMP vector.
+    an open SUMP vector.  The whole table (``rows`` None) is the read-only
+    copy of the run memo.
     """
+    found = _TABLES.get(circuit) if rows is None else None
+    if found is not None:
+        return found
     readers = [0] * (circuit.inputs + len(circuit.gates))
     for gid, gate in enumerate(circuit.gates):
         for src, _ in gate.wires:
@@ -255,6 +270,11 @@ def cc_table(
     for block in word_blocks(circuit.inputs, rows):
         table[start : start + len(block)] = _cc_block(circuit, block, readers)
         start += len(block)
+    if rows is None and table.nbytes <= TABLE_MEMO_BYTES:
+        table.flags.writeable = False
+        while sum(t.nbytes for t in _TABLES.values()) + table.nbytes > TABLE_MEMO_BYTES:
+            del _TABLES[next(iter(_TABLES))]
+        _TABLES[circuit] = table
     return table
 
 

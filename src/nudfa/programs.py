@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from .algebra import FiniteAlgebra, check_circuit, quotient_algebra
 from .circuits import CONST, AlgCircuit, dump_json, eval_columns, node_columns
 from .limits import Budget, default_budget
-from .modcircuit import word_blocks, word_row
+from .modcircuit import index_blocks, word_blocks, word_row
 from .partitions import Partition
 
 
@@ -92,10 +93,13 @@ class AlgProgram:
 
     def accept_column(self, rows: Optional[np.ndarray] = None) -> np.ndarray:
         """Acceptance on the words ``rows`` (all 2^n in index order when
-        None) as a boolean column, computed in blocks of TABLE_BLOCK words."""
+        None) as a boolean column, computed in blocks of TABLE_BLOCK words.
+        The whole table is computed once per program and is read-only."""
+        if rows is None:
+            return self._accept_table
         lut = np.zeros(self.algebra.size, np.bool_)
         lut[sorted(self.accepting)] = True
-        out = np.empty(1 << self.n if rows is None else len(rows), np.bool_)
+        out = np.empty(len(rows), np.bool_)
         start = 0
         for block in word_blocks(self.n, rows):
             values = eval_columns(
@@ -104,6 +108,13 @@ class AlgProgram:
             out[start : start + len(block)] = lut[values]
             start += len(block)
         return out
+
+    @cached_property
+    def _accept_table(self) -> np.ndarray:
+        blocks = index_blocks(1 << self.n)
+        table = np.concatenate([self.accept_column(rows) for rows in blocks])
+        table.flags.writeable = False
+        return table
 
     # -- serialization -----------------------------------------------------
 

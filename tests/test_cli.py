@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -13,7 +15,10 @@ import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from test_source import _cache_decorator
 
 from nudfa import cli, congruence, lowering
 from nudfa.algebra import FiniteAlgebra, Operation, quasigroup_malcev, verify_malcev
@@ -24,7 +29,7 @@ from nudfa.fixtures import demo_program, get_fixture
 from nudfa.modcircuit import SUMP, CCircuit, Gate
 from nudfa.programs import AlgProgram, Instruction
 
-# About twice the measured peak of the n = 14 harness run below.
+# About 1.6 times the measured peak (712 KiB) of the n = 16 harness run below.
 PEAK_HARNESS_BYTES = 1152 * 1024
 
 
@@ -69,8 +74,9 @@ def test_verify_command_exits_1_on_a_vector_valued_circuit(tmp_path):
 
 
 def test_harness_memory_stays_bounded():
-    """Both truth tables go a block of words at a time."""
-    prog = count_ones(14)
+    """Above ``VERIFY_INPUT_BOUND`` both truth tables go a block of words
+    at a time."""
+    prog = count_ones(16)
     circuit, _ = compile_supernilpotent(prog)
     tracemalloc.start()
     try:
@@ -78,8 +84,36 @@ def test_harness_memory_stays_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert doc == {"match": True, "words": 1 << 14}
+    assert doc == {"match": True, "words": 1 << 16}
     assert peak < PEAK_HARNESS_BYTES, peak
+
+
+@pytest.mark.parametrize("name", ["parity_sum_z6m2_10", "count_ones_z6_14"])
+def test_without_the_compilers_checks_the_harness_goes_by_blocks(
+    name, monkeypatch
+):
+    """With the compiler's bound at 0 no pass checks its output, so the
+    harness evaluates both sides a block at a time; the output differs
+    from the golden one only in the passes' ``verified``, now null."""
+    monkeypatch.chdir(Path(__file__).resolve().parent / "golden")
+    monkeypatch.setattr(lowering, "VERIFY_INPUT_BOUND", 0)
+    harness_rows = []
+    table = cli.cc_table
+    monkeypatch.setattr(
+        cli, "cc_table", lambda c, rows: harness_rows.append(rows) or table(c, rows)
+    )
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["compile", "--program", f"inputs/{name}.json",
+                     "--verify-n", "20"]) == 0
+    expected = json.loads(
+        (Path("expected") / f"compile_{name}.out").read_text()
+    )
+    for report in expected["passes"]:
+        report["verified"] = None
+    assert buf.getvalue() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    words = np.concatenate(harness_rows)
+    assert len(harness_rows) >= 1 and words.tolist() == list(range(1 << expected["n"]))
 
 
 @pytest.mark.parametrize(
@@ -241,31 +275,70 @@ def test_reused_parser_keeps_no_state_between_calls(monkeypatch, capsys):
         assert capsys.readouterr().out == expected, name
 
 
+def run_memos() -> list[tuple[object, str]]:
+    """(module, name) of every run memo in the package's source: each
+    module-level dict bound to an empty ``{}``, and each ``functools``
+    cache on a module-level function that takes arguments (an argument-free
+    one, like ``cli._build_parser``, caches one value for the process)."""
+    found = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"nudfa.{path.stem}")
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                if isinstance(node.value, ast.Dict) and not node.value.keys:
+                    found += [(module, t.id) for t in node.targets]
+            elif isinstance(node, ast.AnnAssign):
+                if isinstance(node.value, ast.Dict) and not node.value.keys:
+                    found.append((module, node.target.id))
+            elif isinstance(node, ast.FunctionDef):
+                a = node.args
+                takes = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                if any(takes) and any(map(_cache_decorator, node.decorator_list)):
+                    found.append((module, node.name))
+    return found
+
+
+# One call that fills each cached function with arguments.
+CACHE_FILLERS = {
+    "_conj_normal_form": lambda f: f(3, 2, (frozenset({0}),)),
+}
+
+
 def test_each_call_starts_with_empty_run_memos(monkeypatch, tmp_path):
-    """The structure memo and the lowering caches hold what one ``main``
-    call computed; the next call starts without them."""
+    """Every run memo the source holds, found by ``run_memos``, is empty
+    when the next ``main`` call starts work, whatever the last one left."""
+    memos = run_memos()
+    assert {(m.__name__, name) for m, name in memos} >= {
+        ("nudfa.congruence", "_STRUCTURES"),
+        ("nudfa.lowering", "_INGEST_CACHE"),
+        ("nudfa.lowering", "_conj_normal_form"),
+        ("nudfa.modcircuit", "_TABLES"),
+    }
     program = tmp_path / "program.json"
     demo_program("and2_z6%2").dump(str(program))
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["compile", "--program", str(program)]) == 0
-    lowering._conj_normal_form(3, 2, (frozenset({0}),))
-    memos = (
-        lambda: len(congruence._STRUCTURES),
-        lambda: len(lowering._INGEST_CACHE),
-        lambda: lowering._conj_normal_form.cache_info().currsize,
-    )
-    assert all(size() for size in memos)
     sizes = []
+    for module, name in memos:
+        memo = getattr(module, name)
+        if isinstance(memo, dict):
+            memo.setdefault(("left by an earlier call",), None)
+            sizes.append(lambda memo=memo: len(memo))
+        else:
+            CACHE_FILLERS[name](memo)
+            sizes.append(lambda memo=memo: memo.cache_info().currsize)
+    assert all(size() for size in sizes)
+    seen = []
     resolve = cli.resolve_algebra
 
     def resolving(spec):
-        sizes.append([size() for size in memos])
+        seen.append([size() for size in sizes])
         return resolve(spec)
 
     monkeypatch.setattr(cli, "resolve_algebra", resolving)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["algebra", "--algebra", "fixtures:Z2"]) == 0
-    assert sizes == [[0, 0, 0]]
+    assert seen == [[0] * len(memos)]
 
 
 def test_a_con_call_never_imports_numpy_ma():

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
@@ -12,10 +16,11 @@ from conftest import (
     count_root_structures,
     variable_circuit,
 )
-from nudfa import congruence, lowering
+from nudfa import congruence, lowering, modcircuit, programs
 from nudfa import compile as compile_module
 from nudfa.algebra import FiniteAlgebra, make_op, quotient_algebra
 from nudfa.circuits import CircuitBuilder
+from nudfa.cli import main
 from nudfa.compile import (
     HypothesisViolation,
     central_representation,
@@ -351,3 +356,66 @@ def test_the_descent_over_a_module_of_dimension_two(n, monkeypatch):
     assert nus and set(nus) == {2}
     assert all(r.verified is True for r in reports)
     assert_compiled_matches(circuit, prog)
+
+
+# -- one copy of each table per compile ---------------------------------------
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _compile_golden(name: str) -> dict:
+    argv = ["compile", "--program", f"inputs/{name}.json", "--verify-n", "20"]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == 0
+    assert buf.getvalue() == (GOLDEN / "expected" / f"compile_{name}.out").read_text()
+    return json.loads(buf.getvalue())
+
+
+@pytest.mark.parametrize("name", ["parity_sum_z6m2_10", "count_ones_z6_14"])
+def test_a_compile_evaluates_each_whole_table_once(name, monkeypatch):
+    """Every check of a circuit, the CLI harness's included, reads the one
+    table the first check computed; the program's table is built once."""
+    monkeypatch.chdir(GOLDEN)
+    blocks = []
+    block = modcircuit._cc_block
+
+    def counted(circuit, rows, readers):
+        blocks.append((circuit, int(rows[0])))
+        return block(circuit, rows, readers)
+
+    monkeypatch.setattr(modcircuit, "_cc_block", counted)
+    program_blocks = []
+    columns = programs.eval_columns
+    monkeypatch.setattr(
+        programs, "eval_columns",
+        lambda *a: program_blocks.append(1) or columns(*a),
+    )
+    doc = _compile_golden(name)
+    assert doc["verified"] is True and all(r["verified"] for r in doc["passes"])
+    assert len(blocks) > 1 and len(set(blocks)) == len(blocks)
+    assert len(program_blocks) == -(-(1 << doc["n"]) // modcircuit.TABLE_BLOCK)
+
+
+@pytest.mark.parametrize("name", ["parity_sum_z6m2_10", "count_ones_z6_14"])
+def test_one_transform_per_node_table_and_prime(name, monkeypatch):
+    """The indicators of all classes of one node table under one prime come
+    from one Moebius transform."""
+    monkeypatch.chdir(GOLDEN)
+    pairs = set()
+    indicators = compile_module._combined_indicators
+
+    def recording(polys, table, targets, dec, *rest):
+        pairs.update((table.tobytes(), pj) for pj in dec.primes)
+        return indicators(polys, table, targets, dec, *rest)
+
+    transforms = []
+    transform = compile_module.moebius_transform
+    monkeypatch.setattr(compile_module, "_combined_indicators", recording)
+    monkeypatch.setattr(
+        compile_module, "moebius_transform",
+        lambda *a: transforms.append(1) or transform(*a),
+    )
+    _compile_golden(name)
+    assert len(pairs) > 1 and len(transforms) == len(pairs)
+

@@ -97,6 +97,31 @@ def test_interpolation_matches_the_reference_transform(n, p, kind, density, seed
     assert all(type(c) is int for c in poly.terms.values())
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 10),
+    k=st.integers(1, 4),
+    p=st.sampled_from((2, 3, 5)),
+    onehot=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_transform_interpolates_every_column(n, k, p, onehot, seed):
+    """A 2-D table, integer or the boolean class indicators the compiler
+    transforms, gives each column's polynomial: the reference's
+    coefficients in the reference's term order."""
+    rng = np.random.default_rng(seed)
+    if onehot:
+        table = rng.integers(0, k + 1, size=(1 << n, 1)) == np.arange(k)
+    else:
+        table = rng.integers(-300, 301, size=(1 << n, k))
+    coeffs = fieldpoly.moebius_transform(table, p)
+    assert coeffs.shape == table.shape
+    for c in range(k):
+        poly = fieldpoly.coefficient_poly(coeffs[:, c], p)
+        expected = reference.multilinear_interpolate(table[:, c].tolist(), p)
+        assert list(poly.terms.items()) == list(expected.terms.items())
+
+
 def test_interpolation_memory_stays_bounded():
     """The conjunction of 20 bits takes one working copy of its table, not
     a (2^n x n) bit matrix."""

@@ -8,7 +8,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import conj_reference
 from conftest import scalar
 
 from nudfa import lowering
@@ -268,6 +270,33 @@ def test_the_two_conjunction_routes_agree_on_every_word():
             })
         differ += forms[0] != forms[1]
     assert differ > 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sets(st.frozensets(st.integers(0, 5), min_size=1, max_size=3),
+                    min_size=1, max_size=4),
+            st.sampled_from([frozenset(), frozenset({0}), frozenset({1}),
+                             frozenset({0, 1})]),
+        ),
+        max_size=6,
+    ),
+    st.sampled_from([3, 5, 7]),
+)
+def test_the_mod2_conjunction_matches_the_frozenset_walk(specs, p):
+    """Int masks over numbered monomials give the terms, in the same order,
+    and pool the same atoms in the same order as the frozenset walk."""
+    atoms = [make_atom(2, dict.fromkeys(keys, 1), acc) for keys, acc in specs]
+    pools = [AtomPool(), AtomPool()]
+    for pool in pools:
+        for atom in atoms[::2]:  # some atoms pooled before the call
+            pool.get(atom)
+    got = _conj_modsum_mod2(pools[0], atoms, p)
+    want = conj_reference.conj_modsum_mod2(pools[1], atoms, p)
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert pools[0].atoms == pools[1].atoms
 
 
 def test_passes_reject_mismatched_shapes():

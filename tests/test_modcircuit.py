@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,6 +16,7 @@ import eval_reference as reference
 from conftest import layered_circuits
 
 from nudfa import modcircuit
+from nudfa.cli import main
 from nudfa.modcircuit import (
     AND,
     MOD,
@@ -156,7 +161,9 @@ def test_column_table_matches_the_word_evaluator(circuit, block, data):
         [(row >> i) & 1 for i in range(circuit.inputs)]
         for row in range(1 << circuit.inputs)
     ]
-    with mock.patch.object(modcircuit, "TABLE_BLOCK", block):
+    # a fresh memo, so that every drawn block size evaluates the table
+    with mock.patch.object(modcircuit, "TABLE_BLOCK", block), \
+            mock.patch.object(modcircuit, "_TABLES", {}):
         try:
             want = [reference.eval_cc(circuit, w) for w in words]
         except ValueError as exc:
@@ -170,6 +177,54 @@ def test_column_table_matches_the_word_evaluator(circuit, block, data):
         table = cc_table(circuit, np.array(rows, dtype=np.int64))
         got = [tuple(v) if table.ndim == 2 else v for v in table.tolist()]
         assert got == [want[r] for r in rows]
+
+
+def test_a_whole_table_is_computed_once_and_is_read_only(monkeypatch):
+    """The memo returns one copy per circuit value; listed rows are
+    evaluated afresh and stay writable."""
+    monkeypatch.setattr(modcircuit, "_TABLES", {})
+    blocks = []
+    block = modcircuit._cc_block
+    monkeypatch.setattr(
+        modcircuit, "_cc_block", lambda *a: blocks.append(a[0]) or block(*a)
+    )
+    table = cc_table(and_or_circuit())
+    assert cc_table(and_or_circuit()) is table and len(blocks) == 1
+    with pytest.raises(ValueError, match="read-only"):
+        table[0] = 1 - table[0]
+    rows = cc_table(and_or_circuit(), np.arange(4))
+    rows[0] = 1
+    assert len(blocks) == 2 and table.tolist() == cc_truth_table(and_or_circuit())
+
+
+def test_the_table_memo_stays_within_its_bound(monkeypatch):
+    """A compile at 12 bits makes about 50 tables of 4 KiB; a memo of
+    20 KiB drops the oldest, and what modcircuit.py allocated and still
+    holds afterwards is the memo's tables and some small objects."""
+    bound = 5 << 12
+    monkeypatch.setattr(modcircuit, "TABLE_MEMO_BYTES", bound)
+    made = set()
+    block = modcircuit._cc_block
+    monkeypatch.setattr(
+        modcircuit, "_cc_block", lambda *a: made.add(a[0]) or block(*a)
+    )
+    monkeypatch.chdir(Path(__file__).resolve().parent / "golden")
+    argv = ["compile", "--program", "inputs/parity_sum_z6m2_12.json",
+            "--verify-n", "20"]
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        held = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(True, modcircuit.__file__)]
+        )
+    finally:
+        tracemalloc.stop()
+    kept = sum(t.nbytes for t in modcircuit._TABLES.values())
+    assert bound - 4096 < kept <= bound
+    assert len(made) > 5 * len(modcircuit._TABLES)
+    # unbounded, the memo would hold about 200 KiB of tables here
+    assert sum(s.size for s in held.statistics("filename")) < bound + (16 << 10)
 
 
 # -- shapes ------------------------------------------------------------------
@@ -250,7 +305,9 @@ def test_json_round_trip(make):
     for doc in (circ.to_json(), legacy):
         back = CCircuit.from_json(doc)
         assert back == circ
-        assert np.array_equal(cc_table(back), cc_table(circ))
+        # the listed rows bypass the memo, which holds circ's table
+        rows = np.arange(1 << circ.inputs)
+        assert np.array_equal(cc_table(back, rows), cc_table(circ))
 
 
 def test_file_round_trip(tmp_path):
