@@ -26,7 +26,7 @@ A circuit's whole table is computed once per run: ``cc_table`` keeps it,
 read-only, in the memo ``_TABLES`` under the circuit's value, and every
 later check of an equal circuit (the next pass, the CLI harness) reads that
 copy.  ``cli.main`` empties the memo; it drops its oldest tables to stay
-within ``TABLE_MEMO_BYTES``.
+within ``TABLE_MEMO_BYTES`` and ``TABLE_MEMO_ENTRIES``.
 """
 
 from __future__ import annotations
@@ -227,8 +227,9 @@ def word_blocks(n: int, rows: Optional[np.ndarray]) -> Iterator[np.ndarray]:
         yield rows[start : start + TABLE_BLOCK]
 
 
-# Whole tables of this run, keyed by circuit value (see the module notes).
-TABLE_MEMO_BYTES = 1 << 23
+# Whole tables of this run, keyed by circuit value (see the module notes);
+# the entry cap also bounds the circuits that the keys keep alive.
+TABLE_MEMO_BYTES, TABLE_MEMO_ENTRIES = 1 << 23, 1024
 _TABLES: dict[CCircuit, np.ndarray] = {}
 
 
@@ -272,9 +273,10 @@ def cc_table(
         start += len(block)
     if rows is None and table.nbytes <= TABLE_MEMO_BYTES:
         table.flags.writeable = False
-        while sum(t.nbytes for t in _TABLES.values()) + table.nbytes > TABLE_MEMO_BYTES:
-            del _TABLES[next(iter(_TABLES))]
         _TABLES[circuit] = table
+        while (len(_TABLES) > TABLE_MEMO_ENTRIES
+               or sum(t.nbytes for t in _TABLES.values()) > TABLE_MEMO_BYTES):
+            del _TABLES[next(iter(_TABLES))]  # the oldest
     return table
 
 

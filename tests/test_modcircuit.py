@@ -197,6 +197,16 @@ def test_a_whole_table_is_computed_once_and_is_read_only(monkeypatch):
     assert len(blocks) == 2 and table.tolist() == cc_truth_table(and_or_circuit())
 
 
+def test_the_table_memo_keeps_its_newest_entries(monkeypatch):
+    """Past ``TABLE_MEMO_ENTRIES`` the oldest table goes first."""
+    monkeypatch.setattr(modcircuit, "_TABLES", {})
+    monkeypatch.setattr(modcircuit, "TABLE_MEMO_ENTRIES", 2)
+    circuits = [mod_parity_circuit(), and_or_circuit(), open_sum_circuit()]
+    for circuit in circuits:
+        cc_table(circuit)
+    assert list(modcircuit._TABLES) == circuits[1:]
+
+
 def test_the_table_memo_stays_within_its_bound(monkeypatch):
     """A compile at 12 bits makes about 50 tables of 4 KiB; a memo of
     20 KiB drops the oldest, and what modcircuit.py allocated and still
