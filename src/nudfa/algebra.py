@@ -551,20 +551,17 @@ def verify_malcev(algebra: FiniteAlgebra, circuit: AlgCircuit) -> bool:
     """True iff the ternary circuit satisfies the Malcev identities."""
     if circuit.k != 3:
         return False
-    n = algebra.size
-    x, y = np.indices((n, n)).reshape(2, n * n)
+    x, y = np.ix_(range(algebra.size), range(algebra.size))
     return all(
-        (eval_columns(algebra, circuit, np.stack(args)) == y).all()
+        (eval_columns(algebra, circuit, args) == y).all()
         for args in ((y, x, x), (x, x, y))
     )
 
 
 def malcev_addition(algebra: FiniteAlgebra, malcev: AlgCircuit, zero: int) -> np.ndarray:
     """The size x size table of x + y = d(x, zero, y) for a Malcev circuit d."""
-    n = algebra.size
-    x, y = np.indices((n, n)).reshape(2, n * n)
-    args = np.stack([x, np.full_like(x, zero), y])
-    return eval_columns(algebra, malcev, args).reshape(n, n)
+    x, y = np.ix_(range(algebra.size), range(algebra.size))
+    return eval_columns(algebra, malcev, (x, zero, y))
 
 
 def check_circuit(algebra: FiniteAlgebra, circuit: AlgCircuit) -> None:

@@ -6,13 +6,15 @@ are hash-consed at construction time, so structurally equal subterms share a
 node.  Circuits stand in for terms-with-constants (polynomials) everywhere in
 the package.
 
-``node_columns`` and ``eval_columns`` evaluate a whole block of
-assignments, each gate as one gather on its operation's flat table; they
-are the one evaluator, and ``eval_circuit`` is their one-row view for a
-single assignment.  ``product_columns`` and
-``argument_blocks`` list assignments and argument tuples in ``product``
-order as numpy arrays, ``product_blocks`` their positions in the pools.
-``dump_json`` writes every JSON file the package saves.
+``node_columns`` and ``eval_columns`` evaluate many assignments at once,
+each gate as one gather on its operation's flat table; they are the one
+evaluator, and ``eval_circuit`` is their one-row view for a single
+assignment.  The variables' values are numpy arrays that broadcast
+together: rows of a (k, rows) block, or an open grid on which each gate
+only spans the axes of the variables it reads.  ``argument_blocks`` lists
+argument tuples in ``product`` order as such arrays, ``product_blocks``
+their positions in the pools.  ``dump_json`` writes every JSON file the
+package saves.
 """
 
 from __future__ import annotations
@@ -112,17 +114,6 @@ def eval_circuit(algebra: OpTable, circuit: AlgCircuit, args: Sequence[int]) -> 
     return int(eval_columns(algebra, circuit, column)[0])
 
 
-def product_columns(indices: np.ndarray, size: int, k: int) -> np.ndarray:
-    """Assignments number ``indices`` of ``product(range(size), repeat=k)``,
-    as a (k, len(indices)) array: the first variable is the most
-    significant digit."""
-    cols = np.empty((k, len(indices)), np.min_scalar_type(size - 1))
-    rest = np.asarray(indices, dtype=np.int64)
-    for i in range(k - 1, -1, -1):
-        rest, cols[i] = np.divmod(rest, size)
-    return cols
-
-
 def product_blocks(sizes: Sequence[int], block: int):
     """The positions of every tuple of a product of pools of the given
     sizes, in ``product`` order, at most ``block`` tuples at a time: one
@@ -155,35 +146,49 @@ def argument_blocks(pools: list[np.ndarray], block: int):
 
 
 def node_columns(
-    algebra: OpTable, circuit: AlgCircuit, args: np.ndarray
+    algebra: OpTable, circuit: AlgCircuit, args: Sequence[np.ndarray]
 ) -> list[np.ndarray]:
-    """Every node's value on a block of assignments at once.
+    """Every node's value on many assignments at once.
 
-    ``args`` has one row of element values per variable, shape (k, rows).
-    A gate is one gather on its operation's flat table, at index
-    sum(a_i * n**(r-1-i)) over its children's columns (the layout of
-    algebra.py); columns use the smallest unsigned dtype holding the
-    universe.
+    ``args`` holds the k variables' element values: a (k, rows) block, or
+    k arrays that broadcast together.  A gate is one gather on its
+    operation's flat table, at index sum(a_i * n**(r-1-i)) over its
+    children's columns (the layout of algebra.py), and spans only the axes
+    its children span; a constant is a scalar.  A column that spans fewer
+    axes is returned as a broadcast view at the full shape.  Columns use
+    the smallest unsigned dtype holding the universe.
     """
-    return _columns(algebra, circuit, args, keep_all=True)
+    cols, shape = _columns(algebra, circuit, args, keep_all=True)
+    return [_full(col, shape) for col in cols]
 
 
 def eval_columns(
-    algebra: OpTable, circuit: AlgCircuit, args: np.ndarray
+    algebra: OpTable, circuit: AlgCircuit, args: Sequence[np.ndarray]
 ) -> np.ndarray:
     """The output column of ``node_columns``; each other column is dropped
     after its last reader."""
-    return _columns(algebra, circuit, args, keep_all=False)[circuit.output]
+    cols, shape = _columns(algebra, circuit, args, keep_all=False)
+    return _full(cols[circuit.output], shape)
+
+
+def _full(col: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    return col if col.shape == shape else np.broadcast_to(col, shape)
 
 
 def _columns(
-    algebra: OpTable, circuit: AlgCircuit, args: np.ndarray, keep_all: bool
-) -> list:
+    algebra: OpTable,
+    circuit: AlgCircuit,
+    args: Sequence[np.ndarray],
+    keep_all: bool,
+) -> tuple[list, tuple[int, ...]]:
     if len(args) != circuit.k:
         raise ValueError(f"expected {circuit.k} arguments, got {len(args)}")
     n = algebra.size
     dtype = np.min_scalar_type(n - 1)
-    rows = args.shape[1]
+    if isinstance(args, np.ndarray):
+        shape = args.shape[1:]
+    else:
+        shape = np.broadcast_shapes(*(np.shape(a) for a in args))
     readers = list(range(len(circuit.nodes)))
     if not keep_all:
         for idx, node in enumerate(circuit.nodes):
@@ -196,9 +201,9 @@ def _columns(
     for idx, node in enumerate(circuit.nodes):
         tag = node[0]
         if tag == VAR:
-            col = args[node[1]].astype(dtype, copy=False)
+            col = np.asarray(args[node[1]], dtype)
         elif tag == CONST:
-            col = np.full(rows, node[1], dtype)
+            col = dtype.type(node[1])
         else:
             op = algebra.op(node[1])
             children = node[2]
@@ -210,20 +215,19 @@ def _columns(
             if table is None:
                 table = flat[node[1]] = np.asarray(op.table, dtype)
             if not children:
-                col = np.full(rows, table[0], dtype)
+                col = table[0]
             elif len(children) == 1:
                 col = table[cols[children[0]]]
             else:
                 at = cols[children[0]].astype(np.intp)
                 for c in children[1:]:
-                    at *= n
-                    at += cols[c]
+                    at = at * n + cols[c]
                 col = table[at]
             for c in children:
                 if readers[c] == idx:
                     cols[c] = None
         cols.append(col)
-    return cols
+    return cols, shape
 
 
 class CircuitBuilder:

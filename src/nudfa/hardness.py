@@ -47,7 +47,6 @@ from .circuits import (
     CircuitBuilder,
     constant_circuit,
     eval_columns,
-    product_columns,
 )
 from .congruence import (
     Structure,
@@ -549,17 +548,16 @@ def beta_interpolate(
     out = b.inline(cfg.fix_fn.witness, [total])
     circ = b.finish(out)
 
-    bits = product_columns(np.arange(size), 2, s)
-    got = eval_columns(
-        cfg.algebra, circ, np.where(bits == 1, cfg.in_one, cfg.in_zero)
-    )
+    letters = np.array([cfg.in_zero, cfg.in_one])
+    got = eval_columns(cfg.algebra, circ, np.ix_(*[letters] * s)).ravel()
     cls = np.asarray(cfg.lower.class_of)
     bad = np.flatnonzero(cls[got] != cls[np.asarray(f)])
     if len(bad):
         at = int(bad[0])
         raise AssertionError(
             f"interpolated circuit disagrees with the table at "
-            f"{tuple(bits[:, at].tolist())}: got {int(got[at])}, want {f[at]}"
+            f"{tuple(map(int, np.unravel_index(at, (2,) * s)))}: "
+            f"got {int(got[at])}, want {f[at]}"
         )
     return circ
 

@@ -8,32 +8,37 @@ program satisfiability through a value-selector polynomial built from
 the algebra's Malcev term, read from its ``Structure``.  A
 subdirect-decomposition strategy for identities rounds out the toolbox.
 
-The exhaustive procedures scan words in index order and assignments in
-``product`` order, and the random sampler its drawn words in draw order,
-a block of ``TABLE_BLOCK`` at a time, evaluating the block as numpy
-columns (``AlgProgram.accept_column``, ``eval_columns``); the first hit in
-the first block that has one is the answer, so witness and ``tried`` count
-are those of a one-at-a-time scan.  Every positive answer carries a
-witness that has been re-checked on its own through the one-row views
-(``AlgProgram.accepts``, ``eval_circuit``); negative answers from the
-random sampler are explicitly tagged probabilistic.
+The exhaustive procedures scan assignments in ``product`` order and words
+in index order as one grid (``_first_hit``): each gate the output reads is
+evaluated on an open grid over the variables it reads, so a term that
+reads two of k variables costs n^2 entries, not n^k.  The first hit is the
+answer, with the witness and ``tried`` count of a one-at-a-time scan.  The
+random sampler evaluates its drawn words in draw order, a block of
+``TABLE_BLOCK`` at a time (``AlgProgram.accept_column``).  Every positive
+answer carries a witness that has been re-checked on its own through the
+one-row views (``AlgProgram.accepts``, ``eval_circuit``); negative answers
+from the random sampler are explicitly tagged probabilistic.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Optional
 
 import numpy as np
 
+from . import modcircuit
 from .algebra import FiniteAlgebra, quotient_algebra
 from .circuits import (
+    VAR,
     AlgCircuit,
     CircuitBuilder,
     eval_circuit,
     eval_columns,
-    product_columns,
+    subcircuit,
 )
 from .compile import HypothesisViolation
 from .congruence import is_nilpotent_congruence, structure
@@ -72,19 +77,19 @@ def progcsat_exhaustive(
     budget = budget or default_budget()
     n = program.n
     charge(1 << n, 1 << budget.progcsat_bits, "program input words")
-    for rows in index_blocks(1 << n):
-        hits = np.flatnonzero(program.accept_column(rows))
-        if len(hits):
-            word = int(rows[hits[0]])
-            bits = tuple((word >> i) & 1 for i in range(n))
-            if not program.accepts(bits):
-                raise AssertionError(f"accepted word {bits} fails on recheck")
-            return SolveResult(
-                status="sat",
-                witness=bits,
-                tried=word + 1,
-            )
-    return SolveResult(status="unsat", tried=1 << n)
+    places = [None] * program.circuit.k
+    for ins in program.instructions:
+        places[ins.var] = (n - 1 - ins.bit, (ins.a0, ins.a1))
+    accepting = sorted(program.accepting)
+    hit = _first_hit(program.algebra, program.circuit, [2] * n, places,
+                     lambda out: np.isin(out, accepting))
+    if hit is None:
+        return SolveResult(status="unsat", tried=1 << n)
+    word, digits = hit
+    bits = tuple(reversed(digits))
+    if not program.accepts(bits):
+        raise AssertionError(f"accepted word {bits} fails on recheck")
+    return SolveResult(status="sat", witness=bits, tried=word + 1)
 
 
 def progcsat_sample(
@@ -174,15 +179,56 @@ def _first_assignment(
     circuit: AlgCircuit,
     hit: Callable[[np.ndarray], np.ndarray],
 ) -> Optional[tuple[int, tuple[int, ...]]]:
-    """First assignment in ``product`` order whose output column entry
-    ``hit`` marks, with its index; None if there is none.  Scans blocks of
-    TABLE_BLOCK assignments."""
-    for indices in index_blocks(algebra.size**circuit.k):
-        args = product_columns(indices, algebra.size, circuit.k)
+    """First assignment in ``product`` order whose output ``hit`` marks,
+    with its index; None if there is none."""
+    n, k = algebra.size, circuit.k
+    places = [(i, range(n)) for i in range(k)]
+    return _first_hit(algebra, circuit, [n] * k, places, hit)
+
+
+def _first_hit(
+    algebra: FiniteAlgebra,
+    circuit: AlgCircuit,
+    radices: list[int],
+    places: list,
+    hit: Callable[[np.ndarray], np.ndarray],
+) -> Optional[tuple[int, tuple[int, ...]]]:
+    """The first point of a grid, in mixed-radix order with axis 0 most
+    significant, at which ``hit`` marks the output: its index and digits,
+    or None.  Axis a has ``radices[a]`` points; ``places[v] = (a, values)``
+    gives variable v the value ``values[d]`` at digit d of axis a, and two
+    variables may share an axis.
+
+    Only the gates the output reads are evaluated, and only the axes of
+    the variables it reads are scanned, as an open grid on which every gate
+    spans the axes it reads; digits off them are 0, which keeps the index
+    that of the whole grid's first hit.  A block fixes leading axes so
+    that every array holds at most TABLE_BLOCK entries.
+    """
+    circuit = subcircuit(circuit.k, circuit.nodes, circuit.output)
+    axes = sorted({places[node[1]][0] for node in circuit.nodes if node[0] == VAR})
+    split = len(axes)
+    while split and math.prod(
+        radices[a] for a in axes[split - 1:]
+    ) <= modcircuit.TABLE_BLOCK:
+        split -= 1
+    fixed, spans = axes[:split], axes[split:]
+    grid = dict(zip(spans, np.ix_(*(range(radices[a]) for a in spans))))
+    dtype = np.min_scalar_type(algebra.size - 1)
+    places = [(a, np.asarray(values, dtype)) for a, values in places]
+    for prefix in product(*(range(radices[a]) for a in fixed)):
+        digits = dict(zip(fixed, prefix))
+        args = [values[grid[a]] if a in grid else values[digits.get(a, 0)]
+                for a, values in places]
         found = np.flatnonzero(hit(eval_columns(algebra, circuit, args)))
         if len(found):
-            first = found[0]
-            return int(indices[first]), tuple(args[:, first].tolist())
+            shape = [radices[a] for a in spans]
+            digits.update(zip(spans, np.unravel_index(found[0], shape)))
+            point = tuple(int(digits.get(a, 0)) for a in range(len(radices)))
+            index = 0
+            for d, r in zip(point, radices):
+                index = index * r + d
+            return index, point
     return None
 
 

@@ -15,9 +15,17 @@ import scan_reference as reference
 from conftest import random_alg_circuit, random_program, variable_circuit
 
 from nudfa import modcircuit
-from nudfa.circuits import CircuitBuilder, constant_circuit, eval_circuit
+from nudfa.circuits import (
+    CONST,
+    GATE,
+    VAR,
+    AlgCircuit,
+    CircuitBuilder,
+    constant_circuit,
+    eval_circuit,
+)
 from nudfa.compile import HypothesisViolation
-from nudfa.fixtures import demo_program, get_fixture
+from nudfa.fixtures import demo_program, fixture_names, get_fixture
 from nudfa.limits import BudgetExceeded, default_budget
 from nudfa.programs import AlgProgram, Instruction
 from nudfa.solvers import (
@@ -32,6 +40,9 @@ from nudfa.solvers import (
 
 # About twice the measured peak of the 6^6-assignment scan below.
 PEAK_SCAN_BYTES = 384 * 1024
+# About twice the measured peak of the 2^16-word scan below; one int index
+# array over all 2^16 words would take 512 KiB.
+PEAK_WORD_SCAN_BYTES = 320 * 1024
 
 
 def repeated_sum(algebra, times):
@@ -178,6 +189,70 @@ def test_meet_irreducible_strategy_matches_the_scan(name):
             assert eval_circuit(alg, circ, got.counterexample) != e
 
 
+# -- every decision route gives one answer ----------------------------------
+
+# Outside the reductions' class: LAT2 has no Malcev term, S3 is not nilpotent.
+REDUCE_REFUSES = {"LAT2", "S3"}
+
+
+def reduced(reduction, algebra, circuit, e, name):
+    """The reduction's program and its exhaustive answer, or two Nones
+    where the algebra is outside the reductions' class."""
+    try:
+        prog = reduction(algebra, circuit, e)
+    except HypothesisViolation:
+        assert name in REDUCE_REFUSES
+        return None, None
+    assert name not in REDUCE_REFUSES
+    return prog, progcsat_exhaustive(prog)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(fixture_names()), st.integers(0, 4), st.data())
+def test_every_decision_route_gives_one_answer(name, k, data):
+    """csat by scan and reduce, ceqv by scan, meet and reduce: one status,
+    and every witness re-checks.  The reductions may refuse an algebra
+    outside their class, with HypothesisViolation only.  A sampled "sat"
+    of a program is an exhaustive "sat" too, and its word is accepted."""
+    alg = get_fixture(name).algebra
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    circ = circuit_with_dead_gates(rng, alg, k)
+    e = data.draw(st.integers(0, alg.size - 1))
+
+    scan = csat_exhaustive(alg, circ, e)
+    if scan.status == "sat":
+        assert eval_circuit(alg, circ, scan.witness) == e
+    sat_prog, sat_reduced = reduced(csat_to_progcsat, alg, circ, e, name)
+    if sat_reduced is not None:
+        assert sat_reduced.status == scan.status
+        if scan.status == "sat":
+            assert sat_prog.accepts(sat_reduced.witness)
+
+    routes = [ceqv_exhaustive(alg, circ, e), ceqv_via_meet_irreducibles(alg, circ, e)]
+    for res in routes:
+        if res.status == "fails":
+            assert eval_circuit(alg, circ, res.counterexample) != e
+    eqv_prog, eqv_reduced = reduced(ceqv_to_progcsat, alg, circ, e, name)
+    if eqv_reduced is not None:
+        if eqv_reduced.status == "sat":
+            assert eqv_prog.accepts(eqv_reduced.witness)
+        routes.append(replace(
+            eqv_reduced, status={"sat": "fails", "unsat": "holds"}[eqv_reduced.status]
+        ))
+    assert len({res.status for res in routes}) == 1
+
+    program = random_program(rng, alg, rng.randrange(1, 9), 6)
+    checks = [(sat_prog, sat_reduced), (eqv_prog, eqv_reduced),
+              (program, progcsat_exhaustive(program))]
+    for prog, exhaustive in checks:
+        if prog is None:
+            continue
+        sample = progcsat_sample(prog, 32, seed=rng.randrange(100))
+        if sample.status == "sat":
+            assert prog.accepts(sample.witness)
+            assert exhaustive.status == "sat"
+
+
 # -- block scans against the per-assignment loops ---------------------------
 
 
@@ -185,38 +260,65 @@ def outcome(res):
     return (res.status, res.witness, res.counterexample, res.tried)
 
 
-def circuit_or_constant(rng, algebra, k):
-    """A random circuit in k variables; for k = 0, gates over constants."""
-    if k:
-        return random_alg_circuit(rng, algebra, k, 6)
-    b = CircuitBuilder(0)
-    pool = [b.const(rng.randrange(algebra.size))]
-    for _ in range(rng.randrange(3)):
+def circuit_with_dead_gates(rng, algebra, k):
+    """A random circuit in k variables whose output is a random node: the
+    gates after it stay in the circuit unread, and may read variables the
+    output does not; the output may be a variable, a constant, or a gate
+    that reads no variable."""
+    nodes = [(VAR, i) for i in range(k)]
+    nodes += [(CONST, rng.randrange(algebra.size)) for _ in range(rng.randint(1, 2))]
+    for _ in range(rng.randrange(1, 7)):
         op = rng.choice(algebra.ops)
-        pool.append(b.gate(op.name, *(rng.choice(pool) for _ in range(op.arity))))
-    return b.finish(pool[-1])
+        below = rng.randrange(k, len(nodes)) if rng.random() < 0.2 else 0
+        children = tuple(rng.randrange(below, len(nodes)) for _ in range(op.arity))
+        nodes.append((GATE, op.name, children))
+    return AlgCircuit(k, tuple(nodes), rng.randrange(len(nodes)))
+
+
+def program_on_few_bits(rng, circuit, algebra, n):
+    """A program over ``circuit`` on n bits whose instructions read only
+    bits below a random bound: two variables often share a bit, and the
+    bits above the bound are read by no instruction."""
+    bound = rng.randint(1, n)
+    instrs = tuple(
+        Instruction(v, rng.randrange(bound), rng.randrange(algebra.size),
+                    rng.randrange(algebra.size))
+        for v in range(circuit.k)
+    )
+    accepting = frozenset(x for x in range(algebra.size) if rng.random() < 0.4)
+    return AlgProgram(algebra, circuit, n, instrs, accepting)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(["LAT2", "Z2", "Z3", "Z6", "Z6%2", "S3"]),
-    st.integers(0, 3),
+    st.integers(0, 5),
     st.integers(0, 2**32),
     st.sampled_from([1, 3, 4, 4096]),
 )
 def test_scans_match_the_per_assignment_reference(name, k, seed, block):
+    """Up to five variables on the fixtures of at most three elements, up
+    to three on the others; circuits with dead gates and outputs that read
+    no variable, and programs whose variables share bits or leave bits
+    unread, besides random programs."""
     rng = random.Random(seed)
     alg = get_fixture(name).algebra
-    circ = circuit_or_constant(rng, alg, k)
-    prog = random_program(rng, alg, rng.randrange(1, 8), 6)
+    if alg.size > 3:
+        k = min(k, 3)
+    circ = circuit_with_dead_gates(rng, alg, k)
+    progs = [
+        random_program(rng, alg, rng.randrange(1, 8), 6),
+        program_on_few_bits(rng, circ, alg, rng.randrange(1, 8)),
+    ]
     with mock.patch.object(modcircuit, "TABLE_BLOCK", block):
-        assert outcome(progcsat_exhaustive(prog)) == outcome(
-            reference.progcsat_exhaustive(prog)
-        )
-        trials = rng.randrange(12)
-        assert progcsat_sample(prog, trials, seed) == reference.progcsat_sample(
-            prog, trials, seed
-        )
+        for prog in progs:
+            assert outcome(progcsat_exhaustive(prog)) == outcome(
+                reference.progcsat_exhaustive(prog)
+            )
+            trials = rng.randrange(12)
+            assert progcsat_sample(prog, trials, seed) == reference.progcsat_sample(
+                prog, trials, seed
+            )
         for e in range(alg.size):
             for new, old in (
                 (csat_exhaustive, reference.csat_exhaustive),
@@ -309,3 +411,17 @@ def test_assignment_scan_memory_stays_bounded():
         tracemalloc.stop()
     assert outcome(res) == ("holds", None, None, 6**6)
     assert peak < PEAK_SCAN_BYTES, peak
+
+
+def test_program_scan_memory_stays_bounded():
+    """A full scan of the 2^16 words of a program whose output reads every
+    bit holds a block of the grid, not the whole grid."""
+    prog = replace(and_of_bits(16, tuple(range(16))), accepting=frozenset())
+    tracemalloc.start()
+    try:
+        res = progcsat_exhaustive(prog)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert outcome(res) == ("unsat", None, None, 1 << 16)
+    assert peak < PEAK_WORD_SCAN_BYTES, peak
