@@ -180,11 +180,12 @@ class UnaryFn:
 class UnaryClone:
     """All unary polynomials of an algebra, closed under the basic operations.
 
-    A batched breadth-first closure (``_closure``) with k = 1.  Functions
-    are deduplicated by value table, and each carries the first witness
-    circuit in the variable x0 found in breadth-first ``product`` order,
-    built when first read.  Iteration order is the canonical sort by value
-    table, so searches over the clone are deterministic.
+    A batched breadth-first closure (``_closure``) with k = 1, ended early
+    by its certificate when every operation is unary or associative.
+    Functions are deduplicated by value table, and each carries the first
+    witness circuit in the variable x0 found in breadth-first ``product``
+    order, built when first read.  Iteration order is the canonical sort by
+    value table, so searches over the clone are deterministic.
     """
 
     def __init__(self, algebra: FiniteAlgebra, budget: Optional[Budget] = None):
@@ -346,6 +347,18 @@ def _closure(
     ``stop`` maps a stack of rows to a boolean mask; the closure ends at the
     first table it accepts.
 
+    When every operation of arity >= 1 is unary or an associative binary
+    one, the closure also ends once the stored tables S pass a certificate
+    (``_Certificate``): u(s) in S for every unary u and s in S, and f(s, g) in
+    S for every binary f, s in S and g in G_f, the stored tables whose
+    witness node is not an f-gate.  It is exact: by induction on its node's
+    children each t in S is a product g_1 f ... f g_j of members of G_f, so
+    by associativity f(s, t) = f(...f(s, g_1)..., g_j) stays in S, and no
+    later product is new.  The certificate adds and charges nothing.  It is
+    tried when the closure has gone at least as many products without a
+    new table as it has pairs pending, and the round has more than a block
+    beyond that left; after a failure its count of such products restarts.
+
     Returns the tables in the order found, their witness nodes and the index
     of the accepted table, or None.  Node i witnesses table i: a variable, a
     constant, or a gate whose children are table indices, so
@@ -380,21 +393,30 @@ def _closure(
     if len(hits):
         return seen.tables(), nodes, int(hits[0])
 
-    frontier, rounds = 0, 0
+    ops = [op for op in algebra.ops if op.arity]
+    certify = _Certificate(ops, n)
+    frontier, rounds, idle = 0, 0, 0
     while seen.count > frontier and (depth_bound is None or rounds < depth_bound):
         rounds += 1
         m = seen.count
         current = seen.rows[:m]
         block = max(1, CLOSURE_BLOCK // seen.padded)
-        for op in (op for op in algebra.ops if op.arity):
+        left, due = sum(m**op.arity - frontier**op.arity for op in ops), 1
+        for op in ops:
             flat = np.asarray(op.table, dtype)
             for pools in _fresh_tuples(m, frontier, op.arity):
                 for args in argument_blocks(pools, block):
+                    if idle >= due and left > block and certify.ops:
+                        idle, due = certify(seen, nodes, frontier, idle, left)
+                        if idle is None:
+                            return seen.tables(), nodes, None
                     rows = flat[_table_index(current, args, n)].reshape(-1, seen.padded)
                     rows[:, width:] = 0
+                    left -= len(rows)
                     hashes = seen.hashes(rows)
                     fresh = seen.fresh(rows, hashes)
-                    if not len(fresh):
+                    idle = 0 if len(fresh) else idle + len(rows)
+                    if idle:
                         continue
                     hit = np.flatnonzero(stop(rows[fresh])) if stop else ()
                     if len(hit):
@@ -410,6 +432,48 @@ def _closure(
                         return seen.tables(), nodes, seen.count - 1
         frontier = m
     return seen.tables(), nodes, None
+
+
+class _Certificate:
+    """The certificate of ``_closure`` over pairs (s, g) of stored tables; a
+    unary u is (s, g) -> u(s), table 0 its one generator.  ``cursor`` holds
+    per operation each generator's prefix of tables known to give stored
+    products, and 2**62 for the other tables.  A call returns (None, None)
+    once all do, else the closure's idle products (0 after a failure) and
+    how many it needs to call again.  The first call empties ``ops`` unless
+    all are unary or associative."""
+
+    def __init__(self, ops: list[Operation], n: int):
+        self.ops, self.n, self.flat = ops, n, None
+        self.cursor = [np.zeros(0, np.intp) for _ in ops]
+
+    def __call__(self, seen: _Tables, nodes: list, frontier: int, idle: int, left: int):
+        n, count, block = self.n, seen.count, max(1, CLOSURE_BLOCK // seen.padded)
+        if self.flat is None:
+            dtype = seen.rows.dtype
+            tables = [np.asarray(op.table, dtype).reshape((n,) * op.arity) for op in self.ops]
+            if any(t.ndim > 2 or t.ndim == 2 and (t[t] != t[:, t]).any() for t in tables):
+                self.ops = []
+                return idle, 1
+            self.flat = [np.repeat(t, n ** (2 - t.ndim)) for t in tables]
+        new = range(len(self.cursor[0]), count)
+        for i, op in enumerate(self.ops):
+            gen = [t == 0 or op.arity == 2 and nodes[t][1] != op.name for t in new]
+            c = self.cursor[i] = np.append(self.cursor[i], np.where(gen, 0, 2**62))
+            c[:frontier] = np.maximum(c[:frontier], frontier)
+        pending = sum(int(np.maximum(count - c, 0).sum()) for c in self.cursor)
+        if pending > idle or pending + block >= left:
+            return idle, pending if pending + block < left else idle + left
+        for flat, cursor in zip(self.flat, self.cursor):
+            for start in sorted(set(cursor[cursor < count].tolist())):
+                pools = [np.arange(start, count), np.flatnonzero(cursor == start)]
+                for args in argument_blocks(pools, block):
+                    rows = flat[_table_index(seen.rows, args, n)].reshape(-1, seen.padded)
+                    rows[:, seen.width :] = 0
+                    if len(seen.fresh(rows, seen.hashes(rows))):
+                        return 0, 1
+                    cursor[args[1][0]] = args[0][-1, 0] + 1
+        return None, None
 
 
 def _table_index(current: np.ndarray, args: list[np.ndarray], n: int) -> np.ndarray:
@@ -438,7 +502,8 @@ def find_malcev_polynomial(
     depth 0 holds the three projections and the constants, depth k+1 applies
     every basic operation to already-seen functions.  Returns the first
     witnessing circuit in breadth-first ``product`` order, or None if none
-    exists within the depth bound.
+    exists within the depth bound or the closure's certificate shows that
+    no later table is new.
     """
     n = algebra.size
     x, y = np.indices((n, n)).reshape(2, n * n)

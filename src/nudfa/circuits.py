@@ -69,13 +69,6 @@ class AlgCircuit:
     def gate_count(self) -> int:
         return sum(1 for n in self.nodes if n[0] == GATE)
 
-    def depth(self) -> int:
-        d = [0] * len(self.nodes)
-        for idx, node in enumerate(self.nodes):
-            if node[0] == GATE:
-                d[idx] = 1 + max((d[c] for c in node[2]), default=0)
-        return d[self.output]
-
     def to_json(self) -> dict:
         nodes = []
         for node in self.nodes:

@@ -31,7 +31,10 @@ def default_budget() -> Budget:
     raw = os.environ.get("NUDFA_BUDGET")
     if raw is None:
         return Budget()
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
     if cap <= 0:
         raise ValueError("NUDFA_BUDGET must be a positive integer")
     return Budget(clone_functions=cap, monomials=cap)

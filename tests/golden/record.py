@@ -307,6 +307,14 @@ def cases() -> list[tuple[str, list[str]]]:
     for name in TABLE_ALGEBRAS:
         out.append((f"con_{name}",
                     ["con", "--algebra", f"inputs/algebra_{name}.json"]))
+    # The first cover of D4, a non-abelian group whose clone is closed by
+    # the associative certificate, and of the groupoid G7, whose clone
+    # exceeds the default cap.
+    for name in ("D4", "G7"):
+        lower, upper = all_congruences(TABLE_ALGEBRAS[name]()).covers[0]
+        out.append((f"localize_{name}",
+                    ["localize", "--algebra", f"inputs/algebra_{name}.json",
+                     "--lower", str(lower), "--upper", str(upper)]))
     for name in ("Z6%2", "S3"):
         out.append((f"gadget_twoprime_{name}",
                     ["gadget", "twoprime", "--algebra", f"fixtures:{name}",

@@ -26,6 +26,7 @@ from nudfa.circuits import CircuitBuilder
 from nudfa.cli import main, verify_harness
 from nudfa.compile import compile_supernilpotent
 from nudfa.fixtures import demo_program, get_fixture
+from nudfa.limits import Budget, default_budget
 from nudfa.modcircuit import SUMP, CCircuit, Gate
 from nudfa.programs import AlgProgram, Instruction
 
@@ -247,6 +248,35 @@ def test_compile_refuses_a_one_element_algebra(tmp_path):
     assert json.loads(buf.getvalue()) == {
         "error": "T1 has one element, so no prime divides its size",
         "kind": "HypothesisViolation",
+    }
+
+
+@pytest.mark.parametrize("raw", ("0", "-3", "abc", "", "2.5"))
+def test_only_a_positive_integer_budget_is_read(raw, monkeypatch):
+    """``NUDFA_BUDGET`` sets the clone and monomial caps; any other value
+    than a positive integer is refused with one message."""
+    monkeypatch.setenv("NUDFA_BUDGET", "300")
+    assert (default_budget().clone_functions, default_budget().monomials) == (300, 300)
+    assert default_budget().lattice_universe == Budget().lattice_universe
+    monkeypatch.setenv("NUDFA_BUDGET", raw)
+    with pytest.raises(ValueError, match="^NUDFA_BUDGET must be a positive integer$"):
+        default_budget()
+    monkeypatch.delenv("NUDFA_BUDGET")
+    assert default_budget() == Budget()
+
+
+def test_the_budget_variable_caps_the_unary_clone(monkeypatch):
+    """The S3 clone has 324 functions; under ``NUDFA_BUDGET=300`` the
+    ``localize`` of its first cover stops at the 301st and exits 1."""
+    monkeypatch.chdir(Path(__file__).resolve().parent / "golden")
+    monkeypatch.setenv("NUDFA_BUDGET", "300")
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["localize", "--algebra", "fixtures:S3", "--lower", "1", "--upper", "0"])
+    assert code == 1
+    assert json.loads(buf.getvalue()) == {
+        "error": "unary clone: 301 exceeds cap 300",
+        "kind": "BudgetExceeded",
     }
 
 
