@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -518,11 +518,9 @@ def find_malcev_polynomial(
     return None if hit is None else subcircuit(3, nodes, hit)
 
 
-def latin_square(algebra: FiniteAlgebra) -> Optional[Operation]:
-    """The first binary operation, in ``algebra.ops`` order, whose table is
-    a Latin square: every row and every column lists the universe.  Such an
-    algebra has the Malcev term of ``quasigroup_malcev`` whatever the
-    budget."""
+def latin_squares(algebra: FiniteAlgebra) -> Iterator[Operation]:
+    """The binary operations, in ``algebra.ops`` order, whose tables are
+    Latin squares: every row and every column lists the universe."""
     n = algebra.size
     column = np.arange(n)[:, None]
     for op in algebra.ops:
@@ -531,8 +529,13 @@ def latin_square(algebra: FiniteAlgebra) -> Optional[Operation]:
             if (np.sort(square, axis=0) == column).all() and (
                 np.sort(square, axis=1) == column.T
             ).all():
-                return op
-    return None
+                yield op
+
+
+def latin_square(algebra: FiniteAlgebra) -> Optional[Operation]:
+    """The first of ``latin_squares``.  An algebra with one has the Malcev
+    term of ``quasigroup_malcev`` whatever the budget."""
+    return next(latin_squares(algebra), None)
 
 
 def quasigroup_malcev(

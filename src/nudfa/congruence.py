@@ -8,12 +8,14 @@ efficiently", Algebra Universalis 2008).  A translation t that permutes
 the universe has a power for inverse, so Cg(a, b) = Cg(t(a), t(b)): the
 lattice needs one principal per orbit of pairs, and is what the covers,
 the minimal joins lo v Cg(a, b) above lo, reach from 0.  The binary
-commutator is the term-condition commutator, computed on one of two paths
+commutator is the term-condition commutator, computed on one of four paths
 chosen by the algebra alone (Freese and McKenzie, "Commutator Theory for
 Congruence Modular Varieties", 1987):
 
-- An algebra with a binary Latin-square operation (``latin_square``: every
-  group, loop and quasigroup expansion) has a Malcev term, so it
+- Affine algebras have every commutator 0 (ch. 5; ``Structure.affine``),
+  and a group's [alpha, beta] is the cosets of [e/alpha, e/beta] (ch. 1).
+- Any other algebra with a binary Latin-square operation (``latin_square``:
+  every loop and quasigroup expansion) has a Malcev term, so it
   generates a modular variety, where (x, y) lies in [alpha, beta] iff
   (x, x) and (x, y) share a block of Delta_{alpha,beta} (ch. 4).  That
   congruence of the subalgebra alpha of A^2 is generated by the pairs
@@ -65,9 +67,11 @@ import numpy as np
 
 from .algebra import (
     FiniteAlgebra,
+    Operation,
     UnaryClone,
     find_malcev_polynomial,
     latin_square,
+    latin_squares,
     quasigroup_malcev,
 )
 from .circuits import AlgCircuit, product_blocks
@@ -100,6 +104,14 @@ class Structure:
     with theta.  A view answers lattice, commutator, characteristic and
     prime-power factor questions.  Helpers are handed a Structure or a
     view; only entry points look one up.
+
+    ``affine``, read once from the tables and by views off their parent,
+    holds when a Latin square is an abelian group with identity e and each
+    basic f has f(x y) = f(x) f(e)^-1 f(y), entrywise (``_affine``).  Then
+    every polynomial is x -> h(x) c, h a homomorphism, so p(a, u) = p(a, v)
+    gives h(u) = h(v) and p(b, u) = p(b, v): by C(1, 1; 0) all commutators
+    are 0, a view's its floor (Freese and McKenzie 1987, chs. 4-5; abelian
+    Malcev algebras are affine, Herrmann 1979).
     """
 
     def __init__(
@@ -136,6 +148,10 @@ class Structure:
     def distinguished(self) -> "DistinguishedCongruences":
         return distinguished_congruences(self)
 
+    @cached_property
+    def affine(self) -> bool:
+        return self.parent.affine if self.parent is not None else _affine(self.algebra)
+
     def quotient(self, theta: Partition) -> "Structure":
         return self if theta.is_identity() else Structure(
             self.algebra, self.budget, self, theta
@@ -145,7 +161,9 @@ class Structure:
         """[left, right], relative to ``floor`` on a quotient view."""
         key = (left, right)
         if key not in self._commutators:
-            if self.parent is not None and latin_square(self.algebra) is not None:
+            if self.affine:
+                found = self.floor or Partition.identity(self.algebra.size)
+            elif self.parent is not None and latin_square(self.algebra) is not None:
                 found = self.parent.commutator(left, right).join(self.floor)
             else:
                 found = commutator(self.algebra, left, right, self.floor)
@@ -548,6 +566,57 @@ def _matrix_commutator(
         )
 
 
+def _group(square: Operation, n: int):
+    """Table, identity and inverses of a Latin square; None unless it is
+    associative, a group."""
+    mul = np.asarray(square.table).reshape(n, n)
+    if (mul[mul] != mul[:, mul]).any():
+        return None
+    e = int(np.flatnonzero(mul[:, 0] == 0)[0])
+    return mul, e, np.nonzero(mul == e)[1]
+
+
+def _group_commutator(group, left: Partition, right: Partition) -> Partition:
+    """[left, right] of a group: the cosets, each labelled by its least
+    member, of the subgroup K generated by the m n m^-1 n^-1 with m in
+    e/left and n in e/right, as products of them until none is new.  A
+    mask holds K: a process's first ``np.unique`` takes milliseconds."""
+    mul, e, inv = group
+    m, k = (np.flatnonzero(np.equal(c.class_of, c.class_of[e])) for c in (left, right))
+    member = np.zeros(len(inv), dtype=bool)
+    member[mul[mul[m[:, None], k], mul[inv[m][:, None], inv[k]]]] = True
+    while True:
+        sub = np.flatnonzero(member)
+        member[mul[sub[:, None], sub]] = True
+        if member.sum() == sub.size:
+            return Partition(tuple(mul[:, sub].min(axis=1).tolist()))
+
+
+def _affine(algebra: FiniteAlgebra) -> bool:
+    """Is every basic f affine over the first Latin square that is an
+    abelian group: is g = f f(e)^-1 a homomorphism from A^r?  It is iff
+    each g_i, g with all arguments but the i-th at e, is an endomorphism
+    and g(x) = g_1(x_1) ... g_r(x_r), as x is the product of its entries
+    placed among e's.  No array is larger than f's table."""
+    n = algebra.size
+    groups = (_group(square, n) for square in latin_squares(algebra))
+    abelian = [g for g in groups if g and (g[0] == g[0].T).all()]
+    if not abelian:
+        return False
+    mul, e, inv = abelian[0]
+    for op in algebra.ops:
+        f = np.asarray(op.table).reshape((n,) * op.arity)
+        g, whole = mul[f, inv[f[(e,) * op.arity]]], np.array(e)
+        for i in range(op.arity):
+            gi = g[(e,) * i + (slice(None),) + (e,) * (op.arity - 1 - i)]
+            if (gi[mul] != mul[gi[:, None], gi]).any():
+                return False
+            whole = mul[whole[..., None], gi]
+        if (whole != g).any():
+            return False
+    return True
+
+
 def commutator(
     algebra: FiniteAlgebra, left: Partition, right: Partition, floor=None
 ) -> Partition:
@@ -560,18 +629,26 @@ def commutator(
 
     The path is chosen by the algebra alone.  One with a Latin-square
     operation (``latin_square``) has the quasigroup Malcev term, so it
-    generates a congruence permutable, hence modular, variety, and the
-    commutator is read off Delta on A(left) (``_diagonal_commutator``;
-    Freese and McKenzie, "Commutator Theory for Congruence Modular
-    Varieties", 1987, ch. 4).  Every other algebra closes the matrix
-    subalgebra M(left, right) of A^4 and applies the term condition
-    (``_matrix_commutator``), whose forcing loop starts from the floor.
-    Uncached: ``Structure.commutator`` keeps each result for the run.
+    generates a congruence permutable, hence modular, variety.  If that
+    operation is associative and the only one of positive arity, A is a
+    group, its congruences are the coset partitions of normal subgroups,
+    and [left, right] is that of [M, N], M and N the identity's blocks
+    (ch. 1; ``_group_commutator``), for an n**3 associativity check a
+    call.  Any other reads it off Delta on A(left) (ch. 4).  Every other
+    algebra closes the matrix subalgebra M(left, right) of A^4 and applies
+    the term condition (``_matrix_commutator``), whose forcing loop starts
+    from the floor.  Uncached: ``Structure.commutator`` keeps each result
+    for the run.
     """
-    if latin_square(algebra) is not None:
+    square = latin_square(algebra)
+    if square is None:
+        return _matrix_commutator(algebra, left, right, floor)
+    pure = all(op is square or not op.arity for op in algebra.ops)
+    if pure and (group := _group(square, algebra.size)):
+        found = _group_commutator(group, left, right)
+    else:
         found = _diagonal_commutator(algebra, left, right)
-        return found.join(floor) if floor else found
-    return _matrix_commutator(algebra, left, right, floor)
+    return found.join(floor) if floor else found
 
 
 def solvability_class(s: Structure, alpha: Optional[Partition] = None):

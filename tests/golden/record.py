@@ -55,8 +55,9 @@ UNSAT_CNF = "p cnf 3 8\n" + "".join(
 )
 
 
-def parity_sum(n: int) -> AlgProgram:
-    """Z6%2: the sum of %2(x_i + x_{i+1}) over i = 0, 2, 4, ..., accepting {2}."""
+def parity_sum(n: int, accepting=frozenset({2})) -> AlgProgram:
+    """Z6%2: the sum of %2(x_i + x_{i+1}) over i = 0, 2, 4, ..., accepting
+    {2} unless ``accepting`` says otherwise."""
     b = CircuitBuilder(n)
     terms = [
         b.gate("%2", b.gate("+", b.var(i), b.var(i + 1)))
@@ -70,8 +71,13 @@ def parity_sum(n: int) -> AlgProgram:
         b.finish(acc),
         n,
         tuple(Instruction(i, i, 0, 1) for i in range(n)),
-        frozenset({2}),
+        accepting,
     )
+
+
+# Parity-sums at n = 4 whose accepting sets cover two classes and none:
+# the compiler ORs one branch per class, or emits a constant circuit.
+PARITY_SUM_ACCEPTING = {"12": frozenset({1, 2}), "none": frozenset()}
 
 
 def count_ones(n: int) -> AlgProgram:
@@ -201,6 +207,8 @@ def write_inputs() -> None:
         demo_program(name).dump(str(d / f"demo_{name}.json"))
     parity_sum(10).dump(str(d / "parity_sum_z6m2_10.json"))
     parity_sum(12).dump(str(d / "parity_sum_z6m2_12.json"))
+    for tag, accepting in PARITY_SUM_ACCEPTING.items():
+        parity_sum(4, accepting).dump(str(d / f"parity_sum_z6m2_4_{tag}.json"))
     count_ones(14).dump(str(d / "count_ones_z6_14.json"))
     count_ones(16).dump(str(d / "count_ones_z6_16.json"))
     (d / "sat.cnf").write_text(SAT_CNF)
@@ -232,7 +240,8 @@ def cases() -> list[tuple[str, list[str]]]:
     # At 16 bits every pass reports ``verified: null``, so only the
     # harness compares the circuit with the program.
     for prog in ("parity_sum_z6m2_10", "parity_sum_z6m2_12",
-                 "count_ones_z6_14", "count_ones_z6_16"):
+                 "count_ones_z6_14", "count_ones_z6_16",
+                 *(f"parity_sum_z6m2_4_{tag}" for tag in PARITY_SUM_ACCEPTING)):
         out.append((f"compile_{prog}",
                     ["compile", "--program", f"inputs/{prog}.json",
                      "--verify-n", "20"]))

@@ -530,51 +530,124 @@ def test_fixture_commutators_match_the_reference(name):
     assert_matches_reference(alg)
 
 
+def symmetric3():
+    """S3 as the permutations of three points in sorted order, composed as
+    maps, and each one's parity, which labels the cosets of A3."""
+    perms = sorted(itertools.permutations(range(3)))
+    table = [perms.index(tuple(f[g[x]] for x in range(3))) for f in perms for g in perms]
+    parity = [sum(f[i] > f[j] for i, j in itertools.combinations(range(3), 2)) % 2
+              for f in perms]
+    return table, parity
+
+
 @st.composite
 def latin_expansions(draw):
-    """A random isotope of Z_n for n <= 6 next to random nullary, unary and
-    binary operations, and a ternary one only for n <= 3.  The isotope is
-    Z_n's table with its rows, columns and values each permuted, by
-    permutations that map the residues modulo d onto each other, so that
-    it keeps the congruence modulo d; half the time the other operations
-    keep it too.  d is a proper divisor of n above 1 where there is one,
-    else 1, and then the permutations are any."""
+    """A Latin square on n <= 6 elements next to nullary, unary and binary
+    operations; its name starts with the kind drawn:
+
+    - ``latin``: a random isotope of Z_n, its table with rows, columns and
+      values each permuted, by permutations that map the residues modulo d
+      onto each other, so that it keeps the congruence modulo d.  d is a
+      proper divisor of n above 1 where there is one, else 1, and then the
+      permutations are any.
+    - ``group``: Z_n, or Z2 x Z2 or S3 where n fits, relabelled.
+    - ``affine``: Z_n or Z2 x Z2, relabelled, beside operations affine over
+      it, x -> k x + c and (x, y) -> a x + b y + c, so that the affine
+      certificate of ``Structure`` holds.
+
+    Beside the first two, the operations are random and half the time keep
+    the congruence of the residues modulo d (of the second factor for
+    Z2 x Z2, of A3 for S3), and a ternary one is drawn only for n <= 3."""
     n = draw(st.integers(min_value=1, max_value=6))
     d = draw(st.sampled_from([k for k in range(2, n) if n % k == 0] or [1]))
-
-    def permutation():
-        residues = draw(st.permutations(range(d)))
-        within = [draw(st.permutations(range(n // d))) for _ in range(d)]
-        return [residues[x % d] + d * within[x % d][x // d] for x in range(n)]
-
-    r, c, v = permutation(), permutation(), permutation()
-    cells = itertools.product(range(n), repeat=2)
-    square = Operation("*", 2, tuple(v[(r[x] + c[y]) % n] for x, y in cells))
+    kind = draw(st.sampled_from(["latin", "group", "affine"]))
     arities = [k for k in (0, 1, 2) if draw(st.booleans())]
-    arities += [3] * (n <= 3 and draw(st.booleans()))
-    others = random_algebra(draw, n, arities, [x % d for x in range(n)]).ops
+    if kind == "latin":
+
+        def permutation():
+            residues = draw(st.permutations(range(d)))
+            within = [draw(st.permutations(range(n // d))) for _ in range(d)]
+            return [residues[x % d] + d * within[x % d][x // d] for x in range(n)]
+
+        r, c, v = permutation(), permutation(), permutation()
+        table = [v[(r[x] + c[y]) % n] for x, y in itertools.product(range(n), repeat=2)]
+        perm, labels = list(range(n)), [x % d for x in range(n)]
+    else:
+        groups = {"Z": ([(x + y) % n for x in range(n) for y in range(n)],
+                        [x % d for x in range(n)])}
+        if n == 4:
+            groups["Z2xZ2"] = ([x ^ y for x in range(4) for y in range(4)], [0, 1, 0, 1])
+        if n == 6 and kind == "group":
+            groups["S3"] = symmetric3()
+        table, labels = groups[draw(st.sampled_from(sorted(groups)))]
+        perm = draw(st.permutations(range(n)))
+    # The element x of the table is called perm[x], and u names back[u].
+    back = [perm.index(u) for u in range(n)]
+    cells = itertools.product(back, repeat=2)
+    square = Operation("*", 2, tuple(perm[table[x * n + y]] for x, y in cells))
+    if kind == "affine":
+
+        def affine(r):
+            """k_1 x_1 + ... + k_r x_r + c, a multiple k x summed from the
+            identity 0 of the group."""
+            *ks, c = (draw(st.integers(0, n - 1)) for _ in range(r + 1))
+            values = []
+            for xs in itertools.product(back, repeat=r):
+                acc = c
+                for k, x in zip(ks, xs):
+                    for _ in range(k):
+                        acc = table[acc * n + x]
+                values.append(perm[acc])
+            return tuple(values)
+
+        others = [Operation(f"f{r}", r, affine(r)) for r in arities]
+    else:
+        arities += [3] * (n <= 3 and draw(st.booleans()))
+        others = random_algebra(draw, n, arities, [labels[x] for x in back]).ops
     ops = draw(st.permutations([square, *others]))
-    return FiniteAlgebra(f"latin{n}", n, tuple(ops))
+    return FiniteAlgebra(f"{kind}{n}", n, tuple(ops))
 
 
 @settings(max_examples=80, deadline=None)
 @given(latin_expansions())
 def test_delta_commutators_match_the_matrix_path(alg):
     """Every pair of congruences, in both orders: the commutator read off
-    Delta equals the term-condition commutator of the M(alpha, beta) path
-    forced on the same algebra and the reference's.  The reference closes
-    ternary operations in a Python loop over triples of matrices, minutes
-    of work on three elements, so next to a ternary operation its forcing
-    loop runs on the matrices of ``_matrix_subalgebra``, which
+    Delta, or off the group, equals the term-condition commutator of the
+    M(alpha, beta) path forced on the same algebra and the reference's.
+    So does the Structure's, on A and on every view A/theta, where the
+    M(alpha, beta) path forces from theta and the reference is joined
+    with it; M(alpha, beta) does not depend on theta, so each is closed
+    once.  The affine certificate holds on every affine draw, and wherever
+    it holds the reference's [1, 1] is 0.  The reference closes ternary
+    operations in a Python loop over triples of matrices, minutes of work
+    on three elements, so next to a ternary operation its forcing loop runs
+    on the matrices of ``_matrix_subalgebra``, which
     ``test_ternary_commutators_match_the_reference`` checks against it."""
     assert latin_square(alg) is not None
     ternary = any(op.arity == 3 for op in alg.ops)
     closure = congruence._matrix_subalgebra if ternary else reference.matrix_subalgebra
-    for left, right in itertools.product(all_congruences(alg).elements, repeat=2):
+    s = Structure(alg, Budget())
+    lat = s.lattice
+    expected, closed = {}, {}
+    for key in itertools.product(lat.elements, repeat=2):
+        left, right = key
         got = commutator(alg, left, right)
-        assert got == congruence._matrix_commutator(alg, left, right)
+        closed[key] = congruence._matrix_subalgebra(alg, left, right)
+        with mock.patch.object(congruence, "_matrix_subalgebra", lambda *_: closed[key]):
+            assert got == congruence._matrix_commutator(alg, left, right)
         with mock.patch.object(reference, "matrix_subalgebra", closure):
-            assert got == reference.commutator(alg, left, right)
+            expected[key] = reference.commutator(alg, left, right)
+        assert got == expected[key]
+    for theta in lat.elements:
+        view = s.quotient(theta)
+        for key in itertools.product(view.lattice.elements, repeat=2):
+            left, right = key
+            with mock.patch.object(congruence, "_matrix_subalgebra", lambda *_: closed[key]):
+                forced = congruence._matrix_commutator(alg, left, right, theta)
+            assert view.commutator(left, right) == forced
+            assert forced == expected[key].join(theta)
+    assert s.affine or not alg.name.startswith("affine")
+    assert expected[lat.one, lat.one] == lat.zero or not s.affine
 
 
 @st.composite
