@@ -287,7 +287,7 @@ def _combined_indicators(
     m: int,
     delta: int,
     budget: Budget,
-) -> list[tuple[dict[frozenset, int], int]]:
+) -> list[tuple[dict[int, int], int]]:
     """Monomial coefficients mod m and accepted residue for [value == t],
     for each target t.
 
@@ -298,7 +298,7 @@ def _combined_indicators(
     under the factor and its table of classes, so one transform serves
     every class the call needs and every node with that table.
     """
-    accs: list[dict[frozenset, int]] = [{} for _ in targets]
+    accs: list[dict[int, int]] = [{} for _ in targets]
     for j, pj in enumerate(dec.primes):
         proj = np.asarray(dec.projections[j])
         classes = proj.astype(np.min_scalar_type(proj.max()))[value_table]
@@ -314,7 +314,7 @@ def _combined_indicators(
                 accumulate(acc, key, m // pj * cf, m)
     out = []
     for acc in accs:
-        const = acc.pop(frozenset(), 0)
+        const = acc.pop(0, 0)
         charge(len(acc), budget.monomials, "base-case monomials")
         out.append((acc, (delta - const) % m))
     return out
@@ -357,7 +357,7 @@ def compile_supernilpotent(
     gates.append(
         Gate(kind=OR, layer=3, wires=tuple((b, 1) for b in branch_nodes))
     )
-    width = max((len(k) for k in mono_node), default=1)
+    width = max((k.bit_count() for k in mono_node), default=1)
     circuit = CCircuit(
         inputs=n,
         gates=tuple(gates),
@@ -383,7 +383,7 @@ def compile_supernilpotent(
 def _bit_passthrough(n: int, bit: int, m: int, p: int) -> CCircuit:
     """3-layer circuit computing input bit `bit` (wire discipline filler)."""
     pool = AtomPool()
-    atom = make_atom(m, {frozenset([bit]): 1}, {1})
+    atom = make_atom(m, {1 << bit: 1}, {1})
     if atom is None:
         raise AssertionError(f"input bit {bit} has a constant indicator")
     return emit_modsum(

@@ -5,9 +5,9 @@ Three tools live here:
 - ``MultilinearPoly``, the package's one GF(p) polynomial type over boolean
   variables, with interpolation from truth tables (every boolean function
   has a unique multilinear form).  Its variables are input bits or, in the
-  lowering, pool ids of MOD(m) atoms.  ``monomial_key`` is the one order in
-  which monomials are listed, and ``accumulate`` adds into a sparse dict of
-  coefficients;
+  lowering, pool ids of MOD(m) atoms, and a monomial is the int mask of its
+  variables.  ``monomial_key`` is the one order in which monomials are
+  listed, and ``accumulate`` adds into a sparse dict of coefficients;
 - the coset-indicator normal form: any f: Z_m^s -> Z_p with gcd(m, p) = 1
   as a Z_p-combination of indicators [beta . x + u == 0 (mod m)], built by a
   recursion on the arity for each prime factor of m and glued by CRT;
@@ -64,49 +64,69 @@ def accumulate(acc: dict, key, c: int, mod: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def monomial_key(key: frozenset[int]) -> tuple[int, list[int]]:
+def mask_bits(mask: int) -> list[int]:
+    """The variables of a monomial mask, ascending: bit i is variable i."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def monomial_key(mask: int) -> tuple[int, list[int]]:
     """The order of monomials everywhere they are listed: by degree, then by
     their sorted variables."""
-    return len(key), sorted(key)
+    return mask.bit_count(), mask_bits(mask)
 
 
 class MultilinearPoly:
-    """Multilinear polynomial over GF(p): dict from variable subsets
-    (frozensets of indices) to nonzero coefficients."""
+    """Multilinear polynomial over GF(p): dict from monomials to nonzero
+    coefficients.  A monomial is an int mask whose bit i stands for
+    variable i, so 0 is the constant term and ``k1 | k2`` the product of
+    two monomials.  p is checked to be prime when a polynomial is built
+    from outside; the ring operations build their results from terms
+    already reduced mod that p."""
 
     __slots__ = ("p", "terms")
 
-    def __init__(self, p: int, terms: Optional[dict] = None):
+    def __init__(self, p: int, terms: Optional[dict[int, int]] = None):
         if prime_divisors(p) != [p]:
             raise ValueError(f"{p} is not prime")
         self.p = p
-        self.terms: dict[frozenset[int], int] = {}
-        if terms:
-            for key, coeff in terms.items():
-                c = coeff % p
-                if c:
-                    self.terms[frozenset(key)] = c
+        self.terms: dict[int, int] = {
+            key: coeff % p for key, coeff in (terms or {}).items() if coeff % p
+        }
+
+    @staticmethod
+    def _of(p: int, terms: dict[int, int]) -> "MultilinearPoly":
+        """A polynomial over the already checked prime p whose terms are
+        reduced and nonzero."""
+        res = MultilinearPoly.__new__(MultilinearPoly)
+        res.p = p
+        res.terms = terms
+        return res
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def constant(p: int, c: int) -> "MultilinearPoly":
-        return MultilinearPoly(p, {frozenset(): c})
+        return MultilinearPoly(p, {0: c})
 
     @staticmethod
     def variable(p: int, i: int) -> "MultilinearPoly":
-        return MultilinearPoly(p, {frozenset([i]): 1})
+        return MultilinearPoly(p, {1 << i: 1})
 
     @staticmethod
     def affine(p: int, coeffs: dict, const: int = 0) -> "MultilinearPoly":
-        terms = {frozenset([i]): c for i, c in coeffs.items()}
-        terms[frozenset()] = const
+        terms = {1 << i: c for i, c in coeffs.items()}
+        terms[0] = const
         return MultilinearPoly(p, terms)
 
     # -- structure ---------------------------------------------------------
 
     def degree(self) -> int:
-        return max((len(k) for k in self.terms), default=0)
+        return max((k.bit_count() for k in self.terms), default=0)
 
     def __eq__(self, other) -> bool:
         return (
@@ -118,7 +138,8 @@ class MultilinearPoly:
     def __repr__(self) -> str:
         items = sorted(self.terms.items(), key=lambda kv: monomial_key(kv[0]))
         body = " + ".join(
-            f"{c}*{'.'.join('x%d' % v for v in sorted(k)) or '1'}" for k, c in items
+            f"{c}*{'.'.join('x%d' % v for v in mask_bits(k)) or '1'}"
+            for k, c in items
         )
         return f"MultilinearPoly(p={self.p}, {body or '0'})"
 
@@ -133,17 +154,14 @@ class MultilinearPoly:
         out = dict(self.terms)
         for k, c in other.terms.items():
             accumulate(out, k, c, self.p)
-        res = MultilinearPoly(self.p)
-        res.terms = out
-        return res
+        return MultilinearPoly._of(self.p, out)
 
     def scale(self, c: int) -> "MultilinearPoly":
-        c %= self.p
+        p = self.p
+        c %= p
         if c == 0:
-            return MultilinearPoly(self.p)
-        res = MultilinearPoly(self.p)
-        res.terms = {k: (v * c) % self.p for k, v in self.terms.items()}
-        return res
+            return MultilinearPoly._of(p, {})
+        return MultilinearPoly._of(p, {k: v * c % p for k, v in self.terms.items()})
 
     def sub(self, other: "MultilinearPoly") -> "MultilinearPoly":
         return self.add(other.scale(-1))
@@ -151,23 +169,23 @@ class MultilinearPoly:
     def mul(
         self, other: "MultilinearPoly", budget: Optional[Budget] = None
     ) -> "MultilinearPoly":
-        """Product with the multilinear reduction x*x = x."""
+        """Product with the multilinear reduction x*x = x: the product of
+        two monomials is the union of their masks."""
         self._check(other)
         budget = budget or default_budget()
-        out: dict[frozenset[int], int] = {}
+        p = self.p
+        out: dict[int, int] = {}
         # ``accumulate`` inlined: this is the hot loop of ``collapse_5to3``
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 k = k1 | k2
-                v = (out.get(k, 0) + c1 * c2) % self.p
+                v = (out.get(k, 0) + c1 * c2) % p
                 if v:
                     out[k] = v
                 else:
                     out.pop(k, None)
             charge(len(out), budget.monomials, "multilinear product")
-        res = MultilinearPoly(self.p)
-        res.terms = out
-        return res
+        return MultilinearPoly._of(p, out)
 
     def power(self, e: int, budget: Optional[Budget] = None) -> "MultilinearPoly":
         res = MultilinearPoly.constant(self.p, 1)
@@ -182,11 +200,12 @@ class MultilinearPoly:
     ) -> "MultilinearPoly":
         """Replace each variable by a polynomial (multilinear composition;
         only sound when the substituted values are 0/1-valued)."""
-        res = MultilinearPoly(self.p)
+        p = self.p
+        res = MultilinearPoly._of(p, {})
         for k, c in self.terms.items():
-            term = MultilinearPoly.constant(self.p, c)
-            for v in sorted(k):
-                term = term.mul(mapping.get(v, MultilinearPoly.variable(self.p, v)), budget)
+            term = MultilinearPoly._of(p, {0: c})
+            for v in mask_bits(k):
+                term = term.mul(mapping.get(v, MultilinearPoly._of(p, {1 << v: 1})), budget)
             res = res.add(term)
         return res
 
@@ -196,32 +215,43 @@ def moebius_transform(table, p: int) -> np.ndarray:
 
     Axis 0 indexes the assignments over {0,1}^n, variable 0 least
     significant; a 2-D table holds one function per column, so one
-    transform interpolates them all.  The subset Moebius transform runs on
-    an int64 copy, one vector step per variable: viewed as (-1, 2, 2^i),
-    the half with bit i set loses the half without it, mod p.  Entry S of
-    the result is the coefficient of the monomial with variable mask S.
+    transform interpolates them all.  Entry S of the result is the
+    coefficient of the monomial with variable mask S, in 0..p-1.
+
+    The subset Moebius transform is linear, so it runs with one reduction
+    at each end: the table is reduced mod p into a copy, then one vector
+    step per variable (viewed as (-1, 2, 2^i), the half with bit i set
+    loses the half without it) with no modulus, then one final mod p.
+    After i steps an entry is a signed sum of 2^i reduced entries, so the
+    copy is int32 whenever (p - 1) << n < 2^31, and int64 otherwise; the
+    result keeps that narrow type.  A p too large for int64 is refused.
     """
-    n = len(table).bit_length() - 1
-    if 1 << n != len(table):
+    size = len(table)
+    n = size.bit_length() - 1
+    if size == 0 or 1 << n != size:
         raise ValueError("table length must be a power of two")
-    t = np.remainder(table, p, dtype=np.int64)
+    if (p - 1) << n < 1 << 31:
+        dtype = np.int32
+    elif (p - 1) << n < 1 << 63:
+        dtype = np.int64
+    else:
+        raise ValueError(f"p = {p} is too large for a table of {size} rows")
+    # the reduction runs in int64 and casts block by block into the narrow
+    # copy, so no int64 copy of the whole table is made
+    t = np.remainder(table, p, dtype=np.int64, out=np.empty(np.shape(table), dtype),
+                     casting="unsafe")
     for i in range(n):
         halves = t.reshape(-1, 2, 1 << i, *t.shape[1:])
         halves[:, 1] -= halves[:, 0]
-        halves[:, 1] %= p
+    t %= p
     return t
 
 
 def coefficient_poly(coeffs: np.ndarray, p: int) -> MultilinearPoly:
     """The polynomial of one column of ``moebius_transform``, its terms in
     ascending mask order."""
-    n = len(coeffs).bit_length() - 1
     masks = np.flatnonzero(coeffs)
-    terms = {
-        frozenset(i for i in range(n) if mask >> i & 1): c
-        for mask, c in zip(masks.tolist(), coeffs[masks].tolist())
-    }
-    return MultilinearPoly(p, terms)
+    return MultilinearPoly(p, dict(zip(masks.tolist(), coeffs[masks].tolist())))
 
 
 def multilinear_interpolate(table: Sequence[int], p: int) -> MultilinearPoly:

@@ -55,7 +55,14 @@ from .congruence import (
     structure,
     supernilpotent_rank,
 )
-from .fieldpoly import Cnf3, coset_indicator_form, flat_index, monomial_key, pseudo_and
+from .fieldpoly import (
+    Cnf3,
+    coset_indicator_form,
+    flat_index,
+    mask_bits,
+    monomial_key,
+    pseudo_and,
+)
 from .fixtures import get_fixture
 from .limits import Budget, BudgetExceeded, default_budget
 from .localize import MinimalSet, minimal_set_through, minimal_sets
@@ -827,13 +834,13 @@ def build_two_prime_program(
         pattern_cache: dict[int, AlgCircuit] = {}
         total = None
         for key in sorted(poly.terms, key=monomial_key):
-            if len(key) > MAX_INTERPOLATION_ARITY:
+            if key.bit_count() > MAX_INTERPOLATION_ARITY:
                 raise BudgetExceeded(
-                    f"monomial support {len(key)} exceeds the interpolation "
+                    f"monomial support {key.bit_count()} exceeds the interpolation "
                     f"arity bound {MAX_INTERPOLATION_ARITY}"
                 )
             if key:
-                support = sorted(key)
+                support = mask_bits(key)
                 s = len(support)
                 circ = pattern_cache.get(s)
                 if circ is None:

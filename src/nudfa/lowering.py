@@ -38,6 +38,7 @@ from .fieldpoly import (
     MultilinearPoly,
     accumulate,
     coset_indicator_form,
+    mask_bits,
     monomial_key,
     multilinear_interpolate,
     pdiv,
@@ -73,12 +74,16 @@ class PassReport:
 # Atoms and affine sums over them
 # ---------------------------------------------------------------------------
 
-Key = frozenset  # monomial over input bits; singleton = a bare input
+# A monomial over the input bits as an int mask, bit i for input i, as
+# ``MultilinearPoly`` keys its terms; a single bit is a bare input.
+Key = int
 
 
 @dataclass(frozen=True)
 class ModAtom:
-    """Indicator [sum of coeff * monomial lands in ``accepting`` mod m]."""
+    """Indicator [sum of coeff * monomial lands in ``accepting`` mod m];
+    ``coeffs`` pairs each monomial's ``Key`` with its coefficient, in
+    ``monomial_key`` order."""
 
     m: int
     coeffs: tuple[tuple[Key, int], ...]
@@ -93,7 +98,7 @@ def make_atom(
     for key, c in coeff_map.items():
         c %= m
         if c and key:
-            items.append((frozenset(key), c))
+            items.append((key, c))
     if not items:
         return None
     items.sort(key=lambda kc: (monomial_key(kc[0]), kc[1]))
@@ -128,7 +133,8 @@ def _conj_modsum_mod2(
 ) -> MultilinearPoly:
     """Fast conjunction for m = 2: [y=r] = (1 + (-1)^(y+r))/2 over GF(p),
     so the product expands into XOR-combinations of the parity forms.  A
-    form is an int mask over the monomials, numbered as they occur."""
+    form is an int mask over the monomials, numbered as they occur, and a
+    term's key is the mask of its one pool id."""
     number: dict[Key, int] = {}
     forms: list[int] = []
     residues: list[int] = []
@@ -143,6 +149,18 @@ def _conj_modsum_mod2(
     k = len(forms)
     if k == 0:
         return MultilinearPoly.constant(p, 1)
+    # Elimination over GF(2): forms that XOR to 0 with residues that XOR to
+    # 1 contradict each other, and the walk below would cancel every term
+    # in pairs (flip that subset), so the conjunction is 0.
+    pivots: dict[int, tuple[int, int]] = {}  # top bit -> (form, residue)
+    for f, s in zip(forms, residues):
+        while f and f.bit_length() in pivots:
+            g, t = pivots[f.bit_length()]
+            f, s = f ^ g, s ^ t
+        if f:
+            pivots[f.bit_length()] = (f, s)
+        elif s:
+            return MultilinearPoly(p)
     unit = pow(pow(2, -1, p), k - 1, p)
     coeffs = (unit, (-unit) % p)
     offset = 0
@@ -161,15 +179,15 @@ def _conj_modsum_mod2(
     if all(r == 0 for r in residues):
         offset -= 1
     monomials = list(number)
-    terms = {frozenset(): offset}
+    terms = {0: offset}
     for form, c in acc.items():
         if c % p == 0:
             continue
-        keys = {key: 1 for b, key in enumerate(monomials) if form >> b & 1}
+        keys = {monomials[b]: 1 for b in mask_bits(form)}
         atom = make_atom(2, keys, {0})
         if atom is None:
             raise AssertionError("conjunction form collapsed to a constant")
-        terms[frozenset([pool.get(atom)])] = c
+        terms[1 << pool.get(atom)] = c
     return MultilinearPoly(p, terms)
 
 
@@ -204,9 +222,9 @@ def _conj_modsum_coset(
         atom = make_atom(m, acc, {(-u) % m})
         if atom is None:
             if u % m == 0:
-                accumulate(out.terms, frozenset(), mu, p)
+                accumulate(out.terms, 0, mu, p)
         else:
-            accumulate(out.terms, frozenset([pool.get(atom)]), mu, p)
+            accumulate(out.terms, 1 << pool.get(atom), mu, p)
     return out
 
 
@@ -240,7 +258,7 @@ def poly_to_modsum(
     budget = budget or default_budget()
     out = MultilinearPoly(poly.p)
     for subset, coeff in poly.terms.items():
-        out = out.add(conj_modsum(pool, sorted(subset), poly.p, budget).scale(coeff))
+        out = out.add(conj_modsum(pool, mask_bits(subset), poly.p, budget).scale(coeff))
         charge(len(out.terms), budget.monomials, "polynomial collapse")
     return out
 
@@ -289,19 +307,19 @@ def _layer_modulus(circuit: CCircuit, layer: int, p: int) -> int:
 
 def _monomial_keys(circuit: CCircuit, has_and: bool) -> dict[int, Key]:
     """Map node id -> monomial over raw inputs for inputs and AND-layer gates."""
-    keys: dict[int, Key] = {i: frozenset([i]) for i in range(circuit.inputs)}
+    keys: dict[int, Key] = {i: 1 << i for i in range(circuit.inputs)}
     if has_and:
         for gid, gate in enumerate(circuit.gates):
             if gate.layer != 1:
                 continue
             if gate.kind != AND:
                 raise ValueError("layer 1 must be AND gates")
-            members: set[int] = set()
+            members = 0
             for src, _ in gate.wires:
                 if src >= circuit.inputs:
                     raise ValueError("AND layer must read raw inputs")
-                members.add(src)
-            keys[circuit.inputs + gid] = frozenset(members)
+                members |= 1 << src
+            keys[circuit.inputs + gid] = members
     return keys
 
 
@@ -404,7 +422,7 @@ def monomial_gates(
     node_of: dict[Key, int] = {}
     for key in sorted(monomials, key=monomial_key):
         node_of[key] = n + len(gates)
-        gates.append(Gate(kind=AND, layer=1, wires=tuple((i, 1) for i in sorted(key))))
+        gates.append(Gate(kind=AND, layer=1, wires=tuple((i, 1) for i in mask_bits(key))))
     return gates, node_of
 
 
@@ -412,8 +430,8 @@ def _affine_parts(modsum: MultilinearPoly) -> tuple[int, dict[int, int]]:
     """The constant and the pool-id coefficients of a sum."""
     if modsum.degree() > 1:
         raise ValueError(f"a sum of degree {modsum.degree()} is not affine")
-    coeffs = {next(iter(k)): c for k, c in modsum.terms.items() if k}
-    return modsum.terms.get(frozenset(), 0), coeffs
+    coeffs = {k.bit_length() - 1: c for k, c in modsum.terms.items() if k}
+    return modsum.terms.get(0, 0), coeffs
 
 
 def emit_modsum(
@@ -435,17 +453,17 @@ def emit_modsum(
     order = sorted(coeffs, key=lambda i: _atom_sort_key(pool.atoms[i]))
     keys = {key for i in order for key, _ in pool.atoms[i].coeffs}
     if and_layer is None:
-        and_layer = any(len(k) != 1 for k in keys)
-    if not and_layer and any(len(k) != 1 for k in keys):
+        and_layer = any(k.bit_count() != 1 for k in keys)
+    if not and_layer and any(k.bit_count() != 1 for k in keys):
         raise ValueError("monomials of size != 1 need an AND layer")
 
     if and_layer:
         gates, node_of = monomial_gates(n, keys)
         mod_layer = 2
-        and_width = max((len(k) for k in keys), default=1)
+        and_width = max((k.bit_count() for k in keys), default=1)
     else:
         gates = []
-        node_of = {k: next(iter(k)) for k in keys}
+        node_of = {k: k.bit_length() - 1 for k in keys}
         mod_layer = 1
     atom_node: dict[int, int] = {}
     for i in order:
@@ -581,7 +599,7 @@ def and_sum_lower(
     polys = [
         multilinear_interpolate([r[j] for r in rows], p) for j in range(k)
     ]
-    monomials: dict[frozenset, list[int]] = {}
+    monomials: dict[Key, list[int]] = {}
     offset = [0] * k
     for j, poly in enumerate(polys):
         for key, c in poly.terms.items():

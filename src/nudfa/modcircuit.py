@@ -22,6 +22,12 @@ after its last reader, so a table of up to 2^20 words needs scratch memory
 for one block only.  ``eval_cc`` is its one-row view for a single word.
 A SUMP gate that feeds another gate is refused.
 
+A MOD gate reduces each multiplicity mod m and sums its wires in the
+smallest unsigned type that holds both m and the largest possible sum, the
+reduced multiplicities added up.  The columns of the wires of one weight
+are added without a multiply, and the group is multiplied by its weight
+once; the residue of the sum is looked up in a 0/1 table over Z_m.
+
 A circuit's whole table is computed once per run: ``cc_table`` keeps it,
 read-only, in the memo ``_TABLES`` under the circuit's value, and every
 later check of an equal circuit (the next pass, the CLI harness) reads that
@@ -285,27 +291,41 @@ def _cc_block(
 ) -> np.ndarray:
     """Output column on one block of words; a column is dropped after the
     last gate that reads it (``readers[node]``)."""
-    cols: list = [
-        ((rows >> i) & 1).astype(np.uint8) for i in range(circuit.inputs)
-    ]
+    # every input's bit column at once: row i of the shifted (inputs, words)
+    # array is input i
+    shifts = np.arange(circuit.inputs)[:, None]
+    cols: list = list(((rows >> shifts) & 1).astype(np.uint8))
     for gid, gate in enumerate(circuit.gates):
         srcs = [(cols[s], mult) for s, mult in gate.wires]
         if gate.kind in (AND, OR):
             if not srcs:
                 out = np.full(len(rows), 1 if gate.kind == AND else 0, np.uint8)
             else:
-                out = srcs[0][0].copy()
+                # no column is written once made, so a one-wire gate shares
+                # its source's column
                 combine = np.bitwise_and if gate.kind == AND else np.bitwise_or
-                for col, _ in srcs[1:]:
+                out = srcs[0][0] if len(srcs) == 1 else combine(srcs[0][0], srcs[1][0])
+                for col, _ in srcs[2:]:
                     combine(out, col, out=out)
         elif gate.kind == MOD:
-            total = np.zeros(len(rows), np.int64)
+            m = gate.m
+            by_weight: dict[int, list] = {}
             for col, mult in srcs:
-                if mult % gate.m:
-                    total += col * np.int64(mult % gate.m)
-            lut = np.zeros(gate.m, np.uint8)
+                if mult % m:
+                    by_weight.setdefault(mult % m, []).append(col)
+            bound = sum(w * len(group) for w, group in by_weight.items())
+            dtype = np.min_scalar_type(max(bound, m))
+            total = np.zeros(len(rows), dtype)
+            for w, group in by_weight.items():
+                part = total if w == 1 else np.zeros(len(rows), dtype)
+                for col in group:
+                    part += col
+                if w != 1:
+                    part *= w
+                    total += part
+            lut = np.zeros(m, np.uint8)
             lut[sorted(gate.accepting)] = 1
-            out = lut[total % gate.m]
+            out = lut.take(total % m)
         else:
             weights = np.array(
                 [

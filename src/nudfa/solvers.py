@@ -11,13 +11,14 @@ subdirect-decomposition strategy for identities rounds out the toolbox.
 The exhaustive procedures scan assignments in ``product`` order and words
 in index order as one grid (``_first_hit``): each gate the output reads is
 evaluated on an open grid over the variables it reads, so a term that
-reads two of k variables costs n^2 entries, not n^k.  The first hit is the
-answer, with the witness and ``tried`` count of a one-at-a-time scan.  The
-random sampler evaluates its drawn words in draw order, a block of
-``TABLE_BLOCK`` at a time (``AlgProgram.accept_column``).  Every positive
-answer carries a witness that has been re-checked on its own through the
-one-row views (``AlgProgram.accepts``, ``eval_circuit``); negative answers
-from the random sampler are explicitly tagged probabilistic.
+reads two of k variables costs n^2 entries, not n^k, and the scan budget
+is charged those entries.  The first hit is the answer, with the witness
+and ``tried`` count of a one-at-a-time scan.  The random sampler evaluates
+its drawn words in draw order, a block of ``TABLE_BLOCK`` at a time
+(``AlgProgram.accept_column``).  Every positive answer carries a witness
+that has been re-checked on its own through the one-row views
+(``AlgProgram.accepts``, ``eval_circuit``); negative answers from the
+random sampler are explicitly tagged probabilistic.
 """
 
 from __future__ import annotations
@@ -76,13 +77,13 @@ def progcsat_exhaustive(
     """Scan all words in index order; first accepted word wins."""
     budget = budget or default_budget()
     n = program.n
-    charge(1 << n, 1 << budget.progcsat_bits, "program input words")
     places = [None] * program.circuit.k
     for ins in program.instructions:
         places[ins.var] = (n - 1 - ins.bit, (ins.a0, ins.a1))
     accepting = sorted(program.accepting)
     hit = _first_hit(program.algebra, program.circuit, [2] * n, places,
-                     lambda out: np.isin(out, accepting))
+                     lambda out: np.isin(out, accepting),
+                     1 << budget.progcsat_bits, "program input words")
     if hit is None:
         return SolveResult(status="unsat", tried=1 << n)
     word, digits = hit
@@ -138,8 +139,8 @@ def csat_exhaustive(
 ) -> SolveResult:
     """Is t(x) = e solvable?  Scans the full assignment space."""
     budget = budget or default_budget()
-    charge(algebra.size**circuit.k, budget.domain_scan, "assignment scan")
-    hit = _first_assignment(algebra, circuit, lambda out: out == e)
+    hit = _first_assignment(algebra, circuit, lambda out: out == e,
+                            budget.domain_scan, "assignment scan")
     if hit is not None:
         index, args = hit
         if eval_circuit(algebra, circuit, args) != e:
@@ -160,8 +161,8 @@ def ceqv_exhaustive(
 ) -> SolveResult:
     """Does t(x) = e hold for every assignment?"""
     budget = budget or default_budget()
-    charge(algebra.size**circuit.k, budget.domain_scan, "assignment scan")
-    hit = _first_assignment(algebra, circuit, lambda out: out != e)
+    hit = _first_assignment(algebra, circuit, lambda out: out != e,
+                            budget.domain_scan, "assignment scan")
     if hit is not None:
         index, args = hit
         if eval_circuit(algebra, circuit, args) == e:
@@ -178,12 +179,14 @@ def _first_assignment(
     algebra: FiniteAlgebra,
     circuit: AlgCircuit,
     hit: Callable[[np.ndarray], np.ndarray],
+    cap: int,
+    what: str,
 ) -> Optional[tuple[int, tuple[int, ...]]]:
     """First assignment in ``product`` order whose output ``hit`` marks,
     with its index; None if there is none."""
     n, k = algebra.size, circuit.k
     places = [(i, range(n)) for i in range(k)]
-    return _first_hit(algebra, circuit, [n] * k, places, hit)
+    return _first_hit(algebra, circuit, [n] * k, places, hit, cap, what)
 
 
 def _first_hit(
@@ -192,6 +195,8 @@ def _first_hit(
     radices: list[int],
     places: list,
     hit: Callable[[np.ndarray], np.ndarray],
+    cap: int,
+    what: str,
 ) -> Optional[tuple[int, tuple[int, ...]]]:
     """The first point of a grid, in mixed-radix order with axis 0 most
     significant, at which ``hit`` marks the output: its index and digits,
@@ -202,11 +207,14 @@ def _first_hit(
     Only the gates the output reads are evaluated, and only the axes of
     the variables it reads are scanned, as an open grid on which every gate
     spans the axes it reads; digits off them are 0, which keeps the index
-    that of the whole grid's first hit.  A block fixes leading axes so
-    that every array holds at most TABLE_BLOCK entries.
+    that of the whole grid's first hit.  The scanned entries, the product
+    of those axes' radices, are charged against ``cap`` as ``what``.  A
+    block fixes leading axes so that every array holds at most TABLE_BLOCK
+    entries.
     """
     circuit = subcircuit(circuit.k, circuit.nodes, circuit.output)
     axes = sorted({places[node[1]][0] for node in circuit.nodes if node[0] == VAR})
+    charge(math.prod(radices[a] for a in axes), cap, what)
     split = len(axes)
     while split and math.prod(
         radices[a] for a in axes[split - 1:]
@@ -352,13 +360,13 @@ def ceqv_via_meet_irreducibles(
     tried = 0
     for theta in lat.meet_irreducibles():
         quo, mapping = quotient_algebra(algebra, theta)
-        charge(quo.size**circuit.k, budget.domain_scan, "quotient scan")
         mapped = map_circuit_constants(circuit, mapping)
         target = mapping[e]
         reps = {}
         for x in range(algebra.size):
             reps.setdefault(mapping[x], x)
-        hit = _first_assignment(quo, mapped, lambda out: out != target)
+        hit = _first_assignment(quo, mapped, lambda out: out != target,
+                                budget.domain_scan, "quotient scan")
         if hit is not None:
             index, args = hit
             lifted = tuple(reps[a] for a in args)

@@ -1,0 +1,90 @@
+"""In-process compile timings off the benchmark, printed as one JSON object.
+
+    PYTHONPATH=src python3 tests/compile_timings.py
+
+Times ``compile_nilpotent`` on the parity-sum program (the sum of
+mod(x_i + x_{i+1}) over i = 0, 2, 4, ..., accepting {2}):
+
+- over Z6%2 at n = 12, 16 and 18, best of a few warm runs, and the share
+  of the n = 18 compile spent in ``moebius_transform`` under cProfile;
+- over Z12%3 (Z12 with + and x -> x mod 3, a descent of h = 2 levels)
+  under ``Budget(lattice_universe=12)`` at n = 4, best of three warm runs,
+  and at n = 6, the time until the monomial cap stops it.
+
+Each run starts from an empty table memo.  The figures are wall seconds of
+the machine it runs on; compare two checkouts by running each in turn.
+"""
+
+from __future__ import annotations
+
+import cProfile
+import json
+import pstats
+import time
+
+from nudfa import modcircuit
+from nudfa.algebra import FiniteAlgebra, make_op
+from nudfa.circuits import CircuitBuilder
+from nudfa.compile import compile_nilpotent
+from nudfa.fixtures import get_fixture
+from nudfa.limits import Budget, BudgetExceeded
+from nudfa.programs import AlgProgram, Instruction
+
+
+def parity_sum(algebra: FiniteAlgebra, mod: str, n: int) -> AlgProgram:
+    b = CircuitBuilder(n)
+    terms = [b.gate(mod, b.gate("+", b.var(i), b.var(i + 1))) for i in range(0, n - 1, 2)]
+    out = terms[0]
+    for term in terms[1:]:
+        out = b.gate("+", out, term)
+    return AlgProgram(
+        algebra, b.finish(out), n,
+        tuple(Instruction(i, i, 0, 1) for i in range(n)), frozenset({2}),
+    )
+
+
+def z12_mod3() -> FiniteAlgebra:
+    add = make_op("+", 2, 12, lambda x, y: (x + y) % 12)
+    return FiniteAlgebra("Z12%3", 12, (add, make_op("%3", 1, 12, lambda x: x % 3)))
+
+
+def run(prog: AlgProgram, budget: Budget) -> float:
+    modcircuit._TABLES.clear()
+    start = time.perf_counter()
+    compile_nilpotent(prog, budget)
+    return time.perf_counter() - start
+
+
+def best(prog: AlgProgram, budget: Budget, runs: int) -> float:
+    run(prog, budget)  # warm: structures and caches
+    return round(min(run(prog, budget) for _ in range(runs)), 4)
+
+
+def main() -> None:
+    out = {}
+    z6m2 = get_fixture("Z6%2").algebra
+    for n, runs in ((12, 5), (16, 3), (18, 3)):
+        out[f"parity_sum_z6m2_n{n}_s"] = best(parity_sum(z6m2, "%2", n), Budget(), runs)
+    profile = cProfile.Profile()
+    profile.runcall(run, parity_sum(z6m2, "%2", 18), Budget())
+    stats = pstats.Stats(profile)
+    moebius = next(v for k, v in stats.stats.items() if k[2] == "moebius_transform")
+    out["n18_profiled_s"] = round(stats.total_tt, 3)
+    out["n18_profiled_moebius_s"] = round(moebius[3], 3)
+    out["n18_moebius_calls"] = moebius[1]
+
+    z12, budget = z12_mod3(), Budget(lattice_universe=12)
+    out["z12m3_h2_n4_s"] = best(parity_sum(z12, "%3", 4), budget, 3)
+    prog = parity_sum(z12, "%3", 6)
+    start = time.perf_counter()
+    try:
+        compile_nilpotent(prog, budget)
+        out["z12m3_h2_n6"] = "compiled"
+    except BudgetExceeded as exc:
+        out["z12m3_h2_n6"] = str(exc)
+    out["z12m3_h2_n6_s"] = round(time.perf_counter() - start, 2)
+    print(json.dumps(out))
+
+
+if __name__ == "__main__":
+    main()

@@ -2,10 +2,11 @@
 
 ``conj_modsum_mod2`` below is the earlier implementation of
 ``nudfa.lowering._conj_modsum_mod2``, kept as it was apart from its
-name.  It XORs each parity form as a frozenset of monomials, where
-the package numbers the monomials and XORs int masks; it serves as a
-differential oracle: the same terms in the same order, and the same atoms
-pooled in the same order.
+name and its return.  It XORs each parity form as a frozenset of
+monomials, where the package numbers the monomials and XORs int masks; it
+serves as a differential oracle: the same terms in the same order, and the
+same atoms pooled in the same order.  Its terms are frozensets of pool
+ids, converted to the package's int masks on return.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from typing import Sequence
 
 from nudfa.fieldpoly import MultilinearPoly
 from nudfa.lowering import AtomPool, ModAtom, make_atom
+from poly_reference import as_masks
 
 
 def conj_modsum_mod2(
@@ -64,4 +66,4 @@ def conj_modsum_mod2(
         if atom is None:
             raise AssertionError("conjunction form collapsed to a constant")
         terms[frozenset([pool.get(atom)])] = c
-    return MultilinearPoly(p, terms)
+    return MultilinearPoly(p, as_masks(terms))

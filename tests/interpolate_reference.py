@@ -2,9 +2,10 @@
 
 ``multilinear_interpolate`` below is the earlier implementation of
 ``nudfa.fieldpoly.multilinear_interpolate``, kept as it was apart from its
-docstring.  It visits every (variable, row) pair and serves as a
+docstring and its return.  It visits every (variable, row) pair and serves as a
 differential oracle for the vectorised transform: the same coefficients, in
-the same term order.
+the same term order.  It keys terms by frozensets of variables, as the
+package once did, and converts them to the package's int masks on return.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from nudfa.fieldpoly import MultilinearPoly
+from poly_reference import as_masks
 
 
 def multilinear_interpolate(table: Sequence[int], p: int) -> MultilinearPoly:
@@ -29,4 +31,4 @@ def multilinear_interpolate(table: Sequence[int], p: int) -> MultilinearPoly:
     for mask in range(size):
         if t[mask]:
             terms[frozenset(i for i in range(n) if mask >> i & 1)] = t[mask]
-    return MultilinearPoly(p, terms)
+    return MultilinearPoly(p, as_masks(terms))

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import interpolate_reference as reference
+import poly_reference
 from nudfa import fieldpoly
 from nudfa.fieldpoly import (
     Cnf3,
@@ -22,6 +23,9 @@ from nudfa.fieldpoly import (
     coset_indicator_form,
     divisibility_coeffs,
     flat_index,
+    mask_bits,
+    monomial_key,
+    moebius_transform,
     multilinear_interpolate,
     parse_dimacs,
     pseudo_and,
@@ -39,7 +43,7 @@ def all_words(n):
 def value_at(poly, point):
     """The polynomial's value at one point, term by term."""
     terms = poly.terms.items()
-    return sum(c * math.prod(point[i] for i in k) for k, c in terms) % poly.p
+    return sum(c * math.prod(point[i] for i in mask_bits(k)) for k, c in terms) % poly.p
 
 
 # -- multilinear polynomials -------------------------------------------------
@@ -59,9 +63,9 @@ def test_interpolation_matches_the_table_pointwise():
 
 def test_interpolation_of_named_tables():
     parity = multilinear_interpolate([0, 1, 1, 0], 2)
-    assert parity.terms == {frozenset({0}): 1, frozenset({1}): 1}
+    assert parity.terms == {0b01: 1, 0b10: 1}
     conj = multilinear_interpolate([0, 0, 0, 1], 3)
-    assert conj.terms == {frozenset({0, 1}): 1}
+    assert conj.terms == {0b11: 1}
 
 
 def test_interpolation_rejects_non_power_of_two_tables():
@@ -122,6 +126,87 @@ def test_one_transform_interpolates_every_column(n, k, p, onehot, seed):
         assert list(poly.terms.items()) == list(expected.terms.items())
 
 
+def test_an_empty_table_is_not_a_power_of_two():
+    for table in ([], np.zeros(0, np.int64), np.zeros((0, 3), bool)):
+        with pytest.raises(ValueError, match="table length must be a power of two"):
+            moebius_transform(table, 3)
+
+
+def kron_table(rng, p, n_hi, n_lo, k):
+    """A 2^(n_hi + n_lo)-row table whose column c is h_c[hi] * g_c[lo] mod p
+    at row hi << n_lo | lo, plus multiples of p of up to 2^40 either way;
+    and, per column, the 10-bit factors h_c and g_c."""
+    hs = rng.integers(0, p, size=(1 << n_hi, k))
+    gs = rng.integers(0, p, size=(1 << n_lo, k))
+    prod = (hs[:, None, :] * gs[None, :, :] % p).reshape(-1, k)
+    noise = rng.integers(-(1 << 40), 1 << 40, size=prod.shape)
+    return prod + p * noise, hs, gs
+
+
+def test_the_transform_matches_the_reference_on_both_sides_of_the_int32_bound():
+    """p = 3 at n = 20 works in int32, p = 2^31 - 1 at n = 3 in int64, and
+    p = 2^61 - 1 is refused at n = 3; the entries reach 2^31 and beyond,
+    and go negative, so a table narrowed before its reduction would wrap.  At n = 20 the pure-Python reference
+    (about 10 s) runs on the two 10-bit factors of a product table, whose
+    transform is the product of theirs."""
+    rng = np.random.default_rng(28)
+    table, hs, gs = kron_table(rng, 3, 10, 10, 2)
+    assert table.max() >= 1 << 31 and table.min() < 0
+    got = moebius_transform(table, 3)
+    assert got.dtype == np.int32 and got.shape == table.shape
+    for c in range(2):
+        h, g = (
+            np.zeros(1 << 10, np.int64) for _ in range(2)
+        )
+        for arr, factor in ((h, hs), (g, gs)):
+            for mask, coeff in reference.multilinear_interpolate(
+                factor[:, c].tolist(), 3
+            ).terms.items():
+                arr[mask] = coeff
+        want = (h[:, None] * g[None, :] % 3).reshape(-1)
+        assert (got[:, c] == want).all()
+        poly = fieldpoly.coefficient_poly(got[:, c], 3)
+        masks = np.flatnonzero(want)
+        assert list(poly.terms.items()) == list(zip(masks.tolist(), want[masks].tolist()))
+
+    p = 2**31 - 1
+    table = rng.integers(-(1 << 62), 1 << 62, size=(8, 3))
+    table[0, 0] = p + 2
+    got = moebius_transform(table, p)
+    assert got.dtype == np.int64
+    for c in range(3):
+        poly = fieldpoly.coefficient_poly(got[:, c], p)
+        expected = reference.multilinear_interpolate(table[:, c].tolist(), p)
+        assert list(poly.terms.items()) == list(expected.terms.items())
+    # (p - 1) << n reaches 2^63, so the unreduced steps could wrap in int64
+    assert moebius_transform(table[:4], 2**61 - 1).dtype == np.int64
+    with pytest.raises(ValueError, match="too large"):
+        moebius_transform(table, 2**61 - 1)
+
+
+@pytest.mark.parametrize("n", [1, 4, 8])
+def test_the_largest_int32_prime_cannot_wrap(n):
+    """For the largest prime p with (p - 1) << n < 2^31, the table whose
+    transform reaches (p - 1) 2^(n-1) in some step works in int32 and
+    matches the reference; the next prime up works in int64."""
+    p = ((1 << 31) - 1 >> n) + 1
+    while fieldpoly.prime_divisors(p) != [p] or (p - 1) << n >= 1 << 31:
+        p -= 1
+    q = p + 1
+    while fieldpoly.prime_divisors(q) != [q]:
+        q += 1
+    for prime, dtype in ((p, np.int32), (q, np.int64)):
+        table = [
+            prime - 1 if bin(row).count("1") % 2 == n % 2 else -prime
+            for row in range(1 << n)
+        ]
+        got = moebius_transform(table, prime)
+        assert got.dtype == dtype
+        poly = fieldpoly.coefficient_poly(got, prime)
+        expected = reference.multilinear_interpolate(table, prime)
+        assert list(poly.terms.items()) == list(expected.terms.items())
+
+
 def test_interpolation_memory_stays_bounded():
     """The conjunction of 20 bits takes one working copy of its table, not
     a (2^n x n) bit matrix."""
@@ -134,7 +219,7 @@ def test_interpolation_memory_stays_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert poly.terms == {frozenset(range(n)): 1}
+    assert poly.terms == {(1 << n) - 1: 1}
     assert peak < PEAK_INTERPOLATION_BYTES, peak
 
 
@@ -161,6 +246,53 @@ def test_substitution_composes_polynomials():
     h = f.substitute({0: g})
     for point in all_words(3):
         assert value_at(h, point) == (point[2] + point[1]) % p
+
+
+polys = st.dictionaries(
+    st.frozensets(st.integers(0, 7), max_size=4), st.integers(1, 6), max_size=8
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p=st.sampled_from((2, 3, 5, 7)),
+    f=polys,
+    g=polys,
+    mapping=st.dictionaries(st.integers(0, 7), polys, max_size=3),
+)
+def test_the_int_mask_ring_matches_the_frozenset_ring(p, f, g, mapping):
+    """add, mul and substitute on int masks give the frozenset ring's
+    coefficients in the frozenset ring's term order, and ``monomial_key``
+    lists masks as (degree, sorted variables) lists frozensets."""
+    f = {k: c % p for k, c in f.items() if c % p}
+    g = {k: c % p for k, c in g.items() if c % p}
+    mapping = {v: {k: c % p for k, c in h.items() if c % p} for v, h in mapping.items()}
+
+    def poly(terms):
+        return MultilinearPoly(p, poly_reference.as_masks(terms))
+
+    def items(terms):
+        return list(poly_reference.as_masks(terms).items())
+
+    pf, pg = poly(f), poly(g)
+    assert list(pf.add(pg).terms.items()) == items(poly_reference.add(p, f, g))
+    assert list(pf.mul(pg).terms.items()) == items(poly_reference.mul(p, f, g))
+    got = pf.substitute({v: poly(h) for v, h in mapping.items()})
+    assert list(got.terms.items()) == items(poly_reference.substitute(p, f, mapping))
+    keys = list(f) + list(g)
+    by_set = sorted(keys, key=lambda k: (len(k), sorted(k)))
+    by_mask = sorted(poly_reference.as_masks(dict.fromkeys(keys)), key=monomial_key)
+    assert by_mask == list(poly_reference.as_masks(dict.fromkeys(by_set)))
+
+
+def test_polynomials_built_from_outside_need_a_prime():
+    for build in (
+        lambda: MultilinearPoly(4),
+        lambda: MultilinearPoly.constant(6, 1),
+        lambda: fieldpoly.coefficient_poly(np.array([1, 0]), 9),
+    ):
+        with pytest.raises(ValueError, match="is not prime"):
+            build()
 
 
 # -- coset indicator sums ----------------------------------------------------

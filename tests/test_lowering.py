@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import conj_reference
+import poly_reference
 from conftest import scalar
 
 from nudfa import lowering
-from nudfa.fieldpoly import MultilinearPoly
+from nudfa.fieldpoly import MultilinearPoly, mask_bits
 from nudfa.lowering import (
     VERIFY_INPUT_BOUND,
     AtomPool,
@@ -218,7 +219,7 @@ def test_five_layer_collapse_to_three():
 
 def atom_value(atom, word):
     """An atom's indicator on the word whose bit i is (word >> i) & 1."""
-    total = sum(c for key, c in atom.coeffs if all(word >> i & 1 for i in key))
+    total = sum(c for key, c in atom.coeffs if word & key == key)
     return int(total % atom.m in atom.accepting)
 
 
@@ -226,7 +227,7 @@ def sum_table(pool, modsum, n):
     """A sum over pool ids on every word of n bits, term by term."""
     return [
         sum(
-            c * math.prod(atom_value(pool.atoms[i], word) for i in key)
+            c * math.prod(atom_value(pool.atoms[i], word) for i in mask_bits(key))
             for key, c in modsum.terms.items()
         ) % modsum.p
         for word in range(1 << n)
@@ -246,7 +247,7 @@ def test_the_two_conjunction_routes_agree_on_every_word():
         atoms = []
         for _ in range(rng.randint(1, 4)):
             form = {
-                frozenset(rng.sample(range(n), rng.randint(1, min(2, n)))): 1
+                sum(1 << i for i in rng.sample(range(n), rng.randint(1, min(2, n)))): 1
                 for _ in range(rng.randint(1, 3))
             }
             atom = make_atom(2, form, rand_subset(rng, 2))
@@ -266,7 +267,8 @@ def test_the_two_conjunction_routes_agree_on_every_word():
             assert modsum.degree() <= 1
             assert sum_table(pool, modsum, n) == want
             forms.append({
-                tuple(pool.atoms[i] for i in key): c for key, c in modsum.terms.items()
+                tuple(pool.atoms[i] for i in mask_bits(key)): c
+                for key, c in modsum.terms.items()
             })
         differ += forms[0] != forms[1]
     assert differ > 0
@@ -288,7 +290,10 @@ def test_the_two_conjunction_routes_agree_on_every_word():
 def test_the_mod2_conjunction_matches_the_frozenset_walk(specs, p):
     """Int masks over numbered monomials give the terms, in the same order,
     and pool the same atoms in the same order as the frozenset walk."""
-    atoms = [make_atom(2, dict.fromkeys(keys, 1), acc) for keys, acc in specs]
+    atoms = [
+        make_atom(2, poly_reference.as_masks(dict.fromkeys(keys, 1)), acc)
+        for keys, acc in specs
+    ]
     pools = [AtomPool(), AtomPool()]
     for pool in pools:
         for atom in atoms[::2]:  # some atoms pooled before the call
@@ -313,7 +318,7 @@ def test_passes_reject_mismatched_shapes():
     with pytest.raises(ValueError):
         and_sum_lower([0, 1, 1], 3)
     with pytest.raises(ValueError, match="degree 2"):
-        emit_modsum(2, 3, 2, AtomPool(), MultilinearPoly(2, {frozenset({0, 1}): 1}))
+        emit_modsum(2, 3, 2, AtomPool(), MultilinearPoly(2, {0b11: 1}))
 
 
 def test_an_emptied_mod_layer_keeps_its_declared_modulus(monkeypatch):

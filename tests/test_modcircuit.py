@@ -179,6 +179,44 @@ def test_column_table_matches_the_word_evaluator(circuit, block, data):
         assert got == [want[r] for r in rows]
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    m=st.one_of(st.integers(1, 7), st.integers(150, 300), st.integers(30_000, 40_000)),
+    data=st.data(),
+)
+def test_mod_sums_of_every_width_match_the_word_evaluator(n, m, data):
+    """MOD gates with m = 1, with multiplicities of m and above, and with
+    weighted fan-in above 255 and above 65,535, which sum in uint16 and
+    uint32: a MOD layer over the inputs and a MOD gate over both layers.
+    Each gate accepts the residues of a few drawn words, so both outcomes
+    occur."""
+    mults = st.integers(1, 3 * m)
+    words = [[(row >> i) & 1 for i in range(n)] for row in range(1 << n)]
+
+    def mod_gate(layer, sources):
+        wires = tuple(data.draw(st.lists(
+            st.tuples(st.sampled_from(sources), mults), min_size=1, max_size=6
+        )))
+        hits = data.draw(st.lists(st.sampled_from(words), max_size=3))
+        accepting = frozenset(
+            sum(mult * values[s] for s, mult in wires) % m for values in hits
+        ) | data.draw(st.frozensets(st.integers(0, m - 1), max_size=2))
+        return Gate(MOD, layer, wires, m=m, accepting=accepting)
+
+    inner = [mod_gate(1, list(range(n))) for _ in range(data.draw(st.integers(1, 3)))]
+    # the outer gate's hits read only the inputs; its sources are all nodes
+    outer = mod_gate(2, list(range(n)))
+    outer = Gate(MOD, 2, outer.wires + tuple(
+        (n + g, mult) for g, mult in data.draw(st.lists(
+            st.tuples(st.integers(0, len(inner) - 1), mults), max_size=3
+        ))
+    ), m=m, accepting=outer.accepting)
+    circuit = CCircuit(n, (*inner, outer), n + len(inner), "")
+    with mock.patch.object(modcircuit, "_TABLES", {}):
+        assert cc_truth_table(circuit) == [reference.eval_cc(circuit, w) for w in words]
+
+
 def test_a_whole_table_is_computed_once_and_is_read_only(monkeypatch):
     """The memo returns one copy per circuit value; listed rows are
     evaluated afresh and stay writable."""

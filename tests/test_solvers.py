@@ -98,6 +98,65 @@ def test_program_scan_respects_the_word_budget():
         progcsat_exhaustive(prog, tight)
 
 
+def test_scans_charge_the_grid_they_open_not_the_space():
+    """A 30-bit program that reads 2 bits opens a grid of 4 words, and
+    x0 + x1 over Z6 with 12 or 15 variables one of 36 assignments (9 and 4
+    in the quotients), so all are decided; their nominal spaces, 2^30 and
+    6^12 or 3^15, exceed the caps.  ``tried`` still counts the one-at-a-
+    time scan: the hit's index + 1, or the whole space."""
+    prog = and_of_bits(30, (3, 17))
+    res = progcsat_exhaustive(prog)
+    assert res.status == "sat" and res.tried == (1 << 3 | 1 << 17) + 1
+    assert res.witness == tuple(int(i in (3, 17)) for i in range(30))
+    unsat = replace(prog, accepting=frozenset())
+    assert outcome(progcsat_exhaustive(unsat)) == ("unsat", None, None, 1 << 30)
+
+    z6 = get_fixture("Z6").algebra
+    for k in (12, 15):
+        b = CircuitBuilder(k)
+        pair = b.gate("+", b.var(0), b.var(1))
+        plus = b.finish(pair)
+        acc = pair
+        for _ in range(5):
+            acc = b.gate("+", acc, pair)
+        zero = b.finish(acc)  # six times x0 + x1
+        rest = (0,) * (k - 2)
+        assert outcome(csat_exhaustive(z6, plus, 5)) == (
+            "sat", (0, 5) + rest, None, 5 * 6 ** (k - 2) + 1
+        )
+        assert outcome(ceqv_exhaustive(z6, plus, 0)) == (
+            "fails", None, (0, 1) + rest, 6 ** (k - 2) + 1
+        )
+        assert outcome(ceqv_exhaustive(z6, zero, 0)) == ("holds", None, None, 6**k)
+        assert outcome(ceqv_via_meet_irreducibles(z6, zero, 0)) == (
+            "holds", None, None, 2**k + 3**k
+        )
+        assert ceqv_via_meet_irreducibles(z6, plus, 0).status == "fails"
+
+
+def test_scans_that_read_too_much_are_refused_as_before():
+    """Reading 25 bits, or 10 variables over Z6, still exceeds the caps,
+    with the messages of a charge on the nominal space."""
+    prog = replace(and_of_bits(25, tuple(range(25))), accepting=frozenset())
+    with pytest.raises(
+        BudgetExceeded, match="^program input words: 33554432 exceeds cap 16777216$"
+    ):
+        progcsat_exhaustive(prog)
+    z6 = get_fixture("Z6").algebra
+    b = CircuitBuilder(10)
+    acc = b.var(0)
+    for i in range(1, 10):
+        acc = b.gate("+", acc, b.var(i))
+    total = b.finish(acc)
+    for scan in (csat_exhaustive, ceqv_exhaustive):
+        with pytest.raises(
+            BudgetExceeded, match="^assignment scan: 60466176 exceeds cap 10000000$"
+        ):
+            scan(z6, total, 0)
+    with pytest.raises(BudgetExceeded, match="^quotient scan: 1024 exceeds cap 1000$"):
+        ceqv_via_meet_irreducibles(z6, total, 0, replace(default_budget(), domain_scan=1000))
+
+
 # -- direct equation procedures ----------------------------------------------
 
 
