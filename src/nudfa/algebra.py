@@ -4,6 +4,16 @@ The universe of an algebra of size n is {0, ..., n-1}.  An operation of arity
 r is stored as a flat row-major table of length n**r: the value on arguments
 (a_1, ..., a_r) sits at index sum(a_i * n**(r-1-i)).  Nullary operations are
 permitted (table of length 1).
+
+Polynomial tables are closed in numpy.  The breadth-first closure
+``_closure`` defines the first witness circuit of every table; the Malcev
+search and the unary clone of an algebra with a non-associative binary or a
+wider operation run it.  When every operation is unary or an associative
+binary one, the unary clone's tables come from ``_generated``, a closure
+over each operation's generators that associativity makes exact, and the
+breadth-first closure runs once, when a witness is first read.  Both paths
+stay: the generator closure finds the same set of tables far faster, but
+only the breadth-first one fixes which circuit comes first.
 """
 
 from __future__ import annotations
@@ -180,23 +190,36 @@ class UnaryFn:
 class UnaryClone:
     """All unary polynomials of an algebra, closed under the basic operations.
 
-    A batched breadth-first closure (``_closure``) with k = 1, ended early
-    by its certificate when every operation is unary or associative.
     Functions are deduplicated by value table, and each carries the first
     witness circuit in the variable x0 found in breadth-first ``product``
     order, built when first read.  Iteration order is the canonical sort by
     value table, so searches over the clone are deterministic.
+
+    The tables come from one of two closures, picked by the operations.
+    When every operation of arity >= 1 is unary or an associative binary
+    one (``_unary_or_associative``), ``_generated`` closes the seeds over
+    each operation's generators and never forms the products that
+    associativity makes redundant; the breadth-first closure ``_closure``
+    then runs once, on the first read of a witness, since only it defines
+    which circuit is first.  Otherwise ``_closure`` finds the tables and
+    the witnesses together.  Both closures charge each table to "unary
+    clone", so a budget fails alike on either path.
     """
 
     def __init__(self, algebra: FiniteAlgebra, budget: Optional[Budget] = None):
         self.algebra = algebra
-        tables, nodes, _ = _closure(algebra, 1, budget, "unary clone")
-        order = np.lexsort(tables.T[::-1])
+        budget = budget or default_budget()
+        witnesses = _Witnesses(algebra, budget)
+        if _unary_or_associative(algebra.ops, algebra.size):
+            tables = _generated(algebra, budget)
+            order = np.lexsort(tables.T[::-1])
+        else:
+            tables, order = witnesses.closure()
         # The value tables stacked in iteration order, one row a function.
         self.tables = tables[order]
         self.functions = tuple(
-            UnaryFn(tuple(values), partial(subcircuit, 1, nodes, t))
-            for values, t in zip(self.tables.tolist(), order.tolist())
+            UnaryFn(tuple(values), partial(witnesses, i))
+            for i, values in enumerate(self.tables.tolist())
         )
         self._by_table = {fn.values: fn for fn in self.functions}
 
@@ -220,8 +243,35 @@ class UnaryClone:
         return None
 
     def mapping(self, pairs: Sequence[tuple[int, int]]) -> Optional[UnaryFn]:
-        """First function with fn(a) == b for every requested (a, b)."""
-        return self.find(lambda fn: all(fn.values[a] == b for a, b in pairs))
+        """First function with fn(a) == b for every requested (a, b): the
+        first row of ``tables`` that a mask of the pairs keeps."""
+        keep = np.ones(len(self.tables), bool)
+        for a, b in pairs:
+            keep &= self.tables[:, a] == b
+        i = int(keep.argmax())
+        return self.functions[i] if keep[i] else None
+
+
+class _Witnesses:
+    """The witness of each function of a unary clone, by its place in
+    canonical order: the circuit of its table's node in ``_closure``.  The
+    closure runs on the first call unless ``closure`` ran it before."""
+
+    def __init__(self, algebra: FiniteAlgebra, budget: Budget):
+        self.algebra, self.budget, self.nodes = algebra, budget, None
+
+    def closure(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_closure``'s tables, in the order found, and their canonical
+        order."""
+        tables, self.nodes, _ = _closure(self.algebra, 1, self.budget, "unary clone")
+        order = np.lexsort(tables.T[::-1])
+        self.order = order.tolist()
+        return tables, order
+
+    def __call__(self, i: int) -> AlgCircuit:
+        if self.nodes is None:
+            self.closure()
+        return subcircuit(1, self.nodes, self.order[i])
 
 
 # Most table entries (padded rows times their width) one block of products
@@ -305,6 +355,96 @@ class _Tables:
         return self.rows[: self.count, : self.width]
 
 
+def _seeded(algebra: FiniteAlgebra, k: int) -> tuple[_Tables, list[tuple]]:
+    """The k-ary tables of round 0, the projections, the constants and the
+    nullary operations, stored once each, and their witness nodes."""
+    n = algebra.size
+    width = n**k
+    dtype = np.min_scalar_type(n - 1)
+    seen = _Tables(width, dtype)
+    grid = np.indices((n,) * k, dtype=dtype).reshape(k, width)
+    seeds = [(grid[i], (VAR, i)) for i in range(k)]
+    seeds += [(np.full(width, a, dtype), (CONST, a)) for a in range(n)]
+    seeds += [
+        (np.full(width, op.table[0], dtype), (GATE, op.name, ()))
+        for op in algebra.ops
+        if op.arity == 0
+    ]
+    rows = np.zeros((len(seeds), seen.padded), dtype)
+    rows[:, :width] = [row for row, _ in seeds]
+    hashes = seen.hashes(rows)
+    fresh = seen.fresh(rows, hashes)
+    seen.add(rows[fresh], hashes[fresh])
+    nodes = [seeds[i][1] for i in fresh.tolist()]
+    if n == 1:  # every seed has the one table; the last variable names it
+        nodes[0] = (VAR, k - 1)
+    return seen, nodes
+
+
+def _unary_or_associative(ops: Iterable[Operation], n: int) -> bool:
+    """True when every operation of arity >= 1 is unary or an associative
+    binary one: f(f(x, y), z) = f(x, f(y, z)) on all of A**3."""
+    for op in ops:
+        if op.arity > 2:
+            return False
+        if op.arity == 2:
+            t = np.asarray(op.table).reshape(n, n)
+            if (t[t] != t[:, t]).any():
+                return False
+    return True
+
+
+def _generated(algebra: FiniteAlgebra, budget: Budget) -> np.ndarray:
+    """The unary polynomial tables of an algebra whose operations pass
+    ``_unary_or_associative``, in the order found.
+
+    A semi-naive closure of round 0 (x, the constants and the nullary
+    operations) under s -> u(s) for each unary u and (s, g) -> f(s, g) for
+    each binary f, where g ranges over G_f, the tables not first made as an
+    f-product.  Each round pairs every table new in it with all of G_f and
+    every older table with each new member of G_f, so every pair is formed
+    once.  The tables S it ends with are those of ``_closure``: each t in
+    S is a product g_1 f ... f g_j of members of G_f, so by associativity
+    f(s, t) = f(...f(s, g_1)..., g_j) is in S, and S is closed under every
+    operation.  Products are gathered in blocks of at most
+    ``CLOSURE_BLOCK`` entries and deduplicated as ``_closure`` does, and
+    each new table is charged to "unary clone" as it charges them.
+    """
+    n = algebra.size
+    seen, _ = _seeded(algebra, 1)
+    for count in range(1, seen.count + 1):
+        charge(count, budget.clone_functions, "unary clone")
+    ops = [op for op in algebra.ops if op.arity]
+    flats = [np.asarray(op.table, seen.rows.dtype) for op in ops]
+    gens = [np.zeros(0, np.intp) for _ in ops]
+    made = [-1] * seen.count  # the operation first making each table
+    block = max(1, CLOSURE_BLOCK // seen.padded)
+    done = 0
+    while seen.count > done:
+        m = seen.count
+        current = seen.rows[:m]
+        old, new = np.arange(done), np.arange(done, m)
+        for i, (op, flat) in enumerate(zip(ops, flats)):
+            if op.arity == 1:
+                products = [[new]]
+            else:
+                fresh = new[np.not_equal(made[done:m], i)]
+                gens[i] = np.concatenate([gens[i], fresh])
+                products = [[new, gens[i]], [old, fresh]]
+            for pools in products:
+                for args in argument_blocks(pools, block):
+                    rows = flat[_table_index(current, args, n)].reshape(-1, seen.padded)
+                    rows[:, n:] = 0
+                    hashes = seen.hashes(rows)
+                    found = seen.fresh(rows, hashes)
+                    for count in range(seen.count + 1, seen.count + len(found) + 1):
+                        charge(count, budget.clone_functions, "unary clone")
+                    seen.add(rows[found], hashes[found])
+                    made += [i] * len(found)
+        done = m
+    return seen.tables()
+
+
 def _fresh_tuples(m: int, frontier: int, arity: int):
     """Pools whose products list, one after another and in ``product``
     order, the tuples of range(m)**arity with an entry at or after
@@ -347,17 +487,24 @@ def _closure(
     ``stop`` maps a stack of rows to a boolean mask; the closure ends at the
     first table it accepts.
 
+    The closure defines the witnesses: the Malcev search reads its first
+    accepted table's circuit, and ``UnaryClone`` each function's circuit.
+    A clone of unary and associative operations takes its tables from
+    ``_generated``, which forms far fewer products, and runs this closure
+    only when a witness is first read.
+
     When every operation of arity >= 1 is unary or an associative binary
-    one, the closure also ends once the stored tables S pass a certificate
-    (``_Certificate``): u(s) in S for every unary u and s in S, and f(s, g) in
-    S for every binary f, s in S and g in G_f, the stored tables whose
-    witness node is not an f-gate.  It is exact: by induction on its node's
-    children each t in S is a product g_1 f ... f g_j of members of G_f, so
-    by associativity f(s, t) = f(...f(s, g_1)..., g_j) stays in S, and no
-    later product is new.  The certificate adds and charges nothing.  It is
-    tried when the closure has gone at least as many products without a
-    new table as it has pairs pending, and the round has more than a block
-    beyond that left; after a failure its count of such products restarts.
+    one (``_unary_or_associative``), the closure also ends once the stored
+    tables S pass a certificate (``_Certificate``): u(s) in S for every
+    unary u and s in S, and f(s, g) in S for every binary f, s in S and g
+    in G_f, the stored tables whose witness node is not an f-gate.  It is
+    exact: by induction on its node's children each t in S is a product
+    g_1 f ... f g_j of members of G_f, so by associativity f(s, t) =
+    f(...f(s, g_1)..., g_j) stays in S, and no later product is new.  The
+    certificate adds and charges nothing.  It is tried when the closure has
+    gone at least as many products without a new table as it has pairs
+    pending, and the round has more than a block beyond that left; after a
+    failure its count of such products restarts.
 
     Returns the tables in the order found, their witness nodes and the index
     of the accepted table, or None.  Node i witnesses table i: a variable, a
@@ -367,25 +514,8 @@ def _closure(
     budget = budget or default_budget()
     n = algebra.size
     width = n**k
-    dtype = np.min_scalar_type(n - 1)
-    seen = _Tables(width, dtype)
-
-    grid = np.indices((n,) * k, dtype=dtype).reshape(k, width)
-    seeds = [(grid[i], (VAR, i)) for i in range(k)]
-    seeds += [(np.full(width, a, dtype), (CONST, a)) for a in range(n)]
-    seeds += [
-        (np.full(width, op.table[0], dtype), (GATE, op.name, ()))
-        for op in algebra.ops
-        if op.arity == 0
-    ]
-    rows = np.zeros((len(seeds), seen.padded), dtype)
-    rows[:, :width] = [row for row, _ in seeds]
-    hashes = seen.hashes(rows)
-    fresh = seen.fresh(rows, hashes)
-    seen.add(rows[fresh], hashes[fresh])
-    nodes = [seeds[i][1] for i in fresh.tolist()]
-    if n == 1:  # every seed has the one table; the last variable names it
-        nodes[0] = (VAR, k - 1)
+    seen, nodes = _seeded(algebra, k)
+    dtype = seen.rows.dtype
     if charge_seeds:
         for count in range(1, seen.count + 1):
             charge(count, budget.clone_functions, label)
@@ -450,12 +580,14 @@ class _Certificate:
     def __call__(self, seen: _Tables, nodes: list, frontier: int, idle: int, left: int):
         n, count, block = self.n, seen.count, max(1, CLOSURE_BLOCK // seen.padded)
         if self.flat is None:
-            dtype = seen.rows.dtype
-            tables = [np.asarray(op.table, dtype).reshape((n,) * op.arity) for op in self.ops]
-            if any(t.ndim > 2 or t.ndim == 2 and (t[t] != t[:, t]).any() for t in tables):
+            if not _unary_or_associative(self.ops, n):
                 self.ops = []
                 return idle, 1
-            self.flat = [np.repeat(t, n ** (2 - t.ndim)) for t in tables]
+            dtype = seen.rows.dtype
+            self.flat = [
+                np.repeat(np.asarray(op.table, dtype), n ** (2 - op.arity))
+                for op in self.ops
+            ]
         new = range(len(self.cursor[0]), count)
         for i, op in enumerate(self.ops):
             gen = [t == 0 or op.arity == 2 and nodes[t][1] != op.name for t in new]

@@ -1,4 +1,5 @@
-"""In-process compile timings off the benchmark, printed as one JSON object.
+"""In-process compile and clone timings off the benchmark, printed as one
+JSON object.
 
     PYTHONPATH=src python3 tests/compile_timings.py
 
@@ -11,8 +12,11 @@ mod(x_i + x_{i+1}) over i = 0, 2, 4, ..., accepting {2}):
   under ``Budget(lattice_universe=12)`` at n = 4, best of three warm runs,
   and at n = 6, the time until the monomial cap stops it.
 
-Each run starts from an empty table memo.  The figures are wall seconds of
-the machine it runs on; compare two checkouts by running each in turn.
+Each compile starts from an empty table memo.  Then times building the
+``UnaryClone`` of S3 and of the groups D6, A4 and D8 of ``test_groups``
+(324, 648, 36,864 and 2,048 functions), best of three runs, witnesses
+unread.  The figures are wall seconds of the machine it runs on; compare
+two checkouts by running each in turn.
 """
 
 from __future__ import annotations
@@ -23,12 +27,13 @@ import pstats
 import time
 
 from nudfa import modcircuit
-from nudfa.algebra import FiniteAlgebra, make_op
+from nudfa.algebra import FiniteAlgebra, UnaryClone, make_op
 from nudfa.circuits import CircuitBuilder
 from nudfa.compile import compile_nilpotent
 from nudfa.fixtures import get_fixture
 from nudfa.limits import Budget, BudgetExceeded
 from nudfa.programs import AlgProgram, Instruction
+from test_groups import cayley
 
 
 def parity_sum(algebra: FiniteAlgebra, mod: str, n: int) -> AlgProgram:
@@ -83,6 +88,15 @@ def main() -> None:
     except BudgetExceeded as exc:
         out["z12m3_h2_n6"] = str(exc)
     out["z12m3_h2_n6_s"] = round(time.perf_counter() - start, 2)
+
+    clones = {name: cayley(name) for name in ("D6", "A4", "D8")}
+    for name, alg in {"S3": get_fixture("S3").algebra, **clones}.items():
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            UnaryClone(alg)
+            times.append(time.perf_counter() - start)
+        out[f"unary_clone_{name.lower()}_s"] = round(min(times), 4)
     print(json.dumps(out))
 
 

@@ -4,6 +4,7 @@ import contextlib
 import functools
 import hashlib
 import io
+import itertools
 import json
 import random
 import tracemalloc
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import closure_reference as reference
 from conftest import dihedral4, permuting_algebras
+from test_groups import GROUPS, cayley
 from nudfa import algebra, congruence
 from nudfa.algebra import (
     FiniteAlgebra,
@@ -32,7 +34,7 @@ from nudfa.algebra import (
 from nudfa.circuits import GATE, CircuitBuilder, eval_circuit, eval_columns
 from nudfa.cli import main
 from nudfa.congruence import Structure
-from nudfa.fixtures import get_fixture
+from nudfa.fixtures import fixture_names, get_fixture
 from nudfa.limits import Budget, BudgetExceeded, default_budget
 from nudfa.localize import minimal_sets
 from nudfa.partitions import Partition
@@ -121,13 +123,20 @@ def outcome(search, *args):
         return f"BudgetExceeded: {exc}"
 
 
+def rectangular_band(x: int, y: int, base: int) -> int:
+    """In the given base, the high digits of x and the last digit of y."""
+    return x - x % base + y % base
+
+
 # Binary operations on Z_n that closure_cases draws besides random tables.
 # All but subtraction are associative; only the cyclic group is a group.
+# The band and the left-zero band are the ones that do not commute.
 BINARY = {
     "group": lambda x, y, n: (x + y) % n,
     "max": lambda x, y, n: max(x, y),
     "min": lambda x, y, n: min(x, y),
     "left zero": lambda x, y, n: x,
+    "band": lambda x, y, n: rectangular_band(x, y, 2 if n % 2 == 0 else n),
     "product": lambda x, y, n: x * y % n,
     "null": lambda x, y, n: 0,
     "difference": lambda x, y, n: (x - y) % n,
@@ -142,11 +151,12 @@ def closure_cases(draw, associative=False):
     and binary ones mix.  At least half of the binary operations are
     relabelled cyclic groups, which have a Malcev polynomial.  The others
     are random or, relabelled, one of ``BINARY``: associative ones
-    (semilattices, left-zero bands, multiplication mod n, null semigroups),
-    whose clones the certificate may close early, and subtraction mod n,
-    which it leaves to the plain closure.  Ternary operations come only
-    with |A| <= 3: the reference closure of a ternary operation on four
-    elements applies it to up to 256**3 tuples.
+    (semilattices, left-zero and rectangular bands, multiplication mod n,
+    null semigroups), whose clones the certificate may close early and
+    ``_generated`` closes, and subtraction mod n, which both leave to the
+    plain closure.  Ternary operations come only with |A| <= 3: the
+    reference closure of a ternary operation on four elements applies it
+    to up to 256**3 tuples.
 
     With ``associative`` there are one or two binary operations, each one
     of the associative ``BINARY``, and no ternary one, and the cap is n**n,
@@ -263,27 +273,127 @@ def reference_outcome(name: str, search: str, cap: int = 100_000):
 
 def test_clone_witnesses_are_built_only_when_read(monkeypatch):
     """Building the S3 clone and every minimal set of its lattice reads
-    value tables only, so no witness circuit is assembled; each one is
-    built on its first read, once, and equals the per-entry reference's."""
+    value tables only, so no witness circuit is assembled and the
+    breadth-first closure does not run; it runs once, on the first read of
+    a witness, and each witness is built on its first read, once, and
+    equals the per-entry reference's.  The clone of subtraction mod 5, not
+    associative, runs the breadth-first closure as it is built."""
     alg = get_fixture("S3").algebra
-    finished, built = [], []
-    finish, subcircuit = CircuitBuilder.finish, algebra.subcircuit
+    finished, built, closures = [], [], []
+    finish, subcircuit, closure = CircuitBuilder.finish, algebra.subcircuit, algebra._closure
     monkeypatch.setattr(
         CircuitBuilder, "finish", lambda *a: finished.append(a) or finish(*a)
     )
     monkeypatch.setattr(
         algebra, "subcircuit", lambda *a: built.append(a) or subcircuit(*a)
     )
+    monkeypatch.setattr(
+        algebra, "_closure", lambda *a, **k: closures.append(a) or closure(*a, **k)
+    )
     s = Structure(alg, default_budget())
     clone, lat = s.clone, s.lattice
     for lo, hi in lat.covers:
         assert minimal_sets(s, lat.elements[lo], lat.elements[hi])
-    assert (len(finished), len(built)) == (0, 0)
+    assert (len(finished), len(built), len(closures)) == (0, 0, 0)
     witnesses = [fn.witness for fn in clone]
     assert [fn.witness for fn in clone] == witnesses
-    assert (len(finished), len(built)) == (0, len(clone))
+    assert (len(finished), len(built), len(closures)) == (0, len(clone), 1)
+    UnaryClone(z5_subtraction())
+    assert len(closures) == 2
     monkeypatch.undo()
     assert clone.functions == reference_outcome("S3", "clone")
+
+
+def table_set(tables: np.ndarray) -> set[tuple[int, ...]]:
+    return set(map(tuple, tables.tolist()))
+
+
+def generated_and_closed(alg: FiniteAlgebra, budget: Budget):
+    """The tables of ``_generated`` and of ``_closure`` on an algebra."""
+    generated = algebra._generated(alg, budget)
+    closed, _, _ = algebra._closure(alg, 1, budget, "unary clone")
+    return generated, closed
+
+
+def band_with_a_unary() -> FiniteAlgebra:
+    """The 2 x 2 rectangular band with a unary operation.  u(x) is a
+    generator of the band's products found in round 1, and without the
+    products of the tables found before it with it, such as x u(x), the
+    closure misses one of the 256 functions."""
+    table = tuple(BINARY["band"](x, y, 4) for x in range(4) for y in range(4))
+    ops = (Operation("*", 2, table), Operation("u", 1, (0, 2, 3, 0)))
+    return FiniteAlgebra("band", 4, ops)
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [get_fixture(name).algebra for name in fixture_names()]
+    + [cayley(name) for name in GROUPS]
+    + [band_with_a_unary()],
+    ids=lambda alg: alg.name,
+)
+def test_generated_tables_are_the_breadth_first_tables(alg):
+    """Every fixture, every group of ``test_groups`` and a band with a
+    unary operation have only unary and associative operations, and
+    closing over generators finds the tables of the breadth-first closure,
+    each once.  Both gather their products in blocks of at most
+    ``CLOSURE_BLOCK`` entries."""
+    assert algebra._unary_or_associative(alg.ops, alg.size)
+    entries, index = [], algebra._table_index
+
+    def gathered(current, args, n):
+        at = index(current, args, n)
+        entries.append(at.size)
+        return at
+
+    with mock.patch.object(algebra, "_table_index", gathered):
+        generated, closed = generated_and_closed(alg, Budget())
+    assert len(generated) == len(closed) and table_set(generated) == table_set(closed)
+    assert max(entries) <= algebra.CLOSURE_BLOCK
+
+
+@settings(max_examples=40, deadline=None)
+@given(closure_cases(associative=True), st.data())
+def test_associative_clones_match_under_caps_below_their_size(case, data):
+    """On associative draws closing over generators finds the tables of
+    the breadth-first closure.  A cap drawn up to their number, so below
+    n**n, ends the clone as it ends the per-entry reference."""
+    alg, _, budget = case
+    generated, closed = generated_and_closed(alg, budget)
+    assert len(generated) == len(closed) and table_set(generated) == table_set(closed)
+    budget = Budget(clone_functions=data.draw(st.integers(1, len(generated))))
+    clone = outcome(lambda: UnaryClone(alg, budget).functions)
+    assert clone == outcome(reference.close_unary, alg, budget)
+
+
+def test_a_cap_at_the_size_of_the_s3_clone_matches_the_reference():
+    """The S3 clone has 324 functions: cap 323 fails on the last one with
+    the reference's message, and cap 324 lets the clone through."""
+    alg = get_fixture("S3").algebra
+    for cap in (323, 324):
+        clone = outcome(lambda: UnaryClone(alg, Budget(clone_functions=cap)).functions)
+        assert clone == reference_outcome("S3", "clone", cap), cap
+    failed = reference_outcome("S3", "clone", 323)
+    assert failed == "BudgetExceeded: unary clone: 324 exceeds cap 323"
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_mapping_is_the_first_function_through_the_pairs(name):
+    """``mapping`` masks the clone's table rows; it picks the function the
+    loop over ``functions`` in canonical order picks, for every pair of
+    constraints (a, b), (c, d), and None when no function fits."""
+    clone = UnaryClone(get_fixture(name).algebra)
+    n = clone.algebra.size
+
+    def first(pairs):
+        for fn in clone.functions:
+            if all(fn.values[a] == b for a, b in pairs):
+                return fn
+        return None
+
+    assert clone.mapping([]) is clone.functions[0]
+    for pairs in itertools.product(itertools.product(range(n), repeat=2), repeat=2):
+        assert clone.mapping(pairs) is first(pairs), pairs
 
 
 def block_of(rows: int, k: int, n: int) -> int:
@@ -357,6 +467,11 @@ def dihedral6() -> FiniteAlgebra:
     return FiniteAlgebra("D6", 12, (Operation("*", 2, table),))
 
 
+def z5_subtraction() -> FiniteAlgebra:
+    """Subtraction mod 5, which is not associative."""
+    return FiniteAlgebra("Z5-", 5, (make_op("-", 2, 5, lambda x, y: (x - y) % 5),))
+
+
 # sha256 of the JSON list of [values, witness] of every function of the D6
 # clone, in order, as the per-entry reference closes it (5 s, so the digest
 # is kept instead): hashlib.sha256(json.dumps([[list(fn.values),
@@ -374,8 +489,7 @@ def test_the_certificate_ends_closures_early_and_only_when_they_are_closed():
     the plain closure.  In each case the clone is the one found with the
     certificate switched off."""
     plain = lambda self, seen, nodes, frontier, idle, left: (idle, idle + left)
-    s3, d6 = get_fixture("S3").algebra, dihedral6()
-    sub5 = FiniteAlgebra("Z5-", 5, (make_op("-", 2, 5, lambda x, y: (x - y) % 5),))
+    s3, d6, sub5 = get_fixture("S3").algebra, dihedral6(), z5_subtraction()
     clones = {}
     for alg, most in ((s3, 104_976 // 4), (d6, 419_904 // 8), (sub5, 625)):
         clones[alg.name], rows = rows_gathered(lambda: UnaryClone(alg).functions)

@@ -37,7 +37,9 @@ from nudfa.partitions import Partition
 # elements 1, -1, i, -i, j, -j, k, -k numbered 0-7; D4 and D6 are the
 # rotation and a reflection of a square and a hexagon; A4 is generated by
 # a 3-cycle and a double transposition; in Z3:Z4 an element of order 4
-# inverts a 3-cycle by conjugation.
+# inverts a 3-cycle by conjugation.  D8 is the rotation and a reflection of
+# an octagon.  Q16 acts on itself by left multiplication, a^i b^j numbered
+# i + 8 j, where a^8 = 1, b^2 = a^4 and b a b^-1 = a^-1.
 GROUPS = {
     "Q8": ([(2, 3, 1, 0, 6, 7, 5, 4), (4, 5, 7, 6, 1, 0, 2, 3)], 8, 6, True),
     "Z4xZ2": ([(1, 2, 3, 0, 4, 5), (0, 1, 2, 3, 5, 4)], 8, 8, True),
@@ -45,9 +47,19 @@ GROUPS = {
     "D6": ([(1, 2, 3, 4, 5, 0), (0, 5, 4, 3, 2, 1)], 12, 7, False),
     "A4": ([(1, 2, 0, 3), (1, 0, 3, 2)], 12, 3, False),
     "Z3:Z4": ([(1, 2, 0, 3, 4, 5, 6), (1, 0, 2, 4, 5, 6, 3)], 12, 5, False),
+    "D8": ([(1, 2, 3, 4, 5, 6, 7, 0), (0, 7, 6, 5, 4, 3, 2, 1)], 16, 7, True),
+    "Q16": (
+        [
+            tuple((i + 1) % 8 + 8 * j for j in (0, 1) for i in range(8)),
+            tuple(-i % 8 + 8 if j == 0 else (4 - i) % 8 for j in (0, 1) for i in range(8)),
+        ],
+        16,
+        7,
+        True,
+    ),
 }
-# Twelve elements lie above the default lattice cap of ten.
-BUDGET = Budget(lattice_universe=12)
+# Twelve and sixteen elements lie above the default lattice cap of ten.
+BUDGET = Budget(lattice_universe=16)
 
 
 def compose(f, g):
