@@ -123,6 +123,16 @@ def outcome(search, *args):
         return f"BudgetExceeded: {exc}"
 
 
+def witnessed(alg: FiniteAlgebra, budget: Budget | None = None):
+    """The functions of the algebra's unary clone with every witness read,
+    so that the breadth-first closure that defines them runs now, under
+    whatever is patched at the call, and not at a later comparison."""
+    functions = UnaryClone(alg, budget).functions
+    for fn in functions:
+        fn.witness
+    return functions
+
+
 def rectangular_band(x: int, y: int, base: int) -> int:
     """In the given base, the high digits of x and the last digit of y."""
     return x - x % base + y % base
@@ -240,24 +250,27 @@ def test_one_element_algebra_matches_the_per_entry_reference():
 
 
 def test_closures_keep_copies_not_batch_views():
-    """Peak traced memory of two searches.  A kept row that is a view of
+    """Peak traced memory of three searches.  A kept row that is a view of
     its block of ``CLOSURE_BLOCK`` entries keeps the whole block alive; with
-    copies the Z6%2 Malcev search peaks at about 1.3 MiB and the S3 clone,
-    whose scratch memory is mostly the gather index of one block, at about
-    0.8 MiB.  The per-entry closure of the S3 clone peaked near 20 MiB."""
+    copies the Z6%2 Malcev search peaks at about 1.3 MiB, the S3 clone,
+    closed over generators, at about 0.15 MiB, and the breadth-first closure
+    its witnesses run, whose scratch memory is mostly the gather index of
+    one block, at about 0.7 MiB.  The per-entry closure of the S3 clone
+    peaked near 20 MiB."""
     peaks = {}
-    for name, search in (
-        ("Z6%2", find_malcev_polynomial),
-        ("S3", lambda alg: UnaryClone(alg).functions),
+    for name, fixture, search in (
+        ("Z6%2", "Z6%2", find_malcev_polynomial),
+        ("S3", "S3", lambda alg: UnaryClone(alg).functions),
+        ("S3 witnesses", "S3", lambda alg: algebra._closure(alg, 1, None, "unary clone")),
     ):
-        alg = get_fixture(name).algebra
+        alg = get_fixture(fixture).algebra
         tracemalloc.start()
         try:
             search(alg)
             peaks[name] = tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
-    assert peaks["Z6%2"] < 2.0 and peaks["S3"] < 1.0, peaks
+    assert peaks.pop("Z6%2") < 2.0 and max(peaks.values()) < 1.0, peaks
 
 
 @functools.cache
@@ -417,7 +430,7 @@ def test_blocks_of_any_size_close_the_same_tables(rows):
         alg = get_fixture(name).algebra
         size = block_of(rows, 1, alg.size) if rows else algebra.CLOSURE_BLOCK
         with mock.patch.object(algebra, "CLOSURE_BLOCK", size):
-            clone = outcome(lambda: UnaryClone(alg).functions)
+            clone = outcome(witnessed, alg)
         assert clone == reference_outcome(name, "clone"), name
         size = block_of(rows, 3, alg.size) if rows else algebra.CLOSURE_BLOCK
         for cap in caps:
@@ -435,10 +448,11 @@ def test_blocks_of_any_size_close_the_same_tables(rows):
 )
 def test_random_closures_in_small_blocks_match_the_reference(case, rows):
     """Half the draws are of associative algebras whose clones finish, so
-    that the certificate is tried often and passes."""
+    that the certificate is tried often and passes.  Every witness is read
+    in the small blocks, so the breadth-first closure runs in them too."""
     alg, depth, budget = case
     with mock.patch.object(algebra, "CLOSURE_BLOCK", block_of(rows, 1, alg.size)):
-        clone = outcome(lambda: UnaryClone(alg, budget).functions)
+        clone = outcome(witnessed, alg, budget)
     assert clone == outcome(reference.close_unary, alg, budget)
     with mock.patch.object(algebra, "CLOSURE_BLOCK", block_of(rows, 3, alg.size)):
         found = outcome(find_malcev_polynomial, alg, depth, budget)
@@ -486,16 +500,26 @@ def test_the_certificate_ends_closures_early_and_only_when_they_are_closed():
     quarter of them.  The 648-function D6 clone, 648**2 = 419,904 rows
     plainly, matches the per-entry reference within an eighth.
     Subtraction mod 5 is not associative, so its clone takes every row of
-    the plain closure.  In each case the clone is the one found with the
-    certificate switched off."""
+    the plain closure.  In each case the clone, its witnesses read with the
+    certificate on, is the one found with the certificate switched off.
+    Building the S3 and D6 clones, witnesses unread, closes over generators
+    and gathers under a thirty-second of the plain rows; subtraction mod 5
+    takes the breadth-first closure as its clone is built."""
     plain = lambda self, seen, nodes, frontier, idle, left: (idle, idle + left)
     s3, d6, sub5 = get_fixture("S3").algebra, dihedral6(), z5_subtraction()
     clones = {}
-    for alg, most in ((s3, 104_976 // 4), (d6, 419_904 // 8), (sub5, 625)):
-        clones[alg.name], rows = rows_gathered(lambda: UnaryClone(alg).functions)
+    for alg, most, built in (
+        (s3, 104_976 // 4, 104_976 // 32),
+        (d6, 419_904 // 8, 419_904 // 32),
+        (sub5, 625, 625),
+    ):
+        _, rows = rows_gathered(lambda: UnaryClone(alg).functions)
+        assert rows <= built, (alg.name, rows)
+        _, rows = rows_gathered(lambda: algebra._closure(alg, 1, None, "unary clone"))
+        assert rows <= most, (alg.name, rows)
+        clones[alg.name] = witnessed(alg)
         with mock.patch.object(algebra._Certificate, "__call__", plain):
             assert clones[alg.name] == UnaryClone(alg).functions, alg.name
-        assert rows <= most, (alg.name, rows)
     assert rows == 625 and clones["Z5-"] == reference.close_unary(sub5, Budget())
     assert clones["S3"] == reference_outcome("S3", "clone")
     d6 = [[list(fn.values), fn.witness.to_json()] for fn in clones["D6"]]
