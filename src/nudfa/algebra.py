@@ -11,7 +11,8 @@ search and the unary clone of an algebra with a non-associative binary or a
 wider operation run it.  When every operation is unary or an associative
 binary one, the unary clone's tables come from ``_generated``, a closure
 over each operation's generators that associativity makes exact, and the
-breadth-first closure runs once, when a witness is first read.  Both paths
+breadth-first closure runs once, when a witness is first read, and stops
+when it has stored as many tables as ``_generated`` found.  Both paths
 stay: the generator closure finds the same set of tables far faster, but
 only the breadth-first one fixes which circuit comes first.
 """
@@ -201,22 +202,24 @@ class UnaryClone:
     each operation's generators and never forms the products that
     associativity makes redundant; the breadth-first closure ``_closure``
     then runs once, on the first read of a witness, since only it defines
-    which circuit is first.  Otherwise ``_closure`` finds the tables and
-    the witnesses together.  Both closures charge each table to "unary
-    clone", so a budget fails alike on either path.
+    which circuit is first.  It stops as soon as it has stored as many
+    tables as the clone has, and must have stored exactly the clone's.
+    Otherwise ``_closure`` finds the tables and the witnesses together.
+    Both closures charge each table to "unary clone", so a budget fails
+    alike on either path.
     """
 
     def __init__(self, algebra: FiniteAlgebra, budget: Optional[Budget] = None):
         self.algebra = algebra
         budget = budget or default_budget()
-        witnesses = _Witnesses(algebra, budget)
         if _unary_or_associative(algebra.ops, algebra.size):
             tables = _generated(algebra, budget)
-            order = np.lexsort(tables.T[::-1])
+            # The value tables stacked in iteration order, one row a function.
+            self.tables = tables[np.lexsort(tables.T[::-1])]
+            witnesses = _Witnesses(algebra, budget, self.tables)
         else:
-            tables, order = witnesses.closure()
-        # The value tables stacked in iteration order, one row a function.
-        self.tables = tables[order]
+            witnesses = _Witnesses(algebra, budget)
+            self.tables = witnesses.closure()
         self.functions = tuple(
             UnaryFn(tuple(values), partial(witnesses, i))
             for i, values in enumerate(self.tables.tolist())
@@ -255,22 +258,32 @@ class UnaryClone:
 class _Witnesses:
     """The witness of each function of a unary clone, by its place in
     canonical order: the circuit of its table's node in ``_closure``.  The
-    closure runs on the first call unless ``closure`` ran it before."""
+    closure runs on the first call unless ``closure`` ran it before.  Given
+    the clone's tables in canonical order, it stops once it has stored as
+    many, and it raises unless it stored exactly those, so that witness i
+    belongs to function i."""
 
-    def __init__(self, algebra: FiniteAlgebra, budget: Budget):
-        self.algebra, self.budget, self.nodes = algebra, budget, None
+    def __init__(
+        self, algebra: FiniteAlgebra, budget: Budget, tables: Optional[np.ndarray] = None
+    ):
+        self.algebra, self.budget, self.tables, self.nodes = algebra, budget, tables, None
 
-    def closure(self) -> tuple[np.ndarray, np.ndarray]:
-        """``_closure``'s tables, in the order found, and their canonical
-        order."""
-        tables, self.nodes, _ = _closure(self.algebra, 1, self.budget, "unary clone")
+    def closure(self) -> np.ndarray:
+        """``_closure``'s tables in canonical order."""
+        total = None if self.tables is None else len(self.tables)
+        tables, self.nodes, _ = _closure(
+            self.algebra, 1, self.budget, "unary clone", total=total
+        )
         order = np.lexsort(tables.T[::-1])
         self.order = order.tolist()
-        return tables, order
+        return tables[order]
 
     def __call__(self, i: int) -> AlgCircuit:
-        if self.nodes is None:
-            self.closure()
+        if self.nodes is None and not np.array_equal(self.closure(), self.tables):
+            raise AssertionError(
+                f"the breadth-first closure of {self.algebra.name} found other "
+                "tables than its unary clone"
+            )
         return subcircuit(1, self.nodes, self.order[i])
 
 
@@ -472,6 +485,7 @@ def _closure(
     stop: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     *,
     charge_seeds: bool = True,
+    total: Optional[int] = None,
 ) -> tuple[np.ndarray, list[tuple], Optional[int]]:
     """Breadth-first closure of the k-ary polynomial tables of an algebra.
 
@@ -485,26 +499,16 @@ def _closure(
     records its operation and argument tables, not a circuit.  Each new
     table is charged to ``label``, and so is each seed if ``charge_seeds``.
     ``stop`` maps a stack of rows to a boolean mask; the closure ends at the
-    first table it accepts.
+    first table it accepts.  A caller that knows how many distinct tables
+    there are passes that number as ``total``, and the closure ends once it
+    has stored that many, before it gathers another block: no later
+    product can be new.
 
     The closure defines the witnesses: the Malcev search reads its first
     accepted table's circuit, and ``UnaryClone`` each function's circuit.
     A clone of unary and associative operations takes its tables from
     ``_generated``, which forms far fewer products, and runs this closure
-    only when a witness is first read.
-
-    When every operation of arity >= 1 is unary or an associative binary
-    one (``_unary_or_associative``), the closure also ends once the stored
-    tables S pass a certificate (``_Certificate``): u(s) in S for every
-    unary u and s in S, and f(s, g) in S for every binary f, s in S and g
-    in G_f, the stored tables whose witness node is not an f-gate.  It is
-    exact: by induction on its node's children each t in S is a product
-    g_1 f ... f g_j of members of G_f, so by associativity f(s, t) =
-    f(...f(s, g_1)..., g_j) stays in S, and no later product is new.  The
-    certificate adds and charges nothing.  It is tried when the closure has
-    gone at least as many products without a new table as it has pairs
-    pending, and the round has more than a block beyond that left; after a
-    failure its count of such products restarts.
+    only when a witness is first read, with ``total`` its number of tables.
 
     Returns the tables in the order found, their witness nodes and the index
     of the accepted table, or None.  Node i witnesses table i: a variable, a
@@ -524,29 +528,23 @@ def _closure(
         return seen.tables(), nodes, int(hits[0])
 
     ops = [op for op in algebra.ops if op.arity]
-    certify = _Certificate(ops, n)
-    frontier, rounds, idle = 0, 0, 0
+    frontier, rounds = 0, 0
     while seen.count > frontier and (depth_bound is None or rounds < depth_bound):
         rounds += 1
         m = seen.count
         current = seen.rows[:m]
         block = max(1, CLOSURE_BLOCK // seen.padded)
-        left, due = sum(m**op.arity - frontier**op.arity for op in ops), 1
         for op in ops:
             flat = np.asarray(op.table, dtype)
             for pools in _fresh_tuples(m, frontier, op.arity):
                 for args in argument_blocks(pools, block):
-                    if idle >= due and left > block and certify.ops:
-                        idle, due = certify(seen, nodes, frontier, idle, left)
-                        if idle is None:
-                            return seen.tables(), nodes, None
+                    if seen.count == total:
+                        return seen.tables(), nodes, None
                     rows = flat[_table_index(current, args, n)].reshape(-1, seen.padded)
                     rows[:, width:] = 0
-                    left -= len(rows)
                     hashes = seen.hashes(rows)
                     fresh = seen.fresh(rows, hashes)
-                    idle = 0 if len(fresh) else idle + len(rows)
-                    if idle:
+                    if not len(fresh):
                         continue
                     hit = np.flatnonzero(stop(rows[fresh])) if stop else ()
                     if len(hit):
@@ -562,50 +560,6 @@ def _closure(
                         return seen.tables(), nodes, seen.count - 1
         frontier = m
     return seen.tables(), nodes, None
-
-
-class _Certificate:
-    """The certificate of ``_closure`` over pairs (s, g) of stored tables; a
-    unary u is (s, g) -> u(s), table 0 its one generator.  ``cursor`` holds
-    per operation each generator's prefix of tables known to give stored
-    products, and 2**62 for the other tables.  A call returns (None, None)
-    once all do, else the closure's idle products (0 after a failure) and
-    how many it needs to call again.  The first call empties ``ops`` unless
-    all are unary or associative."""
-
-    def __init__(self, ops: list[Operation], n: int):
-        self.ops, self.n, self.flat = ops, n, None
-        self.cursor = [np.zeros(0, np.intp) for _ in ops]
-
-    def __call__(self, seen: _Tables, nodes: list, frontier: int, idle: int, left: int):
-        n, count, block = self.n, seen.count, max(1, CLOSURE_BLOCK // seen.padded)
-        if self.flat is None:
-            if not _unary_or_associative(self.ops, n):
-                self.ops = []
-                return idle, 1
-            dtype = seen.rows.dtype
-            self.flat = [
-                np.repeat(np.asarray(op.table, dtype), n ** (2 - op.arity))
-                for op in self.ops
-            ]
-        new = range(len(self.cursor[0]), count)
-        for i, op in enumerate(self.ops):
-            gen = [t == 0 or op.arity == 2 and nodes[t][1] != op.name for t in new]
-            c = self.cursor[i] = np.append(self.cursor[i], np.where(gen, 0, 2**62))
-            c[:frontier] = np.maximum(c[:frontier], frontier)
-        pending = sum(int(np.maximum(count - c, 0).sum()) for c in self.cursor)
-        if pending > idle or pending + block >= left:
-            return idle, pending if pending + block < left else idle + left
-        for flat, cursor in zip(self.flat, self.cursor):
-            for start in sorted(set(cursor[cursor < count].tolist())):
-                pools = [np.arange(start, count), np.flatnonzero(cursor == start)]
-                for args in argument_blocks(pools, block):
-                    rows = flat[_table_index(seen.rows, args, n)].reshape(-1, seen.padded)
-                    rows[:, seen.width :] = 0
-                    if len(seen.fresh(rows, seen.hashes(rows))):
-                        return 0, 1
-                    cursor[args[1][0]] = args[0][-1, 0] + 1
-        return None, None
 
 
 def _table_index(current: np.ndarray, args: list[np.ndarray], n: int) -> np.ndarray:
@@ -634,8 +588,7 @@ def find_malcev_polynomial(
     depth 0 holds the three projections and the constants, depth k+1 applies
     every basic operation to already-seen functions.  Returns the first
     witnessing circuit in breadth-first ``product`` order, or None if none
-    exists within the depth bound or the closure's certificate shows that
-    no later table is new.
+    exists within the depth bound or a round finds no new table.
     """
     n = algebra.size
     x, y = np.indices((n, n)).reshape(2, n * n)

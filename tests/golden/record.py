@@ -288,6 +288,14 @@ def cases() -> list[tuple[str, list[str]]]:
         out.append((f"cceval_word_{circ}",
                     ["cceval", "--circuit", f"inputs/{circ}.json",
                      "--word", word]))
+    # A declared shape the gates fit and one they break, and the graph of
+    # the circuit with wire multiplicities.
+    for circ in ("modmod", "boolean"):
+        out.append((f"ccshape_{circ}",
+                    ["ccshape", "--circuit", f"inputs/{circ}.json"]))
+    out.append(("ccshape_dot_boolean",
+                ["ccshape", "--circuit", "inputs/boolean.json",
+                 "--format", "dot"]))
     out.append(("lower_unmod",
                 ["lower", "--pass", "unmod", "--in", "inputs/modmod.json",
                  "--verify-n", "20"]))
@@ -316,9 +324,11 @@ def cases() -> list[tuple[str, list[str]]]:
     for name in TABLE_ALGEBRAS:
         out.append((f"con_{name}",
                     ["con", "--algebra", f"inputs/algebra_{name}.json"]))
-    # The first cover of D4, a non-abelian group whose clone is closed by
-    # the associative certificate, and of the groupoid G7, whose clone
-    # exceeds the default cap.
+    # The lattice as a graph, each cover labelled with its type.
+    out.append(("con_dot_S3", ["con", "--algebra", "fixtures:S3", "--format", "dot"]))
+    # The first cover of D4, a non-abelian group whose clone is closed over
+    # the generators of its associative operation, and of the groupoid G7,
+    # whose clone exceeds the default cap.
     for name in ("D4", "G7"):
         lower, upper = all_congruences(TABLE_ALGEBRAS[name]()).covers[0]
         out.append((f"localize_{name}",

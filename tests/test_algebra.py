@@ -162,16 +162,16 @@ def closure_cases(draw, associative=False):
     relabelled cyclic groups, which have a Malcev polynomial.  The others
     are random or, relabelled, one of ``BINARY``: associative ones
     (semilattices, left-zero and rectangular bands, multiplication mod n,
-    null semigroups), whose clones the certificate may close early and
-    ``_generated`` closes, and subtraction mod n, which both leave to the
-    plain closure.  Ternary operations come only with |A| <= 3: the
+    null semigroups), whose clones ``_generated`` closes and whose witness
+    reads end the breadth-first closure at the clone's size, and
+    subtraction mod n, which is left to the plain closure.  Ternary operations come only with |A| <= 3: the
     reference closure of a ternary operation on four elements applies it
     to up to 256**3 tuples.
 
     With ``associative`` there are one or two binary operations, each one
     of the associative ``BINARY``, and no ternary one, and the cap is n**n,
-    room for every unary function, so that the certificate, not the
-    budget, may end the clone.
+    room for every unary function, so that the clone, not the budget,
+    ends the breadth-first closure.
     """
     n = draw(st.integers(min_value=2, max_value=4))
 
@@ -328,6 +328,21 @@ def generated_and_closed(alg: FiniteAlgebra, budget: Budget):
     return generated, closed
 
 
+def closed_under_seeds(alg: FiniteAlgebra, tables: np.ndarray) -> bool:
+    """True when the tables of an algebra with one associative binary
+    operation * hold x and every constant, and s * g for every table s
+    among them and every such seed g.  Every unary polynomial is then
+    among them, for by associativity it is a product g_1 * ... * g_j of
+    seeds.  Each row is coded as one integer in base n."""
+    n = alg.size
+    mul = np.asarray(alg.ops[0].table).reshape(n, n)
+    seeds = np.vstack([np.arange(n), np.repeat(np.arange(n)[:, None], n, axis=1)])
+    code = lambda rows: rows.astype(np.int64) @ n ** np.arange(n, dtype=np.int64)
+    codes = code(tables)
+    products = np.vstack([mul[tables, g] for g in seeds])
+    return bool(np.isin(code(seeds), codes).all() and np.isin(code(products), codes).all())
+
+
 def band_with_a_unary() -> FiniteAlgebra:
     """The 2 x 2 rectangular band with a unary operation.  u(x) is a
     generator of the band's products found in round 1, and without the
@@ -350,7 +365,10 @@ def test_generated_tables_are_the_breadth_first_tables(alg):
     unary operation have only unary and associative operations, and
     closing over generators finds the tables of the breadth-first closure,
     each once.  Both gather their products in blocks of at most
-    ``CLOSURE_BLOCK`` entries."""
+    ``CLOSURE_BLOCK`` entries.  The breadth-first closure of A4 runs for
+    minutes, so its 36,864 tables are held to ``closed_under_seeds``
+    instead.  The clones of S4 and SL(2,3) exceed the default cap, and
+    both closures fail on it alike."""
     assert algebra._unary_or_associative(alg.ops, alg.size)
     entries, index = [], algebra._table_index
 
@@ -360,8 +378,18 @@ def test_generated_tables_are_the_breadth_first_tables(alg):
         return at
 
     with mock.patch.object(algebra, "_table_index", gathered):
-        generated, closed = generated_and_closed(alg, Budget())
-    assert len(generated) == len(closed) and table_set(generated) == table_set(closed)
+        if alg.name == "A4":
+            generated = algebra._generated(alg, Budget())
+            assert len(generated) == len(table_set(generated)) == 36_864
+            assert closed_under_seeds(alg, generated)
+        elif alg.name in ("S4", "SL(2,3)"):
+            failed = "BudgetExceeded: unary clone: 100001 exceeds cap 100000"
+            assert outcome(algebra._generated, alg, Budget()) == failed
+            assert outcome(algebra._closure, alg, 1, Budget(), "unary clone") == failed
+        else:
+            generated, closed = generated_and_closed(alg, Budget())
+            assert len(generated) == len(closed)
+            assert table_set(generated) == table_set(closed)
     assert max(entries) <= algebra.CLOSURE_BLOCK
 
 
@@ -448,8 +476,9 @@ def test_blocks_of_any_size_close_the_same_tables(rows):
 )
 def test_random_closures_in_small_blocks_match_the_reference(case, rows):
     """Half the draws are of associative algebras whose clones finish, so
-    that the certificate is tried often and passes.  Every witness is read
-    in the small blocks, so the breadth-first closure runs in them too."""
+    that the breadth-first closure run for their witnesses often ends at
+    the clone's size, at a block boundary.  Every witness is read in the
+    small blocks, so the breadth-first closure runs in them too."""
     alg, depth, budget = case
     with mock.patch.object(algebra, "CLOSURE_BLOCK", block_of(rows, 1, alg.size)):
         clone = outcome(witnessed, alg, budget)
@@ -494,37 +523,51 @@ def z5_subtraction() -> FiniteAlgebra:
 D6_REFERENCE_CLONE = "11949395608a66af321694f2c677741aae935c4664f5c65c6b2a20ff020bf92d"
 
 
-def test_the_certificate_ends_closures_early_and_only_when_they_are_closed():
+def test_witness_reads_end_the_breadth_first_closure_at_the_clone_size():
     """The plain closure of the S3 clone gathers 104,976 rows of products,
-    though 10,215 find all 324 functions; the certificate ends it within a
-    quarter of them.  The 648-function D6 clone, 648**2 = 419,904 rows
-    plainly, matches the per-entry reference within an eighth.
-    Subtraction mod 5 is not associative, so its clone takes every row of
-    the plain closure.  In each case the clone, its witnesses read with the
-    certificate on, is the one found with the certificate switched off.
-    Building the S3 and D6 clones, witnesses unread, closes over generators
-    and gathers under a thirty-second of the plain rows; subtraction mod 5
-    takes the breadth-first closure as its clone is built."""
-    plain = lambda self, seen, nodes, frontier, idle, left: (idle, idle + left)
+    though 10,215 find all 324 functions; reading every witness ends it
+    within a quarter of them, once it has stored all 324.  The 648-function
+    D6 clone, 648**2 = 419,904 rows plainly, matches the per-entry
+    reference within an eighth.  Building the S3 and D6 clones, witnesses
+    unread, closes over generators and gathers under a thirty-second of the
+    plain rows.  Subtraction mod 5 is not associative, so its clone takes
+    every row of the plain closure as it is built.  On S3, Z6%2, D6 and D8,
+    the closure told the number of tables ends with the tables and nodes of
+    the plain closure."""
     s3, d6, sub5 = get_fixture("S3").algebra, dihedral6(), z5_subtraction()
     clones = {}
     for alg, most, built in (
         (s3, 104_976 // 4, 104_976 // 32),
         (d6, 419_904 // 8, 419_904 // 32),
-        (sub5, 625, 625),
+        (sub5, 0, 625),
     ):
-        _, rows = rows_gathered(lambda: UnaryClone(alg).functions)
-        assert rows <= built, (alg.name, rows)
-        _, rows = rows_gathered(lambda: algebra._closure(alg, 1, None, "unary clone"))
+        clone, gathered = rows_gathered(lambda: UnaryClone(alg))
+        assert gathered <= built, (alg.name, gathered)
+        _, rows = rows_gathered(lambda: [fn.witness for fn in clone])
         assert rows <= most, (alg.name, rows)
-        clones[alg.name] = witnessed(alg)
-        with mock.patch.object(algebra._Certificate, "__call__", plain):
-            assert clones[alg.name] == UnaryClone(alg).functions, alg.name
-    assert rows == 625 and clones["Z5-"] == reference.close_unary(sub5, Budget())
+        clones[alg.name] = clone.functions
+    assert gathered == 625 and clones["Z5-"] == reference.close_unary(sub5, Budget())
     assert clones["S3"] == reference_outcome("S3", "clone")
-    d6 = [[list(fn.values), fn.witness.to_json()] for fn in clones["D6"]]
-    digest = hashlib.sha256(json.dumps(d6, sort_keys=True).encode()).hexdigest()
+    d6_clone = [[list(fn.values), fn.witness.to_json()] for fn in clones["D6"]]
+    digest = hashlib.sha256(json.dumps(d6_clone, sort_keys=True).encode()).hexdigest()
     assert digest == D6_REFERENCE_CLONE
+    for alg in (s3, get_fixture("Z6%2").algebra, d6, cayley("D8")):
+        tables, nodes, _ = algebra._closure(alg, 1, None, "unary clone")
+        told = algebra._closure(alg, 1, None, "unary clone", total=len(tables))
+        assert np.array_equal(told[0], tables) and told[1] == nodes, alg.name
+
+
+def test_witnesses_of_tables_the_closure_does_not_store_are_refused():
+    """Should the generator closure miss a table, here the first after the
+    seeds, the breadth-first closure run for the witnesses stores it among
+    as many tables as the clone has, and reading a witness raises."""
+    alg, generated = get_fixture("S3").algebra, algebra._generated
+    missing = lambda alg, budget: np.delete(generated(alg, budget), alg.size + 1, axis=0)
+    with mock.patch.object(algebra, "_generated", missing):
+        clone = UnaryClone(alg)
+    assert len(clone) == 323
+    with pytest.raises(AssertionError, match="other tables than its unary clone"):
+        clone.functions[0].witness
 
 
 def test_colliding_hashes_are_told_apart():

@@ -32,6 +32,18 @@ from nudfa.congruence import (
 from nudfa.limits import Budget
 from nudfa.partitions import Partition
 
+# The nonzero vectors of GF(3)^2 in ``product`` order.
+VECTORS = [v for v in itertools.product(range(3), repeat=2) if any(v)]
+
+
+def matrix_action(m):
+    """The permutation v -> m v of ``VECTORS``, m a 2 x 2 matrix over GF(3)."""
+    return tuple(
+        VECTORS.index(tuple(sum(r * x for r, x in zip(row, v)) % 3 for row in m))
+        for v in VECTORS
+    )
+
+
 # Generators, the group's order, its number of normal subgroups and
 # whether it is nilpotent.  Q8 acts on itself by left multiplication, its
 # elements 1, -1, i, -i, j, -j, k, -k numbered 0-7; D4 and D6 are the
@@ -39,7 +51,10 @@ from nudfa.partitions import Partition
 # a 3-cycle and a double transposition; in Z3:Z4 an element of order 4
 # inverts a 3-cycle by conjugation.  D8 is the rotation and a reflection of
 # an octagon.  Q16 acts on itself by left multiplication, a^i b^j numbered
-# i + 8 j, where a^8 = 1, b^2 = a^4 and b a b^-1 = a^-1.
+# i + 8 j, where a^8 = 1, b^2 = a^4 and b a b^-1 = a^-1.  S4 is generated
+# by a 4-cycle and a transposition, and SL(2,3) by the matrices
+# [[1, 1], [0, 1]] and [[1, 0], [1, 1]] acting on the nonzero vectors of
+# GF(3)^2.
 GROUPS = {
     "Q8": ([(2, 3, 1, 0, 6, 7, 5, 4), (4, 5, 7, 6, 1, 0, 2, 3)], 8, 6, True),
     "Z4xZ2": ([(1, 2, 3, 0, 4, 5), (0, 1, 2, 3, 5, 4)], 8, 8, True),
@@ -57,9 +72,11 @@ GROUPS = {
         7,
         True,
     ),
+    "S4": ([(1, 2, 3, 0), (1, 0, 2, 3)], 24, 4, False),
+    "SL(2,3)": ([matrix_action(((1, 1), (0, 1))), matrix_action(((1, 0), (1, 1)))], 24, 4, False),
 }
-# Twelve and sixteen elements lie above the default lattice cap of ten.
-BUDGET = Budget(lattice_universe=16)
+# Twelve to twenty-four elements lie above the default lattice cap of ten.
+BUDGET = Budget(lattice_universe=24)
 
 
 def compose(f, g):
