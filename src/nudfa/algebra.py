@@ -5,16 +5,19 @@ r is stored as a flat row-major table of length n**r: the value on arguments
 (a_1, ..., a_r) sits at index sum(a_i * n**(r-1-i)).  Nullary operations are
 permitted (table of length 1).
 
-Polynomial tables are closed in numpy.  The breadth-first closure
-``_closure`` defines the first witness circuit of every table; the Malcev
-search and the unary clone of an algebra with a non-associative binary or a
-wider operation run it.  When every operation is unary or an associative
-binary one, the unary clone's tables come from ``_generated``, a closure
-over each operation's generators that associativity makes exact, and the
-breadth-first closure runs once, when a witness is first read, and stops
-when it has stored as many tables as ``_generated`` found.  Both paths
-stay: the generator closure finds the same set of tables far faster, but
-only the breadth-first one fixes which circuit comes first.
+Polynomial tables are closed in numpy by one semi-naive kernel,
+``_closure``, the only code that forms products of tuples under the basic
+operations: it closes the unary clone in A^A, the Malcev search in
+A^(A^3) and the commutator's matrix subalgebra M(alpha, beta) in A^4
+(congruence.py), each under a named budget cap.  Where witness circuits
+are wanted, or some operation is neither unary nor an associative binary
+one, it forms every new tuple in breadth-first ``product`` order, which
+fixes the first witness circuit of every table.  Otherwise it closes over
+each binary operation's generators, which associativity makes exact and
+which forms far fewer products.  So the unary clone of an algebra of
+unary and associative operations finds its tables over the generators,
+and the breadth-first closure runs once, when a witness is first read,
+and stops when it has stored as many tables.
 """
 
 from __future__ import annotations
@@ -196,24 +199,24 @@ class UnaryClone:
     order, built when first read.  Iteration order is the canonical sort by
     value table, so searches over the clone are deterministic.
 
-    The tables come from one of two closures, picked by the operations.
-    When every operation of arity >= 1 is unary or an associative binary
-    one (``_unary_or_associative``), ``_generated`` closes the seeds over
-    each operation's generators and never forms the products that
-    associativity makes redundant; the breadth-first closure ``_closure``
-    then runs once, on the first read of a witness, since only it defines
-    which circuit is first.  It stops as soon as it has stored as many
-    tables as the clone has, and must have stored exactly the clone's.
-    Otherwise ``_closure`` finds the tables and the witnesses together.
-    Both closures charge each table to "unary clone", so a budget fails
-    alike on either path.
+    Both closures of the tables run on the kernel ``_closure``.  When
+    every operation of arity >= 1 is unary or an associative binary one
+    (``_unary_or_associative``), it closes the seeds over each operation's
+    generators; the breadth-first closure, which alone defines which
+    circuit is first, then runs once, on the first read of a witness.  It
+    stops as soon as it has stored as many tables as the clone has, and
+    must have stored exactly the clone's.  Otherwise the breadth-first
+    closure finds the tables and the witnesses together.  Both charge
+    each table to "unary clone", so a budget fails alike on either path.
     """
 
     def __init__(self, algebra: FiniteAlgebra, budget: Optional[Budget] = None):
         self.algebra = algebra
         budget = budget or default_budget()
         if _unary_or_associative(algebra.ops, algebra.size):
-            tables = _generated(algebra, budget)
+            seen, _ = _seeded(algebra, 1)
+            _closure(algebra, seen, budget, "unary clone")
+            tables = seen.tables()
             # The value tables stacked in iteration order, one row a function.
             self.tables = tables[np.lexsort(tables.T[::-1])]
             witnesses = _Witnesses(algebra, budget, self.tables)
@@ -257,11 +260,11 @@ class UnaryClone:
 
 class _Witnesses:
     """The witness of each function of a unary clone, by its place in
-    canonical order: the circuit of its table's node in ``_closure``.  The
-    closure runs on the first call unless ``closure`` ran it before.  Given
-    the clone's tables in canonical order, it stops once it has stored as
-    many, and it raises unless it stored exactly those, so that witness i
-    belongs to function i."""
+    canonical order: the circuit of its table's node in the breadth-first
+    closure.  The closure runs on the first call unless ``closure`` ran it
+    before.  Given the clone's tables in canonical order, it stops once it
+    has stored as many, and it raises unless it stored exactly those, so
+    that witness i belongs to function i."""
 
     def __init__(
         self, algebra: FiniteAlgebra, budget: Budget, tables: Optional[np.ndarray] = None
@@ -269,13 +272,15 @@ class _Witnesses:
         self.algebra, self.budget, self.tables, self.nodes = algebra, budget, tables, None
 
     def closure(self) -> np.ndarray:
-        """``_closure``'s tables in canonical order."""
+        """The breadth-first closure's tables in canonical order."""
+        seen, nodes = _seeded(self.algebra, 1)
         total = None if self.tables is None else len(self.tables)
-        tables, self.nodes, _ = _closure(
-            self.algebra, 1, self.budget, "unary clone", total=total
+        _closure(
+            self.algebra, seen, self.budget, "unary clone", nodes=nodes, total=total
         )
+        tables = seen.tables()
         order = np.lexsort(tables.T[::-1])
-        self.order = order.tolist()
+        self.nodes, self.order = nodes, order.tolist()
         return tables[order]
 
     def __call__(self, i: int) -> AlgCircuit:
@@ -290,23 +295,36 @@ class _Witnesses:
 # Most table entries (padded rows times their width) one block of products
 # holds; bounds the scratch memory of a block, about 10 bytes an entry.
 CLOSURE_BLOCK = 1 << 16
+# Most possible rows, n**width, of a store that keys rows by their codes.
+DENSE_CODES = 1 << 16
 
 
 class _Tables:
-    """Distinct tables in the order they were added, each row padded with
-    zeros to whole 64-bit words.
+    """Distinct rows of ``width`` entries over n elements, in the order
+    they were added.
 
-    A row is found by its hash, a weighted sum of its words modulo 2**64,
-    in a sorted array of the stored rows' hashes.  Every match is checked
-    word by word; a block in which two different rows share a hash is
-    sorted out by comparing bytes instead.
+    When there are at most ``DENSE_CODES`` possible rows, ``hashes`` gives
+    each row's exact base-n code, and a bitmap of the codes marks the
+    stored ones.  Otherwise each row is padded with zeros to whole 64-bit
+    words and keyed by its hash, a weighted sum of its words modulo 2**64,
+    in a sorted array of the stored rows' hashes.  Every hash match is
+    checked word by word; a block in which two different rows share a hash
+    is sorted out by comparing bytes instead.  Either way ``fresh`` finds
+    the same rows.
     """
 
-    def __init__(self, width: int, dtype: np.dtype):
+    def __init__(self, n: int, width: int):
+        dtype = np.min_scalar_type(n - 1)
         self.width = width
-        self.padded = width + -width % (8 // dtype.itemsize)
+        self.dense = n**width <= DENSE_CODES
+        self.padded = width if self.dense else width + -width % (8 // dtype.itemsize)
         self.rows = np.zeros((16, self.padded), dtype)
         self.count = 0
+        if self.dense:
+            # Float weights keep the codes exact and run the product in BLAS.
+            self._codes = n ** np.arange(width - 1, -1, -1.0)
+            self._stored = np.zeros(n**width, bool)
+            return
         z = np.arange(1, self.padded * dtype.itemsize // 8 + 1, dtype=np.uint64)
         z *= np.uint64(0x9E3779B97F4A7C15)
         z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
@@ -316,11 +334,18 @@ class _Tables:
         self._where = np.empty(0, np.intp)  # the stored row of each
 
     def hashes(self, rows: np.ndarray) -> np.ndarray:
+        if self.dense:
+            return (rows @ self._codes).astype(np.intp)
         return rows.view(np.uint64) @ self._weights
 
     def fresh(self, rows: np.ndarray, hashes: np.ndarray) -> np.ndarray:
         """Positions, ascending, of the rows that are neither stored nor
         equal to an earlier row."""
+        if self.dense:
+            at = np.flatnonzero(~self._stored[hashes])
+            if len(at) < 2:
+                return at
+            return np.sort(at[np.unique(hashes[at], return_index=True)[1]])
         order = np.argsort(hashes)
         ordered = hashes[order]
         head = np.ones(len(order), bool)
@@ -354,15 +379,28 @@ class _Tables:
             grown[: self.count] = self.rows[: self.count]
             self.rows = grown
         self.rows[self.count : end] = rows
-        order = np.argsort(hashes)
-        at = np.searchsorted(self._keys, hashes[order]) + np.arange(len(order))
-        rest = np.ones(end, bool)
-        rest[at] = False
-        keys, where = np.empty(end, np.uint64), np.empty(end, np.intp)
-        keys[at], keys[rest] = hashes[order], self._keys
-        where[at], where[rest] = self.count + order, self._where
-        self._keys, self._where = keys, where
+        if self.dense:
+            self._stored[hashes] = True
+        else:
+            order = np.argsort(hashes)
+            at = np.searchsorted(self._keys, hashes[order]) + np.arange(len(order))
+            rest = np.ones(end, bool)
+            rest[at] = False
+            keys, where = np.empty(end, np.uint64), np.empty(end, np.intp)
+            keys[at], keys[rest] = hashes[order], self._keys
+            where[at], where[rest] = self.count + order, self._where
+            self._keys, self._where = keys, where
         self.count = end
+
+    def put(self, rows: np.ndarray) -> np.ndarray:
+        """Store the rows, of ``width`` entries, that are neither stored nor
+        equal to an earlier one; returns their positions."""
+        padded = np.zeros((len(rows), self.padded), self.rows.dtype)
+        padded[:, : self.width] = rows
+        hashes = self.hashes(padded)
+        fresh = self.fresh(padded, hashes)
+        self.add(padded[fresh], hashes[fresh])
+        return fresh
 
     def tables(self) -> np.ndarray:
         return self.rows[: self.count, : self.width]
@@ -371,24 +409,15 @@ class _Tables:
 def _seeded(algebra: FiniteAlgebra, k: int) -> tuple[_Tables, list[tuple]]:
     """The k-ary tables of round 0, the projections, the constants and the
     nullary operations, stored once each, and their witness nodes."""
-    n = algebra.size
-    width = n**k
-    dtype = np.min_scalar_type(n - 1)
-    seen = _Tables(width, dtype)
-    grid = np.indices((n,) * k, dtype=dtype).reshape(k, width)
-    seeds = [(grid[i], (VAR, i)) for i in range(k)]
-    seeds += [(np.full(width, a, dtype), (CONST, a)) for a in range(n)]
-    seeds += [
-        (np.full(width, op.table[0], dtype), (GATE, op.name, ()))
-        for op in algebra.ops
-        if op.arity == 0
-    ]
-    rows = np.zeros((len(seeds), seen.padded), dtype)
-    rows[:, :width] = [row for row, _ in seeds]
-    hashes = seen.hashes(rows)
-    fresh = seen.fresh(rows, hashes)
-    seen.add(rows[fresh], hashes[fresh])
-    nodes = [seeds[i][1] for i in fresh.tolist()]
+    n, width = algebra.size, algebra.size**k
+    nullary = [op for op in algebra.ops if op.arity == 0]
+    values = np.array([*range(n), *(op.table[0] for op in nullary)])
+    seen = _Tables(n, width)
+    grid = np.indices((n,) * k).reshape(k, width)
+    fresh = seen.put(np.vstack([grid, np.repeat(values[:, None], width, 1)]))
+    seeds = [(VAR, i) for i in range(k)] + [(CONST, a) for a in range(n)]
+    seeds += [(GATE, op.name, ()) for op in nullary]
+    nodes = [seeds[i] for i in fresh.tolist()]
     if n == 1:  # every seed has the one table; the last variable names it
         nodes[0] = (VAR, k - 1)
     return seen, nodes
@@ -405,57 +434,6 @@ def _unary_or_associative(ops: Iterable[Operation], n: int) -> bool:
             if (t[t] != t[:, t]).any():
                 return False
     return True
-
-
-def _generated(algebra: FiniteAlgebra, budget: Budget) -> np.ndarray:
-    """The unary polynomial tables of an algebra whose operations pass
-    ``_unary_or_associative``, in the order found.
-
-    A semi-naive closure of round 0 (x, the constants and the nullary
-    operations) under s -> u(s) for each unary u and (s, g) -> f(s, g) for
-    each binary f, where g ranges over G_f, the tables not first made as an
-    f-product.  Each round pairs every table new in it with all of G_f and
-    every older table with each new member of G_f, so every pair is formed
-    once.  The tables S it ends with are those of ``_closure``: each t in
-    S is a product g_1 f ... f g_j of members of G_f, so by associativity
-    f(s, t) = f(...f(s, g_1)..., g_j) is in S, and S is closed under every
-    operation.  Products are gathered in blocks of at most
-    ``CLOSURE_BLOCK`` entries and deduplicated as ``_closure`` does, and
-    each new table is charged to "unary clone" as it charges them.
-    """
-    n = algebra.size
-    seen, _ = _seeded(algebra, 1)
-    for count in range(1, seen.count + 1):
-        charge(count, budget.clone_functions, "unary clone")
-    ops = [op for op in algebra.ops if op.arity]
-    flats = [np.asarray(op.table, seen.rows.dtype) for op in ops]
-    gens = [np.zeros(0, np.intp) for _ in ops]
-    made = [-1] * seen.count  # the operation first making each table
-    block = max(1, CLOSURE_BLOCK // seen.padded)
-    done = 0
-    while seen.count > done:
-        m = seen.count
-        current = seen.rows[:m]
-        old, new = np.arange(done), np.arange(done, m)
-        for i, (op, flat) in enumerate(zip(ops, flats)):
-            if op.arity == 1:
-                products = [[new]]
-            else:
-                fresh = new[np.not_equal(made[done:m], i)]
-                gens[i] = np.concatenate([gens[i], fresh])
-                products = [[new, gens[i]], [old, fresh]]
-            for pools in products:
-                for args in argument_blocks(pools, block):
-                    rows = flat[_table_index(current, args, n)].reshape(-1, seen.padded)
-                    rows[:, n:] = 0
-                    hashes = seen.hashes(rows)
-                    found = seen.fresh(rows, hashes)
-                    for count in range(seen.count + 1, seen.count + len(found) + 1):
-                        charge(count, budget.clone_functions, "unary clone")
-                    seen.add(rows[found], hashes[found])
-                    made += [i] * len(found)
-        done = m
-    return seen.tables()
 
 
 def _fresh_tuples(m: int, frontier: int, arity: int):
@@ -478,70 +456,80 @@ def _fresh_tuples(m: int, frontier: int, arity: int):
 
 def _closure(
     algebra: FiniteAlgebra,
-    k: int,
+    seen: _Tables,
     budget: Optional[Budget],
     label: str,
+    *,
+    nodes: Optional[list[tuple]] = None,
     depth_bound: Optional[int] = None,
     stop: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    *,
     charge_seeds: bool = True,
     total: Optional[int] = None,
-) -> tuple[np.ndarray, list[tuple], Optional[int]]:
-    """Breadth-first closure of the k-ary polynomial tables of an algebra.
+) -> Optional[int]:
+    """Close the rows of a seeded store under the basic operations, applied
+    entrywise: the one kernel for every subpower the package generates.
 
-    Round 0 holds the projections, the constants and the nullary operations.
-    Each later round, up to ``depth_bound``, applies every basic operation
-    in ``product`` order to the tuples of tables seen before the round that
-    include one found in the previous round.  The products are gathered on
-    the flat operation table in blocks of at most ``CLOSURE_BLOCK`` entries
-    (``argument_blocks``), and the rows already seen are dropped in numpy
-    (``_Tables``), so only the new tables are walked one by one: each
-    records its operation and argument tables, not a circuit.  Each new
-    table is charged to ``label``, and so is each seed if ``charge_seeds``.
-    ``stop`` maps a stack of rows to a boolean mask; the closure ends at the
-    first table it accepts.  A caller that knows how many distinct tables
-    there are passes that number as ``total``, and the closure ends once it
-    has stored that many, before it gathers another block: no later
-    product can be new.
+    ``seen`` holds the seeds: round 0 of the k-ary tables (``_seeded``) or
+    the generators of M(alpha, beta).  Each round, up to ``depth_bound``,
+    applies the operations to tuples of rows stored before it with a row
+    new in the round before (semi-naive), gathered on the flat operation
+    table in blocks of at most ``CLOSURE_BLOCK`` entries; the rows already
+    stored are dropped in numpy (``_Tables``), so only new rows are walked
+    one by one.  Each is charged to ``label`` under
+    ``budget.clone_functions``, and so is each seed if ``charge_seeds``.
 
-    The closure defines the witnesses: the Malcev search reads its first
-    accepted table's circuit, and ``UnaryClone`` each function's circuit.
-    A clone of unary and associative operations takes its tables from
-    ``_generated``, which forms far fewer products, and runs this closure
-    only when a witness is first read, with ``total`` its number of tables.
+    With ``nodes``, or when some operation is neither unary nor an
+    associative binary one (``_unary_or_associative``), every such tuple
+    is formed, in ``product`` order (``_fresh_tuples``): breadth-first.
+    Otherwise a binary f only takes (s, g) with g in G_f, the rows not
+    first made as an f-product: each round pairs every new row with all of
+    G_f and every older row with each new member of G_f.  This finds the
+    same rows S, whatever the seeds: each t in S is a product
+    g_1 f ... f g_j of members of G_f, so by associativity
+    f(s, t) = f(...f(s, g_1)..., g_j) is in S.
 
-    Returns the tables in the order found, their witness nodes and the index
-    of the accepted table, or None.  Node i witnesses table i: a variable, a
-    constant, or a gate whose children are table indices, so
-    ``subcircuit(k, nodes, i)`` is the first circuit that produced table i.
+    ``nodes`` starts as the seeds' witness nodes, and each new row appends
+    a gate whose children are row positions, so ``subcircuit(k, nodes, i)``
+    is the first circuit that produced row i.  ``stop`` maps a stack of
+    rows to a boolean mask; the closure ends at the first row it accepts
+    and returns its position, else None.  Given ``total``, the number of
+    distinct rows, it ends once it has stored that many, before it gathers
+    another block: no later product can be new.
     """
     budget = budget or default_budget()
-    n = algebra.size
-    width = n**k
-    seen, nodes = _seeded(algebra, k)
-    dtype = seen.rows.dtype
+    cap = budget.clone_functions
     if charge_seeds:
-        for count in range(1, seen.count + 1):
-            charge(count, budget.clone_functions, label)
+        charge(min(seen.count, cap + 1), cap, label)
     hits = np.flatnonzero(stop(seen.tables())) if stop else ()
     if len(hits):
-        return seen.tables(), nodes, int(hits[0])
+        return int(hits[0])
 
+    n = algebra.size
     ops = [op for op in algebra.ops if op.arity]
+    flats = [np.asarray(op.table, seen.rows.dtype) for op in ops]
+    generated = nodes is None and _unary_or_associative(ops, n)
+    gens = [np.zeros(0, np.intp) for _ in ops]
+    made = [-1] * seen.count  # the operation first making each row
     frontier, rounds = 0, 0
     while seen.count > frontier and (depth_bound is None or rounds < depth_bound):
         rounds += 1
         m = seen.count
         current = seen.rows[:m]
+        old, new = np.arange(frontier), np.arange(frontier, m)
         block = max(1, CLOSURE_BLOCK // seen.padded)
-        for op in ops:
-            flat = np.asarray(op.table, dtype)
-            for pools in _fresh_tuples(m, frontier, op.arity):
+        for f, (op, flat) in enumerate(zip(ops, flats)):
+            if generated and op.arity == 2:
+                born = new[np.not_equal(made[frontier:m], f)]
+                gens[f] = np.concatenate([gens[f], born])
+                tuples = [[new, gens[f]], [old, born]]
+            else:
+                tuples = _fresh_tuples(m, frontier, op.arity)
+            for pools in tuples:
                 for args in argument_blocks(pools, block):
                     if seen.count == total:
-                        return seen.tables(), nodes, None
+                        return None
                     rows = flat[_table_index(current, args, n)].reshape(-1, seen.padded)
-                    rows[:, width:] = 0
+                    rows[:, seen.width :] = 0
                     hashes = seen.hashes(rows)
                     fresh = seen.fresh(rows, hashes)
                     if not len(fresh):
@@ -549,17 +537,20 @@ def _closure(
                     hit = np.flatnonzero(stop(rows[fresh])) if stop else ()
                     if len(hit):
                         fresh = fresh[: hit[0] + 1]
-                    for count in range(seen.count + 1, seen.count + len(fresh) + 1):
-                        charge(count, budget.clone_functions, label)
-                    i, j = np.divmod(fresh, args[-1].size)
-                    children = [a[i, 0].tolist() for a in args[:-1]]
-                    children.append(args[-1][0, j].tolist())
-                    nodes += [(GATE, op.name, c) for c in zip(*children)]
+                    # The first count over the cap, as if each row were charged.
+                    last = min(seen.count + len(fresh), max(seen.count, cap) + 1)
+                    charge(last, cap, label)
+                    if nodes is not None:
+                        i, j = np.divmod(fresh, args[-1].size)
+                        children = [a[i, 0].tolist() for a in args[:-1]]
+                        children.append(args[-1][0, j].tolist())
+                        nodes += [(GATE, op.name, c) for c in zip(*children)]
+                    made += [f] * len(fresh)
                     seen.add(rows[fresh], hashes[fresh])
                     if len(hit):
-                        return seen.tables(), nodes, seen.count - 1
+                        return seen.count - 1
         frontier = m
-    return seen.tables(), nodes, None
+    return None
 
 
 def _table_index(current: np.ndarray, args: list[np.ndarray], n: int) -> np.ndarray:
@@ -597,8 +588,10 @@ def find_malcev_polynomial(
     def is_malcev(rows: np.ndarray) -> np.ndarray:
         return ((rows[:, yxx] == y) & (rows[:, xxy] == y)).all(axis=1)
 
-    _, nodes, hit = _closure(
-        algebra, 3, budget, "Malcev search", depth_bound, is_malcev, charge_seeds=False
+    seen, nodes = _seeded(algebra, 3)
+    hit = _closure(
+        algebra, seen, budget, "Malcev search",
+        nodes=nodes, depth_bound=depth_bound, stop=is_malcev, charge_seeds=False,
     )
     return None if hit is None else subcircuit(3, nodes, hit)
 

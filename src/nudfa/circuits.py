@@ -12,9 +12,9 @@ evaluator, and ``eval_circuit`` is their one-row view for a single
 assignment.  The variables' values are numpy arrays that broadcast
 together: rows of a (k, rows) block, or an open grid on which each gate
 only spans the axes of the variables it reads.  ``argument_blocks`` lists
-argument tuples in ``product`` order as such arrays, ``product_blocks``
-their positions in the pools.  ``dump_json`` writes every JSON file the
-package saves.
+argument tuples in ``product`` order as such arrays, a block at a time;
+the one closure kernel of algebra.py gathers its products on them.
+``dump_json`` writes every JSON file the package saves.
 """
 
 from __future__ import annotations
@@ -107,35 +107,24 @@ def eval_circuit(algebra: OpTable, circuit: AlgCircuit, args: Sequence[int]) -> 
     return int(eval_columns(algebra, circuit, column)[0])
 
 
-def product_blocks(sizes: Sequence[int], block: int):
-    """The positions of every tuple of a product of pools of the given
-    sizes, in ``product`` order, at most ``block`` tuples at a time: one
-    array of positions (a row each) for every pool but the last, and a
-    slice of the last pool (the columns)."""
-    *head, last = sizes
-    if not last:
+def argument_blocks(pools: list[np.ndarray], block: int):
+    """Every tuple of ``product(*pools)`` as argument arrays that broadcast
+    to at most ``block`` tuples: the last pool runs along the columns, a
+    slice of it at a time, and the other pools' tuples along the rows."""
+    *head, last = pools
+    if not last.size:
         return
-    step = max(1, block // last)
-    total = math.prod(head)
+    step = max(1, block // last.size)
+    total = math.prod(p.size for p in head)
     for start in range(0, total, step):
         q = np.arange(start, min(start + step, total))
         rows = []
-        for size in reversed(head):
-            q, r = np.divmod(q, size)
-            rows.append(r)
+        for pool in reversed(head):
+            q, r = np.divmod(q, pool.size)
+            rows.append(pool[r][:, None])
         rows.reverse()
-        for lo in range(0, last, block):
-            yield rows, slice(lo, lo + block)
-
-
-def argument_blocks(pools: list[np.ndarray], block: int):
-    """Every tuple of ``product(*pools)`` as argument arrays that broadcast
-    to at most ``block`` tuples: the last pool runs along the columns, the
-    other pools' tuples along the rows."""
-    for rows, cols in product_blocks([p.size for p in pools], block):
-        yield [p[r][:, None] for p, r in zip(pools, rows)] + [
-            pools[-1][None, cols]
-        ]
+        for lo in range(0, last.size, block):
+            yield rows + [last[None, lo : lo + block]]
 
 
 def node_columns(

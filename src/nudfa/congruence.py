@@ -21,9 +21,10 @@ Congruence Modular Varieties", 1987):
   congruence of the subalgebra alpha of A^2 is generated by the pairs
   ((c, c), (d, d)) with c beta d, and is closed by joining block labels
   under the basic translations of alpha, at most n**2 elements.
-- Every other algebra closes the matrix subalgebra M(alpha, beta) of A^4,
-  semi-naively: each operation acts on the matrices entrywise, with one
-  gather per entry from its table.
+- Every other algebra closes the matrix subalgebra M(alpha, beta) of A^4
+  on the semi-naive kernel that closes unary clones (algebra.py), each
+  operation acting on the matrices entrywise, under the budget's
+  ``clone_functions`` cap.
 
 Everything derived from one algebra lives in its :class:`Structure`: the
 translations, the lattice, the unary clone, a Malcev polynomial, the
@@ -69,12 +70,14 @@ from .algebra import (
     FiniteAlgebra,
     Operation,
     UnaryClone,
+    _closure,
+    _Tables,
     find_malcev_polynomial,
     latin_square,
     latin_squares,
     quasigroup_malcev,
 )
-from .circuits import AlgCircuit, product_blocks
+from .circuits import AlgCircuit
 from .fieldpoly import prime_divisors
 from .limits import Budget, default_budget
 from .partitions import Partition, label_join, label_leq
@@ -166,7 +169,7 @@ class Structure:
             elif self.parent is not None and latin_square(self.algebra) is not None:
                 found = self.parent.commutator(left, right).join(self.floor)
             else:
-                found = commutator(self.algebra, left, right, self.floor)
+                found = commutator(self.algebra, left, right, self.floor, self.budget)
             self._commutators[key] = found
         return self._commutators[key]
 
@@ -389,7 +392,7 @@ def all_congruences(
 # ---------------------------------------------------------------------------
 
 
-# Products of matrices are evaluated this many at a time.
+# Translation images the Delta path evaluates at a time.
 MATRIX_BLOCK = 1 << 14
 
 
@@ -400,59 +403,25 @@ def _related(part: Partition) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _matrix_subalgebra(
-    algebra: FiniteAlgebra, left: Partition, right: Partition
+    algebra: FiniteAlgebra, left: Partition, right: Partition, budget=None
 ) -> np.ndarray:
-    """Closure in A^4 of the generator matrices (a,a,b,b) for related (a,b)
-    on the left and (u,v,u,v) for related (u,v) on the right; rows of every
-    matrix are right-related, columns left-related.
-
-    A matrix with rows (x1, x2) and (x3, x4) is coded x1 * n**3 + x2 *
-    n**2 + x3 * n + x4.  Operations act entrywise: each pool of matrices
-    is split into its four entries once a round, and a block of products
-    takes, for each entry, one gather from the operation's flat table.
-
-    Each round applies every operation to the tuples with at least one
-    matrix new in the last round (semi-naive: argument j new, those before
-    it older, those after it anything), ``MATRIX_BLOCK`` products at a
-    time.  Returns the sorted codes.
+    """M(left, right): the subalgebra of A^4 generated by the matrices
+    (a,a,b,b) for related (a,b) on the left and (u,v,u,v) for related (u,v)
+    on the right; rows of every matrix are right-related, columns
+    left-related.  The generators are stored as rows (x1, x2, x3, x4), and
+    the closure kernel that closes unary clones (``_closure``) closes them
+    under the operations acting entrywise, over generator pools when every
+    operation is unary or associative.  Each matrix, generators included,
+    is charged to "matrix subalgebra" under ``budget.clone_functions``.
+    Returns the sorted codes x1 * n**3 + x2 * n**2 + x3 * n + x4.
     """
     n = algebra.size
     a, b = _related(left)
     u, v = _related(right)
-    # A nullary operation adds only its constant matrix (c, c, c, c), which
-    # is a generator already, so it takes no round.
-    tables = [(op.arity, np.array(op.table, dtype=np.int64)) for op in algebra.ops]
-    present = np.zeros(n**4, dtype=bool)
-    present[(a * n**2 + b) * (n + 1)] = True
-    present[(u * n + v) * (n**2 + 1)] = True
-    frontier = np.flatnonzero(present)
-    old = frontier[:0]
-    while frontier.size:
-        existing = np.flatnonzero(present)
-        pools = {"old": old, "frontier": frontier, "existing": existing}
-        entries = {
-            name: np.unravel_index(pool, (n,) * 4)
-            for name, pool in pools.items()
-        }
-        fresh = np.zeros(n**4, dtype=bool)
-        for arity, table in tables:
-            for j in range(arity):
-                names = ["old"] * j + ["frontier"] + ["existing"] * (arity - 1 - j)
-                *head, last = names
-                sizes = [pools[name].size for name in names]
-                for rows, cols in product_blocks(sizes, MATRIX_BLOCK):
-                    out = 0
-                    for d in range(4):
-                        idx = 0
-                        for name, r in zip(head, rows):
-                            idx = idx * n + entries[name][d][r][:, None]
-                        out = out * n + table[idx * n + entries[last][d][None, cols]]
-                    fresh[out] = True
-        fresh &= ~present
-        present |= fresh
-        old = existing
-        frontier = np.flatnonzero(fresh)
-    return np.flatnonzero(present)
+    seen = _Tables(n, 4)
+    seen.put(np.concatenate([np.stack([a, a, b, b], 1), np.stack([u, v, u, v], 1)]))
+    _closure(algebra, seen, budget, "matrix subalgebra")
+    return np.sort(np.ravel_multi_index(seen.tables().T, (n,) * 4))
 
 
 def _join_labels(
@@ -540,7 +509,7 @@ def _diagonal_commutator(
 
 
 def _matrix_commutator(
-    algebra: FiniteAlgebra, left: Partition, right: Partition, floor=None
+    algebra: FiniteAlgebra, left: Partition, right: Partition, floor=None, budget=None
 ) -> Partition:
     """Least congruence d above ``floor`` (default zero) such that every
     matrix of M(left, right) whose top row lies in d has its bottom row in
@@ -548,7 +517,7 @@ def _matrix_commutator(
     entries and re-closing until the forcing condition is stable."""
     n = algebra.size
     x1, x2, x3, x4 = np.unravel_index(
-        _matrix_subalgebra(algebra, left, right), (n,) * 4
+        _matrix_subalgebra(algebra, left, right, budget), (n,) * 4
     )
     columns = _translation_columns(algebra)
     delta = floor or Partition.identity(n)
@@ -618,7 +587,7 @@ def _affine(algebra: FiniteAlgebra) -> bool:
 
 
 def commutator(
-    algebra: FiniteAlgebra, left: Partition, right: Partition, floor=None
+    algebra: FiniteAlgebra, left: Partition, right: Partition, floor=None, budget=None
 ) -> Partition:
     """Term-condition commutator [left, right] of two congruences, or with
     a ``floor`` below both the relative one: the least d >= floor with
@@ -635,14 +604,15 @@ def commutator(
     and [left, right] is that of [M, N], M and N the identity's blocks
     (ch. 1; ``_group_commutator``), for an n**3 associativity check a
     call.  Any other reads it off Delta on A(left) (ch. 4).  Every other
-    algebra closes the matrix subalgebra M(left, right) of A^4 and applies
-    the term condition (``_matrix_commutator``), whose forcing loop starts
-    from the floor.  Uncached: ``Structure.commutator`` keeps each result
-    for the run.
+    algebra closes the matrix subalgebra M(left, right) of A^4 on the
+    closure kernel, charged to ``budget`` (``Structure.commutator`` passes
+    its own), and applies the term condition (``_matrix_commutator``),
+    whose forcing loop starts from the floor.  Uncached:
+    ``Structure.commutator`` keeps each result for the run.
     """
     square = latin_square(algebra)
     if square is None:
-        return _matrix_commutator(algebra, left, right, floor)
+        return _matrix_commutator(algebra, left, right, floor, budget)
     pure = all(op is square or not op.arity for op in algebra.ops)
     if pure and (group := _group(square, algebra.size)):
         found = _group_commutator(group, left, right)

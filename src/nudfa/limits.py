@@ -1,6 +1,6 @@
 """Enumeration budgets shared across the package.
 
-Every potentially explosive search (clone closure, truth tables, monomial
+Every potentially explosive search (subpower closures, truth tables, monomial
 expansions, exhaustive equation scans) checks one of these caps and raises
 :class:`BudgetExceeded` instead of running away.  The single environment
 variable ``NUDFA_BUDGET`` overrides the open-ended enumeration caps.
@@ -18,7 +18,7 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class Budget:
-    clone_functions: int = 100_000     # clone and Malcev search tables; quasigroup term gates
+    clone_functions: int = 100_000     # clone, Malcev, M(alpha, beta) rows; quasigroup gates
     lattice_universe: int = 10         # max |A| for full congruence lattices
     truth_table_bits: int = 20         # 2**bits rows for program truth tables
     progcsat_bits: int = 24            # exhaustive program satisfiability scan

@@ -14,11 +14,13 @@ mod(x_i + x_{i+1}) over i = 0, 2, 4, ..., accepting {2}):
 
 Each compile starts from an empty table memo.  Then times building the
 ``UnaryClone`` of S3 and of the groups D6, A4 and D8 of ``test_groups``
-(324, 648, 36,864 and 2,048 functions), best of three runs, witnesses
+(324, 648, 36,864 and 2,048 functions), best of five runs, witnesses
 unread, and reading every witness of a freshly built A4 and D8 clone,
 best of three runs: the breadth-first closure that defines the witnesses
-runs on the first read.  The figures are wall seconds of the machine it
-runs on; compare two checkouts by running each in turn.
+runs on the first read.  Last, the matrix subalgebra M(1, 1) of the
+golden G7 groupoid (all 2,401 matrices of A^4) and of LAT2, best of five
+runs.  The figures are wall seconds of the machine it runs on; compare
+two checkouts by running each in turn.
 """
 
 from __future__ import annotations
@@ -27,15 +29,19 @@ import cProfile
 import json
 import pstats
 import time
+from pathlib import Path
 
-from nudfa import modcircuit
+from nudfa import congruence, modcircuit
 from nudfa.algebra import FiniteAlgebra, UnaryClone, make_op
 from nudfa.circuits import CircuitBuilder
 from nudfa.compile import compile_nilpotent
 from nudfa.fixtures import get_fixture
 from nudfa.limits import Budget, BudgetExceeded
+from nudfa.partitions import Partition
 from nudfa.programs import AlgProgram, Instruction
 from test_groups import cayley
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def parity_sum(algebra: FiniteAlgebra, mod: str, n: int) -> AlgProgram:
@@ -94,7 +100,7 @@ def main() -> None:
     clones = {name: cayley(name) for name in ("D6", "A4", "D8")}
     for name, alg in {"S3": get_fixture("S3").algebra, **clones}.items():
         times = []
-        for _ in range(3):
+        for _ in range(5):
             start = time.perf_counter()
             UnaryClone(alg)
             times.append(time.perf_counter() - start)
@@ -108,6 +114,15 @@ def main() -> None:
                 fn.witness
             times.append(time.perf_counter() - start)
         out[f"unary_clone_{name.lower()}_witnesses_s"] = round(min(times), 4)
+    g7 = FiniteAlgebra.load(str(GOLDEN / "inputs" / "algebra_G7.json"))
+    for alg in (g7, get_fixture("LAT2").algebra):
+        one = Partition.total(alg.size)
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            congruence._matrix_subalgebra(alg, one, one)
+            times.append(time.perf_counter() - start)
+        out[f"matrix_closure_{alg.name.lower()}_s"] = round(min(times), 4)
     print(json.dumps(out))
 
 

@@ -133,6 +133,20 @@ def witnessed(alg: FiniteAlgebra, budget: Budget | None = None):
     return functions
 
 
+def kernel_closure(
+    alg: FiniteAlgebra, budget: Budget | None = None, witnessed: bool = True, **options
+):
+    """The closure kernel run on the unary tables of round 0: the tables
+    in the order found, the witness nodes and the accepted table's index.
+    ``witnessed`` records the nodes, so the kernel takes its breadth-first
+    pools; else it takes the generator pools where the operations allow,
+    and the nodes are None."""
+    seen, nodes = algebra._seeded(alg, 1)
+    nodes = nodes if witnessed else None
+    hit = algebra._closure(alg, seen, budget, "unary clone", nodes=nodes, **options)
+    return seen.tables(), nodes, hit
+
+
 def rectangular_band(x: int, y: int, base: int) -> int:
     """In the given base, the high digits of x and the last digit of y."""
     return x - x % base + y % base
@@ -162,7 +176,7 @@ def closure_cases(draw, associative=False):
     relabelled cyclic groups, which have a Malcev polynomial.  The others
     are random or, relabelled, one of ``BINARY``: associative ones
     (semilattices, left-zero and rectangular bands, multiplication mod n,
-    null semigroups), whose clones ``_generated`` closes and whose witness
+    null semigroups), whose clones close over generators and whose witness
     reads end the breadth-first closure at the clone's size, and
     subtraction mod n, which is left to the plain closure.  Ternary operations come only with |A| <= 3: the
     reference closure of a ternary operation on four elements applies it
@@ -253,15 +267,15 @@ def test_closures_keep_copies_not_batch_views():
     """Peak traced memory of three searches.  A kept row that is a view of
     its block of ``CLOSURE_BLOCK`` entries keeps the whole block alive; with
     copies the Z6%2 Malcev search peaks at about 1.3 MiB, the S3 clone,
-    closed over generators, at about 0.15 MiB, and the breadth-first closure
+    closed over generators, at about 0.17 MiB, and the breadth-first closure
     its witnesses run, whose scratch memory is mostly the gather index of
-    one block, at about 0.7 MiB.  The per-entry closure of the S3 clone
+    one block, at about 0.8 MiB.  The per-entry closure of the S3 clone
     peaked near 20 MiB."""
     peaks = {}
     for name, fixture, search in (
         ("Z6%2", "Z6%2", find_malcev_polynomial),
         ("S3", "S3", lambda alg: UnaryClone(alg).functions),
-        ("S3 witnesses", "S3", lambda alg: algebra._closure(alg, 1, None, "unary clone")),
+        ("S3 witnesses", "S3", kernel_closure),
     ):
         alg = get_fixture(fixture).algebra
         tracemalloc.start()
@@ -290,7 +304,9 @@ def test_clone_witnesses_are_built_only_when_read(monkeypatch):
     breadth-first closure does not run; it runs once, on the first read of
     a witness, and each witness is built on its first read, once, and
     equals the per-entry reference's.  The clone of subtraction mod 5, not
-    associative, runs the breadth-first closure as it is built."""
+    associative, runs the breadth-first closure as it is built.  Building a
+    clone runs the closure kernel too, so only the runs that record
+    witness nodes are counted."""
     alg = get_fixture("S3").algebra
     finished, built, closures = [], [], []
     finish, subcircuit, closure = CircuitBuilder.finish, algebra.subcircuit, algebra._closure
@@ -300,9 +316,13 @@ def test_clone_witnesses_are_built_only_when_read(monkeypatch):
     monkeypatch.setattr(
         algebra, "subcircuit", lambda *a: built.append(a) or subcircuit(*a)
     )
-    monkeypatch.setattr(
-        algebra, "_closure", lambda *a, **k: closures.append(a) or closure(*a, **k)
-    )
+
+    def witnessing(*a, **k):
+        if k.get("nodes") is not None:
+            closures.append(a)
+        return closure(*a, **k)
+
+    monkeypatch.setattr(algebra, "_closure", witnessing)
     s = Structure(alg, default_budget())
     clone, lat = s.clone, s.lattice
     for lo, hi in lat.covers:
@@ -322,9 +342,10 @@ def table_set(tables: np.ndarray) -> set[tuple[int, ...]]:
 
 
 def generated_and_closed(alg: FiniteAlgebra, budget: Budget):
-    """The tables of ``_generated`` and of ``_closure`` on an algebra."""
-    generated = algebra._generated(alg, budget)
-    closed, _, _ = algebra._closure(alg, 1, budget, "unary clone")
+    """The tables the closure kernel finds on an algebra over its
+    generator pools and over its breadth-first pools."""
+    generated, _, _ = kernel_closure(alg, budget, witnessed=False)
+    closed, _, _ = kernel_closure(alg, budget)
     return generated, closed
 
 
@@ -362,8 +383,8 @@ def band_with_a_unary() -> FiniteAlgebra:
 )
 def test_generated_tables_are_the_breadth_first_tables(alg):
     """Every fixture, every group of ``test_groups`` and a band with a
-    unary operation have only unary and associative operations, and
-    closing over generators finds the tables of the breadth-first closure,
+    unary operation have only unary and associative operations, and the
+    kernel's generator pools find the tables of its breadth-first pools,
     each once.  Both gather their products in blocks of at most
     ``CLOSURE_BLOCK`` entries.  The breadth-first closure of A4 runs for
     minutes, so its 36,864 tables are held to ``closed_under_seeds``
@@ -379,13 +400,13 @@ def test_generated_tables_are_the_breadth_first_tables(alg):
 
     with mock.patch.object(algebra, "_table_index", gathered):
         if alg.name == "A4":
-            generated = algebra._generated(alg, Budget())
+            generated, _, _ = kernel_closure(alg, Budget(), witnessed=False)
             assert len(generated) == len(table_set(generated)) == 36_864
             assert closed_under_seeds(alg, generated)
         elif alg.name in ("S4", "SL(2,3)"):
             failed = "BudgetExceeded: unary clone: 100001 exceeds cap 100000"
-            assert outcome(algebra._generated, alg, Budget()) == failed
-            assert outcome(algebra._closure, alg, 1, Budget(), "unary clone") == failed
+            assert outcome(kernel_closure, alg, Budget(), False) == failed
+            assert outcome(kernel_closure, alg, Budget()) == failed
         else:
             generated, closed = generated_and_closed(alg, Budget())
             assert len(generated) == len(closed)
@@ -439,8 +460,14 @@ def test_mapping_is_the_first_function_through_the_pairs(name):
 
 def block_of(rows: int, k: int, n: int) -> int:
     """``CLOSURE_BLOCK`` for blocks of ``rows`` k-ary tables over n
-    elements, each row padded to whole 64-bit words."""
-    return rows * algebra._Tables(n**k, np.min_scalar_type(n - 1)).padded
+    elements, at the padded width of the store that holds them."""
+    return rows * algebra._Tables(n, n**k).padded
+
+
+# The dense limit of the stores: the default, under which clones of up to
+# six elements are keyed by their codes, and 0, under which every store
+# hashes its rows.
+DENSE_LIMITS = (algebra.DENSE_CODES, 0)
 
 
 @pytest.mark.parametrize("rows", (1, 2, 3, 7, None))
@@ -450,16 +477,21 @@ def test_blocks_of_any_size_close_the_same_tables(rows):
     table: at 2 and 7 rows it is the last row of its block, at 1 row every
     table is a block of its own, and the caps 114 and 115 make the budget
     fail on it or let it through.  The S3 clone takes 105k products, so it
-    runs only with blocks of 7 rows and the default."""
+    runs only with blocks of 7 rows and the default.  The clones run under
+    both ``DENSE_LIMITS``, so in the store keyed by codes and in the hashed
+    one; the Malcev searches, of four and six elements, are hashed under
+    either."""
     cases = [("Z4", (114, 115, 100_000)), ("Z6%2", (100_000,))]
     if rows in (7, None):
         cases.append(("S3", ()))
     for name, caps in cases:
         alg = get_fixture(name).algebra
-        size = block_of(rows, 1, alg.size) if rows else algebra.CLOSURE_BLOCK
-        with mock.patch.object(algebra, "CLOSURE_BLOCK", size):
-            clone = outcome(witnessed, alg)
-        assert clone == reference_outcome(name, "clone"), name
+        for limit in DENSE_LIMITS:
+            with mock.patch.object(algebra, "DENSE_CODES", limit):
+                size = block_of(rows, 1, alg.size) if rows else algebra.CLOSURE_BLOCK
+                with mock.patch.object(algebra, "CLOSURE_BLOCK", size):
+                    clone = outcome(witnessed, alg)
+            assert clone == reference_outcome(name, "clone"), (name, limit)
         size = block_of(rows, 3, alg.size) if rows else algebra.CLOSURE_BLOCK
         for cap in caps:
             with mock.patch.object(algebra, "CLOSURE_BLOCK", size):
@@ -473,18 +505,23 @@ def test_blocks_of_any_size_close_the_same_tables(rows):
 @given(
     st.one_of(closure_cases(), closure_cases(associative=True)),
     st.sampled_from((1, 2, 3, 7)),
+    st.sampled_from(DENSE_LIMITS),
 )
-def test_random_closures_in_small_blocks_match_the_reference(case, rows):
+def test_random_closures_in_small_blocks_match_the_reference(case, rows, limit):
     """Half the draws are of associative algebras whose clones finish, so
     that the breadth-first closure run for their witnesses often ends at
     the clone's size, at a block boundary.  Every witness is read in the
-    small blocks, so the breadth-first closure runs in them too."""
+    small blocks, so the breadth-first closure runs in them too.  The
+    dense limit is drawn from ``DENSE_LIMITS``: by default every clone of
+    these draws and the Malcev search on two elements are keyed by codes,
+    and under 0 they are hashed."""
     alg, depth, budget = case
-    with mock.patch.object(algebra, "CLOSURE_BLOCK", block_of(rows, 1, alg.size)):
-        clone = outcome(witnessed, alg, budget)
+    with mock.patch.object(algebra, "DENSE_CODES", limit):
+        with mock.patch.object(algebra, "CLOSURE_BLOCK", block_of(rows, 1, alg.size)):
+            clone = outcome(witnessed, alg, budget)
+        with mock.patch.object(algebra, "CLOSURE_BLOCK", block_of(rows, 3, alg.size)):
+            found = outcome(find_malcev_polynomial, alg, depth, budget)
     assert clone == outcome(reference.close_unary, alg, budget)
-    with mock.patch.object(algebra, "CLOSURE_BLOCK", block_of(rows, 3, alg.size)):
-        found = outcome(find_malcev_polynomial, alg, depth, budget)
     assert found == outcome(reference.find_malcev_polynomial, alg, depth, budget)
 
 
@@ -552,8 +589,8 @@ def test_witness_reads_end_the_breadth_first_closure_at_the_clone_size():
     digest = hashlib.sha256(json.dumps(d6_clone, sort_keys=True).encode()).hexdigest()
     assert digest == D6_REFERENCE_CLONE
     for alg in (s3, get_fixture("Z6%2").algebra, d6, cayley("D8")):
-        tables, nodes, _ = algebra._closure(alg, 1, None, "unary clone")
-        told = algebra._closure(alg, 1, None, "unary clone", total=len(tables))
+        tables, nodes, _ = kernel_closure(alg)
+        told = kernel_closure(alg, total=len(tables))
         assert np.array_equal(told[0], tables) and told[1] == nodes, alg.name
 
 
@@ -561,9 +598,16 @@ def test_witnesses_of_tables_the_closure_does_not_store_are_refused():
     """Should the generator closure miss a table, here the first after the
     seeds, the breadth-first closure run for the witnesses stores it among
     as many tables as the clone has, and reading a witness raises."""
-    alg, generated = get_fixture("S3").algebra, algebra._generated
-    missing = lambda alg, budget: np.delete(generated(alg, budget), alg.size + 1, axis=0)
-    with mock.patch.object(algebra, "_generated", missing):
+    alg, closure = get_fixture("S3").algebra, algebra._closure
+
+    def missing(alg, seen, *args, **options):
+        hit = closure(alg, seen, *args, **options)
+        if options.get("nodes") is None:
+            seen.rows = np.delete(seen.rows[: seen.count], alg.size + 1, axis=0)
+            seen.count -= 1
+        return hit
+
+    with mock.patch.object(algebra, "_closure", missing):
         clone = UnaryClone(alg)
     assert len(clone) == 323
     with pytest.raises(AssertionError, match="other tables than its unary clone"):
@@ -572,9 +616,12 @@ def test_witnesses_of_tables_the_closure_does_not_store_are_refused():
 
 def test_colliding_hashes_are_told_apart():
     """With a hash that maps many different tables together, every block
-    is sorted out by comparing rows, and the closures stay exact."""
+    is sorted out by comparing rows, and the closures stay exact.  Stores
+    keyed by codes do not hash, so every store is made to hash its rows."""
     weak = lambda self, rows: rows.view(np.uint64).sum(axis=1) % np.uint64(5)
-    with mock.patch.object(algebra._Tables, "hashes", weak):
+    with mock.patch.object(algebra._Tables, "hashes", weak), mock.patch.object(
+        algebra, "DENSE_CODES", 0
+    ):
         for name in ("Z4", "Z6%2", "S3"):
             alg = get_fixture(name).algebra
             clone = UnaryClone(alg).functions

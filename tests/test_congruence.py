@@ -27,7 +27,8 @@ from conftest import (
     random_algebra,
     z5_z2_z3,
 )
-from nudfa import congruence, fixtures
+from test_algebra import BINARY
+from nudfa import algebra, congruence, fixtures
 from nudfa.algebra import (
     FiniteAlgebra,
     Operation,
@@ -441,15 +442,32 @@ def assert_matches_reference(alg):
         assert commutator(alg, left, right) == expected
 
 
+# The associative operations of ``BINARY``: semilattices, left-zero and
+# rectangular bands, multiplication mod n and null semigroups.
+SEMIGROUPS = ("max", "min", "left zero", "band", "product", "null")
+
+
 @st.composite
 def commutator_algebras(draw, ternary=False):
     """Nullary, unary and binary operations on 1..4 elements or, with
     ``ternary``, on two elements next to a ternary one: the reference
     applies a ternary operation to every triple of matrices in Python,
-    about a second of work on two elements and minutes on three."""
+    about a second of work on two elements and minutes on three.  Random
+    tables are almost never associative, so half the binary operations
+    without a ternary one are relabelled ``SEMIGROUPS``, whose matrices
+    the closure kernel closes over their generators."""
     n = 2 if ternary else draw(st.integers(min_value=1, max_value=4))
     arities = [r for r in (0, 1, 2) if draw(st.booleans())]
-    return random_algebra(draw, n, arities + [3] * ternary)
+    alg = random_algebra(draw, n, arities + [3] * ternary)
+    if ternary or 2 not in arities or not draw(st.booleans()):
+        return alg
+    kind, perm = draw(st.sampled_from(SEMIGROUPS)), draw(st.permutations(range(n)))
+    table = tuple(
+        perm[BINARY[kind](perm.index(x), perm.index(y), n)]
+        for x, y in itertools.product(range(n), repeat=2)
+    )
+    ops = tuple(Operation("f2", 2, table) if op.arity == 2 else op for op in alg.ops)
+    return FiniteAlgebra(f"semigroup{n}", n, ops)
 
 
 @settings(max_examples=40, deadline=None)
@@ -499,7 +517,7 @@ def test_forcing_takes_a_second_round():
 
 @pytest.mark.parametrize("block", (1, 2, 5, 64))
 def test_blocks_of_any_size_close_the_same_matrices(block):
-    """Small blocks cut the frontier-by-existing products of every arity
+    """Small blocks of ``block`` matrices cut the products of every arity
     at many places; the closure stays the one of the default block."""
     rng = random.Random(block)
     ternary = tuple(rng.randrange(2) for _ in range(8))
@@ -510,7 +528,8 @@ def test_blocks_of_any_size_close_the_same_matrices(block):
         lat = all_congruences(alg)
         for left, right in itertools.product(lat.elements, repeat=2):
             expected = congruence._matrix_subalgebra(alg, left, right).tolist()
-            with mock.patch.object(congruence, "MATRIX_BLOCK", block):
+            size = block * algebra._Tables(alg.size, 4).padded
+            with mock.patch.object(algebra, "CLOSURE_BLOCK", size):
                 got = congruence._matrix_subalgebra(alg, left, right).tolist()
             assert got == expected, (alg.name, left, right)
 
@@ -801,9 +820,9 @@ def test_algebras_without_a_latin_square_close_matrices(monkeypatch):
     closed = []
     inner = congruence._matrix_subalgebra
 
-    def counted(alg, left, right):
+    def counted(alg, left, right, budget):
         closed.append(alg.name)
-        return inner(alg, left, right)
+        return inner(alg, left, right, budget)
 
     monkeypatch.setattr(congruence, "_matrix_subalgebra", counted)
     latin = [name for name in CON_ALGEBRAS if name not in ("LAT2", "G7")]
@@ -868,10 +887,11 @@ def test_matrix_closure_memory_stays_bounded():
     """A random 7-element groupoid whose M(1, 1) is all of A^4 (2,401
     matrices).  An earlier closure built a dense frontier-by-existing
     block per round and peaked at 84 MiB here, growing as |M|^2; the
-    closure works in blocks of ``MATRIX_BLOCK`` products (measured
-    0.7 MiB).  The Delta path on Z3 x Z3 with alpha = beta = 1 joins labels
-    on the 81 pairs of A(1), ``MATRIX_BLOCK`` images at a time (measured
-    0.33 MiB); it is held to 1 MiB."""
+    closure kernel of algebra.py works in blocks of ``CLOSURE_BLOCK``
+    entries, 16,384 matrices of four (measured 0.9 MiB).  The Delta path
+    on Z3 x Z3 with alpha = beta = 1 joins labels on the 81 pairs of A(1),
+    ``MATRIX_BLOCK`` images at a time (measured 0.33 MiB); it is held to
+    1 MiB."""
     rng = random.Random(7)
     n = 7
     table = tuple(rng.randrange(n) for _ in range(n * n))
@@ -897,6 +917,22 @@ def test_matrix_closure_memory_stays_bounded():
     assert peak < 1.0, peak
 
 
+def test_the_matrix_closure_is_charged_to_the_clone_cap():
+    """M(1, 1) of the golden G7 groupoid is all 2,401 matrices of A^4,
+    its 91 generators among them.  The closure charges each matrix to
+    "matrix subalgebra" under the Structure's ``clone_functions``, the
+    generators first, as a clone's seeds are: cap 90 fails on the
+    generators, cap 2,400 on the last matrix, and cap 2,401 lets the
+    closure through to [1, 1] = 1."""
+    g7 = FiniteAlgebra.load(str(GOLDEN / "inputs" / "algebra_G7.json"))
+    one = Partition.total(g7.size)
+    for cap, count in ((90, 91), (2400, 2401)):
+        message = f"^matrix subalgebra: {count} exceeds cap {cap}$"
+        with pytest.raises(BudgetExceeded, match=message):
+            Structure(g7, Budget(clone_functions=cap)).commutator(one, one)
+    assert Structure(g7, Budget(clone_functions=2401)).commutator(one, one) == one
+
+
 def test_commutators_are_computed_once_per_run(monkeypatch):
     """Within one ``con`` call S3 gets one lattice, its quotients being
     intervals of it, and each (tables, alpha, beta, floor) one commutator;
@@ -912,9 +948,9 @@ def test_commutators_are_computed_once_per_run(monkeypatch):
         lattices.append(tables(alg))
         return build(alg, budget=budget)
 
-    def counted(alg, left, right, floor=None):
+    def counted(alg, left, right, floor=None, budget=None):
         keys.append((tables(alg), left, right, floor))
-        return inner(alg, left, right, floor)
+        return inner(alg, left, right, floor, budget)
 
     asked = []
     ask = Structure.commutator
