@@ -229,6 +229,10 @@ def write_inputs() -> None:
               "--out", f"inputs/lattice_{cnf}.json"])
     _run(["compile", "--program", "inputs/demo_and2_z6%2.json",
           "--out", "inputs/and2_z6m2_circuit.json"])
+    # The SUMP(3) form of modand.json, the input shape of
+    # ``finalize_boolean_sum``.
+    _run(["lower", "--pass", "modm_andd_to_sum", "--p", "3",
+          "--in", "inputs/modand.json", "--out", "inputs/modand_lowered.json"])
 
 
 def cases() -> list[tuple[str, list[str]]]:
@@ -293,15 +297,19 @@ def cases() -> list[tuple[str, list[str]]]:
     for circ in ("modmod", "boolean"):
         out.append((f"ccshape_{circ}",
                     ["ccshape", "--circuit", f"inputs/{circ}.json"]))
-    out.append(("ccshape_dot_boolean",
-                ["ccshape", "--circuit", "inputs/boolean.json",
-                 "--format", "dot"]))
+    for circ in ("boolean", "sump"):
+        out.append((f"ccshape_dot_{circ}",
+                    ["ccshape", "--circuit", f"inputs/{circ}.json",
+                     "--format", "dot"]))
     out.append(("lower_unmod",
                 ["lower", "--pass", "unmod", "--in", "inputs/modmod.json",
                  "--verify-n", "20"]))
     out.append(("lower_modm_andd_to_sum",
                 ["lower", "--pass", "modm_andd_to_sum", "--p", "3",
                  "--in", "inputs/modand.json", "--verify-n", "20"]))
+    out.append(("lower_finalize_boolean_sum",
+                ["lower", "--pass", "finalize_boolean_sum",
+                 "--in", "inputs/modand_lowered.json", "--verify-n", "20"]))
     out.append(("verify_match",
                 ["verify", "--program", "inputs/demo_and2_z6%2.json",
                  "--circuit", "inputs/and2_z6m2_circuit.json"]))
