@@ -27,7 +27,7 @@ import numpy as np
 
 from . import congruence, lowering, modcircuit
 from .algebra import FiniteAlgebra, check_circuit
-from .circuits import AlgCircuit
+from .circuits import AlgCircuit, format_json
 from .compile import (
     HypothesisViolation,
     compile_nilpotent,
@@ -99,7 +99,7 @@ class UsageError(Exception):
 
 
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(format_json(doc))
 
 
 def _dump_or_embed(doc: dict, out: Optional[str], key: str, thing) -> None:

@@ -19,13 +19,19 @@ unread, and reading every witness of a freshly built A4 and D8 clone,
 best of three runs: the breadth-first closure that defines the witnesses
 runs on the first read.  Last, the matrix subalgebra M(1, 1) of the
 golden G7 groupoid (all 2,401 matrices of A^4) and of LAT2, best of five
-runs.  The figures are wall seconds of the machine it runs on; compare
-two checkouts by running each in turn.
+runs.  Then the package's JSON writer ``format_json`` against the
+stdlib's ``dumps`` with ``indent=2, sort_keys=True``, whose text it
+writes, on the program documents of the golden ``lattice_sat.json`` and
+``lattice_unsat.json`` and on the ``con`` document of the golden D4 table,
+best of seven runs, in milliseconds.  The other figures are wall seconds
+of the machine it runs on; compare two checkouts by running each in turn.
 """
 
 from __future__ import annotations
 
+import contextlib
 import cProfile
+import io
 import json
 import pstats
 import time
@@ -33,7 +39,8 @@ from pathlib import Path
 
 from nudfa import congruence, modcircuit
 from nudfa.algebra import FiniteAlgebra, UnaryClone, make_op
-from nudfa.circuits import CircuitBuilder
+from nudfa.circuits import CircuitBuilder, format_json
+from nudfa.cli import main as cli_main
 from nudfa.compile import compile_nilpotent
 from nudfa.fixtures import get_fixture
 from nudfa.limits import Budget, BudgetExceeded
@@ -71,6 +78,33 @@ def run(prog: AlgProgram, budget: Budget) -> float:
 def best(prog: AlgProgram, budget: Budget, runs: int) -> float:
     run(prog, budget)  # warm: structures and caches
     return round(min(run(prog, budget) for _ in range(runs)), 4)
+
+
+def json_writer_timings() -> dict:
+    """Best of seven runs of each JSON writer on each document, in ms."""
+    inputs = GOLDEN / "inputs"
+    docs = {
+        name: AlgProgram.load(str(inputs / f"{name}.json")).to_json()
+        for name in ("lattice_sat", "lattice_unsat")
+    }
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli_main(["con", "--algebra", str(inputs / "algebra_D4.json")])
+    docs["con_d4"] = json.loads(buf.getvalue())
+    writers = {
+        "json_dumps": lambda doc: json.dumps(doc, indent=2, sort_keys=True),
+        "format_json": format_json,
+    }
+    out = {}
+    for name, doc in docs.items():
+        for label, write in writers.items():
+            times = []
+            for _ in range(7):
+                start = time.perf_counter()
+                write(doc)
+                times.append(time.perf_counter() - start)
+            out[f"{label}_{name}_ms"] = round(min(times) * 1e3, 3)
+    return out
 
 
 def main() -> None:
@@ -123,6 +157,7 @@ def main() -> None:
             congruence._matrix_subalgebra(alg, one, one)
             times.append(time.perf_counter() - start)
         out[f"matrix_closure_{alg.name.lower()}_s"] = round(min(times), 4)
+    out.update(json_writer_timings())
     print(json.dumps(out))
 
 

@@ -200,39 +200,52 @@ def _modand_circuit() -> CCircuit:
     return CCircuit(3, gates, 5, "MOD(2)∘AND(2)")
 
 
+def dumped_inputs() -> dict:
+    """The input files written with ``.dump``, each with its object."""
+    things = {f"demo_{name}.json": demo_program(name) for name in demo_names()}
+    things["parity_sum_z6m2_10.json"] = parity_sum(10)
+    things["parity_sum_z6m2_12.json"] = parity_sum(12)
+    for tag, accepting in PARITY_SUM_ACCEPTING.items():
+        things[f"parity_sum_z6m2_4_{tag}.json"] = parity_sum(4, accepting)
+    things["count_ones_z6_14.json"] = count_ones(14)
+    things["count_ones_z6_16.json"] = count_ones(16)
+    things["boolean.json"] = _boolean_circuit()
+    things["modmod.json"] = _modmod_circuit()
+    things["modand.json"] = _modand_circuit()
+    for name, make in TABLE_ALGEBRAS.items():
+        things[f"algebra_{name}.json"] = make()
+    return things
+
+
+# The input files written through the CLI's ``--out``, each with its argv
+# up to the output path, run after every other input is written.
+OUT_INPUTS = {
+    "lattice_sat.json": ["gadget", "lattice", "--cnf", "inputs/sat.cnf", "--out"],
+    "lattice_unsat.json": ["gadget", "lattice", "--cnf", "inputs/unsat.cnf", "--out"],
+    "and2_z6m2_circuit.json":
+        ["compile", "--program", "inputs/demo_and2_z6%2.json", "--out"],
+    # The SUMP(3) form of modand.json, the input shape of
+    # ``finalize_boolean_sum``.
+    "modand_lowered.json": ["lower", "--pass", "modm_andd_to_sum", "--p", "3",
+                            "--in", "inputs/modand.json", "--out"],
+}
+
+
 def write_inputs() -> None:
     d = HERE / "inputs"
     d.mkdir(exist_ok=True)
-    for name in demo_names():
-        demo_program(name).dump(str(d / f"demo_{name}.json"))
-    parity_sum(10).dump(str(d / "parity_sum_z6m2_10.json"))
-    parity_sum(12).dump(str(d / "parity_sum_z6m2_12.json"))
-    for tag, accepting in PARITY_SUM_ACCEPTING.items():
-        parity_sum(4, accepting).dump(str(d / f"parity_sum_z6m2_4_{tag}.json"))
-    count_ones(14).dump(str(d / "count_ones_z6_14.json"))
-    count_ones(16).dump(str(d / "count_ones_z6_16.json"))
+    for name, thing in dumped_inputs().items():
+        thing.dump(str(d / name))
     (d / "sat.cnf").write_text(SAT_CNF)
     (d / "unsat.cnf").write_text(UNSAT_CNF)
     for name, doc in (("eq_mixed", EQ_MIXED), ("eq_identity", EQ_IDENTITY),
                       ("eq_d4_square", EQ_D4_SQUARE)):
         (d / f"{name}.json").write_text(json.dumps(doc, indent=2) + "\n")
-    _boolean_circuit().dump(str(d / "boolean.json"))
     (d / "sump.json").write_text(
         json.dumps(_sump_json(), indent=2, sort_keys=True) + "\n"
     )
-    _modmod_circuit().dump(str(d / "modmod.json"))
-    _modand_circuit().dump(str(d / "modand.json"))
-    for name, make in TABLE_ALGEBRAS.items():
-        make().dump(str(d / f"algebra_{name}.json"))
-    for cnf in ("sat", "unsat"):
-        _run(["gadget", "lattice", "--cnf", f"inputs/{cnf}.cnf",
-              "--out", f"inputs/lattice_{cnf}.json"])
-    _run(["compile", "--program", "inputs/demo_and2_z6%2.json",
-          "--out", "inputs/and2_z6m2_circuit.json"])
-    # The SUMP(3) form of modand.json, the input shape of
-    # ``finalize_boolean_sum``.
-    _run(["lower", "--pass", "modm_andd_to_sum", "--p", "3",
-          "--in", "inputs/modand.json", "--out", "inputs/modand_lowered.json"])
+    for name, argv in OUT_INPUTS.items():
+        _run(argv + [f"inputs/{name}"])
 
 
 def cases() -> list[tuple[str, list[str]]]:

@@ -1,7 +1,11 @@
 """Circuit DAG construction, evaluation, composition, serialization."""
 
+import enum
+import json
 import random
+from collections import OrderedDict, namedtuple
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +17,7 @@ from nudfa.circuits import (
     CircuitBuilder,
     constant_circuit,
     eval_circuit,
+    format_json,
 )
 from nudfa.fixtures import get_fixture
 from nudfa.modcircuit import CCircuit, eval_cc
@@ -191,3 +196,76 @@ def test_one_row_views_match_the_reference_interpreters(cc, alg_circuit, data):
     assert _outcome(program.accepts, word) == _outcome(
         reference.accepts, program, word
     )
+
+
+# JSON documents for the writer's differential test: strings with quotes,
+# backslashes, control characters, non-ASCII text and lone surrogates;
+# ints past 64 bits; every float class; flat int and int/str lists for the
+# writer's joined lists; and dicts whose keys share one of the five types
+# the stdlib takes, nested up to depth 6 with empty containers anywhere.
+_TEXT = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\x00\x01\x1f\x7f\b\f\n\r\t'),
+        st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF, categories=["Cs"]),
+        st.characters(),
+    ),
+    max_size=6,
+)
+_INT = st.integers(-(2**70), 2**70)
+_FLOAT = st.one_of(st.floats(), st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0]))
+_SCALAR = st.one_of(st.none(), st.booleans(), _INT, _FLOAT, _TEXT)
+_KEYS = [_TEXT, _INT, st.booleans(), st.none(), _FLOAT]
+_FLAT_LISTS = st.one_of(st.lists(_INT, max_size=4), st.lists(st.one_of(_INT, _TEXT), max_size=4))
+
+
+def _documents(depth: int):
+    if depth == 0:
+        return st.one_of(_SCALAR, st.sampled_from([[], (), {}]), _FLAT_LISTS)
+    child = _documents(depth - 1)
+    return st.one_of(
+        _SCALAR,
+        _FLAT_LISTS,
+        st.lists(child, max_size=3),
+        st.lists(child, max_size=3).map(tuple),
+        st.one_of([st.dictionaries(key, child, max_size=3) for key in _KEYS]),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_documents(6))
+def test_format_json_writes_the_stdlib_indented_sorted_text(doc):
+    assert format_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+class _Colour(enum.IntEnum):
+    RED = 3
+
+
+class _Text(str):
+    pass
+
+
+_Pair = namedtuple("_Pair", "a b")
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": _Colour.RED, _Text("k"): [_Text("v\u2218"), 1.5]},
+    OrderedDict([("z", _Pair(1, (2, [True, None])))]),
+    {2.5: 0, -0.0: 1, float("inf"): 2},
+    [np.float64(0.1), [[]], [{}], ({"": ()},)],
+])
+def test_format_json_writes_subclasses_as_their_bases(doc):
+    assert format_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": 1, 2: 0},
+    {"x": [np.int64(3)]},
+    [{1, 2}],
+    {(1, 2): 0},
+])
+def test_format_json_refuses_what_the_stdlib_refuses(doc):
+    with pytest.raises(TypeError):
+        json.dumps(doc, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        format_json(doc)

@@ -422,3 +422,59 @@ def test_the_owner_checks_see_copies():
         assert len(_outside(ast.parse(source), owner, OWNERS[owner])) == 1, source
     for source, owner in owned.items():
         assert _outside(ast.parse(source), owner, OWNERS[owner]) == [], source
+
+
+def _stdlib_json_writes(tree: ast.AST) -> list[int]:
+    """Lines that call the stdlib's ``json.dump``/``json.dumps``, under any
+    name the module binds to ``json``, or import either from it."""
+    writers = {"dump", "dumps"}
+    names = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "json"
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in writers
+        and getattr(node.func.value, "id", None) in names
+        or isinstance(node, ast.ImportFrom)
+        and node.module == "json"
+        and any(alias.name in writers for alias in node.names)
+    ]
+
+
+def test_one_json_writer():
+    """Every JSON document the package prints or saves goes through
+    ``circuits.format_json``, so none is written by the stdlib's
+    indenting encoder, whose text it reproduces."""
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for line in _stdlib_json_writes(_parse(path))
+    ]
+    assert found == []
+
+
+def test_the_json_writer_check_sees_stdlib_writes():
+    writes = [
+        "import json\nprint(json.dumps(doc, indent=2))\n",
+        "import json\nwith open(p, 'w') as fh:\n    json.dump(doc, fh)\n",
+        "import json as j\ns = j.dumps(doc)\n",
+        "from json import dumps\n",
+    ]
+    clean = [
+        "import json\ndoc = json.loads(s)\n",
+        "import json\ndoc = json.load(fh)\n",
+        "s = format_json(doc)\n",
+        "s = pickle.dumps(doc)\n",
+        "from json.encoder import encode_basestring_ascii\n",
+    ]
+    for source in writes:
+        assert len(_stdlib_json_writes(ast.parse(source))) == 1, source
+    for source in clean:
+        assert _stdlib_json_writes(ast.parse(source)) == [], source
