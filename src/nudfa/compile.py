@@ -27,6 +27,8 @@ the input word is narrow enough.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import groupby
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -420,33 +422,17 @@ class _LayerMerge:
         return remap[sub.output]
 
 
-def descend_mod_beta(
-    program: AlgProgram,
-    node: int,
-    target: int,
-    rep: CentralRep,
-    cache: dict[tuple[int, int], CCircuit],
-    m: int,
-    p: int,
-    budget: Budget,
-    reports: list[PassReport],
-    value_table: np.ndarray,
-) -> CCircuit:
-    """One chain step: compile [node value == target] over rep.D.
-
-    ``cache`` holds the previous level's indicator circuits, keyed by
-    (child node, class of rep.quotient).  The module part of the value is
-    an affine combination over Z_p^nu of instruction bits and per-gate
-    correction terms; corrections are expanded through class-indicator
-    booleans, lowered, assembled as a 5-layer circuit, collapsed to three
-    layers and AND-glued with the quotient-level indicator.  ``value_table``
-    holds the node's value on every word; the pass reports are appended to
-    ``reports``.
+def _module_part(
+    program: AlgProgram, node: int, rep: CentralRep, budget: Budget
+) -> tuple[np.ndarray, dict[int, np.ndarray], dict[frozenset, np.ndarray]]:
+    """The module part of the node's value over rep.D, as an affine form:
+    (offset, weight of each instruction bit, weight of each correction
+    monomial).  A monomial is the frozenset of (child node, class of
+    rep.quotient) pairs whose indicators it multiplies, so the union of the
+    monomials is every indicator of the level below that the node's
+    descent reads, for any target.  Fills ``rep.lowered`` on first use.
     """
-    if program.algebra is not rep.D and program.algebra != rep.D:
-        raise ValueError("program and representation disagree on the algebra")
-    n = program.n
-    nu = rep.nu
+    nu, p = rep.nu, rep.p
     circuit = program.circuit
     coeff, var_coeff = path_coefficients(circuit, rep, root=node)
 
@@ -463,7 +449,6 @@ def descend_mod_beta(
 
     s = rep.quotient.size
     mono_vecs: dict[frozenset, np.ndarray] = {}
-    need_subs: set[tuple[int, int]] = set()
     for v in sorted(coeff):
         nd = circuit.nodes[v]
         W = coeff[v]
@@ -496,12 +481,45 @@ def descend_mod_beta(
                     (children[pos // s], pos % s)
                     for pos, _mult in and_gate.wires
                 )
-                need_subs |= pairs
                 mono_vecs[pairs] = (mono_vecs.get(pairs, 0) + wv) % p
+    return offset, bit_vecs, mono_vecs
+
+
+def descend_mod_beta(
+    program: AlgProgram,
+    node: int,
+    target: int,
+    rep: CentralRep,
+    cache: dict[tuple[int, int], CCircuit],
+    m: int,
+    p: int,
+    budget: Budget,
+    reports: list[PassReport],
+    value_table: np.ndarray,
+) -> CCircuit:
+    """One chain step: compile [node value == target] over rep.D.
+
+    ``cache`` holds indicator circuits of the level below, keyed by
+    (node, class of rep.quotient).  This step reads from it exactly the
+    pairs of the correction monomials of :func:`_module_part` and the
+    quotient indicator (node, rep.proj[target]), and nothing else, so a
+    store holding only those keys will do.  The module part of the value is
+    an affine combination over Z_p^nu of instruction bits and per-gate
+    correction terms; corrections are expanded through class-indicator
+    booleans, lowered, assembled as a 5-layer circuit, collapsed to three
+    layers and AND-glued with the quotient-level indicator.  ``value_table``
+    holds the node's value on every word; the pass reports are appended to
+    ``reports``.
+    """
+    if program.algebra is not rep.D and program.algebra != rep.D:
+        raise ValueError("program and representation disagree on the algebra")
+    n = program.n
+    nu = rep.nu
+    offset, bit_vecs, mono_vecs = _module_part(program, node, rep, budget)
 
     merge = _LayerMerge(n)
     sub_out: dict[tuple[int, int], int] = {}
-    for key in sorted(need_subs):
+    for key in sorted(set().union(*mono_vecs)):
         sub_out[key] = merge.add_sub(cache[key])
     bit_out: dict[int, int] = {}
     for bit in sorted(bit_vecs):
@@ -624,9 +642,18 @@ def compile_nilpotent(
     """Compile a program over a nilpotent Malcev algebra whose
     characteristics below the least supernilpotent quotient are one prime.
 
-    Output is an AND∘MOD(m)∘MOD(p) circuit with m the product of the other
-    primes; its truth table is checked against the program whenever the
-    word is narrow enough.
+    The descent walks a maximal chain 0 = gamma_0 < ... < gamma_h = sigma
+    in two passes.  The plan runs from the root down: level 0 reads the
+    indicators (root, c) for c in the accepting set, and a descent of
+    (node, target) at level j reads, of level j + 1, the pairs of the
+    node's correction monomials and (node, class of target).  The build
+    runs from the base up and builds only the planned indicators, so every
+    store holds just what the level above reads: at the base, one
+    interpolation per node covers the classes it needs; above it, one
+    descent per planned pair.  Each indicator is checked against its
+    table.  Output is an AND∘MOD(m)∘MOD(p) circuit with m the product of
+    the other primes; its truth table is checked against the program
+    whenever the word is narrow enough.
     """
     budget = budget or default_budget()
     reports: list[PassReport] = []
@@ -685,11 +712,9 @@ def compile_nilpotent(
     if n > budget.truth_table_bits:
         raise ValueError("too many input bits for value tables")
     vals = program.node_columns()
-    nodes = range(len(program.circuit.nodes))
     root = program.circuit.output
     S0 = sorted(program.accepting)
 
-    # base level: supernilpotent quotient, one atom per (node, target)
     top = s.quotient(sigma)
     if not is_pupi(top, sigma, lat.one):
         raise HypothesisViolation(
@@ -698,10 +723,35 @@ def compile_nilpotent(
     dec = prime_power_decomposition(top, Abar.name)
     delta = sum(m // pj for pj in dec.primes) % m
 
+    reps: dict[int, CentralRep] = {}
+    for j in range(h - 1, -1, -1):
+        Dj = progs[j].algebra
+        # D_j -> D_{j+1} through the least member in A of each class
+        step = [projs[j + 1][projs[j].index(y)] for y in range(Dj.size)]
+        malcev_j = map_circuit_constants(malcev, projs[j])
+        reps[j] = rep = central_representation(
+            Dj, progs[j + 1].algebra, step, 0, malcev_j
+        )
+        if rep.p != p:
+            raise AssertionError(
+                f"atom at level {j} has characteristic {rep.p}, expected {p}"
+            )
+
+    # plan, from the root down: the (node, target) indicators each level
+    # reads of the one below, starting from the accepting set at the root
+    keys = [{(root, c) for c in S0}]
+    for j in range(h):
+        below = {(q, reps[j].proj[t]) for q, t in keys[j]}
+        for q in sorted({q for q, _ in keys[j]}):
+            below.update(*_module_part(progs[j], q, reps[j], budget)[2])
+        keys.append(below)
+
+    # build, from the base up: the supernilpotent quotient, one atom per
+    # planned (node, target), then one descent per planned pair and level
     cache: dict[tuple[int, int], CCircuit] = {}
-    base_targets = {root: S0} if h == 0 else {q: range(Abar.size) for q in nodes}
     polys: dict = {}
-    for q, targets in base_targets.items():
+    for q, group in groupby(sorted(keys[h]), key=itemgetter(0)):
+        targets = [t for _, t in group]
         table = np.asarray(projs[h])[vals[q]]
         indicators = _combined_indicators(
             polys, table, targets, dec, m, delta, budget
@@ -728,29 +778,13 @@ def compile_nilpotent(
         )
     )
 
-    # descend the chain
     for j in range(h - 1, -1, -1):
-        Dj = progs[j].algebra
-        # D_j -> D_{j+1} through the least member in A of each class
-        step = [projs[j + 1][projs[j].index(y)] for y in range(Dj.size)]
-        malcev_j = map_circuit_constants(malcev, projs[j])
-        rep = central_representation(Dj, progs[j + 1].algebra, step, 0, malcev_j)
-        if rep.p != p:
-            raise AssertionError(
-                f"atom at level {j} has characteristic {rep.p}, expected {p}"
-            )
-        entries = (
-            [(root, c) for c in S0]
-            if j == 0
-            else [(q, t) for q in nodes for t in range(Dj.size)]
-        )
         newcache = {}
-        for q, t in entries:
-            cc = descend_mod_beta(
-                progs[j], q, t, rep, cache, m, p, budget, reports,
+        for q, t in sorted(keys[j]):
+            newcache[(q, t)] = descend_mod_beta(
+                progs[j], q, t, reps[j], cache, m, p, budget, reports,
                 value_table=np.asarray(projs[j])[vals[q]],
             )
-            newcache[(q, t)] = cc
         cache = newcache
 
     branches = [cache[(root, c)] for c in S0]

@@ -6,13 +6,17 @@ JSON object.
 Times ``compile_nilpotent`` on the parity-sum program (the sum of
 mod(x_i + x_{i+1}) over i = 0, 2, 4, ..., accepting {2}):
 
-- over Z6%2 at n = 12, 16 and 18, best of a few warm runs, and the share
-  of the n = 18 compile spent in ``moebius_transform`` under cProfile;
+- over Z6%2 at n = 10, 12, 16 and 18, best of a few warm runs, and the
+  share of the n = 18 compile spent in ``moebius_transform`` under
+  cProfile;
 - over Z12%3 (Z12 with + and x -> x mod 3, a descent of h = 2 levels)
   under ``Budget(lattice_universe=12)`` at n = 4, best of three warm runs,
   and at n = 6, the time until the monomial cap stops it.
 
-Each compile starts from an empty table memo.  Then times building the
+Each compile starts from an empty table memo.  Beside each time of a
+compiled program go the base indicators its compile built (``_base``) and
+its ``descend_assemble`` passes per level, level 0 (the root's) first
+(``_descents``).  Then times building the
 ``UnaryClone`` of S3 and of the groups D6, A4 and D8 of ``test_groups``
 (324, 648, 36,864 and 2,048 functions), best of five runs, witnesses
 unread, and reading every witness of a freshly built A4 and D8 clone,
@@ -35,9 +39,11 @@ import io
 import json
 import pstats
 import time
+from itertools import groupby
 from pathlib import Path
 
 from nudfa import congruence, modcircuit
+from nudfa import compile as compile_module
 from nudfa.algebra import FiniteAlgebra, UnaryClone, make_op
 from nudfa.circuits import CircuitBuilder, format_json
 from nudfa.cli import main as cli_main
@@ -80,6 +86,27 @@ def best(prog: AlgProgram, budget: Budget, runs: int) -> float:
     return round(min(run(prog, budget) for _ in range(runs)), 4)
 
 
+def level_counts(prog: AlgProgram, budget: Budget) -> tuple[int, list[int]]:
+    """Base indicators built, and descents per level from level 0 up."""
+    descend = compile_module.descend_mod_beta
+    reps = []  # one entry per descent: its level's representation
+    compile_module.descend_mod_beta = (
+        lambda *args, **kw: reps.append(id(args[3])) or descend(*args, **kw)
+    )
+    try:
+        _, reports = compile_nilpotent(prog, budget)
+    finally:
+        compile_module.descend_mod_beta = descend
+    base = int(reports[0].pass_name.removeprefix("base_cache[").split()[0])
+    # levels are built from the base up, so the root's comes last
+    return base, [len(list(group)) for _, group in groupby(reversed(reps))]
+
+
+def timed(out: dict, name: str, prog: AlgProgram, budget: Budget, runs: int) -> None:
+    out[f"{name}_s"] = best(prog, budget, runs)
+    out[f"{name}_base"], out[f"{name}_descents"] = level_counts(prog, budget)
+
+
 def json_writer_timings() -> dict:
     """Best of seven runs of each JSON writer on each document, in ms."""
     inputs = GOLDEN / "inputs"
@@ -110,8 +137,8 @@ def json_writer_timings() -> dict:
 def main() -> None:
     out = {}
     z6m2 = get_fixture("Z6%2").algebra
-    for n, runs in ((12, 5), (16, 3), (18, 3)):
-        out[f"parity_sum_z6m2_n{n}_s"] = best(parity_sum(z6m2, "%2", n), Budget(), runs)
+    for n, runs in ((10, 5), (12, 5), (16, 3), (18, 3)):
+        timed(out, f"parity_sum_z6m2_n{n}", parity_sum(z6m2, "%2", n), Budget(), runs)
     profile = cProfile.Profile()
     profile.runcall(run, parity_sum(z6m2, "%2", 18), Budget())
     stats = pstats.Stats(profile)
@@ -121,7 +148,7 @@ def main() -> None:
     out["n18_moebius_calls"] = moebius[1]
 
     z12, budget = z12_mod3(), Budget(lattice_universe=12)
-    out["z12m3_h2_n4_s"] = best(parity_sum(z12, "%3", 4), budget, 3)
+    timed(out, "z12m3_h2_n4", parity_sum(z12, "%3", 4), budget, 3)
     prog = parity_sum(z12, "%3", 6)
     start = time.perf_counter()
     try:

@@ -160,6 +160,85 @@ def test_the_descent_runs_down_a_chain_of_length_two(monkeypatch):
     assert_compiled_matches(circuit, prog)
 
 
+class ReadStore(dict):
+    """A copy of one level's indicator store that records the keys read."""
+
+    def __init__(self, store):
+        super().__init__(store)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize(
+    "algebra, mod, n, budget, h, base, passes, size",
+    [
+        (get_fixture("Z6%2").algebra, "%2", 10, Budget(), 1, 17, 1, 253),
+        (z12_mod3(), "%3", 4, Budget(lattice_universe=12), 2, 7, 14, 2283),
+        (z12_mod3(), "%3", 2, Budget(lattice_universe=12), 2, 1, 2, 7),
+    ],
+    ids=["Z6%2-10", "Z12%3-4", "Z12%3-2"],
+)
+def test_every_indicator_the_descent_builds_is_read_above(
+    monkeypatch, algebra, mod, n, budget, h, base, passes, size
+):
+    """Each level's store, the base's included, holds only the (node,
+    target) indicators that the descents of the level above read, and the
+    circuit still matches the program."""
+    stores = {}  # id of a level's store -> (the store, its recording copy)
+    descend = compile_module.descend_mod_beta
+
+    def recording(program, node, target, rep, cache, *rest, **kw):
+        _, copy = stores.setdefault(id(cache), (cache, ReadStore(cache)))
+        return descend(program, node, target, rep, copy, *rest, **kw)
+
+    monkeypatch.setattr(compile_module, "descend_mod_beta", recording)
+    prog = parity_sum(algebra, mod, n)
+    circuit, reports = compile_nilpotent(prog, budget)
+    names = [r.pass_name for r in reports]
+    assert names[0] == f"base_cache[{base} entries]"
+    assert sum(name.startswith("descend_assemble") for name in names) == passes
+    assert len(stores) == h  # the base's first
+    for _, copy in stores.values():
+        assert copy.read == copy.keys()
+    assert len(next(iter(stores.values()))[1]) == base
+    assert circuit.size == size
+    assert all(r.verified is True for r in reports)
+    assert_compiled_matches(circuit, prog)
+
+
+def test_the_descent_adds_a_constant_node_into_the_offset(monkeypatch):
+    """x0 + 3 + %2(x1 + x2) over Z6%2: the constant 3 has module part 1
+    in Z_3, which the descent adds into the offset of the node's affine
+    form."""
+    b = CircuitBuilder(3)
+    three = b.const(3)
+    out = b.gate(
+        "+", b.gate("+", b.var(0), three),
+        b.gate("%2", b.gate("+", b.var(1), b.var(2))),
+    )
+    prog = AlgProgram(
+        get_fixture("Z6%2").algebra, b.finish(out), 3,
+        tuple(Instruction(i, i, 0, 1) for i in range(3)), frozenset({4}),
+    )
+    weights = []
+    coefficients = compile_module.path_coefficients
+
+    def recording(circuit, rep, root=None):
+        coeff, variables = coefficients(circuit, rep, root)
+        weights.append((coeff[three] @ rep.mcoords[3] % rep.p).any())
+        return coeff, variables
+
+    monkeypatch.setattr(compile_module, "path_coefficients", recording)
+    circuit, _ = compile_nilpotent(prog)
+    assert weights and all(weights)
+    assert circuit.size == 13
+    assert truth_table(prog) == [False, True, True, False, True, False, False, True]
+    assert_compiled_matches(circuit, prog)
+
+
 class IngestMemo(dict):
     """An ingestion memo that counts its hits, or that never finds a key."""
 

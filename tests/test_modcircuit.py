@@ -58,6 +58,14 @@ def open_sum_circuit():
     return CCircuit(inputs=1, gates=(gate,), output=1, declared_shape="SUMP(3)")
 
 
+def closed_sum_circuit():
+    gate = Gate(
+        SUMPC, 1, ((0, 1),), p=3, nu=2,
+        coeffs=(ONES2,), offset=(0, 2), target=(1, 0),
+    )
+    return CCircuit(inputs=1, gates=(gate,), output=1, declared_shape="SUMPC(3)")
+
+
 # -- gate validation ---------------------------------------------------------
 
 
@@ -122,12 +130,7 @@ def test_open_sum_output_is_a_vector():
 
 
 def test_closed_sum_gate_compares_to_target():
-    gate = Gate(
-        SUMPC, 1, ((0, 1),), p=3, nu=2,
-        coeffs=(ONES2,), offset=(0, 2), target=(1, 0),
-    )
-    circ = CCircuit(inputs=1, gates=(gate,), output=1, declared_shape="SUMPC(3)")
-    assert cc_truth_table(circ) == [0, 1]
+    assert cc_truth_table(closed_sum_circuit()) == [0, 1]
 
 
 def test_vector_valued_gates_cannot_feed_other_gates():
@@ -337,7 +340,8 @@ def test_non_output_open_sum_is_flagged():
 
 
 @pytest.mark.parametrize(
-    "make", [mod_parity_circuit, and_or_circuit, open_sum_circuit]
+    "make",
+    [mod_parity_circuit, and_or_circuit, open_sum_circuit, closed_sum_circuit],
 )
 def test_json_round_trip(make):
     """Also loads the older SUMP form, one nu-by-nu matrix per wire read on
