@@ -14,10 +14,13 @@ are wanted, or some operation is neither unary nor an associative binary
 one, it forms every new tuple in breadth-first ``product`` order, which
 fixes the first witness circuit of every table.  Otherwise it closes over
 each binary operation's generators, which associativity makes exact and
-which forms far fewer products.  So the unary clone of an algebra of
-unary and associative operations finds its tables over the generators,
-and the breadth-first closure runs once, when a witness is first read,
-and stops when it has stored as many tables.
+which forms far fewer products.
+
+A unary polynomial (``UnaryFn``) is its value table, and the clone holds
+tables only.  Witness circuits are a query, ``unary_witnesses``: the
+breadth-first closure with witness nodes, stopped at the row that
+completes the tables asked for.  ``Structure.witnesses`` keeps what it
+returns.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import product
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -144,44 +146,12 @@ def make_op(name: str, arity: int, size: int, fn) -> Operation:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True)
 class UnaryFn:
-    """A unary polynomial: its value table plus a witnessing circuit in x0.
+    """A unary polynomial, as its value table.  Its witness circuit is
+    read from ``Structure.witnesses``."""
 
-    ``witness`` is given either as an AlgCircuit or as a function of no
-    arguments that builds one; a clone passes the latter, so a circuit is
-    assembled on first read and only for the functions someone reads.  Two
-    functions are equal when their tables and their witnesses are.
-    """
-
-    __slots__ = ("values", "_witness")
-
-    def __init__(
-        self,
-        values: tuple[int, ...],
-        witness: AlgCircuit | Callable[[], AlgCircuit],
-    ):
-        self.values = values
-        self._witness = witness
-
-    @property
-    def witness(self) -> AlgCircuit:
-        if not isinstance(self._witness, AlgCircuit):
-            self._witness = self._witness()
-        return self._witness
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UnaryFn):
-            return NotImplemented
-        return self.values == other.values and self.witness == other.witness
-
-    def __hash__(self) -> int:
-        return hash(self.values)
-
-    def __repr__(self) -> str:
-        return f"UnaryFn(values={self.values!r}, witness={self.witness!r})"
-
-    def __call__(self, x: int) -> int:
-        return self.values[x]
+    values: tuple[int, ...]
 
     @property
     def image(self) -> frozenset[int]:
@@ -192,41 +162,21 @@ class UnaryFn:
 
 
 class UnaryClone:
-    """All unary polynomials of an algebra, closed under the basic operations.
-
-    Functions are deduplicated by value table, and each carries the first
-    witness circuit in the variable x0 found in breadth-first ``product``
-    order, built when first read.  Iteration order is the canonical sort by
-    value table, so searches over the clone are deterministic.
-
-    Both closures of the tables run on the kernel ``_closure``.  When
-    every operation of arity >= 1 is unary or an associative binary one
-    (``_unary_or_associative``), it closes the seeds over each operation's
-    generators; the breadth-first closure, which alone defines which
-    circuit is first, then runs once, on the first read of a witness.  It
-    stops as soon as it has stored as many tables as the clone has, and
-    must have stored exactly the clone's.  Otherwise the breadth-first
-    closure finds the tables and the witnesses together.  Both charge
-    each table to "unary clone", so a budget fails alike on either path.
+    """All unary polynomials of an algebra, as value tables: the closure of
+    x, the constants and the nullary values under the basic operations
+    (``_closure``), each table charged to "unary clone".  Iteration order
+    is the canonical sort by value table, so searches over the clone are
+    deterministic.
     """
 
     def __init__(self, algebra: FiniteAlgebra, budget: Optional[Budget] = None):
         self.algebra = algebra
-        budget = budget or default_budget()
-        if _unary_or_associative(algebra.ops, algebra.size):
-            seen, _ = _seeded(algebra, 1)
-            _closure(algebra, seen, budget, "unary clone")
-            tables = seen.tables()
-            # The value tables stacked in iteration order, one row a function.
-            self.tables = tables[np.lexsort(tables.T[::-1])]
-            witnesses = _Witnesses(algebra, budget, self.tables)
-        else:
-            witnesses = _Witnesses(algebra, budget)
-            self.tables = witnesses.closure()
-        self.functions = tuple(
-            UnaryFn(tuple(values), partial(witnesses, i))
-            for i, values in enumerate(self.tables.tolist())
-        )
+        seen, _ = _seeded(algebra, 1)
+        _closure(algebra, seen, budget, "unary clone")
+        tables = seen.tables()
+        # The value tables stacked in iteration order, one row a function.
+        self.tables = tables[np.lexsort(tables.T[::-1])]
+        self.functions = tuple(UnaryFn(tuple(row)) for row in self.tables.tolist())
         self._by_table = {fn.values: fn for fn in self.functions}
 
     def __iter__(self):
@@ -234,9 +184,6 @@ class UnaryClone:
 
     def __len__(self) -> int:
         return len(self.functions)
-
-    def __contains__(self, table: tuple[int, ...]) -> bool:
-        return tuple(table) in self._by_table
 
     def lookup(self, table: Iterable[int]) -> Optional[UnaryFn]:
         return self._by_table.get(tuple(table))
@@ -256,40 +203,6 @@ class UnaryClone:
             keep &= self.tables[:, a] == b
         i = int(keep.argmax())
         return self.functions[i] if keep[i] else None
-
-
-class _Witnesses:
-    """The witness of each function of a unary clone, by its place in
-    canonical order: the circuit of its table's node in the breadth-first
-    closure.  The closure runs on the first call unless ``closure`` ran it
-    before.  Given the clone's tables in canonical order, it stops once it
-    has stored as many, and it raises unless it stored exactly those, so
-    that witness i belongs to function i."""
-
-    def __init__(
-        self, algebra: FiniteAlgebra, budget: Budget, tables: Optional[np.ndarray] = None
-    ):
-        self.algebra, self.budget, self.tables, self.nodes = algebra, budget, tables, None
-
-    def closure(self) -> np.ndarray:
-        """The breadth-first closure's tables in canonical order."""
-        seen, nodes = _seeded(self.algebra, 1)
-        total = None if self.tables is None else len(self.tables)
-        _closure(
-            self.algebra, seen, self.budget, "unary clone", nodes=nodes, total=total
-        )
-        tables = seen.tables()
-        order = np.lexsort(tables.T[::-1])
-        self.nodes, self.order = nodes, order.tolist()
-        return tables[order]
-
-    def __call__(self, i: int) -> AlgCircuit:
-        if self.nodes is None and not np.array_equal(self.closure(), self.tables):
-            raise AssertionError(
-                f"the breadth-first closure of {self.algebra.name} found other "
-                "tables than its unary clone"
-            )
-        return subcircuit(1, self.nodes, self.order[i])
 
 
 # Most table entries (padded rows times their width) one block of products
@@ -462,9 +375,8 @@ def _closure(
     *,
     nodes: Optional[list[tuple]] = None,
     depth_bound: Optional[int] = None,
-    stop: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    stop: Optional[Callable[[np.ndarray, int], np.ndarray]] = None,
     charge_seeds: bool = True,
-    total: Optional[int] = None,
 ) -> Optional[int]:
     """Close the rows of a seeded store under the basic operations, applied
     entrywise: the one kernel for every subpower the package generates.
@@ -490,17 +402,16 @@ def _closure(
 
     ``nodes`` starts as the seeds' witness nodes, and each new row appends
     a gate whose children are row positions, so ``subcircuit(k, nodes, i)``
-    is the first circuit that produced row i.  ``stop`` maps a stack of
-    rows to a boolean mask; the closure ends at the first row it accepts
-    and returns its position, else None.  Given ``total``, the number of
-    distinct rows, it ends once it has stored that many, before it gathers
-    another block: no later product can be new.
+    is the first circuit that produced row i.  ``stop`` gets each new row
+    once, padded, in stacks with the position of the first, and returns a
+    boolean mask; the closure ends at the first row it accepts and returns
+    its position, else None.  ``stop`` only ends the closure early.
     """
     budget = budget or default_budget()
     cap = budget.clone_functions
     if charge_seeds:
         charge(min(seen.count, cap + 1), cap, label)
-    hits = np.flatnonzero(stop(seen.tables())) if stop else ()
+    hits = np.flatnonzero(stop(seen.rows[: seen.count], 0)) if stop else ()
     if len(hits):
         return int(hits[0])
 
@@ -526,15 +437,13 @@ def _closure(
                 tuples = _fresh_tuples(m, frontier, op.arity)
             for pools in tuples:
                 for args in argument_blocks(pools, block):
-                    if seen.count == total:
-                        return None
                     rows = flat[_table_index(current, args, n)].reshape(-1, seen.padded)
                     rows[:, seen.width :] = 0
                     hashes = seen.hashes(rows)
                     fresh = seen.fresh(rows, hashes)
                     if not len(fresh):
                         continue
-                    hit = np.flatnonzero(stop(rows[fresh])) if stop else ()
+                    hit = np.flatnonzero(stop(rows[fresh], seen.count)) if stop else ()
                     if len(hit):
                         fresh = fresh[: hit[0] + 1]
                     # The first count over the cap, as if each row were charged.
@@ -585,7 +494,7 @@ def find_malcev_polynomial(
     x, y = np.indices((n, n)).reshape(2, n * n)
     yxx, xxy = (y * n + x) * n + x, (x * n + x) * n + y
 
-    def is_malcev(rows: np.ndarray) -> np.ndarray:
+    def is_malcev(rows: np.ndarray, first: int) -> np.ndarray:
         return ((rows[:, yxx] == y) & (rows[:, xxy] == y)).all(axis=1)
 
     seen, nodes = _seeded(algebra, 3)
@@ -594,6 +503,45 @@ def find_malcev_polynomial(
         nodes=nodes, depth_bound=depth_bound, stop=is_malcev, charge_seeds=False,
     )
     return None if hit is None else subcircuit(3, nodes, hit)
+
+
+def unary_witnesses(
+    algebra: FiniteAlgebra,
+    tables: Sequence[Sequence[int]],
+    budget: Optional[Budget] = None,
+) -> list[AlgCircuit]:
+    """The witness circuit in x0 of each unary table: the first circuit
+    that makes it in the breadth-first closure of the unary tables, which
+    forms every product in ``product`` order.  The closure, charged to
+    "unary clone", stops at the row that completes the set asked for.
+    Stopping only truncates it, so a circuit does not depend on what else
+    is asked.  A table outside the unary clone raises ValueError.
+    """
+    seen, nodes = _seeded(algebra, 1)
+    asked = np.zeros((len(tables), seen.padded), seen.rows.dtype)
+    asked[:, : algebra.size] = tables
+    keys = np.sort(seen.hashes(asked))
+    stored = dict.fromkeys(row.tobytes() for row in asked)  # each one's position
+    left = len(stored)
+
+    def completes(rows: np.ndarray, first: int) -> np.ndarray:
+        """Marks the row that stores the last table asked for; a row is one
+        of them when its hash is one of theirs and its bytes are."""
+        nonlocal left
+        hashes = seen.hashes(rows)
+        near = np.flatnonzero(keys[np.searchsorted(keys, hashes) % len(keys)] == hashes)
+        last = -1
+        for i in near.tolist():
+            if rows[i].tobytes() in stored:
+                stored[rows[i].tobytes()], left, last = first + i, left - 1, i
+        return np.arange(len(rows)) == (-1 if left else last)
+
+    _closure(algebra, seen, budget, "unary clone", nodes=nodes, stop=completes)
+    at = [stored[row.tobytes()] for row in asked]
+    if None in at:
+        missing = tuple(tables[at.index(None)])
+        raise ValueError(f"table {missing} is not in the unary clone of {algebra.name}")
+    return [subcircuit(1, nodes, i) for i in at]
 
 
 def latin_squares(algebra: FiniteAlgebra) -> Iterator[Operation]:

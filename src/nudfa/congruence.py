@@ -76,6 +76,7 @@ from .algebra import (
     latin_square,
     latin_squares,
     quasigroup_malcev,
+    unary_witnesses,
 )
 from .circuits import AlgCircuit
 from .fieldpoly import prime_divisors
@@ -92,14 +93,14 @@ class Structure:
     """What the package derives from an algebra, each part computed on its
     first read and kept: the basic translations, the congruence lattice,
     the unary clone, a Malcev polynomial, the distinguished congruences,
-    and memos of commutators and characteristics.  The Malcev polynomial
-    is the quasigroup term built from the first Latin-square operation:
-    x * (y\\z) when that satisfies the identities, as in every group and
-    loop, else (x / (y\\y)) * (y\\z).  Without a Latin square, or when
-    the term needs more gates than ``budget.clone_functions``, it is the
-    search's first witness, and None if the search finds none.  Every
-    caller reads the term here.  ``algebra`` is the one the Structure was
-    made for; callers name results after their own algebra, not after it.
+    and memos of commutators, characteristics and unary witness circuits.
+    The Malcev polynomial is the quasigroup term built from the first
+    Latin-square operation: x * (y\\z) when that satisfies the identities,
+    as in every group and loop, else (x / (y\\y)) * (y\\z).  Without a Latin
+    square, or when the term needs more gates than ``budget.clone_functions``,
+    it is the search's first witness, and None if the search finds none.
+    Every caller reads the term here.  ``algebra`` is the one the Structure
+    was made for; callers name results after their own algebra, not after it.
 
     ``quotient(theta)`` is A/theta read on A, with no quotient algebra
     built: its lattice is the interval [theta, 1], and its commutators are
@@ -126,6 +127,7 @@ class Structure:
         self.floor = floor
         self._commutators: dict[tuple[Partition, Partition], Partition] = {}
         self._characteristics: dict[tuple[Partition, Partition], int] = {}
+        self._witnesses: dict[tuple[int, ...], AlgCircuit] = {}
 
     @cached_property
     def translations(self) -> list[tuple[int, ...]]:
@@ -154,6 +156,15 @@ class Structure:
     @cached_property
     def affine(self) -> bool:
         return self.parent.affine if self.parent is not None else _affine(self.algebra)
+
+    def witnesses(self, tables: Iterable[Sequence[int]]) -> list[AlgCircuit]:
+        """The witness circuit of each unary table (``unary_witnesses``),
+        each built once: one query for the tables not asked for before."""
+        asked = [tuple(table) for table in tables]
+        new = [t for t in dict.fromkeys(asked) if t not in self._witnesses]
+        if new:
+            self._witnesses.update(zip(new, unary_witnesses(self.algebra, new, self.budget)))
+        return [self._witnesses[t] for t in asked]
 
     def quotient(self, theta: Partition) -> "Structure":
         return self if theta.is_identity() else Structure(

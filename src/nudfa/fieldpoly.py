@@ -135,14 +135,6 @@ class MultilinearPoly:
             and self.terms == other.terms
         )
 
-    def __repr__(self) -> str:
-        items = sorted(self.terms.items(), key=lambda kv: monomial_key(kv[0]))
-        body = " + ".join(
-            f"{c}*{'.'.join('x%d' % v for v in mask_bits(k)) or '1'}"
-            for k, c in items
-        )
-        return f"MultilinearPoly(p={self.p}, {body or '0'})"
-
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "MultilinearPoly") -> None:

@@ -183,10 +183,16 @@ def _wrapped_add(
 
 
 def _wrapped_add_node(
-    b: CircuitBuilder, malcev: AlgCircuit, wrap: UnaryFn, zero: int
+    b: CircuitBuilder, malcev: AlgCircuit, wrap: AlgCircuit, zero: int
 ) -> Callable[[int, int], int]:
-    """``_wrapped_add`` on nodes of ``b``, with ``zero`` a node."""
-    return lambda u, v: b.inline(wrap.witness, [b.inline(malcev, [u, zero, v])])
+    """``_wrapped_add`` on nodes of ``b``, with ``wrap`` a circuit, ``zero`` a node."""
+    return lambda u, v: b.inline(wrap, [b.inline(malcev, [u, zero, v])])
+
+
+def _config_witnesses(cfg: BetaIntConfig) -> list[AlgCircuit]:
+    """The witness circuits of g, b, fix and both idempotents, one query."""
+    fns = (cfg.g_fn, cfg.b_fn, cfg.fix_fn, cfg.in_min.idempotent, cfg.out_min.idempotent)
+    return cfg.structure.witnesses(fn.values for fn in fns)
 
 
 def _multiple(add: Callable[[int, int], int], x: int, k: int, zero: int) -> int:
@@ -530,13 +536,14 @@ def beta_interpolate(
     form = coset_indicator_form(table, q, s, p, budget)
 
     malcev = cfg.structure.malcev
+    g, b_ind, fix, in_idem, out_idem = _config_witnesses(cfg)
     b = CircuitBuilder(s)
     czero = b.const(cfg.cycle[0])
     bzero = b.const(cfg.base)
 
-    xor = _wrapped_add_node(b, malcev, cfg.in_min.idempotent, czero)
-    vadd = _wrapped_add_node(b, malcev, cfg.out_min.idempotent, bzero)
-    ys = [b.inline(cfg.g_fn.witness, [b.var(i)]) for i in range(s)]
+    xor = _wrapped_add_node(b, malcev, in_idem, czero)
+    vadd = _wrapped_add_node(b, malcev, out_idem, bzero)
+    ys = [b.inline(g, [b.var(i)]) for i in range(s)]
 
     total = None
     for (coeffs, u), mu in sorted(form.items()):
@@ -548,11 +555,11 @@ def beta_interpolate(
             comb = mnode if comb is None else xor(comb, mnode)
         cu = b.const(cfg.cycle[u % q])
         comb = cu if comb is None else xor(comb, cu)
-        term = _multiple(vadd, b.inline(cfg.b_fn.witness, [comb]), mu % p, bzero)
+        term = _multiple(vadd, b.inline(b_ind, [comb]), mu % p, bzero)
         total = term if total is None else vadd(total, term)
     if total is None:
         total = bzero
-    out = b.inline(cfg.fix_fn.witness, [total])
+    out = b.inline(fix, [total])
     circ = b.finish(out)
 
     letters = np.array([cfg.in_zero, cfg.in_one])
@@ -830,7 +837,8 @@ def build_two_prime_program(
         while q ** (2 * nu) <= ell:
             nu += 1
         poly = pseudo_and(cnf, q, nu, budget)
-        vadd = _wrapped_add_node(b, malcev, cfg.out_min.idempotent, enode)
+        idem = _config_witnesses(cfg)[4]
+        vadd = _wrapped_add_node(b, malcev, idem, enode)
         pattern_cache: dict[int, AlgCircuit] = {}
         total = None
         for key in sorted(poly.terms, key=monomial_key):
@@ -849,7 +857,7 @@ def build_two_prime_program(
                     circ = beta_interpolate(cfg, table, budget)
                     pattern_cache[s] = circ
                 node = b.inline(circ, [b.var(i * n + j) for j in support])
-                node = b.inline(cfg.out_min.idempotent.witness, [node])
+                node = b.inline(idem, [node])
             else:
                 node = b.const(cfg.mark)
             term = _multiple(vadd, node, poly.terms[key], enode)

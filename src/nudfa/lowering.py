@@ -34,6 +34,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from . import modcircuit
 from .fieldpoly import (
     MultilinearPoly,
     accumulate,
@@ -381,8 +382,15 @@ def _chi_poly(
 
 
 # circuits produced by emit_modsum remember their sum so re-ingesting
-# (apply_func gluing, repeated cache hits) is a dictionary lookup
+# (apply_func gluing, repeated cache hits) is a dictionary lookup; past
+# ``modcircuit.TABLE_MEMO_ENTRIES`` entries the oldest goes first
 _INGEST_CACHE: dict[CCircuit, _Ingested] = {}
+
+
+def _remember(circuit: CCircuit, ingested: _Ingested) -> None:
+    _INGEST_CACHE[circuit] = ingested
+    if len(_INGEST_CACHE) > modcircuit.TABLE_MEMO_ENTRIES:
+        del _INGEST_CACHE[next(iter(_INGEST_CACHE))]
 
 
 def _ingest_modmod(circuit: CCircuit, budget: Budget) -> _Ingested:
@@ -409,7 +417,7 @@ def _ingest_modmod(circuit: CCircuit, budget: Budget) -> _Ingested:
     result = _Ingested(
         circuit.inputs, m, p, pool, poly_to_modsum(pool, chi, budget)
     )
-    _INGEST_CACHE[circuit] = result
+    _remember(circuit, result)
     return result
 
 
@@ -512,7 +520,7 @@ def emit_modsum(
     if final == MOD:
         # contract: a MOD-final emission is only asked for boolean sums, so
         # the circuit's indicator semantics coincide with the sum itself
-        _INGEST_CACHE[circuit] = _Ingested(n, m, p, pool, modsum)
+        _remember(circuit, _Ingested(n, m, p, pool, modsum))
     return circuit
 
 

@@ -32,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import modcircuit
-from .algebra import FiniteAlgebra, quotient_algebra
+from .algebra import FiniteAlgebra
 from .circuits import (
     VAR,
     AlgCircuit,
@@ -45,7 +45,7 @@ from .compile import HypothesisViolation
 from .congruence import is_nilpotent_congruence, structure
 from .limits import Budget, charge, default_budget
 from .modcircuit import index_blocks
-from .programs import AlgProgram, Instruction, map_circuit_constants
+from .programs import AlgProgram, Instruction
 
 
 @dataclass(frozen=True)
@@ -352,24 +352,25 @@ def ceqv_via_meet_irreducibles(
     """Check t(x) = e in every subdirectly irreducible quotient instead.
 
     An identity holds iff it holds modulo every meet-irreducible
-    congruence.  A failure in a quotient is pulled back along least class
-    representatives and re-verified in the original algebra.
+    congruence theta.  A/theta is read on A: each variable ranges over the
+    least members of the theta-classes, in order, and a hit is an output
+    whose class is not e's, as in the quotient algebra with its blocks
+    numbered by least member.  A failure is such a tuple of least class
+    members, re-verified in the original algebra.
     """
     budget = budget or default_budget()
     lat = structure(algebra, budget).lattice
     tried = 0
     for theta in lat.meet_irreducibles():
-        quo, mapping = quotient_algebra(algebra, theta)
-        mapped = map_circuit_constants(circuit, mapping)
-        target = mapping[e]
-        reps = {}
-        for x in range(algebra.size):
-            reps.setdefault(mapping[x], x)
-        hit = _first_assignment(quo, mapped, lambda out: out != target,
-                                budget.domain_scan, "quotient scan")
+        cls = np.asarray(theta.class_of)
+        reps = sorted(set(theta.class_of))
+        hit = _first_hit(algebra, circuit, [len(reps)] * circuit.k,
+                         [(i, reps) for i in range(circuit.k)],
+                         lambda out: cls[out] != cls[e],
+                         budget.domain_scan, "quotient scan")
         if hit is not None:
-            index, args = hit
-            lifted = tuple(reps[a] for a in args)
+            index, point = hit
+            lifted = tuple(reps[d] for d in point)
             got = eval_circuit(algebra, circuit, lifted)
             if got == e:
                 raise AssertionError("pulled-back counterexample evaporated")
@@ -378,5 +379,5 @@ def ceqv_via_meet_irreducibles(
                 counterexample=lifted,
                 tried=tried + index + 1,
             )
-        tried += quo.size**circuit.k
+        tried += len(reps)**circuit.k
     return SolveResult(status="holds", tried=tried)

@@ -5,7 +5,8 @@ implementations of ``UnaryClone`` and ``nudfa.algebra.find_malcev_polynomial``,
 kept as they were apart from names, docstrings and default arguments.  They
 evaluate every table entry with ``eval_op`` and serve as differential
 oracles for the numpy kernel: the same tables, in the same order, with the
-same witnesses and budget charges.
+same witnesses and budget charges.  ``close_unary`` returns each unary
+table with its witness circuit, as pairs in canonical order.
 """
 
 from __future__ import annotations
@@ -13,12 +14,14 @@ from __future__ import annotations
 from itertools import product
 from typing import Optional
 
-from nudfa.algebra import FiniteAlgebra, UnaryFn
+from nudfa.algebra import FiniteAlgebra
 from nudfa.circuits import AlgCircuit, CircuitBuilder
 from nudfa.limits import Budget, charge
 
 
-def close_unary(algebra: FiniteAlgebra, budget: Budget) -> tuple[UnaryFn, ...]:
+def close_unary(
+    algebra: FiniteAlgebra, budget: Budget
+) -> tuple[tuple[tuple[int, ...], AlgCircuit], ...]:
     n = algebra.size
     builder = CircuitBuilder(1)
     seen: dict[tuple[int, ...], int] = {}
@@ -56,7 +59,7 @@ def close_unary(algebra: FiniteAlgebra, budget: Budget) -> tuple[UnaryFn, ...]:
         frontier = fresh
     out = []
     for tab in sorted(seen):
-        out.append(UnaryFn(tab, builder.finish(seen[tab])))
+        out.append((tab, builder.finish(seen[tab])))
     return tuple(out)
 
 

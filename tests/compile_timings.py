@@ -18,10 +18,10 @@ compiled program go the base indicators its compile built (``_base``) and
 its ``descend_assemble`` passes per level, level 0 (the root's) first
 (``_descents``).  Then times building the
 ``UnaryClone`` of S3 and of the groups D6, A4 and D8 of ``test_groups``
-(324, 648, 36,864 and 2,048 functions), best of five runs, witnesses
-unread, and reading every witness of a freshly built A4 and D8 clone,
-best of three runs: the breadth-first closure that defines the witnesses
-runs on the first read.  Last, the matrix subalgebra M(1, 1) of the
+(324, 648, 36,864 and 2,048 functions), best of five runs, and the
+witness query ``Structure.witnesses`` on a fresh Structure of A4 and of
+D8, for the table in the middle of the clone's canonical order and for
+every table, best of three runs.  Last, the matrix subalgebra M(1, 1) of the
 golden G7 groupoid (all 2,401 matrices of A^4) and of LAT2, best of five
 runs.  Then the package's JSON writer ``format_json`` against the
 stdlib's ``dumps`` with ``indent=2, sort_keys=True``, whose text it
@@ -167,14 +167,16 @@ def main() -> None:
             times.append(time.perf_counter() - start)
         out[f"unary_clone_{name.lower()}_s"] = round(min(times), 4)
     for name in ("A4", "D8"):
-        times = []
-        for _ in range(3):
-            clone = UnaryClone(clones[name])
-            start = time.perf_counter()
-            for fn in clone:
-                fn.witness
-            times.append(time.perf_counter() - start)
-        out[f"unary_clone_{name.lower()}_witnesses_s"] = round(min(times), 4)
+        tables = [fn.values for fn in UnaryClone(clones[name])]
+        for key, asked in (("one_witness", [tables[len(tables) // 2]]),
+                           ("witnesses", tables)):
+            times = []
+            for _ in range(3):
+                s = congruence.Structure(clones[name], Budget())
+                start = time.perf_counter()
+                s.witnesses(asked)
+                times.append(time.perf_counter() - start)
+            out[f"unary_clone_{name.lower()}_{key}_s"] = round(min(times), 4)
     g7 = FiniteAlgebra.load(str(GOLDEN / "inputs" / "algebra_G7.json"))
     for alg in (g7, get_fixture("LAT2").algebra):
         one = Partition.total(alg.size)

@@ -85,10 +85,9 @@ def test_unary_clone_lookup_and_find():
 
 def test_clone_functions_certified_by_witness_circuits():
     zm = get_fixture("Z6%2").algebra
-    clone = UnaryClone(zm, default_budget())
-    for fn in clone:
+    for values, witness in witnessed(zm):
         for x in range(6):
-            assert eval_circuit(zm, fn.witness, (x,)) == fn.values[x]
+            assert eval_circuit(zm, witness, (x,)) == values[x]
 
 
 def ternary_circuit_json(op, gates):
@@ -124,13 +123,13 @@ def outcome(search, *args):
 
 
 def witnessed(alg: FiniteAlgebra, budget: Budget | None = None):
-    """The functions of the algebra's unary clone with every witness read,
-    so that the breadth-first closure that defines them runs now, under
-    whatever is patched at the call, and not at a later comparison."""
-    functions = UnaryClone(alg, budget).functions
-    for fn in functions:
-        fn.witness
-    return functions
+    """The algebra's unary clone as pairs of a table and its witness, in
+    canonical order, as ``reference.close_unary`` returns it: the clone's
+    tables, and their witnesses asked for in one query.  Both closures
+    run at the call, under whatever is patched there."""
+    s = Structure(alg, budget or default_budget())
+    tables = [fn.values for fn in s.clone]
+    return tuple(zip(tables, s.witnesses(tables)))
 
 
 def kernel_closure(
@@ -177,7 +176,7 @@ def closure_cases(draw, associative=False):
     are random or, relabelled, one of ``BINARY``: associative ones
     (semilattices, left-zero and rectangular bands, multiplication mod n,
     null semigroups), whose clones close over generators and whose witness
-    reads end the breadth-first closure at the clone's size, and
+    queries end the breadth-first closure at the clone's last table, and
     subtraction mod n, which is left to the plain closure.  Ternary operations come only with |A| <= 3: the
     reference closure of a ternary operation on four elements applies it
     to up to 256**3 tuples.
@@ -223,10 +222,10 @@ def test_closures_match_the_per_entry_reference(case):
     """Same tables, witnesses and first Malcev witness as the per-entry
     closure, or the same budget failure."""
     alg, depth, budget = case
-    clone = outcome(lambda: UnaryClone(alg, budget).functions)
+    clone = outcome(witnessed, alg, budget)
     assert clone == outcome(reference.close_unary, alg, budget)
     if not isinstance(clone, str):
-        assert all(type(v) is int for fn in clone for v in fn.values)
+        assert all(type(v) is int for values, _ in clone for v in values)
     found = outcome(find_malcev_polynomial, alg, depth, budget)
     assert found == outcome(reference.find_malcev_polynomial, alg, depth, budget)
 
@@ -245,7 +244,7 @@ def test_budget_failures_match_the_per_entry_reference(name, caps):
     alg = get_fixture(name).algebra
     for cap in caps:
         budget = Budget(clone_functions=cap)
-        assert outcome(lambda: UnaryClone(alg, budget).functions) == outcome(
+        assert outcome(witnessed, alg, budget) == outcome(
             reference.close_unary, alg, budget
         )
         assert outcome(find_malcev_polynomial, alg, 4, budget) == outcome(
@@ -257,7 +256,7 @@ def test_one_element_algebra_matches_the_per_entry_reference():
     """All projections share one table; the last variable names it."""
     alg = FiniteAlgebra("1", 1, (Operation("c", 0, (0,)), Operation("*", 2, (0,))))
     budget = default_budget()
-    assert UnaryClone(alg, budget).functions == reference.close_unary(alg, budget)
+    assert witnessed(alg, budget) == reference.close_unary(alg, budget)
     found = find_malcev_polynomial(alg, 4, budget)
     assert found == reference.find_malcev_polynomial(alg, 4, budget)
     assert found.to_json() == {"k": 3, "nodes": [["var", 2]], "output": 0}
@@ -300,13 +299,11 @@ def reference_outcome(name: str, search: str, cap: int = 100_000):
 
 def test_clone_witnesses_are_built_only_when_read(monkeypatch):
     """Building the S3 clone and every minimal set of its lattice reads
-    value tables only, so no witness circuit is assembled and the
-    breadth-first closure does not run; it runs once, on the first read of
-    a witness, and each witness is built on its first read, once, and
-    equals the per-entry reference's.  The clone of subtraction mod 5, not
-    associative, runs the breadth-first closure as it is built.  Building a
-    clone runs the closure kernel too, so only the runs that record
-    witness nodes are counted."""
+    value tables only, so the witness closure, the kernel run that records
+    witness nodes, does not run and no circuit is assembled.  One query
+    for every table runs it once and builds each witness once; asking
+    again, for all or some of them, runs nothing.  The witnesses equal the
+    per-entry reference's."""
     alg = get_fixture("S3").algebra
     finished, built, closures = [], [], []
     finish, subcircuit, closure = CircuitBuilder.finish, algebra.subcircuit, algebra._closure
@@ -328,13 +325,13 @@ def test_clone_witnesses_are_built_only_when_read(monkeypatch):
     for lo, hi in lat.covers:
         assert minimal_sets(s, lat.elements[lo], lat.elements[hi])
     assert (len(finished), len(built), len(closures)) == (0, 0, 0)
-    witnesses = [fn.witness for fn in clone]
-    assert [fn.witness for fn in clone] == witnesses
+    tables = [fn.values for fn in clone]
+    witnesses = s.witnesses(tables)
+    assert s.witnesses(tables) == witnesses
+    assert s.witnesses(tables[::7]) == witnesses[::7]
     assert (len(finished), len(built), len(closures)) == (0, len(clone), 1)
-    UnaryClone(z5_subtraction())
-    assert len(closures) == 2
     monkeypatch.undo()
-    assert clone.functions == reference_outcome("S3", "clone")
+    assert tuple(zip(tables, witnesses)) == reference_outcome("S3", "clone")
 
 
 def table_set(tables: np.ndarray) -> set[tuple[int, ...]]:
@@ -424,7 +421,7 @@ def test_associative_clones_match_under_caps_below_their_size(case, data):
     generated, closed = generated_and_closed(alg, budget)
     assert len(generated) == len(closed) and table_set(generated) == table_set(closed)
     budget = Budget(clone_functions=data.draw(st.integers(1, len(generated))))
-    clone = outcome(lambda: UnaryClone(alg, budget).functions)
+    clone = outcome(witnessed, alg, budget)
     assert clone == outcome(reference.close_unary, alg, budget)
 
 
@@ -433,7 +430,7 @@ def test_a_cap_at_the_size_of_the_s3_clone_matches_the_reference():
     the reference's message, and cap 324 lets the clone through."""
     alg = get_fixture("S3").algebra
     for cap in (323, 324):
-        clone = outcome(lambda: UnaryClone(alg, Budget(clone_functions=cap)).functions)
+        clone = outcome(witnessed, alg, Budget(clone_functions=cap))
         assert clone == reference_outcome("S3", "clone", cap), cap
     failed = reference_outcome("S3", "clone", 323)
     assert failed == "BudgetExceeded: unary clone: 324 exceeds cap 323"
@@ -510,8 +507,8 @@ def test_blocks_of_any_size_close_the_same_tables(rows):
 def test_random_closures_in_small_blocks_match_the_reference(case, rows, limit):
     """Half the draws are of associative algebras whose clones finish, so
     that the breadth-first closure run for their witnesses often ends at
-    the clone's size, at a block boundary.  Every witness is read in the
-    small blocks, so the breadth-first closure runs in them too.  The
+    the clone's last table, at a block boundary.  Every witness is asked
+    for in the small blocks, so the breadth-first closure runs in them too.  The
     dense limit is drawn from ``DENSE_LIMITS``: by default every clone of
     these draws and the Malcev search on two elements are keyed by codes,
     and under 0 they are hashed."""
@@ -554,64 +551,69 @@ def z5_subtraction() -> FiniteAlgebra:
 
 # sha256 of the JSON list of [values, witness] of every function of the D6
 # clone, in order, as the per-entry reference closes it (5 s, so the digest
-# is kept instead): hashlib.sha256(json.dumps([[list(fn.values),
-# fn.witness.to_json()] for fn in reference.close_unary(dihedral6(),
+# is kept instead): hashlib.sha256(json.dumps([[list(values),
+# witness.to_json()] for values, witness in reference.close_unary(dihedral6(),
 # Budget())], sort_keys=True).encode()).hexdigest()
 D6_REFERENCE_CLONE = "11949395608a66af321694f2c677741aae935c4664f5c65c6b2a20ff020bf92d"
 
 
 def test_witness_reads_end_the_breadth_first_closure_at_the_clone_size():
     """The plain closure of the S3 clone gathers 104,976 rows of products,
-    though 10,215 find all 324 functions; reading every witness ends it
-    within a quarter of them, once it has stored all 324.  The 648-function
-    D6 clone, 648**2 = 419,904 rows plainly, matches the per-entry
-    reference within an eighth.  Building the S3 and D6 clones, witnesses
-    unread, closes over generators and gathers under a thirty-second of the
-    plain rows.  Subtraction mod 5 is not associative, so its clone takes
-    every row of the plain closure as it is built.  On S3, Z6%2, D6 and D8,
-    the closure told the number of tables ends with the tables and nodes of
-    the plain closure."""
+    though 10,215 find all 324 functions; a query for every witness ends
+    it within a quarter of them, at the row that stores the last of the
+    324.  The 648-function D6 clone, 648**2 = 419,904 rows plainly,
+    matches the per-entry reference within an eighth.  Building the S3 and
+    D6 clones closes over generators and gathers under a thirty-second of
+    the plain rows.  Subtraction mod 5 is not associative, so building its
+    clone takes every row of the plain closure, and so may its query."""
     s3, d6, sub5 = get_fixture("S3").algebra, dihedral6(), z5_subtraction()
     clones = {}
     for alg, most, built in (
         (s3, 104_976 // 4, 104_976 // 32),
         (d6, 419_904 // 8, 419_904 // 32),
-        (sub5, 0, 625),
+        (sub5, 625, 625),
     ):
-        clone, gathered = rows_gathered(lambda: UnaryClone(alg))
+        s = Structure(alg, Budget())
+        clone, gathered = rows_gathered(lambda: s.clone)
         assert gathered <= built, (alg.name, gathered)
-        _, rows = rows_gathered(lambda: [fn.witness for fn in clone])
+        tables = [fn.values for fn in clone]
+        witnesses, rows = rows_gathered(lambda: s.witnesses(tables))
         assert rows <= most, (alg.name, rows)
-        clones[alg.name] = clone.functions
+        clones[alg.name] = tuple(zip(tables, witnesses))
     assert gathered == 625 and clones["Z5-"] == reference.close_unary(sub5, Budget())
     assert clones["S3"] == reference_outcome("S3", "clone")
-    d6_clone = [[list(fn.values), fn.witness.to_json()] for fn in clones["D6"]]
+    d6_clone = [[list(values), witness.to_json()] for values, witness in clones["D6"]]
     digest = hashlib.sha256(json.dumps(d6_clone, sort_keys=True).encode()).hexdigest()
     assert digest == D6_REFERENCE_CLONE
-    for alg in (s3, get_fixture("Z6%2").algebra, d6, cayley("D8")):
-        tables, nodes, _ = kernel_closure(alg)
-        told = kernel_closure(alg, total=len(tables))
-        assert np.array_equal(told[0], tables) and told[1] == nodes, alg.name
+
+
+def test_one_witness_ends_the_closure_early():
+    """A query for the table in the middle of the D8 clone's canonical
+    order gathers 22,287 rows, within a tenth of the 383,707 the query for
+    every table gathers (the plain closure gathers 2048**2 = 4,194,304),
+    and its witness is the one the query for every table returns."""
+    alg = cayley("D8")
+    tables = [fn.values for fn in UnaryClone(alg)]
+    middle = len(tables) // 2
+    every, all_rows = rows_gathered(lambda: algebra.unary_witnesses(alg, tables))
+    (one,), rows = rows_gathered(lambda: algebra.unary_witnesses(alg, [tables[middle]]))
+    assert rows <= all_rows // 10, (rows, all_rows)
+    assert one == every[middle]
 
 
 def test_witnesses_of_tables_the_closure_does_not_store_are_refused():
-    """Should the generator closure miss a table, here the first after the
-    seeds, the breadth-first closure run for the witnesses stores it among
-    as many tables as the clone has, and reading a witness raises."""
-    alg, closure = get_fixture("S3").algebra, algebra._closure
-
-    def missing(alg, seen, *args, **options):
-        hit = closure(alg, seen, *args, **options)
-        if options.get("nodes") is None:
-            seen.rows = np.delete(seen.rows[: seen.count], alg.size + 1, axis=0)
-            seen.count -= 1
-        return hit
-
-    with mock.patch.object(algebra, "_closure", missing):
-        clone = UnaryClone(alg)
-    assert len(clone) == 323
-    with pytest.raises(AssertionError, match="other tables than its unary clone"):
-        clone.functions[0].witness
+    """A table outside the clone has no witness: the query runs the whole
+    closure, then refuses it with ValueError naming it, whatever else it
+    asks for.  Each store of ``DENSE_LIMITS`` tells it apart."""
+    alg = get_fixture("S3").algebra
+    clone = UnaryClone(alg)
+    outside = (0, 1, 0, 0, 0, 0)
+    assert clone.lookup(outside) is None
+    for limit in DENSE_LIMITS:
+        with mock.patch.object(algebra, "DENSE_CODES", limit):
+            for asked in ([outside], [clone.functions[5].values, outside]):
+                with pytest.raises(ValueError, match=r"table \(0, 1, 0, 0, 0, 0\) is not"):
+                    Structure(alg, default_budget()).witnesses(asked)
 
 
 def test_colliding_hashes_are_told_apart():
@@ -624,19 +626,18 @@ def test_colliding_hashes_are_told_apart():
     ):
         for name in ("Z4", "Z6%2", "S3"):
             alg = get_fixture(name).algebra
-            clone = UnaryClone(alg).functions
-            assert clone == reference_outcome(name, "clone"), name
+            assert witnessed(alg) == reference_outcome(name, "clone"), name
         found = find_malcev_polynomial(get_fixture("Z4").algebra, 4, Budget())
     assert found == reference_outcome("Z4", "Malcev")
 
 
-def test_unary_functions_compare_tables_and_witnesses():
-    alg = get_fixture("Z6").algebra
-    clone = UnaryClone(alg)
+def test_unary_functions_compare_by_values():
+    """A unary polynomial is its value table: equal tables make equal
+    functions with equal hashes."""
+    clone = UnaryClone(get_fixture("Z6").algebra)
     ident, const = clone.lookup(range(6)), clone.lookup((0,) * 6)
-    copy = UnaryFn(ident.values, lambda: ident.witness)
-    assert copy == ident and hash(copy) == hash(ident)
-    assert UnaryFn(ident.values, const.witness) != ident
+    copy = UnaryFn(ident.values)
+    assert copy == ident and hash(copy) == hash(ident) and copy != const
     assert len({ident, copy, const}) == 2
 
 

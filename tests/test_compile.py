@@ -279,6 +279,33 @@ def test_the_ingestion_memo_only_saves_time(
     assert (forgot, forgot_reports) == (cached, cached_reports)
 
 
+class OrderedMemo(dict):
+    """An ingestion memo that lists every key it is given, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.added = []
+
+    def __setitem__(self, key, value):
+        self.added.append(key)
+        super().__setitem__(key, value)
+
+
+def test_the_ingestion_memo_keeps_its_newest_entries(monkeypatch):
+    """Past ``modcircuit.TABLE_MEMO_ENTRIES`` the oldest ingested circuit
+    goes first; a compile under a cap of 2 holds the two newest and builds
+    the circuit and reports of an unbounded memo."""
+    prog = parity_sum(get_fixture("Z6%2").algebra, "%2", 8)
+    monkeypatch.setattr(lowering, "_INGEST_CACHE", {})
+    circuit, reports = compile_nilpotent(prog, Budget())
+    memo = OrderedMemo()
+    monkeypatch.setattr(lowering, "_INGEST_CACHE", memo)
+    monkeypatch.setattr(modcircuit, "TABLE_MEMO_ENTRIES", 2)
+    capped, capped_reports = compile_nilpotent(prog, Budget())
+    assert len(memo.added) > 2 and list(memo) == memo.added[-2:]
+    assert (capped.to_json(), capped_reports) == (circuit.to_json(), reports)
+
+
 # -- the central representation ---------------------------------------------
 
 

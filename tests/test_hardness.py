@@ -9,11 +9,11 @@ from itertools import product
 import pytest
 from conftest import z5_z2_z3
 
-from nudfa import hardness
+from nudfa import algebra, hardness
 from nudfa.algebra import FiniteAlgebra
 from nudfa.circuits import eval_circuit
 from nudfa.compile import HypothesisViolation, compile_nilpotent
-from nudfa.congruence import structure
+from nudfa.congruence import Structure, structure
 from nudfa.fieldpoly import Cnf3, parse_dimacs
 from nudfa.fixtures import demo_program, get_fixture
 from nudfa.hardness import (
@@ -109,6 +109,30 @@ def test_every_two_letter_pattern_interpolates(marked_config, s):
             for b in bits:  # first input most significant
                 idx = idx * 2 + b
             assert cfg.lower.same(got, pattern[idx])
+
+
+def test_repeated_interpolations_run_the_witness_closure_once(
+    marked_config, monkeypatch
+):
+    """The circuits of the configuration's five unary polynomials are asked
+    for in one query, kept on its Structure, and not asked for again: eight
+    interpolations on a fresh Structure run the witness closure, the kernel
+    run over unary tables that records witness nodes, once, and build what
+    they build on the shared one."""
+    _, cfg = marked_config
+    fresh = replace(cfg, structure=Structure(cfg.algebra, cfg.structure.budget))
+    closures, closure = [], algebra._closure
+
+    def witnessing(*a, **k):
+        if k.get("nodes") is not None and a[3] == "unary clone":
+            closures.append(a)
+        return closure(*a, **k)
+
+    monkeypatch.setattr(algebra, "_closure", witnessing)
+    patterns = list(product((cfg.base, cfg.mark), repeat=4))[::2]
+    got = [beta_interpolate(fresh, pattern) for pattern in patterns]
+    assert len(closures) == 1
+    assert got == [beta_interpolate(cfg, pattern) for pattern in patterns]
 
 
 def test_interpolation_rejects_malformed_tables(marked_config):
