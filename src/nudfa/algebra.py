@@ -515,8 +515,14 @@ def unary_witnesses(
     forms every product in ``product`` order.  The closure, charged to
     "unary clone", stops at the row that completes the set asked for.
     Stopping only truncates it, so a circuit does not depend on what else
-    is asked.  A table outside the unary clone raises ValueError.
+    is asked.  A table outside the unary clone raises ValueError, and one
+    that is not a map of the universe to itself does before the closure.
     """
+    for table in tables:
+        if len(table) != algebra.size or not all(0 <= v < algebra.size for v in table):
+            raise ValueError(
+                f"table {tuple(table)} is not a map of {algebra.name}'s universe"
+            )
     seen, nodes = _seeded(algebra, 1)
     asked = np.zeros((len(tables), seen.padded), seen.rows.dtype)
     asked[:, : algebra.size] = tables

@@ -49,6 +49,7 @@ from .fieldpoly import (
     MultilinearPoly,
     accumulate,
     coefficient_poly,
+    mask_bits,
     moebius_transform,
     monomial_key,
     pdiv,
@@ -60,7 +61,6 @@ from .lowering import (
     AtomPool,
     PassReport,
     _verify_tables,
-    and_sum_lower,
     apply_func,
     collapse_5to3,
     emit_modsum,
@@ -117,8 +117,9 @@ class CentralRep:
     mcoords: np.ndarray  # element of D -> coords of its M-part
     alpha: dict[str, np.ndarray]
     hat: dict[str, np.ndarray]
-    # each operation's correction table, lowered to AND∘SUMP once per level
-    lowered: dict[str, CCircuit] = field(default_factory=dict)
+    # each operation's correction term over its arguments' class indicators,
+    # made once per level: row S holds the coefficients of monomial S
+    lowered: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def central_representation(
@@ -250,7 +251,7 @@ def central_representation(
 
 
 def path_coefficients(
-    circuit: AlgCircuit, rep: CentralRep, root: Optional[int] = None
+    circuit: AlgCircuit, rep: CentralRep, root: int
 ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
     """Module-part weight of every node reachable from the root.
 
@@ -259,7 +260,6 @@ def path_coefficients(
     one node stands for every occurrence of its subterm).  Returns
     (per-node weights, per-variable-index weights).
     """
-    root = circuit.output if root is None else root
     reach = _reachable(circuit.nodes, root)
     coeff = {v: np.zeros((rep.nu, rep.nu), np.int64) for v in reach}
     coeff[root] = np.eye(rep.nu, dtype=np.int64)
@@ -382,16 +382,17 @@ def compile_supernilpotent(
 # Descent along an abelian atom
 # ---------------------------------------------------------------------------
 
-def _bit_passthrough(n: int, bit: int, m: int, p: int) -> CCircuit:
-    """3-layer circuit computing input bit `bit` (wire discipline filler)."""
+def _atom_circuit(
+    n: int, m: int, p: int, coeffs: dict[int, int], accepting
+) -> CCircuit:
+    """AND∘MOD(m)∘MOD(p) circuit of the one atom [sum of coeffs over the
+    monomials lands in ``accepting`` mod m]; a form that vanishes gives the
+    constant [0 in accepting]."""
     pool = AtomPool()
-    atom = make_atom(m, {1 << bit: 1}, {1})
-    if atom is None:
-        raise AssertionError(f"input bit {bit} has a constant indicator")
-    return emit_modsum(
-        n, m, p, pool, MultilinearPoly.variable(p, pool.get(atom)),
-        and_layer=True, final=MOD,
-    )
+    atom = make_atom(m, coeffs, accepting)
+    modsum = (MultilinearPoly.constant(p, int(0 in accepting)) if atom is None
+              else MultilinearPoly.variable(p, pool.get(atom)))
+    return emit_modsum(n, m, p, pool, modsum, and_layer=True, final=MOD)
 
 
 class _LayerMerge:
@@ -427,10 +428,14 @@ def _module_part(
 ) -> tuple[np.ndarray, dict[int, np.ndarray], dict[frozenset, np.ndarray]]:
     """The module part of the node's value over rep.D, as an affine form:
     (offset, weight of each instruction bit, weight of each correction
-    monomial).  A monomial is the frozenset of (child node, class of
-    rep.quotient) pairs whose indicators it multiplies, so the union of the
-    monomials is every indicator of the level below that the node's
-    descent reads, for any target.  Fills ``rep.lowered`` on first use.
+    monomial).  A gate's correction term hat_f is a polynomial over GF(p)
+    in the class indicators of its children: one Moebius transform of its
+    table gives every coordinate's coefficients, which ``rep.lowered``
+    keeps, and their subset sums are checked to give the table back.  A
+    monomial is the frozenset of (child node, class of rep.quotient) pairs
+    whose indicators it multiplies, so the union of the monomials is every
+    indicator of the level below that the node's descent reads, for any
+    target.
     """
     nu, p = rep.nu, rep.p
     circuit = program.circuit
@@ -458,30 +463,29 @@ def _module_part(
             if not W.any():
                 continue
             children = nd[2]
-            low_cc = rep.lowered.get(nd[1])
-            if low_cc is None:
-                r = len(children)
-                width = r * s
+            coeffs = rep.lowered.get(nd[1])
+            if coeffs is None:
+                width = len(children) * s
                 charge(1 << width, budget.monomials, "correction-term table")
                 # row y reads position i's class off bits i*s..i*s+s-1:
                 # the first set bit, or class 0 when none is set
                 bits = (np.arange(1 << width)[:, None] >> np.arange(width)) & 1
-                classes = bits.reshape(1 << width, r, s).argmax(axis=2)
+                classes = bits.reshape(1 << width, len(children), s).argmax(axis=2)
                 table = rep.hat[nd[1]][tuple(classes.T)].reshape(1 << width, nu)
-                low_cc, _ = and_sum_lower(table.tolist(), p, budget)
-                rep.lowered[nd[1]] = low_cc
-            sump = low_cc.gates[low_cc.output - low_cc.inputs]
-            offset += W @ sump.offset
-            for (src, mult), vec in zip(sump.wires, sump.coeffs):
-                wv = mult * (W @ vec) % p
-                if not wv.any():
-                    continue
-                and_gate = low_cc.gates[src - low_cc.inputs]
+                coeffs = rep.lowered[nd[1]] = moebius_transform(table, p)
+                sums = coeffs.astype(np.int64)
+                for i in range(width):  # row y: the sum over the subsets of y
+                    halves = sums.reshape(-1, 2, 1 << i, nu)
+                    halves[:, 1] += halves[:, 0]
+                if (sums % p != table).any():
+                    raise AssertionError(f"{nd[1]}'s correction coefficients miss its table")
+            weighted = coeffs @ W.T % p  # row S: the weight of monomial S
+            offset += weighted[0]
+            for mask in (np.flatnonzero(weighted[1:].any(axis=1)) + 1).tolist():
                 pairs = frozenset(
-                    (children[pos // s], pos % s)
-                    for pos, _mult in and_gate.wires
+                    (children[pos // s], pos % s) for pos in mask_bits(mask)
                 )
-                mono_vecs[pairs] = (mono_vecs.get(pairs, 0) + wv) % p
+                mono_vecs[pairs] = (mono_vecs.get(pairs, 0) + weighted[mask]) % p
     return offset, bit_vecs, mono_vecs
 
 
@@ -491,31 +495,31 @@ def descend_mod_beta(
     target: int,
     rep: CentralRep,
     cache: dict[tuple[int, int], CCircuit],
+    part: tuple[np.ndarray, dict[int, np.ndarray], dict[frozenset, np.ndarray]],
     m: int,
-    p: int,
     budget: Budget,
     reports: list[PassReport],
     value_table: np.ndarray,
 ) -> CCircuit:
     """One chain step: compile [node value == target] over rep.D.
 
-    ``cache`` holds indicator circuits of the level below, keyed by
-    (node, class of rep.quotient).  This step reads from it exactly the
-    pairs of the correction monomials of :func:`_module_part` and the
-    quotient indicator (node, rep.proj[target]), and nothing else, so a
-    store holding only those keys will do.  The module part of the value is
-    an affine combination over Z_p^nu of instruction bits and per-gate
-    correction terms; corrections are expanded through class-indicator
-    booleans, lowered, assembled as a 5-layer circuit, collapsed to three
-    layers and AND-glued with the quotient-level indicator.  ``value_table``
-    holds the node's value on every word; the pass reports are appended to
-    ``reports``.
+    ``part`` is the node's module part from :func:`_module_part`: an
+    affine form over Z_p^nu, p = rep.p, in the instruction bits and the
+    correction monomials.  ``cache`` holds indicator circuits of the level
+    below, keyed by (node, class of rep.quotient).  This step reads from it
+    exactly the pairs of the correction monomials and the quotient
+    indicator (node, rep.proj[target]), and nothing else, so a store
+    holding only those keys will do.  The monomials become AND gates over
+    the indicators, the bits one-atom circuits; the form is assembled as a
+    5-layer circuit, collapsed to three layers and AND-glued with the
+    quotient-level indicator.  ``value_table`` holds the node's value on
+    every word; the pass reports are appended to ``reports``.
     """
     if program.algebra is not rep.D and program.algebra != rep.D:
         raise ValueError("program and representation disagree on the algebra")
     n = program.n
-    nu = rep.nu
-    offset, bit_vecs, mono_vecs = _module_part(program, node, rep, budget)
+    nu, p = rep.nu, rep.p
+    offset, bit_vecs, mono_vecs = part
 
     merge = _LayerMerge(n)
     sub_out: dict[tuple[int, int], int] = {}
@@ -523,7 +527,7 @@ def descend_mod_beta(
         sub_out[key] = merge.add_sub(cache[key])
     bit_out: dict[int, int] = {}
     for bit in sorted(bit_vecs):
-        bit_out[bit] = merge.add_sub(_bit_passthrough(n, bit, m, p))
+        bit_out[bit] = merge.add_sub(_atom_circuit(n, m, p, {1 << bit: 1}, {1}))
 
     sumpc_wires: list[tuple[int, int]] = []
     sumpc_coeffs: list[tuple[int, ...]] = []
@@ -627,13 +631,6 @@ def _maximal_chain(
 
 def _or_table(k: int) -> list[int]:
     return [0 if idx == 0 else 1 for idx in range(1 << k)]
-
-
-def _constant_circuit(n: int, m: int, p: int, value: int) -> CCircuit:
-    return emit_modsum(
-        n, m, p, AtomPool(), MultilinearPoly.constant(p, value),
-        and_layer=True, final=MOD,
-    )
 
 
 def compile_nilpotent(
@@ -740,10 +737,13 @@ def compile_nilpotent(
     # plan, from the root down: the (node, target) indicators each level
     # reads of the one below, starting from the accepting set at the root
     keys = [{(root, c) for c in S0}]
+    parts: list[dict] = []  # level j: each planned node's module part
     for j in range(h):
+        parts.append({q: _module_part(progs[j], q, reps[j], budget)
+                      for q in sorted({q for q, _ in keys[j]})})
         below = {(q, reps[j].proj[t]) for q, t in keys[j]}
-        for q in sorted({q for q, _ in keys[j]}):
-            below.update(*_module_part(progs[j], q, reps[j], budget)[2])
+        for _, _, monomials in parts[j].values():
+            below.update(*monomials)
         keys.append(below)
 
     # build, from the base up: the supernilpotent quotient, one atom per
@@ -757,11 +757,7 @@ def compile_nilpotent(
             polys, table, targets, dec, m, delta, budget
         )
         for t, (acc, resid) in zip(targets, indicators):
-            pool = AtomPool()
-            atom = make_atom(m, acc, {resid})
-            modsum = (MultilinearPoly.constant(p, int(resid == 0)) if atom is None
-                      else MultilinearPoly.variable(p, pool.get(atom)))
-            cc = emit_modsum(n, m, p, pool, modsum, and_layer=True, final=MOD)
+            cc = _atom_circuit(n, m, p, acc, {resid})
             _verify_tables(
                 cc, lambda: table == t, n,
                 f"base indicator for node {q}, target {t}",
@@ -782,14 +778,14 @@ def compile_nilpotent(
         newcache = {}
         for q, t in sorted(keys[j]):
             newcache[(q, t)] = descend_mod_beta(
-                progs[j], q, t, reps[j], cache, m, p, budget, reports,
+                progs[j], q, t, reps[j], cache, parts[j][q], m, budget, reports,
                 value_table=np.asarray(projs[j])[vals[q]],
             )
         cache = newcache
 
     branches = [cache[(root, c)] for c in S0]
     if not branches:
-        final = _constant_circuit(n, m, p, 0)
+        final = _atom_circuit(n, m, p, {}, ())
     elif len(branches) == 1:
         final = branches[0]
     else:

@@ -192,28 +192,35 @@ def _conj_modsum_mod2(
     return MultilinearPoly(p, terms)
 
 
-# Keyed by (m, p, accepting profile): the coset machinery depends only on
-# those, not on the particular linear forms.
+# Keyed by (m, p, accepting profile, budget): the coset machinery depends
+# only on those, not on the particular linear forms, and a form built under
+# one budget is not handed to a caller with a smaller one.
 @lru_cache(maxsize=1024)
-def _conj_normal_form(m: int, p: int, accepting: tuple[frozenset, ...]):
+def _conj_normal_form(
+    m: int, p: int, accepting: tuple[frozenset, ...], budget: Budget
+):
     d = len(accepting)
     values = [
         1 if all(y in s for y, s in zip(ys, accepting)) else 0
         for ys in product(range(m), repeat=d)
     ]
-    form = coset_indicator_form(values, m, d, p)
+    form = coset_indicator_form(values, m, d, p, budget)
     return tuple((beta, u, mu) for (beta, u), mu in form.items())
 
 
 def _conj_modsum_coset(
-    pool: AtomPool, atoms: Sequence[ModAtom], p: int
+    pool: AtomPool,
+    atoms: Sequence[ModAtom],
+    p: int,
+    budget: Optional[Budget] = None,
 ) -> MultilinearPoly:
     """Conjunction through the coset-indicator normal form of the atoms'
     accepting profile: each term, composed with the atoms' linear forms,
     is one MOD(m) atom."""
     m = atoms[0].m
+    profile = tuple(a.accepting for a in atoms)
     out = MultilinearPoly(p)
-    for beta, u, mu in _conj_normal_form(m, p, tuple(a.accepting for a in atoms)):
+    for beta, u, mu in _conj_normal_form(m, p, profile, budget or default_budget()):
         acc: dict[Key, int] = {}
         for b, a in zip(beta, atoms):
             if b == 0:
@@ -246,7 +253,7 @@ def conj_modsum(
     charge(m ** len(atoms), budget.monomials, "conjunction table")
     if m == 2 and p % 2 == 1:
         return _conj_modsum_mod2(pool, atoms, p)
-    return _conj_modsum_coset(pool, atoms, p)
+    return _conj_modsum_coset(pool, atoms, p, budget)
 
 
 def poly_to_modsum(
@@ -449,19 +456,19 @@ def emit_modsum(
     pool: AtomPool,
     modsum: MultilinearPoly,
     *,
-    and_layer: Optional[bool] = None,
+    and_layer: bool,
     final: str = MOD,
 ) -> CCircuit:
     """Materialise a sum over pool ids as a layered circuit.
 
     ``final=MOD`` needs the sum to be boolean-valued and yields
-    [AND∘]MOD(m)∘MOD(p); ``final=SUMP`` yields [AND∘]MOD(m)∘SUMP(p).
+    [AND∘]MOD(m)∘MOD(p); ``final=SUMP`` yields [AND∘]MOD(m)∘SUMP(p).  The
+    AND layer is there exactly when ``and_layer`` is set; without it every
+    monomial must be a single input bit.
     """
     offset, coeffs = _affine_parts(modsum)
     order = sorted(coeffs, key=lambda i: _atom_sort_key(pool.atoms[i]))
     keys = {key for i in order for key, _ in pool.atoms[i].coeffs}
-    if and_layer is None:
-        and_layer = any(k.bit_count() != 1 for k in keys)
     if not and_layer and any(k.bit_count() != 1 for k in keys):
         raise ValueError("monomials of size != 1 need an AND layer")
 
@@ -583,53 +590,6 @@ def _report(
 # ---------------------------------------------------------------------------
 # The passes
 # ---------------------------------------------------------------------------
-
-
-def and_sum_lower(
-    table: Sequence, p: int, budget: Optional[Budget] = None
-) -> tuple[CCircuit, PassReport]:
-    """Table {0,1}^n -> Z_p^k as an AND(n)∘SUMP(p,k) circuit.
-
-    Row index reads the assignment with bit 0 least significant.  One AND
-    gate per nonconstant monomial of the coordinatewise multilinear
-    interpolations (shared across coordinates); the SUMP gate carries each
-    monomial's coefficient vector.
-    """
-    budget = budget or default_budget()
-    size = len(table)
-    n = size.bit_length() - 1
-    if 1 << n != size:
-        raise ValueError("table length must be a power of two")
-    rows = [tuple(v) if isinstance(v, (tuple, list)) else (v,) for v in table]
-    k = len(rows[0])
-    if any(len(r) != k for r in rows):
-        raise ValueError("ragged table")
-    polys = [
-        multilinear_interpolate([r[j] for r in rows], p) for j in range(k)
-    ]
-    monomials: dict[Key, list[int]] = {}
-    offset = [0] * k
-    for j, poly in enumerate(polys):
-        for key, c in poly.terms.items():
-            if not key:
-                offset[j] = c
-            else:
-                monomials.setdefault(key, [0] * k)[j] = c
-    charge(len(monomials), budget.monomials, "interpolated monomials")
-    gates, node_of = monomial_gates(n, monomials)
-    gates.append(
-        Gate(kind=SUMP, layer=2,
-             wires=tuple((node, 1) for node in node_of.values()), p=p, nu=k,
-             coeffs=tuple(tuple(monomials[key]) for key in node_of),
-             offset=tuple(offset))
-    )
-    circuit = CCircuit(
-        inputs=n, gates=tuple(gates), output=n + len(gates) - 1,
-        declared_shape=f"AND({n})∘SUMP({p})",
-    )
-    verified = _verify_tables(circuit, lambda: rows, n)
-    return circuit, _report("and_sum_lower", f"table[{n}bit->Z_{p}^{k}]", size,
-                            circuit, verified)
 
 
 def modm_andd_to_sum(
@@ -762,8 +722,7 @@ def apply_func(
     g_poly = multilinear_interpolate(g_table, p)
     composed = g_poly.substitute(dict(enumerate(sums)), budget)
     modsum = poly_to_modsum(pool, composed, budget)
-    lowered = emit_modsum(n, m, p, pool, modsum,
-                          and_layer=True if levels3 else None, final=MOD)
+    lowered = emit_modsum(n, m, p, pool, modsum, and_layer=levels3, final=MOD)
 
     def reference() -> np.ndarray:
         idx = sum(cc_table(fs[j]).astype(np.intp) << j for j in range(k))

@@ -11,7 +11,9 @@ mod(x_i + x_{i+1}) over i = 0, 2, 4, ..., accepting {2}):
   cProfile;
 - over Z12%3 (Z12 with + and x -> x mod 3, a descent of h = 2 levels)
   under ``Budget(lattice_universe=12)`` at n = 4, best of three warm runs,
-  and at n = 6, the time until the monomial cap stops it.
+  and the cumulative time and calls of ``_module_part``, ``collapse_5to3``
+  and ``make_atom`` in that compile under cProfile; and at n = 6, the time
+  until the monomial cap stops it.
 
 Each compile starts from an empty table memo.  Beside each time of a
 compiled program go the base indicators its compile built (``_base``) and
@@ -107,6 +109,20 @@ def timed(out: dict, name: str, prog: AlgProgram, budget: Budget, runs: int) -> 
     out[f"{name}_base"], out[f"{name}_descents"] = level_counts(prog, budget)
 
 
+def profiled(out: dict, name: str, prog: AlgProgram, budget: Budget,
+             functions: dict[str, str]) -> None:
+    """One compile under cProfile: its total time, and the cumulative time
+    and the calls of each function, under the function's label."""
+    profile = cProfile.Profile()
+    profile.runcall(run, prog, budget)
+    stats = pstats.Stats(profile)
+    out[f"{name}_profiled_s"] = round(stats.total_tt, 3)
+    for label, function in functions.items():
+        entry = next(v for k, v in stats.stats.items() if k[2] == function)
+        out[f"{name}_profiled_{label}_s"] = round(entry[3], 3)
+        out[f"{name}_{label}_calls"] = entry[1]
+
+
 def json_writer_timings() -> dict:
     """Best of seven runs of each JSON writer on each document, in ms."""
     inputs = GOLDEN / "inputs"
@@ -139,16 +155,14 @@ def main() -> None:
     z6m2 = get_fixture("Z6%2").algebra
     for n, runs in ((10, 5), (12, 5), (16, 3), (18, 3)):
         timed(out, f"parity_sum_z6m2_n{n}", parity_sum(z6m2, "%2", n), Budget(), runs)
-    profile = cProfile.Profile()
-    profile.runcall(run, parity_sum(z6m2, "%2", 18), Budget())
-    stats = pstats.Stats(profile)
-    moebius = next(v for k, v in stats.stats.items() if k[2] == "moebius_transform")
-    out["n18_profiled_s"] = round(stats.total_tt, 3)
-    out["n18_profiled_moebius_s"] = round(moebius[3], 3)
-    out["n18_moebius_calls"] = moebius[1]
+    profiled(out, "n18", parity_sum(z6m2, "%2", 18), Budget(),
+             {"moebius": "moebius_transform"})
 
     z12, budget = z12_mod3(), Budget(lattice_universe=12)
     timed(out, "z12m3_h2_n4", parity_sum(z12, "%3", 4), budget, 3)
+    profiled(out, "z12m3_h2_n4", parity_sum(z12, "%3", 4), budget,
+             {name.strip("_"): name
+              for name in ("_module_part", "collapse_5to3", "make_atom")})
     prog = parity_sum(z12, "%3", 6)
     start = time.perf_counter()
     try:

@@ -347,6 +347,9 @@ def cases() -> list[tuple[str, list[str]]]:
                     ["con", "--algebra", f"inputs/algebra_{name}.json"]))
     # The lattice as a graph, each cover labelled with its type.
     out.append(("con_dot_S3", ["con", "--algebra", "fixtures:S3", "--format", "dot"]))
+    # LAT2's one cover is not abelian, so it has no characteristic: "?".
+    out.append(("con_dot_LAT2",
+                ["con", "--algebra", "fixtures:LAT2", "--format", "dot"]))
     # The first cover of D4, a non-abelian group whose clone is closed over
     # the generators of its associative operation, and of the groupoid G7,
     # whose clone exceeds the default cap.

@@ -7,6 +7,7 @@ import io
 import itertools
 import json
 import random
+import re
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -614,6 +615,25 @@ def test_witnesses_of_tables_the_closure_does_not_store_are_refused():
             for asked in ([outside], [clone.functions[5].values, outside]):
                 with pytest.raises(ValueError, match=r"table \(0, 1, 0, 0, 0, 0\) is not"):
                     Structure(alg, default_budget()).witnesses(asked)
+
+
+@pytest.mark.parametrize(
+    "table", [(0, 1, 2, 3, 4, -1), (0, 1, 2, 3, 4, 9), (0, 1, 2, 3, 4)],
+    ids=["negative", "past_the_universe", "short"],
+)
+def test_malformed_tables_are_refused_before_the_closure(table):
+    """A table with an entry outside Z6's universe, or of the wrong
+    length, is refused with ValueError naming it before a row is
+    gathered, also beside a table of the clone."""
+    z6 = get_fixture("Z6").algebra
+    gathered = []
+    index = algebra._table_index
+    counted = lambda *args: gathered.append(1) or index(*args)
+    with mock.patch.object(algebra, "_table_index", counted):
+        for asked in ([table], [tuple(range(6)), table]):
+            with pytest.raises(ValueError, match=re.escape(f"table {table} is not a map")):
+                algebra.unary_witnesses(z6, asked)
+    assert gathered == []
 
 
 def test_colliding_hashes_are_told_apart():

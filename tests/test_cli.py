@@ -330,7 +330,7 @@ def run_memos() -> list[tuple[object, str]]:
 
 # One call that fills each cached function with arguments.
 CACHE_FILLERS = {
-    "_conj_normal_form": lambda f: f(3, 2, (frozenset({0}),)),
+    "_conj_normal_form": lambda f: f(3, 2, (frozenset({0}),), Budget()),
 }
 
 

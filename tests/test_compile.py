@@ -94,14 +94,17 @@ def test_nilpotent_compile_refuses_non_nilpotent_algebras():
 
 def test_descent_reads_instruction_bits_directly(monkeypatch):
     """x0 + x1 over Z6%2 with each bit choosing 0 or 2 moves only the
-    module part, so the descent wires both input bits through
-    ``_bit_passthrough``; accepting {2} leaves the words with one bit set."""
+    module part, so the descent wires both input bits through one-atom
+    circuits (``_atom_circuit``), and every base indicator is a constant;
+    accepting {2} leaves the words with one bit set."""
     bits = []
-    passthrough = compile_module._bit_passthrough
-    monkeypatch.setattr(
-        compile_module, "_bit_passthrough",
-        lambda n, bit, m, p: bits.append(bit) or passthrough(n, bit, m, p),
-    )
+    atom_circuit = compile_module._atom_circuit
+
+    def recording(n, m, p, coeffs, accepting):
+        bits.extend(mask.bit_length() - 1 for mask in coeffs)
+        return atom_circuit(n, m, p, coeffs, accepting)
+
+    monkeypatch.setattr(compile_module, "_atom_circuit", recording)
     b = CircuitBuilder(2)
     prog = AlgProgram(
         get_fixture("Z6%2").algebra, b.finish(b.gate("+", b.var(0), b.var(1))),
@@ -158,6 +161,44 @@ def test_the_descent_runs_down_a_chain_of_length_two(monkeypatch):
     assert (len(lattices), len(roots)) == (1, 1)
     assert all(r.verified is True for r in reports)
     assert_compiled_matches(circuit, prog)
+
+
+def test_each_module_part_is_computed_once(monkeypatch):
+    """The plan computes the module part of each (level, node) once, and
+    the descents of all the node's targets read it: the Z12%3 compile at
+    n = 4 runs 14 descents on 4 module parts."""
+    calls = []
+    module_part = compile_module._module_part
+
+    def recording(program, node, rep, budget):
+        calls.append((id(rep), node))
+        return module_part(program, node, rep, budget)
+
+    monkeypatch.setattr(compile_module, "_module_part", recording)
+    prog = parity_sum(z12_mod3(), "%3", 4)
+    circuit, reports = compile_nilpotent(prog, Budget(lattice_universe=12))
+    assert len(calls) == len(set(calls)) == 4
+    assert sum(r.pass_name.startswith("descend_assemble") for r in reports) == 14
+    assert circuit.size == 2283
+    assert_compiled_matches(circuit, prog)
+
+
+def test_a_correction_table_its_coefficients_miss_is_refused(monkeypatch):
+    """An entry of +'s correction table raised by p is the same element of
+    Z_p, so its Moebius coefficients do not change; summing them over the
+    subsets of that row gives the reduced entry, not the table's, and the
+    descent refuses the table."""
+    represent = compile_module.central_representation
+
+    def corrupted(*args):
+        rep = represent(*args)
+        rep.hat["+"][1, 1, 0] += rep.p
+        return rep
+
+    monkeypatch.setattr(compile_module, "central_representation", corrupted)
+    prog = parity_sum(get_fixture("Z6%2").algebra, "%2", 4)
+    with pytest.raises(AssertionError, match="correction coefficients miss its table"):
+        compile_nilpotent(prog)
 
 
 class ReadStore(dict):
@@ -517,11 +558,15 @@ def test_one_transform_per_node_table_and_prime(name, monkeypatch):
 
     transforms = []
     transform = compile_module.moebius_transform
+
+    def counted(table, p):
+        """Counts the indicator tables (boolean) and not the correction
+        tables, which go through the same name."""
+        transforms.extend([1] * (table.dtype == bool))
+        return transform(table, p)
+
     monkeypatch.setattr(compile_module, "_combined_indicators", recording)
-    monkeypatch.setattr(
-        compile_module, "moebius_transform",
-        lambda *a: transforms.append(1) or transform(*a),
-    )
+    monkeypatch.setattr(compile_module, "moebius_transform", counted)
     _compile_golden(name)
     assert len(pairs) > 1 and len(transforms) == len(pairs)
 

@@ -16,14 +16,15 @@ from conftest import scalar
 
 from nudfa import lowering
 from nudfa.fieldpoly import MultilinearPoly, mask_bits
+from nudfa.limits import Budget, BudgetExceeded
 from nudfa.lowering import (
     VERIFY_INPUT_BOUND,
     AtomPool,
     _conj_modsum_coset,
     _conj_modsum_mod2,
     _verify_tables,
-    and_sum_lower,
     apply_func,
+    conj_modsum,
     collapse_5to3,
     emit_modsum,
     finalize_boolean_sum,
@@ -34,6 +35,7 @@ from nudfa.lowering import (
 from nudfa.modcircuit import (
     AND,
     MOD,
+    SUMP,
     SUMPC,
     CCircuit,
     Gate,
@@ -128,20 +130,6 @@ def assert_exact(after, before_table, report, pass_name):
     assert [scalar(v) for v in cc_truth_table(after)] == [
         scalar(v) for v in before_table
     ]
-
-
-def test_table_to_and_sum_is_exact():
-    rng = random.Random(1)
-    for _ in range(6):
-        p = rng.choice([2, 3, 5])
-        n = rng.randint(1, 4)
-        k = rng.choice([1, 2])
-        table = [
-            tuple(rng.randrange(p) for _ in range(k)) for _ in range(1 << n)
-        ]
-        circ, report = and_sum_lower(table, p)
-        assert_exact(circ, table, report, "and_sum_lower")
-        assert circ.declared_shape == f"AND({n})∘SUMP({p})"
 
 
 def test_mod_and_collapses_to_mod_sum():
@@ -315,10 +303,9 @@ def test_passes_reject_mismatched_shapes():
         modm_andd_to_sum(and_circ, 3)
     with pytest.raises(ValueError):
         collapse_5to3(and_circ)
-    with pytest.raises(ValueError):
-        and_sum_lower([0, 1, 1], 3)
     with pytest.raises(ValueError, match="degree 2"):
-        emit_modsum(2, 3, 2, AtomPool(), MultilinearPoly(2, {0b11: 1}))
+        emit_modsum(2, 3, 2, AtomPool(), MultilinearPoly(2, {0b11: 1}),
+                    and_layer=False)
 
 
 def test_an_emptied_mod_layer_keeps_its_declared_modulus(monkeypatch):
@@ -366,12 +353,38 @@ def test_reports_track_sizes():
 
 
 def test_verification_compares_every_coordinate_and_stays_lazy():
+    """An AND∘SUMP circuit of (x0 + 2 x1, x0 + x1 + x0 x1) mod 3, the
+    table (r % 3, r * r % 3) of the word r."""
     table = [(r % 3, r * r % 3) for r in range(4)]
-    circuit, report = and_sum_lower(table, 3)
-    assert report.verified is True
+    ands = tuple(Gate(AND, 1, tuple((i, 1) for i in mask_bits(k))) for k in (1, 2, 3))
+    sump = Gate(SUMP, 2, ((2, 1), (3, 1), (4, 1)), p=3, nu=2,
+                coeffs=((1, 1), (2, 1), (0, 1)), offset=(0, 0))
+    circuit = CCircuit(2, ands + (sump,), 5, "AND(2)∘SUMP(3)")
+    assert _verify_tables(circuit, lambda: table, 2) is True
     wrong = np.array(table)
     wrong[2, 1] = (wrong[2, 1] + 1) % 3
     with pytest.raises(AssertionError, match=r"disagrees at \[0, 1\]"):
         _verify_tables(circuit, lambda: wrong, 2)
     too_wide = VERIFY_INPUT_BOUND + 1
     assert _verify_tables(circuit, lambda: 1 // 0, too_wide) is None
+
+
+def conj_profile():
+    """Two atoms mod 3, x0 and x1 each accepting {1, 2}: over p = 5 their
+    conjunction table charges 9 and its coset form 11."""
+    pool = AtomPool()
+    ids = [pool.get(make_atom(3, {1 << i: 1}, {1, 2})) for i in (0, 1)]
+    return pool, ids
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_the_conjunction_charges_its_coset_form_to_the_callers_budget(warm):
+    """A cap of 10 admits the table but not the form, whether or not a
+    form of the same profile was built under the default budget before."""
+    pool, ids = conj_profile()
+    lowering._conj_normal_form.cache_clear()
+    if warm:
+        assert conj_modsum(pool, ids, 5).degree() == 1
+    with pytest.raises(BudgetExceeded, match="coset indicator form: 11 exceeds cap 10"):
+        conj_modsum(pool, ids, 5, Budget(monomials=10))
+    assert conj_modsum(pool, ids, 5, Budget(monomials=11)).degree() == 1

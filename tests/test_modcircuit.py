@@ -249,10 +249,10 @@ def test_the_table_memo_keeps_its_newest_entries(monkeypatch):
 
 
 def test_the_table_memo_stays_within_its_bound(monkeypatch):
-    """A compile at 12 bits makes about 50 tables of 4 KiB; a memo of
-    20 KiB drops the oldest, and what modcircuit.py allocated and still
-    holds afterwards is the memo's tables and some small objects."""
-    bound = 5 << 12
+    """A compile at 12 bits makes 24 tables of 4 KiB; a memo of 12 KiB
+    drops the oldest, and what modcircuit.py allocated and still holds
+    afterwards is the memo's tables and some small objects."""
+    bound = 3 << 12
     monkeypatch.setattr(modcircuit, "TABLE_MEMO_BYTES", bound)
     made = set()
     block = modcircuit._cc_block
@@ -274,7 +274,7 @@ def test_the_table_memo_stays_within_its_bound(monkeypatch):
     kept = sum(t.nbytes for t in modcircuit._TABLES.values())
     assert bound - 4096 < kept <= bound
     assert len(made) > 5 * len(modcircuit._TABLES)
-    # unbounded, the memo would hold about 200 KiB of tables here
+    # unbounded, the memo would hold 96 KiB of tables here
     assert sum(s.size for s in held.statistics("filename")) < bound + (16 << 10)
 
 
