@@ -16,7 +16,7 @@ fixes the first witness circuit of every table.  Otherwise it closes over
 each binary operation's generators, which associativity makes exact and
 which forms far fewer products.
 
-A unary polynomial (``UnaryFn``) is its value table, and the clone holds
+A unary polynomial is its value table, a tuple, and the clone holds
 tables only.  Witness circuits are a query, ``unary_witnesses``: the
 breadth-first closure with witness nodes, stopped at the row that
 completes the tables asked for.  ``Structure.witnesses`` keeps what it
@@ -146,21 +146,6 @@ def make_op(name: str, arity: int, size: int, fn) -> Operation:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class UnaryFn:
-    """A unary polynomial, as its value table.  Its witness circuit is
-    read from ``Structure.witnesses``."""
-
-    values: tuple[int, ...]
-
-    @property
-    def image(self) -> frozenset[int]:
-        return frozenset(self.values)
-
-    def is_idempotent(self) -> bool:
-        return all(self.values[v] == v for v in self.image)
-
-
 class UnaryClone:
     """All unary polynomials of an algebra, as value tables: the closure of
     x, the constants and the nullary values under the basic operations
@@ -176,8 +161,8 @@ class UnaryClone:
         tables = seen.tables()
         # The value tables stacked in iteration order, one row a function.
         self.tables = tables[np.lexsort(tables.T[::-1])]
-        self.functions = tuple(UnaryFn(tuple(row)) for row in self.tables.tolist())
-        self._by_table = {fn.values: fn for fn in self.functions}
+        self.functions = tuple(map(tuple, self.tables.tolist()))
+        self._known = frozenset(self.functions)
 
     def __iter__(self):
         return iter(self.functions)
@@ -185,17 +170,18 @@ class UnaryClone:
     def __len__(self) -> int:
         return len(self.functions)
 
-    def lookup(self, table: Iterable[int]) -> Optional[UnaryFn]:
-        return self._by_table.get(tuple(table))
+    def lookup(self, table: Iterable[int]) -> Optional[tuple[int, ...]]:
+        table = tuple(table)
+        return table if table in self._known else None
 
-    def find(self, predicate) -> Optional[UnaryFn]:
+    def find(self, predicate) -> Optional[tuple[int, ...]]:
         """First function (canonical order) satisfying the predicate."""
         for fn in self.functions:
             if predicate(fn):
                 return fn
         return None
 
-    def mapping(self, pairs: Sequence[tuple[int, int]]) -> Optional[UnaryFn]:
+    def mapping(self, pairs: Sequence[tuple[int, int]]) -> Optional[tuple[int, ...]]:
         """First function with fn(a) == b for every requested (a, b): the
         first row of ``tables`` that a mask of the pairs keeps."""
         keep = np.ones(len(self.tables), bool)

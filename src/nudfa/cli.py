@@ -75,7 +75,6 @@ from .modcircuit import (
     shape_of,
     validate_shape,
 )
-from .partitions import Partition
 from .programs import AlgProgram
 from .solvers import (
     SolveResult,
@@ -123,10 +122,6 @@ def _require_element(size: int, e: int) -> None:
     strategy reads it."""
     if not 0 <= e < size:
         raise UsageError(f"--e must lie in 0..{size - 1}, got {e}")
-
-
-def _blocks(part: Partition) -> list[list[int]]:
-    return sorted(sorted(b) for b in part.blocks())
 
 
 def _result_doc(res: SolveResult) -> dict:
@@ -177,7 +172,7 @@ def _lattice_dot(s: Structure) -> str:
     lines = ["digraph congruences {", "  rankdir=BT;"]
     for i, part in enumerate(lat.elements):
         label = " | ".join(
-            ",".join(str(x) for x in b) for b in _blocks(part)
+            ",".join(str(x) for x in b) for b in part.blocks()
         )
         lines.append(f'  n{i} [label="{i}: {label}"];')
     for lo, hi in lat.covers:
@@ -300,7 +295,7 @@ def _cmd_con(args) -> int:
     doc: dict = {
         "algebra": algebra.name,
         "elements": [
-            {"index": i, "blocks": _blocks(part)}
+            {"index": i, "blocks": part.blocks()}
             for i, part in enumerate(lat.elements)
         ],
         "covers": covers,
@@ -342,9 +337,9 @@ def _cmd_localize(args) -> int:
         "minimal_sets": [
             {
                 "universe": sorted(ms.universe),
-                "witness": list(ms.witness.values),
+                "witness": list(ms.witness),
                 "idempotent": (
-                    list(ms.idempotent.values) if ms.idempotent else None
+                    list(ms.idempotent) if ms.idempotent else None
                 ),
                 "traces": [
                     sorted(t) for t in traces(algebra, ms.universe, lo, hi)
@@ -752,15 +747,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (HypothesisViolation, BudgetExceeded, GadgetSearchError) as exc:
         _emit({"error": str(exc), "kind": type(exc).__name__})
         return 1
+    except (OSError, json.JSONDecodeError) as exc:
+        _emit({"error": str(exc), "kind": "io"})
+        return 2
     except ValueError as exc:
         _emit({"error": str(exc), "kind": "domain"})
         return 1
     except KeyError as exc:
         msg = str(exc.args[0]) if exc.args else str(exc)
         _emit({"error": msg, "kind": "usage"})
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
-        _emit({"error": str(exc), "kind": "io"})
         return 2
 
 

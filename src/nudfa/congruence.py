@@ -185,10 +185,28 @@ class Structure:
         return self._commutators[key]
 
     def characteristic(self, lo: Partition, hi: Partition) -> int:
+        """Prime p for a covering pair (lo, hi): in A/lo every hi-block
+        splits into the same prime-power number p**k of lo-blocks.
+
+        Requires the cover to be abelian ([hi, hi] <= lo); raises
+        otherwise.  Each result is kept for the run.
+        """
         key = (lo, hi)
-        if key not in self._characteristics:
-            self._characteristics[key] = characteristic(self, key)
-        return self._characteristics[key]
+        if key in self._characteristics:
+            return self._characteristics[key]
+        if key not in self.lattice.cover_set:
+            raise ValueError("not a covering pair of the lattice")
+        if not self.commutator(hi, hi).leq(lo):
+            raise ValueError("cover is not abelian; characteristic undefined")
+        counts = {len({lo.class_of[x] for x in block}) for block in hi.blocks()}
+        if len(counts) != 1:
+            raise ValueError(f"hi-blocks split into unequal lo-block counts {counts}")
+        count = counts.pop()
+        primes = prime_divisors(count)
+        if len(primes) != 1:
+            raise ValueError(f"block count {count} is not a prime power")
+        self._characteristics[key] = primes[0]
+        return primes[0]
 
 
 # Most structures the run memo holds; the oldest entry goes first.
@@ -632,32 +650,6 @@ def commutator(
     return found.join(floor) if floor else found
 
 
-def solvability_class(s: Structure, alpha: Optional[Partition] = None):
-    """Classify a congruence (default: the total one).
-
-    Returns ("abelian",), ("nilpotent", k), ("solvable", k) or
-    ("non-solvable",).  k counts commutator steps until zero in the lower
-    central chain (nilpotent) or the derived chain (solvable).
-    """
-    alpha = alpha if alpha is not None else s.lattice.one
-    zero = s.lattice.zero
-    if s.commutator(alpha, alpha) == zero:
-        return ("abelian",)
-    chain = lower_central_chain(s, alpha)
-    if chain[-1] == zero:
-        return ("nilpotent", len(chain) - 1)
-    d = alpha
-    steps = 0
-    seen = set()
-    while d != zero and d not in seen:
-        seen.add(d)
-        d = s.commutator(d, d)
-        steps += 1
-    if d == zero:
-        return ("solvable", steps)
-    return ("non-solvable",)
-
-
 def lower_central_chain(s: Structure, beta: Partition) -> list[Partition]:
     """beta = g_0 > g_1 > ... with g_{k+1} = [g_k, beta], up to zero or to
     the first term that repeats, which is left out."""
@@ -677,28 +669,6 @@ def is_nilpotent_congruence(s: Structure, beta: Partition) -> bool:
 # ---------------------------------------------------------------------------
 # Characteristics and prime-uniform intervals
 # ---------------------------------------------------------------------------
-
-
-def characteristic(s: Structure, cover: tuple[Partition, Partition]) -> int:
-    """Prime p for a covering pair (lo, hi): in A/lo every hi-block splits
-    into the same prime-power number p**k of lo-blocks.
-
-    Requires the cover to be abelian ([hi, hi] <= lo); raises otherwise.
-    Uncached: ``Structure.characteristic`` keeps each result for the run.
-    """
-    lo, hi = cover
-    if (lo, hi) not in s.lattice.cover_set:
-        raise ValueError("not a covering pair of the lattice")
-    if not s.commutator(hi, hi).leq(lo):
-        raise ValueError("cover is not abelian; characteristic undefined")
-    counts = {len({lo.class_of[x] for x in block}) for block in hi.blocks()}
-    if len(counts) != 1:
-        raise ValueError(f"hi-blocks split into unequal lo-block counts {counts}")
-    count = counts.pop()
-    primes = prime_divisors(count)
-    if len(primes) != 1:
-        raise ValueError(f"block count {count} is not a prime power")
-    return primes[0]
 
 
 def charr_set(s: Structure, lo: Partition, hi: Partition) -> frozenset[int]:

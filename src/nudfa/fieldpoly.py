@@ -128,13 +128,6 @@ class MultilinearPoly:
     def degree(self) -> int:
         return max((k.bit_count() for k in self.terms), default=0)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MultilinearPoly)
-            and self.p == other.p
-            and self.terms == other.terms
-        )
-
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "MultilinearPoly") -> None:

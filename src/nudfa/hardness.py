@@ -41,7 +41,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, UnaryFn, malcev_addition
+from .algebra import FiniteAlgebra, malcev_addition
 from .circuits import (
     AlgCircuit,
     CircuitBuilder,
@@ -164,21 +164,21 @@ class BetaIntConfig:
     out_char: int
     in_min: MinimalSet
     out_min: MinimalSet
-    g_fn: UnaryFn
+    g_fn: tuple[int, ...]
     cycle: tuple[int, ...]
-    h_fn: UnaryFn
+    h_fn: tuple[int, ...]
     h_adjusted: bool
     anchor: int
-    b_fn: UnaryFn
-    fix_fn: UnaryFn
+    b_fn: tuple[int, ...]
+    fix_fn: tuple[int, ...]
 
 
 def _wrapped_add(
-    algebra: FiniteAlgebra, malcev: AlgCircuit, wrap: UnaryFn, zero: int
+    algebra: FiniteAlgebra, malcev: AlgCircuit, wrap: tuple[int, ...], zero: int
 ) -> Callable[[int, int], int]:
     """x (+) y = wrap(d(x, zero, y)), read off its Cayley table."""
     d = malcev_addition(algebra, malcev, zero)
-    table = np.array(wrap.values)[d].tolist()
+    table = np.array(wrap)[d].tolist()
     return lambda x, y: table[x][y]
 
 
@@ -192,7 +192,7 @@ def _wrapped_add_node(
 def _config_witnesses(cfg: BetaIntConfig) -> list[AlgCircuit]:
     """The witness circuits of g, b, fix and both idempotents, one query."""
     fns = (cfg.g_fn, cfg.b_fn, cfg.fix_fn, cfg.in_min.idempotent, cfg.out_min.idempotent)
-    return cfg.structure.witnesses(fn.values for fn in fns)
+    return cfg.structure.witnesses(fns)
 
 
 def _multiple(add: Callable[[int, int], int], x: int, k: int, zero: int) -> int:
@@ -289,7 +289,7 @@ def complete_interpolation_config(
         retract = ms.idempotent
         seen: set[tuple[int, ...]] = set()
         for fn in clone:
-            tab = tuple(retract.values[v] for v in fn.values)
+            tab = tuple(retract[v] for v in fn)
             if tab in seen:
                 continue
             seen.add(tab)
@@ -308,7 +308,7 @@ def complete_interpolation_config(
             "of the upper covering step",
         )
     in_min, g_fn = found
-    c0, c1 = g_fn.values[in_zero], g_fn.values[in_one]
+    c0, c1 = g_fn[in_zero], g_fn[in_one]
 
     in_add = _wrapped_add(algebra, malcev, in_min.idempotent, c0)
     cycle = [c0]
@@ -385,7 +385,7 @@ def complete_interpolation_config(
 
         chosen = None
         for h0 in clone:
-            tab = tuple(retract.values[v] for v in h0.values)
+            tab = tuple(retract[v] for v in h0)
             if not bullets_ok(tab):
                 continue
             total = orbit_sum(tab)
@@ -433,7 +433,7 @@ def complete_interpolation_config(
                 )
 
         fix_fn = clone.find(
-            lambda t: t.values[e] == e and lower.same(t.values[anchor], a)
+            lambda t: t[e] == e and lower.same(t[anchor], a)
         )
         if fix_fn is None:
             raise GadgetSearchError(

@@ -14,18 +14,19 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, UnaryClone, UnaryFn
+from .algebra import FiniteAlgebra, UnaryClone
 from .congruence import Structure, congruence_generated
 from .partitions import Partition
 
 
 @dataclass(frozen=True)
 class MinimalSet:
-    """An inclusion-minimal polynomial range U witnessing lo < hi locally."""
+    """An inclusion-minimal polynomial range U witnessing lo < hi locally.
+    Unary polynomials are their value tables."""
 
     universe: frozenset[int]
-    witness: UnaryFn
-    idempotent: Optional[UnaryFn]  # range exactly U, e o e = e (when found)
+    witness: tuple[int, ...]  # separates hi from lo, range U
+    idempotent: Optional[tuple[int, ...]]  # range exactly U, e o e = e (when found)
 
 
 def minimal_sets(s: Structure, lo: Partition, hi: Partition) -> list[MinimalSet]:
@@ -42,10 +43,10 @@ def minimal_sets(s: Structure, lo: Partition, hi: Partition) -> list[MinimalSet]
     first, second = np.array(list(hi.pairs()), dtype=np.intp).reshape(-1, 2).T
     images = np.array(lo.class_of)[clone.tables]
     separates = (images[:, first] != images[:, second]).any(axis=1)
-    separating: dict[frozenset[int], UnaryFn] = {}
+    separating: dict[frozenset[int], tuple[int, ...]] = {}
     for i in np.flatnonzero(separates).tolist():
         fn = clone.functions[i]
-        separating.setdefault(fn.image, fn)
+        separating.setdefault(frozenset(fn), fn)
     ranges = list(separating)
     minimal = [
         r for r in ranges if not any(o < r for o in ranges)
@@ -59,15 +60,17 @@ def minimal_sets(s: Structure, lo: Partition, hi: Partition) -> list[MinimalSet]
 
 
 def _idempotent_for(
-    clone: UnaryClone, witness: UnaryFn, universe: frozenset[int]
-) -> Optional[UnaryFn]:
-    power = witness.values
+    clone: UnaryClone, witness: tuple[int, ...], universe: frozenset[int]
+) -> Optional[tuple[int, ...]]:
+    def fits(fn: tuple[int, ...]) -> bool:  # range exactly U, e o e = e
+        return frozenset(fn) == universe and all(fn[v] == v for v in fn)
+
+    power = witness
     for _ in range(len(power)):
-        fn = clone.lookup(power)
-        if fn is not None and fn.image == universe and fn.is_idempotent():
-            return fn
-        power = tuple(witness.values[x] for x in power)
-    return clone.find(lambda f: f.image == universe and f.is_idempotent())
+        if clone.lookup(power) is not None and fits(power):
+            return power
+        power = tuple(witness[x] for x in power)
+    return clone.find(fits)
 
 
 def traces(
@@ -119,7 +122,7 @@ def minimal_set_through(
                     p = clone.mapping([(c, e), (d, a)])
                     if p is None:
                         continue
-                    image = frozenset(p.values[x] for x in members)
+                    image = frozenset(p[x] for x in members)
                     if image in ranges:
                         idem = _idempotent_for(clone, p, image)
                         return MinimalSet(image, p, idem)

@@ -31,6 +31,8 @@ writes, on the program documents of the golden ``lattice_sat.json`` and
 ``lattice_unsat.json`` and on the ``con`` document of the golden D4 table,
 best of seven runs, in milliseconds.  The other figures are wall seconds
 of the machine it runs on; compare two checkouts by running each in turn.
+First of all comes ``src_nonblank_lines``, the count of
+``grep -cv '^\s*$'`` over ``src/nudfa/*.py``.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from nudfa.programs import AlgProgram, Instruction
 from test_groups import cayley
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SOURCES = Path(__file__).resolve().parents[1] / "src" / "nudfa"
 
 
 def parity_sum(algebra: FiniteAlgebra, mod: str, n: int) -> AlgProgram:
@@ -150,8 +153,16 @@ def json_writer_timings() -> dict:
     return out
 
 
+def src_nonblank_lines() -> int:
+    """The lines of ``src/nudfa/*.py`` that hold more than white space."""
+    return sum(
+        1 for path in SOURCES.glob("*.py")
+        for line in path.read_text().split("\n") if line.strip()
+    )
+
+
 def main() -> None:
-    out = {}
+    out = {"src_nonblank_lines": src_nonblank_lines()}
     z6m2 = get_fixture("Z6%2").algebra
     for n, runs in ((10, 5), (12, 5), (16, 3), (18, 3)):
         timed(out, f"parity_sum_z6m2_n{n}", parity_sum(z6m2, "%2", n), Budget(), runs)
@@ -181,7 +192,7 @@ def main() -> None:
             times.append(time.perf_counter() - start)
         out[f"unary_clone_{name.lower()}_s"] = round(min(times), 4)
     for name in ("A4", "D8"):
-        tables = [fn.values for fn in UnaryClone(clones[name])]
+        tables = list(UnaryClone(clones[name]))
         for key, asked in (("one_witness", [tables[len(tables) // 2]]),
                            ("witnesses", tables)):
             times = []

@@ -408,3 +408,63 @@ def test_json_files_match_the_streaming_writer(tmp_path, make):
     expected = io.StringIO()
     json.dump(obj.to_json(), expected, indent=2, sort_keys=True)
     assert path.read_text() == expected.getvalue() + "\n"
+
+
+def cli_doc(argv: list[str]) -> tuple[int, dict]:
+    """The exit code and the printed JSON document of one CLI call."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, json.loads(buf.getvalue())
+
+
+@pytest.mark.parametrize(
+    "text, kind, code",
+    [
+        (None, "io", 2),
+        ('{"name": "x", "size": 2', "io", 2),
+        ('{"name": "x", "size": 0, "ops": []}', "domain", 1),
+    ],
+)
+def test_algebra_files_are_io_errors_only_when_unreadable(tmp_path, text, kind, code):
+    """A missing file and one that is not JSON exit 2 with an "io" error;
+    a JSON algebra that breaks a rule of algebras is a "domain" error.  Not
+    JSON was a domain error, since ``json.JSONDecodeError`` is a
+    ``ValueError``."""
+    path = tmp_path / "algebra.json"
+    if text is not None:
+        path.write_text(text)
+    got, doc = cli_doc(["con", "--algebra", str(path)])
+    assert (got, doc["kind"]) == (code, kind)
+
+
+def test_an_unknown_fixture_is_a_usage_error():
+    assert cli_doc(["con", "--algebra", "fixtures:NOPE"]) == (2, {
+        "error": "unknown fixture 'NOPE'; available: LAT2, S3, Z2, Z3, Z4, Z6, Z6%2",
+        "kind": "usage",
+    })
+
+
+def test_con_reports_why_there_are_no_distinguished_congruences(tmp_path):
+    """The unary algebra f = (0, 0, 2) on three elements has a cover whose
+    hi-blocks split into one and two lo-blocks, so the distinguished
+    congruences are undefined; ``con`` says why and exits 0."""
+    path = tmp_path / "u3.json"
+    path.write_text(json.dumps({
+        "name": "U3", "size": 3, "ops": [{"name": "f", "arity": 1, "table": [0, 0, 2]}],
+    }))
+    code, doc = cli_doc(["con", "--algebra", str(path)])
+    assert code == 0
+    assert doc["distinguished"] is None
+    assert doc["distinguished_error"] == (
+        "hi-blocks split into unequal lo-block counts {1, 2}"
+    )
+
+
+def test_compile_skips_the_check_above_verify_n():
+    """``and2`` over Z6 reads two bits, more than ``--verify-n 1``, so
+    the check is skipped: a top-level ``"verified": null``."""
+    program = Path(__file__).resolve().parent / "golden" / "inputs" / "demo_and2_z6.json"
+    code, doc = cli_doc(["compile", "--program", str(program), "--verify-n", "1"])
+    assert code == 0
+    assert doc["verified"] is None

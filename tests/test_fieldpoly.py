@@ -417,6 +417,9 @@ p cnf 3 2
         parse_dimacs("p cnf 4 1\n1 2 3 4 0\n")
     with pytest.raises(ValueError):
         parse_dimacs("p cnf 2 1\n1 2\n")
+    # Without a problem line the largest variable sets the count.
+    cnf = parse_dimacs("1 -2 3 0\n2 0\n")
+    assert (cnf.num_vars, cnf.clauses) == (3, ((1, -2, 3), (2, 2, 2)))
 
 
 def test_clause_polynomial_is_the_satisfaction_indicator():

@@ -88,10 +88,10 @@ def test_marked_algebra_interpolation_config_values(marked_config):
     assert sorted(cfg.out_min.universe) == [0, 2, 4]
     assert cfg.cycle == (0, 1)
     assert cfg.anchor == 2
-    assert cfg.g_fn.values == (0, 1, 0, 1, 0, 1)
-    assert cfg.h_fn.values == (0, 2, 0, 2, 0, 2)
-    assert cfg.b_fn.values == (2, 0, 2, 0, 2, 0)
-    assert cfg.fix_fn.values == (0, 0, 2, 2, 4, 4)
+    assert cfg.g_fn == (0, 1, 0, 1, 0, 1)
+    assert cfg.h_fn == (0, 2, 0, 2, 0, 2)
+    assert cfg.b_fn == (2, 0, 2, 0, 2, 0)
+    assert cfg.fix_fn == (0, 0, 2, 2, 4, 4)
     assert cfg.h_adjusted is False
 
 

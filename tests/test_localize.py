@@ -30,10 +30,10 @@ def test_minimal_sets_of_the_characteristic_three_cover(marked):
     sets = minimal_sets(s, lat.zero, ETA)
     assert [sorted(s.universe) for s in sets] == [[0, 2, 4], [1, 3, 5]]
     for ms in sets:
-        assert ms.witness.image == ms.universe
+        assert frozenset(ms.witness) == ms.universe
         assert ms.idempotent is not None
-        assert ms.idempotent.is_idempotent()
-        assert ms.idempotent.image == ms.universe
+        assert all(ms.idempotent[v] == v for v in ms.idempotent)
+        assert frozenset(ms.idempotent) == ms.universe
 
 
 def test_minimal_sets_of_the_characteristic_two_cover(marked):
@@ -59,8 +59,8 @@ def test_minimal_sets_keep_the_first_separating_witness(name):
         lo, hi = lat.elements[a], lat.elements[b]
         first = {}
         for fn in s.clone:
-            if any(not lo.same(fn.values[x], fn.values[y]) for x, y in hi.pairs()):
-                first.setdefault(fn.image, fn)
+            if any(not lo.same(fn[x], fn[y]) for x, y in hi.pairs()):
+                first.setdefault(frozenset(fn), fn)
         minimal = [r for r in first if not any(o < r for o in first)]
         got = minimal_sets(s, lo, hi)
         assert [m.universe for m in got] == sorted(minimal, key=sorted)

@@ -176,8 +176,6 @@ def test_no_top_level_name_is_defined_in_two_modules():
 # Definitions that no other line of the package names, each with the
 # reason it stays.
 KEPT = {
-    "solvability_class": "the planned per-algebra explain report reads "
-    "the lower central chain it reads, or it goes",
     "find_interpolation_configs": "the only source of configurations for "
     "the interpolation gadget's tests",
     "truth_table": "bench/tracer.py wraps it",
@@ -185,37 +183,79 @@ KEPT = {
     "from_blocks": "the tests' constructor of partitions",
     "from_pairs": "the tests' constructor from generating pairs, on which "
     "the lattice oracle's join is built",
+    "total": "Partition.total, read only by tests, tests/lattice_reference.py "
+    "and tests/compile_timings.py",
     "unsat_count": "the pseudo-AND test's oracle",
 }
 
 
-def test_every_definition_is_named_elsewhere():
-    """Each function, method and class of the package is mentioned (as a
-    name, an attribute or an import) on some other line of the package,
-    or KEPT gives the reason it stays; a kept name that gains a caller
-    leaves KEPT."""
+def _unnamed_definitions(modules: dict[str, ast.Module]) -> dict[str, str]:
+    """The name and place of each function, method and class that no other
+    line of the modules mentions.  A function or class is mentioned where
+    its name is read, imported or used as an attribute; a method only where
+    it is used as an attribute.  So neither an assignment to a function's
+    name nor a local variable named like a method counts as a mention."""
     defined = []
     mentions: dict[str, set] = defaultdict(set)
-    for path in MODULES:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Name):
-                mentions[node.id].add((path, node.lineno))
+    attributes: dict[str, set] = defaultdict(set)
+    for name, tree in modules.items():
+        methods = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                mentions[node.id].add((name, node.lineno))
             elif isinstance(node, ast.Attribute):
-                mentions[node.attr].add((path, node.lineno))
+                attributes[node.attr].add((name, node.lineno))
+                mentions[node.attr].add((name, node.lineno))
             elif isinstance(node, ast.alias):
-                name = node.name.rsplit(".", 1)[-1]
-                mentions[name].add((path, node.lineno))
+                mentions[node.name.rsplit(".", 1)[-1]].add((name, node.lineno))
             elif isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
             ):
-                defined.append((node.name, path, node.lineno))
-    unused = {
-        name: f"{path.name}:{line}"
-        for name, path, line in defined
-        if not (name.startswith("__") and name.endswith("__"))
-        and not mentions[name] - {(path, line)}
+                seen = attributes if id(node) in methods else mentions
+                defined.append((node.name, name, node.lineno, seen))
+    return {
+        def_name: f"{name}:{line}"
+        for def_name, name, line, seen in defined
+        if not (def_name.startswith("__") and def_name.endswith("__"))
+        and not seen[def_name] - {(name, line)}
     }
+
+
+def test_every_definition_is_named_elsewhere():
+    """Each function, method and class of the package is mentioned
+    (``_unnamed_definitions``) on some other line of the package, or KEPT
+    gives the reason it stays; a kept name that gains a caller leaves
+    KEPT."""
+    unused = _unnamed_definitions({path.name: _parse(path) for path in MODULES})
     assert sorted(unused) == sorted(KEPT), unused
+
+
+def test_the_definition_check_sees_unnamed_definitions():
+    unnamed = {
+        "def f():\n    pass\n": {"f"},
+        "def f():\n    pass\nf = 1\n": {"f"},
+        "class P:\n    def total(self):\n        pass\n"
+        "def g(total):\n    return total\ng(P)\n": {"total"},
+    }
+    named = [
+        "def f():\n    pass\ng = f\n",
+        "class P:\n    def total(self):\n        pass\nP().total()\n",
+        "def f():\n    pass\nmap(f, [])\n",
+        "def __eq__(a, b):\n    pass\n",
+    ]
+    for source, names in unnamed.items():
+        assert set(_unnamed_definitions({"m.py": ast.parse(source)})) == names, source
+    for source in named:
+        assert _unnamed_definitions({"m.py": ast.parse(source)}) == {}, source
+    imported = {"a.py": ast.parse("def f():\n    pass\n"),
+                "b.py": ast.parse("from a import f\n")}
+    assert _unnamed_definitions(imported) == {}
 
 
 def _cache_decorator(node) -> tuple[str, bool] | None:
