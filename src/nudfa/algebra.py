@@ -25,7 +25,6 @@ returns.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import product
@@ -42,6 +41,7 @@ from .circuits import (
     argument_blocks,
     dump_json,
     eval_columns,
+    load_json,
     subcircuit,
 )
 from .limits import Budget, charge, default_budget
@@ -128,8 +128,7 @@ class FiniteAlgebra:
 
     @staticmethod
     def load(path: str) -> "FiniteAlgebra":
-        with open(path) as fh:
-            return FiniteAlgebra.from_json(json.load(fh))
+        return load_json(path, FiniteAlgebra.from_json)
 
     def dump(self, path: str) -> None:
         dump_json(path, self.to_json())

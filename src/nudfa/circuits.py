@@ -15,15 +15,16 @@ only spans the axes of the variables it reads.  ``argument_blocks`` lists
 argument tuples in ``product`` order as such arrays, a block at a time;
 the one closure kernel of algebra.py gathers its products on them.
 ``format_json`` writes every JSON document the package prints or saves,
-and ``dump_json`` every file.
+``dump_json`` every file, and ``load_json`` reads every file.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _escape
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence, TypeVar
 
 import numpy as np
 
@@ -221,6 +222,25 @@ def dump_json(path: str, data: dict) -> None:
     newline, in one write."""
     with open(path, "w") as fh:
         fh.write(format_json(data) + "\n")
+
+
+class FileFormatError(Exception):
+    """A JSON file that lacks a key its format reads."""
+
+
+T = TypeVar("T")
+
+
+def load_json(path: str, parse: Callable[[dict], T]) -> T:
+    """Read the package's JSON file format at ``path`` with ``parse``; a
+    key that ``parse`` looks up and the file lacks is a
+    ``FileFormatError`` that names the path and the key."""
+    with open(path) as fh:
+        data = json.load(fh)
+    try:
+        return parse(data)
+    except KeyError as exc:
+        raise FileFormatError(f"{path}: missing key {exc.args[0]!r}") from None
 
 
 def eval_circuit(algebra: OpTable, circuit: AlgCircuit, args: Sequence[int]) -> int:

@@ -4,10 +4,13 @@ Subcommands map onto the library modules: algebra and congruence-lattice
 inspection, trace localization, program compilation, circuit lowering
 passes, modular-circuit evaluation and shape checking, decision
 procedures, satisfiability gadgets, program-vs-circuit verification, and
-the built-in fixture registry.  Every command prints a JSON document on
-stdout (DOT where requested).  Exit codes: 0 on success, 1 when an input
-falls outside a procedure's domain (wrong structure class, failed
-search, exceeded budget, verification mismatch), 2 on usage errors.
+the built-in fixture registry.  Each subcommand's handler returns its
+document: a JSON-ready dict, DOT text where requested, or the document
+with a nonzero exit code.  ``main`` turns every refusal into an error
+document and prints the one document on stdout.  Exit codes: 0 on
+success, 1 when an input falls outside a procedure's domain (wrong
+structure class, failed search, exceeded budget, verification mismatch),
+2 on usage and input-file errors.
 
 Algebras are given either as JSON file paths or as ``fixtures:NAME``
 URIs into the registry.  Enumeration caps honor the NUDFA_BUDGET
@@ -27,7 +30,7 @@ import numpy as np
 
 from . import congruence, lowering, modcircuit
 from .algebra import FiniteAlgebra, check_circuit
-from .circuits import AlgCircuit, format_json
+from .circuits import AlgCircuit, FileFormatError, format_json, load_json
 from .compile import (
     HypothesisViolation,
     compile_nilpotent,
@@ -97,10 +100,6 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _emit(doc: dict) -> None:
-    print(format_json(doc))
-
-
 def _dump_or_embed(doc: dict, out: Optional[str], key: str, thing) -> None:
     """Write a circuit or program to ``out`` and record the path, or, with
     no ``--out``, embed its JSON form in the document under ``key``."""
@@ -138,8 +137,7 @@ def _result_doc(res: SolveResult) -> dict:
 def _load_algcircuit(path: str, algebra: FiniteAlgebra) -> AlgCircuit:
     """The circuit saved at ``path``, refused before any strategy reads it
     unless it lives over the algebra."""
-    with open(path) as fh:
-        circuit = AlgCircuit.from_json(json.load(fh))
+    circuit = load_json(path, AlgCircuit.from_json)
     try:
         check_circuit(algebra, circuit)
     except ValueError as exc:
@@ -270,19 +268,16 @@ def verify_harness(
 # ---------------------------------------------------------------------------
 
 
-def _cmd_algebra(args) -> int:
-    algebra = resolve_algebra(args.algebra)
-    _emit(algebra.to_json())
-    return 0
+def _cmd_algebra(args) -> dict:
+    return resolve_algebra(args.algebra).to_json()
 
 
-def _cmd_con(args) -> int:
+def _cmd_con(args) -> dict | str:
     algebra = resolve_algebra(args.algebra)
     s = structure(algebra)
     lat = s.lattice
     if args.format == "dot":
-        print(_lattice_dot(s))
-        return 0
+        return _lattice_dot(s)
     covers = []
     for lo, hi in lat.covers:
         try:
@@ -315,11 +310,10 @@ def _cmd_con(args) -> int:
     except ValueError as exc:
         doc["distinguished"] = None
         doc["distinguished_error"] = str(exc)
-    _emit(doc)
-    return 0
+    return doc
 
 
-def _cmd_localize(args) -> int:
+def _cmd_localize(args) -> dict:
     algebra = resolve_algebra(args.algebra)
     s = structure(algebra)
     lat = s.lattice
@@ -331,7 +325,7 @@ def _cmd_localize(args) -> int:
     if not (lo.leq(hi) and lo != hi):
         raise ValueError("--lower must be strictly below --upper")
     found = minimal_sets(s, lo, hi)
-    doc = {
+    return {
         "algebra": algebra.name,
         "pair": {"lower": args.lower, "upper": args.upper},
         "minimal_sets": [
@@ -348,11 +342,9 @@ def _cmd_localize(args) -> int:
             for ms in found
         ],
     }
-    _emit(doc)
-    return 0
 
 
-def _cmd_compile(args) -> int:
+def _cmd_compile(args) -> dict | tuple[dict, int]:
     _require_nonnegative(args.verify_n, "--verify-n")
     program = AlgProgram.load(args.program)
     budget = default_budget()
@@ -369,7 +361,6 @@ def _cmd_compile(args) -> int:
         "size": circuit.size,
         "passes": [asdict(r) for r in reports],
     }
-    exit_code = 0
     if args.verify_n is not None:
         bound = min(args.verify_n, 20)
         if program.n <= bound:
@@ -377,12 +368,10 @@ def _cmd_compile(args) -> int:
             doc["verified"] = check["match"]
             if not check["match"]:
                 doc["mismatch"] = check
-                exit_code = 1
         else:
             doc["verified"] = None
     _dump_or_embed(doc, args.out, "circuit", circuit)
-    _emit(doc)
-    return exit_code
+    return (doc, 1) if "mismatch" in doc else doc
 
 
 _PASSES = {
@@ -393,7 +382,7 @@ _PASSES = {
 }
 
 
-def _cmd_lower(args) -> int:
+def _cmd_lower(args) -> dict | tuple[dict, int]:
     name = args.pass_name.replace("-", "_")
     if name not in _PASSES:
         raise UsageError(
@@ -427,53 +416,45 @@ def _cmd_lower(args) -> int:
             (before == after).all()
         )
         if not doc["reverified"]:
-            _emit(doc)
-            return 1
+            return doc, 1
     _dump_or_embed(doc, args.out, "circuit", lowered)
-    _emit(doc)
-    return 0
+    return doc
 
 
-def _cmd_cceval(args) -> int:
+def _cmd_cceval(args) -> dict:
     circuit = CCircuit.load(args.circuit)
     budget = default_budget()
     if args.word is not None:
         bits = _parse_word(args.word, circuit.inputs)
         value = eval_cc(circuit, bits)
-        doc = {
+        return {
             "output": list(value) if isinstance(value, tuple) else int(value)
         }
-    else:
-        charge(
-            1 << circuit.inputs,
-            1 << budget.truth_table_bits,
-            "circuit truth table",
-        )
-        doc = {
-            "inputs": circuit.inputs,
-            "table": cc_table(circuit).tolist(),
-        }
-    _emit(doc)
-    return 0
+    charge(
+        1 << circuit.inputs,
+        1 << budget.truth_table_bits,
+        "circuit truth table",
+    )
+    return {
+        "inputs": circuit.inputs,
+        "table": cc_table(circuit).tolist(),
+    }
 
 
-def _cmd_ccshape(args) -> int:
+def _cmd_ccshape(args) -> dict | str:
     circuit = CCircuit.load(args.circuit)
     if args.format == "dot":
-        print(_circuit_dot(circuit))
-        return 0
+        return _circuit_dot(circuit)
     ok, problems = validate_shape(circuit, args.shape)
-    doc = {
+    return {
         "shape": shape_of(circuit),
         "declared_shape": circuit.declared_shape,
         "valid": ok,
         "problems": problems,
     }
-    _emit(doc)
-    return 0
 
 
-def _cmd_solve_progcsat(args) -> int:
+def _cmd_solve_progcsat(args) -> dict:
     _require_nonnegative(args.sample, "--sample")
     program = AlgProgram.load(args.program)
     if args.sample is not None:
@@ -481,53 +462,41 @@ def _cmd_solve_progcsat(args) -> int:
         res = progcsat_sample(program, trials=trials, seed=args.seed)
     else:
         res = progcsat_exhaustive(program, default_budget())
-    _emit(_result_doc(res))
-    return 0
+    return _result_doc(res)
 
 
-def _cmd_solve_csat(args) -> int:
+def _cmd_solve_equation(args) -> dict:
+    """``solve csat`` and ``solve ceqv``: t(x) = e decided by ``scan``,
+    ``meet`` (ceqv) or ``reduce`` to program satisfiability, where an
+    accepted word is a solution (csat) or a counterexample (ceqv)."""
     algebra = resolve_algebra(args.algebra)
     _require_element(algebra.size, args.e)
     circuit = _load_algcircuit(args.circuit, algebra)
     budget = default_budget()
+    csat = args.problem == "csat"
     if args.strategy == "reduce":
-        program = csat_to_progcsat(algebra, circuit, args.e)
-        res = progcsat_exhaustive(program, budget)
-        doc = _result_doc(res)
+        reduction = csat_to_progcsat if csat else ceqv_to_progcsat
+        res = progcsat_exhaustive(reduction(algebra, circuit, args.e), budget)
+        if csat:
+            doc = _result_doc(res)
+        else:
+            doc = {
+                "status": "holds" if res.status == "unsat" else "fails",
+                "tried": res.tried,
+            }
+            if res.witness is not None:
+                doc["program_word"] = list(res.witness)
         doc["level"] = "program"
-    else:
-        res = csat_exhaustive(algebra, circuit, args.e, budget)
-        doc = _result_doc(res)
-    _emit(doc)
-    return 0
-
-
-def _cmd_solve_ceqv(args) -> int:
-    algebra = resolve_algebra(args.algebra)
-    _require_element(algebra.size, args.e)
-    circuit = _load_algcircuit(args.circuit, algebra)
-    budget = default_budget()
-    if args.strategy == "reduce":
-        program = ceqv_to_progcsat(algebra, circuit, args.e)
-        res = progcsat_exhaustive(program, budget)
-        doc = {
-            "status": "holds" if res.status == "unsat" else "fails",
-            "tried": res.tried,
-            "level": "program",
-        }
-        if res.witness is not None:
-            doc["program_word"] = list(res.witness)
-    elif args.strategy == "meet":
+        return doc
+    if args.strategy == "meet":
         res = ceqv_via_meet_irreducibles(algebra, circuit, args.e, budget=budget)
-        doc = _result_doc(res)
     else:
-        res = ceqv_exhaustive(algebra, circuit, args.e, budget)
-        doc = _result_doc(res)
-    _emit(doc)
-    return 0
+        scan = csat_exhaustive if csat else ceqv_exhaustive
+        res = scan(algebra, circuit, args.e, budget)
+    return _result_doc(res)
 
 
-def _cmd_gadget_lattice(args) -> int:
+def _cmd_gadget_lattice(args) -> dict:
     cnf = _load_cnf(args.cnf)
     program = cnf_to_lattice_program(cnf)
     doc: dict = {
@@ -538,23 +507,19 @@ def _cmd_gadget_lattice(args) -> int:
         "size": program.size,
     }
     _dump_or_embed(doc, args.out, "program", program)
-    _emit(doc)
-    return 0
+    return doc
 
 
-def _cmd_gadget_twoprime(args) -> int:
+def _cmd_gadget_twoprime(args) -> dict | tuple[dict, int]:
     algebra = resolve_algebra(args.algebra)
     budget = default_budget()
     try:
         sides = find_two_prime_witness(algebra, budget)
     except GadgetSearchError as exc:
-        _emit(
-            {
-                "error": {"stage": exc.stage, "detail": exc.detail},
-                "kind": "witness-failure",
-            }
-        )
-        return 1
+        return {
+            "error": {"stage": exc.stage, "detail": exc.detail},
+            "kind": "witness-failure",
+        }, 1
     cnf = _load_cnf(args.cnf)
     program = build_two_prime_program(algebra, sides, cnf, budget=budget)
     doc: dict = {
@@ -567,19 +532,17 @@ def _cmd_gadget_twoprime(args) -> int:
         "size": program.size,
     }
     _dump_or_embed(doc, args.out, "program", program)
-    _emit(doc)
-    return 0
+    return doc
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> dict | tuple[dict, int]:
     program = AlgProgram.load(args.program)
     circuit = CCircuit.load(args.circuit)
     doc = verify_harness(program, circuit, args.n_bound)
-    _emit(doc)
-    return 0 if doc["match"] else 1
+    return doc if doc["match"] else (doc, 1)
 
 
-def _cmd_fixtures(args) -> int:
+def _cmd_fixtures(args) -> dict:
     if args.demo:
         program = demo_program(args.demo)
         doc: dict = {
@@ -589,8 +552,7 @@ def _cmd_fixtures(args) -> int:
             "size": program.size,
         }
         _dump_or_embed(doc, args.out, "program", program)
-        _emit(doc)
-        return 0
+        return doc
     listing = []
     for name in fixture_names():
         fix = get_fixture(name)
@@ -604,8 +566,7 @@ def _cmd_fixtures(args) -> int:
                 "description": fix.description,
             }
         )
-    _emit({"fixtures": listing, "demos": demo_names()})
-    return 0
+    return {"fixtures": listing, "demos": demo_names()}
 
 
 # ---------------------------------------------------------------------------
@@ -685,21 +646,16 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--seed", type=int, default=0)
     q.set_defaults(func=_cmd_solve_progcsat)
 
-    q = ssub.add_parser("csat", help="is the equation solvable?")
-    q.add_argument("--algebra", required=True, metavar="SPEC")
-    q.add_argument("--circuit", required=True, metavar="FILE")
-    q.add_argument("--e", type=int, default=0, metavar="ELEMENT")
-    q.add_argument("--strategy", choices=("scan", "reduce"), default="scan")
-    q.set_defaults(func=_cmd_solve_csat)
-
-    q = ssub.add_parser("ceqv", help="does the equation hold identically?")
-    q.add_argument("--algebra", required=True, metavar="SPEC")
-    q.add_argument("--circuit", required=True, metavar="FILE")
-    q.add_argument("--e", type=int, default=0, metavar="ELEMENT")
-    q.add_argument(
-        "--strategy", choices=("scan", "meet", "reduce"), default="scan"
-    )
-    q.set_defaults(func=_cmd_solve_ceqv)
+    for name, text, strategies in (
+        ("csat", "is the equation solvable?", ("scan", "reduce")),
+        ("ceqv", "does the equation hold identically?", ("scan", "meet", "reduce")),
+    ):
+        q = ssub.add_parser(name, help=text)
+        q.add_argument("--algebra", required=True, metavar="SPEC")
+        q.add_argument("--circuit", required=True, metavar="FILE")
+        q.add_argument("--e", type=int, default=0, metavar="ELEMENT")
+        q.add_argument("--strategy", choices=strategies, default="scan")
+        q.set_defaults(func=_cmd_solve_equation)
 
     p = sub.add_parser("gadget", help="CNF satisfiability gadgets")
     gsub = p.add_subparsers(dest="gadget", required=True)
@@ -740,23 +696,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     modcircuit._TABLES.clear()
     lowering._conj_normal_form.cache_clear()
     try:
-        return args.func(args)
+        result = args.func(args)
     except UsageError as exc:
-        _emit({"error": str(exc), "kind": "usage"})
-        return 2
+        result = {"error": str(exc), "kind": "usage"}, 2
     except (HypothesisViolation, BudgetExceeded, GadgetSearchError) as exc:
-        _emit({"error": str(exc), "kind": type(exc).__name__})
-        return 1
-    except (OSError, json.JSONDecodeError) as exc:
-        _emit({"error": str(exc), "kind": "io"})
-        return 2
+        result = {"error": str(exc), "kind": type(exc).__name__}, 1
+    except (OSError, json.JSONDecodeError, FileFormatError) as exc:
+        result = {"error": str(exc), "kind": "io"}, 2
     except ValueError as exc:
-        _emit({"error": str(exc), "kind": "domain"})
-        return 1
+        result = {"error": str(exc), "kind": "domain"}, 1
     except KeyError as exc:
         msg = str(exc.args[0]) if exc.args else str(exc)
-        _emit({"error": msg, "kind": "usage"})
-        return 2
+        result = {"error": msg, "kind": "usage"}, 2
+    doc, code = result if isinstance(result, tuple) else (result, 0)
+    print(doc if isinstance(doc, str) else format_json(doc))
+    return code
 
 
 if __name__ == "__main__":

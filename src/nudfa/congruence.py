@@ -360,9 +360,6 @@ class CongruenceLattice:
             if up >> a & order[b] >> top & 1
         ]
 
-    def atoms(self) -> list[Partition]:
-        return self.covers_of(self.zero)
-
     def meet_irreducibles(self) -> list[Partition]:
         return [c for c in self.elements if len(self.covers_of(c)) == 1]
 

@@ -37,14 +37,13 @@ within ``TABLE_MEMO_BYTES`` and ``TABLE_MEMO_ENTRIES``.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .circuits import dump_json
+from .circuits import dump_json, load_json
 
 AND = "AND"
 OR = "OR"
@@ -183,8 +182,7 @@ class CCircuit:
 
     @staticmethod
     def load(path: str) -> "CCircuit":
-        with open(path) as fh:
-            return CCircuit.from_json(json.load(fh))
+        return load_json(path, CCircuit.from_json)
 
     def dump(self, path: str) -> None:
         dump_json(path, self.to_json())

@@ -11,7 +11,6 @@ evaluator; ``accepts`` is the one-row view of ``accept_column``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -19,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import FiniteAlgebra, check_circuit, quotient_algebra
-from .circuits import CONST, AlgCircuit, dump_json, eval_columns, node_columns
+from .circuits import CONST, AlgCircuit, dump_json, eval_columns, load_json, node_columns
 from .limits import Budget, default_budget
 from .modcircuit import index_blocks, word_blocks, word_row
 from .partitions import Partition
@@ -149,8 +148,7 @@ class AlgProgram:
 
     @staticmethod
     def load(path: str, algebra: Optional[FiniteAlgebra] = None) -> "AlgProgram":
-        with open(path) as fh:
-            return AlgProgram.from_json(json.load(fh), algebra)
+        return load_json(path, lambda data: AlgProgram.from_json(data, algebra))
 
     def dump(self, path: str) -> None:
         dump_json(path, self.to_json())

@@ -8,6 +8,11 @@ program satisfiability through a value-selector polynomial built from
 the algebra's Malcev term, read from its ``Structure``.  A
 subdirect-decomposition strategy for identities rounds out the toolbox.
 
+CEqv is the refutation of the solvability of t(x) != e, so one scan
+(``_scan_equation``) answers both equation questions, looking for an
+output equal to e or for one that differs, and one selector program
+serves both reductions, accepting {e} or its complement.
+
 The exhaustive procedures scan assignments in ``product`` order and words
 in index order as one grid (``_first_hit``): each gate the output reads is
 evaluated on an open grid over the variables it reads, so a term that
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Callable, Optional
 
@@ -138,19 +143,7 @@ def csat_exhaustive(
     budget: Optional[Budget] = None,
 ) -> SolveResult:
     """Is t(x) = e solvable?  Scans the full assignment space."""
-    budget = budget or default_budget()
-    hit = _first_assignment(algebra, circuit, lambda out: out == e,
-                            budget.domain_scan, "assignment scan")
-    if hit is not None:
-        index, args = hit
-        if eval_circuit(algebra, circuit, args) != e:
-            raise AssertionError(f"solution {args} fails on recheck")
-        return SolveResult(
-            status="sat",
-            witness=args,
-            tried=index + 1,
-        )
-    return SolveResult(status="unsat", tried=algebra.size**circuit.k)
+    return _scan_equation(algebra, circuit, e, budget, solvable=True)
 
 
 def ceqv_exhaustive(
@@ -160,33 +153,32 @@ def ceqv_exhaustive(
     budget: Optional[Budget] = None,
 ) -> SolveResult:
     """Does t(x) = e hold for every assignment?"""
-    budget = budget or default_budget()
-    hit = _first_assignment(algebra, circuit, lambda out: out != e,
-                            budget.domain_scan, "assignment scan")
-    if hit is not None:
-        index, args = hit
-        if eval_circuit(algebra, circuit, args) == e:
-            raise AssertionError(f"counterexample {args} fails on recheck")
-        return SolveResult(
-            status="fails",
-            counterexample=args,
-            tried=index + 1,
-        )
-    return SolveResult(status="holds", tried=algebra.size**circuit.k)
+    return _scan_equation(algebra, circuit, e, budget, solvable=False)
 
 
-def _first_assignment(
+def _scan_equation(
     algebra: FiniteAlgebra,
     circuit: AlgCircuit,
-    hit: Callable[[np.ndarray], np.ndarray],
-    cap: int,
-    what: str,
-) -> Optional[tuple[int, tuple[int, ...]]]:
-    """First assignment in ``product`` order whose output ``hit`` marks,
-    with its index; None if there is none."""
+    e: int,
+    budget: Optional[Budget],
+    solvable: bool,
+) -> SolveResult:
+    """The first assignment in ``product`` order with t(x) = e, a solution,
+    when ``solvable`` asks for one; else the first with t(x) != e, a
+    counterexample to the identity.  Either is re-checked on its own."""
+    budget = budget or default_budget()
     n, k = algebra.size, circuit.k
-    places = [(i, range(n)) for i in range(k)]
-    return _first_hit(algebra, circuit, [n] * k, places, hit, cap, what)
+    hit = _first_hit(algebra, circuit, [n] * k, [(i, range(n)) for i in range(k)],
+                     (lambda out: out == e) if solvable else (lambda out: out != e),
+                     budget.domain_scan, "assignment scan")
+    if hit is None:
+        return SolveResult(status="unsat" if solvable else "holds", tried=n**k)
+    index, args = hit
+    if (eval_circuit(algebra, circuit, args) == e) != solvable:
+        raise AssertionError(f"assignment {args} fails on recheck")
+    if solvable:
+        return SolveResult(status="sat", witness=args, tried=index + 1)
+    return SolveResult(status="fails", counterexample=args, tried=index + 1)
 
 
 def _first_hit(
@@ -327,14 +319,9 @@ def ceqv_to_progcsat(
 
     Same selector construction as the solvability reduction, but accepting
     exactly the non-e values: an accepted word is a counterexample."""
-    prog = csat_to_progcsat(algebra, circuit, e)
-    complement = frozenset(range(algebra.size)) - {e}
-    return AlgProgram(
-        algebra=prog.algebra,
-        circuit=prog.circuit,
-        n=prog.n,
-        instructions=prog.instructions,
-        accepting=complement,
+    return replace(
+        csat_to_progcsat(algebra, circuit, e),
+        accepting=frozenset(range(algebra.size)) - {e},
     )
 
 

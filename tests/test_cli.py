@@ -468,3 +468,108 @@ def test_compile_skips_the_check_above_verify_n():
     code, doc = cli_doc(["compile", "--program", str(program), "--verify-n", "1"])
     assert code == 0
     assert doc["verified"] is None
+
+
+@pytest.mark.parametrize(
+    "argv, data, key",
+    [
+        (["con", "--algebra"], {"name": "x", "size": 2}, "ops"),
+        (["cceval", "--table", "--circuit"],
+         {"inputs": 1, "output": 0, "shape": ""}, "gates"),
+        (["compile", "--program"],
+         {"algebra": get_fixture("Z6").algebra.to_json(), "n": 1,
+          "instructions": [], "accepting": [2]}, "circuit"),
+        (["solve", "csat", "--algebra", "fixtures:Z6", "--circuit"],
+         {"k": 1, "output": 0}, "nodes"),
+    ],
+)
+def test_a_file_without_a_key_is_an_io_error(tmp_path, argv, data, key):
+    """A JSON file that lacks a key its format reads exits 2 with an "io"
+    error naming the file and the key.  It was a usage error named only by
+    the key, as if the key were an unknown fixture."""
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(data))
+    assert cli_doc([*argv, str(path)]) == (
+        2, {"error": f"{path}: missing key {key!r}", "kind": "io"}
+    )
+
+
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+
+
+@pytest.mark.parametrize(
+    "circuit, shape, problems",
+    [
+        ("modmod.json", "MOD(2)",
+         ["gate 7: layer 2 outside shape", "output sits in layer 2, shape has 1"]),
+        ("sump.json", "MOD(2)∘SUMP(5)", ["gate 5: prime 3 != 5"]),
+        (CCircuit(2, (), 0, ""), "MOD(2)",
+         ["output is an input node but the shape has layers"]),
+    ],
+)
+def test_ccshape_names_each_break_of_a_given_shape(tmp_path, circuit, shape, problems):
+    """A gate above the shape's last layer, a SUMP gate over another prime,
+    and an output that is an input under a shape with layers."""
+    if isinstance(circuit, CCircuit):
+        path = tmp_path / "circuit.json"
+        circuit.dump(str(path))
+    else:
+        path = GOLDEN_INPUTS / circuit
+    code, doc = cli_doc(["ccshape", "--circuit", str(path), "--shape", shape])
+    assert code == 0
+    assert (doc["valid"], doc["problems"]) == (False, problems)
+
+
+def test_compile_reports_a_circuit_the_harness_refutes(monkeypatch):
+    """``and2`` over Z6 compiles to a one-wire OR over a MOD gate; with that
+    gate's accepting set complemented, ``--verify-n`` finds the tables
+    differ at the first word and ``compile`` exits 1 with the mismatch."""
+    compile_ = cli.compile_supernilpotent
+
+    def changed(program, budget):
+        circuit, report = compile_(program, budget)
+        out = circuit.gate_of(circuit.output)
+        (src, _), = out.wires
+        gate = circuit.gate_of(src)
+        gates = list(circuit.gates)
+        gates[src - circuit.inputs] = replace(
+            gate, accepting=frozenset(range(gate.m)) - gate.accepting
+        )
+        return replace(circuit, gates=tuple(gates)), report
+
+    monkeypatch.setattr(cli, "compile_supernilpotent", changed)
+    code, doc = cli_doc(["compile", "--program", str(GOLDEN_INPUTS / "demo_and2_z6.json"),
+                         "--verify-n", "20"])
+    assert code == 1
+    assert doc["verified"] is False
+    assert doc["mismatch"] == {
+        "match": False, "reason": "truth tables differ", "word": [0, 0],
+        "program": False, "circuit": 1,
+    }
+    assert "circuit" in doc
+
+
+def test_lower_writes_nothing_when_the_pass_changes_the_table(monkeypatch, tmp_path):
+    """``unmod`` of the MOD∘MOD circuit ends in one SUMP(3) output gate; with
+    its offset moved by one, ``--verify-n`` sees the tables differ, and
+    ``lower`` exits 1 with ``reverified: false`` and writes no ``--out``."""
+    unmod = cli._PASSES["unmod"]
+
+    def changed(circuit, budget):
+        lowered, report = unmod(circuit, budget)
+        out = lowered.gate_of(lowered.output)
+        gates = list(lowered.gates)
+        gates[lowered.output - lowered.inputs] = replace(
+            out, offset=tuple((v + 1) % out.p for v in out.offset)
+        )
+        return replace(lowered, gates=tuple(gates)), report
+
+    monkeypatch.setitem(cli._PASSES, "unmod", changed)
+    out = tmp_path / "lowered.json"
+    code, doc = cli_doc(["lower", "--pass", "unmod", "--in",
+                         str(GOLDEN_INPUTS / "modmod.json"), "--verify-n", "20",
+                         "--out", str(out)])
+    assert code == 1
+    assert doc["reverified"] is False
+    assert "out" not in doc and "circuit" not in doc
+    assert not out.exists()

@@ -195,7 +195,7 @@ def test_lattice_is_closed_under_meet_and_join(name):
 def test_plain_cyclic_group_of_order_six_has_four_congruences():
     s, lat = structure_of("Z6")
     assert len(lat.elements) == 4
-    atoms = lat.atoms()
+    atoms = lat.covers_of(lat.zero)
     assert set(atoms) == {ETA_MOD2, ETA_MOD3}
     assert {s.characteristic(lat.zero, a) for a in atoms} == {2, 3}
     assert sorted(charr_set(s, lat.zero, lat.one)) == [2, 3]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 from collections import defaultdict
 from pathlib import Path
 
@@ -518,3 +519,60 @@ def test_the_json_writer_check_sees_stdlib_writes():
         assert len(_stdlib_json_writes(ast.parse(source))) == 1, source
     for source in clean:
         assert _stdlib_json_writes(ast.parse(source)) == [], source
+
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def _tracer_targets(source: str) -> list[tuple[str, str]]:
+    """The (module, attribute path) pairs that ``SPANS`` and ``LEAVES``
+    are assigned, read from the source without running it."""
+    return [
+        pair
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) in ("SPANS", "LEAVES") for t in node.targets)
+        for pair in ast.literal_eval(node.value)
+    ]
+
+
+def _unresolved(targets: list[tuple[str, str]]) -> list[str]:
+    """The targets that name nothing in the loaded package: the tracer
+    reads a function from its module and a method from its class's own
+    namespace."""
+    missing = []
+    for module, path in targets:
+        namespace = vars(importlib.import_module(f"nudfa.{module}"))
+        *classes, name = path.split(".")
+        for cls in classes:
+            namespace = vars(namespace[cls]) if cls in namespace else {}
+        if name not in namespace:
+            missing.append(f"{module}.{path}")
+    return missing
+
+
+def test_every_traced_name_resolves():
+    """bench/tracer.py wraps the package's functions by name, and the
+    benchmark's own tests are not part of this suite, so this one notices
+    a wrapped name that was renamed or deleted."""
+    targets = _tracer_targets(TRACER.read_text())
+    assert ("solvers", "csat_exhaustive") in targets
+    assert ("programs", "AlgProgram.accepts") in targets
+    assert _unresolved(targets) == []
+
+
+def test_the_tracer_check_sees_missing_names():
+    source = (
+        'SPANS = (("cli", "main"), ("solvers", "gone"),'
+        ' ("algebra", "UnaryClone.__init__"))\n'
+        'LEAVES = (("programs", "AlgProgram.gone"), ("programs", "Gone.accepts"))\n'
+        'SIZES = (("nowhere", "nothing"),)\n'
+    )
+    targets = _tracer_targets(source)
+    assert targets == [
+        ("cli", "main"), ("solvers", "gone"), ("algebra", "UnaryClone.__init__"),
+        ("programs", "AlgProgram.gone"), ("programs", "Gone.accepts"),
+    ]
+    assert _unresolved(targets) == [
+        "solvers.gone", "programs.AlgProgram.gone", "programs.Gone.accepts",
+    ]
