@@ -225,7 +225,8 @@ def dump_json(path: str, data: dict) -> None:
 
 
 class FileFormatError(Exception):
-    """A JSON file that lacks a key its format reads."""
+    """An input file its reader refuses: a JSON file that lacks a key its
+    format reads, or a malformed DIMACS CNF."""
 
 
 T = TypeVar("T")

@@ -12,6 +12,10 @@ success, 1 when an input falls outside a procedure's domain (wrong
 structure class, failed search, exceeded budget, verification mismatch),
 2 on usage and input-file errors.
 
+A call is parsed by its command path's own parser (``nudfa solve csat``),
+built from the table the whole parser tree is built from; a call that
+names no path, or leaves arguments over, goes to the whole tree.
+
 Algebras are given either as JSON file paths or as ``fixtures:NAME``
 URIs into the registry.  Enumeration caps honor the NUDFA_BUDGET
 environment variable, all randomness flows through explicit ``--seed``
@@ -23,6 +27,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import sys
 from dataclasses import asdict
 from typing import Optional, Sequence
 
@@ -45,7 +50,7 @@ from .congruence import (  # noqa: F401
     structure,
     supernilpotent_rank,
 )
-from .fieldpoly import parse_dimacs
+from .fieldpoly import Cnf3, parse_dimacs
 from .fixtures import (
     demo_names,
     demo_program,
@@ -145,9 +150,14 @@ def _load_algcircuit(path: str, algebra: FiniteAlgebra) -> AlgCircuit:
     return circuit
 
 
-def _load_cnf(path: str) -> "object":
-    with open(path) as fh:
-        return parse_dimacs(fh.read())
+def _load_cnf(path: str) -> Cnf3:
+    """The DIMACS CNF saved at ``path``; one the reader refuses is a
+    ``FileFormatError`` that names the path."""
+    try:
+        with open(path) as fh:
+            return parse_dimacs(fh.read())
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from None
 
 
 def _scalar(table: np.ndarray) -> np.ndarray:
@@ -574,10 +584,90 @@ def _cmd_fixtures(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _opt(flag: str, **options) -> tuple[str, dict]:
+    """One option of a command: its flag and ``add_argument`` keywords."""
+    return flag, options
+
+
+def _file(flag: str, **options) -> tuple[str, dict]:
+    return _opt(flag, required=True, metavar="FILE", **options)
+
+
+_ALGEBRA = _opt("--algebra", required=True, metavar="SPEC")
+_FORMAT = _opt("--format", choices=("json", "dot"), default="json")
+_OUT = _opt("--out", metavar="FILE")
+_VERIFY_N = _opt("--verify-n", type=int, dest="verify_n", metavar="K")
+
+
+def _equation(*strategies: str) -> list:
+    """The options of ``solve csat`` and ``solve ceqv``."""
+    return [_ALGEBRA, _file("--circuit"),
+            _opt("--e", type=int, default=0, metavar="ELEMENT"),
+            _opt("--strategy", choices=strategies, default="scan")]
+
+
+# Each command path, in help order: its help line, handler and options; a
+# list of options is a required mutually exclusive group.
+_COMMANDS = {
+    ("algebra",): ("print an algebra's operation tables", _cmd_algebra, [_ALGEBRA]),
+    ("con",): ("congruence lattice with landmarks", _cmd_con, [_ALGEBRA, _FORMAT]),
+    ("localize",): ("minimal sets and traces of a pair", _cmd_localize, [
+        _ALGEBRA, _opt("--lower", type=int, required=True, metavar="INDEX"),
+        _opt("--upper", type=int, required=True, metavar="INDEX")]),
+    ("compile",): ("program -> modular circuit", _cmd_compile,
+                   [_file("--program"), _OUT, _VERIFY_N]),
+    ("lower",): ("run one lowering pass", _cmd_lower, [
+        _opt("--pass", required=True, dest="pass_name", metavar="NAME"),
+        _file("--in", dest="infile"), _OUT, _opt("--p", type=int, metavar="PRIME"),
+        _VERIFY_N]),
+    ("cceval",): ("evaluate a modular circuit", _cmd_cceval, [
+        _file("--circuit"),
+        [_opt("--word", metavar="BITS"), _opt("--table", action="store_true")]]),
+    ("ccshape",): ("validate a circuit's layer shape", _cmd_ccshape,
+                   [_file("--circuit"), _opt("--shape", metavar="SHAPE"), _FORMAT]),
+    ("solve", "progcsat"): ("does the program accept a word?", _cmd_solve_progcsat, [
+        _file("--program"),
+        _opt("--sample", type=int, nargs="?", const=0, metavar="TRIALS",
+             help="randomized search (default trials: 4 * size^2)"),
+        _opt("--seed", type=int, default=0)]),
+    ("solve", "csat"): ("is the equation solvable?", _cmd_solve_equation,
+                        _equation("scan", "reduce")),
+    ("solve", "ceqv"): ("does the equation hold identically?", _cmd_solve_equation,
+                        _equation("scan", "meet", "reduce")),
+    ("gadget", "lattice"): ("CNF -> program over the 2-lattice", _cmd_gadget_lattice,
+                            [_file("--cnf"), _OUT]),
+    ("gadget", "twoprime"): ("CNF -> program via the two-prime construction",
+                             _cmd_gadget_twoprime, [_ALGEBRA, _file("--cnf"), _OUT]),
+    ("verify",): ("compare a program against a circuit", _cmd_verify, [
+        _file("--program"), _file("--circuit"),
+        _opt("--n-bound", type=int, default=20, dest="n_bound")]),
+    ("fixtures",): ("list built-ins or dump a demo", _cmd_fixtures,
+                    [_opt("--demo", metavar="NAME"), _OUT]),
+}
+# The commands that name a group of commands: their help line and the
+# attribute that holds the command chosen in the group.
+_GROUPS = {"solve": ("decision procedures", "problem"),
+           "gadget": ("CNF satisfiability gadgets", "gadget")}
+
+
+def _add_options(parser, path: tuple[str, ...]) -> argparse.ArgumentParser:
+    """``parser`` given the options and the handler of a command path."""
+    _, func, options = _COMMANDS[path]
+    for option in options:
+        if isinstance(option, list):
+            group = parser.add_mutually_exclusive_group(required=True)
+            for flag, kw in option:
+                group.add_argument(flag, **kw)
+        else:
+            parser.add_argument(option[0], **option[1])
+    parser.set_defaults(func=func)
+    return parser
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first ``main`` call and reused:
-    parsing leaves no state in it."""
+    """The whole command-line parser, built on the first call that needs it
+    and reused: parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="nudfa",
         description=(
@@ -586,110 +676,40 @@ def _build_parser() -> argparse.ArgumentParser:
             " satisfiability gadgets around them."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("algebra", help="print an algebra's operation tables")
-    p.add_argument("--algebra", required=True, metavar="SPEC")
-    p.set_defaults(func=_cmd_algebra)
-
-    p = sub.add_parser("con", help="congruence lattice with landmarks")
-    p.add_argument("--algebra", required=True, metavar="SPEC")
-    p.add_argument("--format", choices=("json", "dot"), default="json")
-    p.set_defaults(func=_cmd_con)
-
-    p = sub.add_parser("localize", help="minimal sets and traces of a pair")
-    p.add_argument("--algebra", required=True, metavar="SPEC")
-    p.add_argument("--lower", type=int, required=True, metavar="INDEX")
-    p.add_argument("--upper", type=int, required=True, metavar="INDEX")
-    p.set_defaults(func=_cmd_localize)
-
-    p = sub.add_parser("compile", help="program -> modular circuit")
-    p.add_argument("--program", required=True, metavar="FILE")
-    p.add_argument("--out", metavar="FILE")
-    p.add_argument("--verify-n", type=int, dest="verify_n", metavar="K")
-    p.set_defaults(func=_cmd_compile)
-
-    p = sub.add_parser("lower", help="run one lowering pass")
-    p.add_argument("--pass", required=True, dest="pass_name", metavar="NAME")
-    p.add_argument("--in", required=True, dest="infile", metavar="FILE")
-    p.add_argument("--out", metavar="FILE")
-    p.add_argument("--p", type=int, metavar="PRIME")
-    p.add_argument("--verify-n", type=int, dest="verify_n", metavar="K")
-    p.set_defaults(func=_cmd_lower)
-
-    p = sub.add_parser("cceval", help="evaluate a modular circuit")
-    p.add_argument("--circuit", required=True, metavar="FILE")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--word", metavar="BITS")
-    group.add_argument("--table", action="store_true")
-    p.set_defaults(func=_cmd_cceval)
-
-    p = sub.add_parser("ccshape", help="validate a circuit's layer shape")
-    p.add_argument("--circuit", required=True, metavar="FILE")
-    p.add_argument("--shape", metavar="SHAPE")
-    p.add_argument("--format", choices=("json", "dot"), default="json")
-    p.set_defaults(func=_cmd_ccshape)
-
-    p = sub.add_parser("solve", help="decision procedures")
-    ssub = p.add_subparsers(dest="problem", required=True)
-
-    q = ssub.add_parser("progcsat", help="does the program accept a word?")
-    q.add_argument("--program", required=True, metavar="FILE")
-    q.add_argument(
-        "--sample",
-        type=int,
-        nargs="?",
-        const=0,
-        metavar="TRIALS",
-        help="randomized search (default trials: 4 * size^2)",
-    )
-    q.add_argument("--seed", type=int, default=0)
-    q.set_defaults(func=_cmd_solve_progcsat)
-
-    for name, text, strategies in (
-        ("csat", "is the equation solvable?", ("scan", "reduce")),
-        ("ceqv", "does the equation hold identically?", ("scan", "meet", "reduce")),
-    ):
-        q = ssub.add_parser(name, help=text)
-        q.add_argument("--algebra", required=True, metavar="SPEC")
-        q.add_argument("--circuit", required=True, metavar="FILE")
-        q.add_argument("--e", type=int, default=0, metavar="ELEMENT")
-        q.add_argument("--strategy", choices=strategies, default="scan")
-        q.set_defaults(func=_cmd_solve_equation)
-
-    p = sub.add_parser("gadget", help="CNF satisfiability gadgets")
-    gsub = p.add_subparsers(dest="gadget", required=True)
-
-    q = gsub.add_parser("lattice", help="CNF -> program over the 2-lattice")
-    q.add_argument("--cnf", required=True, metavar="FILE")
-    q.add_argument("--out", metavar="FILE")
-    q.set_defaults(func=_cmd_gadget_lattice)
-
-    q = gsub.add_parser(
-        "twoprime", help="CNF -> program via the two-prime construction"
-    )
-    q.add_argument("--algebra", required=True, metavar="SPEC")
-    q.add_argument("--cnf", required=True, metavar="FILE")
-    q.add_argument("--out", metavar="FILE")
-    q.set_defaults(func=_cmd_gadget_twoprime)
-
-    p = sub.add_parser("verify", help="compare a program against a circuit")
-    p.add_argument("--program", required=True, metavar="FILE")
-    p.add_argument("--circuit", required=True, metavar="FILE")
-    p.add_argument("--n-bound", type=int, default=20, dest="n_bound")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("fixtures", help="list built-ins or dump a demo")
-    p.add_argument("--demo", metavar="NAME")
-    p.add_argument("--out", metavar="FILE")
-    p.set_defaults(func=_cmd_fixtures)
-
+    subs = {(): parser.add_subparsers(dest="command", required=True)}
+    for path, (text, _, _) in _COMMANDS.items():
+        head = path[:-1]
+        if head not in subs:
+            group_text, dest = _GROUPS[head[0]]
+            group = subs[()].add_parser(head[0], help=group_text)
+            subs[head] = group.add_subparsers(dest=dest, required=True)
+        _add_options(subs[head].add_parser(path[-1], help=text), path)
     return parser
 
 
+@functools.lru_cache(maxsize=14)  # one parser per command path
+def _command_parser(path: tuple[str, ...]) -> argparse.ArgumentParser:
+    """The parser of one command path alone, as the whole parser holds it
+    (``prog`` ``nudfa solve csat``), built on first need and reused."""
+    parser = argparse.ArgumentParser(prog=" ".join(("nudfa",) + path))
+    return _add_options(parser, path)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed as the whole parser tree parses it."""
+    path = tuple(argv[:2] if argv and argv[0] in _GROUPS else argv[:1])
+    if path in _COMMANDS:
+        args, rest = _command_parser(path).parse_known_args(argv[len(path):])
+        if not rest:
+            args.command = path[0]
+            if len(path) == 2:
+                setattr(args, _GROUPS[path[0]][1], path[1])
+            return args
+    return _build_parser().parse_args(argv)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     # Each call starts from empty run memos.
     congruence._STRUCTURES.clear()
     lowering._INGEST_CACHE.clear()

@@ -42,6 +42,7 @@ from .circuits import (
     VAR,
     AlgCircuit,
     CircuitBuilder,
+    _reachable,
     eval_circuit,
     eval_columns,
     subcircuit,
@@ -196,15 +197,17 @@ def _first_hit(
     gives variable v the value ``values[d]`` at digit d of axis a, and two
     variables may share an axis.
 
-    Only the gates the output reads are evaluated, and only the axes of
-    the variables it reads are scanned, as an open grid on which every gate
+    Only the gates the output reads are evaluated, the circuit being
+    pruned to them when some node is unread, and only the axes of the
+    variables it reads are scanned, as an open grid on which every gate
     spans the axes it reads; digits off them are 0, which keeps the index
     that of the whole grid's first hit.  The scanned entries, the product
     of those axes' radices, are charged against ``cap`` as ``what``.  A
     block fixes leading axes so that every array holds at most TABLE_BLOCK
     entries.
     """
-    circuit = subcircuit(circuit.k, circuit.nodes, circuit.output)
+    if len(_reachable(circuit.nodes, circuit.output)) < len(circuit.nodes):
+        circuit = subcircuit(circuit.k, circuit.nodes, circuit.output)
     axes = sorted({places[node[1]][0] for node in circuit.nodes if node[0] == VAR})
     charge(math.prod(radices[a] for a in axes), cap, what)
     split = len(axes)

@@ -32,7 +32,11 @@ writes, on the program documents of the golden ``lattice_sat.json`` and
 best of seven runs, in milliseconds.  The other figures are wall seconds
 of the machine it runs on; compare two checkouts by running each in turn.
 First of all comes ``src_nonblank_lines``, the count of
-``grep -cv '^\s*$'`` over ``src/nudfa/*.py``.
+``grep -cv '^\s*$'`` over ``src/nudfa/*.py``, then the CLI parsers, in
+milliseconds: building the whole tree and the ``solve csat`` path's own
+parser, the process's first build and the best of seven after emptying
+their caches, and parsing a golden ``solve csat`` argv by the whole tree
+and as ``main`` does, through the path's parser, best of seven warm runs.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ import time
 from itertools import groupby
 from pathlib import Path
 
-from nudfa import congruence, modcircuit
+from nudfa import cli, congruence, modcircuit
 from nudfa import compile as compile_module
 from nudfa.algebra import FiniteAlgebra, UnaryClone, make_op
 from nudfa.circuits import CircuitBuilder, format_json
@@ -153,6 +157,31 @@ def json_writer_timings() -> dict:
     return out
 
 
+def parser_timings() -> dict:
+    """The parsers' first and best build and their best warm parse, in ms."""
+    path = ("solve", "csat")
+    argv = [*path, "--algebra", "fixtures:Z6%2", "--circuit", "inputs/eq_mixed.json",
+            "--e", "3", "--strategy", "scan"]
+    steps = {
+        "build_tree": lambda: cli._build_parser.cache_clear() or cli._build_parser(),
+        "build_path": lambda: (cli._command_parser.cache_clear()
+                               or cli._command_parser(path)),
+        "parse_tree": lambda: cli._build_parser().parse_args(argv),
+        "parse_path": lambda: cli._parse(argv),
+    }
+    out = {}
+    for name, step in steps.items():
+        times = []
+        for _ in range(7):
+            start = time.perf_counter()
+            step()
+            times.append(time.perf_counter() - start)
+        if name.startswith("build"):
+            out[f"parser_{name}_first_ms"] = round(times[0] * 1e3, 3)
+        out[f"parser_{name}_ms"] = round(min(times) * 1e3, 3)
+    return out
+
+
 def src_nonblank_lines() -> int:
     """The lines of ``src/nudfa/*.py`` that hold more than white space."""
     return sum(
@@ -162,7 +191,7 @@ def src_nonblank_lines() -> int:
 
 
 def main() -> None:
-    out = {"src_nonblank_lines": src_nonblank_lines()}
+    out = {"src_nonblank_lines": src_nonblank_lines(), **parser_timings()}
     z6m2 = get_fixture("Z6%2").algebra
     for n, runs in ((10, 5), (12, 5), (16, 3), (18, 3)):
         timed(out, f"parity_sum_z6m2_n{n}", parity_sum(z6m2, "%2", n), Budget(), runs)

@@ -281,9 +281,11 @@ def test_the_budget_variable_caps_the_unary_clone(monkeypatch):
 
 
 def test_reused_parser_keeps_no_state_between_calls(monkeypatch, capsys):
-    """The parser is built once per process.  A usage error, a ``con`` run
-    and a ``solve`` run in a row each print their recorded bytes, and an
-    option left out after a run that gave it takes its default again."""
+    """The parsers are built once per process.  A usage error, a ``con``
+    run and a ``solve`` run in a row each print their recorded bytes, and
+    an option left out after a run that gave it takes its default again.
+    Each command path's own parser, given every golden argv of its path in
+    order and then in reverse, parses each as a freshly built one does."""
     golden = Path(__file__).resolve().parent / "golden"
     recorded = json.loads((golden / "cases.json").read_text())
     cases = {case["name"]: case["argv"] for case in recorded}
@@ -303,13 +305,107 @@ def test_reused_parser_keeps_no_state_between_calls(monkeypatch, capsys):
         assert main(argv) == 0
         expected = (golden / "expected" / f"{name}.out").read_text()
         assert capsys.readouterr().out == expected, name
+    by_path: dict[tuple[str, ...], list[list[str]]] = {}
+    for argv in cases.values():
+        n = 2 if argv[0] in ("solve", "gadget") else 1
+        by_path.setdefault(tuple(argv[:n]), []).append(argv[n:])
+    assert set(by_path) == set(cli._COMMANDS)
+    for path, argvs in by_path.items():
+        fresh = cli._command_parser.__wrapped__(path)
+        for rest in argvs + argvs[::-1]:
+            assert cli._command_parser(path).parse_args(rest) == fresh.parse_args(rest)
+    assert cli._command_parser.cache_info().maxsize >= len(cli._COMMANDS)
+
+
+GOLDEN_ARGVS = [
+    case["argv"]
+    for case in json.loads(
+        (Path(__file__).resolve().parent / "golden" / "cases.json").read_text()
+    )
+]
+EQUATION = ["--algebra", "fixtures:Z6%2", "--circuit", "inputs/eq_mixed.json"]
+# Help, usage errors and argvs that name no command path.
+USAGE_ARGVS = [
+    [], ["-h"], ["--help"], ["con", "-h"], ["con", "--he"], ["solve", "csat", "-h"],
+    ["solve"], ["solve", "-h"], ["solve", "nope"], ["gadget"], ["nope"],
+    ["con", "--bogus", "1"], ["con", "--algebra"],
+    ["con", "--algebra", "fixtures:S3", "extra"],
+    ["con", "--", "--algebra", "fixtures:S3"], ["--", "con", "--algebra", "fixtures:S3"],
+    ["solve", "ceqv", *EQUATION, "--strategy", "bogus"],
+    ["solve", "csat", *EQUATION, "--strategy", "meet"],
+    ["cceval", "--circuit", "inputs/boolean.json", "--word", "1011", "--table"],
+    ["cceval", "--circuit", "inputs/boolean.json"],
+    ["con", "--alg", "fixtures:S3"], ["con", "--algebra", "fixtures:S3", "--f", "dot"],
+    ["solve", "csat", *EQUATION, "--e=3"], ["solve", "progcsat", "--program"],
+]
+
+
+def _outcome(argv: list[str], capsys) -> tuple[str, str, object]:
+    """What ``main(argv)`` prints on stdout and stderr, and its exit code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return out.out, out.err, code
+
+
+@pytest.mark.parametrize(
+    "argv", GOLDEN_ARGVS + USAGE_ARGVS, ids=lambda argv: " ".join(argv) or "(none)"
+)
+def test_each_path_parses_as_the_whole_tree(argv, monkeypatch, capsys):
+    """``main`` prints the same stdout, stderr and exit code as when every
+    call is parsed by the whole tree, and parses the same Namespace."""
+    monkeypatch.chdir(Path(__file__).resolve().parent / "golden")
+    monkeypatch.delenv("NUDFA_BUDGET", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")
+    got = _outcome(argv, capsys)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_parse", lambda argv: cli._build_parser().parse_args(argv))
+        assert got == _outcome(argv, capsys)
+    try:
+        whole = cli._build_parser().parse_args(argv)
+    except SystemExit:
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            cli._parse(list(argv))
+    else:
+        assert cli._parse(list(argv)) == whole
+
+
+def test_parsers_are_built_on_first_need_only():
+    """Importing the CLI builds no parser, and a ``con`` call builds the
+    parser of ``con`` alone."""
+    code = (
+        "import argparse, contextlib, io\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "from nudfa.cli import main\n"
+        "print(built)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['con', '--algebra', 'fixtures:S3'])\n"
+        "print(built)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == "[]\n['nudfa con']\n"
 
 
 def run_memos() -> list[tuple[object, str]]:
     """(module, name) of every run memo in the package's source: each
     module-level dict bound to an empty ``{}``, and each ``functools``
-    cache on a module-level function that takes arguments (an argument-free
-    one, like ``cli._build_parser``, caches one value for the process)."""
+    cache on a module-level function that takes arguments.  An
+    argument-free one, like ``cli._build_parser``, caches one value for the
+    process, and so does a cache of ``argparse.ArgumentParser``s, like
+    ``cli._command_parser``: a parser keeps no state between calls."""
     found = []
     for path in sorted(Path(cli.__file__).parent.glob("*.py")):
         module = importlib.import_module(f"nudfa.{path.stem}")
@@ -321,6 +417,9 @@ def run_memos() -> list[tuple[object, str]]:
                 if isinstance(node.value, ast.Dict) and not node.value.keys:
                     found.append((module, node.target.id))
             elif isinstance(node, ast.FunctionDef):
+                returns = node.returns and ast.unparse(node.returns)
+                if returns == "argparse.ArgumentParser":
+                    continue
                 a = node.args
                 takes = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
                 if any(takes) and any(map(_cache_decorator, node.decorator_list)):
@@ -491,6 +590,26 @@ def test_a_file_without_a_key_is_an_io_error(tmp_path, argv, data, key):
     path.write_text(json.dumps(data))
     assert cli_doc([*argv, str(path)]) == (
         2, {"error": f"{path}: missing key {key!r}", "kind": "io"}
+    )
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("p cnf x 1\n1 0\n", "invalid literal for int() with base 10: 'x'"),
+        ("p cnf 2 1\n1 a 0\n", "invalid literal for int() with base 10: 'a'"),
+        ("p cnf 2 1\n1 3 0\n", "bad literal 3"),
+        ("p cnf 2 1\n1 2\n", "trailing clause without terminating 0"),
+    ],
+    ids=["problem-line", "token", "literal-range", "no-final-zero"],
+)
+def test_a_malformed_dimacs_file_is_an_io_error(tmp_path, text, error):
+    """A DIMACS file the reader cannot read is an "io" error naming the
+    file, exit 2.  It was a "domain" error, exit 1, without the path."""
+    path = tmp_path / "f.cnf"
+    path.write_text(text)
+    assert cli_doc(["gadget", "lattice", "--cnf", str(path)]) == (
+        2, {"error": f"{path}: {error}", "kind": "io"}
     )
 
 

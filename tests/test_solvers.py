@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -14,7 +15,7 @@ import eval_reference
 import scan_reference as reference
 from conftest import random_alg_circuit, random_program, variable_circuit
 
-from nudfa import modcircuit
+from nudfa import modcircuit, solvers
 from nudfa.circuits import (
     CONST,
     GATE,
@@ -25,7 +26,9 @@ from nudfa.circuits import (
     eval_circuit,
 )
 from nudfa.compile import HypothesisViolation
+from nudfa.fieldpoly import parse_dimacs
 from nudfa.fixtures import demo_program, fixture_names, get_fixture
+from nudfa.hardness import cnf_to_lattice_program
 from nudfa.limits import BudgetExceeded, default_budget
 from nudfa.programs import AlgProgram, Instruction
 from nudfa.solvers import (
@@ -132,6 +135,30 @@ def test_scans_charge_the_grid_they_open_not_the_space():
             "holds", None, None, 2**k + 3**k
         )
         assert ceqv_via_meet_irreducibles(z6, plus, 0).status == "fails"
+
+
+def test_scans_prune_only_circuits_with_unread_nodes():
+    """A circuit whose output reads every node, as ``CircuitBuilder.finish``
+    and the lattice gadget build them, is scanned as it is; one with an
+    unread gate is pruned once.  Each answers as the reference scan does."""
+    z6 = get_fixture("Z6").algebra
+    b = CircuitBuilder(2)
+    read = b.finish(b.gate("+", b.var(0), b.var(1)))
+    unread = AlgCircuit(2, read.nodes + ((GATE, "+", (0, 0)),), read.output)
+    cnf = (Path(__file__).resolve().parent / "golden" / "inputs" / "sat.cnf").read_text()
+    lattice = cnf_to_lattice_program(parse_dimacs(cnf))
+    for circuit, prunes in ((read, 0), (unread, 1)):
+        with mock.patch.object(solvers, "subcircuit", wraps=solvers.subcircuit) as spy:
+            for e in range(z6.size):
+                assert outcome(csat_exhaustive(z6, circuit, e)) == outcome(
+                    reference.csat_exhaustive(z6, circuit, e)
+                )
+        assert spy.call_count == prunes * z6.size
+    with mock.patch.object(solvers, "subcircuit", wraps=solvers.subcircuit) as spy:
+        assert outcome(progcsat_exhaustive(lattice)) == outcome(
+            reference.progcsat_exhaustive(lattice)
+        )
+    assert spy.call_count == 0
 
 
 def test_scans_that_read_too_much_are_refused_as_before():
