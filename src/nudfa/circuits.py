@@ -15,7 +15,8 @@ only spans the axes of the variables it reads.  ``argument_blocks`` lists
 argument tuples in ``product`` order as such arrays, a block at a time;
 the one closure kernel of algebra.py gathers its products on them.
 ``format_json`` writes every JSON document the package prints or saves,
-``dump_json`` every file, and ``load_json`` reads every file.
+of dicts with str keys, lists, strs, ints, bools and None; ``dump_json``
+writes every file, and ``load_json`` reads every file.
 """
 
 from __future__ import annotations
@@ -95,55 +96,14 @@ class AlgCircuit:
         return AlgCircuit(int(data["k"]), tuple(nodes), int(data["output"]))
 
 
-_INF = float("inf")
-
-
-def _float(x: float) -> str:
-    """A float as ``json`` writes it, NaN and the infinities included."""
-    if x != x:
-        return "NaN"
-    if x == _INF:
-        return "Infinity"
-    if x == -_INF:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
 # The scalar writers, looked up by exact type: bool is not int here.
 _SCALARS = {
     str: _escape,
     int: int.__repr__,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
-    float: _float,
 }
-_INTS, _STRS, _FLAT = {int}, {str}, {int, str}
-
-
-def _subclass_scalar(x) -> str:
-    """A scalar of a subclass of str, int or float, as ``json`` writes it."""
-    if isinstance(x, str):
-        return _escape(x)
-    if isinstance(x, int):
-        return int.__repr__(x)
-    if isinstance(x, float):
-        return _float(x)
-    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
-
-
-def _key(k) -> str:
-    """A dict key that is not a str, as ``json`` turns it into one."""
-    if isinstance(k, str):
-        return k
-    if isinstance(k, float):
-        return _float(k)
-    if k is True or k is False or k is None:
-        return _SCALARS[type(k)](k)  # before int: bool is an int
-    if isinstance(k, int):
-        return int.__repr__(k)
-    raise TypeError(
-        f"keys must be str, int, float, bool or None, not {type(k).__name__}"
-    )
+_SCALAR_TYPES = set(_SCALARS)  # a set: ``dict.keys()`` compares slower
 
 
 def _write(o, out: list[str], levels: list[tuple[str, str, str]], depth: int) -> None:
@@ -153,65 +113,50 @@ def _write(o, out: list[str], levels: list[tuple[str, str, str]], depth: int) ->
     if depth == len(levels):
         inner = "\n" + "  " * (depth + 1)
         levels.append(("," + inner, inner, "\n" + "  " * depth))
+    sep, inner, close = levels[depth]
     t = type(o)
-    if t is list or t is tuple or t is not dict and isinstance(o, (list, tuple)):
-        if not o:
-            out.append("[]")
-            return
-        sep, inner, close = levels[depth]
+    if t is list:
         types = set(map(type, o))
-        if types <= _FLAT:
-            if types == _INTS:
-                body = sep.join(map(int.__repr__, o))
-            elif types == _STRS:
-                body = sep.join(map(_escape, o))
+        if types <= _SCALAR_TYPES:
+            if len(types) == 1:
+                body = sep.join(map(_SCALARS[types.pop()], o))
             else:
-                body = sep.join(
-                    [_escape(x) if type(x) is str else int.__repr__(x) for x in o]
-                )
-            out.append("[" + inner + body + close + "]")
+                body = sep.join([_SCALARS[type(x)](x) for x in o])
+            out.append("[" + inner + body + close + "]" if o else "[]")
             return
         pre = "[" + inner
-        depth += 1
         for v in o:
-            f = _SCALARS.get(type(v))
-            if f:
+            if f := _SCALARS.get(type(v)):
                 out.append(pre + f(v))
             else:
                 out.append(pre)
-                _write(v, out, levels, depth)
+                _write(v, out, levels, depth + 1)
             pre = sep
         out.append(close + "]")
-    elif t is dict or isinstance(o, dict):
-        if not o:
-            out.append("{}")
-            return
-        sep, inner, close = levels[depth]
+    elif t is dict:
         pre = "{" + inner
-        depth += 1
         for k, v in sorted(o.items()):
-            pre += _escape(k if type(k) is str else _key(k)) + ": "
-            f = _SCALARS.get(type(v))
-            if f:
+            pre += _escape(k) + ": "
+            if f := _SCALARS.get(type(v)):
                 out.append(pre + f(v))
             else:
                 out.append(pre)
-                _write(v, out, levels, depth)
+                _write(v, out, levels, depth + 1)
             pre = sep
-        out.append(close + "}")
+        out.append(close + "}" if o else "{}")
+    elif t in _SCALAR_TYPES:
+        out.append(_SCALARS[t](o))
     else:
-        f = _SCALARS.get(t)
-        out.append(f(o) if f else _subclass_scalar(o))
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def format_json(doc) -> str:
     """The package's JSON text: what the stdlib's ``dumps`` writes with
     ``indent=2, sort_keys=True``, byte for byte, built by one recursion
-    into one list (the stdlib runs its C encoder only without an indent,
-    and otherwise yields each token up one generator per nesting level).
-    Tuples are written as lists, dict items are sorted by their keys
-    before the keys become strings, and a value or key the stdlib refuses
-    raises TypeError."""
+    into one list (the stdlib's indented writer yields each token up one
+    generator per nesting level).  It writes dicts with str keys, lists,
+    strs, ints, bools and None, each value of exactly that type; any
+    other value, or a key that is not a str, raises TypeError."""
     out: list[str] = []
     _write(doc, out, [], 0)
     return "".join(out)

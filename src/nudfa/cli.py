@@ -36,17 +36,12 @@ import numpy as np
 from . import congruence, lowering, modcircuit
 from .algebra import FiniteAlgebra, check_circuit
 from .circuits import AlgCircuit, FileFormatError, format_json, load_json
-from .compile import (
-    HypothesisViolation,
-    compile_nilpotent,
-    compile_supernilpotent,
-)
+from .compile import HypothesisViolation, compile_nilpotent
 # ``all_congruences`` is not called here: bench/tests/test_bench_tracer.py
 # checks that tracing rebinds this module's name for it.
 from .congruence import (  # noqa: F401
     Structure,
     all_congruences,
-    is_supernilpotent_algebra,
     structure,
     supernilpotent_rank,
 )
@@ -175,6 +170,15 @@ def _parse_word(text: str, width: int) -> tuple[int, ...]:
     return tuple(int(c) for c in text)
 
 
+def _cover_characteristic(s: Structure, lo: int, hi: int) -> Optional[int]:
+    """The characteristic of the cover of lattice elements ``lo`` < ``hi``,
+    or None where it has none."""
+    try:
+        return s.characteristic(s.lattice.elements[lo], s.lattice.elements[hi])
+    except ValueError:
+        return None
+
+
 def _lattice_dot(s: Structure) -> str:
     lat = s.lattice
     lines = ["digraph congruences {", "  rankdir=BT;"]
@@ -184,11 +188,8 @@ def _lattice_dot(s: Structure) -> str:
         )
         lines.append(f'  n{i} [label="{i}: {label}"];')
     for lo, hi in lat.covers:
-        try:
-            tag = str(s.characteristic(lat.elements[lo], lat.elements[hi]))
-        except ValueError:
-            tag = "?"
-        lines.append(f'  n{lo} -> n{hi} [label="{tag}"];')
+        tag = _cover_characteristic(s, lo, hi)
+        lines.append(f'  n{lo} -> n{hi} [label="{"?" if tag is None else tag}"];')
     lines.append("}")
     return "\n".join(lines)
 
@@ -288,22 +289,17 @@ def _cmd_con(args) -> dict | str:
     lat = s.lattice
     if args.format == "dot":
         return _lattice_dot(s)
-    covers = []
-    for lo, hi in lat.covers:
-        try:
-            tag: Optional[int] = s.characteristic(
-                lat.elements[lo], lat.elements[hi]
-            )
-        except ValueError:
-            tag = None
-        covers.append({"lower": lo, "upper": hi, "characteristic": tag})
     doc: dict = {
         "algebra": algebra.name,
         "elements": [
             {"index": i, "blocks": part.blocks()}
             for i, part in enumerate(lat.elements)
         ],
-        "covers": covers,
+        "covers": [
+            {"lower": lo, "upper": hi,
+             "characteristic": _cover_characteristic(s, lo, hi)}
+            for lo, hi in lat.covers
+        ],
         "rank": supernilpotent_rank(s),
     }
     try:
@@ -357,12 +353,7 @@ def _cmd_localize(args) -> dict:
 def _cmd_compile(args) -> dict | tuple[dict, int]:
     _require_nonnegative(args.verify_n, "--verify-n")
     program = AlgProgram.load(args.program)
-    budget = default_budget()
-    if is_supernilpotent_algebra(program.algebra, budget):
-        circuit, report = compile_supernilpotent(program, budget)
-        reports = [report]
-    else:
-        circuit, reports = compile_nilpotent(program, budget=budget)
+    circuit, reports = compile_nilpotent(program)
     doc: dict = {
         "algebra": program.algebra.name,
         "n": program.n,
@@ -522,6 +513,7 @@ def _cmd_gadget_lattice(args) -> dict:
 
 def _cmd_gadget_twoprime(args) -> dict | tuple[dict, int]:
     algebra = resolve_algebra(args.algebra)
+    cnf = _load_cnf(args.cnf)
     budget = default_budget()
     try:
         sides = find_two_prime_witness(algebra, budget)
@@ -530,7 +522,6 @@ def _cmd_gadget_twoprime(args) -> dict | tuple[dict, int]:
             "error": {"stage": exc.stage, "detail": exc.detail},
             "kind": "witness-failure",
         }, 1
-    cnf = _load_cnf(args.cnf)
     program = build_two_prime_program(algebra, sides, cnf, budget=budget)
     doc: dict = {
         "gadget": "twoprime",

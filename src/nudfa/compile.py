@@ -42,6 +42,7 @@ from .congruence import (
     is_nilpotent_congruence,
     is_pupi,
     is_supernilpotent_algebra,
+    is_supernilpotent_congruence,
     prime_power_decomposition,
     structure,
 )
@@ -602,13 +603,6 @@ def descend_mod_beta(
 # ---------------------------------------------------------------------------
 
 
-def _smallest_coprime_prime(size: int) -> int:
-    q = 2
-    while prime_divisors(q) != [q] or size % q == 0:
-        q += 1
-    return q
-
-
 def _maximal_chain(
     lat: CongruenceLattice, top: Partition
 ) -> list[Partition]:
@@ -638,6 +632,8 @@ def compile_nilpotent(
 ) -> tuple[CCircuit, list[PassReport]]:
     """Compile a program over a nilpotent Malcev algebra whose
     characteristics below the least supernilpotent quotient are one prime.
+    A supernilpotent algebra goes to ``compile_supernilpotent``, and its
+    AND∘MOD∘OR circuit comes back with that pass's one report.
 
     The descent walks a maximal chain 0 = gamma_0 < ... < gamma_h = sigma
     in two passes.  The plan runs from the root down: level 0 reads the
@@ -658,6 +654,9 @@ def compile_nilpotent(
     n = program.n
     s = structure(A, budget)
     lat = s.lattice
+    if is_supernilpotent_congruence(s, lat.one):
+        circuit, report = compile_supernilpotent(program, budget)
+        return circuit, [report]
     if not is_nilpotent_congruence(s, lat.one):
         raise HypothesisViolation(f"{A.name} is not nilpotent")
     malcev = s.malcev
@@ -670,23 +669,18 @@ def compile_nilpotent(
     dist = s.distinguished
     kappa = dist.smallest_supernilpotent_quotient
     chars = charr_set(s, lat.zero, kappa)
-    if not chars:
-        if not kappa.is_identity():
-            raise AssertionError("no characteristics below a nonzero congruence")
-        p = _smallest_coprime_prime(A.size)
-    elif len(chars) == 1:
-        p = next(iter(chars))
-    else:
+    if len(chars) != 1:
         raise HypothesisViolation(
             f"characteristics below the supernilpotent quotient are "
             f"{sorted(chars)}; need a single prime"
         )
+    (p,) = chars
 
     sigma = dist.by_prime.get(p, lat.zero)
     if not kappa.leq(sigma):
         raise AssertionError("supernilpotent quotient escapes the p-radical")
     m = pdiv(sigma.num_blocks())
-    if chars and m * p != pdiv(A.size):
+    if m * p != pdiv(A.size):
         raise AssertionError("quotient primes do not complement p")
     if m == 1:
         raise HypothesisViolation(

@@ -423,19 +423,23 @@ def parse_dimacs(text: str) -> Cnf3:
     """DIMACS CNF reader; clauses wider than 3 distinct literals are refused
     (no clause splitting).  A clause of more than 3 literals keeps its
     distinct ones in order of first occurrence, and shorter clauses are
-    padded by repeating the first literal."""
-    num_vars = None
+    padded by repeating the first literal.  A ``%`` line ends the clauses,
+    as in the SATLIB benchmark files, and a problem line's clause count
+    must match the clauses read."""
+    num_vars = num_clauses = None
     clauses: list[tuple[int, int, int]] = []
     pending: list[int] = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
+        if line.startswith("%"):
+            break
         if line.startswith("p"):
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"bad problem line {line!r}")
-            num_vars = int(parts[2])
+            num_vars, num_clauses = int(parts[2]), int(parts[3])
             continue
         for tok in line.split():
             lit = int(tok)
@@ -455,6 +459,10 @@ def parse_dimacs(text: str) -> Cnf3:
                 pending.append(lit)
     if pending:
         raise ValueError("trailing clause without terminating 0")
+    if num_clauses is not None and num_clauses != len(clauses):
+        raise ValueError(
+            f"problem line declares {num_clauses} clauses, file has {len(clauses)}"
+        )
     if num_vars is None:
         num_vars = max((abs(l) for c in clauses for l in c), default=0)
     return Cnf3(num_vars, tuple(clauses))

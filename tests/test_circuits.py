@@ -3,7 +3,6 @@
 import enum
 import json
 import random
-from collections import OrderedDict, namedtuple
 
 import numpy as np
 import pytest
@@ -198,11 +197,11 @@ def test_one_row_views_match_the_reference_interpreters(cc, alg_circuit, data):
     )
 
 
-# JSON documents for the writer's differential test: strings with quotes,
-# backslashes, control characters, non-ASCII text and lone surrogates;
-# ints past 64 bits; every float class; flat int and int/str lists for the
-# writer's joined lists; and dicts whose keys share one of the five types
-# the stdlib takes, nested up to depth 6 with empty containers anywhere.
+# JSON documents for the writer's differential test, of the six types it
+# takes: strings with quotes, backslashes, control characters, non-ASCII
+# text and lone surrogates; ints past 64 bits; flat int and int/str lists
+# for the writer's joined lists; and dicts with str keys, nested up to
+# depth 6 with empty containers anywhere.
 _TEXT = st.text(
     st.one_of(
         st.sampled_from('"\\/\x00\x01\x1f\x7f\b\f\n\r\t'),
@@ -212,22 +211,19 @@ _TEXT = st.text(
     max_size=6,
 )
 _INT = st.integers(-(2**70), 2**70)
-_FLOAT = st.one_of(st.floats(), st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0]))
-_SCALAR = st.one_of(st.none(), st.booleans(), _INT, _FLOAT, _TEXT)
-_KEYS = [_TEXT, _INT, st.booleans(), st.none(), _FLOAT]
+_SCALAR = st.one_of(st.none(), st.booleans(), _INT, _TEXT)
 _FLAT_LISTS = st.one_of(st.lists(_INT, max_size=4), st.lists(st.one_of(_INT, _TEXT), max_size=4))
 
 
 def _documents(depth: int):
     if depth == 0:
-        return st.one_of(_SCALAR, st.sampled_from([[], (), {}]), _FLAT_LISTS)
+        return st.one_of(_SCALAR, st.sampled_from([[], {}]), _FLAT_LISTS)
     child = _documents(depth - 1)
     return st.one_of(
         _SCALAR,
         _FLAT_LISTS,
         st.lists(child, max_size=3),
-        st.lists(child, max_size=3).map(tuple),
-        st.one_of([st.dictionaries(key, child, max_size=3) for key in _KEYS]),
+        st.dictionaries(_TEXT, child, max_size=3),
     )
 
 
@@ -245,19 +241,6 @@ class _Text(str):
     pass
 
 
-_Pair = namedtuple("_Pair", "a b")
-
-
-@pytest.mark.parametrize("doc", [
-    {"a": _Colour.RED, _Text("k"): [_Text("v\u2218"), 1.5]},
-    OrderedDict([("z", _Pair(1, (2, [True, None])))]),
-    {2.5: 0, -0.0: 1, float("inf"): 2},
-    [np.float64(0.1), [[]], [{}], ({"": ()},)],
-])
-def test_format_json_writes_subclasses_as_their_bases(doc):
-    assert format_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
-
-
 @pytest.mark.parametrize("doc", [
     {"a": 1, 2: 0},
     {"x": [np.int64(3)]},
@@ -267,5 +250,20 @@ def test_format_json_writes_subclasses_as_their_bases(doc):
 def test_format_json_refuses_what_the_stdlib_refuses(doc):
     with pytest.raises(TypeError):
         json.dumps(doc, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        format_json(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {"x": [1, 1.5]},
+    ["a", (1, 2)],
+    {"colour": _Colour.RED},
+    [_Text("v")],
+    {2: "two"},
+], ids=["float", "tuple", "int-enum", "str-subclass", "int-key"])
+def test_format_json_refuses_what_the_documents_never_hold(doc):
+    """The stdlib writes these; the package's documents hold none of them,
+    so the writer refuses them."""
+    json.dumps(doc, indent=2, sort_keys=True)
     with pytest.raises(TypeError):
         format_json(doc)

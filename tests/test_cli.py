@@ -600,17 +600,50 @@ def test_a_file_without_a_key_is_an_io_error(tmp_path, argv, data, key):
         ("p cnf 2 1\n1 a 0\n", "invalid literal for int() with base 10: 'a'"),
         ("p cnf 2 1\n1 3 0\n", "bad literal 3"),
         ("p cnf 2 1\n1 2\n", "trailing clause without terminating 0"),
+        ("p cnf 2 1\n1 0\n2 0\n", "problem line declares 1 clauses, file has 2"),
+        ("p cnf 2 3\n1 0\n%\n2 0\n", "problem line declares 3 clauses, file has 1"),
     ],
-    ids=["problem-line", "token", "literal-range", "no-final-zero"],
+    ids=["problem-line", "token", "literal-range", "no-final-zero", "more-clauses",
+         "fewer-clauses"],
 )
 def test_a_malformed_dimacs_file_is_an_io_error(tmp_path, text, error):
     """A DIMACS file the reader cannot read is an "io" error naming the
-    file, exit 2.  It was a "domain" error, exit 1, without the path."""
+    file, exit 2.  It was a "domain" error, exit 1, without the path.  A
+    clause count other than the problem line's is such a file; it was
+    read as the clauses found."""
     path = tmp_path / "f.cnf"
     path.write_text(text)
     assert cli_doc(["gadget", "lattice", "--cnf", str(path)]) == (
         2, {"error": f"{path}: {error}", "kind": "io"}
     )
+
+
+def test_a_percent_line_ends_the_dimacs_clauses(tmp_path):
+    """SATLIB's uniform random 3-SAT files end with a ``%`` line and a
+    ``0``; the reader stops at the ``%``, so such a file builds the gadget
+    of the same file without its last two lines.  It was an io error."""
+    text = "c uf3-01\np cnf 3 2\n 1 -2 3 0\n-1 2 0\n"
+    docs = []
+    for name, tail in (("plain.cnf", ""), ("satlib.cnf", "%\n0\n\n")):
+        path = tmp_path / name
+        path.write_text(text + tail)
+        docs.append(cli_doc(["gadget", "lattice", "--cnf", str(path)]))
+    assert docs[0] == docs[1]
+    assert docs[1][0] == 0
+    assert (docs[1][1]["cnf_vars"], docs[1][1]["clauses"]) == (3, 2)
+
+
+@pytest.mark.parametrize("text", [None, "p cnf 2 1\n1 0\n2 0\n"], ids=["missing", "malformed"])
+def test_twoprime_reads_its_cnf_before_the_witness_search(tmp_path, text):
+    """S3 is not nilpotent, so its witness search fails; a CNF file that
+    is missing or malformed is still the "io" error, exit 2.  It was the
+    witness failure, exit 1."""
+    path = tmp_path / "f.cnf"
+    if text is not None:
+        path.write_text(text)
+    code, doc = cli_doc(["gadget", "twoprime", "--algebra", "fixtures:S3", "--cnf", str(path)])
+    assert (code, doc["kind"]) == (2, "io")
+    assert str(path) in doc["error"]
 
 
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
@@ -643,7 +676,7 @@ def test_compile_reports_a_circuit_the_harness_refutes(monkeypatch):
     """``and2`` over Z6 compiles to a one-wire OR over a MOD gate; with that
     gate's accepting set complemented, ``--verify-n`` finds the tables
     differ at the first word and ``compile`` exits 1 with the mismatch."""
-    compile_ = cli.compile_supernilpotent
+    compile_ = compile_supernilpotent
 
     def changed(program, budget):
         circuit, report = compile_(program, budget)
@@ -656,7 +689,7 @@ def test_compile_reports_a_circuit_the_harness_refutes(monkeypatch):
         )
         return replace(circuit, gates=tuple(gates)), report
 
-    monkeypatch.setattr(cli, "compile_supernilpotent", changed)
+    monkeypatch.setattr("nudfa.compile.compile_supernilpotent", changed)
     code, doc = cli_doc(["compile", "--program", str(GOLDEN_INPUTS / "demo_and2_z6.json"),
                          "--verify-n", "20"])
     assert code == 1

@@ -82,9 +82,13 @@ def test_nilpotent_compile_of_the_marked_demo():
 
 
 def test_nilpotent_compile_also_handles_plain_modules():
+    """Z6 is supernilpotent, so its program gets the AND∘MOD∘OR circuit of
+    ``compile_supernilpotent`` with that pass's one report."""
     prog = demo_program("and2_z6")
-    circuit, _ = compile_nilpotent(prog)
+    circuit, reports = compile_nilpotent(prog)
     assert_compiled_matches(circuit, prog)
+    base, report = compile_supernilpotent(prog)
+    assert (circuit, reports) == (base, [report])
 
 
 def test_nilpotent_compile_refuses_non_nilpotent_algebras():
