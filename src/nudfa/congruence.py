@@ -287,7 +287,6 @@ class CongruenceLattice:
     coarser congruence sorts before a finer one: the total partition comes
     first and the least element last."""
 
-    algebra: FiniteAlgebra
     elements: tuple[Partition, ...]  # canonically sorted
     _index: dict = field(repr=False)
     covers: tuple[tuple[int, int], ...]  # (lower, upper), sorted by lower
@@ -339,7 +338,7 @@ class CongruenceLattice:
         index = {c: i for i, c in enumerate(elements)}
         pairs = ((self.elements[a], self.elements[b]) for a, b in self.covers)
         covers = tuple((index[a], index[b]) for a, b in pairs if a in index)
-        return CongruenceLattice(self.algebra, elements, index, covers)
+        return CongruenceLattice(elements, index, covers)
 
     def covers_of(self, part: Partition) -> list[Partition]:
         i = self.index(part)
@@ -410,7 +409,7 @@ def all_congruences(
     rank = {c: i for i, c in enumerate(sorted(upper))}
     covers = sorted((rank[lo], rank[hi]) for lo in upper for hi in upper[lo])
     index = {Partition(c): i for c, i in rank.items()}
-    return CongruenceLattice(algebra, tuple(index), index, tuple(covers))
+    return CongruenceLattice(tuple(index), index, tuple(covers))
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@ Three constructions live here:
   congruences whose two covering steps have distinct prime characteristics:
   inputs range over a pair separated only by the top step, outputs over a
   pair separated only by the bottom step.  A ``BetaIntConfig`` carries the
-  discovered unary polynomials (projection into a minimal set, the shifted
-  -sum seed ``h``, the class indicator ``b`` and a permutability corrector)
-  that make the construction go through; ``complete_interpolation_config``
-  searches for them and validates every required condition.
+  unary polynomials that make the construction go through (projection into
+  a minimal set, the class indicator ``b`` and a permutability corrector);
+  ``complete_interpolation_config`` finds them for a given input pair, base
+  and mark, and validates every required condition.
 
 * ``find_two_prime_witness`` returns one such configuration per prime, on
   an algebra whose congruence lattice exhibits two distinct primes below
@@ -146,11 +146,11 @@ class BetaIntConfig:
 
     ``g_fn`` projects the input pair into the minimal set ``in_min`` whose
     trace carries modular arithmetic; ``cycle`` lists the in_char orbit
-    points of that trace.  ``h_fn`` is the unary polynomial whose shifted
-    sums produce the class indicator ``b_fn`` with peak value ``anchor``,
-    and ``fix_fn`` moves the anchor's class onto ``mark``'s class while
-    fixing ``base``.  ``h_adjusted`` records whether the fallback shift of
-    ``h_fn`` was needed to make the orbit sum leave ``base``'s class.
+    points of that trace.  ``b_fn`` is the class indicator, built from the
+    shifted sums of a seed polynomial: at the first orbit point it leaves
+    ``base``'s class, at the others it stays there.  ``fix_fn`` moves its
+    value at the first orbit point onto ``mark``'s class while fixing
+    ``base``.
     """
 
     algebra: FiniteAlgebra
@@ -166,9 +166,6 @@ class BetaIntConfig:
     out_min: MinimalSet
     g_fn: tuple[int, ...]
     cycle: tuple[int, ...]
-    h_fn: tuple[int, ...]
-    h_adjusted: bool
-    anchor: int
     b_fn: tuple[int, ...]
     fix_fn: tuple[int, ...]
 
@@ -238,16 +235,17 @@ def complete_interpolation_config(
     mid: Partition,
     upper: Partition,
     *,
-    in_pair: Optional[tuple[int, int]] = None,
-    base: Optional[int] = None,
-    mark: Optional[int] = None,
+    in_pair: tuple[int, int],
+    base: int,
+    mark: int,
     budget: Optional[Budget] = None,
 ) -> BetaIntConfig:
-    """Discover and validate all interpolation data for a congruence chain.
+    """Find and validate the interpolation data for a congruence chain.
 
-    Searches run in canonical order (clone functions sorted by value table,
-    elements ascending), so results are deterministic.  Raises
-    ``GadgetSearchError`` naming the first step that cannot be completed.
+    The input pair, the base and the mark are given; the unary polynomials
+    are searched for in canonical order (clone functions sorted by value
+    table), so results are deterministic.  Raises ``GadgetSearchError``
+    naming the first step that cannot be completed.
     """
     s = structure(algebra, budget)
     lat, clone = s.lattice, s.clone
@@ -271,10 +269,6 @@ def complete_interpolation_config(
             "characteristic", "the two covering characteristics must differ"
         )
 
-    if in_pair is None:
-        in_pair = _separating_pair(size, upper, mid)
-        if in_pair is None:
-            raise GadgetSearchError("input-pair", "no pair separates the covers")
     in_zero, in_one = in_pair
     if not (upper.same(in_zero, in_one) and not mid.same(in_zero, in_one)):
         raise GadgetSearchError(
@@ -325,183 +319,126 @@ def complete_interpolation_config(
     if mid.class_of[in_add(cycle[-1], c1)] != mid.class_of[c0]:
         raise GadgetSearchError("cycle", "orbit does not close up after one period")
 
-    def attempt(e: int, want_mark: Optional[int]) -> BetaIntConfig:
-        out_min = minimal_set_through(s, lower, mid, e)
-        if out_min is None or out_min.idempotent is None:
-            raise GadgetSearchError(
-                "out-set",
-                f"no minimal set with an idempotent range passes through element {e}",
-            )
-        retract = out_min.idempotent
-        out_add = _wrapped_add(algebra, malcev, retract, e)
-        trace = [x for x in sorted(out_min.universe) if mid.same(x, e)]
-        for x in trace:
-            if not lower.same(out_add(e, x), x) or not lower.same(out_add(x, e), x):
-                raise GadgetSearchError(
-                    "out-group", "the base element is not a unit on the trace"
-                )
-            if not lower.same(_multiple(out_add, x, out_char, e), e):
-                raise GadgetSearchError(
-                    "out-group",
-                    f"trace element {x} lacks additive order dividing {out_char}",
-                )
-        neg = [_multiple(out_add, x, out_char - 1, e) for x in range(size)]
-
-        if want_mark is None:
-            cands = [x for x in trace if not lower.same(x, e)]
-            if not cands:
-                raise GadgetSearchError(
-                    "mark", "the trace modulo the bottom congruence is trivial"
-                )
-            a = cands[0]
-        else:
-            a = want_mark
-            if a not in trace or lower.same(a, e):
-                raise GadgetSearchError(
-                    "mark", "requested output letter is not a nontrivial trace element"
-                )
-
-        universe_in = sorted(in_min.universe)
-
-        def bullets_ok(tab: Sequence[int]) -> bool:
-            if not lower.same(tab[c0], e):
-                return False
-            if not mid.same(tab[c0], tab[c1]) or lower.same(tab[c0], tab[c1]):
-                return False
-            for x in range(size):
-                for y in range(x + 1, size):
-                    if upper.same(x, y) and not mid.same(tab[x], tab[y]):
-                        return False
-            for xi, x in enumerate(universe_in):
-                for y in universe_in[xi + 1 :]:
-                    if mid.same(x, y) and not lower.same(tab[x], tab[y]):
-                        return False
-            return True
-
-        def orbit_sum(tab: Sequence[int]) -> int:
-            return reduce(out_add, (tab[c] for c in cycle))
-
-        xor_c1 = [in_add(x, c1) for x in range(size)]
-
-        chosen = None
-        for h0 in clone:
-            tab = tuple(retract[v] for v in h0)
-            if not bullets_ok(tab):
-                continue
-            total = orbit_sum(tab)
-            if not lower.same(total, e):
-                chosen = (tab, False, total)
-                break
-            # Shift the argument by one orbit step and re-center; the new
-            # orbit sum must differ from the old one by the full-period
-            # multiple of the shift value, which we assert.
-            shifted = tuple(
-                out_add(tab[xor_c1[x]], neg[tab[c1]]) for x in range(size)
-            )
-            qfold = _multiple(out_add, tab[c1], in_char, e)
-            total2 = orbit_sum(shifted)
-            expect = out_add(total, neg[qfold])
-            if not lower.same(total2, expect):
-                raise AssertionError(
-                    "shifted orbit sum violates the re-centering identity"
-                )
-            if bullets_ok(shifted) and not lower.same(total2, e):
-                chosen = (shifted, True, total2)
-                break
-        if chosen is None:
-            raise GadgetSearchError(
-                "indicator-seed",
-                "no unary polynomial satisfies the shifted-sum conditions",
-            )
-        h_tab, h_adjusted, anchor = chosen
-        h_fn = clone.lookup(h_tab)
-        if h_fn is None:
-            raise AssertionError("composed seed table escaped the unary clone")
-
-        b_tab = []
-        for z in range(size):
-            shifts = (h_tab[_multiple(in_add, z, j, c0)] for j in range(in_char))
-            b_tab.append(out_add(anchor, neg[reduce(out_add, shifts)]))
-        b_fn = clone.lookup(tuple(b_tab))
-        if b_fn is None:
-            raise AssertionError("class-indicator table escaped the unary clone")
-        for j, cj in enumerate(cycle):
-            want = anchor if j == 0 else e
-            if not lower.same(b_tab[cj], want):
-                raise GadgetSearchError(
-                    "indicator", f"indicator misfires at orbit point {j}"
-                )
-
-        fix_fn = clone.find(
-            lambda t: t[e] == e and lower.same(t[anchor], a)
+    out_min = minimal_set_through(s, lower, mid, base)
+    if out_min is None or out_min.idempotent is None:
+        raise GadgetSearchError(
+            "out-set",
+            f"no minimal set with an idempotent range passes through element {base}",
         )
-        if fix_fn is None:
+    retract = out_min.idempotent
+    out_add = _wrapped_add(algebra, malcev, retract, base)
+    trace = [x for x in sorted(out_min.universe) if mid.same(x, base)]
+    for x in trace:
+        if not lower.same(out_add(base, x), x) or not lower.same(out_add(x, base), x):
             raise GadgetSearchError(
-                "permutability-fix",
-                "no unary polynomial moves the anchor class onto the mark "
-                "while fixing the base",
+                "out-group", "the base element is not a unit on the trace"
             )
-
-        return BetaIntConfig(
-            algebra=algebra,
-            structure=s,
-            lower=lower,
-            in_zero=in_zero,
-            in_one=in_one,
-            base=e,
-            mark=a,
-            in_char=in_char,
-            out_char=out_char,
-            in_min=in_min,
-            out_min=out_min,
-            g_fn=g_fn,
-            cycle=tuple(cycle),
-            h_fn=h_fn,
-            h_adjusted=h_adjusted,
-            anchor=anchor,
-            b_fn=b_fn,
-            fix_fn=fix_fn,
+        if not lower.same(_multiple(out_add, x, out_char, base), base):
+            raise GadgetSearchError(
+                "out-group",
+                f"trace element {x} lacks additive order dividing {out_char}",
+            )
+    neg = [_multiple(out_add, x, out_char - 1, base) for x in range(size)]
+    if mark not in trace or lower.same(mark, base):
+        raise GadgetSearchError(
+            "mark", "requested output letter is not a nontrivial trace element"
         )
 
-    if base is not None:
-        return attempt(base, mark)
-    return _first_base(size, lambda e: attempt(e, mark))
+    universe_in = sorted(in_min.universe)
 
+    def bullets_ok(tab: Sequence[int]) -> bool:
+        if not lower.same(tab[c0], base):
+            return False
+        if not mid.same(tab[c0], tab[c1]) or lower.same(tab[c0], tab[c1]):
+            return False
+        for x in range(size):
+            for y in range(x + 1, size):
+                if upper.same(x, y) and not mid.same(tab[x], tab[y]):
+                    return False
+        for xi, x in enumerate(universe_in):
+            for y in universe_in[xi + 1 :]:
+                if mid.same(x, y) and not lower.same(tab[x], tab[y]):
+                    return False
+        return True
 
-def find_interpolation_configs(
-    algebra: FiniteAlgebra,
-    budget: Optional[Budget] = None,
-) -> tuple[list[BetaIntConfig], list[str]]:
-    """All congruence chains of an algebra that admit interpolation data.
+    def orbit_sum(tab: Sequence[int]) -> int:
+        return reduce(out_add, (tab[c] for c in cycle))
 
-    Returns the validated configurations together with a per-chain log of
-    outcomes (validated, or the first failing search stage).
-    """
-    s = structure(algebra, budget)
-    lat = s.lattice
-    if s.malcev is None:
-        return [], ["no ternary difference polynomial: interpolation needs permutability"]
-    configs: list[BetaIntConfig] = []
-    notes: list[str] = []
-    for upper in lat.elements:
-        subs = lat.subcovers_of(upper)
-        if len(subs) != 1:
+    xor_c1 = [in_add(x, c1) for x in range(size)]
+
+    # The seed: a table whose orbit sum, the indicator's value ``anchor`` at
+    # the first orbit point, leaves the base's class.
+    chosen = None
+    for h0 in clone:
+        tab = tuple(retract[v] for v in h0)
+        if not bullets_ok(tab):
             continue
-        mid = subs[0]
-        for lower in lat.subcovers_of(mid):
-            label = (
-                f"chain {lat.index(lower)} < {lat.index(mid)} < {lat.index(upper)}"
+        total = orbit_sum(tab)
+        if not lower.same(total, base):
+            chosen = (tab, total)
+            break
+        # Shift the argument by one orbit step and re-center; the new
+        # orbit sum must differ from the old one by the full-period
+        # multiple of the shift value, which we assert.
+        shifted = tuple(out_add(tab[xor_c1[x]], neg[tab[c1]]) for x in range(size))
+        qfold = _multiple(out_add, tab[c1], in_char, base)
+        total2 = orbit_sum(shifted)
+        expect = out_add(total, neg[qfold])
+        if not lower.same(total2, expect):
+            raise AssertionError(
+                "shifted orbit sum violates the re-centering identity"
             )
-            try:
-                cfg = complete_interpolation_config(
-                    algebra, lower, mid, upper, budget=budget
-                )
-            except GadgetSearchError as ex:
-                notes.append(f"{label}: failed at {ex}")
-                continue
-            configs.append(cfg)
-            notes.append(f"{label}: validated")
-    return configs, notes
+        if bullets_ok(shifted) and not lower.same(total2, base):
+            chosen = (shifted, total2)
+            break
+    if chosen is None:
+        raise GadgetSearchError(
+            "indicator-seed",
+            "no unary polynomial satisfies the shifted-sum conditions",
+        )
+    h_tab, anchor = chosen
+    if clone.lookup(h_tab) is None:
+        raise AssertionError("composed seed table escaped the unary clone")
+
+    b_tab = []
+    for z in range(size):
+        shifts = (h_tab[_multiple(in_add, z, j, c0)] for j in range(in_char))
+        b_tab.append(out_add(anchor, neg[reduce(out_add, shifts)]))
+    b_fn = clone.lookup(tuple(b_tab))
+    if b_fn is None:
+        raise AssertionError("class-indicator table escaped the unary clone")
+    for j, cj in enumerate(cycle):
+        want = anchor if j == 0 else base
+        if not lower.same(b_tab[cj], want):
+            raise GadgetSearchError(
+                "indicator", f"indicator misfires at orbit point {j}"
+            )
+
+    fix_fn = clone.find(lambda t: t[base] == base and lower.same(t[anchor], mark))
+    if fix_fn is None:
+        raise GadgetSearchError(
+            "permutability-fix",
+            "no unary polynomial moves the anchor class onto the mark "
+            "while fixing the base",
+        )
+
+    return BetaIntConfig(
+        algebra=algebra,
+        structure=s,
+        lower=lower,
+        in_zero=in_zero,
+        in_one=in_one,
+        base=base,
+        mark=mark,
+        in_char=in_char,
+        out_char=out_char,
+        in_min=in_min,
+        out_min=out_min,
+        g_fn=g_fn,
+        cycle=tuple(cycle),
+        b_fn=b_fn,
+        fix_fn=fix_fn,
+    )
 
 
 def beta_interpolate(

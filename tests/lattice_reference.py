@@ -67,7 +67,7 @@ def all_congruences(algebra: FiniteAlgebra) -> CongruenceLattice:
             ):
                 continue
             covers.append((i, j))
-    return CongruenceLattice(algebra, elements, index, tuple(covers))
+    return CongruenceLattice(elements, index, tuple(covers))
 
 
 def all_partitions(n: int) -> Iterator[Partition]:

@@ -672,6 +672,44 @@ def test_ccshape_names_each_break_of_a_given_shape(tmp_path, circuit, shape, pro
     assert (doc["valid"], doc["problems"]) == (False, problems)
 
 
+AND2 = str(GOLDEN_INPUTS / "and2_z6m2_circuit.json")
+
+
+@pytest.mark.parametrize(
+    "argv, doc, code",
+    [
+        (["cceval", "--circuit", AND2, "--word", "1x"],
+         {"error": "word must be a nonempty 0/1 string, got '1x'", "kind": "usage"}, 2),
+        (["cceval", "--circuit", AND2, "--word", "101"],
+         {"error": "word has 3 bits, circuit reads 2", "kind": "usage"}, 2),
+        (["localize", "--algebra", "fixtures:Z6", "--lower", "0", "--upper", "9"],
+         {"error": "congruence indices must lie in 0..3", "kind": "usage"}, 2),
+        (["localize", "--algebra", "fixtures:Z6", "--lower", "0", "--upper", "1"],
+         {"error": "--lower must be strictly below --upper", "kind": "domain"}, 1),
+        (["lower", "--pass", "nosuch", "--in", str(GOLDEN_INPUTS / "modmod.json")],
+         {"error": "unknown pass 'nosuch'; available: collapse_5to3, "
+                   "finalize_boolean_sum, modm_andd_to_sum, unmod", "kind": "usage"}, 2),
+        (["lower", "--pass", "modm_andd_to_sum", "--in", str(GOLDEN_INPUTS / "modand.json")],
+         {"error": "pass modm_andd_to_sum needs --p <prime>", "kind": "usage"}, 2),
+        (["compile", "--program", "wide_Z6.json"],
+         {"error": "too many input bits for value tables", "kind": "domain"}, 1),
+        (["compile", "--program", "wide_Z6%2.json"],
+         {"error": "too many input bits for value tables", "kind": "domain"}, 1),
+    ],
+)
+def test_each_refusal_prints_its_document(argv, doc, code, tmp_path, monkeypatch):
+    """Refusals of malformed words, congruence indices, passes and
+    programs: each prints one error document and exits 2 for usage, 1 for
+    domain.  ``wide_<fixture>.json`` counts 21 ones over the fixture, one
+    bit more than value tables allow; Z6 is refused on the supernilpotent
+    path, Z6%2 on the nilpotent one."""
+    for name in ("Z6", "Z6%2"):
+        wide = replace(count_ones(21), algebra=get_fixture(name).algebra)
+        wide.dump(str(tmp_path / f"wide_{name}.json"))
+    monkeypatch.chdir(tmp_path)
+    assert cli_doc(argv) == (code, doc)
+
+
 def test_compile_reports_a_circuit_the_harness_refutes(monkeypatch):
     """``and2`` over Z6 compiles to a one-wire OR over a MOD gate; with that
     gate's accepting set complemented, ``--verify-n`` finds the tables

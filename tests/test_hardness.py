@@ -21,7 +21,7 @@ from nudfa.hardness import (
     beta_interpolate,
     build_two_prime_program,
     cnf_to_lattice_program,
-    find_interpolation_configs,
+    complete_interpolation_config,
     find_two_prime_witness,
 )
 from nudfa.limits import Budget, BudgetExceeded
@@ -70,13 +70,21 @@ def test_dimacs_formula_round_trips_through_the_gadget():
 # -- interpolation across a three-congruence chain ---------------------------
 
 
+def marked_interpolation(algebra, in_pair=(0, 1), base=0, mark=2):
+    """Z6%2's interpolation data on its one chain 0 < (mod 2) < 1, by
+    default with the input pair (0, 1), base 0 and mark 2, as
+    ``find_two_prime_witness`` asks for a side's data."""
+    lat = structure(algebra).lattice
+    (mod2,) = lat.subcovers_of(lat.one)
+    return complete_interpolation_config(
+        algebra, lat.zero, mod2, lat.one, in_pair=in_pair, base=base, mark=mark
+    )
+
+
 @pytest.fixture(scope="module")
 def marked_config():
     fx = get_fixture("Z6%2")
-    configs, notes = find_interpolation_configs(fx.algebra)
-    assert notes == ["chain 2 < 1 < 0: validated"]
-    assert len(configs) == 1
-    return fx, configs[0]
+    return fx, marked_interpolation(fx.algebra)
 
 
 def test_marked_algebra_interpolation_config_values(marked_config):
@@ -87,12 +95,9 @@ def test_marked_algebra_interpolation_config_values(marked_config):
     assert sorted(cfg.in_min.universe) == [0, 1]
     assert sorted(cfg.out_min.universe) == [0, 2, 4]
     assert cfg.cycle == (0, 1)
-    assert cfg.anchor == 2
     assert cfg.g_fn == (0, 1, 0, 1, 0, 1)
-    assert cfg.h_fn == (0, 2, 0, 2, 0, 2)
     assert cfg.b_fn == (2, 0, 2, 0, 2, 0)
     assert cfg.fix_fn == (0, 0, 2, 2, 4, 4)
-    assert cfg.h_adjusted is False
 
 
 @pytest.mark.parametrize("s", [1, 2])
@@ -159,11 +164,27 @@ def test_two_prime_program_replays_the_formula_up_to_ten_variables(marked_config
     assert (prog.n, prog.size, prog.accepting) == (11, 548, frozenset({cfg.base}))
 
 
-def test_lattice_fixture_has_no_interpolation_chains():
+@pytest.mark.parametrize(
+    "in_pair, base, mark, stage",
+    [((0, 2), 0, 2, "input-pair"), ((0, 1), 0, 1, "mark"), ((0, 1), 0, 0, "mark")],
+)
+def test_given_letters_off_the_chain_are_refused(in_pair, base, mark, stage):
+    """On Z6%2's chain, 0 and 2 lie in one class of (mod 2), so they are no
+    input pair; the trace through 0 is {0, 2, 4}, so 1 is no mark, and
+    neither is the base itself."""
+    with pytest.raises(GadgetSearchError) as info:
+        marked_interpolation(get_fixture("Z6%2").algebra, in_pair, base, mark)
+    assert info.value.stage == stage
+
+
+def test_lattice_fixture_has_no_interpolation_data():
     lat2 = get_fixture("LAT2").algebra
-    configs, notes = find_interpolation_configs(lat2)
-    assert configs == []
-    assert any("permutability" in n for n in notes)
+    lat = structure(lat2).lattice
+    with pytest.raises(GadgetSearchError) as info:
+        complete_interpolation_config(
+            lat2, lat.zero, lat.zero, lat.one, in_pair=(0, 1), base=0, mark=1
+        )
+    assert info.value.stage == "malcev"
 
 
 def test_gadget_search_error_carries_stage_and_detail():
@@ -237,6 +258,6 @@ def test_results_name_the_callers_algebra():
     prog = demo_program("or2_lat2")
     with pytest.raises(HypothesisViolation, match="^copy is not nilpotent$"):
         compile_nilpotent(replace(prog, algebra=lat2_copy))
-    (cfg,), _ = find_interpolation_configs(marked_copy)
+    cfg = marked_interpolation(marked_copy)
     assert cfg.algebra is marked_copy
     assert cfg.structure is structure(marked.algebra)

@@ -177,8 +177,6 @@ def test_no_top_level_name_is_defined_in_two_modules():
 # Definitions that no other line of the package names, each with the
 # reason it stays.
 KEPT = {
-    "find_interpolation_configs": "the only source of configurations for "
-    "the interpolation gadget's tests",
     "truth_table": "bench/tracer.py wraps it",
     "cc_truth_table": "bench/tracer.py wraps it",
     "from_blocks": "the tests' constructor of partitions",
