@@ -181,7 +181,7 @@ def _conj_modsum_mod2(
         offset -= 1
     monomials = list(number)
     terms = {0: offset}
-    # Each c is +-2^d * 2^(1-k) mod the odd p, for 2^d subsets share a form: never 0.
+    # A form's 2^d subsets share one sign: c = +-2^d * 2^(1-k) mod odd p, never 0.
     for form, c in acc.items():
         keys = {monomials[b]: 1 for b in mask_bits(form)}
         atom = make_atom(2, keys, {0})
